@@ -260,7 +260,7 @@ def time_temporal_blocking(
                     g.iteration,
                     hashlib.sha256(g.u.tobytes()).hexdigest(),
                     hashlib.sha256(
-                        protector._ckpt_checksum.tobytes()
+                        protector.checkpoint.checksum.tobytes()
                     ).hexdigest(),
                 )
             )

@@ -32,8 +32,9 @@ The library is organised as a set of small, composable subsystems:
     the paper's evaluation (Section 5).
 
 ``repro.checkpoint``
-    In-memory checkpoint / rollback-recovery used by the offline ABFT
-    variant (Section 4).
+    The one verified-state ``Snapshot`` type (offline ABFT checkpoints,
+    rank buddy checkpoints, grid resets) and rollback-recovery used by
+    the offline ABFT variant (Section 4).
 
 ``repro.parallel``
     Tile and layer decomposition, shared-memory executors and a simulated

@@ -9,20 +9,22 @@ so the recomputed window is clean.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.checkpoint.store import Checkpoint
-from repro.stencil.grid import GridBase
+from repro.checkpoint.snapshot import Snapshot
+
+if TYPE_CHECKING:  # the grid module imports this package: no runtime cycle
+    from repro.stencil.grid import GridBase
 
 __all__ = ["rollback_and_recompute"]
 
 #: Called after every recomputed sweep: ``callback(grid)``.
-StepCallback = Callable[[GridBase], None]
+StepCallback = Callable[["GridBase"], None]
 
 
 def rollback_and_recompute(
     grid: GridBase,
-    checkpoint: Checkpoint,
+    checkpoint: Snapshot,
     iterations: int,
     inject: Optional[Callable[[GridBase, int], None]] = None,
     on_step: Optional[StepCallback] = None,
@@ -35,7 +37,7 @@ def rollback_and_recompute(
     grid:
         The grid to recover (modified in place).
     checkpoint:
-        A verified checkpoint whose iteration precedes the corrupted
+        A verified snapshot whose iteration precedes the corrupted
         window.
     iterations:
         Number of sweeps between the checkpoint and the detection point.
@@ -60,7 +62,7 @@ def rollback_and_recompute(
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    grid.restore(checkpoint.snapshot)
+    grid.restore(checkpoint)
     for _ in range(iterations):
         grid.step(backend=backend)
         if inject is not None:

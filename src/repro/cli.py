@@ -338,7 +338,7 @@ def _run_distributed(args) -> int:
     """``repro distributed``: drive the simulated rank-decomposed runner."""
     import numpy as np
 
-    from repro.parallel.simmpi import DistributedStencilRunner
+    from repro.parallel.simmpi import DistributedStencilRunner, RecoveryError
     from repro.stencil.boundary import BoundaryCondition
     from repro.stencil.grid import Grid2D
     from repro.stencil.kernels import five_point_diffusion
@@ -351,14 +351,17 @@ def _run_distributed(args) -> int:
         else BoundaryCondition.clamp()
     )
     grid = Grid2D(initial, five_point_diffusion(0.2), boundary)
-    runner = DistributedStencilRunner(
-        grid,
-        n_ranks=args.ranks,
-        protect=not args.no_protect,
-        backend=args.backend,
-        block_steps=args.block_steps,
-        checkpoint_period=args.checkpoint_period,
-    )
+    try:
+        runner = DistributedStencilRunner(
+            grid,
+            n_ranks=args.ranks,
+            protect=not args.no_protect,
+            backend=args.backend,
+            block_steps=args.block_steps,
+            checkpoint_period=args.checkpoint_period,
+        )
+    except RecoveryError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     inject = None
     crash_requested = args.crash_rank is not None or args.crash_iter is not None
     if crash_requested:

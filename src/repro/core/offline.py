@@ -31,7 +31,7 @@ import numpy as np
 from repro.backends import get_backend
 from repro.backends.registry import BackendLike
 from repro.checkpoint.recovery import rollback_and_recompute
-from repro.checkpoint.store import Checkpoint, InMemoryCheckpointStore
+from repro.checkpoint.snapshot import Snapshot
 from repro.core.checksums import constant_checksum
 from repro.core.detection import detect_errors
 from repro.core.interpolation import (
@@ -67,18 +67,16 @@ class OfflineABFT(Protector):
     track_strips:
         Record exact α/β strips every sweep (default) or use the
         simplified interpolation of Eqs. (8)-(9).
-    store:
-        Checkpoint store; defaults to a fresh single-slot
-        :class:`~repro.checkpoint.store.InMemoryCheckpointStore`.
     max_recovery_attempts:
         Upper bound on consecutive rollback attempts for one detection
         window (guards against persistent-fault livelock).
     metadata_self_check:
         Guard the protector's own state against corruption (default on).
-        The working checkpoint checksum is validated against the
-        independent copy stored with the checkpoint before every replay;
-        on mismatch it is recomputed from the checkpoint snapshot
-        instead of being trusted. Without this, a bit flip striking the
+        The checkpoint's working checksum is validated against its
+        independent duplicate before every replay (the duplicate rule of
+        :meth:`~repro.checkpoint.snapshot.Snapshot.verify`); on mismatch
+        it is recomputed from the checkpoint interior instead of being
+        trusted. Without this, a bit flip striking the
         *stored checksum* (rather than the domain) drives futile
         rollback/recompute cycles of perfectly healthy data until
         ``max_recovery_attempts`` is exhausted. Repairs are counted in
@@ -128,7 +126,6 @@ class OfflineABFT(Protector):
         epsilon: Optional[float] = None,
         verify_axis: int = 0,
         track_strips: bool = True,
-        store: Optional[InMemoryCheckpointStore] = None,
         max_recovery_attempts: int = 3,
         metadata_self_check: bool = True,
         checksum_dtype=np.float64,
@@ -168,7 +165,6 @@ class OfflineABFT(Protector):
         self.max_recovery_attempts = int(max_recovery_attempts)
         self.metadata_self_check = bool(metadata_self_check)
         self.backend = None if backend is None else get_backend(backend)
-        self.store = store if store is not None else InMemoryCheckpointStore()
         if epsilon is None:
             # As for the online protector, the margin is governed by the
             # domain dtype; the period enters because the interpolation is
@@ -182,7 +178,8 @@ class OfflineABFT(Protector):
             constant, verify_axis, self.shape, cs_dtype
         )
         self._n_reduce = self.shape[verify_axis]
-        self._ckpt_checksum: Optional[np.ndarray] = None
+        #: The last verified state: interior plus duplicated checksum.
+        self.checkpoint: Optional[Snapshot] = None
         self._strips: List[Dict[int, np.ndarray]] = []
         self._since_checkpoint = 0
         self._pending_cs: Optional[np.ndarray] = None
@@ -207,11 +204,10 @@ class OfflineABFT(Protector):
 
     # -- protector interface ---------------------------------------------------
     def reset(self) -> None:
-        self._ckpt_checksum = None
+        self.checkpoint = None
         self._strips = []
         self._since_checkpoint = 0
         self._pending_cs = None
-        self.store.clear()
         self.total_detections = 0
         self.total_rollbacks = 0
         self.total_recomputed_iterations = 0
@@ -220,32 +216,6 @@ class OfflineABFT(Protector):
     def _checksum(self, u: np.ndarray) -> np.ndarray:
         be = self.backend if self.backend is not None else get_backend()
         return be.checksum(u, self.verify_axis, dtype=self.checksum_dtype)
-
-    def _checked_ckpt_checksum(self) -> Optional[np.ndarray]:
-        """The working checkpoint checksum, validated against its duplicate.
-
-        The checkpoint store keeps an independent copy of the checksum
-        taken with the checkpoint; a mismatch between the two means a
-        fault struck the protector's metadata, not the domain. The
-        checksum is then recomputed from the checkpoint snapshot (the
-        ground truth both copies were derived from) and both copies are
-        repaired, so a corrupted checksum never drives futile rollbacks
-        of healthy data.
-        """
-        cs = self._ckpt_checksum
-        if not self.metadata_self_check or cs is None:
-            return cs
-        ckpt = self.store.latest()
-        if ckpt is None:
-            return cs
-        dup = ckpt.checksums.get(self.verify_axis)
-        if dup is None or np.array_equal(cs, dup):
-            return cs
-        self.total_metadata_repairs += 1
-        cs = self._checksum(ckpt.snapshot.u)
-        self._ckpt_checksum = cs
-        ckpt.checksums[self.verify_axis] = cs.copy()
-        return cs
 
     def _record_strips(self, grid: GridBase) -> None:
         # ``previous_padded`` is a live view into the grid's buffer pair
@@ -265,20 +235,24 @@ class OfflineABFT(Protector):
         # computed checksum instead of paying another reduction pass.
         if cs is None:
             cs = self._checksum(grid.u)
-        self.store.save(
-            Checkpoint(
-                iteration=grid.iteration,
-                snapshot=grid.snapshot(),
-                checksums={self.verify_axis: cs.copy()},
-            )
-        )
-        self._ckpt_checksum = cs
+        self.checkpoint = grid.snapshot().seal(cs)
         self._strips = []
         self._since_checkpoint = 0
 
     def _replay_interpolation(self) -> np.ndarray:
-        """Interpolate the checkpoint checksum forward through the window."""
-        cs = self._checked_ckpt_checksum()
+        """Interpolate the checkpoint checksum forward through the window.
+
+        With the self-check on, the checkpoint checksum first passes the
+        duplicate rule: a copy mismatch means a fault struck the
+        metadata, not the domain, so the checksum is recomputed from the
+        checkpoint interior (no payload check — that would cost a
+        reduction pass per window) and a corrupted checksum never drives
+        futile rollbacks of healthy data.
+        """
+        ckpt = self.checkpoint
+        if self.metadata_self_check and ckpt.verify(self._checksum, payload=False):
+            self.total_metadata_repairs += 1
+        cs = ckpt.checksum
         for strips in self._strips:
             cs = interpolate_checksum_reduced(
                 cs,
@@ -296,7 +270,7 @@ class OfflineABFT(Protector):
             raise ValueError(
                 f"grid shape {grid.shape} does not match protector shape {self.shape}"
             )
-        if self._ckpt_checksum is None:
+        if self.checkpoint is None:
             # Initial verified state (t = 0 data assumed correct).
             self._take_checkpoint(grid)
         closes_window = self._since_checkpoint + 1 >= self.period
@@ -374,7 +348,7 @@ class OfflineABFT(Protector):
         window-closing verification (including any rollback, which
         replays single steps) is unchanged.
         """
-        if self._ckpt_checksum is None:
+        if self.checkpoint is None:
             self._take_checkpoint(grid)
         start = grid.iteration
         closes_window = self._since_checkpoint + k >= self.period
@@ -437,7 +411,7 @@ class OfflineABFT(Protector):
 
     def finalize(self, grid: GridBase) -> Optional[StepReport]:
         """Verify any partially filled detection window at the end of the run."""
-        if self._since_checkpoint == 0 or self._ckpt_checksum is None:
+        if self._since_checkpoint == 0 or self.checkpoint is None:
             return None
         return self._verify_and_recover(grid, None)
 
@@ -470,16 +444,11 @@ class OfflineABFT(Protector):
             if attempts > self.max_recovery_attempts:
                 report.errors_uncorrected = detection.n_errors
                 break
-            checkpoint = self.store.latest()
-            if checkpoint is None:
-                report.errors_uncorrected = detection.n_errors
-                break
-            self.store.mark_restore()
             window = self._since_checkpoint
             self._strips = []
             recomputed = rollback_and_recompute(
                 grid,
-                checkpoint,
+                self.checkpoint,
                 window,
                 inject=inject,
                 on_step=self._record_strips,

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.backends import ChecksumMap, get_backend
 from repro.backends.registry import BackendLike
+from repro.checkpoint.snapshot import ProtectorState
 from repro.core.checksums import constant_checksum
 from repro.core.correction import correct_errors, match_detections
 from repro.core.detection import detect_errors
@@ -202,7 +203,7 @@ class OnlineABFT(Protector):
         self.total_uncorrected = 0
         self.total_metadata_repairs = 0
 
-    def state_snapshot(self) -> dict:
+    def state_snapshot(self) -> ProtectorState:
         """Checkpointable protector state (buddy checkpointing).
 
         Captures the stored previous-step checksum vectors and the four
@@ -212,30 +213,30 @@ class OnlineABFT(Protector):
         through :meth:`_store_prev_cs`, so a checkpointed protector is
         always internally consistent.
         """
-        return {
-            "prev_cs": {
+        return ProtectorState(
+            prev_cs={
                 axis: (None if cs is None else cs.copy())
                 for axis, cs in self._prev_cs.items()
             },
-            "counters": (
+            counters=(
                 self.total_detections,
                 self.total_corrections,
                 self.total_uncorrected,
                 self.total_metadata_repairs,
             ),
-        }
+        )
 
-    def state_restore(self, state: dict) -> None:
+    def state_restore(self, state: ProtectorState) -> None:
         """Restore :meth:`state_snapshot` state (rollback recovery)."""
         for axis in (0, 1):
-            cs = state["prev_cs"].get(axis)
+            cs = state.prev_cs.get(axis)
             self._store_prev_cs(axis, None if cs is None else cs.copy())
         (
             self.total_detections,
             self.total_corrections,
             self.total_uncorrected,
             self.total_metadata_repairs,
-        ) = (int(c) for c in state["counters"])
+        ) = (int(c) for c in state.counters)
 
     def _checksum(self, u: np.ndarray, axis: int) -> np.ndarray:
         be = self.backend if self.backend is not None else get_backend()

@@ -600,7 +600,7 @@ class _WorkerCampaign:
                 self.grid,
                 self.protector,
                 max(width, self.batch_width),
-                self.snapshot0.u,
+                self.snapshot0.interior,
             )
         return self.stacked
 

@@ -515,8 +515,9 @@ def _corrupt_stored_checksum(protector, plan: FaultPlan) -> None:
     """Flip a bit of the protector's *primary* stored checksum copy.
 
     Supports both protector families by duck-typing their metadata:
-    the online protector's ``_prev_cs`` dict and the offline
-    protector's ``_ckpt_checksum``.  Only the primary copy is struck —
+    the online protector's ``_prev_cs`` dict and the primary
+    ``checksum`` of the offline protector's ``checkpoint`` snapshot.
+    Only the primary copy is struck —
     the self-check duplicate models independent storage, exactly the
     asymmetry the duplicated-checksum rule exploits.
     """
@@ -535,7 +536,8 @@ def _corrupt_stored_checksum(protector, plan: FaultPlan) -> None:
         validate_plan_index(plan, cs.shape)
         flip_bit_in_array(cs, plan.index, plan.bit)
         return
-    cs = getattr(protector, "_ckpt_checksum", None)
+    checkpoint = getattr(protector, "checkpoint", None)
+    cs = None if checkpoint is None else checkpoint.checksum
     if cs is not None:
         validate_plan_index(plan, cs.shape)
         flip_bit_in_array(cs, plan.index, plan.bit)

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.backends.registry import BackendLike
+from repro.checkpoint.snapshot import CheckpointCorrupt, Snapshot
 from repro.core.online import OnlineABFT
 from repro.core.protector import StepReport
 from repro.parallel.decomposition import partition_extent
@@ -71,7 +72,6 @@ __all__ = [
     "RankFailure",
     "CheckpointCorrupt",
     "RecoveryError",
-    "RankCheckpoint",
     "RecoveryStats",
     "SimChannel",
     "SimRank",
@@ -119,21 +119,12 @@ class RankFailure(ChannelError):
         self.rank = int(rank)
 
 
-class CheckpointCorrupt(RuntimeError):
-    """A checkpoint failed its integrity check and must not be restored.
-
-    Raised when a checkpoint's domain payload no longer matches its
-    (self-checked) checksum vector — restoring it would resurrect
-    corrupted state, so recovery refuses.
-    """
-
-
 class RecoveryError(RuntimeError):
     """Rank-failure recovery is impossible in the current configuration.
 
     Examples: no checkpointing enabled when a rank died, a failed rank
-    whose buddy also died (the in-memory copy is gone), or a sole rank
-    with no buddy at all.
+    whose buddy also died (the in-memory copy is gone), or checkpointing
+    requested for a sole rank with no buddy at all.
     """
 
 
@@ -449,32 +440,8 @@ class SimChannel:
         }
 
 
-@dataclass
-class RankCheckpoint:
-    """One rank's committed state at a checkpoint iteration.
-
-    ``interior`` is the rank's domain block (ghost slabs are rebuilt
-    before first read after a restore, so they are not captured);
-    ``protector_state`` is :meth:`OnlineABFT.state_snapshot` output (or
-    ``None`` for unprotected ranks).  ``checksum``/``checksum_dup`` are
-    an independently accumulated ``np.sum`` integrity vector over the
-    interior plus its self-check duplicate, verified via the PR 8
-    metadata rule before the checkpoint is ever restored: a duplicate
-    mismatch means the *metadata* was struck and is recomputed from the
-    still-healthy domain (counted as a repair); a domain/checksum
-    mismatch with agreeing duplicates means the *payload* was struck
-    and restoring raises :class:`CheckpointCorrupt`.
-    """
-
-    iteration: int
-    interior: np.ndarray
-    checksum: np.ndarray
-    checksum_dup: np.ndarray
-    protector_state: Optional[dict]
-
-
 def _checkpoint_checksum(interior: np.ndarray) -> np.ndarray:
-    """Integrity vector of a checkpoint payload.
+    """Integrity vector of a rank checkpoint payload.
 
     Deliberately a plain ``np.sum`` in float64 along axis 0 — computed
     identically at snapshot and verify time, independent of any backend
@@ -555,10 +522,10 @@ class SimRank:
         #: recovery rebuilds it.
         self.alive = True
         #: The rank's own last committed checkpoint (survivor rollback).
-        self.own_checkpoint: Optional[RankCheckpoint] = None
+        self.own_checkpoint: Optional[Snapshot] = None
         #: Buddy copies this rank holds for its partner(s), keyed by the
         #: owner rank — what recovery rebuilds a dead partner from.
-        self.buddy_store: Dict[int, RankCheckpoint] = {}
+        self.buddy_store: Dict[int, Snapshot] = {}
 
     @property
     def interior(self) -> np.ndarray:
@@ -618,7 +585,9 @@ class DistributedStencilRunner:
         auto-enables at the default period — the ABFT detection period
         Δ (:data:`DETECTION_PERIOD`).  Either way the period is rounded
         up to a multiple of :attr:`effective_block_steps` so checkpoints
-        land on temporal-blocking window boundaries.
+        land on temporal-blocking window boundaries.  A period is turned
+        on through :meth:`enable_checkpointing`, so a sole rank raises
+        :class:`RecoveryError` here too.
     abft_kwargs:
         Extra keyword arguments for each rank's protector.
 
@@ -724,8 +693,6 @@ class DistributedStencilRunner:
         self.checkpoint_period = self._align_period(
             DETECTION_PERIOD if checkpoint_period is None else checkpoint_period
         )
-        if checkpoint_period is not None:
-            self._checkpointing = True
 
         self.ranks: List[SimRank] = []
         for r, (start, stop) in enumerate(bounds):
@@ -779,8 +746,8 @@ class DistributedStencilRunner:
             external_axes=external,
             block_steps=self.effective_block_steps,
         )
-        if self._checkpointing:
-            self._take_checkpoints()
+        if checkpoint_period is not None:
+            self.enable_checkpointing()
 
     @property
     def backend(self):
@@ -818,134 +785,51 @@ class DistributedStencilRunner:
         self._checkpointing = True
         self._take_checkpoints()
 
-    def _pack_checkpoint_meta(self, ckpt: RankCheckpoint) -> np.ndarray:
-        """Flatten a checkpoint's metadata into one float64 wire vector.
-
-        Layout: ``[iteration, has_protector]``, the integrity checksum,
-        its duplicate, then (when protected) the four protector counters
-        followed by per-axis ``[present, *prev_cs.flat]`` sections.  The
-        receiver knows the owner's block shape and protector settings,
-        so the vector unpacks without any side channel.
-        """
-        parts: List[np.ndarray] = [
-            np.array(
-                [float(ckpt.iteration), 1.0 if ckpt.protector_state else 0.0],
-                dtype=np.float64,
-            ),
-            np.asarray(ckpt.checksum, dtype=np.float64).ravel(),
-            np.asarray(ckpt.checksum_dup, dtype=np.float64).ravel(),
-        ]
-        state = ckpt.protector_state
-        if state:
-            parts.append(np.array(state["counters"], dtype=np.float64))
-            for axis in (0, 1):
-                cs = state["prev_cs"].get(axis)
-                if cs is None:
-                    parts.append(np.zeros(1, dtype=np.float64))
-                else:
-                    parts.append(
-                        np.concatenate(
-                            [
-                                np.ones(1, dtype=np.float64),
-                                np.asarray(cs, dtype=np.float64).ravel(),
-                            ]
-                        )
-                    )
-        return np.concatenate(parts)
-
-    def _unpack_checkpoint_meta(
-        self, meta: np.ndarray, owner: SimRank, interior: np.ndarray
-    ) -> RankCheckpoint:
-        """Rebuild a :class:`RankCheckpoint` from its wire vector."""
-        meta = np.asarray(meta, dtype=np.float64).ravel()
-        iteration = int(meta[0])
-        has_protector = bool(meta[1])
-        shape = interior.shape
-        cs_len = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
-        cs_shape = shape[1:] if len(shape) > 1 else ()
-        pos = 2
-        checksum = meta[pos : pos + cs_len].reshape(cs_shape).copy()
-        pos += cs_len
-        checksum_dup = meta[pos : pos + cs_len].reshape(cs_shape).copy()
-        pos += cs_len
-        state: Optional[dict] = None
-        if has_protector:
-            counters = tuple(int(c) for c in meta[pos : pos + 4])
-            pos += 4
-            prev_cs: Dict[int, Optional[np.ndarray]] = {}
-            cs_dtype = np.float64
-            if owner.protector is not None:
-                cs_dtype = owner.protector.checksum_dtype or owner.protector.dtype
-            for axis in (0, 1):
-                present = bool(meta[pos])
-                pos += 1
-                if not present:
-                    prev_cs[axis] = None
-                    continue
-                axis_shape = tuple(
-                    n for ax, n in enumerate(shape) if ax != axis
-                ) or (1,)
-                n = int(np.prod(axis_shape, dtype=np.int64))
-                prev_cs[axis] = (
-                    meta[pos : pos + n].reshape(axis_shape).astype(cs_dtype)
-                )
-                pos += n
-            state = {"prev_cs": prev_cs, "counters": counters}
-        return RankCheckpoint(
-            iteration=iteration,
-            interior=interior,
-            checksum=checksum,
-            checksum_dup=checksum_dup,
-            protector_state=state,
-        )
-
     def _take_checkpoints(self) -> None:
         """Commit a checkpoint on every rank and ship the buddy copies.
 
         Each rank snapshots its interior + protector state locally (the
-        survivor-rollback copy) and sends a copy around the buddy ring
-        over the shared channel — two messages per rank (domain payload
-        tag ``"ckpt"``, packed metadata tag ``"ckpt_meta"``), counted
-        in :meth:`SimChannel.traffic` like any other traffic but *not*
-        fault-eligible, so halo payload-fault ordinals never shift.
+        survivor-rollback copy), sealed with the float64 integrity
+        vector of :func:`_checkpoint_checksum`, and sends a copy around
+        the buddy ring over the shared channel — two messages per rank
+        (domain payload tag ``"ckpt"``, :meth:`Snapshot.meta` vector tag
+        ``"ckpt_meta"``), counted in :meth:`SimChannel.traffic` like any
+        other traffic but *not* fault-eligible, so halo payload-fault
+        ordinals never shift.
         """
         stats = self.recovery
         for rank in self.ranks:
             interior = rank.buffers.snapshot_interior()
-            checksum = _checkpoint_checksum(interior)
-            state = (
-                rank.protector.state_snapshot()
-                if rank.protector is not None
-                else None
-            )
-            ckpt = RankCheckpoint(
+            ckpt = Snapshot(
                 iteration=self.iteration,
                 interior=interior,
-                checksum=checksum,
-                checksum_dup=checksum.copy(),
-                protector_state=state,
-            )
+                protector=(
+                    rank.protector.state_snapshot()
+                    if rank.protector is not None
+                    else None
+                ),
+            ).seal(_checkpoint_checksum(interior))
             rank.own_checkpoint = ckpt
-            buddy = self.buddy_of.get(rank.rank)
-            if buddy is not None:
-                meta = self._pack_checkpoint_meta(ckpt)
-                self.channel.send(
-                    rank.rank, buddy, CKPT_TAG, interior, fault_eligible=False
-                )
-                self.channel.send(
-                    rank.rank, buddy, CKPT_META_TAG, meta, fault_eligible=False
-                )
-                stats.checkpoint_messages += 2
-                stats.checkpoint_bytes += int(interior.nbytes) + int(meta.nbytes)
+            meta = ckpt.meta()
+            buddy = self.buddy_of[rank.rank]
+            self.channel.send(
+                rank.rank, buddy, CKPT_TAG, interior, fault_eligible=False
+            )
+            self.channel.send(
+                rank.rank, buddy, CKPT_META_TAG, meta, fault_eligible=False
+            )
+            stats.checkpoint_messages += 2
+            stats.checkpoint_bytes += int(interior.nbytes) + int(meta.nbytes)
         # Drain the ring: every rank stores the copy its partner shipped.
-        if self.buddy_of:
-            for rank in self.ranks:
-                src = (rank.rank - 1) % self.n_ranks
-                payload = self.channel.recv(src, rank.rank, CKPT_TAG)
-                meta = self.channel.recv(src, rank.rank, CKPT_META_TAG)
-                rank.buddy_store[src] = self._unpack_checkpoint_meta(
-                    meta, self.ranks[src], payload
-                )
+        for rank in self.ranks:
+            src = (rank.rank - 1) % self.n_ranks
+            payload = self.channel.recv(src, rank.rank, CKPT_TAG)
+            meta = self.channel.recv(src, rank.rank, CKPT_META_TAG)
+            owner = self.ranks[src].protector
+            cs_dtype = (
+                np.float64 if owner is None else owner.checksum_dtype or owner.dtype
+            )
+            rank.buddy_store[src] = Snapshot.from_meta(meta, payload, cs_dtype)
         stats.checkpoints_taken += 1
         self._last_checkpoint_iteration = self.iteration
 
@@ -958,32 +842,17 @@ class DistributedStencilRunner:
         ):
             self._take_checkpoints()
 
-    def _verify_checkpoint(self, ckpt: RankCheckpoint, owner: int) -> None:
-        """Validate a checkpoint before restoring it (PR 8 self-check rule).
+    def _checked(self, ckpt: Snapshot, owner: int) -> Snapshot:
+        """``ckpt`` after the duplicate rule, before it is ever restored.
 
-        Disagreeing checksum duplicates mean the metadata itself was
-        struck while the domain payload is still trusted: recompute the
-        vector from the payload and count a repair.  Agreeing duplicates
-        that contradict the payload mean the *payload* was struck:
-        restoring it would resurrect corruption, so raise
-        :class:`CheckpointCorrupt`.
+        A metadata repair is counted; a struck payload raises
+        :class:`CheckpointCorrupt` instead of resurrecting corruption.
         """
-        if not np.array_equal(ckpt.checksum, ckpt.checksum_dup):
+        if ckpt.verify(_checkpoint_checksum, name=f"checkpoint of rank {owner}"):
             self.recovery.checkpoint_metadata_repairs += 1
-            recomputed = _checkpoint_checksum(ckpt.interior)
-            ckpt.checksum = recomputed
-            ckpt.checksum_dup = recomputed.copy()
-            return
-        recomputed = _checkpoint_checksum(ckpt.interior)
-        if not np.array_equal(recomputed, ckpt.checksum):
-            raise CheckpointCorrupt(
-                f"checkpoint of rank {owner} at iteration {ckpt.iteration} "
-                f"fails its integrity check: the domain payload disagrees "
-                f"with the (self-consistent) checksum vector; refusing to "
-                f"restore corrupted state"
-            )
+        return ckpt
 
-    def _rebuild_rank(self, r: int, ckpt: RankCheckpoint) -> None:
+    def _rebuild_rank(self, r: int, ckpt: Snapshot) -> None:
         """Re-instantiate a dead rank from its buddy's checkpoint copy.
 
         The replacement (a spare in real MPI) inherits the topology of
@@ -1006,8 +875,8 @@ class DistributedStencilRunner:
                 backend=self.backend_spec,
                 **self._abft_kwargs,
             )
-            if ckpt.protector_state is not None:
-                protector.state_restore(ckpt.protector_state)
+            if ckpt.protector is not None:
+                protector.state_restore(ckpt.protector)
         rebuilt = SimRank(
             rank=r,
             block=ckpt.interior,
@@ -1052,11 +921,7 @@ class DistributedStencilRunner:
         completed = self.iteration
         self.channel.purge()
         for r in failed:
-            buddy = self.buddy_of.get(r)
-            if buddy is None:
-                raise RecoveryError(
-                    f"rank {r} failed but has no buddy (n_ranks == 1)"
-                ) from failure
+            buddy = self.buddy_of[r]
             if buddy in failed:
                 raise RecoveryError(
                     f"rank {r} and its buddy rank {buddy} both failed in "
@@ -1070,8 +935,7 @@ class DistributedStencilRunner:
                     f"rank {buddy} holds no buddy checkpoint for dead "
                     f"rank {r}"
                 ) from failure
-            self._verify_checkpoint(ckpt, owner=r)
-            self._rebuild_rank(r, ckpt)
+            self._rebuild_rank(r, self._checked(ckpt, owner=r))
             self.channel.revive(r)
             stats.ranks_rebuilt += 1
         ckpt_iteration = self._last_checkpoint_iteration
@@ -1084,10 +948,10 @@ class DistributedStencilRunner:
                     f"surviving rank {rank.rank} holds no checkpoint to "
                     f"roll back to"
                 ) from failure
-            self._verify_checkpoint(own, owner=rank.rank)
+            self._checked(own, owner=rank.rank)
             rank.buffers.restore_interior(own.interior)
-            if rank.protector is not None and own.protector_state is not None:
-                rank.protector.state_restore(own.protector_state)
+            if rank.protector is not None and own.protector is not None:
+                rank.protector.state_restore(own.protector)
             rank.reports = [
                 rep for rep in rank.reports if rep.iteration <= own.iteration
             ]

@@ -376,17 +376,8 @@ class DoubleBufferedGrid:
         if self._shm_names is not None:
             self._shm_names = (self._shm_names[1], self._shm_names[0])
 
-    def load(self, u: np.ndarray) -> None:
-        """Overwrite the front interior with ``u`` (snapshot restore)."""
-        u = np.asarray(u)
-        if u.shape != self.interior_shape:
-            raise ValueError(
-                f"expected interior shape {self.interior_shape}, got {u.shape}"
-            )
-        interior_view(self._front, self.radius)[...] = u
-
     # -- checkpointing --------------------------------------------------------
-    def snapshot_interior(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def snapshot_interior(self) -> np.ndarray:
         """Contiguous copy of the front interior (the checkpoint payload).
 
         Only the interior is captured: every ghost slab of the pair is
@@ -394,28 +385,22 @@ class DoubleBufferedGrid:
         per-step :meth:`refresh`, externally managed axes by the next
         halo ingest — so snapshotting the interior alone is sufficient
         to restore the pair bit-for-bit via :meth:`restore_interior`.
-        Passing a preallocated ``out`` keeps steady-state checkpointing
-        allocation-free.
         """
-        interior = self.interior
-        if out is None:
-            return interior.copy()
-        if out.shape != interior.shape or out.dtype != interior.dtype:
-            raise ValueError(
-                f"checkpoint buffer mismatch: expected {interior.shape} "
-                f"{interior.dtype}, got {out.shape} {out.dtype}"
-            )
-        out[...] = interior
-        return out
+        return self.interior.copy()
 
     def restore_interior(self, u: np.ndarray) -> None:
-        """Restore the pair from a :meth:`snapshot_interior` payload.
+        """Overwrite the front interior with ``u`` (snapshot restore).
 
         The back buffer needs no restore: the next sweep overwrites it
         entirely before anything reads it, so rolling the front interior
         back is enough for bitwise-identical replay.
         """
-        self.load(u)
+        u = np.asarray(u)
+        if u.shape != self.interior_shape:
+            raise ValueError(
+                f"expected interior shape {self.interior_shape}, got {u.shape}"
+            )
+        interior_view(self._front, self.radius)[...] = u
 
     # -- shared-memory migration --------------------------------------------
     @property

@@ -35,25 +35,12 @@ import numpy as np
 
 from repro.backends import Backend, ChecksumMap, get_backend
 from repro.backends.registry import BackendLike
+from repro.checkpoint.snapshot import Snapshot
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
 from repro.stencil.spec import StencilSpec
 
-__all__ = ["GridBase", "Grid2D", "Grid3D", "GridSnapshot"]
-
-
-class GridSnapshot:
-    """Deep copy of a grid's mutable state (used by checkpointing)."""
-
-    __slots__ = ("u", "iteration")
-
-    def __init__(self, u: np.ndarray, iteration: int) -> None:
-        self.u = u.copy()
-        self.iteration = int(iteration)
-
-    def nbytes(self) -> int:
-        """Approximate memory footprint of the snapshot in bytes."""
-        return int(self.u.nbytes)
+__all__ = ["GridBase", "Grid2D", "Grid3D"]
 
 
 class GridBase:
@@ -401,21 +388,22 @@ class GridBase:
         return self.u
 
     # -- snapshot / restore ---------------------------------------------------
-    def snapshot(self) -> GridSnapshot:
+    def snapshot(self) -> Snapshot:
         """Deep copy of the current state (for checkpointing)."""
-        return GridSnapshot(self.u, self.iteration)
+        return Snapshot(iteration=self.iteration, interior=self.u.copy())
 
-    def restore(self, snap: GridSnapshot) -> None:
+    def restore(self, snap: Snapshot) -> None:
         """Restore a previously taken snapshot (rollback recovery).
 
         The snapshot is written into the front buffer's interior in
         place, so ``grid.u`` remains a view into the buffer pair.
         """
-        if snap.u.shape != self.u.shape:
+        if snap.interior.shape != self.u.shape:
             raise ValueError(
-                f"snapshot shape {snap.u.shape} does not match domain {self.u.shape}"
+                f"snapshot shape {snap.interior.shape} does not match domain "
+                f"{self.u.shape}"
             )
-        self.buffers.load(snap.u)
+        self.buffers.restore_interior(snap.interior)
         self.u = self.buffers.interior
         self.iteration = snap.iteration
         self._previous = None

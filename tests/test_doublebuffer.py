@@ -219,12 +219,12 @@ class TestDoubleBufferedGridUnit:
         pair.swap()
         assert pair.front is back and pair.back is front
 
-    def test_load_shape_validated(self, rng):
+    def test_restore_interior_shape_validated(self, rng):
         pair = DoubleBufferedGrid(
             rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero()
         )
         with pytest.raises(ValueError, match="interior shape"):
-            pair.load(np.zeros((3, 3)))
+            pair.restore_interior(np.zeros((3, 3)))
 
     def test_refresh_returns_front(self, rng):
         pair = DoubleBufferedGrid(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint.store import InMemoryCheckpointStore
 from repro.core.offline import OfflineABFT
 from repro.core.protector import NoProtection
 from repro.faults.injector import FaultInjector, FaultPlan
@@ -134,14 +133,13 @@ class TestOfflineWithFault:
         assert run.total_detected == 0
         assert run.total_rollbacks == 0
 
-    def test_checkpoint_store_reused_and_counted(self, rng):
-        store = InMemoryCheckpointStore(max_checkpoints=2)
+    def test_checkpoint_retaken_and_rollback_counted(self, rng):
         grid = _make_grid(rng)
         injector = FaultInjector([FaultPlan(iteration=6, index=(3, 3), bit=27)])
-        p = OfflineABFT.for_grid(grid, epsilon=1e-5, period=4, store=store)
+        p = OfflineABFT.for_grid(grid, epsilon=1e-5, period=4)
         p.run(grid, 12, inject=injector)
-        assert store.saves >= 3
-        assert store.restores == 1
+        assert p.checkpoint.iteration == 12
+        assert p.total_rollbacks == 1
 
     def test_persistent_fault_bounded_by_max_attempts(self, rng):
         # A hook that corrupts the same point on every iteration can never
@@ -177,4 +175,4 @@ class TestOfflineWithFault:
         p.reset()
         assert p.total_detections == 0
         assert p.total_rollbacks == 0
-        assert len(p.store) == 0
+        assert p.checkpoint is None

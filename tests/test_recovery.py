@@ -295,6 +295,8 @@ class TestBuddyCheckpointing:
         solo = DistributedStencilRunner(_grid_2d(), n_ranks=1)
         with pytest.raises(RecoveryError, match="no partner"):
             solo.enable_checkpointing()
+        with pytest.raises(RecoveryError, match="no partner"):
+            DistributedStencilRunner(_grid_2d(), n_ranks=1, checkpoint_period=4)
 
     def test_corrupt_metadata_is_repaired(self):
         runner = DistributedStencilRunner(
@@ -602,6 +604,15 @@ class TestRecoveryCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "rebuilt from buddy" in out
+
+    def test_single_rank_checkpointing_refused(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="n_ranks >= 2"):
+            main(
+                ["distributed", "--ranks", "1", "--iters", "8", "--size",
+                 "16", "--checkpoint-period", "4"]
+            )
 
     def test_campaign_rank_crash(self, capsys):
         from repro.cli import main
