@@ -281,6 +281,30 @@ class Backend(ABC):
         third-party backends working unchanged.  Optimised backends
         override this to pass the destination interior as ``out``.
 
+        **Ghost-overwrite rule.**  ``src_padded`` is never written.  In
+        ``dst_padded``, the ghost cells of axes >= 1 that lie inside the
+        interior's axis-0 extent may be overwritten with meaningless
+        values (the ``fused`` backend's flat-stride sweep computes
+        through them); its axis-0 ghost slabs and all memory outside
+        ``dst_padded`` are left alone.  Every in-tree caller refreshes
+        or ingests those ghosts before it reads them:
+
+        * :meth:`~repro.stencil.doublebuffer.DoubleBufferedGrid.step` —
+          the written buffer becomes the front buffer, refreshed at the
+          start of the next step;
+        * the tiled runner — its tiles sweep through ``sweep_padded``
+          into interior views and write no ghost; an axis-0 slab tile
+          swept through this method would touch only its own rows'
+          ghost columns, which the next ``padded_current()`` refresh
+          rebuilds;
+        * the distributed runner — halo ingestion fills the distributed
+          axis, the partial-axis refresh of the step the remaining ones;
+        * :meth:`multi_step_into` — each sub-step refreshes the buffer
+          it reads, and trapezoid sub-views never read ghosts a sibling
+          sub-step wrote;
+        * the batched step (``batch_step_into*``) — the same refresh
+          over the run-extended buffer pair.
+
         Returns the destination interior view.
         """
         interior = self._dst_interior(dst_padded, radius, interior_shape)

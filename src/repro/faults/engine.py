@@ -85,6 +85,7 @@ import os
 import pickle
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -1128,7 +1129,10 @@ class CampaignEngine:
         ``ProcessPoolExecutor``, failing every outstanding future) or
         hung past ``worker_timeout``.  The pool is then restarted and
         only the lost batches are re-dispatched — with any chaos marker
-        stripped, so an injected failure strikes exactly once.  Records
+        stripped, so an injected failure strikes exactly once.  Only a
+        dead worker (``BrokenProcessPool``) or a hang counts as a lost
+        batch: any other exception raised inside a worker is re-raised
+        at once, chained, naming the batch's first run and width.  Records
         are bitwise-independent of all of this: batches carry their
         pre-drawn plans, and a re-run of a batch is deterministic.
         """
@@ -1176,12 +1180,20 @@ class CampaignEngine:
                 group = futures[future]
                 try:
                     group_rows = future.result()
-                except Exception:
-                    # BrokenProcessPool (a sibling's worker died) or the
-                    # group's own worker crashed; its batches stay
-                    # pending for the next wave.
+                except BrokenProcessPool:
+                    # This group's worker (or a sibling's) died; its
+                    # batches stay pending for the next wave.
                     wave_failed = True
                     continue
+                except Exception as exc:
+                    # The worker survived but the batch code raised: a
+                    # restart would only repeat it, so surface the cause.
+                    start = pending[group[0]].start
+                    width = sum(len(pending[i].plans) for i in group)
+                    raise RuntimeError(
+                        f"campaign batch starting at run {start} (width "
+                        f"{width}) raised inside a worker process: {exc!r}"
+                    ) from exc
                 for task_index, rows in zip(group, group_rows):
                     results[task_index] = rows
                     pending.pop(task_index, None)

@@ -8,11 +8,26 @@ of a disturbed campaign are bitwise-identical to an undisturbed one —
 ``worker_restarts`` is the proof the failure actually struck.
 """
 
+import os
+
 import pytest
 
 from repro.experiments.common import make_hotspot_app, make_protector_factory
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.engine import CampaignEngine
+
+
+class _RaisesInWorker:
+    """Protector factory that works in the parent and raises in a worker."""
+
+    def __init__(self):
+        self.parent_pid = os.getpid()
+        self.inner = make_protector_factory("online-abft")
+
+    def __call__(self, grid):
+        if os.getpid() != self.parent_pid:
+            raise ArithmeticError("protector factory failed in a worker")
+        return self.inner(grid)
 
 
 def _record_key(record):
@@ -103,6 +118,19 @@ class TestWorkerFailureResilience:
         ) as engine:
             with pytest.raises(RuntimeError, match="dispatch attempts"):
                 engine.run(app.build_grid, factory, config, reference=reference)
+
+    def test_worker_exception_is_surfaced_not_retried(self, small_campaign):
+        """A live worker's exception is the cause, not a pool death."""
+        app, _, config, reference, _ = small_campaign
+        factory = _RaisesInWorker()
+        with CampaignEngine(
+            executor="process", workers=1, batch_size=12
+        ) as engine:
+            with pytest.raises(RuntimeError, match="run 0 \\(width 12\\)") as info:
+                engine.run(app.build_grid, factory, config, reference=reference)
+            assert engine.worker_restarts == 0
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert "protector factory failed" in str(info.value)
 
     def test_pool_is_reusable_after_a_chaos_run(self, small_campaign):
         """The restarted pool keeps serving later (clean) campaigns."""
