@@ -38,15 +38,6 @@ step versus a forced interpreted step (separate ghost-refresh pass).
 With numba importable, ``--smoke`` gates on the compiled step not being
 slower.
 
-A ``temporal_blocking`` section times the blocked k=4
-``OfflineABFT(period=8, track_strips=False)`` protected run against the
-single-step protector on the acceptance domain, using chunk-interleaved
-timing (alternating legs inside every repeat, the bench_campaign
-VM-drift methodology), after proving the two runs bit-identical —
-final domain, reports, and the verified checksum at every detection
-boundary.  With numba importable, ``--smoke`` additionally gates on the
-blocked run beating single-step.
-
 Usage::
 
     python benchmarks/bench_backends.py                 # full comparison
@@ -87,13 +78,6 @@ from repro.stencil.shift import pad_array
 
 REFERENCE = "numpy"
 DEFAULT_JSON = "BENCH_backends.json"
-
-#: Interleaved timed chunks per repeat for the temporal-blocking
-#: comparison — the bench_campaign VM-drift methodology: alternating
-#: blocked/single-step chunks inside every repeat means slow clock or
-#: load drift on shared runners hits both legs equally instead of
-#: biasing whichever leg ran later.
-TIMING_CHUNKS = 4
 
 #: Fixed transient footprint of the protector itself (checksum vectors,
 #: interpolation strips, detection buffers) — measured flat at ~85-100 KB
@@ -215,120 +199,6 @@ def time_distributed_external_axis(
         / out["compiled"]["ms_per_iter_best"]
     )
     return out
-
-
-def time_temporal_blocking(
-    name: str, size: int, repeats: int, period: int = 8, block_steps: int = 4
-) -> dict:
-    """Blocked (k-step) vs single-step OfflineABFT on the protected run.
-
-    Equivalence first: one run each way from an identical initial state,
-    comparing the final domain, every report field, and — at every
-    detection boundary — the domain hash plus the verified checksum the
-    protector checkpoints there, all bitwise.  Then chunk-interleaved
-    timing (``TIMING_CHUNKS`` alternating blocked/single-step chunks per
-    repeat, fresh grid + protector per chunk, construction untimed) so
-    VM drift cannot bias either leg.
-    """
-    import hashlib
-
-    from repro.core.offline import OfflineABFT
-
-    iters = 2 * period  # two full detection windows per timed chunk
-
-    def make(blocked: bool):
-        grid = build_grid(size, name)
-        protector = OfflineABFT.for_grid(
-            grid,
-            period=period,
-            track_strips=False,
-            block_steps=block_steps if blocked else 1,
-            backend=name,
-        )
-        return grid, protector
-
-    def run_instrumented(blocked: bool):
-        # +3 leaves a partial window for finalize() to verify too.
-        grid, protector = make(blocked)
-        boundaries = []
-        orig = protector._verify_and_recover
-
-        def recording(g, inject=None):
-            rep = orig(g, inject)
-            boundaries.append(
-                (
-                    g.iteration,
-                    hashlib.sha256(g.u.tobytes()).hexdigest(),
-                    hashlib.sha256(
-                        protector.checkpoint.checksum.tobytes()
-                    ).hexdigest(),
-                )
-            )
-            return rep
-
-        protector._verify_and_recover = recording
-        report = protector.run(grid, 2 * period + 3)
-        records = [
-            (
-                r.iteration,
-                r.detection_performed,
-                r.errors_detected,
-                r.errors_corrected,
-                r.errors_uncorrected,
-                r.rollback,
-                r.recomputed_iterations,
-            )
-            for r in report.steps
-        ]
-        return grid.u.copy(), records, boundaries
-
-    u_single, rec_single, bnd_single = run_instrumented(blocked=False)
-    u_blocked, rec_blocked, bnd_blocked = run_instrumented(blocked=True)
-    equivalence = {
-        "final_domain": bool(np.array_equal(u_single, u_blocked)),
-        "reports": rec_single == rec_blocked,
-        "boundary_states_and_checksums": bnd_single == bnd_blocked,
-        "n_boundaries": len(bnd_single),
-    }
-
-    def timed_chunk(blocked: bool) -> float:
-        grid, protector = make(blocked)
-        start = time.perf_counter()
-        protector.run(grid, iters)
-        return time.perf_counter() - start
-
-    timed_chunk(False)  # warm-up: scratch buffers, kernel cache
-    timed_chunk(True)
-    single_ms: list = []
-    blocked_ms: list = []
-    for _ in range(repeats):
-        t_single = 0.0
-        t_blocked = 0.0
-        for _ in range(TIMING_CHUNKS):
-            t_single += timed_chunk(False)
-            t_blocked += timed_chunk(True)
-        total = iters * TIMING_CHUNKS
-        single_ms.append(t_single / total * 1000.0)
-        blocked_ms.append(t_blocked / total * 1000.0)
-    return {
-        "backend": name,
-        "size": size,
-        "period": period,
-        "block_steps": block_steps,
-        "iters_per_chunk": iters,
-        "chunks_per_repeat": TIMING_CHUNKS,
-        "repeats": repeats,
-        "bit_identical": equivalence,
-        "single_step": {
-            "ms_per_iter_median": statistics.median(single_ms),
-            "ms_per_iter_best": min(single_ms),
-        },
-        "blocked": {
-            "ms_per_iter_median": statistics.median(blocked_ms),
-            "ms_per_iter_best": min(blocked_ms),
-        },
-        "speedup_best": min(single_ms) / min(blocked_ms),
-    }
 
 
 def time_raw_sweep(backend: str, size: int, iters: int, repeats: int) -> float:
@@ -633,22 +503,10 @@ def main(argv=None) -> int:
                 "on the axis-1 (previously declined) rank decomposition; "
                 "> 1 means the compiled fused step wins"
             ),
-            "temporal_blocking.speedup_best": (
-                "single-step ms_per_iter_best / blocked ms_per_iter_best "
-                "of the OfflineABFT-protected run (chunk-interleaved "
-                "timing, fresh grid per chunk); > 1 means the k-step "
-                "blocked kernels win"
-            ),
-            "temporal_blocking.bit_identical": (
-                "blocked vs single-step equivalence: final domain, every "
-                "report field, and the domain state + verified checksum "
-                "at every detection boundary, all compared bitwise"
-            ),
         },
         "backends": {},
         "codegen": {},
         "distributed_external_axis": None,
-        "temporal_blocking": None,
         "executors": None,
         "gates": {},
     }
@@ -917,64 +775,6 @@ def main(argv=None) -> int:
                 )
                 dist_fail = True
 
-    # -- temporal blocking (checksum carry) -----------------------------------
-    # Blocked k-step OfflineABFT vs single-step on the acceptance
-    # configuration (protected 1024^2 five-point run, period-aligned
-    # k=4).  Informative on the interpreted backends; the smoke speed
-    # gate is armed only for numba, where the compiled k-step kernels
-    # exist — the bit-identity gate is armed everywhere.
-    tb_fail = False
-    tb_name = "numba" if "numba" in results else (
-        "fused" if "fused" in results else None
-    )
-    if tb_name is not None:
-        tb = time_temporal_blocking(
-            tb_name, args.size, max(2, min(args.repeats, 3))
-        )
-        report["temporal_blocking"] = tb
-        eq = tb["bit_identical"]
-        eq_ok = (
-            eq["final_domain"]
-            and eq["reports"]
-            and eq["boundary_states_and_checksums"]
-        )
-        report["gates"]["temporal_blocking_bit_identical"] = eq_ok
-        single = tb["single_step"]["ms_per_iter_best"]
-        blocked = tb["blocked"]["ms_per_iter_best"]
-        print(
-            f"\ntemporal blocking ({tb_name}, {args.size}x{args.size}, "
-            f"OfflineABFT period {tb['period']}, k={tb['block_steps']}): "
-            f"blocked {blocked:.3f} ms vs single-step {single:.3f} ms "
-            f"per protected iteration ({tb['speedup_best']:.2f}x)"
-        )
-        if eq_ok:
-            print(
-                f"  bit-identical across {eq['n_boundaries']} detection "
-                f"boundaries (domains, reports, verified checksums)"
-            )
-        else:
-            print(f"  FAIL: blocked run diverges from single-step: {eq}")
-            tb_fail = True
-        if tb_name == "numba":
-            beats = blocked < single
-            report["gates"]["numba_blocked_beats_single_step"] = beats
-            if beats:
-                print(
-                    "  compiled k-step kernels beat the single-step "
-                    "protected run"
-                )
-            elif blocked < single * 1.05:
-                print(
-                    "  WARN: blocked run within the 5% noise band of "
-                    "single-step — not failing the gate"
-                )
-            else:
-                print(
-                    "  FAIL: blocked run is >5% slower than single-step "
-                    "on the protected run"
-                )
-                tb_fail = True
-
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -991,8 +791,6 @@ def main(argv=None) -> int:
         if numba_fail:
             return 1
         if dist_fail:
-            return 1
-        if tb_fail:
             return 1
     return 0
 

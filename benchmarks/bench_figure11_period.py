@@ -4,28 +4,9 @@ Sweeps the detection/checkpoint period in the error-free and
 single-bit-flip scenarios and prints both curves.  Every (period,
 scenario) campaign runs on the shared :class:`CampaignEngine` (the
 same execution strategy as the figure 10 / sensitivity benchmarks).
-
-A second benchmark sweeps the same periods with temporal blocking: the
-``OfflineABFT(track_strips=False)`` protector advances in fused
-``multi_step(min(period, remaining))`` windows (checksum carry — only
-the window-closing traversal folds checksums), and the per-period
-blocked-vs-single-step overhead curve is emitted as machine-readable
-JSON (``BENCH_figure11_blocking.json``) after asserting the two legs
-produce bitwise-identical campaign records.
 """
 
-import json
-import os
-
-from repro.experiments.common import make_hotspot_app, make_protector_factory
 from repro.experiments.figure11 import format_figure11, run_figure11
-from repro.faults.campaign import CampaignConfig
-from repro.faults.engine import CampaignEngine
-
-BLOCKING_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_figure11_blocking.json",
-)
 
 
 def test_figure11_period_sweep(benchmark, scale):
@@ -48,102 +29,3 @@ def test_figure11_period_sweep(benchmark, scale):
     # In the faulty scenario rollbacks happen, and the recomputation window
     # grows with the period, so large periods do not keep getting cheaper.
     assert any(p.rollbacks > 0 for p in faulty)
-
-
-def _record_key(record):
-    """Every deterministic field of a run record (elapsed time excluded)."""
-    return (
-        record.run_index,
-        record.arithmetic_error,
-        record.errors_detected,
-        record.errors_corrected,
-        record.errors_uncorrected,
-        record.rollbacks,
-        record.recomputed_iterations,
-        tuple((p.iteration, p.index, p.bit) for p in record.faults),
-    )
-
-
-def test_figure11_blocking_overhead_json(scale):
-    """Blocked-vs-single-step overhead per detection period, as JSON.
-
-    For every detection period the error-free offline campaign runs
-    twice on the engine — single-step (``block_steps=1``) and temporally
-    blocked (detection-period-aligned windows) — from identical seeds.
-    The records must be bitwise identical; the per-period overhead curve
-    (how much the single-step loop costs relative to the blocked one)
-    lands in ``BENCH_figure11_blocking.json``.
-    """
-    tile = scale.primary_tile()
-    iterations = scale.iterations[tile]
-    repetitions = scale.repetitions[tile]
-    app = make_hotspot_app(tile)
-    reference = app.reference_solution(iterations)
-    periods = [p for p in scale.detection_periods if p <= iterations]
-    assert periods
-
-    curve = []
-    with CampaignEngine() as eng:
-        for period in periods:
-            row = {"period": period}
-            keys = {}
-            for label, block in (("single_step", 1), ("blocked", None)):
-                factory = make_protector_factory(
-                    "offline-abft",
-                    epsilon=scale.epsilon,
-                    period=period,
-                    track_strips=False,
-                    block_steps=block,
-                )
-                config = CampaignConfig(
-                    iterations=iterations,
-                    repetitions=repetitions,
-                    inject=False,
-                    seed=700 + period,
-                )
-                campaign = eng.run(
-                    app.build_grid, factory, config, reference=reference
-                )
-                stats = campaign.time_stats()
-                row[label] = {
-                    "mean_time": stats.mean,
-                    "std_time": stats.std,
-                    "min_time": stats.minimum,
-                }
-                keys[label] = [_record_key(r) for r in campaign.records]
-            # Checksum carry preserves the trajectory bit for bit: every
-            # deterministic record field must match across the two legs.
-            assert keys["single_step"] == keys["blocked"]
-            single = row["single_step"]["mean_time"]
-            blocked = row["blocked"]["mean_time"]
-            row["single_step_overhead_pct"] = 100.0 * (single / blocked - 1.0)
-            row["blocked_speedup"] = single / blocked
-            curve.append(row)
-
-    payload = {
-        "tile": list(tile),
-        "iterations": iterations,
-        "repetitions": repetitions,
-        "scale": scale.name,
-        "scenario": "error-free",
-        "records_bit_identical": True,
-        "curve": curve,
-        "metric_definitions": {
-            "single_step_overhead_pct": (
-                "100 * (single-step mean_time / blocked mean_time - 1): "
-                "the cost of driving the offline protector one sweep at "
-                "a time instead of in detection-period-aligned blocked "
-                "windows"
-            ),
-        },
-    }
-    with open(BLOCKING_JSON, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nblocking overhead curve written to {BLOCKING_JSON}")
-    for row in curve:
-        print(
-            f"  period {row['period']:3d}: blocked {row['blocked']['mean_time']*1e3:8.3f} ms  "
-            f"single-step {row['single_step']['mean_time']*1e3:8.3f} ms  "
-            f"({row['blocked_speedup']:.2f}x)"
-        )

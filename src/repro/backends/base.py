@@ -299,9 +299,6 @@ class Backend(ABC):
           rebuilds;
         * the distributed runner — halo ingestion fills the distributed
           axis, the partial-axis refresh of the step the remaining ones;
-        * :meth:`multi_step_into` — each sub-step refreshes the buffer
-          it reads, and trapezoid sub-views never read ghosts a sibling
-          sub-step wrote;
         * the batched step (``batch_step_into*``) — the same refresh
           over the run-extended buffer pair.
 
@@ -639,201 +636,6 @@ class Backend(ABC):
         }
         return interior, checksums
 
-    # -- temporal blocking: k fused steps per traversal ---------------------
-    def _multi_step_views(
-        self,
-        sub_step: int,
-        k: int,
-        spec: StencilSpec,
-        radius: Sequence[int],
-        interior_shape: Sequence[int],
-        external: Sequence[int],
-    ):
-        """Slice geometry of one blocked sub-step (trapezoid lowering).
-
-        Sub-step ``s`` (0-based) of a k-blocked window writes an
-        interior expanded by ``(k-1-s)*r`` ghost positions per side
-        along every **external** axis — each sub-step consumes exactly
-        the region its predecessor produced, starting from the ingested
-        ``k*r``-deep halo.  Boundary (refreshed) axes keep their full
-        padded extent and layout ghost width so the per-sub-step ghost
-        refresh is identical to the single-step path.
-
-        Returns ``(slices, view_radius, view_shape)`` for the sub-step's
-        equal-geometry src/dst views.
-        """
-        spec_r = spec.radius()
-        slices = []
-        view_radius = []
-        view_shape = []
-        for a, (n, r_layout) in enumerate(zip(interior_shape, radius)):
-            if a in external:
-                e = (k - 1 - sub_step) * spec_r[a]
-                r = spec_r[a]
-                slices.append(
-                    slice(r_layout - e - r, r_layout + n + e + r)
-                )
-                view_radius.append(r)
-                view_shape.append(n + 2 * e)
-            else:
-                slices.append(slice(None))
-                view_radius.append(r_layout)
-                view_shape.append(n)
-        return tuple(slices), tuple(view_radius), tuple(view_shape)
-
-    def _validate_multi_step(
-        self,
-        k: int,
-        spec: StencilSpec,
-        radius,
-        ndim: int,
-        constant: Optional[np.ndarray],
-        refresh_axes: Optional[Sequence[int]],
-    ):
-        """Shared ``multi_step_into*`` validation; returns the geometry."""
-        from repro.stencil.shift import normalize_radius
-
-        k = int(k)
-        if k < 1:
-            raise ValueError(f"block steps must be >= 1, got {k}")
-        radius = normalize_radius(radius, ndim)
-        refresh = (
-            tuple(range(ndim))
-            if refresh_axes is None
-            else tuple(int(a) for a in refresh_axes)
-        )
-        external = tuple(a for a in range(ndim) if a not in refresh)
-        spec_r = spec.radius()
-        for a in external:
-            if radius[a] < k * spec_r[a]:
-                raise ValueError(
-                    f"blocked window (k={k}) needs external ghost width "
-                    f">= {k * spec_r[a]} along axis {a}, buffers provide "
-                    f"{radius[a]}"
-                )
-        if k > 1 and constant is not None and external:
-            raise ValueError(
-                "blocked windows cannot combine a per-point constant "
-                "with external axes: the interior-shaped constant has "
-                "no values for the trapezoid's expanded region"
-            )
-        return k, radius, refresh, external
-
-    def multi_step_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        k: int,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """``k`` fused steps of a buffer pair: the temporal-blocking primitive.
-
-        Sub-steps ping-pong between the two padded buffers — sub-step
-        ``s`` reads ``src``/``dst`` for even/odd ``s`` and writes the
-        other — so the final interior lands in ``dst_padded`` when ``k``
-        is odd and back in ``src_padded`` when it is even, and **both**
-        buffers are clobbered.  Boundary-axis ghosts are re-refreshed
-        before every sub-step exactly like ``k`` separate ``step_into``
-        calls; external-axis halos must be ingested to a depth of at
-        least ``k * stencil_radius`` before the call, and sub-steps
-        shrink trapezoidally toward the interior.  The result is
-        bit-identical to ``k`` single steps.
-
-        The base implementation *is* those ``k`` single steps, each over
-        centered sub-views implementing the trapezoid — so every backend
-        supports the primitive; compiled backends override it with their
-        generated ``step_k`` kernel.
-
-        Returns the final interior view (of whichever buffer holds it).
-        """
-        k, radius, refresh, external = self._validate_multi_step(
-            k, spec, radius, src_padded.ndim, constant, refresh_axes
-        )
-        interior_shape = tuple(int(n) for n in interior_shape)
-        interior = None
-        for s in range(k):
-            cur, nxt = (
-                (src_padded, dst_padded) if s % 2 == 0 else (dst_padded, src_padded)
-            )
-            slices, view_radius, view_shape = self._multi_step_views(
-                s, k, spec, radius, interior_shape, external
-            )
-            interior = self.step_into(
-                cur[slices],
-                nxt[slices],
-                spec,
-                view_radius,
-                view_shape,
-                boundary,
-                constant=constant,
-                refresh_axes=refresh,
-            )
-        return interior
-
-    def multi_step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        k: int,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """Checksum-carrying form of :meth:`multi_step_into`.
-
-        Checksums are folded **only on the final sub-step** — the
-        checksum carry: intermediate states are never checksummed,
-        matching verify-every-``p`` semantics bit for bit (the returned
-        vectors equal the ones ``k`` single steps would have produced on
-        the last step).
-        """
-        k, radius, refresh, external = self._validate_multi_step(
-            k, spec, radius, src_padded.ndim, constant, refresh_axes
-        )
-        interior_shape = tuple(int(n) for n in interior_shape)
-        for s in range(k - 1):
-            cur, nxt = (
-                (src_padded, dst_padded) if s % 2 == 0 else (dst_padded, src_padded)
-            )
-            slices, view_radius, view_shape = self._multi_step_views(
-                s, k, spec, radius, interior_shape, external
-            )
-            self.step_into(
-                cur[slices],
-                nxt[slices],
-                spec,
-                view_radius,
-                view_shape,
-                boundary,
-                constant=constant,
-                refresh_axes=refresh,
-            )
-        cur, nxt = (
-            (src_padded, dst_padded) if (k - 1) % 2 == 0 else (dst_padded, src_padded)
-        )
-        return self.step_into_with_checksums(
-            cur,
-            nxt,
-            spec,
-            radius,
-            interior_shape,
-            boundary,
-            axes,
-            constant=constant,
-            checksum_dtype=checksum_dtype,
-            refresh_axes=refresh,
-        )
-
     def warmup(
         self,
         spec: StencilSpec,
@@ -842,7 +644,6 @@ class Backend(ABC):
         checksum_dtype=np.float64,
         radius=None,
         external_axes: Sequence[int] = (),
-        block_steps: int = 1,
         batch_width: int = 0,
     ) -> None:
         """Prepare the backend for an operator before timing-sensitive work.
@@ -854,10 +655,9 @@ class Backend(ABC):
         and ``external_axes`` describe the buffer layout the caller will
         step (ghost width beyond the stencil radius; distributed axes
         whose halo arrives from neighbours) so layout-specialized
-        kernels can be prepared as well; ``block_steps > 1`` additionally
-        prepares the temporal-blocking ``step_k`` kernels for that block
-        factor, and ``batch_width > 0`` the batched campaign kernels
-        (``bstep``/``bstep_cs``) at that run-axis width.
+        kernels can be prepared as well, and ``batch_width > 0`` the
+        batched campaign kernels (``bstep``/``bstep_cs``) at that run-axis
+        width.
         """
 
     def __repr__(self) -> str:

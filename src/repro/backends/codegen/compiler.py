@@ -93,14 +93,6 @@ class CompiledKernels:
         return getattr(self.module, "step_cs", None)
 
     @property
-    def step_k(self):
-        return getattr(self.module, "step_k", None)
-
-    @property
-    def step_k_cs(self):
-        return getattr(self.module, "step_k_cs", None)
-
-    @property
     def bstep(self):
         return getattr(self.module, "bstep", None)
 
@@ -114,22 +106,13 @@ class CompiledKernels:
         if self.plan.batch:
             kind = "bstep"
         elif self.plan.has_step:
-            kind = "step_k" if self.plan.is_blocked else "step"
-        ghost_growth = None
-        if self.plan.is_blocked and self.plan.halo is not None:
-            ghost_growth = {
-                f"axis{h.axis}": h.radius
-                for h in self.plan.halo
-                if h.kind == "external"
-            }
+            kind = "step"
         return {
             "signature": self.plan.signature,
             "digest": self.plan.digest,
             "spec": self.plan.spec_signature,
             "layout": self.plan.layout_signature,
             "kind": kind,
-            "block_steps": self.plan.block_steps,
-            "ghost_growth": ghost_growth,
             "path": str(self.path),
             "jit": self.jit,
             "from_disk": self.from_disk,
@@ -170,24 +153,20 @@ class KernelCompiler:
         spec: StencilSpec,
         has_const: bool = False,
         layout: Optional[GridLayout] = None,
-        block_steps: int = 1,
         batch: bool = False,
     ) -> CompiledKernels:
         """The compiled kernel set for ``spec`` (+ optional ``layout``).
 
         Kernels are keyed on the *structural* plan signature — offset
-        table, constant-term presence, ghost widths, boundary kinds,
-        the temporal block factor ``block_steps`` and the ``batch``
-        flag — so specs differing only in weights, and layouts
-        differing only in fill values, share one entry, while each
-        requested block factor (and the batched family, keyed ``|b``)
-        gets its own specialized module.
+        table, constant-term presence, ghost widths, boundary kinds and
+        the ``batch`` flag — so specs differing only in weights, and
+        layouts differing only in fill values, share one entry, while
+        the batched family (keyed ``|b``) gets its own module.
         """
         plan = plan_kernel(
             spec,
             has_const=has_const,
             layout=layout,
-            block_steps=block_steps,
             batch=batch,
         )
         entry = self._entries.get(plan.signature)

@@ -23,20 +23,6 @@ One plan becomes one self-contained module with up to five functions:
     :func:`repro.stencil.shift.refresh_ghosts` bit for bit; the modular
     periodic mapping makes degenerate wraps (``r > n``) just another
     straight-line case.
-``step_k`` / ``step_k_cs``  (blocked step plans, ``block_steps=k > 1``)
-    The temporal-blocking strategy: k sub-steps unrolled into one call,
-    ping-ponging between the two padded buffers (sub-step ``s`` reads
-    ``src``/``dst`` for even/odd ``s`` and writes the other), each
-    sub-step re-refreshing the boundary-axis ghosts of its input buffer
-    and sweeping with the shared ``sweep`` body at baked offsets.
-    Boundary axes keep their interior extent throughout; **external**
-    axes shrink trapezoidally — sub-step ``s`` writes an interior
-    expanded by ``(k-1-s)*r`` per side out of the layout's ``>= k*r``
-    ghost budget, so each sub-step consumes exactly the region its
-    predecessor produced and the arithmetic per point is identical to
-    k separate single steps (bit-for-bit).  Checksums are folded only
-    on the final sub-step (``sweep_cs`` at the exact interior extent):
-    the checksum carry that matches verify-every-p semantics.
 ``bstep`` / ``bstep_cs``  (batched step plans, ``batch=True``)
     The batched campaign strategy: the arrays carry a trailing run axis
     ``b`` and the outer ``prange`` runs over the batch, so one
@@ -316,57 +302,6 @@ def _emit_step(w: _Writer, plan: KernelPlan, cs: bool) -> None:
     w.line(0)
 
 
-def _spec_radius(plan: KernelPlan) -> List[int]:
-    """Per-axis stencil radius recovered from the offset table."""
-    return [
-        max(abs(o[a]) for o in plan.offsets) for a in range(plan.ndim)
-    ]
-
-
-def _emit_step_k(w: _Writer, plan: KernelPlan, cs: bool) -> None:
-    """The k-step temporal-blocking kernel (see module docstring)."""
-    ndim = plan.ndim
-    halo = plan.halo
-    assert halo is not None
-    k = plan.block_steps
-    assert k > 1
-    radius = _spec_radius(plan)
-    name = "step_k_cs" if cs else "step_k"
-    args = ["src", "dst", "wts"] + [f"n{a}" for a in range(ndim)]
-    args += ["const", "fills"]
-    if cs:
-        args.append("cs_like")
-    w.line(0, f"def {name}({', '.join(args)}):")
-    refresh_tail = ", ".join(
-        [f"n{a}" for a in range(ndim)] + ["fills"]
-    )
-    bufs = ("src", "dst")
-    for s in range(k):
-        cur, nxt = bufs[s % 2], bufs[(s + 1) % 2]
-        final = s == k - 1
-        offs: List[str] = []
-        exts: List[str] = []
-        for h in halo:
-            if h.kind == "external":
-                e = (k - 1 - s) * radius[h.axis]
-                offs.append(str(h.radius - e))
-                exts.append(_sum_expr(f"n{h.axis}", 2 * e))
-            else:
-                offs.append(str(h.radius))
-                exts.append(f"n{h.axis}")
-        tag = " (+ checksums)" if final and cs else ""
-        w.line(1, f"# sub-step {s + 1}/{k}: {cur} -> {nxt}{tag}")
-        w.line(1, f"refresh({cur}, {refresh_tail})")
-        sweep_args = [cur, nxt, "wts"] + offs + offs + exts + ["const"]
-        if final and cs:
-            sweep_args.append("cs_like")
-            w.line(1, f"return sweep_cs({', '.join(sweep_args)})")
-        else:
-            w.line(1, f"sweep({', '.join(sweep_args)})")
-    w.line(0)
-    w.line(0)
-
-
 def _emit_bstep(w: _Writer, plan: KernelPlan, cs: bool) -> None:
     """The batched campaign kernel: trailing run axis ``b``.
 
@@ -450,8 +385,6 @@ def emit_module(plan: KernelPlan) -> str:
     w.line(0, f"spec:   {plan.spec_signature}")
     if plan.layout_signature is not None:
         w.line(0, f"layout: {plan.layout_signature}")
-    if plan.is_blocked:
-        w.line(0, f"blocked: k={plan.block_steps} sub-steps per traversal")
     if plan.batch:
         w.line(0, "batched: trailing run axis b, one traversal per batch")
     w.line(0, '"""')
@@ -462,7 +395,6 @@ def emit_module(plan: KernelPlan) -> str:
     w.line(0)
     w.line(0, f"SIGNATURE = {plan.signature!r}")
     w.line(0, f"DIGEST = {plan.digest!r}")
-    w.line(0, f"BLOCK_STEPS = {plan.block_steps}")
     if plan.batch:
         # A batched module carries only the batched pair: the single-run
         # families live in the unbatched module for the same layout, so
@@ -478,8 +410,6 @@ def emit_module(plan: KernelPlan) -> str:
     funcs = ["sweep", "sweep_cs"]
     if plan.has_step:
         funcs += ["refresh", "step", "step_cs"]
-    if plan.is_blocked:
-        funcs += ["step_k", "step_k_cs"]
     w.line(0, f"JIT_FUNCS = {tuple(funcs)!r}")
     w.line(0, 'PARALLEL_FUNCS = ("sweep", "sweep_cs")')
     w.line(0)
@@ -490,8 +420,5 @@ def emit_module(plan: KernelPlan) -> str:
         _emit_refresh(w, plan)
         _emit_step(w, plan, cs=False)
         _emit_step(w, plan, cs=True)
-    if plan.is_blocked:
-        _emit_step_k(w, plan, cs=False)
-        _emit_step_k(w, plan, cs=True)
     src = w.source()
     return src.rstrip("\n") + "\n"

@@ -39,7 +39,7 @@ __all__ = ["CODEGEN_VERSION", "AxisHaloPlan", "KernelPlan", "plan_kernel"]
 
 #: Bumped whenever the emitted source changes shape, so stale on-disk
 #: modules from an older emitter can never be picked up by digest.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 #: Boundary kinds the halo plan knows how to lower.
 _KINDS = ("clamp", "periodic", "fill", "external")
@@ -98,7 +98,6 @@ class KernelPlan:
     halo: Optional[Tuple[AxisHaloPlan, ...]]
     spec_signature: str
     layout_signature: Optional[str]
-    block_steps: int = 1
     batch: bool = False
 
     @property
@@ -108,11 +107,6 @@ class KernelPlan:
     @property
     def has_step(self) -> bool:
         return self.halo is not None
-
-    @property
-    def is_blocked(self) -> bool:
-        """Whether this plan fuses more than one timestep per traversal."""
-        return self.block_steps > 1
 
     @property
     def signature(self) -> str:
@@ -128,9 +122,6 @@ class KernelPlan:
         return (
             f"v{CODEGEN_VERSION}|{self.ndim}d|offs[{offs}]"
             f"|const={int(self.has_const)}|halo[{halo}]"
-            f"|k={self.block_steps}"
-            # The suffix appears only on batched plans, so every
-            # pre-existing signature (and on-disk digest) is unchanged.
             + ("|b" if self.batch else "")
         )
 
@@ -144,7 +135,6 @@ def plan_kernel(
     spec: StencilSpec,
     has_const: bool = False,
     layout: Optional[GridLayout] = None,
-    block_steps: int = 1,
     batch: bool = False,
 ) -> KernelPlan:
     """Lower a spec (and optionally a grid layout) into a kernel plan.
@@ -153,82 +143,36 @@ def plan_kernel(
     ``step`` kernels; without it only the sweep family is planned.  The
     layout's ghost width must cover the stencil radius on every axis.
 
-    ``block_steps=k > 1`` plans the temporal-blocking kernel family
-    (``step_k``/``step_k_cs``): k sweeps fused into one traversal, with
-    checksums folded only on the final sub-step.  Boundary axes are
-    re-refreshed between sub-steps (their ghost width stays the stencil
-    radius), while **external** axes shrink trapezoidally — sub-step
-    ``s`` (0-based) writes an interior expanded by ``(k-1-s)*r`` ghost
-    positions per side, so the layout's external ghost width must be at
-    least ``k*r``.  A per-point constant cannot be combined with
-    external axes in a blocked plan: the constant is interior-shaped
-    and has no values for the expanded trapezoid region.
-
     ``batch=True`` plans the batched campaign kernel family
     (``bstep``/``bstep_cs``): the same halo plan, but the arrays carry
     a trailing run axis ``b`` and one traversal refreshes ghosts,
     sweeps and folds per-run checksum partials for every run in the
     batch.  A batched plan requires a layout (the whole point is the
-    fused step) and cannot be combined with temporal blocking.
+    fused step).
     """
-    block_steps = int(block_steps)
-    if block_steps < 1:
-        raise ValueError(f"block_steps must be >= 1, got {block_steps}")
-    if batch:
-        if layout is None:
-            raise ValueError(
-                "batched plans require a grid layout: only the fused "
-                "step family has a batched emission strategy"
-            )
-        if block_steps > 1:
-            raise ValueError(
-                "batched plans cannot be combined with temporal "
-                "blocking (block_steps > 1)"
-            )
+    if batch and layout is None:
+        raise ValueError(
+            "batched plans require a grid layout: only the fused "
+            "step family has a batched emission strategy"
+        )
     offsets = tuple(
         tuple(int(v) for v in o) for o in spec.offsets
     )
     halo: Optional[Tuple[AxisHaloPlan, ...]] = None
     layout_signature: Optional[str] = None
-    if layout is None:
-        if block_steps > 1:
-            raise ValueError(
-                "temporal blocking (block_steps > 1) requires a grid "
-                "layout: only the fused step family can be blocked"
-            )
-    else:
+    if layout is not None:
         if layout.ndim != spec.ndim:
             raise ValueError(
                 f"layout has {layout.ndim} axes, stencil has {spec.ndim}"
             )
-        for r_spec, r_layout, kind, axis in zip(
-            spec.radius(), layout.radius, layout.kinds, range(spec.ndim)
+        for axis, (r_spec, r_layout) in enumerate(
+            zip(spec.radius(), layout.radius)
         ):
             if r_layout < r_spec:
                 raise ValueError(
                     f"layout ghost width {r_layout} along axis {axis} is "
                     f"smaller than the stencil radius {r_spec}"
                 )
-            if (
-                block_steps > 1
-                and kind == "external"
-                and r_layout < block_steps * r_spec
-            ):
-                raise ValueError(
-                    f"blocked plan (k={block_steps}) needs external ghost "
-                    f"width >= {block_steps * r_spec} along axis {axis}, "
-                    f"layout provides {r_layout}"
-                )
-        if (
-            block_steps > 1
-            and has_const
-            and any(kind == "external" for kind in layout.kinds)
-        ):
-            raise ValueError(
-                "blocked plans cannot combine a per-point constant with "
-                "external axes: the interior-shaped constant has no "
-                "values for the trapezoid's expanded region"
-            )
         halo = tuple(
             AxisHaloPlan(axis=a, radius=r, kind=kind)
             for a, (r, kind) in enumerate(zip(layout.radius, layout.kinds))
@@ -241,6 +185,5 @@ def plan_kernel(
         halo=halo,
         spec_signature=spec.signature(),
         layout_signature=layout_signature,
-        block_steps=block_steps,
         batch=bool(batch),
     )

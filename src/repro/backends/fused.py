@@ -34,14 +34,12 @@ memory-bound nature of large stencil sweeps:
    0.2% on 256x1024 rank blocks.  That is the ghost-overwrite rule of
    :meth:`Backend.sweep_into <repro.backends.base.Backend.sweep_into>`:
    every in-tree caller — ``DoubleBufferedGrid.step``, the tiled and
-   distributed runners, ``multi_step_into`` and the batched step —
-   refreshes or ingests those ghosts before reading them, and the
+   distributed runners and the batched step — refreshes or ingests those ghosts before reading them, and the
    source buffer, the axis-0 ghost slabs and all memory outside the
    destination are never written.  The per-point constant is embedded
    once per (constant, layout) into a zero-ghost padded copy, cached
-   beside the strip scratch.  Views that are not contiguous (2D tiles, or
-   trapezoid sub-views sliced along an axis >= 1) keep the *staged*
-   path: accumulate into a contiguous staging buffer, then one strided
+   beside the strip scratch.  Views that are not contiguous (2D tiles,
+   or narrower slices of a campaign batch) keep the *staged* path: accumulate into a contiguous staging buffer, then one strided
    copy into the interior, which writes no ghost cell.
 
 3. **Checksums from the same traversal.**  ``sweep_with_checksums``
@@ -302,8 +300,8 @@ class FusedBackend(Backend):
         cells inside the interior's axis-0 extent are overwritten — the
         ghost-overwrite rule of :meth:`Backend.sweep_into
         <repro.backends.base.Backend.sweep_into>`.  Any other view
-        (tiles or trapezoid sub-views sliced along an axis >= 1, whose
-        rows are not adjacent in memory) takes the staged path: the
+        (tiles sliced along an axis >= 1, whose rows are not adjacent
+        in memory) takes the staged path: the
         sweep accumulates into a persistent contiguous staging buffer
         and lands in the interior with one strided copy, leaving every
         ghost untouched.  Both paths keep the reference's operation

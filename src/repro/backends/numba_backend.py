@@ -120,14 +120,12 @@ class NumbaBackend(Backend):
         spec: StencilSpec,
         constant: Optional[np.ndarray],
         layout: Optional[GridLayout] = None,
-        block_steps: int = 1,
         batch: bool = False,
     ) -> CompiledKernels:
         return self._compiler.kernels_for(
             spec,
             has_const=constant is not None,
             layout=layout,
-            block_steps=block_steps,
             batch=batch,
         )
 
@@ -472,121 +470,6 @@ class NumbaBackend(Backend):
             self._select_axes(cs0, cs1, axes),
         )
 
-    # -- temporal blocking: compiled k-step kernels ---------------------------
-    def _multi_step_args(
-        self, src_padded, dst_padded, k, spec, radius, interior_shape,
-        boundary, constant, refresh_axes,
-    ):
-        """Marshalled arguments for the generated ``step_k`` kernels.
-
-        ``kernels_for`` (via ``plan_kernel``) enforces the blocked-plan
-        constraints — external ghost width ``>= k * stencil_radius``, no
-        per-point constant alongside external axes — so invalid windows
-        fail loudly before any kernel runs.  The final interior lands in
-        ``dst_padded`` for odd ``k`` and back in ``src_padded`` for even
-        ``k`` (the ping-pong parity).
-        """
-        bspec = BoundarySpec.from_any(boundary, spec.ndim)
-        interior_shape, radius = self._normalize_sweep_args(
-            src_padded, radius, interior_shape, constant, None
-        )
-        expected = padded_shape(interior_shape, radius)
-        for label, buf in (("src_padded", src_padded), ("dst_padded", dst_padded)):
-            if buf.shape != expected:
-                raise ValueError(
-                    f"{label} has shape {buf.shape}, expected {expected} "
-                    f"(interior {interior_shape}, radius {radius})"
-                )
-        layout = GridLayout.from_args(
-            radius, bspec, spec.ndim, refresh_axes=refresh_axes
-        )
-        kernels = self._kernels(spec, constant, layout=layout, block_steps=k)
-        dtype = src_padded.dtype
-        wts = self._weights_arg(spec, dtype)
-        const = self._const_arg(constant, dtype, src_padded.ndim)
-        fills = self._fills_arg(layout)
-        final = dst_padded if k % 2 == 1 else src_padded
-        interior = interior_view(final, radius)
-        return interior_shape, radius, interior, kernels, wts, const, fills
-
-    def multi_step_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        k: int,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        k = int(k)
-        if k == 1:
-            return self.step_into(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                boundary, constant=constant, refresh_axes=refresh_axes,
-            )
-        if k < 1:
-            raise ValueError(f"block steps must be >= 1, got {k}")
-        if np.may_share_memory(src_padded, dst_padded):
-            # The ping-pong needs two distinct planes; an aliasing pair
-            # runs the compiled single-step path per sub-step instead
-            # (step_into stages internally — still never interpreted).
-            return super().multi_step_into(
-                src_padded, dst_padded, k, spec, radius, interior_shape,
-                boundary, constant=constant, refresh_axes=refresh_axes,
-            )
-        shape, radius, interior, kernels, wts, const, fills = (
-            self._multi_step_args(
-                src_padded, dst_padded, k, spec, radius, interior_shape,
-                boundary, constant, refresh_axes,
-            )
-        )
-        kernels.step_k(src_padded, dst_padded, wts, *shape, const, fills)
-        return interior
-
-    def multi_step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        k: int,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        k = int(k)
-        if k == 1:
-            return self.step_into_with_checksums(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                boundary, axes, constant=constant,
-                checksum_dtype=checksum_dtype, refresh_axes=refresh_axes,
-            )
-        if k < 1:
-            raise ValueError(f"block steps must be >= 1, got {k}")
-        if np.may_share_memory(src_padded, dst_padded):
-            return super().multi_step_into_with_checksums(
-                src_padded, dst_padded, k, spec, radius, interior_shape,
-                boundary, axes, constant=constant,
-                checksum_dtype=checksum_dtype, refresh_axes=refresh_axes,
-            )
-        shape, radius, interior, kernels, wts, const, fills = (
-            self._multi_step_args(
-                src_padded, dst_padded, k, spec, radius, interior_shape,
-                boundary, constant, refresh_axes,
-            )
-        )
-        cs_like = self._checksum_like(checksum_dtype, src_padded.dtype)
-        cs0, cs1 = kernels.step_k_cs(
-            src_padded, dst_padded, wts, *shape, const, fills, cs_like
-        )
-        return interior, self._select_axes(cs0, cs1, axes)
-
     # -- compiled-kernel introspection ----------------------------------------
     @property
     def compiler(self) -> KernelCompiler:
@@ -606,7 +489,6 @@ class NumbaBackend(Backend):
         checksum_dtype=np.float64,
         radius=None,
         external_axes: Sequence[int] = (),
-        block_steps: int = 1,
         batch_width: int = 0,
     ) -> None:
         """Generate + compile (or load from disk) the layout's kernels.
@@ -711,28 +593,6 @@ class NumbaBackend(Backend):
             ptile, spec, radius, shape, (0, 1), constant=const_view,
             out=out_view, checksum_dtype=checksum_dtype,
         ))
-        # Temporal-blocking kernels for the requested block factor —
-        # only when the layout's ghost budget actually admits a blocked
-        # window (external ghost width >= k * stencil radius).
-        block_steps = int(block_steps)
-        spec_r = spec.radius()
-        if block_steps > 1 and all(
-            radius[a] >= block_steps * spec_r[a] for a in external
-        ):
-            blocked_entry = self._kernels(
-                spec, None, layout=layout, block_steps=block_steps
-            )
-            pair = (pad_array(u, radius, bspec), np.zeros(padded.shape, dtype))
-            timed(blocked_entry, lambda: self.multi_step_into(
-                pair[0], pair[1], block_steps, spec, radius, shape, bspec,
-                refresh_axes=refresh_axes,
-            ))
-            pair = (pad_array(u, radius, bspec), np.zeros(padded.shape, dtype))
-            timed(blocked_entry, lambda: self.multi_step_into_with_checksums(
-                pair[0], pair[1], block_steps, spec, radius, shape, bspec,
-                (0, 1), checksum_dtype=checksum_dtype,
-                refresh_axes=refresh_axes,
-            ))
         # Batched campaign kernels at the requested run-axis width: both
         # the full-width C-contiguous pair the engine allocates and (for
         # widths > 1) a narrower trailing-axis slice — numba specializes

@@ -11,7 +11,7 @@ Regenerates the paper's tables and figures from the command line::
     python -m repro all --scale quick
     python -m repro backends --kernels --json
     python -m repro distributed --ranks 4 --iters 50
-    python -m repro distributed --ranks 4 --no-protect --boundary periodic --block-steps 4
+    python -m repro distributed --ranks 4 --crash-rank 1 --crash-iter 20
     python -m repro campaign --tile 64 64 8 --repetitions 50 --executor process
 
 ``--scale paper`` switches to the published campaign parameters
@@ -150,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         action="store_true",
         help="also list the compiled-kernel cache of every compiling "
-        "backend (spec/layout signature, block factor, codegen + warmup "
-        "time, hits)",
+        "backend (spec/layout signature, codegen + warmup time, hits)",
     )
     backends_cmd.add_argument(
         "--json",
@@ -189,20 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the per-rank OnlineABFT protectors",
     )
     dist.add_argument(
-        "--block-steps",
-        type=int,
-        default=1,
-        help="temporal blocking factor k: exchange k*radius-deep halos "
-        "every k sweeps and run fused k-step kernels (requires "
-        "--no-protect and a periodic boundary; ineligible runs fall "
-        "back to k=1 and report why)",
-    )
-    dist.add_argument(
         "--boundary",
         choices=("clamp", "periodic"),
         default="clamp",
-        help="boundary condition of the global domain (periodic enables "
-        "temporal blocking along the distributed axis)",
+        help="boundary condition of the global domain",
     )
     dist.add_argument(
         "--crash-rank", type=int, default=None, metavar="R",
@@ -212,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dist.add_argument(
         "--crash-iter", type=int, default=None, metavar="T",
-        help="iteration at which the crashed rank stops responding "
-        "(default when only --crash-rank is given: iters // 2)",
+        help="iteration at which the crashed rank stops responding, "
+        "1..iters (default when only --crash-rank is given: iters // 2)",
     )
     dist.add_argument(
         "--checkpoint-period", type=int, default=None, metavar="P",
         help="buddy-checkpoint period in iterations (default: the ABFT "
-        "detection period, 16, rounded up to a blocked-window boundary)",
+        "detection period, 16)",
     )
 
     camp = subparsers.add_parser(
@@ -285,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--crash-iter", type=int, default=None, metavar="T",
-        help="pin the crash iteration for rank-crash "
+        help="pin the crash iteration for rank-crash, 1..iterations "
         "(default: uniform random)",
     )
     camp.add_argument(
@@ -334,6 +323,15 @@ def _emit(text: str, output: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
+def _check_crash_iter(crash_iter: int, iterations: int) -> None:
+    """Reject a pinned crash iteration the run would never reach."""
+    if not 1 <= crash_iter <= iterations:
+        raise SystemExit(
+            f"error: --crash-iter {crash_iter} out of range for a run of "
+            f"{iterations} iterations (1..{iterations})"
+        )
+
+
 def _run_distributed(args) -> int:
     """``repro distributed``: drive the simulated rank-decomposed runner."""
     import numpy as np
@@ -357,7 +355,6 @@ def _run_distributed(args) -> int:
             n_ranks=args.ranks,
             protect=not args.no_protect,
             backend=args.backend,
-            block_steps=args.block_steps,
             checkpoint_period=args.checkpoint_period,
         )
     except RecoveryError as exc:
@@ -379,6 +376,7 @@ def _run_distributed(args) -> int:
             if args.crash_iter is not None
             else max(1, args.iters // 2)
         )
+        _check_crash_iter(crash_iter, args.iters)
         per_rank = [[] for _ in range(args.ranks)]
         per_rank[victim] = [
             FaultPlan(
@@ -396,18 +394,6 @@ def _run_distributed(args) -> int:
         f"({args.boundary}), {args.ranks} ranks, {args.iters} iterations "
         f"(backend {runner.backend.name})"
     )
-    if runner.block_steps > 1 or runner.effective_block_steps > 1:
-        if runner.block_cap_reason is not None:
-            print(
-                f"temporal block : requested k={runner.block_steps}, "
-                f"capped to k=1 ({runner.block_cap_reason})"
-            )
-        else:
-            print(
-                f"temporal block : k={runner.effective_block_steps} "
-                f"(halo depth {runner.halo_width}, one exchange per "
-                f"{runner.effective_block_steps} sweeps)"
-            )
     print(f"gather checksum : {checksum:.6f}")
     print(
         f"halo traffic    : {runner.channel.messages_sent} messages, "
@@ -485,6 +471,7 @@ def _run_campaign_cli(args) -> int:
             if args.fault_model == "rank-crash-mtbf":
                 params["mtbf"] = args.mtbf
             elif args.crash_iter is not None:
+                _check_crash_iter(args.crash_iter, args.iterations)
                 params["at_iteration"] = args.crash_iter
         if args.bit is not None:
             params["bit"] = args.bit
@@ -611,25 +598,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for e in entries:
                     cached = "disk" if e["from_disk"] else "fresh"
                     print(
-                        f"  {e['digest']}  {e['kind']:6s} "
-                        f"k={e['block_steps']} {cached:5s} "
+                        f"  {e['digest']}  {e['kind']:6s} {cached:5s} "
                         f"codegen {e['codegen_ms']:.2f} ms  "
                         f"warmup {e['warmup_ms']:.2f} ms  "
                         f"hits {e['hits']}  misses {e['misses']}"
                     )
                     # Full signatures, never truncated: the digest above
                     # is only a 16-char hash prefix, so the complete
-                    # cache-key identity (spec + layout + block factor)
-                    # is spelled out per entry.
+                    # cache-key identity (spec + layout) is spelled out
+                    # per entry.
                     print(f"    spec   {e['spec']}")
                     if e["layout"]:
                         print(f"    layout {e['layout']}")
-                    if e["ghost_growth"]:
-                        ghosts = "  ".join(
-                            f"{axis}:+{depth}"
-                            for axis, depth in sorted(e["ghost_growth"].items())
-                        )
-                        print(f"    ghosts {ghosts} (deep halo, k-step plan)")
         return 0
 
     if args.command == "distributed":

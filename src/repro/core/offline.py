@@ -38,7 +38,7 @@ from repro.core.interpolation import (
     extract_delta_strips,
     interpolate_checksum_reduced,
 )
-from repro.core.protector import InjectHook, Protector, RunReport, StepReport
+from repro.core.protector import InjectHook, Protector, StepReport
 from repro.core.thresholds import recommend_epsilon
 from repro.stencil.boundary import BoundarySpec
 from repro.stencil.grid import GridBase
@@ -94,23 +94,6 @@ class OfflineABFT(Protector):
         produces the verified checksum together with the sweep, unless a
         fault-injection hook is active (the hook must be able to corrupt
         the domain *before* the checksum is taken).
-    block_steps:
-        Temporal-blocking factor for :meth:`run`: advance the grid in
-        blocked windows of up to this many fused sweeps per traversal
-        (``grid.multi_step*``), folding checksums only at the window
-        boundary — the natural fusion of the detection period with
-        cache-resident blocking.  ``None`` (the default) blocks entire
-        detection windows (``min(period, remaining)``) whenever blocking
-        is applicable; ``1`` disables blocking.  Blocking requires
-        ``track_strips=False`` — the exact-strip replay needs every
-        intermediate padded state, which blocked windows never surface —
-        so with ``track_strips=True`` the protector transparently runs
-        single steps (an explicit ``block_steps > 1`` raises instead).
-        Windows containing a pending fault-injection plan, hooks whose
-        plans cannot be introspected, and the rollback replay always use
-        the single-step path, so fault semantics are unchanged; states,
-        checksums and reports are bit-identical to single stepping
-        either way.
     """
 
     name = "offline-abft"
@@ -130,25 +113,11 @@ class OfflineABFT(Protector):
         metadata_self_check: bool = True,
         checksum_dtype=np.float64,
         backend: BackendLike = None,
-        block_steps: Optional[int] = None,
     ) -> None:
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
         if verify_axis not in (0, 1):
             raise ValueError("verify_axis must be 0 (column) or 1 (row)")
-        if block_steps is not None:
-            block_steps = int(block_steps)
-            if block_steps < 1:
-                raise ValueError(
-                    f"block_steps must be >= 1, got {block_steps}"
-                )
-            if block_steps > 1 and track_strips:
-                raise ValueError(
-                    "temporal blocking requires track_strips=False: the "
-                    "exact-strip replay reads every intermediate padded "
-                    "state, which blocked windows never surface"
-                )
-        self.block_steps = block_steps
         self.spec = spec
         self.boundary = BoundarySpec.from_any(boundary, spec.ndim)
         self.shape = tuple(int(n) for n in shape)
@@ -297,117 +266,6 @@ class OfflineABFT(Protector):
         if self._since_checkpoint >= self.period:
             return self._verify_and_recover(grid, inject)
         return StepReport(iteration=grid.iteration, detection_performed=False)
-
-    # -- temporal blocking -----------------------------------------------------
-    def _blocked_window(
-        self, grid: GridBase, inject: Optional[InjectHook], remaining: int
-    ) -> int:
-        """How many steps of the current window may run as one blocked call.
-
-        Returns 1 whenever blocking does not apply: strip tracking on,
-        an explicit ``block_steps=1``, a grid without the blocked
-        primitive, or an injection hook with a pending plan inside the
-        candidate window (or whose plans cannot be introspected at all —
-        fault semantics always win over locality).
-        """
-        if self.track_strips or self.block_steps == 1:
-            return 1
-        if not hasattr(grid, "multi_step_with_checksums"):
-            return 1
-        cap = self.period if self.block_steps is None else self.block_steps
-        window_left = self.period - self._since_checkpoint
-        k = min(cap, window_left, remaining)
-        if k <= 1:
-            return 1
-        if inject is not None:
-            plans = getattr(inject, "plans", None)
-            if plans is None:
-                return 1
-            cur = grid.iteration
-            for plan in plans:
-                it = getattr(plan, "iteration", None)
-                if it is None:
-                    return 1
-                if cur < it <= cur + k:
-                    # Stop the blocked window right before the strike so
-                    # the injected iteration runs the single-step path.
-                    k = it - cur - 1
-            if k <= 1:
-                return 1
-        return k
-
-    def _blocked_step(
-        self, grid: GridBase, k: int, inject: Optional[InjectHook]
-    ) -> List[StepReport]:
-        """One blocked window chunk of ``k`` fused sweeps (checksum carry).
-
-        Mirrors ``k`` calls of :meth:`step` exactly: the ``k-1``
-        intermediate iterations produce plain no-detection reports and
-        empty strip records, the final sub-step folds the fused checksum
-        iff it closes the detection window with no hook active, and the
-        window-closing verification (including any rollback, which
-        replays single steps) is unchanged.
-        """
-        if self.checkpoint is None:
-            self._take_checkpoint(grid)
-        start = grid.iteration
-        closes_window = self._since_checkpoint + k >= self.period
-        if closes_window and inject is None:
-            _, checksums = grid.multi_step_with_checksums(
-                k,
-                (self.verify_axis,),
-                checksum_dtype=self.checksum_dtype,
-                backend=self.backend,
-            )
-            self._pending_cs = checksums[self.verify_axis]
-        else:
-            grid.multi_step(k, backend=self.backend)
-        # track_strips is False on every blocked path: k empty records.
-        self._strips.extend({} for _ in range(k))
-        self._since_checkpoint += k
-        reports = [
-            StepReport(iteration=it, detection_performed=False)
-            for it in range(start + 1, start + k)
-        ]
-        if self._since_checkpoint >= self.period:
-            reports.append(self._verify_and_recover(grid, inject))
-        else:
-            reports.append(
-                StepReport(iteration=grid.iteration, detection_performed=False)
-            )
-        return reports
-
-    def run(
-        self,
-        grid: GridBase,
-        iterations: int,
-        inject: Optional[InjectHook] = None,
-    ) -> RunReport:
-        """Advance ``iterations`` sweeps, temporally blocked where possible.
-
-        Between detection boundaries the grid advances through
-        ``multi_step(min(period, remaining))`` windows — one traversal
-        per window instead of per step — falling back to single
-        :meth:`step` calls whenever blocking does not apply (see
-        ``block_steps``).  Reports are identical to the single-step loop.
-        """
-        if iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        report = RunReport()
-        remaining = iterations
-        while remaining > 0:
-            k = self._blocked_window(grid, inject, remaining)
-            if k <= 1:
-                report.add(self.step(grid, inject=inject))
-                remaining -= 1
-                continue
-            for step_report in self._blocked_step(grid, k, inject):
-                report.add(step_report)
-            remaining -= k
-        final = self.finalize(grid)
-        if final is not None:
-            report.add(final)
-        return report
 
     def finalize(self, grid: GridBase) -> Optional[StepReport]:
         """Verify any partially filled detection window at the end of the run."""

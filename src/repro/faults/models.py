@@ -394,8 +394,17 @@ class RankCrash(FaultModel):
             raise ValueError("bitflips must be >= 0")
 
     def _draw_crash(self, rng, iterations: int) -> Tuple[Optional[int], int]:
-        """(crash iteration or None, victim rank) — fixed RNG order."""
+        """(crash iteration or None, victim rank) — fixed RNG order.
+
+        A pinned ``at_iteration`` past the horizon raises: the run would
+        never reach it.  ``mtbf`` arrivals beyond the horizon stay legal.
+        """
         if self.at_iteration is not None:
+            if self.at_iteration > iterations:
+                raise ValueError(
+                    f"crash iteration {self.at_iteration} is beyond the run's "
+                    f"{iterations} iterations: the rank would never crash"
+                )
             iteration: Optional[int] = int(self.at_iteration)
         elif self.mtbf is not None:
             t = float(rng.exponential(self.mtbf))
@@ -590,9 +599,8 @@ class ChecksumInjector:
 class CompositeInjector:
     """Fan a step's injection out to several target-specific hooks.
 
-    Exposes the union ``plans`` list so schedulers that introspect a
-    hook's pending plans (the offline protector's temporal-blocking
-    eligibility, the distributed runner) keep working.
+    Exposes the union ``plans`` list, so callers can introspect the
+    composite's pending plans like those of a single hook.
     """
 
     def __init__(self, hooks: Sequence) -> None:
@@ -880,7 +888,7 @@ class DistributedFaultInjector:
                 )
             slab = ghost_slab(
                 rank.buffers.front,
-                runner.rank_radius,
+                runner.radius,
                 runner.axis,
                 "low" if plan.side == 0 else "high",
             )

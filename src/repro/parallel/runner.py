@@ -87,16 +87,6 @@ class TiledStencilRunner:
         are recomputed after injection as the paper's semantics require.
         The process executor resolves the backend *by name* inside each
         worker, so it requires a registered backend.
-    block_steps:
-        Temporal blocking factor for :meth:`run`.  Unprotected runners
-        advance ``block_steps`` sweeps per chunk through the grid's
-        fused k-step kernel (:meth:`~repro.stencil.grid.GridBase.multi_step`)
-        instead of dispatching per-tile sweeps every iteration; any
-        protected tile caps the effective factor to 1 because
-        :class:`~repro.core.online.OnlineABFT` must verify every step
-        (see :attr:`effective_block_steps` / :attr:`block_cap_reason`).
-        Injection hooks always force the single-step path so faults land
-        on exact iteration boundaries.
     """
 
     def __init__(
@@ -106,7 +96,6 @@ class TiledStencilRunner:
         protector_factory: Optional[TileProtectorFactory] = None,
         executor=None,
         backend: BackendLike = None,
-        block_steps: int = 1,
     ) -> None:
         self.grid = grid
         if isinstance(parts, str):
@@ -126,21 +115,6 @@ class TiledStencilRunner:
             for box in self.boxes:
                 self.protectors[box.index] = None
         self.radius = grid.spec.radius()
-        block_steps = int(block_steps)
-        if block_steps < 1:
-            raise ValueError("block_steps must be >= 1")
-        self.block_steps = block_steps
-        self.block_cap_reason: Optional[str] = None
-        if block_steps > 1 and any(
-            p is not None for p in self.protectors.values()
-        ):
-            self.block_cap_reason = (
-                "per-tile OnlineABFT verifies every step; temporal blocking"
-                " would skip its per-iteration detection points"
-            )
-        self.effective_block_steps = (
-            1 if self.block_cap_reason is not None else block_steps
-        )
         self._const_shm = None
         self._const_name: Optional[str] = None
         # Compile-once warmup (no-op for the interpreted backends): a JIT
@@ -151,11 +125,7 @@ class TiledStencilRunner:
         # mid-run.
         warm_backend = self.backend if self.backend is not None else grid.backend
         warm_backend.warmup(
-            grid.spec,
-            grid.boundary,
-            grid.dtype,
-            radius=self.radius,
-            block_steps=self.effective_block_steps,
+            grid.spec, grid.boundary, grid.dtype, radius=self.radius
         )
 
     # -- constructors ------------------------------------------------------------
@@ -166,15 +136,9 @@ class TiledStencilRunner:
         parts: Sequence[int] | str = (2, 2),
         executor=None,
         backend: BackendLike = None,
-        block_steps: int = 1,
         **abft_kwargs,
     ) -> "TiledStencilRunner":
-        """A runner whose every tile is protected by its own OnlineABFT.
-
-        ``block_steps`` is accepted for interface symmetry but always
-        capped to 1 (per-tile protection verifies every step); the cap
-        reason is recorded on the returned runner.
-        """
+        """A runner whose every tile is protected by its own OnlineABFT."""
 
         def factory(box: TileBox, g: GridBase) -> OnlineABFT:
             return OnlineABFT(
@@ -193,7 +157,6 @@ class TiledStencilRunner:
             protector_factory=factory,
             executor=executor,
             backend=backend,
-            block_steps=block_steps,
         )
 
     # -- shared-memory setup -------------------------------------------------------
@@ -364,46 +327,13 @@ class TiledStencilRunner:
             reports.append(report)
         return reports
 
-    def _blocked_step(self, k: int) -> List[StepReport]:
-        """Advance ``k`` fused sweeps through the grid's k-step kernel.
-
-        Only reachable when every tile is unprotected, so there is no
-        per-iteration detection point to preserve; the result is
-        bit-identical to ``k`` tiled single steps (the tiles partition
-        the same sweep).  One ``detection_performed=False`` report per
-        tile per iteration keeps the report shape of the stepped path.
-        """
-        grid = self.grid
-        be = self.backend if self.backend is not None else grid.backend
-        grid.multi_step(k, backend=be)
-        reports: List[StepReport] = []
-        for it in range(grid.iteration - k + 1, grid.iteration + 1):
-            for _ in self.boxes:
-                reports.append(
-                    StepReport(iteration=it, detection_performed=False)
-                )
-        return reports
-
     def run(self, iterations: int, inject: Optional[InjectHook] = None) -> List[StepReport]:
-        """Advance ``iterations`` sweeps; returns the flat list of tile reports.
-
-        With ``block_steps > 1`` (and no protected tiles, no injection
-        hook) the loop advances in fused k-step chunks; otherwise it
-        falls back to per-iteration :meth:`step`.
-        """
+        """Advance ``iterations`` sweeps; returns the flat list of tile reports."""
         if iterations < 0:
             raise ValueError("iterations must be non-negative")
         all_reports: List[StepReport] = []
-        k = self.effective_block_steps if inject is None else 1
-        remaining = iterations
-        while remaining > 0:
-            if k <= 1 or remaining == 1:
-                all_reports.extend(self.step(inject=inject))
-                remaining -= 1
-            else:
-                chunk = min(k, remaining)
-                all_reports.extend(self._blocked_step(chunk))
-                remaining -= chunk
+        for _ in range(iterations):
+            all_reports.extend(self.step(inject=inject))
         return all_reports
 
     # -- bookkeeping -----------------------------------------------------------------

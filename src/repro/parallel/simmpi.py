@@ -42,6 +42,7 @@ communication structure matches a 1D-decomposed MPI stencil code.
 
 from __future__ import annotations
 
+import inspect
 import time as _time
 import zlib
 from collections import deque
@@ -88,6 +89,12 @@ DISTRIBUTED_AXIS = 0
 #: detection point — state committed only after verification — so the
 #: buddy-checkpoint cadence defaults to the same rule.
 DETECTION_PERIOD = 16
+
+#: The :class:`OnlineABFT` keywords a caller may pass through the runner
+#: (the rest are set by the runner for every rank).
+_ABFT_KWARGS = frozenset(inspect.signature(OnlineABFT).parameters) - {
+    "spec", "boundary", "shape", "dtype", "constant", "backend",
+}
 
 #: Channel tags of the buddy-checkpoint shipments (domain payload and
 #: packed metadata vector), counted in :meth:`SimChannel.traffic` per
@@ -562,34 +569,19 @@ class DistributedStencilRunner:
         Decomposition axis (default 0).  Any axis works — including the
         orderings where the external axis follows refreshed axes, which
         the compiled backend handles like any other layout.
-    block_steps:
-        Temporal blocking factor.  When eligible, every rank's buffer
-        pair carries a deep ghost slab of ``block_steps * radius`` along
-        the distributed axis, halos are exchanged once per ``block_steps``
-        sweeps, and each exchange drives the backend's fused k-step
-        kernel (trapezoidal tile shrink across the deep halo) —
-        ``block_steps``\\ x fewer messages and kernel launches for a
-        bit-identical trajectory.  The effective factor
-        (:attr:`effective_block_steps`) is capped to 1 — with the cause
-        recorded in :attr:`block_cap_reason` — when blocking cannot
-        preserve semantics: per-rank protection (OnlineABFT verifies
-        every step), a non-periodic boundary along the distributed axis
-        (edge ranks must re-synthesise ghosts every sweep), a per-point
-        constant (cannot be trapezoid-indexed across the deep halo), or
-        a rank block thinner than the deep halo.  Injection hooks force
-        the single-step path at :meth:`run` time.
     checkpoint_period:
         Enable buddy checkpointing with this period (iterations between
         checkpoints).  ``None`` (default) leaves checkpointing **off**
         until a crash-capable injector arrives, at which point it
         auto-enables at the default period — the ABFT detection period
-        Δ (:data:`DETECTION_PERIOD`).  Either way the period is rounded
-        up to a multiple of :attr:`effective_block_steps` so checkpoints
-        land on temporal-blocking window boundaries.  A period is turned
-        on through :meth:`enable_checkpointing`, so a sole rank raises
+        Δ (:data:`DETECTION_PERIOD`).  A period is turned on through
+        :meth:`enable_checkpointing`, so a sole rank raises
         :class:`RecoveryError` here too.
     abft_kwargs:
-        Extra keyword arguments for each rank's protector.
+        Extra keyword arguments for each rank's protector.  They are
+        checked against :class:`~repro.core.online.OnlineABFT`'s
+        parameters whatever ``protect`` is, so a misspelt or stale
+        keyword raises :class:`TypeError` instead of being dropped.
 
     Notes
     -----
@@ -611,15 +603,19 @@ class DistributedStencilRunner:
         protect: bool = True,
         backend: BackendLike = None,
         axis: int = DISTRIBUTED_AXIS,
-        block_steps: int = 1,
         checkpoint_period: Optional[int] = None,
         **abft_kwargs,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
-        block_steps = int(block_steps)
-        if block_steps < 1:
-            raise ValueError("block_steps must be >= 1")
+        unknown = sorted(set(abft_kwargs) - _ABFT_KWARGS)
+        if unknown:
+            raise TypeError(
+                f"DistributedStencilRunner got unexpected keyword "
+                f"argument(s) {', '.join(map(repr, unknown))}: extra "
+                f"keywords must be OnlineABFT options "
+                f"({', '.join(sorted(_ABFT_KWARGS))})"
+            )
         if not 0 <= int(axis) < grid.ndim:
             raise ValueError(
                 f"axis {axis} out of range for a {grid.ndim}-d grid"
@@ -640,42 +636,8 @@ class DistributedStencilRunner:
         axis_bc = self.boundary.axis(self.axis)
         bounds = partition_extent(grid.shape[self.axis], self.n_ranks)
 
-        # Temporal-blocking eligibility: cap k to 1 (recording why)
-        # whenever a deep-halo blocked schedule could not reproduce the
-        # single-step trajectory bit for bit.
-        width = self.radius[self.axis]
-        min_extent = min(stop - start for start, stop in bounds)
-        reason: Optional[str] = None
-        if block_steps > 1:
-            if protect:
-                reason = (
-                    "per-rank OnlineABFT verifies every step; blocked"
-                    " sweeps would skip its detection points"
-                )
-            elif width > 0 and not axis_bc.is_periodic:
-                reason = (
-                    f"{axis_bc.kind!r} boundary along distributed axis"
-                    f" {self.axis}: edge ranks must re-synthesise ghosts"
-                    " every sweep"
-                )
-            elif width > 0 and grid.constant is not None:
-                reason = (
-                    "a per-point constant cannot be trapezoid-indexed"
-                    " across the deep external halo"
-                )
-            elif width > 0 and min_extent < block_steps * width:
-                reason = (
-                    f"smallest rank block extent {min_extent} is thinner"
-                    f" than the deep halo k*r = {block_steps * width}"
-                )
-        self.block_steps = block_steps
-        self.block_cap_reason = reason
-        self.effective_block_steps = 1 if reason is not None else block_steps
-        #: Ghost-slab depth along the distributed axis (= k * radius).
-        self.halo_width = self.effective_block_steps * width
-        rank_radius = list(self.radius)
-        rank_radius[self.axis] = self.halo_width
-        self.rank_radius = tuple(rank_radius)
+        #: Ghost-slab depth along the distributed axis (the stencil radius).
+        self.halo_width = self.radius[self.axis]
 
         # Buddy checkpointing: each rank ships its snapshot to the next
         # rank around the ring.  Off by default (zero overhead, zero
@@ -690,7 +652,7 @@ class DistributedStencilRunner:
         )
         self._checkpointing = False
         self._last_checkpoint_iteration = self.iteration
-        self.checkpoint_period = self._align_period(
+        self.checkpoint_period = self._valid_period(
             DETECTION_PERIOD if checkpoint_period is None else checkpoint_period
         )
 
@@ -728,7 +690,7 @@ class DistributedStencilRunner:
                     lo_neighbor=lo,
                     hi_neighbor=hi,
                     global_offset=start,
-                    radius=self.rank_radius,
+                    radius=self.radius,
                     boundary=self.boundary,
                     axis=self.axis,
                 )
@@ -742,9 +704,8 @@ class DistributedStencilRunner:
             self.spec,
             boundary=self.boundary,
             dtype=self.dtype,
-            radius=self.rank_radius,
+            radius=self.radius,
             external_axes=external,
-            block_steps=self.effective_block_steps,
         )
         if checkpoint_period is not None:
             self.enable_checkpointing()
@@ -755,14 +716,11 @@ class DistributedStencilRunner:
         return get_backend(self.backend_spec)
 
     # -- buddy checkpointing --------------------------------------------------
-    def _align_period(self, period: int) -> int:
-        """Round a checkpoint period up to a blocked-window boundary."""
+    @staticmethod
+    def _valid_period(period: int) -> int:
         period = int(period)
         if period < 1:
             raise ValueError("checkpoint_period must be >= 1")
-        k = self.effective_block_steps
-        if period % k:
-            period = ((period // k) + 1) * k
         return period
 
     def enable_checkpointing(self, period: Optional[int] = None) -> None:
@@ -774,7 +732,7 @@ class DistributedStencilRunner:
         back to the enable-time state.
         """
         if period is not None:
-            self.checkpoint_period = self._align_period(period)
+            self.checkpoint_period = self._valid_period(period)
         if self._checkpointing:
             return
         if self.n_ranks < 2:
@@ -885,7 +843,7 @@ class DistributedStencilRunner:
             lo_neighbor=old.lo_neighbor,
             hi_neighbor=old.hi_neighbor,
             global_offset=old.global_offset,
-            radius=self.rank_radius,
+            radius=self.radius,
             boundary=self.boundary,
             axis=self.axis,
         )
@@ -1007,17 +965,17 @@ class DistributedStencilRunner:
         axis_bc = self.boundary.axis(self.axis)
         if rank.lo_neighbor is not None:
             payload = self.channel.recv(rank.lo_neighbor, rank.rank, "to_lo")
-            ingest_halo(front, self.rank_radius, self.axis, "low", payload)
+            ingest_halo(front, self.radius, self.axis, "low", payload)
         else:
             synthesize_ghost_into(
-                front, self.rank_radius, self.axis, "low", axis_bc
+                front, self.radius, self.axis, "low", axis_bc
             )
         if rank.hi_neighbor is not None:
             payload = self.channel.recv(rank.hi_neighbor, rank.rank, "to_hi")
-            ingest_halo(front, self.rank_radius, self.axis, "high", payload)
+            ingest_halo(front, self.radius, self.axis, "high", payload)
         else:
             synthesize_ghost_into(
-                front, self.rank_radius, self.axis, "high", axis_bc
+                front, self.radius, self.axis, "high", axis_bc
             )
 
     # -- stepping --------------------------------------------------------------------
@@ -1138,48 +1096,12 @@ class DistributedStencilRunner:
                 reports.append(rank.reports[i])
         return reports
 
-    def _blocked_step(self, k: int) -> List[StepReport]:
-        """One deep-halo exchange driving ``k`` fused sweeps per rank.
-
-        Each rank posts a ``k * radius``-deep strip, ingests its
-        neighbours' strips into the deep ghost slabs and runs the
-        backend's k-step kernel: the distributed axis shrinks
-        trapezoidally across the deep halo while every other axis
-        refreshes from the boundary spec each sub-step.  Only reachable
-        for unprotected runs, so the per-iteration reports are
-        synthesised (``detection_performed=False``), iteration-major to
-        match the shape of ``k`` single steps.
-        """
-        self._post_halos()
-        backend = self.backend
-        start = self.iteration
-        self.iteration += k
-        for rank in self.ranks:
-            self._ingest_halos(rank)
-            rank.buffers.multi_step(
-                backend, self.spec, k, constant=rank.constant
-            )
-        reports: List[StepReport] = []
-        for it in range(start + 1, start + k + 1):
-            for rank in self.ranks:
-                report = StepReport(iteration=it, detection_performed=False)
-                rank.reports.append(report)
-                reports.append(report)
-        # Chunk ends are the only legal checkpoint sites of a blocked
-        # schedule (period alignment guarantees due points land here).
-        self._maybe_checkpoint()
-        return reports
-
     def run(self, iterations: int, inject=None) -> List[StepReport]:
         """Advance ``iterations`` distributed sweeps.
 
-        With an eligible ``block_steps`` and no injection hook the loop
-        advances in fused k-step chunks (one halo exchange per chunk);
-        injection hooks force the per-iteration :meth:`step` path so
-        faults land on exact iteration boundaries.  Injectors carrying
-        fail-stop plans auto-enable buddy checkpointing before the first
-        sweep, and every committed iteration is guarded by the
-        self-recovering step path.
+        Injectors carrying fail-stop plans auto-enable buddy
+        checkpointing before the first sweep, and every committed
+        iteration is guarded by the self-recovering step path.
         """
         if iterations < 0:
             raise ValueError("iterations must be non-negative")
@@ -1190,16 +1112,8 @@ class DistributedStencilRunner:
         ):
             self.enable_checkpointing()
         all_reports: List[StepReport] = []
-        k = self.effective_block_steps if inject is None else 1
-        remaining = iterations
-        while remaining > 0:
-            if k <= 1 or remaining == 1:
-                all_reports.extend(self.step(inject=inject))
-                remaining -= 1
-            else:
-                chunk = min(k, remaining)
-                all_reports.extend(self._blocked_step(chunk))
-                remaining -= chunk
+        for _ in range(iterations):
+            all_reports.extend(self.step(inject=inject))
         return all_reports
 
     # -- gather / bookkeeping -----------------------------------------------------------

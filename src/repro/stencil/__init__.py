@@ -25,8 +25,6 @@ The implementation is split into small modules:
     ``sweep_with_checksums`` and zero-copy ``sweep_into`` primitives).
     All dispatch to the pluggable compute backends of
     :mod:`repro.backends`.
-``sweep2d`` / ``sweep3d``
-    Dimension-checked convenience wrappers.
 ``reference``
     Deliberately naive loop implementations used as test oracles.
 ``grid``
@@ -46,8 +44,6 @@ from repro.stencil.shift import (
 )
 from repro.stencil.doublebuffer import DoubleBufferedGrid
 from repro.stencil.sweep import sweep_padded, sweep, sweep_into, sweep_with_checksums
-from repro.stencil.sweep2d import sweep2d
-from repro.stencil.sweep3d import sweep3d
 from repro.stencil.grid import Grid2D, Grid3D, GridBase
 from repro.stencil import kernels
 
@@ -66,8 +62,6 @@ __all__ = [
     "sweep",
     "sweep_into",
     "sweep_with_checksums",
-    "sweep2d",
-    "sweep3d",
     "Grid2D",
     "Grid3D",
     "GridBase",

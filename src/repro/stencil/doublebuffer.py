@@ -309,67 +309,6 @@ class DoubleBufferedGrid:
         )
         return self._front, new, checksums
 
-    def multi_step(
-        self,
-        backend,
-        spec,
-        k: int,
-        constant: Optional[np.ndarray] = None,
-        axes: Optional[Sequence[int]] = None,
-        checksum_dtype=None,
-    ):
-        """``k`` backend-owned fused steps of the pair (temporal blocking).
-
-        Delegates to the backend's ``multi_step_into*`` primitive: the
-        sub-steps ping-pong between the two buffers without surfacing
-        intermediate states, and (with ``axes``) checksums are folded
-        only on the final sub-step — the checksum carry.  External-axis
-        halos must have been ingested to a depth of at least
-        ``k * stencil_radius`` before the call.
-
-        Unlike :meth:`step`, the pair **is** swapped here when ``k`` is
-        odd — the ping-pong parity would otherwise leave the final state
-        in the back buffer — so on return ``front`` always holds step
-        ``t+k`` and ``back`` holds step ``t+k-1`` with a refreshed halo
-        (the blocked analogue of the previous padded step the ABFT
-        protectors read).
-
-        Returns ``(previous_padded, new_interior, checksums)`` where
-        ``previous_padded`` is the back buffer after the parity swap and
-        ``checksums`` is ``None`` when ``axes`` is ``None``.
-        """
-        k = int(k)
-        if axes is None:
-            backend.multi_step_into(
-                self._front,
-                self._back,
-                k,
-                spec,
-                self.radius,
-                self.interior_shape,
-                self.boundary,
-                constant=constant,
-                refresh_axes=self.refresh_axes,
-            )
-            checksums = None
-        else:
-            _, checksums = backend.multi_step_into_with_checksums(
-                self._front,
-                self._back,
-                k,
-                spec,
-                self.radius,
-                self.interior_shape,
-                self.boundary,
-                axes,
-                constant=constant,
-                checksum_dtype=checksum_dtype,
-                refresh_axes=self.refresh_axes,
-            )
-        if k % 2 == 1:
-            self.swap()
-        return self._back, self.interior, checksums
-
     def swap(self) -> None:
         """Exchange front and back (the freshly swept back becomes current)."""
         self._front, self._back = self._back, self._front

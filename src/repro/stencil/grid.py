@@ -277,89 +277,6 @@ class GridBase:
         self._commit(padded, checksums)
         return new, checksums
 
-    def multi_step(
-        self, k: int, backend: BackendLike = None
-    ) -> np.ndarray:
-        """Advance ``k`` fused sweeps in one blocked traversal (no checksums).
-
-        The unverified variant of :meth:`multi_step_with_checksums`;
-        see there for the blocking semantics and bookkeeping.
-        """
-        k = int(k)
-        if k < 1:
-            raise ValueError(f"block steps must be >= 1, got {k}")
-        if k == 1:
-            return self.step(backend=backend)
-        be = self.backend if backend is None else get_backend(backend)
-        prev_padded, new, _ = self.buffers.multi_step(
-            be, self.spec, k, constant=self.constant
-        )
-        self._commit_blocked(prev_padded, k, None)
-        return new
-
-    def multi_step_with_checksums(
-        self,
-        k: int,
-        axes: Sequence[int],
-        checksum_dtype: Optional[np.dtype] = None,
-        backend: BackendLike = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """Advance ``k`` fused sweeps in one blocked traversal (+ checksums).
-
-        The temporal-blocking fast path: the backend's
-        ``multi_step_into_with_checksums`` primitive ping-pongs the
-        buffer pair through k sub-steps without surfacing intermediate
-        states, folding the row/column checksums only on the final
-        sub-step — so the returned domain and checksums are bit-identical
-        to ``k`` calls of :meth:`step` with :meth:`step_with_checksums`
-        last, at one traversal per window instead of per step.
-
-        Intermediate interiors are genuinely never materialised:
-        afterwards :attr:`previous` / :attr:`previous_padded` hold step
-        ``t+k-1`` (the only intermediate state a protector needs for
-        Theorem-1 interpolation at the window boundary) and
-        :attr:`iteration` advances by ``k``.
-        """
-        k = int(k)
-        if k < 1:
-            raise ValueError(f"block steps must be >= 1, got {k}")
-        if k == 1:
-            return self.step_with_checksums(
-                axes, checksum_dtype=checksum_dtype, backend=backend
-            )
-        be = self.backend if backend is None else get_backend(backend)
-        prev_padded, new, checksums = self.buffers.multi_step(
-            be,
-            self.spec,
-            k,
-            constant=self.constant,
-            axes=axes,
-            checksum_dtype=checksum_dtype,
-        )
-        self._commit_blocked(prev_padded, k, checksums)
-        return new, checksums
-
-    def _commit_blocked(
-        self,
-        prev_padded: np.ndarray,
-        k: int,
-        checksums: Optional[ChecksumMap],
-    ) -> None:
-        """Bookkeeping after a blocked window.
-
-        The pair was already parity-swapped by ``buffers.multi_step``
-        (front = step ``t+k``, back = step ``t+k-1`` with a refreshed
-        halo), so this records the previous views and advances the
-        iteration counter by ``k`` without touching the buffers.
-        """
-        from repro.stencil.shift import interior_view
-
-        self._previous = interior_view(prev_padded, self.buffers.radius)
-        self._previous_padded = prev_padded
-        self.u = self.buffers.interior
-        self.iteration += k
-        self.last_checksums = checksums
-
     def _commit(
         self,
         padded_src: np.ndarray,

@@ -26,26 +26,6 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--block-steps",
-        type=int,
-        default=1,
-        help=(
-            "Temporal block factor for the parallel-runner suites: "
-            "unprotected runner tests drive k fused sweeps per halo "
-            "exchange instead of one (CI runs the distributed suite "
-            "with --block-steps 2 under the compiled-step gate)."
-        ),
-    )
-
-
-@pytest.fixture
-def block_steps(request) -> int:
-    """Temporal block factor requested on the pytest command line."""
-    return request.config.getoption("--block-steps")
-
-
 def pytest_sessionfinish(session, exitstatus):
     """Zero-interpreted-fallback gate for compiled backends.
 

@@ -72,29 +72,40 @@ class TestMain:
         assert "unprotected" in out
         assert "totals" not in out
 
+    def test_distributed_periodic_one_exchange_per_step(self, capsys):
+        assert main(["distributed", "--ranks", "3", "--iters", "6",
+                     "--size", "32", "--no-protect",
+                     "--boundary", "periodic"]) == 0
+        out = capsys.readouterr().out
+        # 6 iterations x 3 ring interfaces x 2 directions.
+        assert "36 messages" in out
+
     def test_distributed_parser_defaults(self):
         args = build_parser().parse_args(["distributed"])
         assert args.ranks == 4
         assert args.iters == 50
         assert args.backend is None
-        assert args.block_steps == 1
         assert args.boundary == "clamp"
 
-    def test_distributed_blocked_periodic(self, capsys):
-        assert main(["distributed", "--ranks", "3", "--iters", "6",
-                     "--size", "32", "--no-protect",
-                     "--boundary", "periodic", "--block-steps", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "temporal block : k=3" in out
-        # 6 iterations in k=3 chunks: 2 exchanges x 3 ring interfaces x 2.
-        assert "12 messages" in out
+    @pytest.mark.parametrize("crash_iter", ["0", "50"])
+    def test_distributed_crash_iter_out_of_range(self, crash_iter):
+        with pytest.raises(SystemExit, match="--crash-iter") as exc:
+            main(["distributed", "--ranks", "3", "--iters", "8",
+                  "--size", "24", "--crash-iter", crash_iter])
+        assert str(exc.value).startswith("error: ")
 
-    def test_distributed_blocked_cap_reported(self, capsys):
-        assert main(["distributed", "--ranks", "2", "--iters", "2",
-                     "--size", "24", "--block-steps", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "capped to k=1" in out
-        assert "OnlineABFT" in out
+    @pytest.mark.parametrize("crash_iter", ["0", "99"])
+    def test_campaign_crash_iter_out_of_range(self, crash_iter):
+        with pytest.raises(SystemExit, match="--crash-iter") as exc:
+            main(["campaign", "--tile", "16", "16", "4", "--iterations", "8",
+                  "--repetitions", "2", "--fault-model", "rank-crash",
+                  "--crash-iter", crash_iter])
+        assert str(exc.value).startswith("error: ")
+
+    def test_distributed_crash_iter_in_range_recovers(self, capsys):
+        assert main(["distributed", "--ranks", "3", "--iters", "8",
+                     "--size", "24", "--crash-iter", "8"]) == 0
+        assert "recovery        : 1 rank failure" in capsys.readouterr().out
 
 
 class TestKernelListing:
@@ -114,9 +125,7 @@ class TestKernelListing:
         backend.warmup(
             five_point_diffusion(0.2),
             boundary=BoundaryCondition.periodic(),
-            radius=(3, 1),
             external_axes=(0,),
-            block_steps=3,
         )
         monkeypatch.setattr(cli, "available_backends", lambda: ["numba"])
         monkeypatch.setattr(cli, "default_backend_name", lambda: "numba")
@@ -124,14 +133,10 @@ class TestKernelListing:
         monkeypatch.setattr(cli, "unavailable_backends", lambda: {})
         return backend
 
-    def test_kernels_listing_shows_block_factor_and_ghosts(
-        self, compiled_cli, capsys
-    ):
+    def test_kernels_listing_spells_out_signatures(self, compiled_cli, capsys):
         assert main(["backends", "--kernels"]) == 0
         out = capsys.readouterr().out
-        assert "k=3" in out
-        assert "step_k" in out
-        assert "ghosts axis0:+3 (deep halo, k-step plan)" in out
+        assert " step " in out
         # Full cache-key identity, never truncated: every entry spells
         # out the complete spec signature (the digest is only a prefix).
         for e in compiled_cli.compiled_kernels():
@@ -146,7 +151,6 @@ class TestKernelListing:
         payload = json.loads(out[out.index("{"):])
         entries = payload["numba"]
         assert entries
-        kinds = {(e["kind"], e["block_steps"]) for e in entries}
-        assert ("step_k", 3) in kinds
-        blocked = next(e for e in entries if e["kind"] == "step_k")
-        assert blocked["ghost_growth"] == {"axis0": 3}
+        assert {e["kind"] for e in entries} == {"sweep", "step"}
+        step = next(e for e in entries if e["kind"] == "step")
+        assert "external" in step["layout"]

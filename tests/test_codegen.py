@@ -400,11 +400,6 @@ class TestBatchPlans:
         with pytest.raises(ValueError, match="grid layout"):
             plan_kernel(_spec2d(), batch=True)
 
-    def test_batch_rejects_temporal_blocking(self):
-        layout = _layout((1, 1), BoundaryCondition.clamp(), 2)
-        with pytest.raises(ValueError, match="temporal blocking"):
-            plan_kernel(_spec2d(), layout=layout, batch=True, block_steps=2)
-
     def test_batch_module_emits_only_the_bstep_family(self):
         src = emit_module(
             plan_kernel(

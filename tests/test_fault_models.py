@@ -22,6 +22,7 @@ from repro.faults.models import (
     FaultModel,
     MultiBitBurst,
     PoissonArrival,
+    RankCrash,
     RegionTargeted,
     SingleBitFlip,
     available_fault_models,
@@ -127,6 +128,22 @@ class TestPoissonArrival:
     def test_validation(self):
         with pytest.raises(ValueError, match="mtbf"):
             PoissonArrival(mtbf=0.0)
+
+
+class TestRankCrashHorizon:
+    def test_pinned_crash_beyond_horizon_raises(self):
+        model = RankCrash(at_iteration=50, rank=1, n_ranks=2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="beyond the run's 8 iterations"):
+            model.draw(rng, (8, 8), 8)
+        with pytest.raises(ValueError, match="beyond the run's 8 iterations"):
+            model.draw_for_ranks(rng, [(4, 8)] * 2, 8)
+
+    def test_pinned_crash_on_last_iteration_is_drawn(self):
+        plans = RankCrash(at_iteration=8, rank=1, n_ranks=2).draw(
+            np.random.default_rng(0), (8, 8), 8
+        )
+        assert [(p.target, p.iteration) for p in plans] == [("crash", 8)]
 
 
 class TestRegionTargeted:

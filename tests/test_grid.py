@@ -7,7 +7,7 @@ from repro.checkpoint import Snapshot
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
-from repro.stencil.sweep2d import sweep2d
+from repro.stencil.sweep import sweep
 
 
 class TestGridConstruction:
@@ -61,7 +61,7 @@ class TestGridConstruction:
 class TestGridStepping:
     def test_step_matches_sweep(self, small_grid_2d):
         g = small_grid_2d
-        expected = sweep2d(g.u.copy(), g.spec, g.boundary)
+        expected = sweep(g.u.copy(), g.spec, g.boundary)
         g.step()
         np.testing.assert_array_equal(g.u, expected)
 
@@ -95,7 +95,7 @@ class TestGridStepping:
     def test_step_with_external_padded(self, small_grid_2d):
         g = small_grid_2d
         padded = g.padded_current()
-        expected = sweep2d(g.u.copy(), g.spec, g.boundary)
+        expected = sweep(g.u.copy(), g.spec, g.boundary)
         g.step(padded=padded)
         np.testing.assert_array_equal(g.u, expected)
 

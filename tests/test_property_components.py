@@ -11,7 +11,7 @@ from repro.parallel.decomposition import decompose, partition_extent
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.reference import reference_sweep2d
 from repro.stencil.spec import StencilSpec
-from repro.stencil.sweep2d import sweep2d
+from repro.stencil.sweep import sweep
 
 
 def boundary_conditions():
@@ -53,7 +53,7 @@ def test_vectorised_sweep_equals_reference_sweep(domain, spec, bc):
     """The vectorised sweep agrees with the literal loop implementation."""
     bspec = BoundarySpec.uniform(bc, 2)
     np.testing.assert_allclose(
-        sweep2d(domain, spec, bspec),
+        sweep(domain, spec, bspec),
         reference_sweep2d(domain, spec, bspec),
         rtol=1e-10,
         atol=1e-12,

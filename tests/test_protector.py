@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.protector import NoProtection, RunReport, StepReport
 from repro.faults.injector import FaultInjector, FaultPlan
-from repro.stencil.sweep2d import sweep2d
+from repro.stencil.sweep import sweep
 
 
 class TestStepReport:
@@ -43,7 +43,7 @@ class TestRunReport:
 
 class TestNoProtection:
     def test_step_advances_grid_without_detection(self, small_grid_2d):
-        expected = sweep2d(small_grid_2d.u.copy(), small_grid_2d.spec,
+        expected = sweep(small_grid_2d.u.copy(), small_grid_2d.spec,
                            small_grid_2d.boundary)
         report = NoProtection().step(small_grid_2d)
         assert report.iteration == 1

@@ -4,7 +4,7 @@ The headline invariant of the recovery subsystem is exactness: a run
 that loses a rank mid-execution and recovers from buddy checkpoints
 must finish **bitwise-identical** to the failure-free run — final
 domain *and* detection/correction counters — for every boundary kind,
-decomposition axis and temporal-blocking factor, including runs where
+decomposition axis and protection setting, including runs where
 silent bit flips strike inside the replayed window or on the rebuilt
 rank.  The hypothesis sweep at the bottom pins that invariant.
 """
@@ -258,29 +258,25 @@ class TestBuddyCheckpointing:
         )
         assert stats.checkpoint_messages == 2 * 4 * stats.checkpoints_taken
 
-    def test_period_aligns_to_blocked_windows(self):
+    def test_unaligned_period_is_kept_as_given(self):
         runner = DistributedStencilRunner(
             _grid_2d(BoundaryCondition.periodic()),
             n_ranks=2,
             protect=False,
-            block_steps=4,
             checkpoint_period=6,
         )
-        assert runner.effective_block_steps == 4
-        assert runner.checkpoint_period == 8
+        assert runner.checkpoint_period == 6
+        runner.run(20)
+        assert runner.recovery.checkpoints_taken == 1 + 20 // 6
 
-    def test_blocked_run_with_checkpointing_stays_exact(self):
+    def test_checkpointed_periodic_run_stays_exact(self):
         bc = BoundaryCondition.periodic()
         baseline = DistributedStencilRunner(
-            _grid_2d(bc), n_ranks=2, protect=False, block_steps=4
+            _grid_2d(bc), n_ranks=2, protect=False
         )
         baseline.run(24)
         ckpt = DistributedStencilRunner(
-            _grid_2d(bc),
-            n_ranks=2,
-            protect=False,
-            block_steps=4,
-            checkpoint_period=8,
+            _grid_2d(bc), n_ranks=2, protect=False, checkpoint_period=8
         )
         ckpt.run(24)
         assert ckpt.recovery.checkpoints_taken == 1 + 24 // 8
@@ -363,16 +359,15 @@ class TestRecoveryBitIdentity:
         ndim=st.sampled_from([2, 3]),
         bc_kind=st.sampled_from(sorted(_BOUNDARIES)),
         axis=st.integers(min_value=0, max_value=1),
-        k=st.sampled_from([1, 2, 4]),
+        protect=st.booleans(),
         timing=st.sampled_from(["start", "mid", "boundary"]),
         n_ranks=st.sampled_from([2, 3]),
     )
     def test_recovered_run_matches_failure_free(
-        self, ndim, bc_kind, axis, k, timing, n_ranks
+        self, ndim, bc_kind, axis, protect, timing, n_ranks
     ):
         bc = _BOUNDARIES[bc_kind]()
         make_grid = _grid_2d if ndim == 2 else _grid_3d
-        protect = k == 1
         iters = 20
         crash_iter = {"start": 1, "mid": 10, "boundary": DETECTION_PERIOD}[
             timing
@@ -380,14 +375,12 @@ class TestRecoveryBitIdentity:
         victim = n_ranks - 1
 
         baseline = DistributedStencilRunner(
-            make_grid(bc), n_ranks=n_ranks, protect=protect, axis=axis,
-            block_steps=k,
+            make_grid(bc), n_ranks=n_ranks, protect=protect, axis=axis
         )
         baseline.run(iters)
 
         crashed = DistributedStencilRunner(
-            make_grid(bc), n_ranks=n_ranks, protect=protect, axis=axis,
-            block_steps=k,
+            make_grid(bc), n_ranks=n_ranks, protect=protect, axis=axis
         )
         inject = _crash_injector(crashed, crash_iter, victim)
         crashed.run(iters, inject=inject)

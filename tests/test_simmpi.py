@@ -13,6 +13,7 @@ from repro.metrics.accuracy import l2_error
 from repro.parallel.simmpi import DistributedStencilRunner, SimChannel
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
+from repro.stencil.spec import StencilSpec
 from repro.stencil.kernels import (
     asymmetric_advection_2d,
     five_point_diffusion,
@@ -71,59 +72,48 @@ class TestSimChannel:
 
 
 class TestDistributedEquivalence:
-    """The unprotected equivalence tests take the session-wide
-    ``--block-steps`` factor (CI runs this file with ``--block-steps 2``
-    under the compiled-step gate): periodic domains genuinely run the
-    deep-halo blocked schedule, while clamp/constant configurations cap
-    back to ``k=1`` — either way the gather must stay bit-identical."""
-
     @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
-    def test_distributed_run_bitwise_equals_single_grid(
-        self, rng, n_ranks, block_steps
-    ):
+    def test_distributed_run_bitwise_equals_single_grid(self, rng, n_ranks):
         grid = _grid_2d(rng)
         single = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=n_ranks, protect=False, block_steps=block_steps
+            grid, n_ranks=n_ranks, protect=False
         )
         runner.run(8)
         NoProtection().run(single, 8)
         np.testing.assert_array_equal(runner.gather(), single.u)
 
-    def test_periodic_boundary_wraps_between_first_and_last_rank(
-        self, rng, block_steps
-    ):
+    def test_periodic_boundary_wraps_between_first_and_last_rank(self, rng):
         grid = _grid_2d(rng, bc=BoundaryCondition.periodic())
         single = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, block_steps=block_steps
+            grid, n_ranks=3, protect=False
         )
-        assert runner.effective_block_steps == block_steps
         runner.run(6)
         NoProtection().run(single, 6)
         np.testing.assert_array_equal(runner.gather(), single.u)
 
-    def test_asymmetric_stencil_equivalence(self, rng, block_steps):
+    def test_asymmetric_stencil_equivalence(self, rng):
         grid = _grid_2d(
             rng, bc=BoundaryCondition.periodic(),
             spec=asymmetric_advection_2d(0.25, 0.15),
         )
         single = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=4, protect=False, block_steps=block_steps
+            grid, n_ranks=4, protect=False
         )
         runner.run(5)
         NoProtection().run(single, 5)
         np.testing.assert_array_equal(runner.gather(), single.u)
 
-    def test_3d_domain_with_constant_term(self, rng, block_steps):
+    def test_3d_domain_with_constant_term(self, rng):
         u0 = (rng.random((16, 10, 4)) * 50).astype(np.float32)
         constant = (rng.random((16, 10, 4)) * 0.2).astype(np.float32)
         grid = Grid3D(u0, seven_point_diffusion_3d(0.1), BoundaryCondition.clamp(),
                       constant=constant)
         single = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=4, protect=False, block_steps=block_steps
+            grid, n_ranks=4, protect=False
         )
         runner.run(6)
         NoProtection().run(single, 6)
@@ -141,6 +131,27 @@ class TestDistributedEquivalence:
         with pytest.raises(ValueError):
             DistributedStencilRunner(_grid_2d(rng), n_ranks=0)
 
+    @pytest.mark.parametrize("protect", [False, True], ids=["unprot", "prot"])
+    def test_unknown_keyword_rejected(self, rng, protect):
+        with pytest.raises(TypeError, match="'chekpoint_period'"):
+            DistributedStencilRunner(
+                _grid_2d(rng), n_ranks=2, protect=protect, chekpoint_period=4
+            )
+
+    @pytest.mark.parametrize("protect", [False, True], ids=["unprot", "prot"])
+    def test_runner_set_keyword_rejected(self, rng, protect):
+        # The runner sets each rank's shape itself; it is no ABFT option.
+        with pytest.raises(TypeError, match="'shape'"):
+            DistributedStencilRunner(
+                _grid_2d(rng), n_ranks=2, protect=protect, shape=(4, 4)
+            )
+
+    def test_abft_keyword_accepted_unprotected(self, rng):
+        runner = DistributedStencilRunner(
+            _grid_2d(rng), n_ranks=2, protect=False, epsilon=1e-5
+        )
+        assert all(rank.protector is None for rank in runner.ranks)
+
 
 class TestDecompositionAxis:
     """Non-default decomposition axes — including the orderings where the
@@ -149,30 +160,29 @@ class TestDecompositionAxis:
     compiles like any other layout."""
 
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
-    def test_axis1_run_bitwise_equals_single_grid(self, rng, n_ranks, block_steps):
+    def test_axis1_run_bitwise_equals_single_grid(self, rng, n_ranks):
         grid = _grid_2d(rng)
         single = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=n_ranks, protect=False, axis=1, block_steps=block_steps
+            grid, n_ranks=n_ranks, protect=False, axis=1
         )
         assert runner.axis == 1
         runner.run(8)
         NoProtection().run(single, 8)
         np.testing.assert_array_equal(runner.gather(), single.u)
 
-    def test_axis1_periodic_wraps(self, rng, block_steps):
+    def test_axis1_periodic_wraps(self, rng):
         grid = _grid_2d(rng, bc=BoundaryCondition.periodic())
         single = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, axis=1, block_steps=block_steps
+            grid, n_ranks=3, protect=False, axis=1
         )
-        assert runner.effective_block_steps == block_steps
         runner.run(6)
         NoProtection().run(single, 6)
         np.testing.assert_array_equal(runner.gather(), single.u)
 
     @pytest.mark.parametrize("axis", [1, 2])
-    def test_3d_middle_and_last_axis(self, rng, axis, block_steps):
+    def test_3d_middle_and_last_axis(self, rng, axis):
         u0 = (rng.random((10, 12, 8)) * 50).astype(np.float32)
         constant = (rng.random((10, 12, 8)) * 0.2).astype(np.float32)
         grid = Grid3D(
@@ -181,7 +191,7 @@ class TestDecompositionAxis:
         )
         single = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, axis=axis, block_steps=block_steps
+            grid, n_ranks=3, protect=False, axis=axis
         )
         runner.run(5)
         NoProtection().run(single, 5)
@@ -263,13 +273,11 @@ class TestZeroCopyRankLifecycle:
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
     @pytest.mark.parametrize("protect", [False, True], ids=["unprot", "prot"])
-    def test_2d_gather_bitwise_equals_serial_steps(self, rng, bc, protect,
-                                                   block_steps):
+    def test_2d_gather_bitwise_equals_serial_steps(self, rng, bc, protect):
         grid = _grid_2d(rng, bc=bc)
         serial = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=4, protect=protect, epsilon=1e-5,
-            block_steps=block_steps,
+            grid, n_ranks=4, protect=protect, epsilon=1e-5
         )
         runner.run(7)
         if protect:
@@ -285,8 +293,7 @@ class TestZeroCopyRankLifecycle:
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
     @pytest.mark.parametrize("protect", [False, True], ids=["unprot", "prot"])
-    def test_3d_gather_bitwise_equals_serial_steps(self, rng, bc, protect,
-                                                   block_steps):
+    def test_3d_gather_bitwise_equals_serial_steps(self, rng, bc, protect):
         u0 = (rng.random((16, 10, 4)) * 50).astype(np.float32)
         constant = (rng.random((16, 10, 4)) * 0.2).astype(np.float32)
         grid = Grid3D(
@@ -294,8 +301,7 @@ class TestZeroCopyRankLifecycle:
         )
         serial = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=4, protect=protect, epsilon=1e-5,
-            block_steps=block_steps,
+            grid, n_ranks=4, protect=protect, epsilon=1e-5
         )
         runner.run(5)
         if protect:
@@ -383,60 +389,65 @@ class TestZeroCopyRankLifecycle:
         assert peak - baseline < block_bytes // 2
 
 
-class TestTemporalBlocking:
-    """Deep-halo temporal blocking: k fused sweeps per halo exchange."""
+def _radius2_cross():
+    """A radius-2 cross: halos two cells deep along either axis."""
+    return StencilSpec(
+        [((0, 0), 0.4), ((2, 0), 0.15), ((-2, 0), 0.15),
+         ((0, 2), 0.15), ((0, -2), 0.15)]
+    )
+
+
+class TestSingleStepSchedule:
+    """One halo exchange per sweep, halos exactly one stencil radius deep."""
 
     @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_periodic_blocked_bitwise_equals_serial(self, rng, k, axis):
-        grid = _grid_2d(rng, bc=BoundaryCondition.periodic())
+    @pytest.mark.parametrize("n_ranks", [2, 3, 4])
+    def test_periodic_radius2_bitwise_equals_serial(self, rng, n_ranks, axis):
+        grid = _grid_2d(rng, bc=BoundaryCondition.periodic(),
+                        spec=_radius2_cross())
         serial = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, axis=axis, block_steps=k
+            grid, n_ranks=n_ranks, protect=False, axis=axis
         )
-        assert runner.block_cap_reason is None
-        assert runner.effective_block_steps == k
-        assert runner.halo_width == k * runner.radius[axis]
-        runner.run(7)  # 7 = 2 full k-chunks + a tail for k in {2, 3}
+        assert runner.halo_width == 2
+        runner.run(7)
         NoProtection().run(serial, 7)
         np.testing.assert_array_equal(runner.gather(), serial.u)
         assert runner.iteration == 7
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_3d_periodic_blocked_bitwise_equals_serial(self, rng, k):
+    @pytest.mark.parametrize("n_ranks", [2, 3])
+    def test_3d_periodic_bitwise_equals_serial(self, rng, n_ranks):
         u0 = (rng.random((18, 8, 6)) * 50).astype(np.float32)
         grid = Grid3D(u0, seven_point_diffusion_3d(0.1),
                       BoundaryCondition.periodic())
         serial = grid.copy()
-        runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, block_steps=k
-        )
-        assert runner.effective_block_steps == k
+        runner = DistributedStencilRunner(grid, n_ranks=n_ranks, protect=False)
         runner.run(5)
         NoProtection().run(serial, 5)
         np.testing.assert_array_equal(runner.gather(), serial.u)
 
-    def test_one_exchange_per_block(self, rng):
-        """7 iterations at k=3 make chunks of 3+3+1: three exchange
-        rounds, each 4 ring interfaces x 2 directions = 8 messages."""
-        grid = _grid_2d(rng, bc=BoundaryCondition.periodic())
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_halo_width_is_stencil_radius(self, rng, axis):
+        spec = StencilSpec([((0, 0), 0.5), ((3, 0), 0.25), ((0, -1), 0.25)])
         runner = DistributedStencilRunner(
-            grid, n_ranks=4, protect=False, block_steps=3
+            _grid_2d(rng, spec=spec), n_ranks=2, protect=False, axis=axis
         )
-        runner.run(7)
-        assert runner.channel.messages_sent == 3 * 8
-        assert runner.channel.pending() == 0
-        # Each halo payload carries the full k*r-deep slab.
-        per_msg = grid.shape[1] * runner.halo_width * grid.u.itemsize
-        assert runner.channel.bytes_sent == 3 * 8 * per_msg
+        assert runner.halo_width == spec.radius()[axis] == (3, 1)[axis]
 
-    def test_inject_hook_forces_single_step_schedule(self, rng):
-        """Injection hooks observe per-iteration rank state, so a run
-        with a hook falls back to one exchange per sweep."""
+    def test_one_exchange_per_step(self, rng):
+        """7 iterations on a 4-rank ring: seven exchange rounds, each
+        4 interfaces x 2 directions = 8 messages of one radius-deep slab."""
         grid = _grid_2d(rng, bc=BoundaryCondition.periodic())
-        runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, block_steps=4
-        )
+        runner = DistributedStencilRunner(grid, n_ranks=4, protect=False)
+        runner.run(7)
+        assert runner.channel.messages_sent == 7 * 8
+        assert runner.channel.pending() == 0
+        per_msg = grid.shape[1] * runner.halo_width * grid.u.itemsize
+        assert runner.channel.bytes_sent == 7 * 8 * per_msg
+
+    def test_inject_hook_sees_every_iteration_and_rank(self, rng):
+        grid = _grid_2d(rng, bc=BoundaryCondition.periodic())
+        runner = DistributedStencilRunner(grid, n_ranks=3, protect=False)
         seen = []
 
         def inject(run, iteration, rank):
@@ -446,54 +457,10 @@ class TestTemporalBlocking:
         assert runner.channel.messages_sent == 5 * 6
         assert seen == [(i, r) for i in range(1, 6) for r in range(3)]
 
-    def test_protected_runner_caps_with_reason(self, rng):
-        runner = DistributedStencilRunner(
-            _grid_2d(rng, bc=BoundaryCondition.periodic()),
-            n_ranks=2, protect=True, epsilon=1e-5, block_steps=4,
-        )
-        assert runner.effective_block_steps == 1
-        assert "OnlineABFT" in runner.block_cap_reason
-        assert runner.halo_width == runner.radius[0]
-
-    def test_non_periodic_axis_caps_with_reason(self, rng):
-        runner = DistributedStencilRunner(
-            _grid_2d(rng), n_ranks=2, protect=False, block_steps=2
-        )
-        assert runner.effective_block_steps == 1
-        assert "'clamp' boundary along distributed axis 0" in runner.block_cap_reason
-
-    def test_constant_term_caps_with_reason(self, rng):
-        u0 = (rng.random((16, 10, 4)) * 50).astype(np.float32)
-        constant = (rng.random((16, 10, 4)) * 0.2).astype(np.float32)
-        grid = Grid3D(u0, seven_point_diffusion_3d(0.1),
-                      BoundaryCondition.periodic(), constant=constant)
-        runner = DistributedStencilRunner(
-            grid, n_ranks=2, protect=False, block_steps=2
-        )
-        assert runner.effective_block_steps == 1
-        assert "constant" in runner.block_cap_reason
-
-    def test_thin_rank_block_caps_with_reason(self, rng):
-        # 24 rows over 4 ranks -> blocks of 6 < k*r = 8.
-        runner = DistributedStencilRunner(
-            _grid_2d(rng, bc=BoundaryCondition.periodic()),
-            n_ranks=4, protect=False, block_steps=8,
-        )
-        assert runner.effective_block_steps == 1
-        assert "thinner than the deep halo" in runner.block_cap_reason
-
-    def test_capped_runner_still_bitwise_equal(self, rng):
-        grid = _grid_2d(rng)  # clamp: capped to k=1
-        serial = grid.copy()
-        runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, block_steps=3
-        )
-        runner.run(6)
-        NoProtection().run(serial, 6)
-        np.testing.assert_array_equal(runner.gather(), serial.u)
-
-    def test_invalid_block_steps(self, rng):
-        with pytest.raises(ValueError, match="block_steps"):
+    @pytest.mark.parametrize("period", [0, -2])
+    def test_invalid_checkpoint_period(self, rng, period):
+        with pytest.raises(ValueError, match="checkpoint_period must be >= 1"):
             DistributedStencilRunner(
-                _grid_2d(rng), n_ranks=2, protect=False, block_steps=0
+                _grid_2d(rng), n_ranks=2, protect=False,
+                checkpoint_period=period,
             )
