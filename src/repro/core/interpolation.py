@@ -33,6 +33,39 @@ This module provides three implementations of that prediction:
 :func:`interpolate_checksum`
     Convenience wrapper: pads a raw domain and calls the exact form.
 
+Interpolation plans
+-------------------
+Everything an interpolation does that depends only on its geometry is
+derived once and kept in a bounded module-level cache
+(``_MAX_CACHED_PLANS`` entries, reset when full):
+
+* a **domain plan**, keyed on (spec, radius, interior shape, reduce
+  axis, dtype), serves :func:`interpolate_checksum_padded` and
+  :func:`extract_delta_strips`. It holds the index pairs that sum the
+  ghost border of the extended checksum out of the padded domain, the
+  gained/lost strip windows of every distinct reduce-axis offset, and
+  one term per stencil point: its reduce-axis offset, the shifted
+  window of the extended vector it reads and its weight cast to the
+  dtype;
+* a **checksum plan**, keyed on the same plus the boundary and
+  ``n_reduce``, serves :func:`interpolate_checksum_reduced`. Instead of
+  border sums it holds the ghost-fill slab ops
+  (:func:`~repro.stencil.shift.ghost_fill_ops`) that pad the checksum
+  and the α/β strips in checksum space; a degenerate periodic axis
+  (ghost wider than the extent) pads with
+  :func:`~repro.stencil.shift.pad_array` instead, as
+  :func:`~repro.stencil.shift.refresh_ghosts` does.
+
+A call validates its arguments, looks up its plan and replays it: the
+same reductions, ``zeros`` then ``+= constant_sum``, one ``ext + delta``
+per distinct offset and ``multiply(w, view)`` then ``add`` per term, with
+the same operands in the same order as deriving everything afresh, so
+the results are bitwise identical. Geometry errors (an out-of-range
+``reduce_axis``, an offset wider than the ghosts) are raised when a plan
+is built; shape errors are checked on every call. Plans are immutable
+and every call allocates its own checksum-sized buffers, so threads can
+share a plan and returned vectors never alias.
+
 Index conventions
 -----------------
 The paper sums ``y = 0..ny`` inclusive; this implementation uses the
@@ -47,12 +80,18 @@ mathematically identical to the per-layer scheme of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import threading
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
-from repro.stencil.shift import normalize_radius, pad_array, shifted_view
+from repro.stencil.shift import (
+    fill_ghosts,
+    ghost_fill_ops,
+    normalize_radius,
+    pad_array,
+)
 from repro.stencil.spec import StencilSpec
 
 __all__ = [
@@ -65,73 +104,139 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# interpolation plans
 # ---------------------------------------------------------------------------
+
+#: Plans cached before the cache is reset (guards against unbounded
+#: growth when many distinct geometries are interpolated).
+_MAX_CACHED_PLANS = 32
+
+_plans: Dict[tuple, object] = {}
+_plans_lock = threading.Lock()
+
+Index = Tuple[slice, ...]
+#: ``(o_d, window, weight)``: the stencil point's reduce-axis offset, its
+#: shifted window of the extended vector and its weight in the dtype.
+Term = Tuple[int, Index, np.ndarray]
+
+
+class _DomainPlan(NamedTuple):
+    """Geometry of an interpolation that reads the padded domain."""
+
+    reduce_axis: int
+    padded_shape: Tuple[int, ...]
+    other_shape: Tuple[int, ...]
+    ext_shape: Tuple[int, ...]
+    #: Interior block of the extended checksum (also the strip window).
+    block: Index
+    #: ``(ext index, padded index)``: ghost rows of the extended checksum,
+    #: each the sum of a padded border slab over the reduce axis.
+    borders: Tuple[Tuple[Index, Index], ...]
+    #: ``(o_d, gained, lost)`` padded windows per distinct offset ``o_d != 0``.
+    strips: Tuple[Tuple[int, Index, Index], ...]
+    terms: Tuple[Term, ...]
+
+
+class _ChecksumPlan(NamedTuple):
+    """Geometry of an interpolation in checksum space only."""
+
+    other_shape: Tuple[int, ...]
+    ext_shape: Tuple[int, ...]
+    block: Index
+    radius: Tuple[int, ...]
+    #: ``(boundary, ghost-fill ops)`` padding the checksum and the α/β
+    #: strips; the ops are ``None`` on a degenerate periodic axis.
+    cs_pad: Tuple[BoundarySpec, Optional[tuple]]
+    strip_pad: Tuple[BoundarySpec, Optional[tuple]]
+    #: Reduce-axis offsets ``o_d != 0`` whose strips the terms read.
+    shifts: frozenset
+    terms: Tuple[Term, ...]
+
+
+def _cached(key: tuple, build, *args):
+    plan = _plans.get(key)
+    if plan is None:
+        plan = build(*args)
+        with _plans_lock:  # check-then-insert, so the bound holds across threads
+            if len(_plans) >= _MAX_CACHED_PLANS:
+                _plans.clear()
+            _plans[key] = plan
+    return plan
+
+
+def _spec_key(spec) -> tuple:
+    """Hashable identity of an operator, exact to the weight bits.
+
+    A :class:`StencilSpec` is keyed on its offset and weight bytes (its
+    ``==`` is far slower than a bytes compare); any other iterable of
+    ``(offset, weight)`` pairs, such as the batch-extended tuple of the
+    stacked campaign strategy, is frozen into a tuple of pairs — itself
+    a valid operator to build the plan from.
+    """
+    if isinstance(spec, StencilSpec):
+        return (spec.offsets.tobytes(), spec.weights.tobytes())
+    return tuple((tuple(int(o) for o in offset), float(w)) for offset, w in spec)
+
 
 def _other_axes(ndim: int, reduce_axis: int) -> Tuple[int, ...]:
     return tuple(a for a in range(ndim) if a != reduce_axis)
 
 
-def _window_slice(ndim: int, reduce_axis: int, start: int, stop: int) -> Tuple[slice, ...]:
-    """Slice selecting ``[start, stop)`` along ``reduce_axis`` and everything else."""
+def _check_reduce_axis(reduce_axis: int, ndim: int) -> None:
+    if reduce_axis < 0 or reduce_axis >= ndim:
+        raise ValueError(f"reduce_axis {reduce_axis} out of range for {ndim}D domain")
+
+
+def _window(ndim: int, reduce_axis: int, start: int, stop: int) -> Index:
+    """Index selecting ``[start, stop)`` along ``reduce_axis`` and everything else."""
     sl = [slice(None)] * ndim
     sl[reduce_axis] = slice(start, stop)
     return tuple(sl)
 
 
-def _reduce_window_sum(
-    padded: np.ndarray, reduce_axis: int, start: int, stop: int, dtype=None
-) -> np.ndarray:
-    """Sum of ``padded`` over ``[start, stop)`` along ``reduce_axis``.
+def _terms(spec, reduce_axis: int, radius, other_shape, dtype) -> Tuple[Term, ...]:
+    """One :data:`Term` per stencil point, in the spec's order.
 
-    The result spans the *extended* (ghost-included) range of every other
-    axis. ``start``/``stop`` are expressed in padded coordinates.
+    ``radius`` and ``other_shape`` are the ghost widths and interior
+    extents of the non-reduced axes, i.e. of the extended vector.
     """
-    if dtype is None:
-        dtype = padded.dtype
-    if stop <= start:
-        shape = tuple(
-            n for a, n in enumerate(padded.shape) if a != reduce_axis
-        )
-        return np.zeros(shape, dtype=dtype)
-    return padded[_window_slice(padded.ndim, reduce_axis, start, stop)].sum(
-        axis=reduce_axis, dtype=dtype
-    )
-
-
-def _extended_checksum(
-    cs_prev: np.ndarray,
-    padded_prev: np.ndarray,
-    radius: Sequence[int],
-    interior_shape: Sequence[int],
-    reduce_axis: int,
-    dtype=None,
-) -> np.ndarray:
-    """Checksum over the ghost-extended range of the non-reduced axes.
-
-    The interior block is taken verbatim from ``cs_prev`` (already
-    computed, and — per the ABFT inductive assumption — already verified
-    correct at step ``t``); only the thin ghost border is summed from the
-    padded domain, keeping the extra cost proportional to the boundary
-    surface rather than to the domain volume.
-    """
-    ndim = padded_prev.ndim
+    ndim = len(other_shape) + 1
     other = _other_axes(ndim, reduce_axis)
-    r_d = radius[reduce_axis]
-    n_d = int(interior_shape[reduce_axis])
-    if dtype is None:
-        dtype = padded_prev.dtype
-    ext_shape = tuple(int(interior_shape[a]) + 2 * radius[a] for a in other)
-    ext = np.empty(ext_shape, dtype=dtype)
+    terms = []
+    for offset, weight in spec:
+        if len(offset) != ndim:
+            raise ValueError(
+                f"stencil offset {tuple(offset)} has {len(offset)} components, "
+                f"domain is {ndim}D"
+            )
+        window = []
+        for pos, axis in enumerate(other):
+            o, r = int(offset[axis]), radius[pos]
+            if abs(o) > r:
+                raise ValueError(
+                    f"offset {o} exceeds ghost radius {r} along axis {pos}"
+                )
+            window.append(slice(r + o, r + o + other_shape[pos]))
+        w = np.asarray(weight, dtype=dtype)
+        w.flags.writeable = False
+        terms.append((int(offset[reduce_axis]), tuple(window), w))
+    return tuple(terms)
 
-    interior_block = tuple(
-        slice(radius[a], radius[a] + int(interior_shape[a])) for a in other
-    )
-    ext[interior_block] = cs_prev
 
-    # Interior window along the reduced axis, all of the extended range on
-    # the other axes.
-    window = padded_prev[_window_slice(ndim, reduce_axis, r_d, r_d + n_d)]
+def _build_domain_plan(spec, radius, interior_shape, reduce_axis, dtype) -> _DomainPlan:
+    ndim = len(interior_shape)
+    radius = normalize_radius(radius, ndim)
+    _check_reduce_axis(reduce_axis, ndim)
+    other = _other_axes(ndim, reduce_axis)
+    r_d, n_d = radius[reduce_axis], interior_shape[reduce_axis]
+    radius_other = tuple(radius[a] for a in other)
+    other_shape = tuple(interior_shape[a] for a in other)
+    ext_shape = tuple(n + 2 * r for n, r in zip(other_shape, radius_other))
+
+    # The extended checksum's ghost border is summed over the interior
+    # window of the reduce axis; the interior block is the checksum itself.
+    interior = _window(ndim, reduce_axis, r_d, r_d + n_d)
+    borders = []
     for pos, axis in enumerate(other):
         r_a = radius[axis]
         if r_a == 0:
@@ -139,65 +244,102 @@ def _extended_checksum(
         for border in (slice(0, r_a), slice(ext_shape[pos] - r_a, ext_shape[pos])):
             dst = [slice(None)] * len(other)
             dst[pos] = border
-            src = [slice(None)] * ndim
+            src = list(interior)
             src[axis] = border
-            ext[tuple(dst)] = window[tuple(src)].sum(axis=reduce_axis, dtype=dtype)
-    return ext
+            borders.append((tuple(dst), tuple(src)))
+
+    terms = _terms(spec, reduce_axis, radius_other, other_shape, dtype)
+    strips: Dict[int, Tuple[Index, Index]] = {}
+    for o_d, _, _ in terms:
+        m = abs(o_d)
+        if m == 0 or o_d in strips:
+            continue
+        if m > r_d:
+            raise ValueError(
+                f"offset {o_d} exceeds ghost radius {r_d} along the reduced axis"
+            )
+        if o_d > 0:
+            # window [m, n_d + m): gains the m ghost columns just above the
+            # interior, loses the first m interior columns.
+            strips[o_d] = (
+                _window(ndim, reduce_axis, r_d + n_d, r_d + n_d + m),
+                _window(ndim, reduce_axis, r_d, r_d + m),
+            )
+        else:
+            # window [-m, n_d - m): gains the m ghost columns just below the
+            # interior, loses the last m interior columns.
+            strips[o_d] = (
+                _window(ndim, reduce_axis, r_d - m, r_d),
+                _window(ndim, reduce_axis, r_d + n_d - m, r_d + n_d),
+            )
+
+    return _DomainPlan(
+        reduce_axis=reduce_axis,
+        padded_shape=tuple(n + 2 * r for n, r in zip(interior_shape, radius)),
+        other_shape=other_shape,
+        ext_shape=ext_shape,
+        block=tuple(slice(r, r + n) for n, r in zip(other_shape, radius_other)),
+        borders=tuple(borders),
+        strips=tuple((o_d, gained, lost) for o_d, (gained, lost) in strips.items()),
+        terms=terms,
+    )
 
 
-def _delta_for_offset(
-    padded_prev: np.ndarray,
-    radius: Sequence[int],
-    interior_shape: Sequence[int],
-    reduce_axis: int,
-    offset_d: int,
-    dtype=None,
-) -> np.ndarray:
-    """The α/β boundary-correction term for a single reduce-axis offset.
-
-    Returns ``G_{o_d} - a_ext``: the difference between the window sum
-    shifted by ``offset_d`` along the reduced axis and the unshifted
-    window sum, over the extended range of the other axes. Only
-    ``|offset_d|`` boundary strips are touched.
-    """
-    r_d = radius[reduce_axis]
-    n_d = int(interior_shape[reduce_axis])
-    if dtype is None:
-        dtype = padded_prev.dtype
-    m = abs(int(offset_d))
-    if m == 0:
-        shape = tuple(
-            int(interior_shape[a]) + 2 * radius[a]
-            for a in _other_axes(padded_prev.ndim, reduce_axis)
-        )
-        return np.zeros(shape, dtype=dtype)
-    if m > r_d:
+def _domain_plan(spec, radius, interior_shape, reduce_axis, padded_prev, dtype):
+    """The cached domain plan, after checking ``padded_prev`` against it."""
+    interior_shape = tuple(int(n) for n in interior_shape)
+    if not isinstance(radius, tuple):
+        radius = normalize_radius(radius, len(interior_shape))
+    spec_key = _spec_key(spec)
+    if not isinstance(spec, StencilSpec):
+        spec = spec_key
+    key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype)
+    plan = _cached(
+        key, _build_domain_plan, spec, radius, interior_shape, reduce_axis, dtype
+    )
+    if padded_prev.shape != plan.padded_shape:
         raise ValueError(
-            f"offset {offset_d} exceeds ghost radius {r_d} along the reduced axis"
+            f"padded_prev has shape {padded_prev.shape}, expected "
+            f"{plan.padded_shape} (domain {interior_shape}, radius {radius})"
         )
-    if offset_d > 0:
-        # window [m, n_d + m): gains the m ghost columns just above the
-        # interior, loses the first m interior columns.
-        gained = _reduce_window_sum(
-            padded_prev, reduce_axis, r_d + n_d, r_d + n_d + m, dtype=dtype
-        )
-        lost = _reduce_window_sum(padded_prev, reduce_axis, r_d, r_d + m, dtype=dtype)
-    else:
-        # window [-m, n_d - m): gains the m ghost columns just below the
-        # interior, loses the last m interior columns.
-        gained = _reduce_window_sum(padded_prev, reduce_axis, r_d - m, r_d, dtype=dtype)
-        lost = _reduce_window_sum(
-            padded_prev, reduce_axis, r_d + n_d - m, r_d + n_d, dtype=dtype
-        )
-    return gained - lost
+    return plan
 
 
-def _other_offset(offset: Sequence[int], reduce_axis: int) -> Tuple[int, ...]:
-    return tuple(int(o) for a, o in enumerate(offset) if a != reduce_axis)
+def _strip_deltas(plan: _DomainPlan, padded_prev: np.ndarray, dtype):
+    """Yield ``(o_d, delta)``: the α/β correction of each distinct offset.
+
+    ``delta`` is ``G_{o_d} - a_ext``, the window sum shifted by ``o_d``
+    along the reduced axis minus the unshifted one, over the extended
+    range of the other axes; only ``|o_d|`` boundary strips are summed.
+    """
+    axis = plan.reduce_axis
+    for o_d, gained, lost in plan.strips:
+        delta = padded_prev[gained].sum(axis=axis, dtype=dtype)
+        np.subtract(delta, padded_prev[lost].sum(axis=axis, dtype=dtype), out=delta)
+        yield o_d, delta
 
 
-def _other_values(values: Sequence[int], reduce_axis: int) -> Tuple[int, ...]:
-    return tuple(int(v) for a, v in enumerate(values) if a != reduce_axis)
+def _accumulate(
+    predicted: np.ndarray, terms: Tuple[Term, ...], shifted: Dict[int, np.ndarray],
+    base: np.ndarray,
+) -> np.ndarray:
+    """``predicted += w * window`` for every term, in the spec's order.
+
+    A term reads ``shifted[o_d]`` (the extended vector plus its α/β
+    correction) when present, else ``base`` (the extended vector).
+    """
+    scratch = np.empty_like(predicted)
+    for o_d, window, weight in terms:
+        np.multiply(weight, shifted.get(o_d, base)[window], out=scratch)
+        predicted += scratch
+    return predicted
+
+
+def _predicted(shape, dtype, constant_sum) -> np.ndarray:
+    predicted = np.zeros(shape, dtype=dtype)
+    if constant_sum is not None:
+        predicted += np.asarray(constant_sum, dtype=dtype)
+    return predicted
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +366,8 @@ def interpolate_checksum_padded(
         Ghost-padded step-``t`` domain — the same array the sweep read.
         Only thin boundary strips of it are accessed.
     spec:
-        The stencil operator.
+        The stencil operator (or any iterable of ``(offset, weight)``
+        pairs).
     radius:
         Ghost width of ``padded_prev``.
     interior_shape:
@@ -241,41 +384,30 @@ def interpolate_checksum_padded(
     numpy.ndarray
         The predicted step-``t+1`` checksum; same shape as ``cs_prev``.
     """
-    interior_shape = tuple(int(n) for n in interior_shape)
-    ndim = len(interior_shape)
-    radius = normalize_radius(radius, ndim)
-    if reduce_axis < 0 or reduce_axis >= ndim:
-        raise ValueError(f"reduce_axis {reduce_axis} out of range for {ndim}D domain")
-    other = _other_axes(ndim, reduce_axis)
-    other_shape = tuple(interior_shape[a] for a in other)
-    if cs_prev.shape != other_shape:
-        raise ValueError(
-            f"cs_prev has shape {cs_prev.shape}, expected {other_shape} "
-            f"(domain {interior_shape}, reduce_axis {reduce_axis})"
-        )
-    radius_other = tuple(radius[a] for a in other)
     dtype = np.result_type(cs_prev.dtype, padded_prev.dtype)
+    plan = _domain_plan(spec, radius, interior_shape, reduce_axis, padded_prev, dtype)
+    if cs_prev.shape != plan.other_shape:
+        raise ValueError(
+            f"cs_prev has shape {cs_prev.shape}, expected {plan.other_shape} "
+            f"(domain {tuple(interior_shape)}, reduce_axis {reduce_axis})"
+        )
 
-    ext = _extended_checksum(
-        cs_prev, padded_prev, radius, interior_shape, reduce_axis, dtype=dtype
-    )
+    # Checksum over the ghost-extended range of the non-reduced axes. The
+    # interior block is taken verbatim from ``cs_prev`` (already verified
+    # correct at step t, the ABFT inductive assumption); only the thin
+    # ghost border is summed from the padded domain, keeping the extra
+    # cost proportional to the boundary surface, not the domain volume.
+    ext = np.empty(plan.ext_shape, dtype=dtype)
+    ext[plan.block] = cs_prev
+    for dst, src in plan.borders:
+        ext[dst] = padded_prev[src].sum(axis=plan.reduce_axis, dtype=dtype)
 
-    predicted = np.zeros(other_shape, dtype=dtype)
-    if constant_sum is not None:
-        predicted += np.asarray(constant_sum, dtype=dtype)
-
-    delta_cache: Dict[int, np.ndarray] = {}
-    for offset, weight in spec:
-        o_d = int(offset[reduce_axis])
-        if o_d not in delta_cache:
-            delta_cache[o_d] = _delta_for_offset(
-                padded_prev, radius, interior_shape, reduce_axis, o_d, dtype=dtype
-            )
-        g = ext if o_d == 0 else ext + delta_cache[o_d]
-        o_other = _other_offset(offset, reduce_axis)
-        contribution = shifted_view(g, o_other, radius_other, other_shape)
-        predicted += np.asarray(weight, dtype=dtype) * contribution
-    return predicted
+    predicted = _predicted(plan.other_shape, dtype, constant_sum)
+    shifted = {
+        o_d: np.add(ext, delta, out=delta)
+        for o_d, delta in _strip_deltas(plan, padded_prev, dtype)
+    }
+    return _accumulate(predicted, plan.terms, shifted, ext)
 
 
 def interpolate_checksum(
@@ -317,23 +449,12 @@ def extract_delta_strips(
     replay the exact interpolation over a whole detection period without
     keeping the intermediate domains alive.
     """
-    interior_shape = tuple(int(n) for n in interior_shape)
-    ndim = len(interior_shape)
-    radius = normalize_radius(radius, ndim)
-    other = _other_axes(ndim, reduce_axis)
-    interior_block = tuple(
-        slice(radius[a], radius[a] + interior_shape[a]) for a in other
-    )
-    strips: Dict[int, np.ndarray] = {}
-    for offset, _weight in spec:
-        o_d = int(offset[reduce_axis])
-        if o_d == 0 or o_d in strips:
-            continue
-        delta = _delta_for_offset(
-            padded_prev, radius, interior_shape, reduce_axis, o_d
-        )
-        strips[o_d] = np.ascontiguousarray(delta[interior_block])
-    return strips
+    dtype = padded_prev.dtype
+    plan = _domain_plan(spec, radius, interior_shape, reduce_axis, padded_prev, dtype)
+    return {
+        o_d: np.ascontiguousarray(delta[plan.block])
+        for o_d, delta in _strip_deltas(plan, padded_prev, dtype)
+    }
 
 
 def reduced_boundary(
@@ -366,10 +487,54 @@ def reduced_boundary(
     return BoundarySpec(tuple(conditions))
 
 
+def _build_checksum_plan(
+    spec: StencilSpec, boundary: BoundarySpec, reduce_axis, n_reduce, other_shape, dtype
+) -> _ChecksumPlan:
+    ndim = spec.ndim
+    if boundary.ndim != ndim:
+        raise ValueError(f"boundary has {boundary.ndim} axes, stencil is {ndim}D")
+    _check_reduce_axis(reduce_axis, ndim)
+    if len(other_shape) != ndim - 1:
+        raise ValueError(
+            f"cs_prev has shape {other_shape}, expected a {ndim - 1}D checksum "
+            f"of a {ndim}D domain"
+        )
+    other = _other_axes(ndim, reduce_axis)
+    radius = spec.radius()
+    radius_other = tuple(radius[a] for a in other)
+    ext_shape = tuple(n + 2 * r for n, r in zip(other_shape, radius_other))
+    terms = _terms(spec, reduce_axis, radius_other, other_shape, dtype)
+
+    def pad(zero_constant: bool):
+        bspec = reduced_boundary(boundary, reduce_axis, n_reduce, zero_constant)
+        return bspec, ghost_fill_ops(ext_shape, radius_other, bspec)
+
+    return _ChecksumPlan(
+        other_shape=other_shape,
+        ext_shape=ext_shape,
+        block=tuple(slice(r, r + n) for n, r in zip(other_shape, radius_other)),
+        radius=radius_other,
+        cs_pad=pad(False),
+        strip_pad=pad(True),
+        shifts=frozenset(o_d for o_d, _, _ in terms if o_d != 0),
+        terms=terms,
+    )
+
+
+def _pad_checksum(plan: _ChecksumPlan, vector: np.ndarray, pad) -> np.ndarray:
+    """``vector`` surrounded by ghosts, bitwise equal to :func:`pad_array`."""
+    boundary, ops = pad
+    if ops is None:
+        return pad_array(vector, plan.radius, boundary)
+    ext = np.empty(plan.ext_shape, dtype=vector.dtype)
+    ext[plan.block] = vector
+    return fill_ghosts(ext, ops)
+
+
 def interpolate_checksum_reduced(
     cs_prev: np.ndarray,
     spec: StencilSpec,
-    boundary: BoundarySpec,
+    boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
     reduce_axis: int,
     n_reduce: int,
     deltas: Optional[Dict[int, np.ndarray]] = None,
@@ -394,7 +559,8 @@ def interpolate_checksum_reduced(
         The stencil operator of the protected sweep.
     boundary:
         Full-domain boundary specification (one entry per domain axis,
-        including the reduced one).
+        including the reduced one), or anything
+        :meth:`BoundarySpec.from_any` accepts.
     reduce_axis:
         Axis summed over by this checksum.
     n_reduce:
@@ -405,21 +571,19 @@ def interpolate_checksum_reduced(
     constant_sum:
         Pre-computed checksum of the constant term, or ``None``.
     """
-    if boundary.ndim != spec.ndim:
-        raise ValueError(
-            f"boundary has {boundary.ndim} axes, stencil is {spec.ndim}D"
-        )
-    other = _other_axes(spec.ndim, reduce_axis)
-    radius = spec.radius()
-    radius_other = tuple(radius[a] for a in other)
-    other_shape = cs_prev.shape
+    if not isinstance(boundary, BoundarySpec):
+        boundary = BoundarySpec.from_any(boundary, spec.ndim)
     dtype = cs_prev.dtype
+    other_shape = cs_prev.shape
+    key = ("checksum", _spec_key(spec), boundary, reduce_axis, n_reduce,
+           other_shape, dtype)
+    plan = _cached(
+        key, _build_checksum_plan, spec, boundary, reduce_axis, n_reduce,
+        other_shape, dtype,
+    )
 
-    cs_boundary = reduced_boundary(boundary, reduce_axis, n_reduce)
-    strip_boundary = reduced_boundary(boundary, reduce_axis, n_reduce, zero_constant=True)
-    cs_ext = pad_array(cs_prev, radius_other, cs_boundary)
-
-    padded_deltas: Dict[int, np.ndarray] = {}
+    cs_ext = _pad_checksum(plan, cs_prev, plan.cs_pad)
+    shifted: Dict[int, np.ndarray] = {}
     if deltas:
         for o_d, strip in deltas.items():
             strip = np.asarray(strip, dtype=dtype)
@@ -428,19 +592,10 @@ def interpolate_checksum_reduced(
                     f"delta strip for offset {o_d} has shape {strip.shape}, "
                     f"expected {other_shape}"
                 )
-            padded_deltas[int(o_d)] = pad_array(strip, radius_other, strip_boundary)
+            o_d = int(o_d)
+            if o_d in plan.shifts:
+                padded = _pad_checksum(plan, strip, plan.strip_pad)
+                shifted[o_d] = np.add(cs_ext, padded, out=padded)
 
-    predicted = np.zeros(other_shape, dtype=dtype)
-    if constant_sum is not None:
-        predicted += np.asarray(constant_sum, dtype=dtype)
-
-    for offset, weight in spec:
-        o_d = int(offset[reduce_axis])
-        if o_d != 0 and o_d in padded_deltas:
-            g = cs_ext + padded_deltas[o_d]
-        else:
-            g = cs_ext
-        o_other = _other_offset(offset, reduce_axis)
-        contribution = shifted_view(g, o_other, radius_other, other_shape)
-        predicted += np.asarray(weight, dtype=dtype) * contribution
-    return predicted
+    predicted = _predicted(other_shape, dtype, constant_sum)
+    return _accumulate(predicted, plan.terms, shifted, cs_ext)

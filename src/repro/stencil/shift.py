@@ -26,6 +26,8 @@ __all__ = [
     "padded_shape",
     "pad_array",
     "refresh_ghosts",
+    "ghost_fill_ops",
+    "fill_ghosts",
     "shifted_view",
     "interior_slices",
     "interior_view",
@@ -153,59 +155,83 @@ def refresh_ghosts(
             r if axis in keep else 0 for axis, r in enumerate(radius)
         )
     bspec = BoundarySpec.from_any(boundary, padded.ndim)
-    ndim = padded.ndim
-    for axis in range(ndim):
-        r = radius[axis]
-        n = padded.shape[axis] - 2 * r
+    ops = ghost_fill_ops(padded.shape, radius, bspec)
+    if ops is None:
+        # Degenerate wrap (ghost wider than the interior): the in-place
+        # slab fill would read half-written ghosts. np.pad's tiling
+        # semantics still apply, so take the allocating path once —
+        # correctness over speed for this corner case.
+        padded[...] = pad_array(
+            interior_view(padded, radius).copy(), radius, bspec
+        )
+        return padded
+    return fill_ghosts(padded, ops)
+
+
+GhostFillOp = Tuple[Tuple[slice, ...], object]
+
+
+def ghost_fill_ops(
+    padded_shape: Sequence[int], radius: Sequence[int], boundary: BoundarySpec
+) -> Optional[Tuple[GhostFillOp, ...]]:
+    """The slab assignments that fill a padded array's ghosts in place.
+
+    ``radius`` is the per-axis ghost width (see :func:`normalize_radius`).
+    Each op is ``(dst, src)``: ``dst`` indexes a ghost slab and ``src``
+    is either the index of the interior slab copied into it (clamp,
+    periodic) or the fill value (constant, zero).  Applied in order by
+    :func:`fill_ghosts`, they reproduce :func:`pad_array` bit for bit —
+    axis by axis, where axis ``k``'s slabs span the ghost range of axes
+    ``< k`` but only the interior range of axes ``> k``, so corners are
+    owned by the highest axis.
+
+    Returns ``None`` when a periodic axis is degenerate (ghost wider
+    than the interior): its wrap would read ghosts that are not written
+    yet, so such an array must be padded with :func:`pad_array`.
+    """
+    ndim = len(padded_shape)
+    interior = [n - 2 * r for n, r in zip(padded_shape, radius)]
+    for axis, (r, n) in enumerate(zip(radius, interior)):
         if n < 0:
             raise ValueError(
-                f"padded extent {padded.shape[axis]} smaller than ghost "
+                f"padded extent {padded_shape[axis]} smaller than ghost "
                 f"width 2*{r} along axis {axis}"
             )
-        if bspec.axis(axis).is_periodic and r > n:
-            # Degenerate wrap (ghost wider than the interior): the in-place
-            # slab fill below would read half-written ghosts. np.pad's
-            # tiling semantics still apply, so take the allocating path
-            # once — correctness over speed for this corner case.
-            padded[...] = pad_array(
-                interior_view(padded, radius).copy(), radius, bspec
-            )
-            return padded
+        if r > n and boundary.axis(axis).is_periodic:
+            return None
+    ops = []
     for axis in range(ndim):
-        r = radius[axis]
+        r, n = radius[axis], interior[axis]
         if r == 0:
             continue
-        bc = bspec.axis(axis)
-        n = padded.shape[axis] - 2 * r
-        base: list = []
-        for ax2 in range(ndim):
-            if ax2 < axis:
-                base.append(slice(None))
-            elif ax2 == axis:
-                base.append(slice(None))  # replaced per slab below
-            else:
-                r2 = radius[ax2]
-                base.append(
-                    slice(r2, padded.shape[ax2] - r2) if r2 else slice(None)
-                )
+        base = [slice(None)] * ndim
+        for ax2 in range(axis + 1, ndim):
+            base[ax2] = slice(radius[ax2], radius[ax2] + interior[ax2])
 
-        def slab(sl: slice) -> np.ndarray:
-            s = list(base)
-            s[axis] = sl
-            return padded[tuple(s)]
+        def slab(start: int, stop: int) -> Tuple[slice, ...]:
+            base[axis] = slice(start, stop)
+            return tuple(base)
 
-        low, high = slice(0, r), slice(r + n, 2 * r + n)
+        low, high = slab(0, r), slab(r + n, 2 * r + n)
+        bc = boundary.axis(axis)
         if bc.is_clamp:
-            slab(low)[...] = slab(slice(r, r + 1))
-            slab(high)[...] = slab(slice(r + n - 1, r + n))
+            ops.append((low, slab(r, r + 1)))
+            ops.append((high, slab(r + n - 1, r + n)))
         elif bc.is_periodic:
             # Ghost and source ranges are disjoint because r <= n.
-            slab(low)[...] = slab(slice(n, n + r))
-            slab(high)[...] = slab(slice(r, 2 * r))
+            ops.append((low, slab(n, n + r)))
+            ops.append((high, slab(r, 2 * r)))
         else:
             fill = bc.fill_value()
-            slab(low)[...] = fill
-            slab(high)[...] = fill
+            ops.append((low, fill))
+            ops.append((high, fill))
+    return tuple(ops)
+
+
+def fill_ghosts(padded: np.ndarray, ops: Sequence[GhostFillOp]) -> np.ndarray:
+    """Apply :func:`ghost_fill_ops` to ``padded`` in place; returns it."""
+    for dst, src in ops:
+        padded[dst] = padded[src] if isinstance(src, tuple) else src
     return padded
 
 
