@@ -8,11 +8,19 @@ costs a fraction of the sweep.  On the 64x64x8 tile (2-core x86 host,
 NumPy 2.4) the exact interpolation costs 0.17-0.26x a sweep, and the
 offline protector's per-step work — recording the strips plus one
 replayed interpolation — 0.14-0.24x; both gates below assert < 0.5x.
+
+Two more gates time the protection phases of the fused step on the
+512x512x8 HotSpot3D tile, each against the form it replaced: the lane
+fold of the column checksum must cost < 0.8x ``u.sum(axis=0,
+dtype=float64)`` of the padded interior, and the exact interpolation
+given the grid's layout < 0.25x the domain-read form.  The fold is not
+gated on the 64x64x8 tile, where it is at parity.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import FusedBackend
 from repro.core.checksums import checksum
 from repro.core.detection import detect_errors
 from repro.core.interpolation import (
@@ -140,3 +148,55 @@ def test_offline_replay_is_much_cheaper_than_sweep(state):
     print(f"\nsweep {sweep_time * 1e3:.3f} ms vs strips + replay "
           f"{replay_time * 1e3:.3f} ms")
     assert replay_time < 0.5 * sweep_time
+
+
+def _ratio(fn, baseline, rounds=30):
+    """Median over interleaved rounds of ``fn``'s time over ``baseline``'s."""
+    import time
+
+    fn(), baseline()
+    ratios = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        mid = time.perf_counter()
+        baseline()
+        ratios.append((mid - start) / (time.perf_counter() - mid))
+    return float(np.median(ratios))
+
+
+@pytest.fixture(scope="module")
+def large_state():
+    app = make_hotspot_app((512, 512, 8))
+    grid = app.build_grid()
+    grid.run(2)
+    grid.buffers.refresh()
+    cs = checksum(grid.u, 0, dtype=np.float64)
+    return grid, grid.buffers.front, cs
+
+
+def test_lane_fold_is_cheaper_than_strided_sum(large_state):
+    """Lever 1: the column checksum folds whole lanes of the padded tile."""
+    grid, padded, cs = large_state
+    fused = FusedBackend()
+    ratio = _ratio(
+        lambda: fused.checksum(grid.u, 0, dtype=np.float64),
+        lambda: grid.u.sum(axis=0, dtype=np.float64),
+    )
+    print(f"\nlane fold / u.sum(axis=0, dtype=float64) = {ratio:.2f}")
+    assert ratio < 0.8
+
+
+def test_closed_borders_are_cheaper_than_domain_reads(large_state):
+    """Lever 2: closed-axis border sums come from the checksum."""
+    grid, padded, cs = large_state
+
+    def interpolate(layout):
+        return interpolate_checksum_padded(
+            cs, padded, grid.spec, grid.radius, grid.shape, 0, layout=layout
+        )
+
+    layout = grid.buffers.layout
+    ratio = _ratio(lambda: interpolate(layout), lambda: interpolate(None))
+    print(f"\nlayout-aware / domain-read interpolation = {ratio:.2f}")
+    assert ratio < 0.25

@@ -19,7 +19,9 @@ This module provides three implementations of that prediction:
     *any* (possibly asymmetric) stencil, and also for tiles whose ghost
     cells carry halo data from neighbouring tiles. Complexity is
     ``O(k (n_x + n_y) r)`` extra work per step — the strip accesses of
-    Theorem 1 — never a full domain pass.
+    Theorem 1 — never a full domain pass.  Given the padded domain's
+    :class:`~repro.stencil.doublebuffer.GridLayout`, it reads still less
+    (the layout rule below).
 
 :func:`interpolate_checksum_reduced`
     The **checksum-only** form used by the offline protector: it needs
@@ -40,13 +42,14 @@ derived once and kept in a bounded module-level cache
 (``_MAX_CACHED_PLANS`` entries, reset when full):
 
 * a **domain plan**, keyed on (spec, radius, interior shape, reduce
-  axis, dtype), serves :func:`interpolate_checksum_padded` and
+  axis, dtype, layout), serves :func:`interpolate_checksum_padded` and
   :func:`extract_delta_strips`. It holds the index pairs that sum the
-  ghost border of the extended checksum out of the padded domain, the
-  gained/lost strip windows of every distinct reduce-axis offset, and
-  one term per stencil point: its reduce-axis offset, the shifted
-  window of the extended vector it reads and its weight cast to the
-  dtype;
+  ghost border of the extended checksum out of the padded domain (or
+  the ghost-fill ops that rebuild it from the checksum, by the layout
+  rule), the gained/lost strip windows of every distinct reduce-axis
+  offset, and one term per stencil point: its reduce-axis offset, the
+  shifted window of the extended vector it reads and its weight cast to
+  the dtype;
 * a **checksum plan**, keyed on the same plus the boundary and
   ``n_reduce``, serves :func:`interpolate_checksum_reduced`. Instead of
   border sums it holds the ghost-fill slab ops
@@ -65,6 +68,27 @@ the results are bitwise identical. Geometry errors (an out-of-range
 is built; shape errors are checked on every call. Plans are immutable
 and every call allocates its own checksum-sized buffers, so threads can
 share a plan and returned vectors never alias.
+
+The layout rule
+---------------
+The extended checksum's ghost border is a sum, over the reduce axis, of
+the padded domain's ghost slabs.  Without a layout every one of them is
+read from the domain: tiles, ranks and campaign batches carry halo data
+there.  A caller that owns its buffer pair and refreshed its ghosts from
+its layout passes that layout, and then, when every refreshed axis other
+than the reduce axis is clamp, periodic with ghost <= extent or a zero
+fill, each of those slabs is a copy of interior slabs (or zeros), filled
+by :func:`~repro.stencil.shift.ghost_fill_ops`.  Its sum is then the same
+copy of checksum entries, so the plan applies the same ops to the
+extended checksum, after reading only the external axes' borders from
+the domain.  Both forms add each lane over the reduce axis in order,
+except where the domain read collapses a border slab one lane wide to a
+1-D sum, which NumPy adds pairwise; there they can differ by a few ULP.
+Float64 sums of float32 data in a moderate range are exact, so float32
+domains with float64 checksums agree bit for bit.  The rule is all or
+nothing: a non-zero constant fill on any other refreshed axis sends
+every border back to the domain, since that axis's slabs own their
+ghost corners with the closed axes.
 
 Index conventions
 -----------------
@@ -86,7 +110,9 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
+from repro.stencil.doublebuffer import GridLayout
 from repro.stencil.shift import (
+    GhostFillOp,
     fill_ghosts,
     ghost_fill_ops,
     normalize_radius,
@@ -132,6 +158,10 @@ class _DomainPlan(NamedTuple):
     #: ``(ext index, padded index)``: ghost rows of the extended checksum,
     #: each the sum of a padded border slab over the reduce axis.
     borders: Tuple[Tuple[Index, Index], ...]
+    #: Ghost-fill ops rebuilding the closed axes' ghost rows of the
+    #: extended checksum from its block, applied after ``borders``;
+    #: empty when every border is read from the domain.
+    closed: Tuple[GhostFillOp, ...]
     #: ``(o_d, gained, lost)`` padded windows per distinct offset ``o_d != 0``.
     strips: Tuple[Tuple[int, Index, Index], ...]
     terms: Tuple[Term, ...]
@@ -223,7 +253,38 @@ def _terms(spec, reduce_axis: int, radius, other_shape, dtype) -> Tuple[Term, ..
     return tuple(terms)
 
 
-def _build_domain_plan(spec, radius, interior_shape, reduce_axis, dtype) -> _DomainPlan:
+def _closed_ops(layout: GridLayout, reduce_axis: int, ext_shape):
+    """Ops rebuilding the extended checksum's closed-axis border, or ``None``.
+
+    ``None`` when the layout rule (module docstring) sends every border
+    to the domain, on a degenerate periodic axis included.  External
+    axes get width 0, as in :func:`~repro.stencil.shift.refresh_ghosts`:
+    their border is read from the domain before the ops run.
+    """
+    conditions, widths = [], []
+    for axis, (r, kind, fill) in enumerate(
+        zip(layout.radius, layout.kinds, layout.fills)
+    ):
+        if axis == reduce_axis:
+            continue
+        if kind == "external":
+            bc, r = BoundaryCondition.clamp(), 0
+        elif kind == "clamp":
+            bc = BoundaryCondition.clamp()
+        elif kind == "periodic":
+            bc = BoundaryCondition.periodic()
+        elif kind == "fill" and fill == 0.0:
+            bc = BoundaryCondition.zero()
+        else:
+            return None
+        conditions.append(bc)
+        widths.append(r)
+    return ghost_fill_ops(ext_shape, widths, BoundarySpec(tuple(conditions)))
+
+
+def _build_domain_plan(
+    spec, radius, interior_shape, reduce_axis, dtype, layout
+) -> _DomainPlan:
     ndim = len(interior_shape)
     radius = normalize_radius(radius, ndim)
     _check_reduce_axis(reduce_axis, ndim)
@@ -232,14 +293,24 @@ def _build_domain_plan(spec, radius, interior_shape, reduce_axis, dtype) -> _Dom
     radius_other = tuple(radius[a] for a in other)
     other_shape = tuple(interior_shape[a] for a in other)
     ext_shape = tuple(n + 2 * r for n, r in zip(other_shape, radius_other))
+    closed = None
+    if layout is not None:
+        if layout.radius != radius:
+            raise ValueError(
+                f"layout radius {layout.radius} does not match the padded "
+                f"domain's radius {radius}"
+            )
+        closed = _closed_ops(layout, reduce_axis, ext_shape)
 
     # The extended checksum's ghost border is summed over the interior
-    # window of the reduce axis; the interior block is the checksum itself.
+    # window of the reduce axis (only on external axes when the closed
+    # axes' borders come from the checksum); the interior block is the
+    # checksum itself.
     interior = _window(ndim, reduce_axis, r_d, r_d + n_d)
     borders = []
     for pos, axis in enumerate(other):
         r_a = radius[axis]
-        if r_a == 0:
+        if r_a == 0 or (closed is not None and layout.kinds[axis] != "external"):
             continue
         for border in (slice(0, r_a), slice(ext_shape[pos] - r_a, ext_shape[pos])):
             dst = [slice(None)] * len(other)
@@ -280,12 +351,15 @@ def _build_domain_plan(spec, radius, interior_shape, reduce_axis, dtype) -> _Dom
         ext_shape=ext_shape,
         block=tuple(slice(r, r + n) for n, r in zip(other_shape, radius_other)),
         borders=tuple(borders),
+        closed=() if closed is None else closed,
         strips=tuple((o_d, gained, lost) for o_d, (gained, lost) in strips.items()),
         terms=terms,
     )
 
 
-def _domain_plan(spec, radius, interior_shape, reduce_axis, padded_prev, dtype):
+def _domain_plan(
+    spec, radius, interior_shape, reduce_axis, padded_prev, dtype, layout=None
+):
     """The cached domain plan, after checking ``padded_prev`` against it."""
     interior_shape = tuple(int(n) for n in interior_shape)
     if not isinstance(radius, tuple):
@@ -293,9 +367,10 @@ def _domain_plan(spec, radius, interior_shape, reduce_axis, padded_prev, dtype):
     spec_key = _spec_key(spec)
     if not isinstance(spec, StencilSpec):
         spec = spec_key
-    key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype)
+    key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype, layout)
     plan = _cached(
-        key, _build_domain_plan, spec, radius, interior_shape, reduce_axis, dtype
+        key, _build_domain_plan, spec, radius, interior_shape, reduce_axis,
+        dtype, layout,
     )
     if padded_prev.shape != plan.padded_shape:
         raise ValueError(
@@ -354,6 +429,7 @@ def interpolate_checksum_padded(
     interior_shape: Sequence[int],
     reduce_axis: int,
     constant_sum: Optional[np.ndarray] = None,
+    layout: Optional[GridLayout] = None,
 ) -> np.ndarray:
     """Exact Theorem-1 interpolation of a checksum.
 
@@ -378,6 +454,18 @@ def interpolate_checksum_padded(
     constant_sum:
         Pre-computed checksum of the constant term ``C`` along
         ``reduce_axis`` (the ``c_x`` / ``c_y`` of Theorem 1), or ``None``.
+    layout:
+        The :class:`~repro.stencil.doublebuffer.GridLayout` of
+        ``padded_prev``, from a caller that refreshed its ghosts from that
+        layout after the last write to its interior.  ``None`` (the
+        default) treats every ghost as possible halo data and sums each
+        border from the domain.  With a layout, when every refreshed
+        axis other than ``reduce_axis`` is clamp, periodic with ghost <=
+        extent or a zero fill, those axes' border sums are rebuilt from
+        ``cs_prev`` by the ghost-fill ops :func:`~repro.stencil.shift.refresh_ghosts`
+        applies, after the external axes' borders are read from the
+        domain; otherwise every border is read from the domain (module
+        docstring, "The layout rule").
 
     Returns
     -------
@@ -385,7 +473,9 @@ def interpolate_checksum_padded(
         The predicted step-``t+1`` checksum; same shape as ``cs_prev``.
     """
     dtype = np.result_type(cs_prev.dtype, padded_prev.dtype)
-    plan = _domain_plan(spec, radius, interior_shape, reduce_axis, padded_prev, dtype)
+    plan = _domain_plan(
+        spec, radius, interior_shape, reduce_axis, padded_prev, dtype, layout
+    )
     if cs_prev.shape != plan.other_shape:
         raise ValueError(
             f"cs_prev has shape {cs_prev.shape}, expected {plan.other_shape} "
@@ -401,6 +491,7 @@ def interpolate_checksum_padded(
     ext[plan.block] = cs_prev
     for dst, src in plan.borders:
         ext[dst] = padded_prev[src].sum(axis=plan.reduce_axis, dtype=dtype)
+    fill_ghosts(ext, plan.closed)
 
     predicted = _predicted(plan.other_shape, dtype, constant_sum)
     shifted = {

@@ -35,6 +35,7 @@ from repro.core.interpolation import interpolate_checksum_padded
 from repro.core.protector import InjectHook, Protector, StepReport
 from repro.core.thresholds import recommend_epsilon
 from repro.stencil.boundary import BoundarySpec
+from repro.stencil.doublebuffer import GridLayout
 from repro.stencil.grid import GridBase
 from repro.stencil.spec import StencilSpec
 
@@ -307,12 +308,16 @@ class OnlineABFT(Protector):
                 grid.previous_padded,
                 grid.iteration,
                 precomputed_checksums=checksums,
+                layout=grid.buffers.layout,
             )
 
         grid.step(backend=self.backend)
         if inject is not None:
             inject(grid, grid.iteration)
-        return self.process(grid.u, grid.previous_padded, grid.iteration)
+        return self.process(
+            grid.u, grid.previous_padded, grid.iteration,
+            layout=grid.buffers.layout,
+        )
 
     def process(
         self,
@@ -320,6 +325,7 @@ class OnlineABFT(Protector):
         padded_prev: np.ndarray,
         iteration: int,
         precomputed_checksums: Optional[ChecksumMap] = None,
+        layout: Optional[GridLayout] = None,
     ) -> StepReport:
         """Verify (and correct) a freshly swept domain.
 
@@ -337,6 +343,16 @@ class OnlineABFT(Protector):
         produced by a fused sweep (``{axis: vector}``); any axis present
         is trusted instead of being recomputed here, so callers must only
         pass checksums that reflect ``u_new``'s current contents.
+
+        ``layout`` is the :class:`~repro.stencil.doublebuffer.GridLayout`
+        of ``padded_prev``, passed by callers that own their buffer pair
+        and refreshed its ghosts from that layout (:meth:`step` passes
+        its grid's).  It lets the interpolation rebuild closed-boundary
+        border sums from the stored checksum instead of re-reading the
+        domain (:func:`~repro.core.interpolation.interpolate_checksum_padded`).
+        The default ``None`` reads every border from the domain, as
+        tiles, ranks and campaign batches, whose ghosts may carry halo
+        data, need.
 
         With the double-buffered grids both arguments are live views into
         the persistent buffer pair: ``u_new`` into the front buffer the
@@ -381,6 +397,7 @@ class OnlineABFT(Protector):
             self.shape,
             verify,
             constant_sum=self._constant_sums[verify],
+            layout=layout,
         )
         detection = detect_errors(cs_comp, cs_interp, self.epsilon)
 
@@ -419,6 +436,7 @@ class OnlineABFT(Protector):
                 self.shape,
                 other,
                 constant_sum=self._constant_sums[other],
+                layout=layout,
             )
             other_detection = detect_errors(other_comp, other_interp, self.epsilon)
 
@@ -458,14 +476,20 @@ class OnlineABFT(Protector):
         return report
 
     def _refresh_entries(self, u: np.ndarray, records, a_comp, b_comp) -> None:
-        """Recompute the checksum entries touched by corrections from ``u``."""
-        cs_dtype = self.checksum_dtype
+        """Recompute the checksum entries touched by corrections from ``u``.
+
+        Each entry is summed in the order the checksum reduction adds its
+        lane, so it is bitwise equal to ``backend.checksum(u, axis)`` at
+        that index: NumPy adds a lane along the innermost non-singleton
+        axis pairwise (``sum``) and a lane along an outer axis in order
+        (``cumsum``).
+        """
         for rec in records:
-            if u.ndim == 2:
-                x, y = rec.index
-                a_comp[x] = u[x, :].sum(dtype=cs_dtype)
-                b_comp[y] = u[:, y].sum(dtype=cs_dtype)
-            else:
-                x, y, z = rec.index
-                a_comp[x, z] = u[x, :, z].sum(dtype=cs_dtype)
-                b_comp[y, z] = u[:, y, z].sum(dtype=cs_dtype)
+            x, y, *layer = rec.index
+            a_comp[(x, *layer)] = self._lane_sum(u, 1, u[(x, slice(None), *layer)])
+            b_comp[(y, *layer)] = self._lane_sum(u, 0, u[(slice(None), y, *layer)])
+
+    def _lane_sum(self, u: np.ndarray, axis: int, lane: np.ndarray):
+        if all(n == 1 for n in u.shape[axis + 1:]):
+            return lane.sum(dtype=self.checksum_dtype)
+        return np.cumsum(lane, dtype=self.checksum_dtype)[-1]

@@ -31,6 +31,7 @@ halo pipeline crosses process boundaries without copying the domain.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -230,9 +231,13 @@ class DoubleBufferedGrid:
         """Total footprint of the pair in bytes."""
         return int(self._front.nbytes + self._back.nbytes)
 
-    @property
+    @functools.cached_property
     def layout(self) -> GridLayout:
-        """The pair's :class:`GridLayout` (the kernel-compiler cache key)."""
+        """The pair's :class:`GridLayout` (the kernel-compiler cache key).
+
+        Built once: radius, boundary and external axes are fixed at
+        construction.
+        """
         return GridLayout.from_args(
             self.radius,
             self.boundary,

@@ -15,7 +15,8 @@ closed boundary condition.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import threading
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,9 @@ __all__ = [
     "refresh_ghosts",
     "ghost_fill_ops",
     "fill_ghosts",
+    "GhostRows",
+    "ghost_rows",
+    "fill_ghost_rows",
     "shifted_view",
     "interior_slices",
     "interior_view",
@@ -139,13 +143,93 @@ def refresh_ghosts(
 
     Returns ``padded`` (the same object) for chaining.
     """
-    radius = normalize_radius(radius, padded.ndim)
+    plan = _refresh_plan(padded.shape, radius, boundary, axes)
+    if plan.ops is None:
+        # Degenerate wrap (ghost wider than the interior): the in-place
+        # slab fill would read half-written ghosts. np.pad's tiling
+        # semantics still apply, so take the allocating path once —
+        # correctness over speed for this corner case.
+        padded[...] = pad_array(
+            interior_view(padded, plan.radius).copy(), plan.radius, plan.boundary
+        )
+        return padded
+    return fill_ghosts(padded, plan.ops)
+
+
+#: Refresh plans cached before the cache is reset (guards against
+#: unbounded growth when many distinct layouts are refreshed).
+_MAX_CACHED_REFRESH_PLANS = 32
+
+_refresh_plans: Dict[tuple, object] = {}
+_refresh_plans_lock = threading.Lock()
+_MISSING = object()
+
+
+class _RefreshPlan(NamedTuple):
+    """What :func:`refresh_ghosts` does to one padded layout."""
+
+    #: Per-axis ghost width, external axes set to 0.
+    radius: Tuple[int, ...]
+    boundary: BoundarySpec
+    #: :func:`ghost_fill_ops` of the layout; ``None`` on a degenerate
+    #: periodic axis, which is padded with :func:`pad_array` instead.
+    ops: Optional[Tuple[GhostFillOp, ...]]
+
+
+class GhostRows(NamedTuple):
+    """A refresh split into leading axes and last-axis ghost columns.
+
+    Refreshing ``leading_axes`` with :func:`refresh_ghosts` and then
+    filling the ghost columns of every row of the buffer (in any row
+    order) with :func:`fill_ghost_rows` leaves it bitwise equal to one
+    full :func:`refresh_ghosts`: the last axis is the highest, so its
+    slabs span every other axis's ghost range, and each row's last-axis
+    ghosts are copied from that row's own interior lanes.
+    """
+
+    leading_axes: Tuple[int, ...]
+    #: Extent of the last axis: elements per row of the flat buffer.
+    width: int
+    #: ``(ghost column, source column)`` pairs (clamp, periodic).
+    copies: Tuple[Tuple[int, int], ...]
+    #: ``(ghost column, fill value)`` pairs (constant, zero).
+    fills: Tuple[Tuple[int, float], ...]
+
+
+def _cached_plan(key: tuple, build, *args):
+    plan = _refresh_plans.get(key, _MISSING)
+    if plan is _MISSING:
+        plan = build(*args)
+        with _refresh_plans_lock:  # the bound holds across threads
+            if len(_refresh_plans) >= _MAX_CACHED_REFRESH_PLANS:
+                _refresh_plans.clear()
+            _refresh_plans[key] = plan
+    return plan
+
+
+def _key(value):
+    """``value`` if hashable, else a tuple of it (a list of radii or axes)."""
+    try:
+        hash(value)
+    except TypeError:
+        return tuple(value)
+    return value
+
+
+def _refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
+    key = ("refresh", shape, _key(radius), _key(boundary), _key(axes))
+    return _cached_plan(key, _build_refresh_plan, shape, radius, boundary, axes)
+
+
+def _build_refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
+    ndim = len(shape)
+    radius = normalize_radius(radius, ndim)
     if axes is not None:
         keep = {int(a) for a in axes}
-        if not keep.issubset(range(padded.ndim)):
+        if not keep.issubset(range(ndim)):
             raise ValueError(
                 f"refresh axes {sorted(keep)} out of range for a "
-                f"{padded.ndim}D array"
+                f"{ndim}D array"
             )
         # An externally managed axis is equivalent to a zero-radius one:
         # its slabs are never written, and later axes span its full
@@ -154,18 +238,55 @@ def refresh_ghosts(
         radius = tuple(
             r if axis in keep else 0 for axis, r in enumerate(radius)
         )
-    bspec = BoundarySpec.from_any(boundary, padded.ndim)
-    ops = ghost_fill_ops(padded.shape, radius, bspec)
-    if ops is None:
-        # Degenerate wrap (ghost wider than the interior): the in-place
-        # slab fill would read half-written ghosts. np.pad's tiling
-        # semantics still apply, so take the allocating path once —
-        # correctness over speed for this corner case.
-        padded[...] = pad_array(
-            interior_view(padded, radius).copy(), radius, bspec
-        )
-        return padded
-    return fill_ghosts(padded, ops)
+    bspec = BoundarySpec.from_any(boundary, ndim)
+    return _RefreshPlan(radius, bspec, ghost_fill_ops(shape, radius, bspec))
+
+
+def ghost_rows(
+    padded_shape: Tuple[int, ...],
+    radius,
+    boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
+    axes: Optional[Sequence[int]] = None,
+) -> Optional[GhostRows]:
+    """:func:`refresh_ghosts`'s plan split off its last axis, or ``None``.
+
+    ``None`` when the last axis is not refreshed, has ghost width 0 or
+    a periodic axis is degenerate; the split is cached beside the
+    refresh plan of the same arguments.
+    """
+    key = ("rows", padded_shape, _key(radius), _key(boundary), _key(axes))
+    return _cached_plan(key, _build_ghost_rows, padded_shape, radius, boundary, axes)
+
+
+def _build_ghost_rows(shape, radius, boundary, axes) -> Optional[GhostRows]:
+    plan = _refresh_plan(shape, radius, boundary, axes)
+    last = len(shape) - 1
+    if plan.ops is None or plan.radius[last] == 0:
+        return None
+    # The last axis's two slab ops come last and index every other axis
+    # with ``slice(None)``.  One op per column: a 1-D column of rows is
+    # one long strided ufunc loop, a (rows, 1) slab a loop per row.
+    copies, fills = [], []
+    for dst, src in plan.ops[-2:]:
+        columns = range(dst[last].start, dst[last].stop)
+        if not isinstance(src, tuple):
+            fills += [(col, src) for col in columns]
+        elif src[last].stop - src[last].start == 1:  # clamp: one edge column
+            copies += [(col, src[last].start) for col in columns]
+        else:  # periodic: the columns one period away
+            copies += [
+                (col, src[last].start + i) for i, col in enumerate(columns)
+            ]
+    leading = tuple(a for a in range(last) if plan.radius[a] > 0)
+    return GhostRows(leading, int(shape[last]), tuple(copies), tuple(fills))
+
+
+def fill_ghost_rows(rows: np.ndarray, plan: GhostRows) -> None:
+    """Fill the last-axis ghost columns of ``rows``, a 2D (rows, width) view."""
+    for dst, src in plan.copies:
+        rows[:, dst] = rows[:, src]
+    for dst, value in plan.fills:
+        rows[:, dst] = value
 
 
 GhostFillOp = Tuple[Tuple[slice, ...], object]
