@@ -281,17 +281,13 @@ class Backend(ABC):
         third-party backends working unchanged.  Optimised backends
         override this to pass the destination interior as ``out``.
 
-        **Ghost-overwrite rule.**  ``src_padded`` is never written, with
-        one exception: inside the ``fused`` backend's :meth:`step_into`,
-        this method also fills the source's last-axis ghost cells, strip
-        by strip, as the part of the step's ghost refresh it defers (see
-        :meth:`step_into`).  In ``dst_padded``, the ghost cells of axes
-        >= 1 that lie inside the interior's axis-0 extent may be
-        overwritten with meaningless values (the ``fused`` backend's
-        flat-stride sweep computes through them); its axis-0 ghost slabs
-        and all memory outside ``dst_padded`` are left alone.  Every
-        in-tree caller refreshes or ingests those ghosts before it reads
-        them:
+        **Ghost-overwrite rule.**  ``src_padded`` is never written.  In
+        ``dst_padded``, the ghost cells of axes >= 1 that lie inside the
+        interior's axis-0 extent may be overwritten with meaningless
+        values (the ``fused`` backend's flat-stride sweep computes
+        through them); its axis-0 ghost slabs and all memory outside
+        ``dst_padded`` are left alone.  Every in-tree caller refreshes
+        or ingests those ghosts before it reads them:
 
         * :meth:`~repro.stencil.doublebuffer.DoubleBufferedGrid.step` —
           the written buffer becomes the front buffer, refreshed at the
@@ -398,12 +394,6 @@ class Backend(ABC):
         neighbour messages *before* the step, so only the remaining
         axes' ghosts are (re)built from the boundary condition — see
         :func:`repro.stencil.shift.refresh_ghosts`.
-
-        The refresh need not finish before the sweep starts.  The
-        ``fused`` backend refreshes a flat-stride pair's leading axes
-        first and has :meth:`sweep_into` fill the source's last-axis
-        ghosts row by row just ahead of the strips that read them; the
-        source still ends bitwise equal to a full refresh.
 
         Returns the destination interior view.
         """

@@ -42,35 +42,22 @@ memory-bound nature of large stencil sweeps:
    or narrower slices of a campaign batch) keep the *staged* path: accumulate into a contiguous staging buffer, then one strided
    copy into the interior, which writes no ghost cell.
 
-3. **Protection passes that read only what they need.**  Two passes of
-   a protected step read a few lanes per row of the padded buffer: on
-   the 512x512x8 tile both walk 8-float rows at a 40-byte stride across
-   the whole 10.5 MB pair.
-
-   * *Lane fold.*  :meth:`FusedBackend.checksum` reduces the column
-     (axis-0) checksum of a padded interior over whole contiguous
-     lanes: from each x-plane's first interior element to its last, one
-     row of a 2D view, summed over x in one pass; the interior lanes are
-     then picked out.  Each lane still adds over x in order, so the
-     checksum is bitwise equal to ``u.sum(axis=0)``; on the 512x512x8
-     tile it costs ~0.6x.
-   * *Last-axis ghosts filled strip by strip.*  For a flat-stride pair
-     whose last axis is refreshed with a non-zero ghost width,
-     :meth:`FusedBackend.step_into` refreshes only the leading axes up
-     front.  The strip loop of :meth:`FusedBackend.sweep_into` then fills
-     the source's last-axis ghosts (a cached per-layout plan,
-     :func:`~repro.stencil.shift.ghost_rows`) for the rows each strip is
-     about to read, while they are about to be cache-hot (at least
-     ``_FILL_ROWS`` rows per fill), and for the rows no strip read
-     after the last strip.  The source ends bitwise
-     equal to a full :func:`~repro.stencil.shift.refresh_ghosts`: the
-     last axis is the highest, so its slabs span every other axis's
-     ghosts and each row's ghosts copy only that row's interior.
-
-   Folding the checksum plane by plane inside the strip loop was
-   measured slower (1.16x) than one fold after the sweep.  A compiled
-   backend (:mod:`repro.backends.numba_backend`) fuses the refresh, the
-   sweep and the checksum into one traversal instead.
+3. **Column checksums folded over whole lanes.**  The protected
+   step's column (axis-0) checksum of a padded interior walks short
+   rows at a stride: on the 512x512x8 tile, 8-float rows 40 bytes apart
+   across the whole 10.5 MB buffer.  :meth:`FusedBackend.checksum`
+   instead reduces over x the contiguous run of memory from each
+   x-plane's first interior element to its last (one row of a 2D view,
+   the ghost lanes between the rows included), then picks out the
+   interior lanes.  Each lane still adds over x in order, so the
+   checksum is bitwise equal to ``u.sum(axis=0)``; on the 512x512x8
+   tile it costs ~0.6x.  Folding plane by plane inside the strip loop
+   of point 2 was measured slower (1.16x) than one fold after the
+   sweep.  The ghost refresh before the sweep is shared with every
+   backend (:func:`~repro.stencil.shift.refresh_ghosts`, which copies a
+   whole buffer's last-axis ghosts one 1-D column at a time); a
+   compiled backend (:mod:`repro.backends.numba_backend`) fuses the
+   refresh, the sweep and the checksum into one traversal instead.
 
 The scratch cache is per-thread (``threading.local``) so the threaded
 tile executor can sweep same-shaped tiles concurrently without races.
@@ -84,15 +71,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.base import Backend, ChecksumMap, _record_interpreted_step
-from repro.stencil.shift import (
-    GhostRows,
-    fill_ghost_rows,
-    ghost_rows,
-    interior_view,
-    refresh_ghosts,
-    shifted_view,
-)
+from repro.backends.base import Backend
+from repro.stencil.shift import interior_view, shifted_view
 from repro.stencil.spec import StencilSpec
 
 __all__ = ["FusedBackend"]
@@ -109,15 +89,6 @@ _MAX_CACHED_SCRATCH = 8
 #: L2 per core) the 7-point sweep took 28-30 ms unstripped and 10-13 ms
 #: in float32 strips of 32k-64k elements; float64 was fastest at 32k too.
 _STRIP = 1 << 15
-
-#: Fewest source rows one last-axis ghost fill of the strip loop covers.
-#: Narrow rows (8 floats on the HotSpot3D tile) put thousands of rows in
-#: a strip, each fill warms the rows the strip reads next, and the fill
-#: keeps pace with the strips.  Wide rows (a 256x1024 rank block) put a
-#: few dozen rows in a strip; filling those strip by strip cost one
-#: Python call per strip for a few ghost cells and made the step ~5%
-#: slower than a full refresh, so they are filled in larger batches.
-_FILL_ROWS = 1024
 
 
 def _root(a: np.ndarray) -> np.ndarray:
@@ -258,15 +229,12 @@ class FusedBackend(Backend):
         radius: Tuple[int, ...],
         interior_shape: Tuple[int, ...],
         constant: Optional[np.ndarray],
-        rows: Optional[GhostRows] = None,
     ) -> None:
         """The flat-stride sweep of two whole C-contiguous padded buffers.
 
         Same multiply/add sequence as :meth:`sweep_padded`, per strip
         of the flat range (see the module docstring); overwrites the
-        destination ghost positions inside ``[lo, hi)``.  With ``rows``
-        the source's last-axis ghosts are filled as the strips reach
-        them (module docstring, point 3).
+        destination ghost positions inside ``[lo, hi)``.
         """
         if 0 in interior_shape:
             return
@@ -287,12 +255,6 @@ class FusedBackend(Backend):
                     )
                 d += o * s
             points.append((d, np.asarray(weight, dtype=dtype)))
-        if rows is not None:
-            # ``filled`` source rows have their last-axis ghosts; a strip
-            # ``[a, b)`` reads source rows up to flat ``b + reach``.
-            src_rows = src_padded.reshape(-1, rows.width)
-            reach = max(d for d, _ in points)
-            filled = 0
         src = src_padded.reshape(-1)
         dst = dst_padded.reshape(-1)
         const = (
@@ -303,10 +265,6 @@ class FusedBackend(Backend):
         scratch = self._scratch((min(_STRIP, hi - lo),), dtype)
         for a in range(lo, hi, _STRIP):
             b = min(a + _STRIP, hi)
-            if rows is not None and (b + reach - 1) // rows.width >= filled:
-                stop = max((b + reach - 1) // rows.width + 1, filled + _FILL_ROWS)
-                fill_ghost_rows(src_rows[filled:stop], rows)
-                filled = stop
             out = dst[a:b]
             tmp = scratch[:b - a]
             # The running sum: the padded constant's strip before the
@@ -320,8 +278,6 @@ class FusedBackend(Backend):
                     np.multiply(view, w, out=tmp)
                     np.add(acc, tmp, out=out)
                 acc = out
-        if rows is not None and filled < len(src_rows):
-            fill_ghost_rows(src_rows[filled:], rows)
 
     def sweep_into(
         self,
@@ -331,8 +287,6 @@ class FusedBackend(Backend):
         radius,
         interior_shape: Sequence[int],
         constant: Optional[np.ndarray] = None,
-        *,
-        _ghost_rows: Optional[GhostRows] = None,
     ) -> np.ndarray:
         """Zero-copy sweep: materialise the new step inside the destination.
 
@@ -353,10 +307,6 @@ class FusedBackend(Backend):
         and lands in the interior with one strided copy, leaving every
         ghost untouched.  Both paths keep the reference's operation
         order, so the interior is bitwise identical either way.
-
-        ``_ghost_rows`` is passed only by :meth:`step_into`, for a flat
-        pair: the strip loop then also writes the source's last-axis
-        ghost cells, with the values a full ghost refresh writes.
         """
         interior = self._dst_interior(dst_padded, radius, interior_shape)
         if np.may_share_memory(src_padded, dst_padded):
@@ -364,13 +314,17 @@ class FusedBackend(Backend):
                 src_padded, dst_padded, spec, radius, interior_shape,
                 constant=constant,
             )
-        if self._flat_pair(src_padded, dst_padded):
+        if (
+            src_padded.flags.c_contiguous
+            and dst_padded.flags.c_contiguous
+            and src_padded.shape == dst_padded.shape
+            and src_padded.dtype == dst_padded.dtype
+        ):
             interior_shape, radius = self._normalize_sweep_args(
                 src_padded, radius, interior_shape, constant, None
             )
             self._sweep_flat(
-                src_padded, dst_padded, spec, radius, interior_shape, constant,
-                rows=_ghost_rows,
+                src_padded, dst_padded, spec, radius, interior_shape, constant
             )
             return interior
         staging = self._scratch(interior.shape, interior.dtype, slot=1)
@@ -381,119 +335,66 @@ class FusedBackend(Backend):
         interior[...] = staging
         return interior
 
-    @staticmethod
-    def _flat_pair(src_padded: np.ndarray, dst_padded: np.ndarray) -> bool:
-        """Whether a pair that does not overlap takes the flat-stride sweep."""
-        return (
-            src_padded.flags.c_contiguous
-            and dst_padded.flags.c_contiguous
-            and src_padded.shape == dst_padded.shape
-            and src_padded.dtype == dst_padded.dtype
-        )
-
-    def step_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Ghost refresh + sweep, the last axis's ghosts filled by the strips.
-
-        A flat-stride pair whose last axis is refreshed with a non-zero
-        ghost width refreshes only its leading axes up front; the strip
-        loop of :meth:`sweep_into` fills the source's last-axis ghosts of
-        the rows each strip is about to read, then those of the rows no
-        strip read (module docstring, point 3).  The source therefore
-        ends bitwise equal to a full
-        :func:`~repro.stencil.shift.refresh_ghosts`, as the protectors
-        require.  Every other pair (staged tiles, an external or
-        zero-width last axis, a degenerate periodic axis, an empty
-        interior) takes the base refresh-then-sweep.
-        """
-        rows = None
-        if (
-            self._flat_pair(src_padded, dst_padded)
-            and not np.may_share_memory(src_padded, dst_padded)
-            and 0 not in tuple(interior_shape)
-        ):
-            rows = ghost_rows(src_padded.shape, radius, boundary, refresh_axes)
-        if rows is None:
-            return super().step_into(
-                src_padded, dst_padded, spec, radius, interior_shape, boundary,
-                constant=constant, refresh_axes=refresh_axes,
-            )
-        _record_interpreted_step(self)
-        refresh_ghosts(src_padded, radius, boundary, axes=rows.leading_axes)
-        return self.sweep_into(
-            src_padded, dst_padded, spec, radius, interior_shape,
-            constant=constant, _ghost_rows=rows,
-        )
-
-    def step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """:meth:`step_into`, then :meth:`checksum` of the new interior."""
-        interior = self.step_into(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes,
-        )
-        checksums: ChecksumMap = {
-            int(axis): self.checksum(interior, int(axis), dtype=checksum_dtype)
-            for axis in axes
-        }
-        return interior, checksums
-
     def checksum(
         self, u: np.ndarray, axis: int, dtype: Optional[np.dtype] = None
     ) -> np.ndarray:
         """Checksum of ``u`` along ``axis``, folding whole lanes when it can.
 
         The lane fold (module docstring, point 3) applies to the axis-0
-        checksum of a 3D view whose rows are separated by ghosts (the
-        interior of a padded buffer): it reduces, over axis 0, the
-        contiguous run of memory from each plane's first interior
-        element to its last, then keeps the interior lanes.  Each lane
-        still adds over x in order, so the result is bitwise equal to
-        ``u.sum(axis=0, dtype=dtype)``.  Any other view (contiguous,
-        transposed, negative strides) takes that reduction directly.
+        checksum of a padded interior (see :meth:`_lane_planes`): it
+        reduces, over axis 0, the contiguous run of memory from each
+        plane's first interior element to its last, then keeps the
+        interior lanes.  Each lane still adds over x in order, so the
+        result is bitwise equal to ``u.sum(axis=0, dtype=dtype)``.  Any
+        other view takes that reduction directly.
         """
-        if axis == 0 and u.ndim == 3 and u.dtype.kind == "f" and 0 not in u.shape:
-            n0, n1, n2 = u.shape
-            s0, s1, s2 = u.strides
-            item = u.itemsize
-            row, rem = divmod(s1, item)
-            span = (n1 - 1) * row + n2
-            root = _root(u)
-            if (
-                s2 == item and rem == 0 and s1 > n2 * item
-                and s0 >= span * item and root.flags.c_contiguous
-            ):
-                offset = (
-                    u.__array_interface__["data"][0]
-                    - root.__array_interface__["data"][0]
-                )
-                planes = np.ndarray((n0, span), u.dtype, root, offset, (s0, item))
-                lanes = self._scratch(
-                    (n1 * row,), u.dtype if dtype is None else dtype, slot=2
-                )
-                np.add.reduce(planes, axis=0, dtype=dtype, out=lanes[:span])
-                return lanes.reshape(n1, row)[:, :n2].copy()
-        return super().checksum(u, axis, dtype=dtype)
+        planes = self._lane_planes(u) if axis == 0 else None
+        if planes is None:
+            return super().checksum(u, axis, dtype=dtype)
+        n1, n2 = u.shape[1:]
+        row = u.strides[1] // u.itemsize
+        lanes = self._scratch(
+            (n1 * row,), u.dtype if dtype is None else dtype, slot=2
+        )
+        np.add.reduce(planes, axis=0, dtype=dtype, out=lanes[:planes.shape[1]])
+        return lanes.reshape(n1, row)[:, :n2].copy()
+
+    @staticmethod
+    def _lane_planes(u: np.ndarray) -> Optional[np.ndarray]:
+        """``u``'s x-planes as whole contiguous lanes, or ``None``.
+
+        Row ``x`` of the result runs through memory from ``u[x, 0, 0]``
+        to ``u[x, -1, -1]``: the rows of ``u[x]`` and the gaps between
+        them.  It is built only when those gaps can hold nothing but
+        ghost lanes: ``u`` is a 3D float view with unit-stride rows and
+        planes in order, each row centred in a row of the C-contiguous
+        buffer that owns it, with fewer lanes between two rows than in
+        one.  A tile split along the last axis fails that test (an end
+        tile is off centre, a middle tile's gap holds two neighbouring
+        tiles about as wide as itself), so the fold never reads lanes
+        another worker of a tiled runner may be writing.  Contiguous,
+        transposed and negative-stride views fail it too.
+        """
+        if u.ndim != 3 or u.dtype.kind != "f" or 0 in u.shape:
+            return None
+        n0, n1, n2 = u.shape
+        s0, s1, s2 = u.strides
+        item = u.itemsize
+        row, rem = divmod(s1, item)
+        gap = row - n2
+        span = (n1 - 1) * row + n2
+        root = _root(u)
+        offset = (
+            u.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+        )
+        if not (
+            root.flags.c_contiguous
+            and s2 == item and rem == 0 and s0 >= span * item
+            and 0 < gap < n2 and gap % 2 == 0
+            and offset % item == 0 and (offset // item) % row == gap // 2
+        ):
+            return None
+        return np.ndarray((n0, span), u.dtype, root, offset, (s0, item))
 
     def batch_step_into(
         self,

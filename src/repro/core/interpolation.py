@@ -38,8 +38,9 @@ This module provides three implementations of that prediction:
 Interpolation plans
 -------------------
 Everything an interpolation does that depends only on its geometry is
-derived once and kept in a bounded module-level cache
-(``_MAX_CACHED_PLANS`` entries, reset when full):
+derived once and kept in a bounded module-level cache (a
+:class:`~repro.stencil.shift.PlanCache` of ``_MAX_CACHED_PLANS``
+entries, reset when full):
 
 * a **domain plan**, keyed on (spec, radius, interior shape, reduce
   axis, dtype, layout), serves :func:`interpolate_checksum_padded` and
@@ -104,7 +105,6 @@ mathematically identical to the per-layer scheme of the paper.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,6 +113,7 @@ from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.doublebuffer import GridLayout
 from repro.stencil.shift import (
     GhostFillOp,
+    PlanCache,
     fill_ghosts,
     ghost_fill_ops,
     normalize_radius,
@@ -133,12 +134,10 @@ __all__ = [
 # interpolation plans
 # ---------------------------------------------------------------------------
 
-#: Plans cached before the cache is reset (guards against unbounded
-#: growth when many distinct geometries are interpolated).
+#: Plans cached before the cache is reset.
 _MAX_CACHED_PLANS = 32
 
-_plans: Dict[tuple, object] = {}
-_plans_lock = threading.Lock()
+_plans = PlanCache(_MAX_CACHED_PLANS)
 
 Index = Tuple[slice, ...]
 #: ``(o_d, window, weight)``: the stencil point's reduce-axis offset, its
@@ -181,17 +180,6 @@ class _ChecksumPlan(NamedTuple):
     #: Reduce-axis offsets ``o_d != 0`` whose strips the terms read.
     shifts: frozenset
     terms: Tuple[Term, ...]
-
-
-def _cached(key: tuple, build, *args):
-    plan = _plans.get(key)
-    if plan is None:
-        plan = build(*args)
-        with _plans_lock:  # check-then-insert, so the bound holds across threads
-            if len(_plans) >= _MAX_CACHED_PLANS:
-                _plans.clear()
-            _plans[key] = plan
-    return plan
 
 
 def _spec_key(spec) -> tuple:
@@ -368,7 +356,7 @@ def _domain_plan(
     if not isinstance(spec, StencilSpec):
         spec = spec_key
     key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype, layout)
-    plan = _cached(
+    plan = _plans.get_or_build(
         key, _build_domain_plan, spec, radius, interior_shape, reduce_axis,
         dtype, layout,
     )
@@ -668,7 +656,7 @@ def interpolate_checksum_reduced(
     other_shape = cs_prev.shape
     key = ("checksum", _spec_key(spec), boundary, reduce_axis, n_reduce,
            other_shape, dtype)
-    plan = _cached(
+    plan = _plans.get_or_build(
         key, _build_checksum_plan, spec, boundary, reduce_axis, n_reduce,
         other_shape, dtype,
     )

@@ -11,14 +11,12 @@ pin it to the form it replaced:
   interpolation rebuilds the border sums of closed axes from the stored
   checksum instead of reading the domain: bitwise equal to the
   domain-read form on float32 domains with float64 checksums;
-* **strip fill** — ``FusedBackend.step_into`` fills the source's
-  last-axis ghosts strip by strip inside ``sweep_into``: the source ends
-  bitwise equal to a full ``refresh_ghosts``, the interior bitwise equal
-  to refresh-then-sweep and equal to the ``numpy`` reference.
+* **column refresh** — ``refresh_ghosts`` fills a whole buffer's
+  last-axis ghosts one 1-D column at a time: bitwise equal to the slab
+  fill it replaced, which every other view still takes.
 
-Plus the cached refresh plans both of the last two build on, and the
-refreshed checksum entries after a correction, which the closed borders
-rely on.
+Plus the cached refresh plans the last two build on, and the refreshed
+checksum entries after a correction, which the closed borders rely on.
 """
 
 from __future__ import annotations
@@ -31,13 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_boundary_conditions
-from repro.backends import FusedBackend, NumpyBackend
-from repro.backends import fused as fused_module
+from repro.backends import FusedBackend
 from repro.backends.base import Backend
 from repro.core import interpolation
 from repro.core.interpolation import interpolate_checksum_padded
 from repro.core.online import OnlineABFT
 from repro.faults.bitflip import flip_bit_in_array
+from repro.parallel.decomposition import decompose, decompose_layers
 from repro.parallel.runner import TiledStencilRunner
 from repro.parallel.simmpi import DistributedStencilRunner
 from repro.stencil import shift
@@ -46,7 +44,6 @@ from repro.stencil.doublebuffer import GridLayout
 from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
 from repro.stencil.shift import (
-    ghost_rows,
     interior_view,
     pad_array,
     padded_shape,
@@ -55,7 +52,6 @@ from repro.stencil.shift import (
 from repro.stencil.spec import StencilSpec
 
 FUSED = FusedBackend()
-REFERENCE = NumpyBackend()
 
 
 def _bits(a):
@@ -99,6 +95,10 @@ class TestLaneFold:
         rng = np.random.default_rng(seed)
         padded = (rng.random(padded_shape(shape, radius)) * 100 - 50).astype(dtype)
         u = interior_view(padded, radius)
+        # The fold reads the ghost lanes between rows, when there are
+        # some and fewer than the row holds.
+        folds = 0 < 2 * radius[2] < shape[2]
+        assert (FusedBackend._lane_planes(u) is not None) == folds
         _assert_bitwise(
             FUSED.checksum(u, 0, dtype=cs_dtype), u.sum(axis=0, dtype=cs_dtype)
         )
@@ -123,6 +123,40 @@ class TestLaneFold:
             got = FUSED.checksum(u, 0, dtype=np.float64)
         assert old_path.called is not folds
         _assert_bitwise(got, u.sum(axis=0, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "tiles",
+        [
+            lambda shape: decompose(shape, (1, 1, 2)),
+            lambda shape: decompose(shape, (2, 1, 3)),
+            decompose_layers,
+        ],
+        ids=["1x1x2", "2x1x3", "layers"],
+    )
+    def test_tiles_split_along_the_last_axis_take_the_base_reduction(
+        self, rng, tiles
+    ):
+        """Their row gaps hold the neighbouring tiles' lanes, which another
+        worker of a tiled runner may be writing: the fold must not read
+        them, even for a middle tile centred like a padded interior."""
+        interior = interior_view(rng.random((10, 9, 14)).astype(np.float32), 1)
+        for box in tiles(interior.shape):
+            tile = interior[box.slices]
+            assert FusedBackend._lane_planes(tile) is None
+            with mock.patch.object(
+                Backend, "checksum", autospec=True, side_effect=Backend.checksum
+            ) as old_path:
+                got = FUSED.checksum(tile, 0)
+            assert old_path.called
+            _assert_bitwise(got, tile.sum(axis=0))
+
+    def test_tiles_split_along_axis1_fold_their_own_rows(self, rng):
+        interior = interior_view(rng.random((10, 9, 14)).astype(np.float32), 1)
+        for box in decompose(interior.shape, (1, 3, 1)):
+            tile = interior[box.slices]
+            planes = FusedBackend._lane_planes(tile)
+            assert planes is not None and planes.shape[1] < 14 * tile.shape[1]
+            _assert_bitwise(FUSED.checksum(tile, 0), tile.sum(axis=0))
 
     def test_returned_checksums_never_alias(self, rng):
         u = interior_view(rng.random((10, 10, 6)), 1)
@@ -364,144 +398,71 @@ class TestRefreshedEntries:
 
 
 # --------------------------------------------------------------------------
-# lever 3: last-axis ghosts filled in the strip loop
+# the column refresh of the last axis
 # --------------------------------------------------------------------------
 
-@st.composite
-def step_cases(draw):
-    ndim = draw(st.sampled_from([2, 3]))
-    radius = tuple(draw(st.integers(0, 2)) for _ in range(ndim))
-    shape = (
-        (draw(st.integers(1, 40)), draw(st.integers(1, 12)))
-        if ndim == 2
-        else tuple(draw(st.integers(1, n)) for n in (12, 8, 6))
-    )
-    refresh = draw(
-        st.one_of(
-            st.none(),
-            st.lists(st.integers(0, ndim - 1), unique=True).map(tuple),
-        )
-    )
-    return {
-        "radius": radius,
-        "shape": shape,
-        "spec": draw(specs(radius)),
-        "boundary": BoundarySpec(
-            tuple(
-                draw(st.sampled_from(all_boundary_conditions()))
-                for _ in range(ndim)
-            )
-        ),
-        "refresh_axes": refresh,
-        "dtype": draw(st.sampled_from([np.float32, np.float64])),
-        "constant": draw(st.booleans()),
-        "checksums": draw(st.booleans()),
-        # Small strips and fill batches cut the rows at every offset.
-        "strip": draw(st.sampled_from([3, 17, 64, 500, fused_module._STRIP])),
-        "fill_rows": draw(st.sampled_from([1, 3, fused_module._FILL_ROWS])),
-        "seed": draw(st.integers(0, 2**31 - 1)),
-    }
-
-
-def _check_step(case):
-    rng = np.random.default_rng(case["seed"])
-    spec, radius, shape = case["spec"], case["radius"], case["shape"]
-    boundary, axes = case["boundary"], case["refresh_axes"]
-    src = (rng.random(padded_shape(shape, radius)) * 100 - 50).astype(case["dtype"])
-    dst = rng.random(src.shape).astype(case["dtype"])
-    constant = (
-        (rng.random(shape) * 3).astype(case["dtype"]) if case["constant"] else None
-    )
-    src_ref, dst_ref = src.copy(), dst.copy()
-    with mock.patch.object(fused_module, "_STRIP", case["strip"]), \
-            mock.patch.object(fused_module, "_FILL_ROWS", case["fill_rows"]):
-        if case["checksums"]:
-            got, checksums = FUSED.step_into_with_checksums(
-                src, dst, spec, radius, shape, boundary, (0, 1),
-                constant=constant, checksum_dtype=np.float64, refresh_axes=axes,
-            )
-        else:
-            got = FUSED.step_into(
-                src, dst, spec, radius, shape, boundary,
-                constant=constant, refresh_axes=axes,
-            )
-    # Today's route: a full refresh, then the flat sweep with no fill.
-    refresh_ghosts(src_ref, radius, boundary, axes=axes)
-    want = FUSED.sweep_into(src_ref, dst_ref, spec, radius, shape, constant=constant)
-    _assert_bitwise(src, src_ref)
-    _assert_bitwise(got, want)
-    # The reference adds the first point to zeros, so only signed zeros
-    # may differ from it.
-    np.testing.assert_array_equal(
-        got, REFERENCE.sweep_padded(src_ref, spec, radius, shape, constant=constant)
-    )
-    if case["checksums"]:
-        for axis in (0, 1):
-            _assert_bitwise(checksums[axis], want.sum(axis=axis, dtype=np.float64))
-
-
-class TestStripFill:
+class TestColumnRefresh:
     @settings(max_examples=200)
-    @given(case=step_cases())
-    def test_source_equals_refresh_and_interior_equals_reference(self, case):
-        _check_step(case)
-
-    @pytest.mark.parametrize(
-        "boundary",
-        [BoundarySpec.clamp(2), BoundarySpec((BoundaryCondition.zero(),
-                                              BoundaryCondition.periodic()))],
+    @given(
+        ndim=st.sampled_from([2, 3]),
+        radius=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        shape=st.lists(st.integers(1, 7), min_size=3, max_size=3),
+        boundary=st.lists(
+            st.sampled_from(all_boundary_conditions()), min_size=3, max_size=3
+        ),
+        external=st.lists(st.booleans(), min_size=3, max_size=3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**31 - 1),
     )
-    def test_many_default_strips(self, boundary):
-        """Rows wider than one row per strip, strips at the default size."""
-        case = {
-            "radius": (1, 2), "shape": (300, 401),
-            "spec": StencilSpec([((0, 0), 0.5), ((-1, 0), 0.1), ((1, 0), 0.1),
-                                 ((0, -2), 0.1), ((0, 1), 0.2)]),
-            "boundary": boundary, "refresh_axes": None, "dtype": np.float32,
-            "constant": True, "checksums": True, "strip": fused_module._STRIP,
-            "fill_rows": 16, "seed": 11,
-        }
-        assert 300 * 405 > 3 * fused_module._STRIP
-        _check_step(case)
+    def test_equals_the_slab_refresh(
+        self, ndim, radius, shape, boundary, external, dtype, seed
+    ):
+        """A whole buffer takes the column ops, a strided view of the same
+        values the slab ops; both end bitwise equal, external ghosts
+        (random halo values) included."""
+        radius, shape = tuple(radius[:ndim]), tuple(shape[:ndim])
+        boundary = BoundarySpec(tuple(boundary[:ndim]))
+        axes = None
+        if any(external[:ndim]):
+            axes = tuple(a for a in range(ndim) if not external[a])
+        rng = np.random.default_rng(seed)
+        whole = (rng.random(padded_shape(shape, radius)) * 100 - 50).astype(dtype)
+        strided = np.zeros(whole.shape[:-1] + (2 * whole.shape[-1],), dtype)[..., ::2]
+        strided[...] = whole
+        assert whole.shape[-1] == 1 or not strided.flags.c_contiguous
+        refresh_ghosts(whole, radius, boundary, axes=axes)
+        refresh_ghosts(strided, radius, boundary, axes=axes)
+        _assert_bitwise(whole, strided)
 
-    def test_the_sweep_stays_inside_sweep_into(self, rng):
-        src = rng.random((10, 9, 6))
-        dst = np.empty_like(src)
+    def test_columns_of_the_last_axis(self):
+        def columns(shape, radius, boundary, axes=None):
+            plan = shift._build_refresh_plan(shape, radius, boundary, axes)
+            return [
+                (dst[1], src[1] if isinstance(src, tuple) else src)
+                for dst, src in plan.columns
+            ]
+
+        assert columns((6, 7, 8), (1, 0, 2), BoundarySpec.clamp(3)) == [
+            (0, 2), (1, 2), (6, 5), (7, 5)
+        ]
+        assert columns((6, 8), (1, 2), BoundarySpec.periodic(2)) == [
+            (0, 4), (1, 5), (6, 2), (7, 3)
+        ]
+        assert columns((6, 8), 2, BoundaryCondition.constant(2.5), (1,)) == [
+            (0, 2.5), (1, 2.5), (6, 2.5), (7, 2.5)
+        ]
+        # External or zero-width last axis, degenerate periodic axis.
+        assert columns((6, 6), 1, BoundarySpec.clamp(2), (0,)) == []
+        assert columns((6, 4), (1, 0), BoundarySpec.clamp(2)) == []
+        assert columns((6, 8), (1, 3), BoundarySpec.periodic(2)) == []
+
+    def test_whole_buffers_take_the_columns(self, rng):
+        padded = rng.random((6, 5, 4))
         with mock.patch.object(
-            FusedBackend, "sweep_into", autospec=True,
-            side_effect=FusedBackend.sweep_into,
-        ) as sweep:
-            FUSED.step_into_with_checksums(
-                src, dst, seven_point_diffusion_3d(), 1, (8, 7, 4),
-                BoundarySpec.clamp(3), (0,),
-            )
-        assert sweep.call_count == 1
-        assert sweep.call_args.kwargs["_ghost_rows"] is not None
-
-    @pytest.mark.parametrize(
-        "radius, boundary, axes",
-        [
-            ((1, 1), BoundarySpec.clamp(2), (0,)),        # external last axis
-            ((1, 0), BoundarySpec.clamp(2), None),        # zero-width last axis
-            ((1, 3), BoundarySpec.periodic(2), None),     # degenerate periodic
-            ((3, 1), BoundarySpec.periodic(2), None),
-        ],
-    )
-    def test_other_layouts_keep_refresh_then_sweep(self, radius, boundary, axes):
-        shape = padded_shape((2, 2), radius)
-        assert ghost_rows(shape, radius, boundary, axes) is None
-
-    def test_rows_split_off_the_last_axis(self):
-        rows = ghost_rows((6, 7, 8), (1, 0, 2), BoundarySpec.clamp(3), None)
-        assert rows.leading_axes == (0,)
-        assert rows.width == 8
-        assert rows.copies == ((0, 2), (1, 2), (6, 5), (7, 5))
-        assert rows.fills == ()
-        periodic = ghost_rows((6, 8), (1, 2), BoundarySpec.periodic(2), None)
-        assert periodic.copies == ((0, 4), (1, 5), (6, 2), (7, 3))
-        fill = ghost_rows((6, 8), 2, BoundaryCondition.constant(2.5), (1,))
-        assert fill.leading_axes == () and fill.copies == ()
-        assert fill.fills == ((0, 2.5), (1, 2.5), (6, 2.5), (7, 2.5))
+            shift, "fill_ghosts", side_effect=shift.fill_ghosts
+        ) as fill:
+            refresh_ghosts(padded, 1, BoundarySpec.clamp(3))
+        assert [call.args[0].ndim for call in fill.call_args_list] == [3, 2]
 
 
 # --------------------------------------------------------------------------
@@ -514,6 +475,7 @@ class TestRefreshPlanCache:
         for n in range(3, bound + 12):
             refresh_ghosts(rng.random((n, 4)), 1, BoundaryCondition.clamp())
             assert len(shift._refresh_plans) <= bound
+        assert shift._refresh_plans.bound == bound
 
     @settings(max_examples=100)
     @given(
