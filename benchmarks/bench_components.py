@@ -9,18 +9,22 @@ NumPy 2.4) the exact interpolation costs 0.17-0.26x a sweep, and the
 offline protector's per-step work — recording the strips plus one
 replayed interpolation — 0.14-0.24x; both gates below assert < 0.5x.
 
-Two more gates time the protection phases of the fused step on the
-512x512x8 HotSpot3D tile, each against the form it replaced: the lane
-fold of the column checksum must cost < 0.8x ``u.sum(axis=0,
-dtype=float64)`` of the padded interior, and the exact interpolation
-given the grid's layout < 0.25x the domain-read form.  The fold is not
-gated on the 64x64x8 tile, where it is at parity.
+Three more gates time the fused step on the 512x512x8 HotSpot3D tile,
+each against the form it replaced: the compiled flat sweep must cost
+< 0.75x the NumPy strip loop on the buffer pair, the lane fold of the
+column checksum (compiled where a C compiler exists) < 0.8x
+``u.sum(axis=0, dtype=float64)`` of the padded interior, and the exact
+interpolation given the grid's layout < 0.25x the domain-read form.
+The sweep gate skips, printing why, only where no ``cc`` is on PATH.
 """
+
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.backends import FusedBackend
+from repro.backends import FusedBackend, native
 from repro.core.checksums import checksum
 from repro.core.detection import detect_errors
 from repro.core.interpolation import (
@@ -173,6 +177,29 @@ def large_state():
     grid.buffers.refresh()
     cs = checksum(grid.u, 0, dtype=np.float64)
     return grid, grid.buffers.front, cs
+
+
+def test_compiled_sweep_is_cheaper_than_strip_loop(large_state):
+    """The native flat sweep against the NumPy strip loop it replaces."""
+    if shutil.which("cc") is None:
+        pytest.skip(f"no compiled sweep: {native.unavailable_reason()}")
+    assert native.library() is not None, native.unavailable_reason()
+    grid, padded, cs = large_state
+    fused = FusedBackend()
+    dst = np.empty_like(padded)
+
+    def sweep():
+        fused.sweep_into(
+            padded, dst, grid.spec, grid.radius, grid.shape, constant=grid.constant
+        )
+
+    def strip_loop():
+        with mock.patch.object(native, "_state", "timing the NumPy strip loop"):
+            sweep()
+
+    ratio = _ratio(sweep, strip_loop)
+    print(f"\ncompiled sweep / NumPy strip loop = {ratio:.2f}")
+    assert ratio < 0.75
 
 
 def test_lane_fold_is_cheaper_than_strided_sum(large_state):

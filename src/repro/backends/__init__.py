@@ -13,7 +13,10 @@ ship built in:
     The optimised default: allocation-free in-place accumulation through
     a preallocated scratch buffer, and checksums produced by the same
     call as the sweep (cache-hot reduction), mirroring the paper's fused
-    float32 kernel.  Bitwise-identical results to ``numpy``.
+    float32 kernel.  Its flat-stride sweep and column-checksum fold run
+    compiled (:mod:`repro.backends.native`, built once with the system
+    C compiler) wherever ``cc`` exists.  Bitwise-identical results to
+    ``numpy``.
 
 A third backend is gated on an optional dependency:
 

@@ -22,25 +22,33 @@ memory-bound nature of large stencil sweeps:
    instead.  Stencil offset ``o`` becomes the flat displacement
    ``d = sum(o[a] * stride[a])``; with ``[lo, hi)`` the flat range from
    the first interior point to the last,
-   ``dst.flat[lo:hi] = C + sum(w * src.flat[lo+d : hi+d])`` — one
-   contiguous SIMD loop per ufunc call, same operation order, so every
-   interior value is still bitwise equal to the reference.  The range
-   is processed in strips of ``_STRIP`` elements, every stencil point
-   applied to one strip before the next, so a strip's operands stay in
-   L2 cache instead of the whole domain streaming once per point.  The
-   price is the ghost positions inside ``[lo, hi)`` (the axis >= 1
-   ghosts of the interior's axis-0 rows), which are computed too and hold
-   meaningless values afterwards: ~25% extra work on the 3D tiles,
-   0.2% on 256x1024 rank blocks.  That is the ghost-overwrite rule of
+   ``dst.flat[lo:hi] = C + sum(w * src.flat[lo+d : hi+d])``, in the
+   reference's operation order, so every interior value is still
+   bitwise equal to it.  The range, the displacements and the cast
+   weights are derived once per (layout, operator) and cached.  The
+   strip loop is compiled (:mod:`repro.backends.native`, blocks of 512
+   elements, 0.5-0.6x the NumPy loop on the 512x512x8 pair) when the
+   library is loaded and the pair is native-byte-order float32/float64,
+   aligned, with a writeable destination.  Otherwise NumPy runs it, in
+   strips of ``_STRIP`` elements: every stencil point is applied to one
+   strip (one contiguous ``np.multiply``/``np.add`` each) before the
+   next, so a strip's operands stay in L2 cache instead of the whole
+   domain streaming once per point.  The price is the ghost positions
+   inside ``[lo, hi)`` (the axis >= 1 ghosts of the interior's axis-0
+   rows), which are computed too and hold meaningless values
+   afterwards: ~25% extra work on the 3D tiles, 0.2% on 256x1024 rank
+   blocks.  That is the ghost-overwrite rule of
    :meth:`Backend.sweep_into <repro.backends.base.Backend.sweep_into>`:
    every in-tree caller — ``DoubleBufferedGrid.step``, the tiled and
-   distributed runners and the batched step — refreshes or ingests those ghosts before reading them, and the
-   source buffer, the axis-0 ghost slabs and all memory outside the
-   destination are never written.  The per-point constant is embedded
-   once per (constant, layout) into a zero-ghost padded copy, cached
-   beside the strip scratch.  Views that are not contiguous (2D tiles,
-   or narrower slices of a campaign batch) keep the *staged* path: accumulate into a contiguous staging buffer, then one strided
-   copy into the interior, which writes no ghost cell.
+   distributed runners and the batched step — refreshes or ingests
+   those ghosts before reading them, and the source buffer, the axis-0
+   ghost slabs and all memory outside the destination are never
+   written.  The per-point constant is embedded once per (constant,
+   layout) into a zero-ghost padded copy, cached beside the strip
+   scratch.  Views that are not contiguous (2D tiles, or narrower
+   slices of a campaign batch) keep the *staged* path: accumulate into
+   a contiguous staging buffer, then one strided copy into the
+   interior, which writes no ghost cell.
 
 3. **Column checksums folded over whole lanes.**  The protected
    step's column (axis-0) checksum of a padded interior walks short
@@ -50,14 +58,25 @@ memory-bound nature of large stencil sweeps:
    x-plane's first interior element to its last (one row of a 2D view,
    the ghost lanes between the rows included), then picks out the
    interior lanes.  Each lane still adds over x in order, so the
-   checksum is bitwise equal to ``u.sum(axis=0)``; on the 512x512x8
-   tile it costs ~0.6x.  Folding plane by plane inside the strip loop
-   of point 2 was measured slower (1.16x) than one fold after the
-   sweep.  The ghost refresh before the sweep is shared with every
-   backend (:func:`~repro.stencil.shift.refresh_ghosts`, which copies a
-   whole buffer's last-axis ghosts one 1-D column at a time); a
-   compiled backend (:mod:`repro.backends.numba_backend`) fuses the
+   checksum is bitwise equal to ``u.sum(axis=0)``.  The compiled fold
+   (:mod:`repro.backends.native`) serves 3D padded interiors, 2D views
+   with unit-stride rows (rank blocks, whose rows are the lanes) and
+   full-width stacked campaign batches (their (z, run) axes form one
+   contiguous axis), for aligned native-byte-order (float32, float64),
+   (float32, float32) and (float64, float64) pairs: ~0.35x
+   ``u.sum(axis=0, dtype=float64)`` on the 512x512x8 tile.  Without
+   it, 3D interiors take the NumPy lane fold (~0.6-0.85x) and the
+   other views the plain reduction.  Folding plane by plane inside the
+   strip loop of point 2 was measured slower (1.16x) than one fold
+   after the sweep.  The ghost refresh before the sweep is shared with
+   every backend (:func:`~repro.stencil.shift.refresh_ghosts`, which
+   copies a whole buffer's last-axis ghosts one 1-D column at a time);
+   a compiled backend (:mod:`repro.backends.numba_backend`) fuses the
    refresh, the sweep and the checksum into one traversal instead.
+
+Without a C compiler, or when the build or load fails, every path
+runs its NumPy code, and :meth:`FusedBackend.compiled_kernels` (``repro
+backends``) names the reason.
 
 The scratch cache is per-thread (``threading.local``) so the threaded
 tile executor can sweep same-shaped tiles concurrently without races.
@@ -67,13 +86,14 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends import native
 from repro.backends.base import Backend
-from repro.stencil.shift import interior_view, shifted_view
-from repro.stencil.spec import StencilSpec
+from repro.stencil.shift import PlanCache, interior_view, shifted_view
+from repro.stencil.spec import StencilSpec, spec_key
 
 __all__ = ["FusedBackend"]
 
@@ -91,6 +111,46 @@ _MAX_CACHED_SCRATCH = 8
 _STRIP = 1 << 15
 
 
+#: Flat-sweep geometries cached before the cache is reset.
+_MAX_CACHED_FLAT_PLANS = 32
+
+_flat_plans = PlanCache(_MAX_CACHED_FLAT_PLANS)
+
+
+class _FlatPlan(NamedTuple):
+    """The flat-stride sweep of one operator over one padded layout."""
+
+    #: First and one past the last flat index of the interior.
+    lo: int
+    hi: int
+    #: Flat displacement and weight (cast to the dtype) of each stencil
+    #: point, in spec order, and the arrays' addresses for the kernel.
+    disp: np.ndarray
+    weights: np.ndarray
+    disp_ptr: int
+    weights_ptr: int
+
+
+def _flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
+    strides = [1] * len(shape)
+    for a in range(len(shape) - 2, -1, -1):
+        strides[a] = strides[a + 1] * shape[a + 1]
+    lo = sum(r * s for r, s in zip(radius, strides))
+    hi = 1 + lo + sum((n - 1) * s for n, s in zip(interior_shape, strides))
+    disp, weights = [], []
+    for offset, weight in spec:
+        for axis, (o, r) in enumerate(zip(offset, radius)):
+            if abs(o) > r:
+                raise ValueError(
+                    f"offset {o} exceeds ghost radius {r} along axis {axis}"
+                )
+        disp.append(sum(o * s for o, s in zip(offset, strides)))
+        weights.append(weight)
+    disp = np.array(disp, dtype=np.intp)
+    weights = np.array(weights, dtype=dtype)
+    return _FlatPlan(lo, hi, disp, weights, disp.ctypes.data, weights.ctypes.data)
+
+
 def _root(a: np.ndarray) -> np.ndarray:
     """The array that owns ``a``'s memory (end of its ``.base`` chain)."""
     while isinstance(a.base, np.ndarray):
@@ -103,8 +163,34 @@ class FusedBackend(Backend):
 
     name = "fused"
 
+    #: The flat sweep and the column fold have a compiled form
+    #: (:mod:`repro.backends.native`); :meth:`compiled_kernels` reports
+    #: the library, or why it is unavailable.
+    compiles_kernels = True
+
     def __init__(self) -> None:
         self._local = threading.local()
+
+    def compiled_kernels(self) -> Tuple[Dict, ...]:
+        """The native flat library's entry (``kind: "flat"``), loaded or not."""
+        return (native.describe(),)
+
+    def warmup(
+        self,
+        spec: StencilSpec,
+        boundary=None,
+        dtype=np.float32,
+        checksum_dtype=np.float64,
+        radius=None,
+        external_axes: Sequence[int] = (),
+        batch_width: int = 0,
+    ) -> None:
+        """Build or load the native flat library before timed work.
+
+        One library serves every operator and layout, so the arguments
+        are not needed.
+        """
+        native.library()
 
     def _cache(self) -> Dict:
         cache: Optional[Dict] = getattr(self._local, "cache", None)
@@ -234,27 +320,20 @@ class FusedBackend(Backend):
 
         Same multiply/add sequence as :meth:`sweep_padded`, per strip
         of the flat range (see the module docstring); overwrites the
-        destination ghost positions inside ``[lo, hi)``.
+        destination ghost positions inside ``[lo, hi)``.  The compiled
+        strip loop runs it when the library is loaded and the pair is
+        native-byte-order float32/float64, aligned, with a writeable
+        destination; otherwise the NumPy strip loop below does (and a
+        read-only destination raises NumPy's ``ValueError``).
         """
         if 0 in interior_shape:
             return
         shape = dst_padded.shape
         dtype = dst_padded.dtype
-        strides = [1] * len(shape)
-        for a in range(len(shape) - 2, -1, -1):
-            strides[a] = strides[a + 1] * shape[a + 1]
-        lo = sum(r * s for r, s in zip(radius, strides))
-        hi = 1 + lo + sum((n - 1) * s for n, s in zip(interior_shape, strides))
-        points = []
-        for offset, weight in spec:
-            d = 0
-            for axis, (o, r, s) in enumerate(zip(offset, radius, strides)):
-                if abs(o) > r:
-                    raise ValueError(
-                        f"offset {o} exceeds ghost radius {r} along axis {axis}"
-                    )
-                d += o * s
-            points.append((d, np.asarray(weight, dtype=dtype)))
+        plan = _flat_plans.get_or_build(
+            (shape, radius, interior_shape, dtype.str, spec_key(spec)),
+            _flat_plan, shape, radius, interior_shape, dtype, spec,
+        )
         src = src_padded.reshape(-1)
         dst = dst_padded.reshape(-1)
         const = (
@@ -262,6 +341,21 @@ class FusedBackend(Backend):
             if constant is None
             else self._padded_constant(constant, shape, radius, dtype)
         )
+        lib = native.library()
+        kernel = None if lib is None else lib.sweep.get(dtype.str)
+        if (
+            kernel is not None
+            and src.flags.aligned
+            and dst.flags.aligned
+            and dst.flags.writeable
+        ):
+            kernel(
+                native.address(src), native.address(dst), plan.lo, plan.hi,
+                len(plan.disp), plan.disp_ptr, plan.weights_ptr,
+                None if const is None else native.address(const),
+            )
+            return
+        lo, hi = plan.lo, plan.hi
         scratch = self._scratch((min(_STRIP, hi - lo),), dtype)
         for a in range(lo, hi, _STRIP):
             b = min(a + _STRIP, hi)
@@ -270,7 +364,7 @@ class FusedBackend(Backend):
             # The running sum: the padded constant's strip before the
             # first point is added, ``out`` afterwards.
             acc = None if const is None else const[a:b]
-            for d, w in points:
+            for d, w in zip(plan.disp.tolist(), plan.weights):
                 view = src[a + d:b + d]
                 if acc is None:
                     np.multiply(view, w, out=out)
@@ -340,24 +434,77 @@ class FusedBackend(Backend):
     ) -> np.ndarray:
         """Checksum of ``u`` along ``axis``, folding whole lanes when it can.
 
-        The lane fold (module docstring, point 3) applies to the axis-0
-        checksum of a padded interior (see :meth:`_lane_planes`): it
-        reduces, over axis 0, the contiguous run of memory from each
-        plane's first interior element to its last, then keeps the
-        interior lanes.  Each lane still adds over x in order, so the
-        result is bitwise equal to ``u.sum(axis=0, dtype=dtype)``.  Any
-        other view takes that reduction directly.
+        The axis-0 checksum folds lanes (module docstring, point 3) for
+        three kinds of view:
+
+        * a 3D padded interior (see :meth:`_lane_planes`): the contiguous
+          run of memory from each plane's first interior element to its
+          last is reduced, ghost lanes included, and the interior lanes
+          are kept;
+        * a 2D view with unit-stride rows and at least two lanes (a rank
+          block), whose rows are the lanes: no gap is read;
+        * a stacked 4D batch interior whose trailing (z, run) axes are
+          one contiguous axis, folded as the 3D interior it then is.
+
+        The compiled fold serves all three when the library is loaded,
+        the view is aligned and the dtype pair is native-byte-order
+        (float32, float64), (float32, float32) or (float64, float64);
+        otherwise a 3D interior takes the NumPy lane fold and the others
+        the plain reduction.  Each lane adds over x in order, so the
+        result is bitwise equal to ``u.sum(axis=0, dtype=dtype)``.  A 4D
+        view of any other kind, or with ``axis=1``, is the per-run
+        checksum of a batch of 3D domains and takes ``u.sum`` as well.
         """
-        planes = self._lane_planes(u) if axis == 0 else None
-        if planes is None:
-            return super().checksum(u, axis, dtype=dtype)
-        n1, n2 = u.shape[1:]
-        row = u.strides[1] // u.itemsize
-        lanes = self._scratch(
-            (n1 * row,), u.dtype if dtype is None else dtype, slot=2
+        if axis == 0 and 0 not in u.shape:
+            folded = self._fold(u, dtype)
+            if folded is not None:
+                return folded
+        if u.ndim == 4 and axis in (0, 1):
+            return u.sum(axis=axis, dtype=dtype)
+        return super().checksum(u, axis, dtype=dtype)
+
+    def _fold(
+        self, u: np.ndarray, dtype: Optional[np.dtype]
+    ) -> Optional[np.ndarray]:
+        """The lane-folded axis-0 checksum of ``u``, or ``None``."""
+        acc = u.dtype if dtype is None else np.dtype(dtype)
+        lib = native.library()
+        kernel = None if lib is None else lib.fold.get((u.dtype.str, acc.str))
+        item = u.itemsize
+        compiled = (
+            kernel is not None and u.flags.aligned and u.strides[0] % item == 0
         )
-        np.add.reduce(planes, axis=0, dtype=dtype, out=lanes[:planes.shape[1]])
-        return lanes.reshape(n1, row)[:, :n2].copy()
+        if u.ndim == 2:
+            n0, n1 = u.shape
+            # One lane would be NumPy's pairwise sum, not a lane fold.
+            if not (
+                compiled and n1 > 1
+                and u.strides[1] == item and u.strides[0] >= n1 * item
+            ):
+                return None
+            out = np.empty(n1, dtype=acc)
+            kernel(
+                native.address(u), n0, u.strides[0] // item, n1, native.address(out)
+            )
+            return out
+        if u.ndim == 4 and not compiled:
+            return None
+        planes = self._lane_planes(u)
+        if planes is None:
+            return None
+        n1 = u.shape[1]
+        row = u.strides[1] // item
+        span = planes.shape[1]
+        lanes = self._scratch((n1 * row,), acc, slot=2)
+        if compiled:
+            kernel(
+                native.address(u), u.shape[0], u.strides[0] // item, span,
+                native.address(lanes),
+            )
+        else:
+            np.add.reduce(planes, axis=0, dtype=dtype, out=lanes[:span])
+        width = span - (n1 - 1) * row
+        return lanes.reshape(n1, row)[:, :width].copy().reshape(u.shape[1:])
 
     @staticmethod
     def _lane_planes(u: np.ndarray) -> Optional[np.ndarray]:
@@ -373,13 +520,22 @@ class FusedBackend(Backend):
         tile is off centre, a middle tile's gap holds two neighbouring
         tiles about as wide as itself), so the fold never reads lanes
         another worker of a tiled runner may be writing.  Contiguous,
-        transposed and negative-stride views fail it too.
+        transposed and negative-stride views fail it too.  A 4D view
+        whose trailing two axes are one contiguous axis (a stacked
+        batch's (z, run) axes) is tested as the 3D view it then is.
         """
-        if u.ndim != 3 or u.dtype.kind != "f" or 0 in u.shape:
-            return None
-        n0, n1, n2 = u.shape
-        s0, s1, s2 = u.strides
         item = u.itemsize
+        if u.ndim == 4 and u.strides[3] == item and u.strides[2] == u.shape[3] * item:
+            shape = u.shape[:2] + (u.shape[2] * u.shape[3],)
+            strides = u.strides[:2] + (item,)
+        elif u.ndim == 3:
+            shape, strides = u.shape, u.strides
+        else:
+            return None
+        if u.dtype.kind != "f" or 0 in shape:
+            return None
+        n0, n1, n2 = shape
+        s0, s1, s2 = strides
         row, rem = divmod(s1, item)
         gap = row - n2
         span = (n1 - 1) * row + n2
@@ -433,8 +589,16 @@ class FusedBackend(Backend):
         checksum_dtype: Optional[np.dtype] = None,
         refresh_axes: Optional[Sequence[int]] = None,
     ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        return self._batch_step_vectorized(
+        """Fused form of :meth:`batch_step_into`: per-run checksums too.
+
+        The checksums go through :meth:`checksum`, so a full-width batch
+        of 3D domains gets the lane fold.
+        """
+        interior = self._batch_step_vectorized(
             src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes, axes=tuple(axes),
-            checksum_dtype=checksum_dtype,
+            constant=constant, refresh_axes=refresh_axes,
         )
+        return interior, {
+            int(a): self.checksum(interior, int(a), dtype=checksum_dtype)
+            for a in axes
+        }

@@ -572,8 +572,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             backend = get_backend(name)
             marker = " (default)" if name == default else ""
             print(f"{name:12s} -> {type(backend).__name__}{marker}")
-            if backend not in seen:
-                seen.append(backend)
+            if backend in seen:
+                continue
+            seen.append(backend)
+            if not backend.compiles_kernels:
+                continue
+            for e in backend.compiled_kernels():
+                if e["kind"] != "flat":
+                    continue
+                if e["reason"]:
+                    print(f"{'':12s}    flat kernels interpreted: {e['reason']}")
+                else:
+                    print(
+                        f"{'':12s}    flat kernels compiled: {e['path']} "
+                        f"({e['compiler']})"
+                    )
         for name, reason in unavailable_backends().items():
             print(f"{name:12s} -> unavailable ({reason})")
         if getattr(args, "kernels", False):
@@ -596,6 +609,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"module{'s' if len(entries) != 1 else ''}"
                 )
                 for e in entries:
+                    if e.get("reason"):
+                        print(f"  {e['kind']:6s} unavailable: {e['reason']}")
+                        continue
                     cached = "disk" if e["from_disk"] else "fresh"
                     print(
                         f"  {e['digest']}  {e['kind']:6s} {cached:5s} "

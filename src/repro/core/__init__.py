@@ -27,8 +27,6 @@ Cavelan & Ciorba (CLUSTER 2019) for arbitrary stencil computations:
     :class:`StepReport` bookkeeping.
 ``thresholds``
     Detection-threshold (ε) selection helpers.
-``layered``
-    Helpers for locating errors in 3D (per-layer) domains.
 """
 
 from repro.core.checksums import (

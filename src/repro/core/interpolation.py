@@ -119,7 +119,7 @@ from repro.stencil.shift import (
     normalize_radius,
     pad_array,
 )
-from repro.stencil.spec import StencilSpec
+from repro.stencil.spec import StencilSpec, spec_key as _spec_key
 
 __all__ = [
     "interpolate_checksum",
@@ -180,20 +180,6 @@ class _ChecksumPlan(NamedTuple):
     #: Reduce-axis offsets ``o_d != 0`` whose strips the terms read.
     shifts: frozenset
     terms: Tuple[Term, ...]
-
-
-def _spec_key(spec) -> tuple:
-    """Hashable identity of an operator, exact to the weight bits.
-
-    A :class:`StencilSpec` is keyed on its offset and weight bytes (its
-    ``==`` is far slower than a bytes compare); any other iterable of
-    ``(offset, weight)`` pairs, such as the batch-extended tuple of the
-    stacked campaign strategy, is frozen into a tuple of pairs — itself
-    a valid operator to build the plan from.
-    """
-    if isinstance(spec, StencilSpec):
-        return (spec.offsets.tobytes(), spec.weights.tobytes())
-    return tuple((tuple(int(o) for o in offset), float(w)) for offset, w in spec)
 
 
 def _other_axes(ndim: int, reduce_axis: int) -> Tuple[int, ...]:
@@ -354,7 +340,7 @@ def _domain_plan(
         radius = normalize_radius(radius, len(interior_shape))
     spec_key = _spec_key(spec)
     if not isinstance(spec, StencilSpec):
-        spec = spec_key
+        spec = spec_key[0]
     key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype, layout)
     plan = _plans.get_or_build(
         key, _build_domain_plan, spec, radius, interior_shape, reduce_axis,

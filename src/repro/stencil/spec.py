@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["StencilPoint", "StencilSpec"]
+__all__ = ["StencilPoint", "StencilSpec", "spec_key"]
 
 
 @dataclass(frozen=True)
@@ -317,3 +317,21 @@ class StencilSpec:
         pts = ", ".join(f"{tuple(int(v) for v in o)}: {w:g}"
                         for o, w in zip(self._offsets, self._weights))
         return f"StencilSpec({{{pts}}})"
+
+
+def spec_key(spec) -> tuple:
+    """Hashable identity of an operator, exact to the weight bits.
+
+    The key of the plan caches that derive geometry from an operator.  A
+    :class:`StencilSpec` is keyed on its offset and weight bytes (its
+    ``==`` is far slower than a bytes compare).  Any other iterable of
+    ``(offset, weight)`` pairs, such as the batch-extended operator of
+    the stacked campaign strategy, is keyed on a tuple of its pairs —
+    ``key[0]``, itself a valid operator to build a plan from — and its
+    weight bytes, since ``0.0 == -0.0`` would make the pairs alone
+    match an operator whose weights differ in the sign bit.
+    """
+    if isinstance(spec, StencilSpec):
+        return (spec.offsets.tobytes(), spec.weights.tobytes())
+    pairs = tuple((tuple(int(o) for o in offset), float(w)) for offset, w in spec)
+    return (pairs, np.array([w for _, w in pairs], dtype=np.float64).tobytes())

@@ -154,3 +154,48 @@ class TestKernelListing:
         assert {e["kind"] for e in entries} == {"sweep", "step"}
         step = next(e for e in entries if e["kind"] == "step")
         assert "external" in step["layout"]
+
+
+class TestFlatKernelState:
+    """`repro backends` names the fused backend's flat kernel state."""
+
+    @staticmethod
+    def _fused_lines(out):
+        lines = out.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("fused "))
+        return lines[i + 1]
+
+    def test_compiled_library_with_path_and_compiler(self, capsys, monkeypatch):
+        from pathlib import Path
+
+        from repro.backends import native
+
+        lib = native.NativeLibrary(
+            path=Path("/cache/native_flat_0123456789abcdef.so"),
+            compiler="cc (Example) 1.2.3",
+            digest="0123456789abcdef",
+            from_disk=True,
+            build_ms=0.0,
+            load_ms=0.2,
+            sweep={},
+            fold={},
+        )
+        monkeypatch.setattr(native, "_state", lib)
+        assert main(["backends"]) == 0
+        line = self._fused_lines(capsys.readouterr().out)
+        assert line.split() == [
+            "flat", "kernels", "compiled:",
+            "/cache/native_flat_0123456789abcdef.so", "(cc", "(Example)", "1.2.3)",
+        ]
+        assert main(["backends", "--kernels"]) == 0
+        assert "0123456789abcdef  flat   disk" in capsys.readouterr().out
+
+    def test_interpreted_with_the_named_reason(self, capsys, monkeypatch):
+        from repro.backends import native
+
+        monkeypatch.setattr(native, "_state", "no `cc` on PATH")
+        assert main(["backends"]) == 0
+        line = self._fused_lines(capsys.readouterr().out)
+        assert line.strip() == "flat kernels interpreted: no `cc` on PATH"
+        assert main(["backends", "--kernels"]) == 0
+        assert "flat   unavailable: no `cc` on PATH" in capsys.readouterr().out

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.checksums import checksum
 from repro.core.interpolation import interpolate_checksum
-from repro.core.layered import split_checksum_by_layer
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.spec import StencilSpec
 from repro.stencil.sweep import sweep
@@ -58,19 +57,6 @@ def test_3d_interpolation_matches_direct_checksum(domain, spec, bc, axis):
     predicted = interpolate_checksum(checksum(domain, axis), domain, spec, bspec, axis)
     np.testing.assert_allclose(predicted, checksum(new_domain, axis),
                                rtol=1e-9, atol=1e-9)
-
-
-@given(domain=domains_3d(), spec=stencil_specs_3d(), bc=boundary_conditions())
-@settings(max_examples=25)
-def test_layered_checksums_consistent_with_full_domain_checksums(domain, spec, bc):
-    """The vectorised all-layer checksum equals the per-layer 2D checksums
-    (the paper's formulation) after a sweep."""
-    bspec = BoundarySpec.uniform(bc, 3)
-    new_domain = sweep(domain, spec, bspec)
-    full = checksum(new_domain, 0)
-    per_layer = split_checksum_by_layer(full)
-    for z, vec in enumerate(per_layer):
-        np.testing.assert_allclose(vec, new_domain[:, :, z].sum(axis=0), rtol=1e-12)
 
 
 @given(domain=domains_3d(), bc=boundary_conditions(),
