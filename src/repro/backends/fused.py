@@ -59,20 +59,21 @@ memory-bound nature of large stencil sweeps:
    the ghost lanes between the rows included), then picks out the
    interior lanes.  Each lane still adds over x in order, so the
    checksum is bitwise equal to ``u.sum(axis=0)``.  The compiled fold
-   (:mod:`repro.backends.native`) serves 3D padded interiors, 2D views
-   with unit-stride rows (rank blocks, whose rows are the lanes) and
-   full-width stacked campaign batches (their (z, run) axes form one
-   contiguous axis), for aligned native-byte-order (float32, float64),
-   (float32, float32) and (float64, float64) pairs: ~0.35x
-   ``u.sum(axis=0, dtype=float64)`` on the 512x512x8 tile.  Without
-   it, 3D interiors take the NumPy lane fold (~0.6-0.85x) and the
-   other views the plain reduction.  Folding plane by plane inside the
-   strip loop of point 2 was measured slower (1.16x) than one fold
-   after the sweep.  The ghost refresh before the sweep is shared with
-   every backend (:func:`~repro.stencil.shift.refresh_ghosts`, which
-   copies a whole buffer's last-axis ghosts one 1-D column at a time);
-   a compiled backend (:mod:`repro.backends.numba_backend`) fuses the
-   refresh, the sweep and the checksum into one traversal instead.
+   (:mod:`repro.backends.native`) serves 3D padded interiors and 2D
+   views with unit-stride rows (rank blocks, whose rows are the lanes),
+   for aligned native-byte-order (float32, float64), (float32, float32)
+   and (float64, float64) pairs: ~0.35x ``u.sum(axis=0,
+   dtype=float64)`` on the 512x512x8 tile, and about half the checksum
+   time of the strided reduction on 256x1024 rank blocks.  Without it,
+   3D interiors take the NumPy lane fold (~0.6-0.85x) and 2D views,
+   like every other view, the plain reduction.  Folding plane by plane
+   inside the strip loop of point 2 was measured slower (1.16x) than
+   one fold after the sweep.  The ghost refresh before the sweep is
+   shared with every backend
+   (:func:`~repro.stencil.shift.refresh_ghosts`, which copies a whole
+   buffer's last-axis ghosts one 1-D column at a time); a compiled
+   backend (:mod:`repro.backends.numba_backend`) fuses the refresh, the
+   sweep and the checksum into one traversal instead.
 
 Without a C compiler, or when the build or load fails, every path
 runs its NumPy code, and :meth:`FusedBackend.compiled_kernels` (``repro
@@ -124,11 +125,9 @@ class _FlatPlan(NamedTuple):
     lo: int
     hi: int
     #: Flat displacement and weight (cast to the dtype) of each stencil
-    #: point, in spec order, and the arrays' addresses for the kernel.
+    #: point, in spec order.
     disp: np.ndarray
     weights: np.ndarray
-    disp_ptr: int
-    weights_ptr: int
 
 
 def _flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
@@ -148,7 +147,7 @@ def _flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
         weights.append(weight)
     disp = np.array(disp, dtype=np.intp)
     weights = np.array(weights, dtype=dtype)
-    return _FlatPlan(lo, hi, disp, weights, disp.ctypes.data, weights.ctypes.data)
+    return _FlatPlan(lo, hi, disp, weights)
 
 
 def _root(a: np.ndarray) -> np.ndarray:
@@ -350,9 +349,9 @@ class FusedBackend(Backend):
             and dst.flags.writeable
         ):
             kernel(
-                native.address(src), native.address(dst), plan.lo, plan.hi,
-                len(plan.disp), plan.disp_ptr, plan.weights_ptr,
-                None if const is None else native.address(const),
+                src.ctypes.data, dst.ctypes.data, plan.lo, plan.hi,
+                len(plan.disp), plan.disp.ctypes.data, plan.weights.ctypes.data,
+                None if const is None else const.ctypes.data,
             )
             return
         lo, hi = plan.lo, plan.hi
@@ -435,33 +434,27 @@ class FusedBackend(Backend):
         """Checksum of ``u`` along ``axis``, folding whole lanes when it can.
 
         The axis-0 checksum folds lanes (module docstring, point 3) for
-        three kinds of view:
+        two kinds of view:
 
         * a 3D padded interior (see :meth:`_lane_planes`): the contiguous
           run of memory from each plane's first interior element to its
           last is reduced, ghost lanes included, and the interior lanes
           are kept;
         * a 2D view with unit-stride rows and at least two lanes (a rank
-          block), whose rows are the lanes: no gap is read;
-        * a stacked 4D batch interior whose trailing (z, run) axes are
-          one contiguous axis, folded as the 3D interior it then is.
+          block), whose rows are the lanes: no gap is read.
 
-        The compiled fold serves all three when the library is loaded,
-        the view is aligned and the dtype pair is native-byte-order
+        The compiled fold serves both when the library is loaded, the
+        view is aligned and the dtype pair is native-byte-order
         (float32, float64), (float32, float32) or (float64, float64);
-        otherwise a 3D interior takes the NumPy lane fold and the others
+        otherwise a 3D interior takes the NumPy lane fold and a 2D view
         the plain reduction.  Each lane adds over x in order, so the
-        result is bitwise equal to ``u.sum(axis=0, dtype=dtype)``.  A 4D
-        view of any other kind, or with ``axis=1``, is the per-run
-        checksum of a batch of 3D domains and takes ``u.sum`` as well.
+        result is bitwise equal to ``u.sum(axis=0, dtype=dtype)``.  Any
+        other view takes that reduction directly.
         """
-        if axis == 0 and 0 not in u.shape:
-            folded = self._fold(u, dtype)
-            if folded is not None:
-                return folded
-        if u.ndim == 4 and axis in (0, 1):
-            return u.sum(axis=axis, dtype=dtype)
-        return super().checksum(u, axis, dtype=dtype)
+        folded = self._fold(u, dtype) if axis == 0 else None
+        if folded is None:
+            return super().checksum(u, axis, dtype=dtype)
+        return folded
 
     def _fold(
         self, u: np.ndarray, dtype: Optional[np.dtype]
@@ -483,28 +476,23 @@ class FusedBackend(Backend):
             ):
                 return None
             out = np.empty(n1, dtype=acc)
-            kernel(
-                native.address(u), n0, u.strides[0] // item, n1, native.address(out)
-            )
+            kernel(u.ctypes.data, n0, u.strides[0] // item, n1, out.ctypes.data)
             return out
-        if u.ndim == 4 and not compiled:
-            return None
         planes = self._lane_planes(u)
         if planes is None:
             return None
-        n1 = u.shape[1]
+        n1, n2 = u.shape[1:]
         row = u.strides[1] // item
         span = planes.shape[1]
         lanes = self._scratch((n1 * row,), acc, slot=2)
         if compiled:
             kernel(
-                native.address(u), u.shape[0], u.strides[0] // item, span,
-                native.address(lanes),
+                u.ctypes.data, u.shape[0], u.strides[0] // item, span,
+                lanes.ctypes.data,
             )
         else:
             np.add.reduce(planes, axis=0, dtype=dtype, out=lanes[:span])
-        width = span - (n1 - 1) * row
-        return lanes.reshape(n1, row)[:, :width].copy().reshape(u.shape[1:])
+        return lanes.reshape(n1, row)[:, :n2].copy()
 
     @staticmethod
     def _lane_planes(u: np.ndarray) -> Optional[np.ndarray]:
@@ -520,22 +508,13 @@ class FusedBackend(Backend):
         tile is off centre, a middle tile's gap holds two neighbouring
         tiles about as wide as itself), so the fold never reads lanes
         another worker of a tiled runner may be writing.  Contiguous,
-        transposed and negative-stride views fail it too.  A 4D view
-        whose trailing two axes are one contiguous axis (a stacked
-        batch's (z, run) axes) is tested as the 3D view it then is.
+        transposed and negative-stride views fail it too.
         """
+        if u.ndim != 3 or u.dtype.kind != "f" or 0 in u.shape:
+            return None
+        n0, n1, n2 = u.shape
+        s0, s1, s2 = u.strides
         item = u.itemsize
-        if u.ndim == 4 and u.strides[3] == item and u.strides[2] == u.shape[3] * item:
-            shape = u.shape[:2] + (u.shape[2] * u.shape[3],)
-            strides = u.strides[:2] + (item,)
-        elif u.ndim == 3:
-            shape, strides = u.shape, u.strides
-        else:
-            return None
-        if u.dtype.kind != "f" or 0 in shape:
-            return None
-        n0, n1, n2 = shape
-        s0, s1, s2 = strides
         row, rem = divmod(s1, item)
         gap = row - n2
         span = (n1 - 1) * row + n2
@@ -589,16 +568,8 @@ class FusedBackend(Backend):
         checksum_dtype: Optional[np.dtype] = None,
         refresh_axes: Optional[Sequence[int]] = None,
     ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        """Fused form of :meth:`batch_step_into`: per-run checksums too.
-
-        The checksums go through :meth:`checksum`, so a full-width batch
-        of 3D domains gets the lane fold.
-        """
-        interior = self._batch_step_vectorized(
+        return self._batch_step_vectorized(
             src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes,
+            constant=constant, refresh_axes=refresh_axes, axes=tuple(axes),
+            checksum_dtype=checksum_dtype,
         )
-        return interior, {
-            int(a): self.checksum(interior, int(a), dtype=checksum_dtype)
-            for a in axes
-        }

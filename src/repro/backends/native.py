@@ -57,7 +57,6 @@ __all__ = [
     "FLAGS",
     "SOURCE",
     "NativeLibrary",
-    "address",
     "describe",
     "library",
     "unavailable_reason",
@@ -165,24 +164,15 @@ def unavailable_reason() -> Optional[str]:
     return _state if isinstance(_state, str) else None
 
 
-def address(a: np.ndarray) -> int:
-    """The address of ``a``'s first element, to pass to a kernel.
-
-    A writeable C-contiguous array exports its buffer to ctypes in
-    ~1 us; ``a.ctypes.data``, which any other view needs, takes ~2.5 us.
-    """
-    if a.flags.writeable and a.flags.c_contiguous:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    return a.ctypes.data
-
-
 def describe() -> Dict:
     """The library as a compiled-kernel stats entry (``kind: "flat"``).
 
     Same keys as the kernel compiler's entries, plus ``compiler`` and
     ``reason``: the library's path and compiler when it loaded, the
     reason it did not otherwise (``path`` and ``compiler`` are then
-    ``None``).
+    ``None``).  ``hits`` and ``misses`` are always 0: they count the
+    compiler's per-(operator, layout) cache lookups, and one library
+    serves every operator and layout without a lookup.
     """
     lib = library()
     kernels = "sweep_f32 sweep_f64 fold_f32_f64 fold_f32_f32 fold_f64_f64"
@@ -198,7 +188,7 @@ def describe() -> Dict:
         "codegen_ms": 0.0,
         "warmup_ms": 0.0,
         "hits": 0,
-        "misses": 1,
+        "misses": 0,
         "compiler": None,
         "reason": unavailable_reason(),
     }

@@ -188,7 +188,10 @@ class TestFlatKernelState:
             "/cache/native_flat_0123456789abcdef.so", "(cc", "(Example)", "1.2.3)",
         ]
         assert main(["backends", "--kernels"]) == 0
-        assert "0123456789abcdef  flat   disk" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0123456789abcdef  flat   disk" in out
+        # No per-(operator, layout) lookups: the flat entry counts none.
+        assert "hits 0  misses 0" in out
 
     def test_interpreted_with_the_named_reason(self, capsys, monkeypatch):
         from repro.backends import native

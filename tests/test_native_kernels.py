@@ -286,41 +286,37 @@ class TestFlatPlanCache:
 CS_DTYPES = [(np.float32, np.float64), (np.float32, None), (np.float64, np.float64)]
 
 
-def _fold_views(rng, kind, shape, radius, dtype, nb):
+def _fold_views(rng, kind, shape, radius, dtype):
     if kind == "3d":
         padded = rng.random(padded_shape(shape, radius))
         return interior_view(padded.astype(dtype), radius)
-    if kind == "2d":
-        padded = rng.random(padded_shape(shape[:2], radius[:2]))
-        return interior_view(padded.astype(dtype), radius[:2])
-    padded = rng.random(padded_shape(shape, radius) + (nb,))
-    return interior_view(padded.astype(dtype), radius + (0,))
+    padded = rng.random(padded_shape(shape[:2], radius[:2]))
+    return interior_view(padded.astype(dtype), radius[:2])
 
 
 class TestCompiledFold:
     @settings(max_examples=200)
     @given(
-        kind=st.sampled_from(["3d", "2d", "4d"]),
+        kind=st.sampled_from(["3d", "2d"]),
         shape=st.tuples(st.integers(1, 40), st.integers(1, 9), st.integers(3, 9)),
         r=st.integers(1, 3),
         dtypes=st.sampled_from(CS_DTYPES),
-        nb=st.integers(1, 5),
         specials=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_bitwise_equal_to_the_axis0_sum(
-        self, lib, kind, shape, r, dtypes, nb, specials, seed
+        self, lib, kind, shape, r, dtypes, specials, seed
     ):
         rng = np.random.default_rng(seed)
         dtype, cs_dtype = dtypes
         radius = (1, 1, r)
-        u = _fold_views(rng, kind, shape, radius, dtype, nb)
+        u = _fold_views(rng, kind, shape, radius, dtype)
         if specials:
             u[rng.integers(0, u.shape[0]), 0] = np.inf
             u[-1, -1] = -0.0
         # The fold applies when the gap between rows is narrower than a
-        # row (3D and 4D) or when a 2D row has two lanes or more.
-        folds = 2 * r < shape[2] if kind != "2d" else shape[1] > 1
+        # row (3D) or when a 2D row has two lanes or more.
+        folds = 2 * r < shape[2] if kind == "3d" else shape[1] > 1
         patch, spies = spy_on(lib.fold)
         with patch:
             got = FusedBackend().checksum(u, 0, dtype=cs_dtype)
@@ -339,34 +335,6 @@ class TestCompiledFold:
             second = fused.checksum(u, 0)
             first[...] = -1.0
             _assert_bitwise(second, u.sum(axis=0))
-
-    def test_stacked_batch_checksums_go_through_checksum(self, lib, rng):
-        """The batched step's axis-0 checksums fold on a full-width pair."""
-        from repro.experiments.common import make_hotspot_app
-
-        grid = make_hotspot_app((10, 9, 6)).build_grid()
-        nb = 4
-        src = np.stack([grid.buffers.front.copy() for _ in range(nb)], axis=-1)
-        src += rng.random(src.shape).astype(src.dtype)
-        dst = np.zeros_like(src)
-        fused = FusedBackend()
-        with mock.patch.object(
-            FusedBackend, "checksum", autospec=True, side_effect=FusedBackend.checksum
-        ) as span:
-            new, cs = fused.batch_step_into_with_checksums(
-                src.copy(), dst, grid.spec, grid.radius, grid.shape,
-                grid.boundary, (0, 1), constant=grid.constant,
-                checksum_dtype=np.float64,
-            )
-        assert span.call_count == 2
-        want_new, want_cs = NumpyBackend().batch_step_into_with_checksums(
-            src.copy(), np.zeros_like(src), grid.spec, grid.radius, grid.shape,
-            grid.boundary, (0, 1), constant=grid.constant,
-            checksum_dtype=np.float64,
-        )
-        _assert_bitwise(np.ascontiguousarray(new), np.ascontiguousarray(want_new))
-        for a in (0, 1):
-            _assert_bitwise(cs[a], want_cs[a])
 
 
 class TestFoldGuards:
@@ -409,16 +377,6 @@ class TestFoldGuards:
     def test_other_dtype_pairs(self, rng):
         assert self._fold(rng.random((20, 8)), np.float32)
         assert self._fold(rng.random((20, 8)).astype(np.float16), np.float32)
-
-    def test_narrower_batch_slices(self, rng):
-        padded = rng.random(padded_shape((8, 7, 6), (1, 1, 1)) + (5,))
-        narrow = interior_view(padded.astype(np.float32)[..., :3], (1, 1, 1, 0))
-        lib = native.library()
-        patch, spies = spy_on({} if lib is None else lib.fold)
-        with patch:
-            got = FusedBackend().checksum(narrow, 0, dtype=np.float64)
-        assert _calls(spies) == 0
-        _assert_bitwise(got, narrow.sum(axis=0, dtype=np.float64))
 
     @pytest.mark.parametrize("parts", [(1, 1, 2), (2, 1, 3)])
     def test_tiles_split_along_the_last_axis(self, rng, parts):
