@@ -17,36 +17,24 @@ the executors produce bit-identical domains and detections under fault
 injection, and emits every measurement as machine-readable JSON
 (``BENCH_backends.json``) so the perf trajectory is tracked across PRs.
 
-Backends run their ``warmup`` hook (JIT compilation / cache load) plus
-one untimed warm-up iteration before any timed loop, so one-off costs
-never contaminate the numbers; the warmup time itself is reported
-separately.  Every emitted metric is defined in the JSON's
-``metric_definitions`` block — one statistic (median over repeats) and
-one baseline convention across all backends.  When the optional
-``numba`` backend is importable, ``--smoke`` additionally gates on it
-beating the ``fused`` backend on the protected 1024² run with a lower
-ABFT overhead.
-
-Two sections cover the stencil kernel compiler specifically: a
-``codegen`` block reporting, per compiling backend and per generated
-kernel module, the code-generation time separately from the first-call
-(JIT compile / cache load) warmup time; and a
-``distributed_external_axis`` block timing the simulated distributed
-runner on an **axis-1 decomposition** — the external-axis ordering the
-old hand-written kernels declined — with the backend's compiled fused
-step versus a forced interpreted step (separate ghost-refresh pass).
-With numba importable, ``--smoke`` gates on the compiled step not being
-slower.
+Backends run their ``warmup`` hook (the fused backend's native
+library build or load) plus one untimed warm-up iteration before any
+timed loop, so one-off costs never contaminate the numbers; the warmup
+time itself is reported separately.  Every emitted metric is defined in
+the JSON's ``metric_definitions`` block — one statistic (median over
+repeats) and one baseline convention across all backends.  A
+``kernels`` block lists each backend's compiled-kernel entries
+(``Backend.compiled_kernels``): the fused backend's native flat
+library, with its path, build and load time, or the reason it is not
+loaded.
 
 Usage::
 
     python benchmarks/bench_backends.py                 # full comparison
     python benchmarks/bench_backends.py --smoke         # CI gate: exit 1 if
                                                         # fused is slower than
-                                                        # numpy, allocates a
-                                                        # full domain per iter,
-                                                        # or numba (if present)
-                                                        # fails its gate
+                                                        # numpy or allocates a
+                                                        # full domain per iter
     python benchmarks/bench_backends.py --size 2048 --iters 20 --exec-workers 4
 """
 
@@ -101,18 +89,13 @@ def build_grid(size: int, backend: str) -> Grid2D:
 def warmup_backend(backend: str) -> float:
     """Run the backend's warmup hook; returns its wall time in ms.
 
-    For the interpreted backends this is a no-op; for JIT backends it
-    compiles (or loads from the on-disk cache) every kernel the
-    benchmark operator needs.  Called once per backend *before* any
-    timed loop — together with the untimed warm-up iteration each
-    timing function performs, this keeps one-off compilation cost out
-    of every reported number.
+    A no-op for ``numpy``; the fused backend builds or loads its native
+    library.  Called once per backend *before* any timed loop — together
+    with the untimed warm-up iteration each timing function performs,
+    this keeps one-off build cost out of every reported number.
     """
     start = time.perf_counter()
-    get_backend(backend).warmup(
-        five_point_diffusion(0.2), BoundaryCondition.clamp(),
-        np.float32, np.float64,
-    )
+    get_backend(backend).warmup()
     return (time.perf_counter() - start) * 1000.0
 
 
@@ -133,72 +116,6 @@ def time_protected_run(backend: str, size: int, iters: int, repeats: int):
             protector.step(grid)
         samples.append((time.perf_counter() - start) / iters * 1000.0)
     return statistics.median(samples), min(samples)
-
-
-def _interpreted_step_proxy(backend):
-    """A view of ``backend`` whose ``step_into*`` take the interpreted path.
-
-    The proxy shares the backend's state (spec caches, kernel compiler)
-    but resolves the step primitives to the :class:`Backend` base
-    implementations — a separate ``refresh_ghosts`` pass followed by the
-    sweep — so the fused compiled step can be timed against the unfused
-    path on identical kernels.
-    """
-    from repro.backends.base import Backend
-
-    cls = type(
-        "_InterpretedSteps",
-        (type(backend),),
-        {
-            "step_into": Backend.step_into,
-            "step_into_with_checksums": Backend.step_into_with_checksums,
-            "supports_fused_step": Backend.supports_fused_step,
-        },
-    )
-    proxy = object.__new__(cls)
-    proxy.__dict__ = backend.__dict__  # shared caches, shared compiler
-    return proxy
-
-
-def time_distributed_external_axis(
-    name: str, size: int, iters: int, repeats: int, axis: int = 1
-) -> dict:
-    """Compiled vs interpreted step on an axis-1 rank decomposition.
-
-    Axis 1 puts the external (halo-ingested) axis *after* the refreshed
-    axis — the layout ordering the old hand-written numba kernels
-    declined, forcing every distributed step onto the interpreted path.
-    The generated kernels compile it like any other layout; this times
-    the protected distributed run both ways on the same backend.
-    """
-    from repro.parallel.simmpi import DistributedStencilRunner
-
-    backend = get_backend(name)
-    out: dict = {"backend": name, "axis": axis, "ranks": 2, "size": size}
-    for label, impl in (
-        ("compiled", backend),
-        ("interpreted", _interpreted_step_proxy(backend)),
-    ):
-        samples = []
-        for _ in range(repeats):
-            grid = build_grid(size, name)
-            runner = DistributedStencilRunner(
-                grid, n_ranks=2, protect=True, backend=impl, axis=axis
-            )
-            runner.step()  # warm-up: channel mailboxes, first checksums
-            start = time.perf_counter()
-            for _ in range(iters):
-                runner.step()
-            samples.append((time.perf_counter() - start) / iters * 1000.0)
-        out[label] = {
-            "ms_per_iter_median": statistics.median(samples),
-            "ms_per_iter_best": min(samples),
-        }
-    out["speedup_best"] = (
-        out["interpreted"]["ms_per_iter_best"]
-        / out["compiled"]["ms_per_iter_best"]
-    )
-    return out
 
 
 def time_raw_sweep(backend: str, size: int, iters: int, repeats: int) -> float:
@@ -413,9 +330,8 @@ def main(argv=None) -> int:
         help=(
             "CI mode: fewer iterations, small executor domain, and exit "
             "non-zero if the fused backend is slower than the numpy "
-            "reference, performs any full-domain allocation per "
-            "protected iteration, or (when numba is importable) the "
-            "numba backend fails to beat fused with lower ABFT overhead"
+            "reference or performs any full-domain allocation per "
+            "protected iteration"
         ),
     )
     args = parser.parse_args(argv)
@@ -460,8 +376,8 @@ def main(argv=None) -> int:
         # "27% overhead yet 0.98x speedup" read as a contradiction.)
         "metric_definitions": {
             "warmup_ms": (
-                "one-off Backend.warmup() wall time (JIT compilation / "
-                "cache load); excluded from every other metric"
+                "one-off Backend.warmup() wall time (native library "
+                "build or load); excluded from every other metric"
             ),
             "sweep_ms": (
                 "median per-iteration wall time of the unprotected sweep "
@@ -490,23 +406,16 @@ def main(argv=None) -> int:
                 "(medians; > 1 means this backend's protected run is "
                 "faster than numpy's)"
             ),
-            "codegen.kernels[].codegen_ms": (
-                "per generated kernel module: plan + emit + source "
-                "materialisation + import time, excluding JIT compilation"
+            "kernels.<backend>[].build_ms": (
+                "compile time of the compiled library in this process "
+                "(0 when it was loaded from the kernel cache)"
             ),
-            "codegen.kernels[].warmup_ms": (
-                "per generated kernel module: first-call time during "
-                "Backend.warmup() — JIT compilation or on-disk cache load"
-            ),
-            "distributed_external_axis.speedup_best": (
-                "interpreted ms_per_iter_best / compiled ms_per_iter_best "
-                "on the axis-1 (previously declined) rank decomposition; "
-                "> 1 means the compiled fused step wins"
+            "kernels.<backend>[].load_ms": (
+                "dlopen time of the compiled library"
             ),
         },
         "backends": {},
-        "codegen": {},
-        "distributed_external_axis": None,
+        "kernels": {},
         "executors": None,
         "gates": {},
     }
@@ -562,30 +471,21 @@ def main(argv=None) -> int:
         }
     print()
 
-    # -- generated-kernel (codegen) report ------------------------------------
+    # -- compiled-kernel report -----------------------------------------------
     for name in names:
-        backend = get_backend(name)
-        if not backend.compiles_kernels:
+        entries = [dict(e) for e in get_backend(name).compiled_kernels()]
+        if not entries:
             continue
-        entries = [dict(e) for e in backend.compiled_kernels()]
-        total_codegen = sum(e["codegen_ms"] for e in entries)
-        total_warmup = sum(e["warmup_ms"] for e in entries)
-        report["codegen"][name] = {
-            "kernels": entries,
-            "total_codegen_ms": total_codegen,
-            "total_warmup_ms": total_warmup,
-        }
-        print(
-            f"{name} codegen: {len(entries)} generated kernel modules — "
-            f"codegen {total_codegen:.2f} ms, first-call (JIT/cache) "
-            f"{total_warmup:.2f} ms"
-        )
+        report["kernels"][name] = entries
         for e in entries:
-            print(
-                f"  {e['digest']}  {e['kind']:5s} codegen "
-                f"{e['codegen_ms']:7.3f} ms  warmup {e['warmup_ms']:8.2f} ms  "
-                f"{e['spec']}"
-            )
+            if e["reason"]:
+                print(f"{name} {e['kind']} kernels interpreted: {e['reason']}")
+            else:
+                print(
+                    f"{name} {e['kind']} kernels compiled: {e['path']} "
+                    f"({'cache' if e['from_disk'] else 'built'}, build "
+                    f"{e['build_ms']:.1f} ms, load {e['load_ms']:.2f} ms)"
+                )
         print()
 
     # -- allocation-regression gate -----------------------------------------
@@ -677,104 +577,6 @@ def main(argv=None) -> int:
             )
             speed_fail = True
 
-    # -- numba JIT gate -------------------------------------------------------
-    # Only armed when the numba backend is importable (and benchmarked):
-    # the compiled per-point fusion must beat the interpreted fused
-    # backend on the protected run AND carry a lower ABFT overhead —
-    # the acceptance criterion of the JIT-backend milestone.  Absent
-    # numba, the benchmark proves graceful degradation instead.
-    numba_fail = False
-    if "numba" in results and "fused" in results:
-        # Same scheduler-noise treatment as the fused-vs-numpy gate
-        # above: the hard failure needs a margin beyond runner jitter
-        # (5% on the best-of timing, 2 percentage points on the
-        # overhead), otherwise warn and pass — on single-core CI
-        # runners parallel=True buys nothing and the margins shrink.
-        numba_best, fused_best = results["numba"][2], results["fused"][2]
-        numba_ov = report["backends"]["numba"]["abft_overhead_pct"]
-        fused_ov = report["backends"]["fused"]["abft_overhead_pct"]
-        beats = numba_best < fused_best
-        lower = numba_ov < fused_ov
-        report["gates"]["numba_beats_fused_protected"] = beats
-        report["gates"]["numba_overhead_below_fused"] = lower
-        if beats:
-            print(
-                f"numba backend beats fused on the protected run: "
-                f"{numba_best:.3f} ms < {fused_best:.3f} ms per iteration "
-                f"(best of {args.repeats})"
-            )
-        elif numba_best < fused_best * 1.05:
-            print(
-                f"WARN: numba backend ({numba_best:.3f} ms) did not beat "
-                f"fused ({fused_best:.3f} ms) but is within the 5% noise "
-                f"band — not failing the gate"
-            )
-        else:
-            print(
-                f"FAIL: numba backend ({numba_best:.3f} ms) is >5% slower "
-                f"than fused ({fused_best:.3f} ms) on the protected run"
-            )
-            numba_fail = True
-        if lower:
-            print(
-                f"numba ABFT overhead below fused: {numba_ov:.1f}% < "
-                f"{fused_ov:.1f}%"
-            )
-        elif numba_ov < fused_ov + 2.0:
-            print(
-                f"WARN: numba ABFT overhead ({numba_ov:.1f}%) is not below "
-                f"fused ({fused_ov:.1f}%) but within the 2-point noise band "
-                f"— not failing the gate"
-            )
-        else:
-            print(
-                f"FAIL: numba ABFT overhead ({numba_ov:.1f}%) exceeds fused "
-                f"({fused_ov:.1f}%) by more than 2 percentage points"
-            )
-            numba_fail = True
-
-    # -- external-axis distributed layout (previously declined) ---------------
-    # Timed on the best compiling backend present (numba), falling back
-    # to the fused backend for the informative numbers; the smoke gate
-    # is armed only for numba, where the fused compiled step exists.
-    dist_fail = False
-    dist_name = "numba" if "numba" in results else (
-        "fused" if "fused" in results else None
-    )
-    if dist_name is not None:
-        dist_size = min(args.size, 256 if args.smoke else 512)
-        dist = time_distributed_external_axis(
-            dist_name, dist_size, max(3, args.iters // 3), args.repeats
-        )
-        report["distributed_external_axis"] = dist
-        comp = dist["compiled"]["ms_per_iter_best"]
-        interp = dist["interpreted"]["ms_per_iter_best"]
-        print(
-            f"\ndistributed axis-1 decomposition ({dist_name}, "
-            f"{dist_size}x{dist_size}, 2 ranks, previously declined): "
-            f"compiled step {comp:.3f} ms vs interpreted {interp:.3f} ms "
-            f"per iteration ({dist['speedup_best']:.2f}x)"
-        )
-        if dist_name == "numba":
-            ok = comp < interp
-            report["gates"]["numba_external_axis_compiled_not_slower"] = ok
-            if ok:
-                print(
-                    "  compiled fused step beats the interpreted path on "
-                    "the external-axis layout"
-                )
-            elif comp < interp * 1.05:
-                print(
-                    "  WARN: compiled step within the 5% noise band of the "
-                    "interpreted path — not failing the gate"
-                )
-            else:
-                print(
-                    "  FAIL: compiled step is >5% slower than the "
-                    "interpreted path on the external-axis layout"
-                )
-                dist_fail = True
-
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -787,10 +589,6 @@ def main(argv=None) -> int:
         if not exec_ok:
             return 1
         if speed_fail:
-            return 1
-        if numba_fail:
-            return 1
-        if dist_fail:
             return 1
     return 0
 

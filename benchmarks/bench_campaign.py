@@ -23,9 +23,7 @@ Four properties are measured and (in ``--smoke`` mode) gated:
   parent-process CPU time cannot see.
 * **Stacked vs replay** — runs/second of the two run strategies on one
   serial-executor engine with ``strategy`` forced, same interleaved
-  chunking.  On the numba backend (CI's JIT matrix job) the stacked leg
-  drives the generated batched ``bstep``/``bstep_cs`` kernels and must
-  beat per-run replay; without numba the section is informational.
+  chunking, on the default backend.  Informational: no gate.
 * **Allocation profile** — tracemalloc peak growth per run after
   warm-up.  The legacy loop allocates a fresh padded buffer pair, a
   protector and full-domain error temporaries per run; the engine's
@@ -279,68 +277,53 @@ def time_stacked_vs_replay(
 
     Both legs run on the *same* serial-executor engine (same persistent
     worker state, same pre-drawn plans), differing only in the forced
-    ``strategy`` — so the ratio isolates the batched-kernel fast path
-    from every other engine win.  The numba backend is selected when
-    available (the CI matrix's JIT job, where the stacked leg drives the
-    generated ``bstep_cs`` kernels); otherwise the default interpreted
-    backend is measured and ``numba_available`` records that the gated
-    configuration was not reachable.
+    ``strategy`` — so the ratio isolates the batched fast path from
+    every other engine win.  Measured on the default backend.
     """
-    from repro.backends import set_default_backend
-    from repro.backends.numba_backend import NUMBA_AVAILABLE
+    app = make_hotspot_app(GATE_TILE)
+    reference = app.reference_solution(iterations)
+    factory = make_protector_factory("online-abft")
 
-    if NUMBA_AVAILABLE:
-        set_default_backend("numba")
+    engine = CampaignEngine(executor="serial")
     try:
-        backend_name = get_backend().name
-        app = make_hotspot_app(GATE_TILE)
-        reference = app.reference_solution(iterations)
-        factory = make_protector_factory("online-abft")
+        def chunk(seed: int, strategy: str) -> float:
+            config = CampaignConfig(
+                iterations=iterations, repetitions=chunk_runs,
+                inject=True, seed=seed,
+            )
+            start = time.perf_counter()
+            result = engine.run(
+                app.build_grid, factory, config, reference=reference,
+                strategy=strategy,
+            )
+            elapsed = time.perf_counter() - start
+            assert result.strategy_counts() == {strategy: chunk_runs}
+            return elapsed
 
-        engine = CampaignEngine(executor="serial")
-        try:
-            def chunk(seed: int, strategy: str) -> float:
-                config = CampaignConfig(
-                    iterations=iterations, repetitions=chunk_runs,
-                    inject=True, seed=seed,
-                )
-                start = time.perf_counter()
-                result = engine.run(
-                    app.build_grid, factory, config, reference=reference,
-                    strategy=strategy,
-                )
-                elapsed = time.perf_counter() - start
-                assert result.strategy_counts() == {strategy: chunk_runs}
-                return elapsed
+        # Warm-up: worker state, the native library load.
+        chunk(900, "replay")
+        chunk(900, "stacked")
 
-            # Warm-up: worker state, kernel compilation/disk-cache loads.
-            chunk(900, "replay")
-            chunk(900, "stacked")
-
-            stacked_rps: List[float] = []
-            replay_rps: List[float] = []
-            ratios: List[float] = []
-            seed = 0
-            for _ in range(repeats):
-                t_stacked = 0.0
-                t_replay = 0.0
-                for _ in range(TIMING_CHUNKS):
-                    t_replay += chunk(seed, "replay")
-                    t_stacked += chunk(seed, "stacked")
-                    seed += chunk_runs
-                total_runs = chunk_runs * TIMING_CHUNKS
-                stacked_rps.append(total_runs / t_stacked)
-                replay_rps.append(total_runs / t_replay)
-                ratios.append(t_replay / t_stacked)
-        finally:
-            engine.shutdown()
+        stacked_rps: List[float] = []
+        replay_rps: List[float] = []
+        ratios: List[float] = []
+        seed = 0
+        for _ in range(repeats):
+            t_stacked = 0.0
+            t_replay = 0.0
+            for _ in range(TIMING_CHUNKS):
+                t_replay += chunk(seed, "replay")
+                t_stacked += chunk(seed, "stacked")
+                seed += chunk_runs
+            total_runs = chunk_runs * TIMING_CHUNKS
+            stacked_rps.append(total_runs / t_stacked)
+            replay_rps.append(total_runs / t_replay)
+            ratios.append(t_replay / t_stacked)
     finally:
-        if NUMBA_AVAILABLE:
-            set_default_backend(None)
+        engine.shutdown()
 
     return {
-        "backend": backend_name,
-        "numba_available": bool(NUMBA_AVAILABLE),
+        "backend": get_backend().name,
         "stacked_runs_per_second": statistics.median(stacked_rps),
         "replay_runs_per_second": statistics.median(replay_rps),
         "stacked_speedup_vs_replay": statistics.median(ratios),
@@ -516,9 +499,8 @@ def main(argv=None) -> int:
                 "median over repeats of (replay chunk time / stacked chunk "
                 "time) on one serial-executor engine with the strategy "
                 "forced per run() call; same interleaved-chunk scheme as "
-                "engine_speedup_vs_legacy.  Measured on the numba backend "
-                "when importable (the batched bstep_cs kernels), else on "
-                "the default backend with numba_available=false"
+                "engine_speedup_vs_legacy, on the default backend; "
+                "informational, not gated"
             ),
             "alloc_bytes_per_run": (
                 "tracemalloc peak growth of a traced steady-state "
@@ -534,7 +516,7 @@ def main(argv=None) -> int:
         },
         "equivalence": {},
         "throughput": {},
-        "stacked_numba": {},
+        "stacked_vs_replay": {},
         "allocations": {},
         "gates": {},
     }
@@ -569,11 +551,10 @@ def main(argv=None) -> int:
     )
 
     stacked = time_stacked_vs_replay(args.iters, args.chunk_runs, args.repeats)
-    report["stacked_numba"] = stacked
+    report["stacked_vs_replay"] = stacked
     stacked_speedup = stacked["stacked_speedup_vs_replay"]
     print(
-        f"stacked vs replay ({stacked['backend']} backend"
-        f"{'' if stacked['numba_available'] else ', numba unavailable'}): "
+        f"stacked vs replay ({stacked['backend']} backend, informational): "
         f"stacked {stacked['stacked_runs_per_second']:.1f} runs/s vs "
         f"replay {stacked['replay_runs_per_second']:.1f} runs/s -> "
         f"{stacked_speedup:.2f}x (per-repeat "
@@ -594,11 +575,6 @@ def main(argv=None) -> int:
     alloc_ok = allocations["engine_zero_full_domain_allocs_per_run"]
     speed_floor = SPEEDUP_SMOKE_FLOOR if args.smoke else SPEEDUP_REQUIRED
     speed_ok = speedup >= speed_floor
-    # The 1.5x stacked-vs-replay criterion names the numba backend's
-    # batched kernels; when numba is not importable the section is
-    # informational and the gate passes vacuously.
-    stacked_gated = bool(stacked["numba_available"])
-    stacked_ok = (not stacked_gated) or stacked_speedup >= speed_floor
     report["gates"] = {
         "record_equivalence": equiv_ok,
         "engine_zero_full_domain_allocs_per_run": bool(alloc_ok),
@@ -607,12 +583,6 @@ def main(argv=None) -> int:
         "speedup_passes_floor": bool(speed_ok),
         "speedup_meets_committed_requirement": bool(
             speedup >= SPEEDUP_REQUIRED
-        ),
-        "stacked_numba_speedup_vs_replay": stacked_speedup,
-        "stacked_numba_gate_applied": stacked_gated,
-        "stacked_numba_passes_floor": bool(stacked_ok),
-        "stacked_numba_meets_committed_requirement": bool(
-            stacked_gated and stacked_speedup >= SPEEDUP_REQUIRED
         ),
     }
 
@@ -624,28 +594,6 @@ def main(argv=None) -> int:
         print("engine performs zero full-domain allocations per run after warm-up")
     else:
         print("FAIL: engine allocated full-domain temporaries per run")
-    if not stacked_gated:
-        print(
-            f"stacked vs replay measured on the {stacked['backend']} "
-            f"backend (numba unavailable here; the {SPEEDUP_REQUIRED}x "
-            f"kernel gate applies in the numba CI job)"
-        )
-    elif stacked_speedup >= SPEEDUP_REQUIRED:
-        print(
-            f"numba stacked beats replay by {stacked_speedup:.2f}x "
-            f"(requirement {SPEEDUP_REQUIRED}x)"
-        )
-    elif stacked_ok:
-        print(
-            f"WARN: numba stacked speedup {stacked_speedup:.2f}x is below "
-            f"the committed {SPEEDUP_REQUIRED}x requirement but above the "
-            f"smoke floor {speed_floor}x — shared-runner noise band"
-        )
-    else:
-        print(
-            f"FAIL: numba stacked speedup {stacked_speedup:.2f}x below "
-            f"the {speed_floor}x floor"
-        )
     if speedup >= SPEEDUP_REQUIRED:
         print(f"engine beats the legacy loop by {speedup:.2f}x (requirement {SPEEDUP_REQUIRED}x)")
     elif speed_ok:
@@ -666,7 +614,7 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"\nmachine-readable results written to {args.json}")
 
-    if args.smoke and not (equiv_ok and alloc_ok and speed_ok and stacked_ok):
+    if args.smoke and not (equiv_ok and alloc_ok and speed_ok):
         return 1
     return 0
 

@@ -18,44 +18,24 @@ ship built in:
     C compiler) wherever ``cc`` exists.  Bitwise-identical results to
     ``numpy``.
 
-A third backend is gated on an optional dependency:
-
-``numba``
-    JIT-compiled per-point fusion: kernels **generated** by the stencil
-    kernel compiler (:mod:`repro.backends.codegen`) from the spec's
-    offset table plus the grid layout, compiled with
-    ``@njit(cache=True, parallel=True)``.  One traversal refreshes
-    ghost cells, sweeps into the back buffer and accumulates both
-    checksum vectors per point (the true fusion the ``fused`` backend's
-    docstring defers to a compiled loop), and the halo plan covers
-    *every* layout — boundary mixes, external-axis orderings, degenerate
-    periodic wraps — so nothing ever falls back to an interpreted step.
-    Registered only when ``numba`` is importable (the sole availability
-    condition); otherwise it is listed as unavailable
-    (``repro backends``) and selecting it raises a message explaining
-    how to enable it.  ``repro backends --kernels`` lists the generated
-    kernel cache.
-
 All built-ins also implement the zero-copy ``sweep_into`` primitive
 (write the new step directly into the interior of a second persistent
 padded buffer), which the double-buffered grids use to eliminate the
 former per-iteration full-domain copy; backends that only provide
 ``sweep_padded`` fall back to sweep-then-copy transparently.  Grids
 drive whole iterations through the backend-owned ``step_into*``
-primitives (ghost refresh included — see ``Backend.supports_fused_step``),
-so a backend that fuses the refresh into its compiled sweep is used
-automatically.
+primitives (ghost refresh included), so a backend that fuses the
+refresh into its own sweep only has to override those.
 
 Select a backend with the ``backend=`` keyword accepted throughout the
 stack (grids, sweeps, protectors, the tiled runner), the
 ``REPRO_BACKEND`` environment variable, or the CLI's ``--backend`` flag.
-The ROADMAP's planned process-parallel and GPU backends plug into the
-same registry.
+Third-party backends join the same registry through
+:func:`~repro.backends.registry.register_backend`.
 """
 
 from repro.backends.base import Backend, ChecksumMap
 from repro.backends.fused import FusedBackend
-from repro.backends.numba_backend import NUMBA_AVAILABLE, UNAVAILABLE_REASON
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.registry import (
     BUILTIN_DEFAULT,
@@ -64,9 +44,7 @@ from repro.backends.registry import (
     default_backend_name,
     get_backend,
     register_backend,
-    register_unavailable_backend,
     set_default_backend,
-    unavailable_backends,
 )
 
 __all__ = [
@@ -74,13 +52,10 @@ __all__ = [
     "ChecksumMap",
     "NumpyBackend",
     "FusedBackend",
-    "NUMBA_AVAILABLE",
     "ENV_VAR",
     "BUILTIN_DEFAULT",
     "register_backend",
-    "register_unavailable_backend",
     "available_backends",
-    "unavailable_backends",
     "get_backend",
     "set_default_backend",
     "default_backend_name",
@@ -88,10 +63,3 @@ __all__ = [
 
 register_backend(NumpyBackend(), aliases=("reference",))
 register_backend(FusedBackend())
-if NUMBA_AVAILABLE:
-    from repro.backends.numba_backend import NumbaBackend
-
-    __all__.append("NumbaBackend")
-    register_backend(NumbaBackend())
-else:
-    register_unavailable_backend("numba", UNAVAILABLE_REASON)

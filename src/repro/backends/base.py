@@ -29,10 +29,8 @@ reproduction is built on:
     destination interior and (for the fused form) accumulate the
     row/column checksums.  The base implementation simply runs
     :func:`repro.stencil.shift.refresh_ghosts` followed by
-    ``sweep_into*``; a backend that *owns* its ghost refresh — e.g. a
-    JIT backend whose compiled kernel fills ghost values and checksums
-    in the same traversal that sweeps — overrides these and advertises
-    it through :meth:`supports_fused_step`.  Either way the source
+    ``sweep_into*``; a backend that fills its ghost cells in the same
+    traversal that sweeps overrides these.  Either way the source
     buffer's halo holds the boundary condition afterwards, because the
     ABFT protectors read it for the Theorem-1 α/β terms.
 
@@ -58,39 +56,10 @@ import numpy as np
 
 from repro.stencil.spec import StencilSpec
 
-__all__ = [
-    "Backend",
-    "ChecksumMap",
-    "interpreted_step_counts",
-    "reset_interpreted_step_counts",
-]
+__all__ = ["Backend", "ChecksumMap"]
 
 #: ``{reduce_axis: checksum_vector}`` as produced by the fused sweep.
 ChecksumMap = Dict[int, np.ndarray]
-
-#: Per-backend count of steps that took the *interpreted* path — the
-#: base ``step_into*`` implementations below (separate
-#: ``refresh_ghosts`` pass + sweep) rather than a backend-owned fused
-#: step.  CI uses this to assert that a compiled backend never silently
-#: falls back: run the suite with ``REPRO_ASSERT_COMPILED_STEPS=numba``
-#: and the session hook in ``tests/conftest.py`` fails if the named
-#: backend recorded any interpreted step.
-_INTERPRETED_STEPS: Dict[str, int] = {}
-
-
-def interpreted_step_counts() -> Dict[str, int]:
-    """Snapshot of ``{backend name: interpreted step count}``."""
-    return dict(_INTERPRETED_STEPS)
-
-
-def reset_interpreted_step_counts() -> None:
-    """Clear the interpreted-step counters (test isolation)."""
-    _INTERPRETED_STEPS.clear()
-
-
-def _record_interpreted_step(backend: "Backend") -> None:
-    name = getattr(backend, "name", "abstract")
-    _INTERPRETED_STEPS[name] = _INTERPRETED_STEPS.get(name, 0) + 1
 
 
 class _BatchedSpecView:
@@ -338,34 +307,30 @@ class Backend(ABC):
         }
         return interior, checksums
 
-    # -- backend-owned full steps (ghost refresh + sweep [+ checksums]) -----
-    def supports_fused_step(
-        self, spec: StencilSpec, boundary, radius, interior_shape: Sequence[int]
-    ) -> bool:
-        """Whether ``step_into*`` fuses the ghost refresh into the sweep.
-
-        ``False`` (the default) means the base implementations below run
-        the separate :func:`~repro.stencil.shift.refresh_ghosts` pass
-        before sweeping — still correct, just not a single traversal.
-        The answer is per configuration only so a backend can report
-        what it *does* for a layout; the built-in compiled backend
-        generates a kernel for every layout and always answers ``True``.
-        """
-        return False
-
-    #: Whether this backend generates/compiles kernels (and therefore
-    #: has something to report from :meth:`compiled_kernels`).
-    compiles_kernels: bool = False
-
     def compiled_kernels(self) -> Tuple[Dict, ...]:
-        """Stats for the backend's compiled-kernel cache entries.
+        """One dict per compiled library the backend runs.
 
-        Interpreted backends have none and return an empty tuple; a
-        compiling backend returns one dict per generated kernel module
-        (signature, codegen/warmup time, hit counts...) — surfaced by
-        ``repro backends --kernels`` and the backend benchmark.
+        Interpreted backends have none and return an empty tuple; the
+        ``fused`` backend returns its native flat library's entry
+        (:func:`repro.backends.native.describe`).  ``repro backends``
+        and the backend benchmark report these.
         """
         return ()
+
+    # -- backend-owned full steps (ghost refresh + sweep [+ checksums]) -----
+    @staticmethod
+    def _check_pair(src_padded: np.ndarray, dst_padded: np.ndarray) -> None:
+        """A step's source must be laid out like its destination.
+
+        ``sweep_into`` validates the destination's shape, but the step
+        refreshes the source's ghosts first: a wider or narrower source
+        would be refreshed and swept through the wrong cells.
+        """
+        if src_padded.shape != dst_padded.shape:
+            raise ValueError(
+                f"src_padded has shape {src_padded.shape}, expected the "
+                f"dst_padded shape {dst_padded.shape}"
+            )
 
     def step_into(
         self,
@@ -399,7 +364,7 @@ class Backend(ABC):
         """
         from repro.stencil.shift import refresh_ghosts
 
-        _record_interpreted_step(self)
+        self._check_pair(src_padded, dst_padded)
         refresh_ghosts(src_padded, radius, boundary, axes=refresh_axes)
         return self.sweep_into(
             src_padded, dst_padded, spec, radius, interior_shape, constant=constant
@@ -421,14 +386,13 @@ class Backend(ABC):
         """Fused form of :meth:`step_into`: also checksum the new interior.
 
         This is the whole protected iteration as one backend-owned
-        operation — the primitive a JIT backend compiles into a single
-        traversal of the pair (ghost refresh, sweep and per-point
-        checksum accumulation in one pass).  ``refresh_axes`` restricts
-        the refresh exactly as in :meth:`step_into`.
+        operation (ghost refresh, sweep and checksums).
+        ``refresh_axes`` restricts the refresh exactly as in
+        :meth:`step_into`.
         """
         from repro.stencil.shift import refresh_ghosts
 
-        _record_interpreted_step(self)
+        self._check_pair(src_padded, dst_padded)
         refresh_ghosts(src_padded, radius, boundary, axes=refresh_axes)
         return self.sweep_into_with_checksums(
             src_padded,
@@ -503,10 +467,8 @@ class Backend(ABC):
         stepped exactly like :meth:`step_into` on ``[..., b]`` views —
         ghost refresh from ``boundary`` included, constant shared across
         runs — and must come out bit-identical to that single-run call.
-        This is the campaign engine's stacked fast path: compiled
-        backends override it with one generated ``bstep`` traversal
-        (outer ``prange`` over runs); the base implementation is the
-        always-correct loop over slots.
+        This is the campaign engine's stacked fast path; the base
+        implementation is the always-correct loop over slots.
 
         Returns the batched destination interior view
         (``interior_shape + (nb,)``).
@@ -566,6 +528,7 @@ class Backend(ABC):
                 axes,
                 constant=constant,
                 checksum_dtype=checksum_dtype,
+                refresh_axes=refresh_axes,
             )
             for a in axes:
                 per_axis[a].append(cs[a])
@@ -606,7 +569,6 @@ class Backend(ABC):
         radius, interior_shape, nb = self._batch_geometry(
             src_padded, dst_padded, radius, interior_shape, constant
         )
-        _record_interpreted_step(self)
         ndim = len(interior_shape)
         ext_radius = radius + (0,)
         ext_shape = interior_shape + (nb,)
@@ -636,28 +598,13 @@ class Backend(ABC):
         }
         return interior, checksums
 
-    def warmup(
-        self,
-        spec: StencilSpec,
-        boundary=None,
-        dtype=np.float32,
-        checksum_dtype=np.float64,
-        radius=None,
-        external_axes: Sequence[int] = (),
-        batch_width: int = 0,
-    ) -> None:
-        """Prepare the backend for an operator before timing-sensitive work.
+    def warmup(self) -> None:
+        """Prepare the backend before timing-sensitive work.
 
-        A no-op by default.  JIT backends override this to trigger (or
-        load from the on-disk cache) the compilation of every kernel the
-        operator will need, so the one-off compile cost never lands
-        inside a benchmark loop or a worker process mid-run.  ``radius``
-        and ``external_axes`` describe the buffer layout the caller will
-        step (ghost width beyond the stencil radius; distributed axes
-        whose halo arrives from neighbours) so layout-specialized
-        kernels can be prepared as well, and ``batch_width > 0`` the
-        batched campaign kernels (``bstep``/``bstep_cs``) at that run-axis
-        width.
+        A no-op by default.  A backend that builds or loads compiled
+        code overrides this to do it up front, so the one-off cost
+        never lands inside a benchmark loop; called before a process
+        pool forks, it also keeps that cost out of every worker.
         """
 
     def __repr__(self) -> str:

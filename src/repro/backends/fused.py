@@ -71,9 +71,8 @@ memory-bound nature of large stencil sweeps:
    one fold after the sweep.  The ghost refresh before the sweep is
    shared with every backend
    (:func:`~repro.stencil.shift.refresh_ghosts`, which copies a whole
-   buffer's last-axis ghosts one 1-D column at a time); a compiled
-   backend (:mod:`repro.backends.numba_backend`) fuses the refresh, the
-   sweep and the checksum into one traversal instead.
+   buffer's last-axis ghosts one 1-D column at a time), so the refresh,
+   the sweep and the fold remain three passes over the buffer.
 
 Without a C compiler, or when the build or load fails, every path
 runs its NumPy code, and :meth:`FusedBackend.compiled_kernels` (``repro
@@ -162,11 +161,6 @@ class FusedBackend(Backend):
 
     name = "fused"
 
-    #: The flat sweep and the column fold have a compiled form
-    #: (:mod:`repro.backends.native`); :meth:`compiled_kernels` reports
-    #: the library, or why it is unavailable.
-    compiles_kernels = True
-
     def __init__(self) -> None:
         self._local = threading.local()
 
@@ -174,21 +168,8 @@ class FusedBackend(Backend):
         """The native flat library's entry (``kind: "flat"``), loaded or not."""
         return (native.describe(),)
 
-    def warmup(
-        self,
-        spec: StencilSpec,
-        boundary=None,
-        dtype=np.float32,
-        checksum_dtype=np.float64,
-        radius=None,
-        external_axes: Sequence[int] = (),
-        batch_width: int = 0,
-    ) -> None:
-        """Build or load the native flat library before timed work.
-
-        One library serves every operator and layout, so the arguments
-        are not needed.
-        """
+    def warmup(self) -> None:
+        """Build or load the native flat library before timed work."""
         native.library()
 
     def _cache(self) -> Dict:

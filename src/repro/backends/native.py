@@ -18,10 +18,9 @@ arguments.
     ``+0.0`` here too).
 
 The library is built once per machine with ``cc`` (:data:`FLAGS`) into
-the kernel cache directory
-(:func:`~repro.backends.codegen.compiler.default_cache_dir`, which
-honours ``REPRO_KERNEL_CACHE_DIR``) and loaded with :mod:`ctypes`, once
-per process, under a lock.  Its file name is a digest of the source,
+the kernel cache directory (:func:`default_cache_dir`, which honours
+``REPRO_KERNEL_CACHE_DIR``) and loaded with :mod:`ctypes`, once per
+process, under a lock.  Its file name is a digest of the source,
 the compiler's ``--version`` line, the flags and the CPU's feature
 flags, so a cache shared between machines never loads a binary built
 for another CPU.  A cold build took 0.3 s and a load 0.2 ms on a 2-core
@@ -50,17 +49,20 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backends.codegen.compiler import default_cache_dir
-
 __all__ = [
     "BLOCK",
+    "CACHE_DIR_ENV_VAR",
     "FLAGS",
     "SOURCE",
     "NativeLibrary",
+    "default_cache_dir",
     "describe",
     "library",
     "unavailable_reason",
 ]
+
+#: Environment variable overriding the on-disk kernel cache directory.
+CACHE_DIR_ENV_VAR = "REPRO_KERNEL_CACHE_DIR"
 
 #: Elements per block of the compiled sweep: every stencil point is
 #: applied to one block of the output before the next block starts, so
@@ -164,43 +166,45 @@ def unavailable_reason() -> Optional[str]:
     return _state if isinstance(_state, str) else None
 
 
-def describe() -> Dict:
-    """The library as a compiled-kernel stats entry (``kind: "flat"``).
+def default_cache_dir() -> Path:
+    """``$REPRO_KERNEL_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro/kernels``.
 
-    Same keys as the kernel compiler's entries, plus ``compiler`` and
-    ``reason``: the library's path and compiler when it loaded, the
-    reason it did not otherwise (``path`` and ``compiler`` are then
-    ``None``).  ``hits`` and ``misses`` are always 0: they count the
-    compiler's per-(operator, layout) cache lookups, and one library
-    serves every operator and layout without a lookup.
+    ``XDG_CACHE_HOME`` defaults to ``~/.cache``.
+    """
+    env = os.environ.get(CACHE_DIR_ENV_VAR)
+    if env:
+        return Path(env)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path.home() / ".cache"
+    return base / "repro" / "kernels"
+
+
+def describe() -> Dict:
+    """The library's state as one entry (``kind: "flat"``).
+
+    ``path`` and ``compiler`` name the loaded library, ``from_disk``
+    says whether it came from the cache, and ``build_ms`` / ``load_ms``
+    time the compile (0 for a cached library) and the ``dlopen``.  When
+    the library is unavailable, ``reason`` says why and the other
+    fields are ``None``, ``False`` and 0.
     """
     lib = library()
-    kernels = "sweep_f32 sweep_f64 fold_f32_f64 fold_f32_f32 fold_f64_f64"
     entry = {
-        "signature": f"flat[{kernels}]",
-        "digest": "",
-        "spec": "any (displacements and weights are call arguments)",
-        "layout": "",
         "kind": "flat",
         "path": None,
-        "jit": False,
-        "from_disk": False,
-        "codegen_ms": 0.0,
-        "warmup_ms": 0.0,
-        "hits": 0,
-        "misses": 0,
         "compiler": None,
         "reason": unavailable_reason(),
+        "from_disk": False,
+        "build_ms": 0.0,
+        "load_ms": 0.0,
     }
     if lib is not None:
         entry.update(
-            digest=lib.digest,
             path=str(lib.path),
-            jit=True,
-            from_disk=lib.from_disk,
-            codegen_ms=round(lib.build_ms, 3),
-            warmup_ms=round(lib.load_ms, 3),
             compiler=lib.compiler,
+            from_disk=lib.from_disk,
+            build_ms=round(lib.build_ms, 3),
+            load_ms=round(lib.load_ms, 3),
         )
     return entry
 

@@ -31,9 +31,7 @@ __all__ = [
     "ENV_VAR",
     "BUILTIN_DEFAULT",
     "register_backend",
-    "register_unavailable_backend",
     "available_backends",
-    "unavailable_backends",
     "get_backend",
     "set_default_backend",
     "default_backend_name",
@@ -46,8 +44,6 @@ ENV_VAR = "REPRO_BACKEND"
 BUILTIN_DEFAULT = "fused"
 
 _REGISTRY: Dict[str, Backend] = {}
-#: Known backend names whose optional dependency is missing: name -> reason.
-_UNAVAILABLE: Dict[str, str] = {}
 _DEFAULT_OVERRIDE: Optional[str] = None
 
 #: Anything accepted where a backend is expected: a registry name, a
@@ -63,34 +59,12 @@ def register_backend(backend: Backend, aliases: Tuple[str, ...] = ()) -> Backend
     """
     for name in (backend.name, *aliases):
         _REGISTRY[str(name)] = backend
-        _UNAVAILABLE.pop(str(name), None)
     return backend
-
-
-def register_unavailable_backend(name: str, reason: str) -> None:
-    """Record a *known* backend whose optional dependency is missing.
-
-    Optional backends (JIT, GPU) call this instead of
-    :func:`register_backend` when their import gate fails, so the CLI
-    can list them as unavailable (with the reason) and
-    :func:`get_backend` can raise a message that says how to enable
-    them rather than pretending the name does not exist.  A later
-    successful :func:`register_backend` of the same name clears the
-    entry.
-    """
-    name = str(name)
-    if name not in _REGISTRY:
-        _UNAVAILABLE[name] = str(reason)
 
 
 def available_backends() -> Tuple[str, ...]:
     """Sorted names of all registered backends."""
     return tuple(sorted(_REGISTRY))
-
-
-def unavailable_backends() -> Dict[str, str]:
-    """Known-but-unavailable backend names mapped to the reason."""
-    return dict(sorted(_UNAVAILABLE.items()))
 
 
 def default_backend_name() -> str:
@@ -127,10 +101,6 @@ def get_backend(spec: BackendLike = None) -> Backend:
     try:
         return _REGISTRY[name]
     except KeyError:
-        if name in _UNAVAILABLE:
-            raise KeyError(
-                f"backend {name!r} is unavailable: {_UNAVAILABLE[name]}"
-            ) from None
         raise KeyError(
             f"unknown backend {name!r}; available: {list(available_backends())}"
         ) from None

@@ -9,7 +9,7 @@ Regenerates the paper's tables and figures from the command line::
     python -m repro figure11
     python -m repro sensitivity
     python -m repro all --scale quick
-    python -m repro backends --kernels --json
+    python -m repro backends --json
     python -m repro distributed --ranks 4 --iters 50
     python -m repro distributed --ranks 4 --crash-rank 1 --crash-iter 20
     python -m repro campaign --tile 64 64 8 --repetitions 50 --executor process
@@ -36,7 +36,6 @@ from repro.backends import (
     default_backend_name,
     get_backend,
     set_default_backend,
-    unavailable_backends,
 )
 from repro.parallel.executor import (
     available_executors,
@@ -143,20 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     backends_cmd = subparsers.add_parser(
         "backends",
-        help="list compute backends, including optional ones that are "
-        "unavailable in this environment (e.g. numba without the package)",
-    )
-    backends_cmd.add_argument(
-        "--kernels",
-        action="store_true",
-        help="also list the compiled-kernel cache of every compiling "
-        "backend (spec/layout signature, codegen + warmup time, hits)",
+        help="list compute backends and the compiled kernels each runs "
+        "(or why they are not loaded)",
     )
     backends_cmd.add_argument(
         "--json",
         action="store_true",
-        help="with --kernels, dump the cache entries as JSON (full "
-        "untruncated signatures, machine-readable)",
+        help="print {backend: [compiled-kernel entries]} as JSON instead",
     )
     subparsers.add_parser(
         "executors", help="list the available tile executors"
@@ -560,73 +552,42 @@ def _run_campaign_cli(args) -> int:
     return 0
 
 
+def _list_backends(as_json: bool) -> int:
+    """``repro backends``: each backend and its compiled-kernel entries."""
+    default = default_backend_name()
+    kernels: Dict[str, list] = {}
+    lines = []
+    for name in available_backends():
+        backend = get_backend(name)
+        marker = " (default)" if name == default else ""
+        lines.append(f"{name:12s} -> {type(backend).__name__}{marker}")
+        if backend.name in kernels:
+            continue
+        kernels[backend.name] = entries = [
+            dict(e) for e in backend.compiled_kernels()
+        ]
+        for e in entries:
+            if e["reason"]:
+                state = f"interpreted: {e['reason']}"
+            else:
+                state = f"compiled: {e['path']} ({e['compiler']})"
+            lines.append(f"{'':12s}    {e['kind']} kernels {state}")
+    if as_json:
+        import json
+
+        print(json.dumps(kernels, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "backends":
-        default = default_backend_name()
-        seen = []
-        for name in available_backends():
-            backend = get_backend(name)
-            marker = " (default)" if name == default else ""
-            print(f"{name:12s} -> {type(backend).__name__}{marker}")
-            if backend in seen:
-                continue
-            seen.append(backend)
-            if not backend.compiles_kernels:
-                continue
-            for e in backend.compiled_kernels():
-                if e["kind"] != "flat":
-                    continue
-                if e["reason"]:
-                    print(f"{'':12s}    flat kernels interpreted: {e['reason']}")
-                else:
-                    print(
-                        f"{'':12s}    flat kernels compiled: {e['path']} "
-                        f"({e['compiler']})"
-                    )
-        for name, reason in unavailable_backends().items():
-            print(f"{name:12s} -> unavailable ({reason})")
-        if getattr(args, "kernels", False):
-            compiling = [b for b in seen if b.compiles_kernels]
-            if getattr(args, "json", False):
-                import json
-
-                payload = {
-                    b.name: [dict(e) for e in b.compiled_kernels()]
-                    for b in compiling
-                }
-                print(json.dumps(payload, indent=2, sort_keys=True))
-                return 0
-            if not compiling:
-                print("\nno compiling backends registered")
-            for backend in compiling:
-                entries = backend.compiled_kernels()
-                print(
-                    f"\n{backend.name}: {len(entries)} compiled kernel "
-                    f"module{'s' if len(entries) != 1 else ''}"
-                )
-                for e in entries:
-                    if e.get("reason"):
-                        print(f"  {e['kind']:6s} unavailable: {e['reason']}")
-                        continue
-                    cached = "disk" if e["from_disk"] else "fresh"
-                    print(
-                        f"  {e['digest']}  {e['kind']:6s} {cached:5s} "
-                        f"codegen {e['codegen_ms']:.2f} ms  "
-                        f"warmup {e['warmup_ms']:.2f} ms  "
-                        f"hits {e['hits']}  misses {e['misses']}"
-                    )
-                    # Full signatures, never truncated: the digest above
-                    # is only a 16-char hash prefix, so the complete
-                    # cache-key identity (spec + layout) is spelled out
-                    # per entry.
-                    print(f"    spec   {e['spec']}")
-                    if e["layout"]:
-                        print(f"    layout {e['layout']}")
-        return 0
+        return _list_backends(args.json)
 
     if args.command == "distributed":
         if args.backend is None:

@@ -37,32 +37,31 @@ Two run strategies share that lifecycle:
     The universal strategy: the persistent protector drives the
     persistent grid through ``Protector.run`` exactly as the legacy loop
     does, stepping through the backend-owned fused
-    ``step_into_with_checksums`` path — so a compiled backend (numba)
-    accelerates campaigns the same way it accelerates single runs.
-    Bitwise-identical to the legacy loop by construction (same code
-    path).  Used for the offline protector (checkpoint/rollback state),
-    custom protectors, custom inject hooks, and non-domain fault
-    targets (checksum/ghost/payload strikes must replay the exact
-    machinery they attack; fail-stop crash plans additionally route to
-    the distributed runner's buddy-checkpoint recovery path).
+    ``step_into_with_checksums`` path — so whatever speeds up a single
+    run speeds up campaigns the same way.  Bitwise-identical to the
+    legacy loop by construction (same code path).  Used for the offline
+    protector (checkpoint/rollback state), custom protectors, custom
+    inject hooks, and non-domain fault targets (checksum/ghost/payload
+    strikes must replay the exact machinery they attack; fail-stop
+    crash plans additionally route to the distributed runner's
+    buddy-checkpoint recovery path).
 
 ``stacked``
     The batched fast path: the whole batch of runs is laid out as one
     extra trailing axis of a single persistent padded buffer pair, and
     each campaign iteration drives the backend-owned
     :meth:`~repro.backends.base.Backend.batch_step_into_with_checksums`
-    primitive — one vectorised NumPy pass on the interpreted backends,
-    one generated ``bstep_cs`` kernel call (outer ``prange`` over runs)
-    on the compiled numba backend — followed by one stacked Theorem-1
-    interpolation and detection screen for all runs at once.  Every
-    backend's batched step is per-slot bit-identical to its single-run
-    step, and the per-run checksum *chains* are selected to match what
-    replay would have fed the protector (fault-carrying runs recompute
-    ``np.sum`` checksums after injection, exactly like the hook-driven
-    replay path; clean runs trust the fused kernel checksums), so every
-    run's numbers are identical to its serial execution.  The rare
-    steps on which the vectorised detection screen flags a run are
-    delegated, for that run only, to the ordinary
+    primitive — one vectorised pass over the whole batch — followed by
+    one stacked Theorem-1 interpolation and detection screen for all
+    runs at once.  Every backend's batched step is per-slot
+    bit-identical to its single-run step, and the per-run checksum
+    *chains* are selected to match what replay would have fed the
+    protector (fault-carrying runs recompute ``np.sum`` checksums after
+    injection, exactly like the hook-driven replay path; clean runs
+    trust the fused kernel checksums), so every run's numbers are
+    identical to its serial execution.  The rare steps on which the
+    vectorised detection screen flags a run are delegated, for that run
+    only, to the ordinary
     :meth:`OnlineABFT.process` on per-run views — corrections reuse the
     library implementation verbatim.  Eligibility is checked per
     campaign (:func:`stacked_support_reason`, which names the fallback
@@ -568,28 +567,15 @@ class _WorkerCampaign:
         self.stacked_reason = stacked_support_reason(self.grid, self.protector)
         self.use_stacked = self.stacked_reason is None
         # One short warm-up pays the one-off costs (lazy imports, scratch
-        # growth, JIT cache loads) outside the timed runs, mirroring the
-        # legacy loop's untimed warm-up run.
+        # growth) outside the timed runs, mirroring the legacy loop's
+        # untimed warm-up run.
         self.protector.reset()
         self.protector.run(self.grid, min(3, self.config.iterations))
         self.grid.restore(self.snapshot0)
         self.protector.reset()
-        if self.use_stacked:
-            # Warm the backend's batched layout too (a no-op on the
-            # interpreted backends; the numba backend compiles — or
-            # loads from its disk cache — the bstep/bstep_cs kernels
-            # for both the contiguous full batch and the strided final
-            # partial batch), so no timed stacked batch pays JIT cost.
-            _resolved_backend(self.grid, self.protector).warmup(
-                self.grid.spec,
-                boundary=self.grid.boundary,
-                dtype=self.grid.dtype,
-                checksum_dtype=getattr(
-                    self.protector, "checksum_dtype", np.float64
-                ),
-                radius=self.grid.radius,
-                batch_width=3,
-            )
+        # Build or load the backend's compiled kernels here, outside
+        # the timed runs, whichever strategy the batches take.
+        _resolved_backend(self.grid, self.protector).warmup()
 
     def _ensure_stacked(self, width: int) -> _StackedBatch:
         # Built lazily (hook-driven campaigns replay and never need the

@@ -117,16 +117,11 @@ class TiledStencilRunner:
         self.radius = grid.spec.radius()
         self._const_shm = None
         self._const_name: Optional[str] = None
-        # Compile-once warmup (no-op for the interpreted backends): a JIT
-        # backend compiles — and writes to its on-disk cache — every
-        # kernel this operator needs before the first step, so neither
-        # the timed loop nor the pool's worker processes (which load the
-        # cached artifacts instead of recompiling) pay the JIT cost
-        # mid-run.
+        # Build or load the backend's compiled kernels (the fused
+        # backend's native library) before the first step, so neither
+        # the timed loop nor a forked pool worker runs the compiler.
         warm_backend = self.backend if self.backend is not None else grid.backend
-        warm_backend.warmup(
-            grid.spec, grid.boundary, grid.dtype, radius=self.radius
-        )
+        warm_backend.warmup()
 
     # -- constructors ------------------------------------------------------------
     @classmethod

@@ -566,9 +566,8 @@ class DistributedStencilRunner:
         Compute backend driving every rank's fused step (registry name
         or instance; ``None`` follows the process default).
     axis:
-        Decomposition axis (default 0).  Any axis works — including the
-        orderings where the external axis follows refreshed axes, which
-        the compiled backend handles like any other layout.
+        Decomposition axis (default 0).  Any axis works, including the
+        orderings where the external axis follows refreshed axes.
     checkpoint_period:
         Enable buddy checkpointing with this period (iterations between
         checkpoints).  ``None`` (default) leaves checkpointing **off**
@@ -695,18 +694,10 @@ class DistributedStencilRunner:
                     axis=self.axis,
                 )
             )
-        # Layout-aware warmup: compile (or load from the on-disk cache)
-        # the exact step kernels the ranks will run — the distributed
-        # axis is external (halo ingested from neighbours), every other
-        # axis refreshes from the boundary condition.
-        external = (self.axis,) if self.radius[self.axis] > 0 else ()
-        self.backend.warmup(
-            self.spec,
-            boundary=self.boundary,
-            dtype=self.dtype,
-            radius=self.radius,
-            external_axes=external,
-        )
+        # Build or load the backend's compiled kernels before the first
+        # step, so neither a timed loop nor a forked worker runs the
+        # compiler.
+        self.backend.warmup()
         if checkpoint_period is not None:
             self.enable_checkpointing()
 

@@ -15,9 +15,8 @@ path by keeping *two* persistent padded buffers:
 
 :meth:`DoubleBufferedGrid.step` drives both stages through the
 backend's ``step_into*`` primitives in one call, so a backend that owns
-its own ghost refresh (e.g. the numba JIT backend) can perform the
-whole protected iteration — refresh, sweep and per-point checksums —
-in a single compiled traversal of the pair.
+its ghost refresh can perform the whole protected iteration — refresh,
+sweep and checksums — as one operation on the pair.
 
 The previous step therefore stays alive exactly one iteration — long
 enough for the ABFT protectors, which read ``grid.previous_padded``
@@ -53,12 +52,11 @@ __all__ = ["GridLayout", "DoubleBufferedGrid"]
 class GridLayout:
     """Structural description of a padded buffer's ghost layout.
 
-    This is the layout half of a kernel specialization: per-axis ghost
-    width, per-axis boundary *kind* and which axes are externally
-    managed (their slabs are filled by halo ingestion, never by the
-    refresh).  Fill *values* for constant/zero boundaries are runtime
-    kernel arguments, not part of the layout — layouts differing only
-    in the fill value share one compiled kernel.
+    Per-axis ghost width, per-axis boundary *kind* and fill value, and
+    which axes are externally managed (their slabs are filled by halo
+    ingestion, never by the refresh).  The exact checksum interpolation
+    (:func:`repro.core.interpolation.interpolate_checksum_padded`) reads
+    it to take the borders of closed axes from checksum space.
 
     Parameters
     ----------
@@ -74,10 +72,6 @@ class GridLayout:
     radius: Tuple[int, ...]
     kinds: Tuple[str, ...]
     fills: Tuple[float, ...]
-
-    @property
-    def ndim(self) -> int:
-        return len(self.radius)
 
     @property
     def external_axes(self) -> Tuple[int, ...]:
@@ -118,13 +112,6 @@ class GridLayout:
                 kinds.append("fill")
                 fills.append(float(bc.fill_value()))
         return cls(tuple(radius), tuple(kinds), tuple(fills))
-
-    def signature(self) -> str:
-        """Canonical structural identity (fill values excluded)."""
-        axes = ";".join(
-            f"{r}:{kind}" for r, kind in zip(self.radius, self.kinds)
-        )
-        return f"layout{self.ndim}d[{axes}]"
 
 
 def _release_shared(blocks) -> None:
@@ -233,7 +220,7 @@ class DoubleBufferedGrid:
 
     @functools.cached_property
     def layout(self) -> GridLayout:
-        """The pair's :class:`GridLayout` (the kernel-compiler cache key).
+        """The pair's :class:`GridLayout` (read by the exact interpolation).
 
         Built once: radius, boundary and external axes are fixed at
         construction.
@@ -273,14 +260,11 @@ class DoubleBufferedGrid:
         iteration — ghost refresh of the front buffer, sweep into the
         back buffer and (with ``axes``) per-axis checksum accumulation —
         is delegated to the backend's ``step_into`` /
-        ``step_into_with_checksums`` primitive.  A backend that fuses
-        the refresh into its compiled sweep (``supports_fused_step``)
-        therefore performs the entire protected iteration in a single
-        traversal of the pair; every other backend transparently gets
-        the classic :meth:`refresh`-then-``sweep_into`` sequence from
-        the base-class implementation.  Either way the front buffer's
-        halo is consistent with its interior afterwards — the ABFT
-        protectors read it as ``previous_padded``.
+        ``step_into_with_checksums`` primitive, whose base-class
+        implementation is the classic :meth:`refresh`-then-``sweep_into``
+        sequence.  The front buffer's halo is consistent with its
+        interior afterwards — the ABFT protectors read it as
+        ``previous_padded``.
 
         The pair is **not** swapped: callers (``GridBase._commit``)
         own the swap so previous-step bookkeeping stays in one place.

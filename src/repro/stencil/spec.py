@@ -214,37 +214,6 @@ class StencilSpec:
                 return float(w)
         return 0.0
 
-    # -- canonical identity --------------------------------------------------
-    def signature(self) -> str:
-        """Canonical string identity of the operator.
-
-        Offsets are already in deterministic lexicographic order and the
-        weights are rendered with :meth:`float.hex`, so two specs have
-        the same signature iff they are bit-identical operators.  The
-        kernel compiler (:mod:`repro.backends.codegen`) uses this as the
-        spec component of its on-disk cache keys, which is what lets
-        worker processes load a previously compiled artifact instead of
-        recompiling.
-        """
-        pts = ";".join(
-            f"{','.join(str(int(v)) for v in o)}:{float(w).hex()}"
-            for o, w in zip(self._offsets, self._weights)
-        )
-        return f"stencil{self._ndim}d[{pts}]"
-
-    def offsets_signature(self) -> str:
-        """Signature of the offset *structure* only (weights excluded).
-
-        Generated kernels receive the weight vector as a runtime
-        argument, so specs that differ only in coefficients share one
-        compiled kernel; this is the structural part the compiler keys
-        on.
-        """
-        pts = ";".join(
-            ",".join(str(int(v)) for v in o) for o in self._offsets
-        )
-        return f"offsets{self._ndim}d[{pts}]"
-
     # -- derived properties -------------------------------------------------
     def radius(self) -> Tuple[int, ...]:
         """Maximum absolute offset per axis (ghost-cell width needed)."""

@@ -26,31 +26,6 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Zero-interpreted-fallback gate for compiled backends.
-
-    With ``REPRO_ASSERT_COMPILED_STEPS=<backend name>`` set (the CI
-    numba matrix job exports ``numba``), the session fails if the named
-    backend ever took the interpreted base ``step_into*`` path — a
-    separate ``refresh_ghosts`` pass instead of its own fused kernel.
-    Since the kernel compiler handles every layout, any nonzero count
-    means a silent fallback regression.
-    """
-    name = os.environ.get("REPRO_ASSERT_COMPILED_STEPS")
-    if not name or exitstatus != 0:
-        return
-    from repro.backends.base import interpreted_step_counts
-
-    count = interpreted_step_counts().get(name, 0)
-    if count:
-        session.exitstatus = 1
-        print(
-            f"\nREPRO_ASSERT_COMPILED_STEPS: backend {name!r} took the "
-            f"interpreted step path {count} time(s); expected 0",
-            file=sys.stderr,
-        )
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for test data."""

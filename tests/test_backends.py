@@ -22,9 +22,7 @@ from repro.backends import (
     get_backend,
     register_backend,
     set_default_backend,
-    unavailable_backends,
 )
-from repro.backends.numba_backend import NUMBA_AVAILABLE
 from repro.backends.registry import BUILTIN_DEFAULT, ENV_VAR
 from repro.core.checksums import checksum
 from repro.core.online import OnlineABFT
@@ -404,8 +402,8 @@ class TestBackendOwnedStep:
     """``step_into*`` (ghost refresh owned by the backend) must be
     bit-identical to the classic refresh-then-``sweep_into`` sequence —
     for every boundary kind, heterogeneous per-axis boundaries included,
-    in 2D and 3D.  This pins the fused single-traversal path of JIT
-    backends to the interpreted semantics."""
+    in 2D and 3D.  This pins any backend that overrides the step to the
+    refresh-then-sweep semantics."""
 
     def _check_step(self, rng, backend_name, boundary, spec, shape,
                     constant=False):
@@ -481,9 +479,8 @@ class TestBackendOwnedStep:
             ) <= 1e-10
 
     def test_degenerate_periodic_halo_handled(self, rng, backend_name):
-        """Ghost wider than the interior: numpy and fused take the base
-        refresh-then-sweep path, numba generates the modular-tiling
-        kernel and fuses it — either way the result is pad_array-exact."""
+        """Ghost wider than the interior: the refresh tiles the periodic
+        wrap, and the step stays pad_array-exact."""
         from repro.stencil.spec import StencilSpec
 
         spec = StencilSpec.from_dict(
@@ -492,9 +489,6 @@ class TestBackendOwnedStep:
         shape = (1, 6)  # interior extent 1 < radius 2 along axis 0
         bc = BoundaryCondition.periodic()
         be = get_backend(backend_name)
-        assert be.supports_fused_step(spec, bc, spec.radius(), shape) == (
-            backend_name == "numba"
-        )
         u = _domain(rng, shape)
         expected = get_backend(REFERENCE).sweep_padded(
             pad_array(u, spec.radius(), bc), spec, spec.radius(), shape
@@ -547,87 +541,3 @@ class TestBackendOwnedStep:
         interior = interior_view(prev, grid.radius)
         np.testing.assert_array_equal(prev[0, 1:-1], interior[0])
         np.testing.assert_array_equal(prev[-1, 1:-1], interior[-1])
-
-
-class TestOptionalNumbaBackend:
-    """Import gating: present and equivalent with numba, cleanly absent
-    (not erroring) without it."""
-
-    def test_module_importable_either_way(self):
-        import repro.backends.numba_backend as mod
-
-        assert isinstance(mod.NUMBA_AVAILABLE, bool)
-        assert mod.UNAVAILABLE_REASON
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_absent_without_numba(self):
-        assert "numba" not in available_backends()
-        assert "numba" in unavailable_backends()
-        with pytest.raises(KeyError, match="unavailable"):
-            get_backend("numba")
-        from repro.backends.numba_backend import NumbaBackend
-
-        with pytest.raises(RuntimeError, match="numba"):
-            NumbaBackend()
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_registered_with_numba(self):
-        from repro.backends import NumbaBackend
-
-        assert "numba" in available_backends()
-        assert "numba" not in unavailable_backends()
-        assert isinstance(get_backend("numba"), NumbaBackend)
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_advertises_fused_step_for_every_layout(self):
-        from repro.stencil.spec import StencilSpec
-
-        be = get_backend("numba")
-        spec = stencil_library_2d()[1]
-        assert be.supports_fused_step(
-            spec, BoundaryCondition.clamp(), spec.radius(), SHAPE_2D
-        )
-        # Degenerate periodic halo (ghost wider than the interior): the
-        # halo plan lowers it to the modular tiling — no decline.
-        wide = StencilSpec.from_dict({(-2, 0): 0.5, (2, 0): 0.5})
-        assert be.supports_fused_step(
-            wide, BoundaryCondition.periodic(), wide.radius(), (1, 6)
-        )
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_warmup_compiles_all_kernels(self):
-        # Must not raise, and must cover 2D and 3D kernel families.
-        be = get_backend("numba")
-        be.warmup(stencil_library_2d()[1], BoundaryCondition.clamp())
-        be.warmup(stencil_library_3d()[0], BoundaryCondition.periodic())
-
-    def test_cli_listing_shows_availability(self, capsys):
-        from repro.cli import main
-
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "numba" in out
-        numba_line = next(l for l in out.splitlines() if l.startswith("numba"))
-        if NUMBA_AVAILABLE:
-            assert "unavailable" not in numba_line
-        else:
-            assert "unavailable" in numba_line
-
-    def test_cli_kernels_listing(self, capsys):
-        from repro.cli import main
-
-        assert main(["backends", "--kernels"]) == 0
-        out = capsys.readouterr().out
-        if NUMBA_AVAILABLE:
-            get_backend("numba").warmup(
-                stencil_library_2d()[1], BoundaryCondition.clamp()
-            )
-            capsys.readouterr()
-            assert main(["backends", "--kernels"]) == 0
-            out = capsys.readouterr().out
-            assert "compiled kernel module" in out
-            assert "codegen" in out
-        else:
-            # fused compiles no step kernels, only its flat library.
-            assert "fused: 1 compiled kernel module" in out
-            assert " flat " in out

@@ -377,53 +377,33 @@ class TestProcessExecutorContract:
                 )
 
 
-@pytest.fixture()
-def numba_backend_default(tmp_path):
-    """Make the numba backend the process default for one test.
-
-    With numba installed (the CI matrix job) the registered JIT backend
-    is used as-is, so the stacked batches run the compiled ``bstep``
-    kernels; without it, a ``jit=False`` instance executes the same
-    generated source as plain Python, pinning the engine integration
-    everywhere.
-    """
-    from repro.backends import registry as _registry
+@pytest.fixture(params=["fused", "numpy"])
+def default_backend(request):
+    """Make one backend the process default for one test."""
     from repro.backends import set_default_backend
-    from repro.backends.codegen import KernelCompiler
-    from repro.backends.numba_backend import NUMBA_AVAILABLE, NumbaBackend
 
-    registered = None
-    if not NUMBA_AVAILABLE:
-        registered = NumbaBackend(
-            compiler=KernelCompiler(cache_dir=tmp_path / "kc", jit=False)
-        )
-        _registry.register_backend(registered)
-    set_default_backend("numba")
+    set_default_backend(request.param)
     try:
-        yield
+        yield request.param
     finally:
         set_default_backend(None)
-        if registered is not None:
-            _registry._REGISTRY.pop("numba", None)
-            _registry.register_unavailable_backend(
-                "numba", "numba not installed"
-            )
 
 
-class TestStackedCompiledBackend:
-    """Stacked batches on the numba backend: same records as replay/legacy."""
+class TestStackedOnEveryBackend:
+    """Stacked batches on each backend: the same records as replay/legacy."""
 
     @pytest.mark.parametrize(
         "method", ["no-abft", "online-abft", "offline-abft"]
     )
     @pytest.mark.parametrize("inject", [False, True])
     def test_stacked_replay_and_legacy_agree(
-        self, app, reference, method, inject, numba_backend_default
+        self, app, reference, method, inject, default_backend
     ):
         factory = make_protector_factory(method, period=4)
         config = CampaignConfig(
             iterations=ITERATIONS, repetitions=6, inject=inject, seed=23
         )
+        assert app.build_grid().backend.name == default_backend
         legacy = run_campaign(
             app.build_grid, factory, config, reference=reference
         )

@@ -108,54 +108,6 @@ class TestMain:
         assert "recovery        : 1 rank failure" in capsys.readouterr().out
 
 
-class TestKernelListing:
-    """`repro backends --kernels` against a jit=False compiled backend."""
-
-    @pytest.fixture
-    def compiled_cli(self, tmp_path, monkeypatch):
-        from repro import cli
-        from repro.backends.codegen import KernelCompiler
-        from repro.backends.numba_backend import NumbaBackend
-        from repro.stencil.boundary import BoundaryCondition
-        from repro.stencil.kernels import five_point_diffusion
-
-        backend = NumbaBackend(
-            compiler=KernelCompiler(cache_dir=tmp_path, jit=False)
-        )
-        backend.warmup(
-            five_point_diffusion(0.2),
-            boundary=BoundaryCondition.periodic(),
-            external_axes=(0,),
-        )
-        monkeypatch.setattr(cli, "available_backends", lambda: ["numba"])
-        monkeypatch.setattr(cli, "default_backend_name", lambda: "numba")
-        monkeypatch.setattr(cli, "get_backend", lambda name=None: backend)
-        monkeypatch.setattr(cli, "unavailable_backends", lambda: {})
-        return backend
-
-    def test_kernels_listing_spells_out_signatures(self, compiled_cli, capsys):
-        assert main(["backends", "--kernels"]) == 0
-        out = capsys.readouterr().out
-        assert " step " in out
-        # Full cache-key identity, never truncated: every entry spells
-        # out the complete spec signature (the digest is only a prefix).
-        for e in compiled_cli.compiled_kernels():
-            assert f"spec   {e['spec']}" in out
-            assert len(e["spec"]) > len(e["digest"])
-
-    def test_kernels_json_dump(self, compiled_cli, capsys):
-        import json
-
-        assert main(["backends", "--kernels", "--json"]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
-        entries = payload["numba"]
-        assert entries
-        assert {e["kind"] for e in entries} == {"sweep", "step"}
-        step = next(e for e in entries if e["kind"] == "step")
-        assert "external" in step["layout"]
-
-
 class TestFlatKernelState:
     """`repro backends` names the fused backend's flat kernel state."""
 
@@ -164,6 +116,13 @@ class TestFlatKernelState:
         lines = out.splitlines()
         i = next(i for i, line in enumerate(lines) if line.startswith("fused "))
         return lines[i + 1]
+
+    @staticmethod
+    def _json(capsys):
+        import json
+
+        assert main(["backends", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
 
     def test_compiled_library_with_path_and_compiler(self, capsys, monkeypatch):
         from pathlib import Path
@@ -187,11 +146,15 @@ class TestFlatKernelState:
             "flat", "kernels", "compiled:",
             "/cache/native_flat_0123456789abcdef.so", "(cc", "(Example)", "1.2.3)",
         ]
-        assert main(["backends", "--kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "0123456789abcdef  flat   disk" in out
-        # No per-(operator, layout) lookups: the flat entry counts none.
-        assert "hits 0  misses 0" in out
+        assert self._json(capsys)["fused"] == [{
+            "kind": "flat",
+            "path": "/cache/native_flat_0123456789abcdef.so",
+            "compiler": "cc (Example) 1.2.3",
+            "reason": None,
+            "from_disk": True,
+            "build_ms": 0.0,
+            "load_ms": 0.2,
+        }]
 
     def test_interpreted_with_the_named_reason(self, capsys, monkeypatch):
         from repro.backends import native
@@ -200,5 +163,13 @@ class TestFlatKernelState:
         assert main(["backends"]) == 0
         line = self._fused_lines(capsys.readouterr().out)
         assert line.strip() == "flat kernels interpreted: no `cc` on PATH"
-        assert main(["backends", "--kernels"]) == 0
-        assert "flat   unavailable: no `cc` on PATH" in capsys.readouterr().out
+        (entry,) = self._json(capsys)["fused"]
+        assert entry["reason"] == "no `cc` on PATH"
+        assert entry["path"] is None and entry["compiler"] is None
+
+    def test_json_alone_prints_json(self, capsys):
+        """`--json` needs no other flag, and prints nothing but JSON."""
+        payload = self._json(capsys)
+        assert set(payload) == {"fused", "numpy"}
+        assert payload["numpy"] == []
+        assert [e["kind"] for e in payload["fused"]] == ["flat"]

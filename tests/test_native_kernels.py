@@ -461,14 +461,25 @@ class TestFallback:
         np.testing.assert_array_equal(_bits(results[0]), _bits(results[1]))
 
     def test_forced_unavailable_is_reported(self, capsys):
+        import json
+
         from repro.cli import main
 
         with numpy_only():
             (entry,) = FusedBackend().compiled_kernels()
-            assert entry["kind"] == "flat" and entry["path"] is None
-            assert entry["reason"] == "forced unavailable by a test"
+            assert entry == {
+                "kind": "flat",
+                "path": None,
+                "compiler": None,
+                "reason": "forced unavailable by a test",
+                "from_disk": False,
+                "build_ms": 0.0,
+                "load_ms": 0.0,
+            }
             assert main(["backends"]) == 0
-        out = capsys.readouterr().out
+            out = capsys.readouterr().out
+            assert main(["backends", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["fused"] == [entry]
         assert "flat kernels interpreted: forced unavailable by a test" in out
 
     def test_library_loads_wherever_cc_exists(self):
@@ -488,6 +499,17 @@ def fresh_build(tmp_path, monkeypatch):
 
 
 class TestBuild:
+    def test_cache_directory(self, tmp_path, monkeypatch):
+        """The env var wins; otherwise the XDG cache, else ``~/.cache``."""
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kc"))
+        assert native.default_cache_dir() == tmp_path / "kc"
+        monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert native.default_cache_dir() == tmp_path / "xdg/repro/kernels"
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert native.default_cache_dir() == tmp_path / "home/.cache/repro/kernels"
+
     def test_no_cc_on_path(self, fresh_build, monkeypatch):
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
         assert native.library() is None
@@ -503,6 +525,50 @@ class TestBuild:
         native._state = None
         again = native.library()
         assert again.from_disk and again.path == lib.path
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no `cc` on PATH")
+    def test_built_once_per_process(self, fresh_build, monkeypatch):
+        """Concurrent first calls build once and share the one library."""
+        builds = []
+        build = native._build_and_load
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(native, "_build_and_load", counting_build)
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            libs = list(pool.map(lambda _: native.library(), range(8)))
+        assert libs[0] is not None, native.unavailable_reason()
+        assert all(lib is libs[0] for lib in libs)
+        assert native.library() is libs[0]
+        assert len(builds) == 1
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no `cc` on PATH")
+    def test_describe_times_the_build_and_the_cached_load(self, fresh_build):
+        built = native.describe()
+        assert built["reason"] is None and not built["from_disk"]
+        assert built["build_ms"] > 0 and built["load_ms"] > 0
+        assert Path(built["path"]).parent == fresh_build
+        native._state = None
+        cached = native.describe()
+        assert cached["from_disk"] and cached["path"] == built["path"]
+        assert cached["compiler"] == built["compiler"]
+        # No compile this time: only the cache lookup is timed.
+        assert cached["build_ms"] < built["build_ms"]
+        assert cached["load_ms"] > 0
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no `cc` on PATH")
+    def test_warmup_loads_the_library(self, fresh_build):
+        """``fused``'s warmup does the build up front; ``numpy`` has none."""
+        FusedBackend().warmup()
+        assert isinstance(native._state, native.NativeLibrary)
+        (entry,) = FusedBackend().compiled_kernels()
+        assert entry == native.describe()
+        assert entry["path"] == str(native._state.path)
+        assert entry["path"].startswith(str(fresh_build))
+        NumpyBackend().warmup()
+        assert NumpyBackend().compiled_kernels() == ()
 
     @pytest.mark.skipif(not HAVE_CC, reason="no `cc` on PATH")
     def test_compiler_error_is_named(self, fresh_build, monkeypatch):

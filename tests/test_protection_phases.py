@@ -219,6 +219,27 @@ def _interpolations(case):
     )
 
 
+class TestGridLayout:
+    """The layout the closed borders read: kinds per axis, external axes."""
+
+    def test_external_axes_from_refresh_axes(self):
+        layout = GridLayout.from_args(
+            (2, 1), BoundarySpec.from_any(BoundaryCondition.periodic(), 2),
+            2, refresh_axes=(1,),
+        )
+        assert layout.kinds == ("external", "periodic")
+        assert layout.external_axes == (0,)
+
+    def test_grid_exposes_its_layout(self):
+        from repro.stencil.doublebuffer import DoubleBufferedGrid
+
+        grid = DoubleBufferedGrid(
+            np.zeros((4, 5), dtype=np.float32), (1, 1),
+            BoundaryCondition.clamp(), external_axes=(0,),
+        )
+        assert grid.layout.kinds == ("external", "clamp")
+
+
 class TestClosedBorders:
     @settings(max_examples=200)
     @given(case=layout_cases())
