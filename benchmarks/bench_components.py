@@ -9,13 +9,15 @@ NumPy 2.4) the exact interpolation costs 0.17-0.26x a sweep, and the
 offline protector's per-step work — recording the strips plus one
 replayed interpolation — 0.14-0.24x; both gates below assert < 0.5x.
 
-Three more gates time the fused step on the 512x512x8 HotSpot3D tile,
+Four more gates time the fused step on the 512x512x8 HotSpot3D tile,
 each against the form it replaced: the compiled flat sweep must cost
 < 0.75x the NumPy strip loop on the buffer pair, the lane fold of the
 column checksum (compiled where a C compiler exists) < 0.8x
-``u.sum(axis=0, dtype=float64)`` of the padded interior, and the exact
-interpolation given the grid's layout < 0.25x the domain-read form.
-The sweep gate skips, printing why, only where no ``cc`` is on PATH.
+``u.sum(axis=0, dtype=float64)`` of the padded interior, the exact
+interpolation given the grid's layout < 0.25x the domain-read form, and
+the fused step, whose compiled sweep fills the last axis's ghost lanes,
+< 0.95x ``refresh_ghosts`` followed by ``sweep_into``.  The sweep and
+step gates skip, printing why, only where no ``cc`` is on PATH.
 """
 
 import shutil
@@ -33,7 +35,7 @@ from repro.core.interpolation import (
     interpolate_checksum_reduced,
 )
 from repro.experiments.common import make_hotspot_app
-from repro.stencil.shift import pad_array
+from repro.stencil.shift import pad_array, refresh_ghosts
 from repro.stencil.sweep import sweep_padded
 
 
@@ -200,6 +202,28 @@ def test_compiled_sweep_is_cheaper_than_strip_loop(large_state):
     ratio = _ratio(sweep, strip_loop)
     print(f"\ncompiled sweep / NumPy strip loop = {ratio:.2f}")
     assert ratio < 0.75
+
+
+def test_lane_fill_in_sweep_is_cheaper_than_refresh_then_sweep(large_state):
+    """The fused step fills the last axis's ghost lanes in its sweep."""
+    if shutil.which("cc") is None:
+        pytest.skip(f"no compiled sweep: {native.unavailable_reason()}")
+    assert native.library() is not None, native.unavailable_reason()
+    grid, padded, cs = large_state
+    fused = FusedBackend()
+    dst = np.empty_like(padded)
+    args = (padded, dst, grid.spec, grid.radius, grid.shape)
+
+    def step():
+        fused.step_into(*args, grid.boundary, constant=grid.constant)
+
+    def refresh_then_sweep():
+        refresh_ghosts(padded, grid.radius, grid.boundary)
+        fused.sweep_into(*args, constant=grid.constant)
+
+    ratio = _ratio(step, refresh_then_sweep)
+    print(f"\nstep / refresh_ghosts + sweep_into = {ratio:.2f}")
+    assert ratio < 0.95
 
 
 def test_lane_fold_is_cheaper_than_strided_sum(large_state):

@@ -213,10 +213,12 @@ class HotSpot3D:
         self.initial_temperature = _synthetic_initial_temperature(self.config, rng)
         dtype = np.dtype(self.config.dtype)
         # Constant term of the sweep: power heating + coupling to ambient.
+        # Read-only, so every grid this app builds shares it.
         self.constant = (
             self.coefficients["step_div_cap"] * self.power
             + self.coefficients["ct"] * self.config.amb_temp
         ).astype(dtype)
+        self.constant.flags.writeable = False
         self.boundary = BoundarySpec.clamp(3)
 
     def build_grid(self) -> Grid3D:

@@ -27,12 +27,14 @@ reproduction is built on:
     One whole protected *step* of a buffer pair, **including the ghost
     refresh** of the source buffer: refresh halo, sweep into the
     destination interior and (for the fused form) accumulate the
-    row/column checksums.  The base implementation simply runs
-    :func:`repro.stencil.shift.refresh_ghosts` followed by
-    ``sweep_into*``; a backend that fills its ghost cells in the same
-    traversal that sweeps overrides these.  Either way the source
-    buffer's halo holds the boundary condition afterwards, because the
-    ABFT protectors read it for the Theorem-1 α/β terms.
+    row/column checksums.  Both, and the vectorised batch step, run
+    one private helper, ``_refresh_and_sweep``: the base implementation
+    is :func:`repro.stencil.shift.refresh_ghosts` followed by
+    ``sweep_into``; the ``fused`` backend overrides it to fill the last
+    ghost axis inside its compiled sweep, so refresh and sweep are one
+    traversal.  Either way the source buffer's halo holds the boundary
+    condition afterwards, because the ABFT protectors read it for the
+    Theorem-1 α/β terms.
 
 All backends must agree numerically with the ``numpy`` reference within
 the detection threshold recommended by
@@ -202,11 +204,13 @@ class Backend(ABC):
         new = self.sweep_padded(
             padded, spec, radius, interior_shape, constant=constant, out=out
         )
-        checksums: ChecksumMap = {
-            int(axis): self.checksum(new, int(axis), dtype=checksum_dtype)
-            for axis in axes
-        }
-        return new, checksums
+        return new, self._checksum_map(new, axes, checksum_dtype)
+
+    def _checksum_map(
+        self, u: np.ndarray, axes: Sequence[int], dtype: Optional[np.dtype]
+    ) -> ChecksumMap:
+        """:meth:`checksum` of ``u`` along each of ``axes``."""
+        return {int(axis): self.checksum(u, int(axis), dtype=dtype) for axis in axes}
 
     @staticmethod
     def _dst_interior(
@@ -250,7 +254,10 @@ class Backend(ABC):
         third-party backends working unchanged.  Optimised backends
         override this to pass the destination interior as ``out``.
 
-        **Ghost-overwrite rule.**  ``src_padded`` is never written.  In
+        **Ghost-overwrite rule.**  ``src_padded`` is never written,
+        except by a backend's own step: the ``fused`` step's call fills
+        the source ghost lanes the step left to it (see
+        ``_refresh_and_sweep``).  In
         ``dst_padded``, the ghost cells of axes >= 1 that lie inside the
         interior's axis-0 extent may be overwritten with meaningless
         values (the ``fused`` backend's flat-stride sweep computes
@@ -301,11 +308,7 @@ class Backend(ABC):
         interior = self.sweep_into(
             src_padded, dst_padded, spec, radius, interior_shape, constant=constant
         )
-        checksums: ChecksumMap = {
-            int(axis): self.checksum(interior, int(axis), dtype=checksum_dtype)
-            for axis in axes
-        }
-        return interior, checksums
+        return interior, self._checksum_map(interior, axes, checksum_dtype)
 
     def compiled_kernels(self) -> Tuple[Dict, ...]:
         """One dict per compiled library the backend runs.
@@ -349,9 +352,10 @@ class Backend(ABC):
         entry: it is (re)filled from ``boundary`` as part of the step.
         On return the source halo is consistent with its interior — the
         protectors rely on that when interpolating checksums from the
-        previous padded step.  Callers with externally filled halos
-        (tile views carrying neighbour data) must keep using
-        ``sweep_into``.
+        previous padded step — whether it was filled before the sweep
+        or, as the ``fused`` backend fills the last ghost axis, inside
+        it.  Callers with externally filled halos (tile views carrying
+        neighbour data) must keep using ``sweep_into``.
 
         ``refresh_axes`` restricts the ghost refresh to a subset of axes
         (``None`` → all).  This is the distributed-runner hook: a rank
@@ -362,12 +366,10 @@ class Backend(ABC):
 
         Returns the destination interior view.
         """
-        from repro.stencil.shift import refresh_ghosts
-
         self._check_pair(src_padded, dst_padded)
-        refresh_ghosts(src_padded, radius, boundary, axes=refresh_axes)
-        return self.sweep_into(
-            src_padded, dst_padded, spec, radius, interior_shape, constant=constant
+        return self._refresh_and_sweep(
+            src_padded, dst_padded, spec, radius, interior_shape, boundary,
+            constant, refresh_axes,
         )
 
     def step_into_with_checksums(
@@ -390,19 +392,36 @@ class Backend(ABC):
         ``refresh_axes`` restricts the refresh exactly as in
         :meth:`step_into`.
         """
+        self._check_pair(src_padded, dst_padded)
+        interior = self._refresh_and_sweep(
+            src_padded, dst_padded, spec, radius, interior_shape, boundary,
+            constant, refresh_axes,
+        )
+        return interior, self._checksum_map(interior, axes, checksum_dtype)
+
+    def _refresh_and_sweep(
+        self,
+        src_padded: np.ndarray,
+        dst_padded: np.ndarray,
+        spec: StencilSpec,
+        radius,
+        interior_shape: Sequence[int],
+        boundary,
+        constant: Optional[np.ndarray],
+        refresh_axes: Optional[Sequence[int]],
+    ) -> np.ndarray:
+        """The body of every step: refresh the source's ghosts, then sweep.
+
+        :func:`~repro.stencil.shift.refresh_ghosts` followed by
+        :meth:`sweep_into`; returns the destination interior view.
+        ``step_into*`` and the vectorised batch step all run it, so a
+        backend that fills ghosts inside its sweep overrides only this.
+        """
         from repro.stencil.shift import refresh_ghosts
 
-        self._check_pair(src_padded, dst_padded)
         refresh_ghosts(src_padded, radius, boundary, axes=refresh_axes)
-        return self.sweep_into_with_checksums(
-            src_padded,
-            dst_padded,
-            spec,
-            radius,
-            interior_shape,
-            axes,
-            constant=constant,
-            checksum_dtype=checksum_dtype,
+        return self.sweep_into(
+            src_padded, dst_padded, spec, radius, interior_shape, constant=constant
         )
 
     # -- batched campaign steps: trailing run axis ---------------------------
@@ -550,12 +569,12 @@ class Backend(ABC):
         axes: Optional[Sequence[int]] = None,
         checksum_dtype: Optional[np.dtype] = None,
     ):
-        """Whole-batch interpreted step in one vectorised pass.
+        """Whole-batch step in one vectorised pass.
 
-        The interpreted backends' shared ``batch_step_into*`` body: the
+        The built-in backends' shared ``batch_step_into*`` body: the
         batch is treated as one (ndim+1)-dimensional domain whose run
-        axis has ghost width 0, so a single ``refresh_ghosts`` +
-        ``sweep_into`` covers every run.  Per-slot bit-identity with the
+        axis has ghost width 0, so a single ``_refresh_and_sweep``
+        covers every run.  Per-slot bit-identity with the
         single-run step holds because every constituent is elementwise
         or reduces a non-batch axis: the slab fills copy slot-by-slot,
         the sweep's multiply/add sequence is the single-run order on
@@ -564,7 +583,6 @@ class Backend(ABC):
         (trailing run axis).
         """
         from repro.stencil.boundary import BoundaryCondition, BoundarySpec
-        from repro.stencil.shift import refresh_ghosts
 
         radius, interior_shape, nb = self._batch_geometry(
             src_padded, dst_padded, radius, interior_shape, constant
@@ -581,14 +599,9 @@ class Backend(ABC):
             if constant is None
             else np.broadcast_to(constant[..., None], ext_shape)
         )
-        refresh_ghosts(src_padded, ext_radius, ext_boundary, axes=refresh_axes)
-        interior = self.sweep_into(
-            src_padded,
-            dst_padded,
-            _BatchedSpecView(spec),
-            ext_radius,
-            ext_shape,
-            constant=ext_const,
+        interior = self._refresh_and_sweep(
+            src_padded, dst_padded, _BatchedSpecView(spec), ext_radius,
+            ext_shape, ext_boundary, ext_const, refresh_axes,
         )
         if axes is None:
             return interior

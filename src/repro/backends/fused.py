@@ -1,6 +1,6 @@
 """The ``fused`` backend: allocation-free sweep + in-call checksums.
 
-Three optimisations over the ``numpy`` reference, all aimed at the
+Four optimisations over the ``numpy`` reference, all aimed at the
 memory-bound nature of large stencil sweeps:
 
 1. **No per-point temporaries.**  The reference's ``out += w * view``
@@ -41,9 +41,10 @@ memory-bound nature of large stencil sweeps:
    :meth:`Backend.sweep_into <repro.backends.base.Backend.sweep_into>`:
    every in-tree caller — ``DoubleBufferedGrid.step``, the tiled and
    distributed runners and the batched step — refreshes or ingests
-   those ghosts before reading them, and the source buffer, the axis-0
-   ghost slabs and all memory outside the destination are never
-   written.  The per-point constant is embedded once per (constant,
+   those ghosts before reading them, and the source buffer (but for
+   the ghost lanes a step hands over, point 4), the axis-0 ghost slabs
+   and all memory outside the destination are never written.  The
+   per-point constant is embedded once per (constant,
    layout) into a zero-ghost padded copy, cached beside the strip
    scratch.  Views that are not contiguous (2D tiles, or narrower
    slices of a campaign batch) keep the *staged* path: accumulate into
@@ -68,11 +69,25 @@ memory-bound nature of large stencil sweeps:
    3D interiors take the NumPy lane fold (~0.6-0.85x) and 2D views,
    like every other view, the plain reduction.  Folding plane by plane
    inside the strip loop of point 2 was measured slower (1.16x) than
-   one fold after the sweep.  The ghost refresh before the sweep is
-   shared with every backend
-   (:func:`~repro.stencil.shift.refresh_ghosts`, which copies a whole
-   buffer's last-axis ghosts one 1-D column at a time), so the refresh,
-   the sweep and the fold remain three passes over the buffer.
+   one fold after the sweep.
+
+4. **Ghost lanes filled inside the compiled sweep.**  A step refreshes
+   the source's ghosts before it sweeps, and on the 514x514x10 buffer
+   the last axis's ghosts, two 1-D columns of its ``(rows, width)``
+   view, cost a whole pass over the cold buffer (all but 0.13-0.15 ms
+   of a 2.1-2.3 ms refresh on a 2-core x86 VM).  :meth:`FusedBackend._refresh_and_sweep`, the body of
+   every step and batched step, refreshes the other axes only and
+   hands the last ghost axis's lanes
+   (:class:`~repro.stencil.shift.GhostLanes`) to the compiled sweep,
+   which fills them a few rows at a time just ahead of the blocks that
+   read them, so the refresh and the sweep are one pass.  Without the
+   library the step is the base class's refresh-then-sweep; where the
+   compiled sweep does not run for another reason (a strided,
+   overlapping, unaligned or read-only pair, an empty interior) NumPy
+   fills the same lanes before sweeping.  The source halo is bitwise
+   equal to a full :func:`~repro.stencil.shift.refresh_ghosts` either
+   way.  A step and its fold are then two passes over the buffer, not
+   three.
 
 Without a C compiler, or when the build or load fails, every path
 runs its NumPy code, and :meth:`FusedBackend.compiled_kernels` (``repro
@@ -92,7 +107,15 @@ import numpy as np
 
 from repro.backends import native
 from repro.backends.base import Backend
-from repro.stencil.shift import PlanCache, interior_view, shifted_view
+from repro.stencil.shift import (
+    GhostLanes,
+    PlanCache,
+    fill_lanes,
+    ghost_lanes,
+    interior_view,
+    refresh_ghosts,
+    shifted_view,
+)
 from repro.stencil.spec import StencilSpec, spec_key
 
 __all__ = ["FusedBackend"]
@@ -127,6 +150,9 @@ class _FlatPlan(NamedTuple):
     #: point, in spec order.
     disp: np.ndarray
     weights: np.ndarray
+    #: The compiled sweep's ``lo, hi, npts, disp, wts`` arguments, with
+    #: the two arrays' addresses read once (1.4 us a read).
+    args: Tuple[int, ...]
 
 
 def _flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
@@ -146,7 +172,8 @@ def _flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
         weights.append(weight)
     disp = np.array(disp, dtype=np.intp)
     weights = np.array(weights, dtype=dtype)
-    return _FlatPlan(lo, hi, disp, weights)
+    args = (lo, hi, len(disp), disp.ctypes.data, weights.ctypes.data)
+    return _FlatPlan(lo, hi, disp, weights, args)
 
 
 def _root(a: np.ndarray) -> np.ndarray:
@@ -218,7 +245,9 @@ class FusedBackend(Backend):
         every call hits the same entry, while a freed-and-reused address
         misses.  The interior is built as ``0 + C``, the reference's
         exact first operation.  Constants are read-only inputs: a
-        constant rewritten in place keeps its stale cached copy.
+        constant rewritten in place keeps its stale cached copy, which
+        is why :class:`~repro.stencil.grid.GridBase` stores its
+        constant read-only.
         """
         root = _root(constant)
         key = (
@@ -295,6 +324,7 @@ class FusedBackend(Backend):
         radius: Tuple[int, ...],
         interior_shape: Tuple[int, ...],
         constant: Optional[np.ndarray],
+        lanes: Optional[GhostLanes] = None,
     ) -> None:
         """The flat-stride sweep of two whole C-contiguous padded buffers.
 
@@ -305,8 +335,17 @@ class FusedBackend(Backend):
         native-byte-order float32/float64, aligned, with a writeable
         destination; otherwise the NumPy strip loop below does (and a
         read-only destination raises NumPy's ``ValueError``).
+
+        ``lanes`` are source ghost lanes still to be filled (see
+        :meth:`_refresh_and_sweep`).  The compiled loop fills them just
+        ahead of the blocks that read them, and the rest after its last
+        block, when the source is writeable too and the lanes span it
+        exactly; otherwise :func:`~repro.stencil.shift.fill_lanes`
+        fills them first.
         """
         if 0 in interior_shape:
+            if lanes is not None:
+                fill_lanes(src_padded, lanes)
             return
         shape = dst_padded.shape
         dtype = dst_padded.dtype
@@ -328,13 +367,19 @@ class FusedBackend(Backend):
             and src.flags.aligned
             and dst.flags.aligned
             and dst.flags.writeable
+            and (
+                lanes is None
+                or (src.flags.writeable and lanes.rows * lanes.width == src.size)
+            )
         ):
+            lane, fill = (None, None) if lanes is None else lanes.addresses(dtype)
             kernel(
-                src.ctypes.data, dst.ctypes.data, plan.lo, plan.hi,
-                len(plan.disp), plan.disp.ctypes.data, plan.weights.ctypes.data,
-                None if const is None else const.ctypes.data,
+                src.ctypes.data, dst.ctypes.data, *plan.args,
+                None if const is None else const.ctypes.data, lane, fill,
             )
             return
+        if lanes is not None:
+            fill_lanes(src_padded, lanes)
         lo, hi = plan.lo, plan.hi
         scratch = self._scratch((min(_STRIP, hi - lo),), dtype)
         for a in range(lo, hi, _STRIP):
@@ -381,15 +426,19 @@ class FusedBackend(Backend):
         and lands in the interior with one strided copy, leaving every
         ghost untouched.  Both paths keep the reference's operation
         order, so the interior is bitwise identical either way.
+
+        Called by this backend's step, the sweep also fills the source
+        ghost lanes the step left to it (:meth:`_refresh_and_sweep`):
+        inside the compiled flat sweep, or with NumPy before any other.
         """
+        lanes = getattr(self._local, "lanes", None)
+        if lanes is not None:
+            self._local.lanes = None
         interior = self._dst_interior(dst_padded, radius, interior_shape)
-        if np.may_share_memory(src_padded, dst_padded):
-            return super().sweep_into(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                constant=constant,
-            )
+        shared = np.may_share_memory(src_padded, dst_padded)
         if (
-            src_padded.flags.c_contiguous
+            not shared
+            and src_padded.flags.c_contiguous
             and dst_padded.flags.c_contiguous
             and src_padded.shape == dst_padded.shape
             and src_padded.dtype == dst_padded.dtype
@@ -398,9 +447,17 @@ class FusedBackend(Backend):
                 src_padded, radius, interior_shape, constant, None
             )
             self._sweep_flat(
-                src_padded, dst_padded, spec, radius, interior_shape, constant
+                src_padded, dst_padded, spec, radius, interior_shape, constant,
+                lanes,
             )
             return interior
+        if lanes is not None:
+            fill_lanes(src_padded, lanes)
+        if shared:
+            return super().sweep_into(
+                src_padded, dst_padded, spec, radius, interior_shape,
+                constant=constant,
+            )
         staging = self._scratch(interior.shape, interior.dtype, slot=1)
         self.sweep_padded(
             src_padded, spec, radius, interior_shape, constant=constant,
@@ -408,6 +465,50 @@ class FusedBackend(Backend):
         )
         interior[...] = staging
         return interior
+
+    def _refresh_and_sweep(
+        self,
+        src_padded: np.ndarray,
+        dst_padded: np.ndarray,
+        spec: StencilSpec,
+        radius,
+        interior_shape: Sequence[int],
+        boundary,
+        constant: Optional[np.ndarray],
+        refresh_axes: Optional[Sequence[int]],
+    ) -> np.ndarray:
+        """A step's refresh and sweep, the last ghost axis left to the sweep.
+
+        When the native library has a sweep for the source's dtype and
+        the refresh has ghost lanes
+        (:func:`~repro.stencil.shift.ghost_lanes`),
+        :func:`~repro.stencil.shift.refresh_ghosts` fills the other axes
+        (:attr:`~repro.stencil.shift.GhostLanes.head`) and
+        :meth:`sweep_into` takes the lanes: its checks pick the compiled
+        flat sweep, which fills them as its blocks reach them, or a NumPy
+        fill before any other sweep.  The source halo ends bitwise
+        equal to a full refresh either way.  Without lanes or a kernel
+        this is the base class's refresh-then-sweep.
+        """
+        lanes = ghost_lanes(src_padded.shape, radius, boundary, refresh_axes)
+        lib = native.library()
+        if lanes is None or lib is None or src_padded.dtype.str not in lib.sweep:
+            return super()._refresh_and_sweep(
+                src_padded, dst_padded, spec, radius, interior_shape, boundary,
+                constant, refresh_axes,
+            )
+        refresh_ghosts(src_padded, radius, boundary, axes=lanes.head)
+        # sweep_into's signature is the Backend contract's: the lanes
+        # reach it through this thread's state, which it clears first
+        # and which never outlives this call.
+        self._local.lanes = lanes
+        try:
+            return self.sweep_into(
+                src_padded, dst_padded, spec, radius, interior_shape,
+                constant=constant,
+            )
+        finally:
+            self._local.lanes = None
 
     def checksum(
         self, u: np.ndarray, axis: int, dtype: Optional[np.dtype] = None

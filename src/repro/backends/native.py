@@ -4,13 +4,23 @@ One C source (:data:`SOURCE`) holds two generic kernels, with no code
 generation: the stencil, the layout and the constant are run-time
 arguments.
 
-``sweep_f32`` / ``sweep_f64`` ``(src, dst, lo, hi, npts, disp, wts, const)``
+``sweep_f32`` / ``sweep_f64`` ``(src, dst, lo, hi, npts, disp, wts, const, lane, fill)``
     ``dst[i] = const[i] + wts[0]*src[i+disp[0]]``, then
     ``dst[i] = dst[i] + wts[k]*src[i+disp[k]]`` for every further point
     in spec order, over the flat range ``[lo, hi)`` in blocks of
     :data:`BLOCK` elements (``const`` may be ``NULL``: the first term is
     then the product alone).  That is the multiply/add sequence of the
     NumPy strip loop it replaces, so every element is bitwise equal.
+    ``lane`` (``NULL``: none) describes the source's ghost lanes still
+    to be filled, as :attr:`repro.stencil.shift.GhostLanes.descriptor`
+    lays them out, and ``fill`` points to the boundary's fill value.
+    A block runs only once the lanes of every row it reads
+    (``max(disp)`` past its end) are filled; the kernel fills rows
+    between runs of blocks, at least :data:`LANE_ROWS` at a time, and
+    the remaining rows after the last block, so the whole source halo
+    is filled on return.  A unit segment is one scalar copy or store
+    per row and ghost index.  The ghost refresh and the sweep are then
+    one pass over the source instead of two.
 ``fold_f32_f64`` / ``fold_f32_f32`` / ``fold_f64_f64`` ``(base, n0, stride0, span, out)``
     ``out[j] = 0 + base[j] + base[stride0 + j] + ...`` over ``n0``
     planes, lane by lane in order of x: the order of NumPy's axis-0
@@ -52,6 +62,7 @@ import numpy as np
 __all__ = [
     "BLOCK",
     "CACHE_DIR_ENV_VAR",
+    "LANE_ROWS",
     "FLAGS",
     "SOURCE",
     "NativeLibrary",
@@ -69,33 +80,97 @@ CACHE_DIR_ENV_VAR = "REPRO_KERNEL_CACHE_DIR"
 #: the block stays in L1 cache.
 BLOCK = 512
 
+#: Fewest rows whose ghost lanes the compiled sweep fills at once.  A
+#: 258x1026 rank row holds its two lanes on two cache lines 4 KB
+#: apart, so row by row each lane was a lone cache miss inside the
+#: sweep; 8 to 128 rows at a time made that step 3-5% faster, and 32
+#: changes nothing on the 514x514x10 tile, which needs ~51 rows a block.
+#: The fill runs between runs of blocks, never inside one: with it in
+#: the block loop, GCC compiled the loop ~3-7% slower even without lanes.
+LANE_ROWS = 32
+
 SOURCE = r"""
 #include <stddef.h>
 
 #define BLOCK %(block)d
+#define LANE_ROWS %(lane_rows)d
 
-#define SWEEP(NAME, T)                                                      \
-void NAME(const T *restrict src, T *restrict dst, ptrdiff_t lo,             \
-          ptrdiff_t hi, ptrdiff_t npts, const ptrdiff_t *restrict disp,     \
-          const T *restrict wts, const T *restrict cst)                     \
+#define LANES(NAME, T)                                                      \
+static void NAME(T *restrict src, const ptrdiff_t *restrict lane,           \
+                 const T *restrict fill, ptrdiff_t r0, ptrdiff_t r1)        \
 {                                                                           \
-    for (ptrdiff_t a = lo; a < hi; a += BLOCK) {                            \
-        ptrdiff_t n = hi - a < BLOCK ? hi - a : BLOCK;                      \
-        T *restrict out = dst + a;                                          \
-        const T *restrict s = src + a + disp[0];                            \
-        const T w = wts[0];                                                 \
-        if (cst) {                                                          \
-            const T *restrict c = cst + a;                                  \
-            for (ptrdiff_t i = 0; i < n; i++) out[i] = c[i] + s[i] * w;     \
+    const ptrdiff_t width = lane[1], seg = lane[2], ng = lane[3];           \
+    const ptrdiff_t nr = r1 - r0;                                           \
+    T *restrict rows = src + r0 * width;                                    \
+    for (ptrdiff_t k = 0; k < ng; k++) {                                    \
+        T *restrict out = rows + lane[4 + 2 * k];                           \
+        const ptrdiff_t from = lane[5 + 2 * k];                             \
+        if (from < 0) {                                                     \
+            const T f = *fill;                                              \
+            if (seg == 1)                                                   \
+                for (ptrdiff_t r = 0; r < nr; r++) out[r * width] = f;      \
+            else                                                            \
+                for (ptrdiff_t r = 0; r < nr; r++)                          \
+                    for (ptrdiff_t i = 0; i < seg; i++)                     \
+                        out[r * width + i] = f;                             \
         } else {                                                            \
-            for (ptrdiff_t i = 0; i < n; i++) out[i] = s[i] * w;            \
-        }                                                                   \
-        for (ptrdiff_t k = 1; k < npts; k++) {                              \
-            const T *restrict sk = src + a + disp[k];                       \
-            const T wk = wts[k];                                            \
-            for (ptrdiff_t i = 0; i < n; i++) out[i] = out[i] + sk[i] * wk; \
+            const T *restrict in = rows + from;                             \
+            if (seg == 1)                                                   \
+                for (ptrdiff_t r = 0; r < nr; r++)                          \
+                    out[r * width] = in[r * width];                         \
+            else                                                            \
+                for (ptrdiff_t r = 0; r < nr; r++)                          \
+                    for (ptrdiff_t i = 0; i < seg; i++)                     \
+                        out[r * width + i] = in[r * width + i];             \
         }                                                                   \
     }                                                                       \
+}
+
+#define SWEEP(NAME, T, LANES)                                               \
+void NAME(T *restrict src, T *restrict dst, ptrdiff_t lo, ptrdiff_t hi,     \
+          ptrdiff_t npts, const ptrdiff_t *restrict disp,                   \
+          const T *restrict wts, const T *restrict cst,                     \
+          const ptrdiff_t *restrict lane, const T *restrict fill)           \
+{                                                                           \
+    /* A block runs once the lanes of every row it reads, max(disp)      \
+       past its end, are filled.  Rows are filled between runs of        \
+       blocks, LANE_ROWS or more at a time: on long rows each row's      \
+       lanes miss the cache alone, and a batch lets the misses overlap.  \
+       Without lanes every block may run at once. */                     \
+    ptrdiff_t stop = hi, filled = 0, ahead = disp[0];                       \
+    for (ptrdiff_t k = 1; k < npts; k++)                                    \
+        if (disp[k] > ahead) ahead = disp[k];                               \
+    for (ptrdiff_t a = lo; a < hi;) {                                       \
+        if (lane) {                                                         \
+            ptrdiff_t n = hi - a < BLOCK ? hi - a : BLOCK;                  \
+            ptrdiff_t need = (a + n - 1 + ahead) / lane[1] + 1;             \
+            if (need < filled + LANE_ROWS) need = filled + LANE_ROWS;       \
+            if (need > lane[0]) need = lane[0];                             \
+            LANES(src, lane, fill, filled, need);                           \
+            filled = need;                                                  \
+            stop = filled == lane[0] ? hi : filled * lane[1] - ahead;       \
+        }                                                                   \
+        for (; a < hi; a += BLOCK) {                                        \
+            const ptrdiff_t n = hi - a < BLOCK ? hi - a : BLOCK;            \
+            if (a + n > stop) break;                                        \
+            T *restrict out = dst + a;                                      \
+            const T *restrict s = src + a + disp[0];                        \
+            const T w = wts[0];                                             \
+            if (cst) {                                                      \
+                const T *restrict c = cst + a;                              \
+                for (ptrdiff_t i = 0; i < n; i++) out[i] = c[i] + s[i] * w; \
+            } else {                                                        \
+                for (ptrdiff_t i = 0; i < n; i++) out[i] = s[i] * w;        \
+            }                                                               \
+            for (ptrdiff_t k = 1; k < npts; k++) {                          \
+                const T *restrict sk = src + a + disp[k];                   \
+                const T wk = wts[k];                                        \
+                for (ptrdiff_t i = 0; i < n; i++)                           \
+                    out[i] = out[i] + sk[i] * wk;                           \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+    if (lane && filled < lane[0]) LANES(src, lane, fill, filled, lane[0]);  \
 }
 
 #define FOLD(NAME, TI, TO)                                                  \
@@ -109,12 +184,14 @@ void NAME(const TI *restrict base, ptrdiff_t n0, ptrdiff_t stride0,         \
     }                                                                       \
 }
 
-SWEEP(sweep_f32, float)
-SWEEP(sweep_f64, double)
+LANES(lanes_f32, float)
+LANES(lanes_f64, double)
+SWEEP(sweep_f32, float, lanes_f32)
+SWEEP(sweep_f64, double, lanes_f64)
 FOLD(fold_f32_f64, float, double)
 FOLD(fold_f32_f32, float, float)
 FOLD(fold_f64_f64, double, double)
-""" % {"block": BLOCK}
+""" % {"block": BLOCK, "lane_rows": LANE_ROWS}
 
 #: Compiler flags.  Never ``-ffast-math`` or ``-Ofast``, and no FMA
 #: contraction: bitwise equality with NumPy's separate multiply and add
@@ -258,7 +335,7 @@ def _build_and_load() -> Union[NativeLibrary, str]:
     sweep, fold = {}, {}
     for key, name in ((_F32, "sweep_f32"), (_F64, "sweep_f64")):
         fn = getattr(cdll, name)
-        fn.argtypes, fn.restype = [_P, _P, _N, _N, _N, _P, _P, _P], None
+        fn.argtypes, fn.restype = [_P, _P, _N, _N, _N, _P, _P, _P, _P, _P], None
         sweep[key] = fn
     for key, name in (
         ((_F32, _F64), "fold_f32_f64"),

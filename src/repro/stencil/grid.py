@@ -58,7 +58,11 @@ class GridBase:
         :meth:`BoundarySpec.from_any`).
     constant:
         Optional per-point constant term :math:`C` added at every sweep
-        (heat source, power map, ...). Same shape as the domain.
+        (heat source, power map, ...). Same shape as the domain.  The
+        grid keeps it read-only: a read-only array that owns its data
+        is shared, anything else is copied, so a caller updating its
+        array in place cannot change a grid's steps (backends may cache
+        a prepared copy of the constant).
     copy:
         Kept for API compatibility; the buffer pair always copies
         ``initial``, so this flag has no aliasing effect any more.
@@ -99,6 +103,9 @@ class GridBase:
                 raise ValueError(
                     f"constant term has shape {constant.shape}, domain has {u.shape}"
                 )
+            if constant.flags.writeable or not constant.flags.owndata:
+                constant = constant.copy()
+                constant.flags.writeable = False
         self.constant = constant
         self.radius = spec.radius()
         self.iteration = 0
@@ -333,7 +340,7 @@ class GridBase:
             self.u,
             self.spec,
             self.boundary,
-            constant=None if self.constant is None else self.constant.copy(),
+            constant=self.constant,
             copy=True,
             backend=self.backend_spec,
         )

@@ -16,7 +16,7 @@ closed boundary condition.
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,9 @@ __all__ = [
     "padded_shape",
     "pad_array",
     "refresh_ghosts",
+    "ghost_lanes",
+    "fill_lanes",
+    "GhostLanes",
     "ghost_fill_ops",
     "fill_ghosts",
     "PlanCache",
@@ -127,11 +130,10 @@ def refresh_ghosts(
     ghost range of axes ``< k`` but only the interior range of axes
     ``> k``, so corners are owned by the highest axis — which makes the
     result bit-identical to a fresh :func:`pad_array` of the interior for
-    every boundary kind.  The slabs of the last axis span every other
-    axis, so on a C-contiguous buffer they are copied one ghost column
-    of its ``(rows, width)`` view at a time: one long strided loop per
-    column instead of one short loop per row, the same values.  The
-    ops are derived once per layout and cached.
+    every boundary kind.  The slabs of the last axis with ghosts span
+    every other axis, so they are filled as that axis's ghost lanes
+    (:class:`GhostLanes`, :func:`fill_lanes`).  The ops are derived
+    once per layout and cached.
 
     ``axes`` restricts the refresh to a subset of axes: the ghost slabs
     of every other axis are treated as *externally managed* — left
@@ -143,12 +145,17 @@ def refresh_ghosts(
     halo-extended block (the externally managed axis behaves exactly
     like a zero-radius axis).
 
+    The ``fused`` backend's step uses the same rule to split the
+    refresh: it calls this function for the other axes only
+    (:attr:`GhostLanes.head`) and its compiled sweep fills the last
+    ghost axis (:func:`ghost_lanes`) a few rows at a time, just ahead
+    of the blocks that read them.  The slabs of the other axes then
+    also write the corners of that axis, which the lanes overwrite
+    with the same values this function would have left there.
+
     Returns ``padded`` (the same object) for chaining.
     """
-    plan = _refresh_plans.get_or_build(
-        (padded.shape, _key(radius), _key(boundary), _key(axes)),
-        _build_refresh_plan, padded.shape, radius, boundary, axes,
-    )
+    plan = _refresh_plan(padded.shape, radius, boundary, axes)
     if plan.ops is None:
         # Degenerate wrap (ghost wider than the interior): the in-place
         # slab fill would read half-written ghosts. np.pad's tiling
@@ -158,11 +165,41 @@ def refresh_ghosts(
             interior_view(padded, plan.radius).copy(), plan.radius, plan.boundary
         )
         return padded
-    if not plan.columns or not padded.flags.c_contiguous:
+    if plan.lanes is None:
         return fill_ghosts(padded, plan.ops)
-    # The last axis's two slab ops come last.
+    # The last ghost axis's two slab ops come last.
     fill_ghosts(padded, plan.ops[:-2])
-    fill_ghosts(padded.reshape(-1, padded.shape[-1]), plan.columns)
+    return fill_lanes(padded, plan.lanes)
+
+
+def ghost_lanes(
+    padded_shape: Sequence[int],
+    radius,
+    boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
+    axes: Optional[Sequence[int]] = None,
+) -> Optional["GhostLanes"]:
+    """The last ghost axis of :func:`refresh_ghosts` as row segments.
+
+    Takes :func:`refresh_ghosts`'s arguments (``padded_shape`` in place
+    of the buffer) and returns the cached :class:`GhostLanes` of that
+    refresh, or ``None`` when no axis is refreshed with a non-zero
+    ghost width or a periodic axis is degenerate.
+    """
+    return _refresh_plan(tuple(padded_shape), radius, boundary, axes).lanes
+
+
+def fill_lanes(padded: np.ndarray, lanes: "GhostLanes") -> np.ndarray:
+    """Fill the ghost lanes of ``padded`` with NumPy, in place; returns it.
+
+    A whole C-contiguous buffer with unit segments takes one op per
+    ghost column of its ``(rows, width)`` view: one long strided loop
+    per column instead of one short loop per row, the same values.
+    Every other view takes the slab ops of the axis.
+    """
+    if lanes.columns and padded.flags.c_contiguous:
+        fill_ghosts(padded.reshape(lanes.rows, lanes.width), lanes.columns)
+    else:
+        fill_ghosts(padded, lanes.ops)
     return padded
 
 
@@ -199,6 +236,65 @@ _MAX_CACHED_REFRESH_PLANS = 32
 _refresh_plans = PlanCache(_MAX_CACHED_REFRESH_PLANS)
 
 
+GhostFillOp = Tuple[Tuple[slice, ...], object]
+
+
+class GhostLanes(NamedTuple):
+    """The last ghost axis of a refresh, as segments of the buffer's rows.
+
+    View a C-contiguous buffer of shape ``s`` whose last refreshed axis
+    with ghosts is ``axis`` as ``(rows, width)``: ``rows`` is the
+    product of ``s[:axis]``, ``width`` is ``s[axis] * seg`` and ``seg``
+    the product of ``s[axis + 1:]``.  Every ghost index of ``axis`` is
+    then a segment of ``seg`` contiguous elements at one offset of
+    every row, a *ghost lane*.  Each is filled from a source segment
+    of the same row, or with the boundary's fill value.  A lane reads
+    no ghost of its own axis, so the rows and the ghost indices can be
+    filled in any order; the slabs of the other axes must come first.
+    """
+
+    axis: int
+    rows: int
+    width: int
+    seg: int
+    #: The boundary's fill value, for lanes without a source segment.
+    fill: float
+    #: The refreshed axes other than ``axis``: the ``axes`` argument of
+    #: :func:`refresh_ghosts` that leaves the lanes to the caller.
+    head: Tuple[int, ...]
+    #: The axis's two slab ops, which fill the lanes of any view.
+    ops: Tuple[GhostFillOp, ...]
+    #: One op per ghost column of the ``(rows, width)`` view, for unit
+    #: segments (else empty).  On a 514x514x10 float32 buffer the two
+    #: clamp columns took 0.97 ms where the two slabs took 2.2.
+    columns: Tuple[GhostFillOp, ...]
+    #: The lanes for the compiled sweep (``intp``): ``rows, width, seg``
+    #: and the number of ghost indices, then per ghost index in slab
+    #: order the offset in a row of its segment and of its source
+    #: segment (``-1``: the fill value).
+    descriptor: np.ndarray
+    #: :meth:`addresses` per dtype ``str``, with the array they point to.
+    fills: Dict[str, Tuple[np.ndarray, int, int]]
+
+    def addresses(self, dtype: np.dtype) -> Tuple[int, int]:
+        """Where :attr:`descriptor` and :attr:`fill` as ``dtype`` live.
+
+        The compiled sweep's lane and fill arguments, cached per dtype,
+        so a step allocates nothing for them.  NumPy casts the fill
+        value as it casts the scalar in ``padded[dst] = fill``, so a
+        compiled store writes the bits :func:`fill_ghosts` writes.
+        """
+        entry = self.fills.get(dtype.str)
+        if entry is None:
+            value = np.array([self.fill], dtype=dtype)
+            # The first entry stored stays, so no address handed out is
+            # ever freed while the lanes live.
+            entry = self.fills.setdefault(
+                dtype.str, (value, self.descriptor.ctypes.data, value.ctypes.data)
+            )
+        return entry[1], entry[2]
+
+
 class _RefreshPlan(NamedTuple):
     """What :func:`refresh_ghosts` does to one padded layout."""
 
@@ -208,11 +304,9 @@ class _RefreshPlan(NamedTuple):
     #: :func:`ghost_fill_ops` of the layout; ``None`` on a degenerate
     #: periodic axis, which is padded with :func:`pad_array` instead.
     ops: Optional[Tuple[GhostFillOp, ...]]
-    #: The last two ops (the last axis's slabs) as one op per ghost
-    #: column of the buffer's ``(rows, width)`` view; empty when the
-    #: last axis has ghost width 0.  On a 514x514x10 float32 buffer the
-    #: two clamp columns took 0.97 ms where the two slabs took 2.2.
-    columns: Tuple[GhostFillOp, ...]
+    #: The last ghost axis (its two ops come last in ``ops``); ``None``
+    #: without ops or without a refreshed axis of non-zero width.
+    lanes: Optional[GhostLanes]
 
 
 def _key(value):
@@ -224,9 +318,17 @@ def _key(value):
     return value
 
 
+def _refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
+    return _refresh_plans.get_or_build(
+        (shape, _key(radius), _key(boundary), _key(axes)),
+        _build_refresh_plan, shape, radius, boundary, axes,
+    )
+
+
 def _build_refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
     ndim = len(shape)
     radius = normalize_radius(radius, ndim)
+    keep = set(range(ndim))
     if axes is not None:
         keep = {int(a) for a in axes}
         if not keep.issubset(range(ndim)):
@@ -243,22 +345,51 @@ def _build_refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
         )
     bspec = BoundarySpec.from_any(boundary, ndim)
     ops = ghost_fill_ops(shape, radius, bspec)
-    columns = []
-    if ops is not None and radius[-1] > 0:
-        # The last axis's slabs index every other axis with ``slice(None)``.
-        for dst, src in ops[-2:]:
-            for i, col in enumerate(range(dst[-1].start, dst[-1].stop)):
-                if isinstance(src, tuple):
-                    # Clamp reads one edge column, periodic a run of them.
-                    last = range(src[-1].start, src[-1].stop)
-                    src_col = (slice(None), last[min(i, len(last) - 1)])
-                    columns.append(((slice(None), col), src_col))
-                else:
-                    columns.append(((slice(None), col), src))
-    return _RefreshPlan(radius, bspec, ops, tuple(columns))
+    lanes = None
+    if ops is not None and any(radius):
+        axis = max(a for a in range(ndim) if radius[a])
+        lanes = _build_lanes(shape, axis, ops[-2:], bspec.axis(axis), keep)
+    return _RefreshPlan(radius, bspec, ops, lanes)
 
 
-GhostFillOp = Tuple[Tuple[slice, ...], object]
+def _build_lanes(shape, axis, ops, bc, keep) -> GhostLanes:
+    seg = int(np.prod(shape[axis + 1:], dtype=np.int64))
+    rows = int(np.prod(shape[:axis], dtype=np.int64))
+    # ``(dst, src)`` offsets in a row per ghost index; ``src`` is None
+    # for the fill value.  The slabs index every other axis fully.
+    ghosts = []
+    for dst, src in ops:
+        for i, index in enumerate(range(dst[axis].start, dst[axis].stop)):
+            source = None
+            if isinstance(src, tuple):
+                # Clamp reads one edge index, periodic a run of them.
+                run = range(src[axis].start, src[axis].stop)
+                source = run[min(i, len(run) - 1)] * seg
+            ghosts.append((index * seg, source))
+    fill = bc.fill_value()
+    columns = ()
+    if seg == 1:
+        columns = tuple(
+            ((slice(None), dst), fill if src is None else (slice(None), src))
+            for dst, src in ghosts
+        )
+    descriptor = np.array(
+        [rows, shape[axis] * seg, seg, len(ghosts)]
+        + [v for dst, src in ghosts for v in (dst, -1 if src is None else src)],
+        dtype=np.intp,
+    )
+    return GhostLanes(
+        axis=axis,
+        rows=rows,
+        width=shape[axis] * seg,
+        seg=seg,
+        fill=fill,
+        head=tuple(a for a in sorted(keep) if a != axis),
+        ops=tuple(ops),
+        columns=columns,
+        descriptor=descriptor,
+        fills={},
+    )
 
 
 def ghost_fill_ops(

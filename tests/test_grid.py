@@ -92,6 +92,42 @@ class TestGridStepping:
         g.step()
         np.testing.assert_allclose(g.u, 2.0, rtol=1e-6)
 
+    def test_caller_updating_its_constant_changes_no_backend(self, rng):
+        """The grid keeps its own read-only constant: after the caller
+        doubles its array in place, ``fused`` (which caches a padded copy
+        of the constant) and ``numpy`` still step the same values."""
+        u0 = rng.random((16, 12, 6)).astype(np.float32)
+        constant = rng.random((16, 12, 6)).astype(np.float32)
+        spec = seven_point_diffusion_3d(0.1)
+        grids = [
+            Grid3D(u0, spec, BoundaryCondition.clamp(), constant=constant,
+                   backend=name)
+            for name in ("fused", "numpy")
+        ]
+        for g in grids:
+            g.step()
+        constant *= 2.0
+        for g in grids:
+            g.step()
+        np.testing.assert_array_equal(grids[0].u, grids[1].u)
+        with pytest.raises(ValueError, match="read-only"):
+            grids[0].constant[0, 0, 0] = 1.0
+
+    def test_read_only_owned_constant_is_shared(self, rng):
+        constant = rng.random((6, 6)).astype(np.float32)
+        constant.flags.writeable = False
+        u0 = np.zeros((6, 6), dtype=np.float32)
+        g = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp(),
+                   constant=constant)
+        assert g.constant is constant
+        assert g.copy().constant is constant
+        # A read-only view of a writeable array is copied.
+        view = rng.random((6, 6)).astype(np.float32)[...]
+        view.flags.writeable = False
+        g = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp(),
+                   constant=view)
+        assert g.constant is not view and not g.constant.flags.writeable
+
     def test_step_with_external_padded(self, small_grid_2d):
         g = small_grid_2d
         padded = g.padded_current()

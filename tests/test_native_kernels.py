@@ -422,6 +422,43 @@ class TestThreads:
             np.testing.assert_array_equal(_bits(a), _bits(b))
             np.testing.assert_array_equal(_bits(ca), _bits(cb))
 
+    def test_concurrent_steps_equal_serial(self, rng, monkeypatch):
+        """Steps handing their ghost lanes to the sweep, in more threads
+        than cores racing to build the same refresh plan and its fill
+        values: every source halo and interior equals the serial one."""
+        from repro.backends import fused as fused_module
+        from repro.stencil import shift
+        from repro.stencil.boundary import BoundaryCondition
+
+        fused = FusedBackend()
+        spec = StencilSpec.seven_point_3d(0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
+        shape, radius = (40, 30, 8), (1, 1, 1)
+        boundary = BoundaryCondition.constant(0.1)
+        srcs = [
+            rng.random(padded_shape(shape, radius)).astype(np.float32)
+            for _ in range(12)
+        ]
+
+        def work(src):
+            src, dst = src.copy(), np.zeros_like(src)
+            fused.step_into(src, dst, spec, radius, shape, boundary)
+            return src, dst
+
+        serial = [work(s) for s in srcs]
+        monkeypatch.setattr(fused_module, "_flat_plans", fused_module.PlanCache(32))
+        monkeypatch.setattr(shift, "_refresh_plans", shift.PlanCache(32))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(6) as pool:
+                threaded = list(pool.map(work, srcs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == len(serial)
+        for pair, want in zip(threaded, serial):
+            for a, b in zip(pair, want):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+
     @pytest.mark.parametrize("parts", [(2, 2), (3, 1)])
     def test_threads_executor_equals_serial(self, rng, parts):
         from repro.parallel.executor import SerialExecutor, ThreadPoolTileExecutor

@@ -15,10 +15,18 @@ Every registered backend is checked, plus ``base``: a backend that
 provides only ``sweep_padded``, so the :class:`Backend` base-class
 implementations (copy-into-destination sweep, refresh-then-sweep step,
 loop-over-slots batch) are held to the same contract.  Two hypothesis
-properties draw random stencils (radius <= 3, 2D and 3D), boundary-kind
-mixes, external (distributed) axis subsets and degenerate periodic
-halos (ghost wider than the interior).
+properties draw random stencils (radius <= 3, 2D and 3D), float32 and
+float64 domains, boundary-kind mixes (constant values float32 cannot
+hold exactly included), external (distributed) axis subsets and
+degenerate periodic halos (ghost wider than the interior); both also
+run on ``fused`` with its native library forced unavailable.
+
+``fused``'s compiled step fills the last ghost axis's lanes inside its
+sweep; the named cases at the end pin the views that must take the
+NumPy fill instead.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,11 +35,19 @@ from hypothesis import strategies as st
 
 from conftest import all_boundary_conditions
 
-from repro.backends import Backend, available_backends, get_backend
+from repro.backends import (
+    Backend,
+    FusedBackend,
+    available_backends,
+    get_backend,
+    native,
+)
+from repro.backends import fused as fused_module
 from repro.core.checksums import checksum
-from repro.stencil import kernels
+from repro.stencil import kernels, shift
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import (
+    ghost_lanes,
     interior_view,
     pad_array,
     padded_shape,
@@ -66,6 +82,11 @@ def backend(request):
     return get_backend(request.param)
 
 
+def numpy_only():
+    """Force ``fused``'s NumPy paths: the native library reads as unavailable."""
+    return mock.patch.object(native, "_state", "forced unavailable by a test")
+
+
 def _domain(rng, shape):
     return (rng.random(shape) * 100.0).astype(np.float32)
 
@@ -85,6 +106,15 @@ def _reference_step(src, spec, radius, shape, boundary, constant=None,
     refresh_ghosts(src, radius, boundary, axes=refresh_axes)
     return get_backend("numpy").sweep_padded(
         src, spec, radius, shape, constant=constant
+    )
+
+
+def _assert_bits(got, want):
+    """Equal dtype, shape and bits (signed zeros told apart)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    view = f"u{got.itemsize}"
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(view), np.ascontiguousarray(want).view(view)
     )
 
 
@@ -325,9 +355,9 @@ def test_warmup_is_idempotent(rng, backend):
 _KIND_STRATEGY = st.sampled_from(("clamp", "periodic", "constant", "zero"))
 
 
-def _bc(kind):
+def _bc(kind, value=2.5):
     if kind == "constant":
-        return BoundaryCondition.constant(2.5)
+        return BoundaryCondition.constant(value)
     return getattr(BoundaryCondition, kind)()
 
 
@@ -352,8 +382,14 @@ def _cases(draw):
     # Interior extents may be below the ghost width, so degenerate
     # periodic wraps (ghost wider than the interior) are drawn too.
     shape = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
+    # 0.1 has no exact float32 value: a compiled fill must store the
+    # bits NumPy's cast of the scalar stores.
     boundary = BoundarySpec.from_any(
-        [_bc(draw(_KIND_STRATEGY)) for _ in range(ndim)], ndim
+        [
+            _bc(draw(_KIND_STRATEGY), draw(st.sampled_from((2.5, 0.1, -0.0))))
+            for _ in range(ndim)
+        ],
+        ndim,
     )
     external = tuple(
         a for a in range(ndim) if draw(st.booleans()) and radius[a] > 0
@@ -364,7 +400,8 @@ def _cases(draw):
         else None
     )
     has_const = draw(st.booleans())
-    return spec, shape, boundary, refresh_axes, has_const
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    return spec, shape, boundary, refresh_axes, has_const, dtype
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,13 +413,22 @@ def test_step_bit_identical_to_interpreted(backend, case, seed):
     The halos start as random data, standing in for ingested neighbour
     halos on the external axes.
     """
-    spec, shape, boundary, refresh_axes, has_const = case
+    _check_step(backend, case, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cases(), seed=st.integers(0, 2**31 - 1))
+def test_interpreted_fused_step_bit_identical(case, seed):
+    with numpy_only():
+        _check_step(FusedBackend(), case, seed)
+
+
+def _check_step(backend, case, seed):
+    spec, shape, boundary, refresh_axes, has_const, dtype = case
     radius = spec.radius()
     rng = np.random.default_rng(seed)
-    src = rng.standard_normal(padded_shape(shape, radius)).astype(np.float32)
-    const = (
-        rng.standard_normal(shape).astype(np.float32) if has_const else None
-    )
+    src = rng.standard_normal(padded_shape(shape, radius)).astype(dtype)
+    const = rng.standard_normal(shape).astype(dtype) if has_const else None
     src_ref = src.copy()
     expected = _reference_step(
         src_ref, spec, radius, shape, boundary, constant=const,
@@ -393,8 +439,11 @@ def test_step_bit_identical_to_interpreted(backend, case, seed):
         (0, 1), constant=const, checksum_dtype=np.float64,
         refresh_axes=refresh_axes,
     )
+    # Values, not bits: without a constant ``fused`` starts from the
+    # first product, where the reference adds it to +0.0, so an all-zero
+    # sum may differ in the sign of zero.  The halo is copied: bits.
     np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(src, src_ref)
+    _assert_bits(src, src_ref)
     _assert_checksums(cs, expected, (0, 1))
 
 
@@ -412,18 +461,30 @@ def test_batched_step_bit_identical_to_single_steps(
     ``batch`` independent single steps, slot for slot.  This is what
     makes stacked-vs-replay a pure throughput choice in the campaign
     engine."""
-    spec, shape, boundary, refresh_axes, has_const = case
+    _check_batch(backend, case, batch, with_cs, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    case=_cases(),
+    batch=st.sampled_from((1, 3, 8)),
+    with_cs=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_interpreted_fused_batch_bit_identical(case, batch, with_cs, seed):
+    with numpy_only():
+        _check_batch(FusedBackend(), case, batch, with_cs, seed)
+
+
+def _check_batch(backend, case, batch, with_cs, seed):
+    spec, shape, boundary, refresh_axes, has_const, dtype = case
     radius = spec.radius()
     rng = np.random.default_rng(seed)
     pshape = padded_shape(shape, radius)
-    singles = [
-        rng.standard_normal(pshape).astype(np.float32) for _ in range(batch)
-    ]
-    const = (
-        rng.standard_normal(shape).astype(np.float32) if has_const else None
-    )
+    singles = [rng.standard_normal(pshape).astype(dtype) for _ in range(batch)]
+    const = rng.standard_normal(shape).astype(dtype) if has_const else None
     bsrc = np.stack(singles, axis=-1)
-    bdst = np.full(bsrc.shape, np.nan, dtype=np.float32)
+    bdst = np.full(bsrc.shape, np.nan, dtype=dtype)
     if with_cs:
         got, cs = backend.batch_step_into_with_checksums(
             bsrc, bdst, spec, radius, shape, boundary, (0, 1),
@@ -436,7 +497,7 @@ def test_batched_step_bit_identical_to_single_steps(
             refresh_axes=refresh_axes,
         )
     for b, src in enumerate(singles):
-        dst = np.full(pshape, np.nan, dtype=np.float32)
+        dst = np.full(pshape, np.nan, dtype=dtype)
         if with_cs:
             want, want_cs = backend.step_into_with_checksums(
                 src, dst, spec, radius, shape, boundary, (0, 1),
@@ -448,8 +509,218 @@ def test_batched_step_bit_identical_to_single_steps(
                 src, dst, spec, radius, shape, boundary, constant=const,
                 refresh_axes=refresh_axes,
             )
-        np.testing.assert_array_equal(got[..., b], want)
-        np.testing.assert_array_equal(bsrc[..., b], src)
+        _assert_bits(got[..., b], want)
+        _assert_bits(bsrc[..., b], src)
         if with_cs:
             for axis in (0, 1):
-                np.testing.assert_array_equal(cs[axis][..., b], want_cs[axis])
+                _assert_bits(cs[axis][..., b], want_cs[axis])
+
+
+# -- the views that take the NumPy lane fill --------------------------------
+
+_SPEC_2D = kernels.five_point_diffusion(0.2)
+_SPEC_3D = kernels.seven_point_diffusion_3d(0.1)
+
+
+def _step_case(backend, src, dst, spec, shape, boundary, refresh_axes=None):
+    """Step ``src`` into ``dst``; returns (interior, expected interior,
+    expected source) where the expectations come from a copy of ``src``."""
+    radius = spec.radius()
+    src_ref = np.array(src, copy=True)
+    expected = _reference_step(
+        src_ref, spec, radius, shape, boundary, refresh_axes=refresh_axes
+    )
+    got = backend.step_into(
+        src, dst, spec, radius, shape, boundary, refresh_axes=refresh_axes
+    )
+    return got, expected, src_ref
+
+
+def test_empty_interior_along_an_external_axis(rng, backend):
+    """No interior rows: the sweep writes nothing, yet the ingested halo
+    rows of the external axis still get their ghost lanes."""
+    shape, boundary = (0, 9), BoundaryCondition.constant(0.1)
+    src = rng.standard_normal(padded_shape(shape, (1, 1))).astype(np.float32)
+    dst = np.full_like(src, np.nan)
+    got, expected, src_ref = _step_case(
+        backend, src, dst, _SPEC_2D, shape, boundary, refresh_axes=(1,)
+    )
+    assert got.shape == expected.shape == shape
+    _assert_bits(src, src_ref)
+    assert np.isnan(dst).all()
+
+
+@pytest.mark.parametrize(
+    "spec,shape,refresh_axes",
+    [(_SPEC_2D, (6, 9), (1,)), (_SPEC_3D, (5, 4, 3), None)],
+    ids=["lanes-only", "3d"],
+)
+def test_read_only_source_raises_and_nothing_is_written(
+    rng, backend, spec, shape, refresh_axes
+):
+    """The refresh writes the source: a read-only one raises NumPy's
+    error before any cell changes, in C as in NumPy (``lanes-only`` has
+    no other axis to refresh, so the lane fill is the first write)."""
+    src = rng.standard_normal(padded_shape(shape, spec.radius())).astype(np.float32)
+    src.flags.writeable = False
+    before = src.copy()
+    dst = np.full_like(src, np.nan)
+    with pytest.raises(ValueError, match="read-only"):
+        backend.step_into(
+            src, dst, spec, spec.radius(), shape, BoundaryCondition.clamp(),
+            refresh_axes=refresh_axes,
+        )
+    _assert_bits(src, before)
+    assert np.isnan(dst).all()
+
+
+def _compiled_calls(lanes_passed):
+    """Spy on the compiled sweeps, recording whether each got lanes."""
+    lib = native.library()
+    table = {} if lib is None else lib.sweep
+
+    def spy(fn):
+        def call(*args):
+            lanes_passed.append(args[8] is not None)
+            return fn(*args)
+        return call
+
+    return mock.patch.dict(table, {key: spy(fn) for key, fn in table.items()})
+
+
+def test_overlapping_pair_takes_the_fallback(rng, backend):
+    """A step whose destination overlaps its source sweeps through the
+    copy-based route, which no compiled kernel runs: the lanes are filled
+    by NumPy first, and the result is the reference's."""
+    shape = (7, 6)
+    radius = _SPEC_2D.radius()
+    src = rng.standard_normal(padded_shape(shape, radius)).astype(np.float32)
+    expected_src = src.copy()
+    expected = _reference_step(
+        expected_src, _SPEC_2D, radius, shape, BoundaryCondition.clamp()
+    )
+    lanes_passed = []
+    with _compiled_calls(lanes_passed):
+        got = backend.step_into(
+            src, src, _SPEC_2D, radius, shape, BoundaryCondition.clamp()
+        )
+    assert lanes_passed == []
+    _assert_bits(got, expected)
+
+
+@pytest.mark.parametrize("view", ["unaligned", "strided"])
+def test_views_without_compiled_lanes(rng, backend, view):
+    """An unaligned source (the flat NumPy strip loop) and a strided pair
+    (the staged sweep) leave the lanes to NumPy: same bits as the
+    reference, in the interior and the whole source halo."""
+    shape, boundary = (5, 6, 4), BoundarySpec.clamp(3)
+    pshape = padded_shape(shape, _SPEC_3D.radius())
+    values = rng.standard_normal(pshape).astype(np.float32)
+    if view == "unaligned":
+        raw = np.zeros(values.nbytes + 1, np.uint8)
+        src = np.frombuffer(raw.data, np.float32, values.size, 1).reshape(pshape)
+        assert not src.flags.aligned
+        dst = np.full(pshape, np.nan, np.float32)
+    else:
+        src = np.zeros((2 * pshape[0],) + pshape[1:], np.float32)[::2]
+        dst = np.full((2 * pshape[0],) + pshape[1:], np.nan, np.float32)[::2]
+    src[...] = values
+    lanes_passed = []
+    with _compiled_calls(lanes_passed):
+        got, expected, src_ref = _step_case(
+            backend, src, dst, _SPEC_3D, shape, boundary
+        )
+    assert not any(lanes_passed)
+    _assert_bits(got, expected)
+    _assert_bits(src, src_ref)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["hotspot", "rank", "batch"],
+)
+def test_compiled_step_leaves_the_lanes_to_the_sweep(rng, case):
+    """On the compiled path a step calls ``refresh_ghosts`` once, for the
+    other axes only: no op of the last ghost axis reaches
+    ``fill_ghosts``, and the compiled sweep gets the lanes."""
+    if native.library() is None:
+        pytest.skip(f"native library unavailable: {native.unavailable_reason()}")
+    backend = get_backend("fused")
+    boundary = BoundarySpec.from_any(
+        [BoundaryCondition.constant(0.1), BoundaryCondition.periodic(),
+         BoundaryCondition.clamp()][: 2 if case == "rank" else 3],
+        2 if case == "rank" else 3,
+    )
+    spec = _SPEC_2D if case == "rank" else _SPEC_3D
+    shape = (6, 9) if case == "rank" else (6, 5, 4)
+    refresh_axes = (1,) if case == "rank" else None
+    radius = spec.radius()
+    pshape = padded_shape(shape, radius)
+    if case == "batch":
+        pshape += (3,)
+        lanes = ghost_lanes(
+            pshape, radius + (0,), tuple(boundary) + (BoundaryCondition.clamp(),)
+        )
+    else:
+        lanes = ghost_lanes(pshape, radius, boundary, refresh_axes)
+    src = rng.standard_normal(pshape).astype(np.float32)
+    dst = np.full_like(src, np.nan)
+    lane_ops = list(lanes.ops) + list(lanes.columns)
+    refreshes, filled, lanes_passed = [], [], []
+    fill_ghosts = shift.fill_ghosts
+
+    def refresh(*args, **kwargs):
+        refreshes.append(kwargs.get("axes"))
+        return refresh_ghosts(*args, **kwargs)
+
+    def fill(padded, ops):
+        filled.extend(ops)
+        return fill_ghosts(padded, ops)
+
+    with mock.patch.object(fused_module, "refresh_ghosts", refresh), \
+            mock.patch.object(shift, "fill_ghosts", fill), \
+            _compiled_calls(lanes_passed):
+        if case == "batch":
+            singles = [src[..., b].copy() for b in range(3)]
+            got = backend.batch_step_into(src, dst, spec, radius, shape, boundary)
+        else:
+            src_ref = src.copy()
+            got = backend.step_into(
+                src, dst, spec, radius, shape, boundary, refresh_axes=refresh_axes
+            )
+    assert refreshes == [lanes.head]
+    assert lanes_passed == [True]
+    assert not any(op == lane for op in filled for lane in lane_ops)
+    if case == "batch":
+        for b, single in enumerate(singles):
+            want = backend.step_into(
+                single, np.full_like(single, np.nan), spec, radius, shape, boundary
+            )
+            _assert_bits(got[..., b], want)
+            _assert_bits(src[..., b], single)
+    else:
+        expected = _reference_step(
+            src_ref, spec, radius, shape, boundary, refresh_axes=refresh_axes
+        )
+        _assert_bits(got, expected)
+        _assert_bits(src, src_ref)
+
+
+@pytest.mark.parametrize(
+    "spec,shape",
+    [(kernels.nine_point_smoothing(), (100, 1000)),
+     (kernels.twenty_seven_point_3d(), (6, 5, 600))],
+    ids=["9pt-2d", "27pt-3d"],
+)
+def test_lanes_filled_before_their_rows_are_read(rng, backend, spec, shape):
+    """Long rows, more of them than one fill covers, and corner points
+    that read the lanes of the next rows: every lane is filled before a
+    block reads it (blocks end close to the filled rows here), and the
+    rest after the last block."""
+    boundary = BoundaryCondition.constant(0.1)
+    src = rng.standard_normal(padded_shape(shape, spec.radius())).astype(np.float32)
+    got, expected, src_ref = _step_case(
+        backend, src, np.full_like(src, np.nan), spec, shape, boundary
+    )
+    _assert_bits(got, expected)
+    _assert_bits(src, src_ref)
