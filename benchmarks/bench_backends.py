@@ -237,6 +237,13 @@ def compare_executors(size: int, iters: int, workers) -> dict:
     return results
 
 
+def _sweep_and_checksums(name, padded, spec, radius, shape):
+    """One ``sweep_padded`` on backend ``name``, then its float64 checksums."""
+    be = get_backend(name)
+    new = be.sweep_padded(padded, spec, radius, shape)
+    return new, {a: be.checksum(new, a, dtype=np.float64) for a in (0, 1)}
+
+
 def check_equivalence(backends, verbose: bool = True) -> float:
     """Max relative mismatch of any backend vs the reference (library-wide)."""
     from repro.stencil import kernels
@@ -256,13 +263,9 @@ def check_equivalence(backends, verbose: bool = True) -> float:
         u = (rng.random(shape) * 100.0).astype(np.float32)
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
-        ref_new, ref_cs = get_backend(REFERENCE).sweep_with_checksums(
-            padded, spec, radius, shape, (0, 1), checksum_dtype=np.float64
-        )
+        ref_new, ref_cs = _sweep_and_checksums(REFERENCE, padded, spec, radius, shape)
         for backend in backends:
-            new, cs = get_backend(backend).sweep_with_checksums(
-                padded, spec, radius, shape, (0, 1), checksum_dtype=np.float64
-            )
+            new, cs = _sweep_and_checksums(backend, padded, spec, radius, shape)
             eps = recommend_epsilon(shape, 0, np.float32, spec)
             mismatches = [
                 np.max(np.abs(new - ref_new) / np.maximum(np.abs(ref_new), 1.0))

@@ -11,8 +11,8 @@ The library is organised as a set of small, composable subsystems:
 
 ``repro.backends``
     Pluggable compute backends behind every sweep and checksum: the
-    ``numpy`` reference and the optimised ``fused`` backend (the paper's
-    fused sweep+checksum kernel), selected via ``backend=`` keywords,
+    ``numpy`` reference and the optimised ``fused`` backend (compiled
+    flat sweep and lane-folded checksum), selected via ``backend=`` keywords,
     the ``REPRO_BACKEND`` environment variable or the ``--backend`` CLI
     flag.
 

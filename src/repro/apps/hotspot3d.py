@@ -228,7 +228,6 @@ class HotSpot3D:
             self.spec,
             self.boundary,
             constant=self.constant,
-            copy=True,
         )
 
     def reference_solution(self, iterations: int) -> np.ndarray:

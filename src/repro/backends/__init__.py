@@ -1,31 +1,32 @@
 """Pluggable compute backends.
 
 Every numerical hot path of the reproduction — the stencil sweep, the
-checksum reductions and the paper's fused sweep+checksum kernel — is
+whole ghost-refresh-plus-sweep step and the checksum reductions — is
 routed through a :class:`~repro.backends.base.Backend`.  Two backends
 ship built in:
 
 ``numpy``
     The straightforward reference implementation (one temporary per
-    stencil point, post-hoc checksum passes).  Every other backend is
+    stencil point, plain ``sum`` checksums).  Every other backend is
     validated against it.
 ``fused``
     The optimised default: allocation-free in-place accumulation through
-    a preallocated scratch buffer, and checksums produced by the same
-    call as the sweep (cache-hot reduction), mirroring the paper's fused
-    float32 kernel.  Its flat-stride sweep and column-checksum fold run
-    compiled (:mod:`repro.backends.native`, built once with the system
-    C compiler) wherever ``cc`` exists.  Bitwise-identical results to
-    ``numpy``.
+    a preallocated scratch buffer, and a column checksum folded over
+    whole contiguous lanes.  Its flat-stride sweep and column-checksum
+    fold run compiled (:mod:`repro.backends.native`, built once with the
+    system C compiler) wherever ``cc`` exists.  Bitwise-identical
+    results to ``numpy``.
 
 All built-ins also implement the zero-copy ``sweep_into`` primitive
 (write the new step directly into the interior of a second persistent
 padded buffer), which the double-buffered grids use to eliminate the
 former per-iteration full-domain copy; backends that only provide
 ``sweep_padded`` fall back to sweep-then-copy transparently.  Grids
-drive whole iterations through the backend-owned ``step_into*``
-primitives (ghost refresh included), so a backend that fuses the
-refresh into its own sweep only has to override those.
+drive whole iterations through the backend-owned ``step_into`` and
+``batch_step_into`` primitives (ghost refresh included), so a backend
+that fuses the refresh into its own sweep only has to override those.
+A protector then reduces the new domain with ``checksum``, after any
+fault-injection hook has run.
 
 Select a backend with the ``backend=`` keyword accepted throughout the
 stack (grids, sweeps, protectors, the tiled runner), the

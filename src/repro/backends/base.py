@@ -1,6 +1,6 @@
 """The compute-backend contract.
 
-A *backend* owns the three numerical primitives every other layer of the
+A *backend* owns the numerical primitives every other layer of the
 reproduction is built on:
 
 ``sweep_padded``
@@ -8,14 +8,11 @@ reproduction is built on:
     paper) returning the updated interior.
 ``checksum``
     A checksum vector of a domain along one reduction axis
-    (Equations (2)-(3)).
-``sweep_with_checksums``
-    The *fused* primitive: one sweep that also produces the checksum
-    vector(s) of the freshly computed interior, mirroring the paper's
-    fused kernel where the checksum is accumulated by the sweep itself
-    rather than by a separate post-hoc pass over the domain.
-``sweep_into`` / ``sweep_into_with_checksums``
-    The *zero-copy* forms used by the double-buffered grids: the sweep
+    (Equations (2)-(3)).  No step computes it: a protector steps, runs
+    its fault-injection hook if one is set, and only then reduces the
+    new domain, so the verified checksum always sees an injected fault.
+``sweep_into``
+    The *zero-copy* form used by the double-buffered grids: the sweep
     reads one persistent padded buffer and writes the new interior
     straight into the interior block of a second padded buffer, so no
     full-domain array is allocated per iteration.  The base class
@@ -23,13 +20,13 @@ reproduction is built on:
     into the destination interior) so a third-party backend that only
     implements ``sweep_padded`` keeps working; the built-in backends
     override it to write in place.
-``step_into`` / ``step_into_with_checksums``
-    One whole protected *step* of a buffer pair, **including the ghost
-    refresh** of the source buffer: refresh halo, sweep into the
-    destination interior and (for the fused form) accumulate the
-    row/column checksums.  Both, and the vectorised batch step, run
-    one private helper, ``_refresh_and_sweep``: the base implementation
-    is :func:`repro.stencil.shift.refresh_ghosts` followed by
+``step_into`` / ``batch_step_into``
+    One whole *step* of a buffer pair, **including the ghost refresh**
+    of the source buffer: refresh halo, then sweep into the destination
+    interior; the batched form steps a batch of independent runs laid
+    out along a trailing run axis.  Both run one private helper,
+    ``_refresh_and_sweep``: the base implementation is
+    :func:`repro.stencil.shift.refresh_ghosts` followed by
     ``sweep_into``; the ``fused`` backend overrides it to fill the last
     ghost axis inside its compiled sweep, so refresh and sweep are one
     traversal.  Either way the source buffer's halo holds the boundary
@@ -60,7 +57,8 @@ from repro.stencil.spec import StencilSpec
 
 __all__ = ["Backend", "ChecksumMap"]
 
-#: ``{reduce_axis: checksum_vector}`` as produced by the fused sweep.
+#: ``{reduce_axis: checksum_vector}``: the checksums a tiled run's
+#: executor reduces per tile and hands to ``OnlineABFT.process``.
 ChecksumMap = Dict[int, np.ndarray]
 
 
@@ -87,7 +85,7 @@ class _BatchedSpecView:
 
 
 class Backend(ABC):
-    """Abstract compute backend: sweep, checksum and fused sweep+checksum."""
+    """Abstract compute backend: sweep, step and checksum."""
 
     #: Registry name (also accepted by ``get_backend`` / ``REPRO_BACKEND``).
     name: str = "abstract"
@@ -170,48 +168,6 @@ class Backend(ABC):
 
         return _checksum(u, axis, dtype=dtype)
 
-    def sweep_with_checksums(
-        self,
-        padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        out: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """One sweep returning the new interior *and* its checksum(s).
-
-        The base implementation is deliberately unfused — a full sweep
-        followed by one independent checksum pass per axis — so that a
-        minimal backend only has to provide ``sweep_padded``.  Optimised
-        backends override this to produce the checksums from the same
-        traversal that computes the interior.
-
-        Parameters
-        ----------
-        axes:
-            Reduction axes to checksum (subset of ``(0, 1)``).
-        checksum_dtype:
-            Accumulation dtype of the checksums (``None`` → domain
-            dtype, as in the paper's fused float32 kernel).
-
-        Returns
-        -------
-        (new_interior, {axis: checksum_vector})
-        """
-        new = self.sweep_padded(
-            padded, spec, radius, interior_shape, constant=constant, out=out
-        )
-        return new, self._checksum_map(new, axes, checksum_dtype)
-
-    def _checksum_map(
-        self, u: np.ndarray, axes: Sequence[int], dtype: Optional[np.dtype]
-    ) -> ChecksumMap:
-        """:meth:`checksum` of ``u`` along each of ``axes``."""
-        return {int(axis): self.checksum(u, int(axis), dtype=dtype) for axis in axes}
-
     @staticmethod
     def _dst_interior(
         dst_padded: np.ndarray, radius, interior_shape: Sequence[int]
@@ -275,7 +231,7 @@ class Backend(ABC):
           rebuilds;
         * the distributed runner — halo ingestion fills the distributed
           axis, the partial-axis refresh of the step the remaining ones;
-        * the batched step (``batch_step_into*``) — the same refresh
+        * the batched step (``batch_step_into``) — the same refresh
           over the run-extended buffer pair.
 
         Returns the destination interior view.
@@ -288,28 +244,6 @@ class Backend(ABC):
             interior[...] = new
         return interior
 
-    def sweep_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """Fused form of :meth:`sweep_into`: also checksum the new interior.
-
-        The checksums are reduced from the freshly written (cache-hot)
-        destination interior, exactly as ``sweep_with_checksums`` does
-        for the allocating path.
-        """
-        interior = self.sweep_into(
-            src_padded, dst_padded, spec, radius, interior_shape, constant=constant
-        )
-        return interior, self._checksum_map(interior, axes, checksum_dtype)
-
     def compiled_kernels(self) -> Tuple[Dict, ...]:
         """One dict per compiled library the backend runs.
 
@@ -320,7 +254,7 @@ class Backend(ABC):
         """
         return ()
 
-    # -- backend-owned full steps (ghost refresh + sweep [+ checksums]) -----
+    # -- backend-owned full steps (ghost refresh + sweep) --------------------
     @staticmethod
     def _check_pair(src_padded: np.ndarray, dst_padded: np.ndarray) -> None:
         """A step's source must be laid out like its destination.
@@ -372,33 +306,6 @@ class Backend(ABC):
             constant, refresh_axes,
         )
 
-    def step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """Fused form of :meth:`step_into`: also checksum the new interior.
-
-        This is the whole protected iteration as one backend-owned
-        operation (ghost refresh, sweep and checksums).
-        ``refresh_axes`` restricts the refresh exactly as in
-        :meth:`step_into`.
-        """
-        self._check_pair(src_padded, dst_padded)
-        interior = self._refresh_and_sweep(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant, refresh_axes,
-        )
-        return interior, self._checksum_map(interior, axes, checksum_dtype)
-
     def _refresh_and_sweep(
         self,
         src_padded: np.ndarray,
@@ -414,7 +321,7 @@ class Backend(ABC):
 
         :func:`~repro.stencil.shift.refresh_ghosts` followed by
         :meth:`sweep_into`; returns the destination interior view.
-        ``step_into*`` and the vectorised batch step all run it, so a
+        ``step_into`` and the vectorised batch step both run it, so a
         backend that fills ghosts inside its sweep overrides only this.
         """
         from repro.stencil.shift import refresh_ghosts
@@ -433,7 +340,7 @@ class Backend(ABC):
         interior_shape: Sequence[int],
         constant: Optional[np.ndarray],
     ):
-        """Shared ``batch_step_into*`` validation.
+        """Shared ``batch_step_into`` validation.
 
         Batched buffers are the padded single-run buffers with one
         trailing run axis appended: shape ``padded_shape + (nb,)``.
@@ -510,52 +417,6 @@ class Backend(ABC):
             )
         return interior_view(dst_padded, radius + (0,))
 
-    def batch_step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """Fused form of :meth:`batch_step_into`: per-run checksums too.
-
-        The checksum map's vectors gain a trailing run axis as well
-        (axis 0 of a 2D domain → shape ``(n1, nb)``), with slot ``b``
-        bit-identical to the single-run checksum of run ``b``.
-        """
-        from repro.stencil.shift import interior_view
-
-        radius, interior_shape, nb = self._batch_geometry(
-            src_padded, dst_padded, radius, interior_shape, constant
-        )
-        axes = tuple(int(a) for a in axes)
-        per_axis = {a: [] for a in axes}
-        for b in range(nb):
-            _, cs = self.step_into_with_checksums(
-                src_padded[..., b],
-                dst_padded[..., b],
-                spec,
-                radius,
-                interior_shape,
-                boundary,
-                axes,
-                constant=constant,
-                checksum_dtype=checksum_dtype,
-                refresh_axes=refresh_axes,
-            )
-            for a in axes:
-                per_axis[a].append(cs[a])
-        checksums: ChecksumMap = {
-            a: np.stack(vs, axis=-1) for a, vs in per_axis.items()
-        }
-        return interior_view(dst_padded, radius + (0,)), checksums
-
     def _batch_step_vectorized(
         self,
         src_padded: np.ndarray,
@@ -566,21 +427,16 @@ class Backend(ABC):
         boundary,
         constant: Optional[np.ndarray] = None,
         refresh_axes: Optional[Sequence[int]] = None,
-        axes: Optional[Sequence[int]] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-    ):
+    ) -> np.ndarray:
         """Whole-batch step in one vectorised pass.
 
-        The built-in backends' shared ``batch_step_into*`` body: the
+        The built-in backends' shared ``batch_step_into`` body: the
         batch is treated as one (ndim+1)-dimensional domain whose run
         axis has ghost width 0, so a single ``_refresh_and_sweep``
-        covers every run.  Per-slot bit-identity with the
-        single-run step holds because every constituent is elementwise
-        or reduces a non-batch axis: the slab fills copy slot-by-slot,
-        the sweep's multiply/add sequence is the single-run order on
-        each slot, and the checksum reduction never crosses the run
-        axis.  With ``axes`` the per-run checksums are returned as well
-        (trailing run axis).
+        covers every run.  Per-slot bit-identity with the single-run
+        step holds because every constituent is elementwise: the slab
+        fills copy slot-by-slot and the sweep's multiply/add sequence
+        is the single-run order on each slot.
         """
         from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 
@@ -599,17 +455,10 @@ class Backend(ABC):
             if constant is None
             else np.broadcast_to(constant[..., None], ext_shape)
         )
-        interior = self._refresh_and_sweep(
+        return self._refresh_and_sweep(
             src_padded, dst_padded, _BatchedSpecView(spec), ext_radius,
             ext_shape, ext_boundary, ext_const, refresh_axes,
         )
-        if axes is None:
-            return interior
-        checksums: ChecksumMap = {
-            int(a): interior.sum(axis=int(a), dtype=checksum_dtype)
-            for a in axes
-        }
-        return interior, checksums
 
     def warmup(self) -> None:
         """Prepare the backend before timing-sensitive work.

@@ -1,4 +1,4 @@
-"""The ``fused`` backend: allocation-free sweep + in-call checksums.
+"""The ``fused`` backend: allocation-free sweep, lane-folded checksums.
 
 Four optimisations over the ``numpy`` reference, all aimed at the
 memory-bound nature of large stencil sweeps:
@@ -184,7 +184,7 @@ def _root(a: np.ndarray) -> np.ndarray:
 
 
 class FusedBackend(Backend):
-    """Optimised backend: scratch-buffer sweep, fused checksum production."""
+    """Optimised backend: scratch-buffer sweep, lane-folded checksum."""
 
     name = "fused"
 
@@ -635,23 +635,4 @@ class FusedBackend(Backend):
         return self._batch_step_vectorized(
             src_padded, dst_padded, spec, radius, interior_shape, boundary,
             constant=constant, refresh_axes=refresh_axes,
-        )
-
-    def batch_step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        return self._batch_step_vectorized(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes, axes=tuple(axes),
-            checksum_dtype=checksum_dtype,
         )

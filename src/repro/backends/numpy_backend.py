@@ -2,13 +2,13 @@
 
 This is the straightforward vectorised implementation the reproduction
 started from: one full-array temporary per stencil point during the
-sweep, and checksums computed by separate post-hoc passes over the new
-domain (the unfused shape every optimised backend is validated against).
+sweep, and checksums as the plain ``sum`` reduction of the new domain
+(the shape every optimised backend is validated against).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(Backend):
-    """Reference backend: allocating accumulation, unfused checksums."""
+    """Reference backend: allocating accumulation, plain-sum checksums."""
 
     name = "numpy"
 
@@ -88,23 +88,4 @@ class NumpyBackend(Backend):
         return self._batch_step_vectorized(
             src_padded, dst_padded, spec, radius, interior_shape, boundary,
             constant=constant, refresh_axes=refresh_axes,
-        )
-
-    def batch_step_into_with_checksums(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        axes: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        checksum_dtype: Optional[np.dtype] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        return self._batch_step_vectorized(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes, axes=tuple(axes),
-            checksum_dtype=checksum_dtype,
         )

@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=available_backends(),
         default=None,
-        help="compute backend driving every rank's fused step",
+        help="compute backend driving every rank's step and checksum",
     )
     dist.add_argument(
         "--no-protect",

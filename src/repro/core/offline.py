@@ -88,12 +88,11 @@ class OfflineABFT(Protector):
         EXPERIMENTS.md).
     backend:
         Compute backend (registry name or instance) used for the sweeps
-        and checksums. ``None`` follows the grid's backend. On the sweep
-        that closes a detection window (and only there — intermediate
-        sweeps need no checksum) the fused sweep+checksum primitive
-        produces the verified checksum together with the sweep, unless a
-        fault-injection hook is active (the hook must be able to corrupt
-        the domain *before* the checksum is taken).
+        and checksums. ``None`` steps with the grid's backend and
+        reduces with the process-wide selection. Only the sweep that
+        closes a detection window is followed by a checksum, taken
+        after the fault-injection hook (if any) has run, so the hook
+        can corrupt the domain *before* the checksum is taken.
     """
 
     name = "offline-abft"
@@ -151,7 +150,6 @@ class OfflineABFT(Protector):
         self.checkpoint: Optional[Snapshot] = None
         self._strips: List[Dict[int, np.ndarray]] = []
         self._since_checkpoint = 0
-        self._pending_cs: Optional[np.ndarray] = None
         # Statistics exposed for the experiments.
         self.total_detections = 0
         self.total_rollbacks = 0
@@ -176,7 +174,6 @@ class OfflineABFT(Protector):
         self.checkpoint = None
         self._strips = []
         self._since_checkpoint = 0
-        self._pending_cs = None
         self.total_detections = 0
         self.total_rollbacks = 0
         self.total_recomputed_iterations = 0
@@ -242,24 +239,9 @@ class OfflineABFT(Protector):
         if self.checkpoint is None:
             # Initial verified state (t = 0 data assumed correct).
             self._take_checkpoint(grid)
-        closes_window = self._since_checkpoint + 1 >= self.period
-        if (
-            inject is None
-            and closes_window
-            and hasattr(grid, "step_with_checksums")
-        ):
-            # The sweep that ends the detection window also produces the
-            # checksum that will be verified — the fused kernel path.
-            _, checksums = grid.step_with_checksums(
-                (self.verify_axis,),
-                checksum_dtype=self.checksum_dtype,
-                backend=self.backend,
-            )
-            self._pending_cs = checksums[self.verify_axis]
-        else:
-            grid.step(backend=self.backend)
-            if inject is not None:
-                inject(grid, grid.iteration)
+        grid.step(backend=self.backend)
+        if inject is not None:
+            inject(grid, grid.iteration)
         self._record_strips(grid)
         self._since_checkpoint += 1
 
@@ -280,14 +262,7 @@ class OfflineABFT(Protector):
         report = StepReport(iteration=grid.iteration, detection_performed=True)
         attempts = 0
         while True:
-            if self._pending_cs is not None:
-                # Checksum produced by the fused window-closing sweep;
-                # valid only for the domain as the sweep left it, so it
-                # is consumed once and recomputed after any rollback.
-                cs_comp = self._pending_cs
-                self._pending_cs = None
-            else:
-                cs_comp = self._checksum(grid.u)
+            cs_comp = self._checksum(grid.u)
             cs_pred = self._replay_interpolation()
             detection = detect_errors(cs_comp, cs_pred, self.epsilon)
             report.max_relative_error = max(

@@ -101,29 +101,23 @@ class OnlineABFT(Protector):
         triggers a one-sided detection and a bogus correction of healthy
         data. Repairs are counted in ``total_metadata_repairs``.
     backend:
-        Compute backend (registry name or instance) used for the fused
-        sweep+checksum step and for any checksum the protector computes
-        itself. ``None`` follows the grid's backend (which in turn
-        defaults to the process-wide selection).
+        Compute backend (registry name or instance) used for the grid's
+        step and for every checksum the protector computes. ``None``
+        steps with the grid's backend and reduces with the process-wide
+        selection.
 
     Notes
     -----
-    When :meth:`step` is called without a fault-injection hook the sweep
-    and the verified checksum come from the backend's *fused*
-    ``sweep_with_checksums`` primitive — the checksum is produced by the
-    sweep itself, as in the paper's fused float32 kernel. With an
-    ``inject`` hook the checksum is recomputed from the (possibly
-    corrupted) domain after the hook runs, preserving the paper's
-    injection semantics ("after the stencil point ... has been updated");
-    a checksum fused into the sweep would otherwise be blind to a fault
-    landing between the sweep and the verification.
+    :meth:`step` has one path, hook or not: the grid's step (ghost
+    refresh and sweep), then the ``inject`` hook if one is set, then
+    :meth:`process`, which reduces the verified checksum from the new
+    domain.  The checksum is therefore always taken after the hook, as
+    the paper's injection semantics require ("after the stencil point
+    ... has been updated").
 
-    Both paths are compatible with the grids' in-place buffer pair: the
-    verified checksum always reflects the buffer contents at verification
-    time (fused checksums are produced *by* the write into the buffer;
-    the injection path re-reduces the buffer after the hook mutated it),
-    and corrections write back through ``grid.u`` into the same buffer
-    the next sweep's ghost refresh re-reads.
+    The verified checksum reflects the grid's buffer contents at
+    verification time, and corrections write back through ``grid.u``
+    into the same buffer the next sweep's ghost refresh re-reads.
     """
 
     name = "online-abft"
@@ -278,7 +272,7 @@ class OnlineABFT(Protector):
         return cs
 
     def verify_axes(self):
-        """Axes whose checksums each sweep must produce for this protector."""
+        """Axes whose checksums :meth:`process` reduces from each new step."""
         if self.eager_row_checksum:
             return (self.verify_axis, self.other_axis)
         return (self.verify_axis,)
@@ -294,22 +288,6 @@ class OnlineABFT(Protector):
             self._store_prev_cs(verify, self._checksum(grid.u, verify))
             if self.eager_row_checksum:
                 self._store_prev_cs(other, self._checksum(grid.u, other))
-
-        if inject is None and hasattr(grid, "step_with_checksums"):
-            # Fault-free fast path: the sweep produces the verified
-            # checksum itself (the paper's fused kernel).
-            _, checksums = grid.step_with_checksums(
-                self.verify_axes(),
-                checksum_dtype=self.checksum_dtype,
-                backend=self.backend,
-            )
-            return self.process(
-                grid.u,
-                grid.previous_padded,
-                grid.iteration,
-                precomputed_checksums=checksums,
-                layout=grid.buffers.layout,
-            )
 
         grid.step(backend=self.backend)
         if inject is not None:
@@ -336,13 +314,14 @@ class OnlineABFT(Protector):
         neighbouring tiles/ranks — the interpolation handles both
         identically).  The parallel tile runner calls this directly, one
         call per tile, and so does the distributed runner, one call per
-        rank with the rank's pre-swap front buffer as ``padded_prev`` and
-        the fused per-rank checksums as ``precomputed_checksums``.
+        rank with the rank's pre-swap front buffer as ``padded_prev``.
 
-        ``precomputed_checksums`` carries checksums of ``u_new`` already
-        produced by a fused sweep (``{axis: vector}``); any axis present
-        is trusted instead of being recomputed here, so callers must only
-        pass checksums that reflect ``u_new``'s current contents.
+        ``precomputed_checksums`` carries checksums of ``u_new`` the
+        caller has already reduced (``{axis: vector}``): the tiled
+        runner's executor reduces each tile where it swept it.  Any axis
+        present is trusted instead of being recomputed here, so callers
+        must only pass checksums that reflect ``u_new``'s current
+        contents; with an inject hook set the tiled runner passes none.
 
         ``layout`` is the :class:`~repro.stencil.doublebuffer.GridLayout`
         of ``padded_prev``, passed by callers that own their buffer pair

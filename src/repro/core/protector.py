@@ -14,8 +14,8 @@ All three expose the same ``step(grid, inject=...)`` / ``run(...)`` /
 ``finalize(grid)`` interface so that the experiment harness can swap
 them freely. Protectors also surface the pluggable compute-backend
 choice (:mod:`repro.backends`): the ABFT protectors accept a
-``backend=`` keyword and route their sweeps and checksum reductions —
-including the fused sweep+checksum kernel — through it. The optional ``inject`` callable models the paper's fault
+``backend=`` keyword and route their sweeps and checksum reductions
+through it. The optional ``inject`` callable models the paper's fault
 injection point: it is invoked *after* the sweep has produced the new
 domain and *before* any checksum is computed from it (Section 5.1: the
 bit-flip is injected "after the stencil point targeted for data

@@ -36,10 +36,10 @@ Two run strategies share that lifecycle:
 ``replay``
     The universal strategy: the persistent protector drives the
     persistent grid through ``Protector.run`` exactly as the legacy loop
-    does, stepping through the backend-owned fused
-    ``step_into_with_checksums`` path — so whatever speeds up a single
-    run speeds up campaigns the same way.  Bitwise-identical to the
-    legacy loop by construction (same code path).  Used for the offline
+    does, stepping through the backend-owned ``step_into`` path — so
+    whatever speeds up a single run speeds up campaigns the same way.
+    Bitwise-identical to the legacy loop by construction (same code
+    path).  Used for the offline
     protector (checkpoint/rollback state), custom protectors, custom
     inject hooks, and non-domain fault targets (checksum/ghost/payload
     strikes must replay the exact machinery they attack; fail-stop
@@ -50,15 +50,14 @@ Two run strategies share that lifecycle:
     The batched fast path: the whole batch of runs is laid out as one
     extra trailing axis of a single persistent padded buffer pair, and
     each campaign iteration drives the backend-owned
-    :meth:`~repro.backends.base.Backend.batch_step_into_with_checksums`
-    primitive — one vectorised pass over the whole batch — followed by
-    one stacked Theorem-1 interpolation and detection screen for all
-    runs at once.  Every backend's batched step is per-slot
-    bit-identical to its single-run step, and the per-run checksum
-    *chains* are selected to match what replay would have fed the
-    protector (fault-carrying runs recompute ``np.sum`` checksums after
-    injection, exactly like the hook-driven replay path; clean runs
-    trust the fused kernel checksums), so every run's numbers are
+    :meth:`~repro.backends.base.Backend.batch_step_into` primitive —
+    one vectorised pass over the whole batch — then applies that
+    iteration's bit flips, reduces every run's checksum with one
+    ``np.sum`` over the batch interior and runs one stacked Theorem-1
+    interpolation and detection screen for all runs at once.  Every
+    backend's batched step is per-slot bit-identical to its single-run
+    step, and each run's checksum is taken after its flips, as replay's
+    protector reduces after its inject hook, so every run's numbers are
     identical to its serial execution.  The rare steps on which the
     vectorised detection screen flags a run are delegated, for that run
     only, to the ordinary
@@ -238,10 +237,7 @@ def stacked_support_reason(
         return "grid is not a standard 2D/3D double-buffered grid"
     # A subclass that reimplements stepping owns semantics the stacked
     # sweep would silently bypass.
-    if (
-        type(grid).step is not GridBase.step
-        or type(grid).step_with_checksums is not GridBase.step_with_checksums
-    ):
+    if type(grid).step is not GridBase.step:
         return "grid subclass overrides stepping"
     if isinstance(protector, NoProtection):
         return None
@@ -325,9 +321,9 @@ class _StackedBatch:
     The batch of runs is one trailing axis of a single padded
     :class:`DoubleBufferedGrid` pair.  Per campaign iteration: one
     backend-owned batched step
-    (:meth:`~repro.backends.base.Backend.batch_step_into_with_checksums`
-    — fused ghost refresh, sweep and checksum fold for every run in one
-    vectorised pass or one compiled ``prange``-over-runs kernel), one
+    (:meth:`~repro.backends.base.Backend.batch_step_into` — ghost
+    refresh and sweep for every run in one vectorised pass), the
+    iteration's bit flips, one ``np.sum`` checksum reduction, one
     Theorem-1 interpolation and one detection screen — each acting on
     every run of the batch at once.  All buffers are allocated once and
     reset in place between batches.
@@ -411,17 +407,6 @@ class _StackedBatch:
         counters = np.zeros((width, 3), dtype=np.int64)
         protector = self.protector
         verify = self.verify_axis if protector is not None else 0
-        # Which slots carry fault plans decides each slot's checksum
-        # *chain*: the replay strategy computes ``np.sum`` checksums on
-        # every step of a hook-driven (fault-carrying) run but trusts
-        # the fused kernel checksums on clean runs, so the stacked loop
-        # reproduces both chains — that keeps records bitwise-identical
-        # to replay on every backend, compiled ones included.
-        fault_slots = np.array(
-            [bool(run_plans) for run_plans in plans], dtype=bool
-        )
-        any_fault = bool(fault_slots.any())
-        all_fault = bool(fault_slots.all())
         backend = self.backend
 
         start = time.perf_counter()
@@ -431,23 +416,11 @@ class _StackedBatch:
             # OnlineABFT.step's first-iteration checksum seed.
             prev_cs = np.sum(interior, axis=verify, dtype=self.cs_dtype)
         for t in range(1, iterations + 1):
-            src = self.pair.front[..., :width]
-            dst = self.pair.back[..., :width]
-            if protector is None or all_fault:
-                # No clean slot wants kernel checksums: take the plain
-                # batched step and reduce after injection (below).
-                backend.batch_step_into(
-                    src, dst, self.spec, self.base_radius, self.base_shape,
-                    self.base_boundary, constant=self.constant,
-                )
-                cs = None
-            else:
-                _, cs_map = backend.batch_step_into_with_checksums(
-                    src, dst, self.spec, self.base_radius, self.base_shape,
-                    self.base_boundary, (verify,), constant=self.constant,
-                    checksum_dtype=self.cs_dtype,
-                )
-                cs = cs_map[verify]
+            backend.batch_step_into(
+                self.pair.front[..., :width], self.pair.back[..., :width],
+                self.spec, self.base_radius, self.base_shape,
+                self.base_boundary, constant=self.constant,
+            )
             self.pair.swap()
             interior = interior_view(self.pair.front, self.radius)[..., :width]
             fired = by_iteration.get(t)
@@ -456,14 +429,9 @@ class _StackedBatch:
                     flip_bit_in_array(interior[..., slot], plan.index, plan.bit)
             if protector is None:
                 continue
-            if any_fault:
-                # Post-injection ``np.sum`` chain for fault-carrying
-                # slots, exactly like replay's hook-driven path.
-                post = np.sum(interior, axis=verify, dtype=self.cs_dtype)
-                if cs is None:
-                    cs = post
-                else:
-                    cs[..., fault_slots] = post[..., fault_slots]
+            # Every run's checksum is reduced after its flips, as a
+            # replayed run's protector reduces after its inject hook.
+            cs = np.sum(interior, axis=verify, dtype=self.cs_dtype)
             predicted = _interpolate_stacked(
                 prev_cs,
                 self.pair.back[..., :width],

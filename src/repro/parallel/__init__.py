@@ -21,7 +21,7 @@ This subpackage exercises that property in two settings:
     mailboxes) and a distributed runner in which each rank owns a
     persistent padded buffer pair for its contiguous block of the
     domain, receives halo strips straight into its front buffer's ghost
-    slabs, sweeps through the backend's fused step primitive and runs
+    slabs, sweeps through the backend's step primitive and runs
     its own ABFT verification — the distributed-memory setting of the
     paper, without requiring MPI and without any full-block allocation
     per iteration.

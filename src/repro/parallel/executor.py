@@ -171,9 +171,9 @@ class ProcessPoolTileExecutor:
     lives in ``multiprocessing.shared_memory`` (the grid's buffer pair is
     migrated there once, see ``GridBase.share_buffers``), each task names
     the shared blocks and the tile's slice bounds, and only the per-tile
-    fused checksum vectors travel back over the pipe.  The per-tile ABFT
-    protectors stay in the parent, reducing those checksums exactly as
-    the serial path does.
+    checksum vectors, reduced in the worker, travel back over the pipe.
+    The per-tile ABFT protectors stay in the parent and verify those
+    checksums exactly as the serial path does.
 
     ``map`` is also provided for plain picklable functions, so the
     executor satisfies the generic executor contract.

@@ -19,9 +19,10 @@ iteration on any executor:
   on multi-core machines);
 * **process** — the buffer pair is migrated into
   ``multiprocessing.shared_memory`` once, worker processes attach it by
-  name and sweep their tile slices in place, and only the per-tile fused
-  checksum vectors are pickled back (:mod:`repro.parallel.shm`); the
-  per-tile protectors then reduce those checksums in the parent.
+  name, sweep their tile slices in place and reduce each tile's
+  checksum vectors there; only those are pickled back
+  (:mod:`repro.parallel.shm`), and the per-tile protectors verify them
+  in the parent.
 
 Corrections write straight into the tile's view of the global array, so
 a corrected tile is immediately consistent for the next iteration's halo
@@ -42,7 +43,7 @@ from repro.core.protector import InjectHook, StepReport
 from repro.parallel.decomposition import TileBox, decompose, decompose_layers
 from repro.parallel.executor import make_executor
 from repro.parallel.halo import padded_tile_view, tile_constant
-from repro.parallel.shm import TileTask, share_array_copy
+from repro.parallel.shm import TileTask, share_array_copy, sweep_tile
 from repro.stencil.grid import GridBase
 from repro.stencil.shift import interior_view
 
@@ -80,11 +81,12 @@ class TiledStencilRunner:
         for reuse and remains the caller's to release.
     backend:
         Compute backend executing the per-tile sweeps (registry name or
-        instance; ``None`` follows the grid's backend). Protected tiles
-        are swept with the backend's fused sweep+checksum primitive, so
-        each tile's verified checksum is produced by its own sweep —
-        unless a fault-injection hook is active, in which case checksums
-        are recomputed after injection as the paper's semantics require.
+        instance; ``None`` follows the grid's backend). Each protected
+        tile's verified checksum is reduced by the backend right after
+        the tile's sweep, on the executor that swept it — unless a
+        fault-injection hook is active, in which case
+        :meth:`OnlineABFT.process` reduces it after injection, as the
+        paper's semantics require.
         The process executor resolves the backend *by name* inside each
         worker, so it requires a registered backend.
     """
@@ -204,42 +206,30 @@ class TiledStencilRunner:
         be: Backend,
         src: np.ndarray,
         dst_interior: np.ndarray,
-        fused: bool,
+        reduce_tiles: bool,
     ) -> Dict[tuple, Optional[dict]]:
         """Serial/thread path: closures sweep shared views in place."""
         grid = self.grid
 
-        def sweep_tile(box: TileBox):
-            ptile = padded_tile_view(src, box, self.radius)
-            const = tile_constant(grid.constant, box)
-            tile_out = dst_interior[box.slices]
+        def run_tile(box: TileBox):
             protector = self.protectors[box.index]
-            if fused and protector is not None:
-                new_tile, checksums = be.sweep_with_checksums(
-                    ptile,
-                    grid.spec,
-                    self.radius,
-                    box.shape,
-                    protector.verify_axes(),
-                    constant=const,
-                    out=tile_out,
-                    checksum_dtype=protector.checksum_dtype,
-                )
-            else:
-                new_tile = be.sweep_padded(
-                    ptile, grid.spec, self.radius, box.shape,
-                    constant=const, out=tile_out,
-                )
-                checksums = None
-            if new_tile is not tile_out:
-                # Backend ignored ``out``: land the result in the buffer.
-                tile_out[...] = new_tile
-            return box.index, checksums
+            protected = reduce_tiles and protector is not None
+            return box.index, sweep_tile(
+                be,
+                padded_tile_view(src, box, self.radius),
+                dst_interior[box.slices],
+                grid.spec,
+                self.radius,
+                box.shape,
+                tile_constant(grid.constant, box),
+                protector.verify_axes() if protected else None,
+                protector.checksum_dtype if protected else None,
+            )
 
-        return dict(self.executor.map(sweep_tile, self.boxes))
+        return dict(self.executor.map(run_tile, self.boxes))
 
     def _sweep_tiles_processes(
-        self, be: Backend, fused: bool
+        self, be: Backend, reduce_tiles: bool
     ) -> Dict[tuple, Optional[dict]]:
         """Process path: ship shared-memory tile tasks, collect checksums."""
         grid = self.grid
@@ -249,7 +239,7 @@ class TiledStencilRunner:
             protector = self.protectors[box.index]
             axes = None
             cs_dtype = None
-            if fused and protector is not None:
+            if reduce_tiles and protector is not None:
                 axes = tuple(protector.verify_axes())
                 if protector.checksum_dtype is not None:
                     cs_dtype = np.dtype(protector.checksum_dtype).str
@@ -278,26 +268,25 @@ class TiledStencilRunner:
         """
         grid = self.grid
         be = self.backend if self.backend is not None else grid.backend
-        # With an injection hook active, checksums fused into the sweep
-        # would predate the injected fault and mask it — fall back to
-        # post-injection checksum computation inside process().
-        fused = inject is None
+        # Tiles reduce their checksums where they are swept, unless an
+        # injection hook is set: checksums taken before the hook would
+        # mask its fault, so process() reduces each tile after it.
+        reduce_tiles = inject is None
 
         if self.uses_processes:
             self._ensure_shared()
         src = grid.padded_current()  # persistent front buffer, ghosts refreshed
         if self.uses_processes:
-            tile_checksums = self._sweep_tiles_processes(be, fused)
+            tile_checksums = self._sweep_tiles_processes(be, reduce_tiles)
         else:
             dst_interior = interior_view(grid.back_padded, self.radius)
             tile_checksums = self._sweep_tiles_inprocess(
-                be, src, dst_interior, fused
+                be, src, dst_interior, reduce_tiles
             )
 
         # Commit the new step on the grid (the buffer-pair swap shared
-        # with Grid.step; per-tile checksums live in tile_checksums, not
-        # on the grid).
-        grid._commit(src, None)
+        # with Grid.step).
+        grid._commit(src)
 
         # Fault injection targets the freshly swept global domain, matching
         # the single-grid protectors' injection point.

@@ -9,9 +9,9 @@ in ``multiprocessing.shared_memory`` (see
 carries only **names and indices**: the shared block names, the tile's
 slice bounds, the stencil spec and the checksum axes.  Workers attach
 the blocks once (cached per process), sweep their tile slice of the
-shared back buffer in place, and return nothing but the tile's fused
-checksum vectors — a few KiB — which the parent then feeds to the
-per-tile ABFT protectors.
+shared back buffer in place, reduce the tile's checksum vectors right
+there and return nothing but those — a few KiB — which the parent then
+feeds to the per-tile ABFT protectors.
 
 Every function here is module-level so tasks pickle under both the
 ``fork`` and ``spawn`` start methods.
@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "TileTask",
+    "sweep_tile",
     "run_tile_task",
     "run_tile_batch",
     "share_array_copy",
@@ -101,10 +102,34 @@ class TileTask(NamedTuple):
     spec: object                       #: the StencilSpec (small, picklable)
     box: object                        #: the TileBox (index + slices, picklable)
     backend_name: str                  #: registry name resolved inside the worker
-    axes: Optional[Tuple[int, ...]]    #: checksum axes (None → unfused sweep)
+    axes: Optional[Tuple[int, ...]]    #: checksum axes (None → sweep only)
     checksum_dtype_str: Optional[str]  #: checksum accumulation dtype
     const_name: Optional[str]          #: shared block holding the constant term
     interior_shape: Tuple[int, ...]    #: global interior shape (for const slicing)
+
+
+def sweep_tile(
+    backend, ptile, tile_out, spec, radius, shape, constant, axes, checksum_dtype
+) -> Optional[Dict[int, np.ndarray]]:
+    """Sweep one padded tile into ``tile_out``, then reduce its checksums.
+
+    The one tile body of both executor paths (the in-process closure of
+    the tiled runner and :func:`run_tile_task`): ``sweep_padded`` into
+    the back buffer's tile slice, then ``backend.checksum`` of the new
+    tile along each of ``axes``.  Returns ``{axis: vector}``, or
+    ``None`` when ``axes`` is empty (unprotected tiles, and every tile
+    of a step with an inject hook, whose checksums
+    :meth:`~repro.core.online.OnlineABFT.process` takes after the hook).
+    """
+    new = backend.sweep_padded(
+        ptile, spec, radius, shape, constant=constant, out=tile_out
+    )
+    if new is not tile_out:
+        # Backend ignored ``out`` (copy-based fallback): land the result.
+        tile_out[...] = new
+    if not axes:
+        return None
+    return {a: backend.checksum(new, a, dtype=checksum_dtype) for a in axes}
 
 
 def run_tile_task(task: TileTask):
@@ -115,7 +140,7 @@ def run_tile_task(task: TileTask):
     :func:`~repro.parallel.halo.padded_tile_view` helper as the
     thread-pool path), and the result lands directly in the shared back
     buffer — the only thing crossing the process boundary on the way
-    back is the per-tile checksum map (or ``None`` for unfused sweeps).
+    back is the per-tile checksum map (or ``None`` without ``axes``).
     """
     from repro.backends import get_backend
     from repro.parallel.halo import padded_tile_view
@@ -135,31 +160,13 @@ def run_tile_task(task: TileTask):
             task.const_name, task.interior_shape, task.dtype_str
         )[box.slices]
 
-    backend = get_backend(task.backend_name)
-    checksums = None
-    if task.axes:
-        cs_dtype = (
-            None
-            if task.checksum_dtype_str is None
-            else np.dtype(task.checksum_dtype_str)
-        )
-        new, checksums = backend.sweep_with_checksums(
-            ptile,
-            task.spec,
-            radius,
-            box.shape,
-            tuple(task.axes),
-            constant=const,
-            out=tile_out,
-            checksum_dtype=cs_dtype,
-        )
-    else:
-        new = backend.sweep_padded(
-            ptile, task.spec, radius, box.shape, constant=const, out=tile_out
-        )
-    if new is not tile_out:
-        # Backend ignored ``out`` (copy-based fallback): land the result.
-        tile_out[...] = new
+    cs_dtype = (
+        None if task.checksum_dtype_str is None else np.dtype(task.checksum_dtype_str)
+    )
+    checksums = sweep_tile(
+        get_backend(task.backend_name), ptile, tile_out, task.spec, radius,
+        box.shape, const, task.axes, cs_dtype,
+    )
     return box.index, checksums
 
 

@@ -30,10 +30,10 @@ deterministic stand-in:
   **directly into its front buffer's ghost slabs**
   (:func:`~repro.parallel.halo.ingest_halo` — no ``stack_with_halos``
   concatenate, no per-step ``pad_array``), refreshes the remaining
-  axes' ghosts in place, sweeps into its back buffer through the
-  backend's fused ``step_into_with_checksums`` primitive (the sweep
-  itself produces the rank's verified checksums), verifies locally and
-  swaps the pair.  Zero full-block allocations per rank per iteration.
+  axes' ghosts in place and sweeps into its back buffer through the
+  backend's ``step_into`` primitive, swaps the pair, runs the inject
+  hook if one is set, then reduces and verifies its own checksum.
+  Zero full-block allocations per rank per iteration.
 
 The simulation is sequential under the hood (ranks are stepped in a
 loop), but all inter-rank data flows through explicit messages, so the
@@ -81,7 +81,7 @@ __all__ = [
 
 #: Default axis along which the domain is distributed across ranks.
 #: :class:`DistributedStencilRunner` accepts any axis via ``axis=`` —
-#: every decomposition axis runs the same compiled fused step.
+#: every decomposition axis runs the same backend step.
 DISTRIBUTED_AXIS = 0
 
 #: Default checkpoint period: the ABFT detection period Δ (the offline
@@ -452,8 +452,8 @@ def _checkpoint_checksum(interior: np.ndarray) -> np.ndarray:
 
     Deliberately a plain ``np.sum`` in float64 along axis 0 — computed
     identically at snapshot and verify time, independent of any backend
-    (fused-kernel checksums use a different accumulation order and are
-    not bitwise-comparable).
+    (a backend's ``checksum`` need not add in this order, so it would
+    not be bitwise-comparable across backends).
     """
     return np.sum(interior, axis=0, dtype=np.float64)
 
@@ -563,8 +563,9 @@ class DistributedStencilRunner:
     protect:
         Protect every rank's block with its own OnlineABFT instance.
     backend:
-        Compute backend driving every rank's fused step (registry name
-        or instance; ``None`` follows the process default).
+        Compute backend driving every rank's step and checksum
+        (registry name or instance; ``None`` follows the process
+        default).
     axis:
         Decomposition axis (default 0).  Any axis works, including the
         orderings where the external axis follows refreshed axes.
@@ -585,14 +586,11 @@ class DistributedStencilRunner:
     Notes
     -----
     Each iteration runs the zero-copy rank lifecycle: post strips →
-    ingest halos in place → backend-owned fused step (partial-axis
-    ghost refresh + sweep into the back buffer + per-rank checksums in
-    one call) → swap → verify.  In fault-free operation the verified
-    checksum is produced by the sweep itself
-    (:meth:`OnlineABFT.process` receives it as
-    ``precomputed_checksums``); with an injection hook the checksum is
-    recomputed after the hook runs, preserving the paper's injection
-    semantics exactly as the serial protector does.
+    ingest halos in place → backend-owned step (partial-axis ghost
+    refresh + sweep into the back buffer in one call) → swap → inject
+    hook, if one is set → verify.  :meth:`OnlineABFT.process` reduces
+    the rank's checksum after the hook, so the paper's injection
+    semantics hold exactly as in the serial protector, hook or not.
     """
 
     def __init__(
@@ -1034,41 +1032,21 @@ class DistributedStencilRunner:
                 ghost_hook(self, self.iteration, rank)
 
         for rank in self.ranks:
-            protector = rank.protector
-            if protector is not None and inject is None:
-                # Fault-free fast path: the fused backend step produces
-                # the rank's verified checksum(s) while sweeping.
-                src_padded, _, checksums = rank.buffers.step(
-                    backend,
-                    self.spec,
-                    constant=rank.constant,
-                    axes=protector.verify_axes(),
-                    checksum_dtype=protector.checksum_dtype,
-                )
-                rank.buffers.swap()
-                report = protector.process(
-                    rank.interior,
-                    src_padded,
-                    self.iteration,
-                    precomputed_checksums=checksums,
+            src_padded, _ = rank.buffers.step(
+                backend, self.spec, constant=rank.constant
+            )
+            rank.buffers.swap()
+            if inject is not None:
+                inject(self, self.iteration, rank)
+            if rank.protector is not None:
+                # ``process`` reduces the block as the hook left it.
+                report = rank.protector.process(
+                    rank.interior, src_padded, self.iteration
                 )
             else:
-                src_padded, _, _ = rank.buffers.step(
-                    backend, self.spec, constant=rank.constant
+                report = StepReport(
+                    iteration=self.iteration, detection_performed=False
                 )
-                rank.buffers.swap()
-                if inject is not None:
-                    inject(self, self.iteration, rank)
-                if protector is not None:
-                    # The checksum must reflect the possibly corrupted
-                    # block, so it is recomputed inside ``process``.
-                    report = protector.process(
-                        rank.interior, src_padded, self.iteration
-                    )
-                else:
-                    report = StepReport(
-                        iteration=self.iteration, detection_performed=False
-                    )
             rank.reports.append(report)
         self._maybe_checkpoint()
 

@@ -21,10 +21,9 @@ The implementation is split into small modules:
     removes the per-iteration full-domain copy (optionally backed by
     ``multiprocessing.shared_memory`` for the process-pool executor).
 ``sweep``
-    The generic N-dimensional padded sweep operator (plus the fused
-    ``sweep_with_checksums`` and zero-copy ``sweep_into`` primitives).
-    All dispatch to the pluggable compute backends of
-    :mod:`repro.backends`.
+    The generic N-dimensional padded sweep operator (plus the zero-copy
+    ``sweep_into`` primitive).  Both dispatch to the pluggable compute
+    backends of :mod:`repro.backends`.
 ``reference``
     Deliberately naive loop implementations used as test oracles.
 ``grid``
@@ -43,7 +42,7 @@ from repro.stencil.shift import (
     shifted_view,
 )
 from repro.stencil.doublebuffer import DoubleBufferedGrid
-from repro.stencil.sweep import sweep_padded, sweep, sweep_into, sweep_with_checksums
+from repro.stencil.sweep import sweep_padded, sweep, sweep_into
 from repro.stencil.grid import Grid2D, Grid3D, GridBase
 from repro.stencil import kernels
 
@@ -61,7 +60,6 @@ __all__ = [
     "sweep_padded",
     "sweep",
     "sweep_into",
-    "sweep_with_checksums",
     "Grid2D",
     "Grid3D",
     "GridBase",

@@ -14,9 +14,9 @@ path by keeping *two* persistent padded buffers:
   scratch target for step ``t+2``.
 
 :meth:`DoubleBufferedGrid.step` drives both stages through the
-backend's ``step_into*`` primitives in one call, so a backend that owns
-its ghost refresh can perform the whole protected iteration — refresh,
-sweep and checksums — as one operation on the pair.
+backend's ``step_into`` primitive in one call, so a backend that owns
+its ghost refresh can perform the refresh and the sweep as one
+operation on the pair.
 
 The previous step therefore stays alive exactly one iteration — long
 enough for the ABFT protectors, which read ``grid.previous_padded``
@@ -246,57 +246,33 @@ class DoubleBufferedGrid:
             self._front, self.radius, self.boundary, axes=self.refresh_axes
         )
 
-    def step(
-        self,
-        backend,
-        spec,
-        constant: Optional[np.ndarray] = None,
-        axes: Optional[Sequence[int]] = None,
-        checksum_dtype=None,
-    ):
-        """One backend-owned sweep of the pair: refresh + sweep (+ checksums).
+    def step(self, backend, spec, constant: Optional[np.ndarray] = None):
+        """One backend-owned step of the pair: refresh + sweep.
 
-        This is the fast path of the per-step lifecycle: the whole
-        iteration — ghost refresh of the front buffer, sweep into the
-        back buffer and (with ``axes``) per-axis checksum accumulation —
-        is delegated to the backend's ``step_into`` /
-        ``step_into_with_checksums`` primitive, whose base-class
-        implementation is the classic :meth:`refresh`-then-``sweep_into``
-        sequence.  The front buffer's halo is consistent with its
-        interior afterwards — the ABFT protectors read it as
-        ``previous_padded``.
+        The whole iteration — ghost refresh of the front buffer and the
+        sweep into the back buffer — is delegated to the backend's
+        ``step_into`` primitive, whose base-class implementation is the
+        classic :meth:`refresh`-then-``sweep_into`` sequence.  The front
+        buffer's halo is consistent with its interior afterwards — the
+        ABFT protectors read it as ``previous_padded``.
 
-        The pair is **not** swapped: callers (``GridBase._commit``)
-        own the swap so previous-step bookkeeping stays in one place.
+        The pair is **not** swapped: callers (``GridBase._commit``, the
+        distributed runner) own the swap so previous-step bookkeeping
+        stays in one place.
 
-        Returns ``(src_padded, new_interior, checksums)`` where
-        ``checksums`` is ``None`` when ``axes`` is ``None``.
+        Returns ``(src_padded, new_interior)``.
         """
-        if axes is None:
-            new = backend.step_into(
-                self._front,
-                self._back,
-                spec,
-                self.radius,
-                self.interior_shape,
-                self.boundary,
-                constant=constant,
-                refresh_axes=self.refresh_axes,
-            )
-            return self._front, new, None
-        new, checksums = backend.step_into_with_checksums(
+        new = backend.step_into(
             self._front,
             self._back,
             spec,
             self.radius,
             self.interior_shape,
             self.boundary,
-            axes,
             constant=constant,
-            checksum_dtype=checksum_dtype,
             refresh_axes=self.refresh_axes,
         )
-        return self._front, new, checksums
+        return self._front, new
 
     def swap(self) -> None:
         """Exchange front and back (the freshly swept back becomes current)."""

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import Backend, ChecksumMap, get_backend
+from repro.backends import Backend, get_backend
 from repro.backends.registry import BackendLike
 from repro.checkpoint.snapshot import Snapshot
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
@@ -63,9 +63,6 @@ class GridBase:
         is shared, anything else is copied, so a caller updating its
         array in place cannot change a grid's steps (backends may cache
         a prepared copy of the constant).
-    copy:
-        Kept for API compatibility; the buffer pair always copies
-        ``initial``, so this flag has no aliasing effect any more.
     backend:
         Compute backend executing the sweeps: a registry name, a
         :class:`~repro.backends.base.Backend` instance, or ``None`` to
@@ -80,7 +77,6 @@ class GridBase:
         spec: StencilSpec,
         boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
         constant: Optional[np.ndarray] = None,
-        copy: bool = True,
         backend: BackendLike = None,
     ) -> None:
         u = np.asarray(initial)
@@ -116,9 +112,6 @@ class GridBase:
         self.u = self.buffers.interior
         self._previous: Optional[np.ndarray] = None
         self._previous_padded: Optional[np.ndarray] = None
-        #: Checksums produced by the last fused step (``None`` after a
-        #: plain :meth:`step`).
-        self.last_checksums: Optional[ChecksumMap] = None
 
     # -- basic accessors ----------------------------------------------------
     @property
@@ -195,104 +188,34 @@ class GridBase:
         self.buffers.close()
         self.u = self.buffers.interior
 
-    def step(
-        self, padded: Optional[np.ndarray] = None, backend: BackendLike = None
-    ) -> np.ndarray:
+    def step(self, backend: BackendLike = None) -> np.ndarray:
         """Advance one stencil sweep and return the new domain.
 
-        The sweep writes the new interior directly into the back buffer;
-        no full-domain allocation is made.  When the grid reads its own
-        front buffer (``padded=None``) the whole iteration — ghost
-        refresh included — is delegated to the backend through
-        :meth:`DoubleBufferedGrid.step`, so a backend that fuses the
-        refresh into its compiled sweep performs the step in a single
-        traversal of the pair.
+        The whole iteration — ghost refresh of the front buffer and the
+        sweep into the back buffer — is delegated to the backend through
+        :meth:`DoubleBufferedGrid.step`, so a backend that fills ghosts
+        inside its compiled sweep performs the step in one traversal of
+        the pair.  No full-domain allocation is made, and no checksum
+        is taken: a protector reduces the new domain itself, after any
+        fault-injection hook has run.
 
         Parameters
         ----------
-        padded:
-            Optional pre-built padded array (used by the parallel tile
-            runner, where ghost cells carry halo data from neighbouring
-            tiles instead of a closed boundary condition). When omitted
-            the grid refreshes and reads its own front buffer.
         backend:
             Optional backend override for this step only (``None`` →
             the grid's own backend).
         """
         be = self.backend if backend is None else get_backend(backend)
-        if padded is None:
-            padded, new, _ = self.buffers.step(
-                be, self.spec, constant=self.constant
-            )
-        else:
-            new = be.sweep_into(
-                padded,
-                self.buffers.back,
-                self.spec,
-                self.radius,
-                self.shape,
-                constant=self.constant,
-            )
-        self._commit(padded, None)
+        padded, new = self.buffers.step(be, self.spec, constant=self.constant)
+        self._commit(padded)
         return new
 
-    def step_with_checksums(
-        self,
-        axes: Sequence[int],
-        checksum_dtype: Optional[np.dtype] = None,
-        padded: Optional[np.ndarray] = None,
-        backend: BackendLike = None,
-    ) -> Tuple[np.ndarray, ChecksumMap]:
-        """Advance one sweep and return the new domain plus its checksums.
-
-        Delegates to the backend's fused sweep+checksum primitive, so the
-        verified checksum is produced by the sweep itself (the paper's
-        fused kernel) instead of a separate pass.  The checksums are also
-        stored in :attr:`last_checksums`.  As with :meth:`step`, a grid
-        reading its own front buffer hands the *whole* iteration (ghost
-        refresh, sweep and checksums) to the backend in one call.
-
-        Parameters
-        ----------
-        axes:
-            Reduction axes to checksum (subset of ``(0, 1)``).
-        checksum_dtype:
-            Accumulation dtype of the checksums (``None`` → domain dtype).
-        padded, backend:
-            As for :meth:`step`.
-        """
-        be = self.backend if backend is None else get_backend(backend)
-        if padded is None:
-            padded, new, checksums = self.buffers.step(
-                be,
-                self.spec,
-                constant=self.constant,
-                axes=axes,
-                checksum_dtype=checksum_dtype,
-            )
-        else:
-            new, checksums = be.sweep_into_with_checksums(
-                padded,
-                self.buffers.back,
-                self.spec,
-                self.radius,
-                self.shape,
-                axes,
-                constant=self.constant,
-                checksum_dtype=checksum_dtype,
-            )
-        self._commit(padded, checksums)
-        return new, checksums
-
-    def _commit(
-        self,
-        padded_src: np.ndarray,
-        checksums: Optional[ChecksumMap],
-    ) -> None:
+    def _commit(self, padded_src: np.ndarray) -> None:
         """Swap the buffer pair after a sweep into the back buffer.
 
-        ``padded_src`` is the padded array the sweep read (the front
-        buffer, or an externally halo-filled array); it becomes
+        ``padded_src`` is the padded front buffer the sweep read, its
+        ghosts refreshed by :meth:`step` or, in the tiled runner, by
+        :meth:`padded_current` before the tiles swept; it becomes
         :attr:`previous_padded` and stays valid until the next step
         reclaims its buffer as the sweep target.
         """
@@ -301,7 +224,6 @@ class GridBase:
         self.buffers.swap()
         self.u = self.buffers.interior
         self.iteration += 1
-        self.last_checksums = checksums
 
     def run(self, iterations: int) -> np.ndarray:
         """Advance ``iterations`` sweeps and return the final domain."""
@@ -332,7 +254,6 @@ class GridBase:
         self.iteration = snap.iteration
         self._previous = None
         self._previous_padded = None
-        self.last_checksums = None
 
     def copy(self) -> "GridBase":
         """Independent deep copy of this grid."""
@@ -341,7 +262,6 @@ class GridBase:
             self.spec,
             self.boundary,
             constant=self.constant,
-            copy=True,
             backend=self.backend_spec,
         )
         clone.iteration = self.iteration

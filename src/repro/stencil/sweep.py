@@ -15,23 +15,23 @@ The actual arithmetic lives in the pluggable compute backends
 (:mod:`repro.backends`); the functions here are thin dispatchers that
 resolve the active backend and delegate, so every caller — grids,
 protectors, the tiled runner, the baselines — picks up the selected
-backend transparently.  :func:`sweep_with_checksums` exposes the fused
-sweep+checksum primitive at the same level.
+backend transparently.  Checksums are not part of a sweep: a caller
+reduces the new domain with the backend's ``checksum``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backends import ChecksumMap, get_backend
+from repro.backends import get_backend
 from repro.backends.registry import BackendLike
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import pad_array
 from repro.stencil.spec import StencilSpec
 
-__all__ = ["sweep_padded", "sweep", "sweep_into", "sweep_with_checksums"]
+__all__ = ["sweep_padded", "sweep", "sweep_into"]
 
 
 def sweep_padded(
@@ -94,37 +94,6 @@ def sweep_into(
     """
     return get_backend(backend).sweep_into(
         src_padded, dst_padded, spec, radius, interior_shape, constant=constant
-    )
-
-
-def sweep_with_checksums(
-    padded: np.ndarray,
-    spec: StencilSpec,
-    radius,
-    interior_shape: Sequence[int],
-    axes: Sequence[int],
-    constant: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
-    checksum_dtype: Optional[np.dtype] = None,
-    backend: BackendLike = None,
-) -> Tuple[np.ndarray, ChecksumMap]:
-    """One sweep that also returns the checksum(s) of the new interior.
-
-    This is the paper's fused kernel shape: the verified checksum is
-    produced together with the sweep instead of by an independent pass.
-    ``axes`` selects the reduction axes (0 → column checksum ``b``,
-    1 → row checksum ``a``); the result is
-    ``(new_interior, {axis: checksum_vector})``.
-    """
-    return get_backend(backend).sweep_with_checksums(
-        padded,
-        spec,
-        radius,
-        interior_shape,
-        axes,
-        constant=constant,
-        out=out,
-        checksum_dtype=checksum_dtype,
     )
 
 

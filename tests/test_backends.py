@@ -3,7 +3,7 @@
 Every registered backend must match the ``numpy`` reference within the
 detection threshold of :func:`repro.core.thresholds.recommend_epsilon`
 across the whole stencil library (2D and 3D, every boundary condition),
-and the checksums its fused sweep produces must equal post-hoc
+and its ``checksum`` of a freshly swept domain must equal post-hoc
 ``checksum()`` results — otherwise swapping backends would change the
 false-positive/detection behaviour the paper calibrates.
 """
@@ -29,9 +29,8 @@ from repro.core.online import OnlineABFT
 from repro.core.thresholds import recommend_epsilon
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.stencil.boundary import BoundaryCondition
-from repro.stencil.grid import Grid2D, Grid3D
+from repro.stencil.grid import Grid2D
 from repro.stencil.shift import pad_array
-from repro.stencil.sweep import sweep_with_checksums
 
 REFERENCE = "numpy"
 
@@ -209,24 +208,26 @@ class TestSweepInto:
                 padded, np.empty((5, 5), np.float32), spec, radius, SHAPE_2D
             )
 
-    def test_sweep_into_with_checksums_matches_posthoc(self, rng, backend_name):
+    def test_sweep_into_then_checksum_matches_posthoc(self, rng, backend_name):
+        """The checksum of the destination interior (a view into a padded
+        buffer, which ``fused`` folds lane by lane) matches a post-hoc
+        reduction."""
         from repro.stencil.shift import padded_shape
 
+        be = get_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
         dst = np.empty(padded_shape(SHAPE_2D, radius), dtype=np.float32)
-        new, cs = get_backend(backend_name).sweep_into_with_checksums(
-            padded, dst, spec, radius, SHAPE_2D, (0, 1), checksum_dtype=np.float64
-        )
+        new = be.sweep_into(padded, dst, spec, radius, SHAPE_2D)
         for axis in (0, 1):
-            # The accumulation *order* is backend-owned: a per-point fused
-            # kernel sums sequentially while numpy.sum reduces pairwise,
-            # so the float64 results agree to a few ULPs rather than bit
-            # for bit — orders of magnitude inside the detection epsilon.
+            # The accumulation *order* is backend-owned, so the float64
+            # results need only agree to a few ULPs — orders of
+            # magnitude inside the detection epsilon.
             assert _relative_mismatch(
-                cs[axis], checksum(new, axis, dtype=np.float64)
+                be.checksum(new, axis, dtype=np.float64),
+                checksum(new, axis, dtype=np.float64),
             ) <= 1e-10
 
     def test_module_dispatcher(self, rng):
@@ -271,40 +272,28 @@ class TestSweepInto:
         assert np.shares_memory(result, dst)
 
 
-class TestFusedChecksums:
+class TestChecksums:
     @pytest.mark.parametrize(
         "spec",
         stencil_library_2d() + stencil_library_3d(),
         ids=_spec_id,
     )
     @pytest.mark.parametrize("checksum_dtype", [np.float64, None], ids=["f64", "domain"])
-    def test_fused_checksums_match_posthoc(
+    def test_swept_domain_checksums_match_posthoc(
         self, rng, backend_name, spec, checksum_dtype
     ):
+        be = get_backend(backend_name)
         shape = SHAPE_2D if spec.ndim == 2 else SHAPE_3D
         u = _domain(rng, shape)
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
-        new, cs = get_backend(backend_name).sweep_with_checksums(
-            padded, spec, radius, shape, (0, 1), checksum_dtype=checksum_dtype
-        )
-        assert set(cs) == {0, 1}
+        new = be.sweep_padded(padded, spec, radius, shape)
         for axis in (0, 1):
             posthoc = checksum(new, axis, dtype=checksum_dtype)
             eps = recommend_epsilon(shape, axis, np.float32, spec)
-            assert _relative_mismatch(cs[axis], posthoc) <= eps
-
-    def test_sweep_with_checksums_dispatcher(self, rng, backend_name):
-        spec = stencil_library_2d()[1]
-        u = _domain(rng, SHAPE_2D)
-        padded = pad_array(u, spec.radius(), BoundaryCondition.clamp())
-        new, cs = sweep_with_checksums(
-            padded, spec, spec.radius(), SHAPE_2D, (0,), backend=backend_name
-        )
-        # dtype=None accumulates in float32, where the backend-owned
-        # accumulation order (sequential per point vs numpy's pairwise
-        # reduction) is visible at ~1e-7 relative — far below epsilon.
-        np.testing.assert_allclose(cs[0], checksum(new, 0, dtype=None), rtol=1e-6)
+            assert _relative_mismatch(
+                be.checksum(new, axis, dtype=checksum_dtype), posthoc
+            ) <= eps
 
 
 class TestGridAndProtectorAcrossBackends:
@@ -317,16 +306,6 @@ class TestGridAndProtectorAcrossBackends:
         other.run(8)
         eps = recommend_epsilon(SHAPE_2D, 0, np.float32, spec)
         assert _relative_mismatch(other.u, ref.u) <= eps
-
-    def test_grid_step_with_checksums_records_last(self, rng, backend_name):
-        spec = stencil_library_3d()[0]
-        u = _domain(rng, SHAPE_3D)
-        grid = Grid3D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
-        new, cs = grid.step_with_checksums((0,), checksum_dtype=np.float64)
-        assert grid.last_checksums is cs
-        np.testing.assert_array_equal(cs[0], checksum(new, 0, dtype=np.float64))
-        grid.step()
-        assert grid.last_checksums is None
 
     def test_online_abft_detects_and_corrects_on_every_backend(
         self, rng, backend_name
@@ -468,14 +447,11 @@ class TestBackendOwnedStep:
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         src, dst = _fresh_pair(u, spec.radius())
-        new, cs = be.step_into_with_checksums(
-            src, dst, spec, spec.radius(), SHAPE_2D, bc, (0, 1),
-            checksum_dtype=np.float64,
-        )
-        assert set(cs) == {0, 1}
+        new = be.step_into(src, dst, spec, spec.radius(), SHAPE_2D, bc)
         for axis in (0, 1):
             assert _relative_mismatch(
-                cs[axis], checksum(new, axis, dtype=np.float64)
+                be.checksum(new, axis, dtype=np.float64),
+                checksum(new, axis, dtype=np.float64),
             ) <= 1e-10
 
     def test_degenerate_periodic_halo_handled(self, rng, backend_name):
@@ -516,24 +492,26 @@ class TestBackendOwnedStep:
                 padded, classic.buffers.back, spec, classic.radius,
                 classic.shape,
             )
-            classic._commit(padded, None)
+            classic._commit(padded)
         np.testing.assert_array_equal(fast.u, classic.u)
         assert fast.iteration == classic.iteration == 6
 
-    def test_grid_step_with_checksums_uses_backend_owned_step(
-        self, rng, backend_name
-    ):
-        """The protected fast path delivers checksums of the buffer the
-        pair just swapped in, and leaves previous_padded's halo valid."""
+    def test_grid_step_uses_backend_owned_step(self, rng, backend_name):
+        """A grid step returns the buffer the pair just swapped in, whose
+        checksums the backend reduces, and leaves previous_padded's halo
+        valid."""
         from repro.stencil.shift import interior_view
 
+        be = get_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         grid = Grid2D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
-        new, cs = grid.step_with_checksums((0, 1), checksum_dtype=np.float64)
+        new = grid.step()
+        assert np.shares_memory(new, grid.u)
         for axis in (0, 1):
             assert _relative_mismatch(
-                cs[axis], checksum(grid.u, axis, dtype=np.float64)
+                be.checksum(new, axis, dtype=np.float64),
+                checksum(grid.u, axis, dtype=np.float64),
             ) <= 1e-10
         # previous_padded must carry a refreshed halo (clamp: ghost rows
         # equal the adjacent interior rows) for the ABFT interpolation.

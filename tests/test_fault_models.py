@@ -331,6 +331,17 @@ class TestCampaignPlumbing:
             tuple((p.iteration, p.index, p.bit, p.target) for p in r.faults),
         )
         assert [key(r) for r in got.records] == [key(r) for r in legacy.records]
+        if isinstance(model, PoissonArrival):
+            # Keep the case only this model stacks: a fault-free run
+            # beside faulty ones in one stacked batch, whose records
+            # must match legacy through the one post-flip checksum.
+            mixed = [
+                b for b in got.batch_strategies
+                if b.strategy == "stacked"
+                and {bool(r.faults) for r in got.records[b.start:b.start + b.width]}
+                == {False, True}
+            ]
+            assert mixed, [len(r.faults) for r in got.records]
 
     def test_mtbf_campaign_supports_fault_free_runs(self):
         app = make_hotspot_app((16, 16, 4))

@@ -128,13 +128,6 @@ class TestGridStepping:
                    constant=view)
         assert g.constant is not view and not g.constant.flags.writeable
 
-    def test_step_with_external_padded(self, small_grid_2d):
-        g = small_grid_2d
-        padded = g.padded_current()
-        expected = sweep(g.u.copy(), g.spec, g.boundary)
-        g.step(padded=padded)
-        np.testing.assert_array_equal(g.u, expected)
-
     def test_3d_step(self, small_grid_3d):
         g = small_grid_3d
         g.step()

@@ -1,31 +1,34 @@
 """One stepping path: every layer advances by ``k`` single steps.
 
-The grid's two step primitives (:meth:`~repro.stencil.grid.GridBase.step`
-and :meth:`~repro.stencil.grid.GridBase.step_with_checksums`) are the
-only way a protector or runner moves a domain forward.  These tests pin
+The grid's step primitive (:meth:`~repro.stencil.grid.GridBase.step`)
+is the only way a protector moves a domain forward.  These tests pin
 what the layers above rely on:
 
 * after ``k`` steps the front buffer holds step ``k`` — bit-identical to
   ``k`` refresh-then-sweep passes on the same backend — and the back
   buffer holds step ``k - 1``, the only intermediate a protector needs
   for Theorem-1 interpolation;
-* a fused step's checksums equal a fresh fold of the state it produced;
 * :meth:`OfflineABFT.run` is exactly its ``step`` loop plus ``finalize``,
-  only the window-closing sweep fuses the checksum, and an injection
-  hook is called once per iteration.
+  only the window-closing step takes a checksum, and an injection hook
+  is called once per iteration;
+* a protected step makes the same backend calls with and without an
+  inject hook, and reduces its checksum once, after the hook returns
+  (online, window-closing offline and distributed steps alike).
 """
 
 import numpy as np
 import pytest
 
 from conftest import all_boundary_conditions
-from repro.core.checksums import checksum
+from repro.backends import Backend, FusedBackend
 from repro.core.offline import OfflineABFT
+from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
 from repro.faults.injector import FaultInjector, FaultPlan
+from repro.parallel.simmpi import DistributedStencilRunner
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
-from repro.stencil.kernels import five_point_diffusion, nine_point_smoothing
+from repro.stencil.kernels import five_point_diffusion
 from repro.stencil.shift import interior_view, pad_array
 
 
@@ -45,6 +48,27 @@ def _padded_sweeps(grid, u, k):
             padded, grid.spec, grid.radius, grid.shape, constant=grid.constant
         )
     return u
+
+
+def _spy_backend(log):
+    """A ``fused`` backend that logs every contract method called on it.
+
+    Each public :class:`Backend` method, nested calls included, appends
+    its name to ``log`` before it runs.
+    """
+    backend = FusedBackend()
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in dir(Backend):
+        attr = getattr(backend, name)
+        if not name.startswith("_") and callable(attr):
+            setattr(backend, name, logged(name, attr))
+    return backend
 
 
 class TestGridSteps:
@@ -67,25 +91,6 @@ class TestGridSteps:
             interior_view(grid.previous_padded, grid.radius), expected_prev
         )
         assert grid.iteration == k
-        assert grid.last_checksums is None
-
-    @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_step_with_checksums_matches_fresh_fold(self, rng, bc, k):
-        grid = _grid(rng, bc=bc, spec=nine_point_smoothing())
-        plain = grid.copy()
-        for _ in range(k - 1):
-            grid.step()
-            plain.step()
-        new, cs = grid.step_with_checksums((0, 1), checksum_dtype=np.float64)
-        ref = plain.step()
-        np.testing.assert_array_equal(new, ref)
-        np.testing.assert_array_equal(grid.previous, plain.previous)
-        assert grid.last_checksums is cs
-        for axis in (0, 1):
-            np.testing.assert_array_equal(
-                cs[axis], checksum(new, axis, dtype=np.float64)
-            )
 
 
 class TestOfflineSingleStepRuns:
@@ -114,16 +119,20 @@ class TestOfflineSingleStepRuns:
                 sl.rollback, sl.recomputed_iterations,
             )
 
-    def test_only_the_window_closing_step_fuses_the_checksum(self, rng):
+    def test_only_the_window_closing_step_takes_a_checksum(self, rng):
+        log = []
         g = _grid(rng)
         protector = OfflineABFT.for_grid(
-            g, period=4, epsilon=1e-5, track_strips=False
+            g, period=4, epsilon=1e-5, track_strips=False,
+            backend=_spy_backend(log),
         )
-        fused = []
+        reduced = []
         for _ in range(8):
+            del log[:]
             protector.step(g)
-            fused.append(g.last_checksums is not None)
-        assert fused == [False, False, False, True] * 2
+            reduced.append(log.count("checksum"))
+        # The first step also seeds the initial checkpoint's checksum.
+        assert reduced == [1, 0, 0, 1] + [0, 0, 0, 1]
 
     def test_flip_inside_window_recovers_to_failure_free_state(self, rng):
         g_clean = _grid(rng, shape=(24, 18))
@@ -162,3 +171,56 @@ class TestOfflineSingleStepRuns:
         NoProtection().run(g_plain, 19)
         assert rep.total_rollbacks == 0
         np.testing.assert_array_equal(g_abft.u, g_plain.u)
+
+
+def _online_step(u0, backend):
+    grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
+    protector = OnlineABFT.for_grid(grid, epsilon=1e-5, backend=backend)
+    protector.step(grid)  # seeds the t=0 checksum
+    return lambda inject: protector.step(grid, inject=inject)
+
+
+def _offline_step(u0, backend):
+    grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
+    protector = OfflineABFT.for_grid(
+        grid, period=2, epsilon=1e-5, backend=backend
+    )
+    protector.step(grid)  # seeds the checkpoint; the next step closes the window
+    return lambda inject: protector.step(grid, inject=inject)
+
+
+def _distributed_step(u0, backend):
+    grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
+    runner = DistributedStencilRunner(grid, n_ranks=2, backend=backend)
+    runner.step()
+    return lambda inject: runner.step(inject=inject)
+
+
+class TestOneStepPath:
+    @pytest.mark.parametrize(
+        "make_step,ranks",
+        [(_online_step, 1), (_offline_step, 1), (_distributed_step, 2)],
+        ids=["online", "offline-window-closing", "distributed"],
+    )
+    def test_hook_or_not_the_step_makes_the_same_calls(
+        self, rng, make_step, ranks
+    ):
+        """With no hook and with a no-op hook, one protected step makes
+        the same backend calls; each rank's step reduces one checksum,
+        after the hook has returned."""
+        u0 = (rng.random((20, 14)) * 100).astype(np.float32)
+        plain, hooked = [], []
+        step_plain = make_step(u0, _spy_backend(plain))
+        step_hooked = make_step(u0, _spy_backend(hooked))
+        del plain[:], hooked[:]  # the warm-up step's calls
+        step_plain(None)
+        step_hooked(lambda *args: hooked.append("hook"))
+        assert [call for call in hooked if call != "hook"] == plain
+        # One segment per rank step, each opened by its step_into.
+        starts = [i for i, call in enumerate(hooked) if call == "step_into"]
+        assert len(starts) == ranks
+        for lo, hi in zip(starts, starts[1:] + [len(hooked)]):
+            segment = hooked[lo:hi]
+            assert segment.count("hook") == 1
+            assert segment.count("checksum") == 1
+            assert segment.index("checksum") > segment.index("hook")

@@ -1,15 +1,17 @@
 """The step and batch contract every backend keeps, bit for bit.
 
-A backend may override any of ``sweep_with_checksums``, ``step_into*``
-and ``batch_step_into*``; whatever it overrides must come out exactly
-as the interpreted sequence it replaces:
+A backend may override any of ``sweep_padded``, ``step_into``,
+``batch_step_into`` and ``checksum``; whatever it overrides must come
+out exactly as the interpreted sequence it replaces:
 
 * a single step equals ``refresh_ghosts`` (over the refreshed axes
   only) followed by the ``numpy`` reference sweep — interior and the
-  whole source halo, corners included — with checksums equal to a
-  post-hoc reduction;
+  whole source halo, corners included — and the backend's checksum of
+  the new interior equals a post-hoc reduction;
 * slot ``b`` of a batched step equals a single step on slot ``b``'s
-  buffers, checksum columns included.
+  buffers, and the campaign engine's ``np.sum`` over the batch interior
+  equals, column for column, the backend's checksum of each single
+  step.
 
 Every registered backend is checked, plus ``base``: a backend that
 provides only ``sweep_padded``, so the :class:`Backend` base-class
@@ -118,6 +120,11 @@ def _assert_bits(got, want):
     )
 
 
+def _checksums(backend, interior, axes=(0, 1)):
+    """The backend's float64 checksum of ``interior`` along each axis."""
+    return {a: backend.checksum(interior, a, dtype=np.float64) for a in axes}
+
+
 def _assert_checksums(cs, interior, axes):
     assert set(cs) == set(axes)
     for axis in axes:
@@ -141,7 +148,8 @@ def test_sweep_and_checksums_match_reference(rng, spec, shape, bc):
     """``fused``'s sweep (compiled where the native library loads) adds
     the constant first and then the points in the reference's order
     with the reference's cast weights, so its interior is bitwise equal
-    to the reference, not merely within tolerance."""
+    to the reference, not merely within tolerance; its checksums of the
+    new interior match a post-hoc reduction."""
     u = _domain(rng, shape)
     const = (rng.random(shape) * 0.1).astype(np.float32)
     radius = spec.radius()
@@ -149,12 +157,10 @@ def test_sweep_and_checksums_match_reference(rng, spec, shape, bc):
     expected = get_backend("numpy").sweep_padded(
         padded, spec, radius, shape, constant=const
     )
-    new, cs = get_backend("fused").sweep_with_checksums(
-        padded, spec, radius, shape, (0, 1), constant=const,
-        checksum_dtype=np.float64,
-    )
+    fused = get_backend("fused")
+    new = fused.sweep_padded(padded, spec, radius, shape, constant=const)
     np.testing.assert_array_equal(new, expected)
-    _assert_checksums(cs, new, (0, 1))
+    _assert_checksums(_checksums(fused, new), new, (0, 1))
 
 
 _ORDERINGS = [
@@ -175,7 +181,9 @@ _ORDERINGS = [
 def test_external_axis_orderings(rng, backend, spec, shape, refresh_axes):
     """External (distributed) axes before, after and between refreshed
     axes: their ghost slabs hold ingested halo data and stay untouched,
-    while the refreshed axes' slabs span them as if they were interior."""
+    while the refreshed axes' slabs span them as if they were interior.
+    The backend's checksums of the stepped interior, a view into the
+    destination buffer, match a post-hoc reduction."""
     radius = spec.radius()
     boundary = BoundaryCondition.clamp()
     const = (rng.random(shape) * 0.1).astype(np.float32)
@@ -195,16 +203,7 @@ def test_external_axis_orderings(rng, backend, spec, shape, refresh_axes):
     )
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(src, src_ref)
-
-    src = src0.copy()
-    dst = np.full_like(src, np.nan)
-    got, cs = backend.step_into_with_checksums(
-        src, dst, spec, radius, shape, boundary, (0, 1), constant=const,
-        checksum_dtype=np.float64, refresh_axes=refresh_axes,
-    )
-    np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(src, src_ref)
-    _assert_checksums(cs, got, (0, 1))
+    _assert_checksums(_checksums(backend, got), got, (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -245,44 +244,37 @@ def test_external_axis_orderings(rng, backend, spec, shape, refresh_axes):
 def test_batched_step_matches_per_slot_steps(
     rng, backend, spec, shape, boundary, refresh_axes, with_cs
 ):
-    """Each slot of a batched step — interior, refreshed source halo and
-    per-run checksum columns — equals a single step on that slot."""
+    """Each slot of a batched step — interior and refreshed source halo —
+    equals a single step on that slot; with ``checksums``, so does each
+    per-run column of an ``np.sum`` over the batch interior (the
+    campaign engine's reduction) against the backend's checksum of the
+    single step."""
     radius = spec.radius()
     const = (rng.random(shape) * 0.1).astype(np.float32)
     # Random halos: on external axes they are ingested data to keep.
     singles = [_domain(rng, padded_shape(shape, radius)) for _ in range(3)]
     bsrc = np.stack(singles, axis=-1)
     bdst = np.full(bsrc.shape, np.nan, dtype=np.float32)
-    if with_cs:
-        got, cs = backend.batch_step_into_with_checksums(
-            bsrc, bdst, spec, radius, shape, boundary, (0, 1),
-            constant=const, checksum_dtype=np.float64,
-            refresh_axes=refresh_axes,
-        )
-    else:
-        got = backend.batch_step_into(
-            bsrc, bdst, spec, radius, shape, boundary, constant=const,
-            refresh_axes=refresh_axes,
-        )
+    got = backend.batch_step_into(
+        bsrc, bdst, spec, radius, shape, boundary, constant=const,
+        refresh_axes=refresh_axes,
+    )
     assert got.shape == shape + (3,)
     for b, src in enumerate(singles):
         dst = np.full_like(src, np.nan)
-        if with_cs:
-            want, want_cs = backend.step_into_with_checksums(
-                src, dst, spec, radius, shape, boundary, (0, 1),
-                constant=const, checksum_dtype=np.float64,
-                refresh_axes=refresh_axes,
-            )
-        else:
-            want = backend.step_into(
-                src, dst, spec, radius, shape, boundary, constant=const,
-                refresh_axes=refresh_axes,
-            )
+        want = backend.step_into(
+            src, dst, spec, radius, shape, boundary, constant=const,
+            refresh_axes=refresh_axes,
+        )
         np.testing.assert_array_equal(got[..., b], want)
         np.testing.assert_array_equal(bsrc[..., b], src)
         if with_cs:
+            want_cs = _checksums(backend, want)
             for axis in (0, 1):
-                np.testing.assert_array_equal(cs[axis][..., b], want_cs[axis])
+                np.testing.assert_array_equal(
+                    np.sum(got, axis=axis, dtype=np.float64)[..., b],
+                    want_cs[axis],
+                )
 
 
 def test_batched_aliasing_pair(rng, backend):
@@ -407,8 +399,9 @@ def _cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_cases(), seed=st.integers(0, 2**31 - 1))
 def test_step_bit_identical_to_interpreted(backend, case, seed):
-    """Random spec x layout: the protected step equals refresh + the
-    reference sweep, interior and whole source halo bit for bit.
+    """Random spec x layout: the step equals refresh + the reference
+    sweep, interior and whole source halo bit for bit, and the
+    backend's checksums of its interior match a post-hoc reduction.
 
     The halos start as random data, standing in for ingested neighbour
     halos on the external axes.
@@ -434,17 +427,16 @@ def _check_step(backend, case, seed):
         src_ref, spec, radius, shape, boundary, constant=const,
         refresh_axes=refresh_axes,
     )
-    got, cs = backend.step_into_with_checksums(
+    got = backend.step_into(
         src, np.full_like(src, np.nan), spec, radius, shape, boundary,
-        (0, 1), constant=const, checksum_dtype=np.float64,
-        refresh_axes=refresh_axes,
+        constant=const, refresh_axes=refresh_axes,
     )
     # Values, not bits: without a constant ``fused`` starts from the
     # first product, where the reference adds it to +0.0, so an all-zero
     # sum may differ in the sign of zero.  The halo is copied: bits.
     np.testing.assert_array_equal(got, expected)
     _assert_bits(src, src_ref)
-    _assert_checksums(cs, expected, (0, 1))
+    _assert_checksums(_checksums(backend, got), expected, (0, 1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -458,9 +450,10 @@ def test_batched_step_bit_identical_to_single_steps(
     backend, case, batch, with_cs, seed
 ):
     """Random spec x layout x batch width: a batched step equals
-    ``batch`` independent single steps, slot for slot.  This is what
-    makes stacked-vs-replay a pure throughput choice in the campaign
-    engine."""
+    ``batch`` independent single steps, slot for slot, and (``with_cs``)
+    the engine's ``np.sum`` over the batch interior equals the backend's
+    checksum of each single step.  This is what makes stacked-vs-replay
+    a pure throughput choice in the campaign engine."""
     _check_batch(backend, case, batch, with_cs, seed)
 
 
@@ -485,35 +478,25 @@ def _check_batch(backend, case, batch, with_cs, seed):
     const = rng.standard_normal(shape).astype(dtype) if has_const else None
     bsrc = np.stack(singles, axis=-1)
     bdst = np.full(bsrc.shape, np.nan, dtype=dtype)
-    if with_cs:
-        got, cs = backend.batch_step_into_with_checksums(
-            bsrc, bdst, spec, radius, shape, boundary, (0, 1),
-            constant=const, checksum_dtype=np.float64,
-            refresh_axes=refresh_axes,
-        )
-    else:
-        got = backend.batch_step_into(
-            bsrc, bdst, spec, radius, shape, boundary, constant=const,
-            refresh_axes=refresh_axes,
-        )
+    got = backend.batch_step_into(
+        bsrc, bdst, spec, radius, shape, boundary, constant=const,
+        refresh_axes=refresh_axes,
+    )
     for b, src in enumerate(singles):
         dst = np.full(pshape, np.nan, dtype=dtype)
-        if with_cs:
-            want, want_cs = backend.step_into_with_checksums(
-                src, dst, spec, radius, shape, boundary, (0, 1),
-                constant=const, checksum_dtype=np.float64,
-                refresh_axes=refresh_axes,
-            )
-        else:
-            want = backend.step_into(
-                src, dst, spec, radius, shape, boundary, constant=const,
-                refresh_axes=refresh_axes,
-            )
+        want = backend.step_into(
+            src, dst, spec, radius, shape, boundary, constant=const,
+            refresh_axes=refresh_axes,
+        )
         _assert_bits(got[..., b], want)
         _assert_bits(bsrc[..., b], src)
         if with_cs:
+            want_cs = _checksums(backend, want)
             for axis in (0, 1):
-                _assert_bits(cs[axis][..., b], want_cs[axis])
+                _assert_bits(
+                    np.sum(got, axis=axis, dtype=np.float64)[..., b],
+                    want_cs[axis],
+                )
 
 
 # -- the views that take the NumPy lane fill --------------------------------
