@@ -29,7 +29,7 @@ from repro.core.online import OnlineABFT
 from repro.core.thresholds import recommend_epsilon
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.stencil.boundary import BoundaryCondition
-from repro.stencil.grid import Grid2D
+from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.shift import pad_array
 
 REFERENCE = "numpy"
@@ -295,6 +295,28 @@ class TestChecksums:
                 be.checksum(new, axis, dtype=checksum_dtype), posthoc
             ) <= eps
 
+    def test_sweep_dispatcher_then_checksum(self, rng, backend_name):
+        """The module-level sweep resolves the backend by name, and that
+        backend's domain-dtype checksum of its output matches post-hoc."""
+        from repro.stencil.sweep import sweep_padded
+
+        be = get_backend(backend_name)
+        spec = stencil_library_2d()[1]
+        u = _domain(rng, SHAPE_2D)
+        radius = spec.radius()
+        padded = pad_array(u, radius, BoundaryCondition.clamp())
+        new = sweep_padded(padded, spec, radius, SHAPE_2D, backend=backend_name)
+        np.testing.assert_array_equal(
+            new, be.sweep_padded(padded, spec, radius, SHAPE_2D)
+        )
+        # dtype=None accumulates in float32, where a backend-owned
+        # accumulation order would show at ~1e-7 relative — far below
+        # epsilon.
+        np.testing.assert_allclose(
+            be.checksum(new, 0, dtype=None), checksum(new, 0, dtype=None),
+            rtol=1e-6,
+        )
+
 
 class TestGridAndProtectorAcrossBackends:
     def test_grid_runs_are_equivalent(self, rng, backend_name):
@@ -306,6 +328,23 @@ class TestGridAndProtectorAcrossBackends:
         other.run(8)
         eps = recommend_epsilon(SHAPE_2D, 0, np.float32, spec)
         assert _relative_mismatch(other.u, ref.u) <= eps
+
+    def test_grid_step_then_checksum_matches_fresh_fold(self, rng, backend_name):
+        """The column checksum of a 3D grid's new state (an interior view
+        of its padded front buffer) is bit for bit a fold of a fresh
+        copy, and the next step leaves that state intact as
+        ``previous``."""
+        be = get_backend(backend_name)
+        spec = stencil_library_3d()[0]
+        u = _domain(rng, SHAPE_3D)
+        grid = Grid3D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
+        new = grid.step()
+        fresh = checksum(new.copy(), 0, dtype=np.float64)
+        np.testing.assert_array_equal(be.checksum(new, 0, dtype=np.float64), fresh)
+        grid.step()
+        np.testing.assert_array_equal(
+            be.checksum(grid.previous, 0, dtype=np.float64), fresh
+        )
 
     def test_online_abft_detects_and_corrects_on_every_backend(
         self, rng, backend_name

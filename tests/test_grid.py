@@ -128,6 +128,19 @@ class TestGridStepping:
                    constant=view)
         assert g.constant is not view and not g.constant.flags.writeable
 
+    def test_commit_after_external_sweep(self, small_grid_2d):
+        """The tiled runner's step: sweep the refreshed front buffer into
+        the back buffer outside the grid, then commit the swap."""
+        g = small_grid_2d
+        u0 = g.u.copy()
+        src = g.padded_current()
+        g.backend.sweep_into(src, g.back_padded, g.spec, g.radius, g.shape)
+        g._commit(src)
+        np.testing.assert_array_equal(g.u, sweep(u0, g.spec, g.boundary))
+        np.testing.assert_array_equal(g.previous, u0)
+        assert g.previous_padded is src
+        assert g.iteration == 1
+
     def test_3d_step(self, small_grid_3d):
         g = small_grid_3d
         g.step()

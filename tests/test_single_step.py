@@ -8,6 +8,8 @@ what the layers above rely on:
   ``k`` refresh-then-sweep passes on the same backend — and the back
   buffer holds step ``k - 1``, the only intermediate a protector needs
   for Theorem-1 interpolation;
+* the backend's checksum of a step's new state equals a fresh fold of
+  it, bit for bit;
 * :meth:`OfflineABFT.run` is exactly its ``step`` loop plus ``finalize``,
   only the window-closing step takes a checksum, and an injection hook
   is called once per iteration;
@@ -21,6 +23,7 @@ import pytest
 
 from conftest import all_boundary_conditions
 from repro.backends import Backend, FusedBackend
+from repro.core.checksums import checksum
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
@@ -28,7 +31,7 @@ from repro.faults.injector import FaultInjector, FaultPlan
 from repro.parallel.simmpi import DistributedStencilRunner
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
-from repro.stencil.kernels import five_point_diffusion
+from repro.stencil.kernels import five_point_diffusion, nine_point_smoothing
 from repro.stencil.shift import interior_view, pad_array
 
 
@@ -91,6 +94,27 @@ class TestGridSteps:
             interior_view(grid.previous_padded, grid.radius), expected_prev
         )
         assert grid.iteration == k
+
+    @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_step_then_checksum_matches_fresh_fold(self, rng, bc, k):
+        """The checksum a protector takes after step ``k`` (the backend's
+        reduction of the front buffer's interior view) is bit for bit a
+        fold of a fresh copy of the new state."""
+        grid = _grid(rng, bc=bc, spec=nine_point_smoothing())
+        plain = grid.copy()
+        for _ in range(k - 1):
+            grid.step()
+            plain.step()
+        new = grid.step()
+        ref = plain.step()
+        np.testing.assert_array_equal(new, ref)
+        np.testing.assert_array_equal(grid.previous, plain.previous)
+        for axis in (0, 1):
+            np.testing.assert_array_equal(
+                grid.backend.checksum(new, axis, dtype=np.float64),
+                checksum(new.copy(), axis, dtype=np.float64),
+            )
 
 
 class TestOfflineSingleStepRuns:
