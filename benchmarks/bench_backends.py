@@ -12,7 +12,7 @@ stencil-kernel library.
 It additionally verifies the zero-copy halo pipeline with ``tracemalloc``
 (the fused backend must perform **zero** full-domain allocations per
 protected iteration — the double-buffered grids sweep in place), compares
-the serial/thread/process tile executors on a protected tiled run, checks
+the serial and thread tile executors on a protected tiled run, checks
 the executors produce bit-identical domains and detections under fault
 injection, and emits every measurement as machine-readable JSON
 (``BENCH_backends.json``) so the perf trajectory is tracked across PRs.
@@ -196,7 +196,7 @@ def _injection_signature(executor, size: int = 96) -> dict:
             "corrected": runner.total_corrected(),
         }
     finally:
-        runner.shutdown()  # releases shm migration; executor stays alive
+        runner.shutdown()  # a caller-provided executor stays alive
 
 
 def compare_executors(size: int, iters: int, workers) -> dict:
@@ -208,7 +208,7 @@ def compare_executors(size: int, iters: int, workers) -> dict:
     workers = resolve_workers(workers)
     results: dict = {"workers": workers, "tile_parts": [2, 2], "kinds": {}}
     serial_sig = None
-    for kind in ("serial", "threads", "process"):
+    for kind in ("serial", "threads"):
         executor = make_executor(kind, workers=workers)
         try:
             grid = build_grid(size, "fused")
@@ -216,7 +216,7 @@ def compare_executors(size: int, iters: int, workers) -> dict:
                 grid, (2, 2), executor=executor, epsilon=1e-5
             )
             try:
-                runner.step()  # warm-up: pools, shared-memory migration
+                runner.step()  # warm-up: pool threads, scratch buffers
                 start = time.perf_counter()
                 for _ in range(iters):
                     runner.step()
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
         "--exec-workers",
         type=int,
         default=None,
-        help="worker count for thread/process executors (default: all cores)",
+        help="worker count for the thread executor (default: all cores)",
     )
     parser.add_argument(
         "--skip-executors",
@@ -534,21 +534,7 @@ def main(argv=None) -> int:
                 f"(detected {row['detected']}, corrected {row['corrected']})"
             )
             exec_ok = exec_ok and row["injection_matches_serial"]
-        proc = exec_results["kinds"]["process"]["ms_per_iter"]
-        thr = exec_results["kinds"]["threads"]["ms_per_iter"]
-        report["gates"]["process_beats_threads"] = proc < thr
         report["gates"]["executors_match_serial_under_injection"] = exec_ok
-        if proc < thr:
-            print(
-                f"  process executor beats threads: {proc:.3f} < {thr:.3f} "
-                f"ms/iter"
-            )
-        else:
-            print(
-                f"  note: process executor ({proc:.3f} ms) did not beat "
-                f"threads ({thr:.3f} ms) here — expected on few-core hosts; "
-                f"informative only, the gate is the injection equivalence"
-            )
 
     # -- speed gate ----------------------------------------------------------
     speed_fail = False

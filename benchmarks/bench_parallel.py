@@ -13,7 +13,6 @@ from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
 from repro.experiments.common import make_hotspot_app
 from repro.parallel.executor import (
-    ProcessPoolTileExecutor,
     SerialExecutor,
     ThreadPoolTileExecutor,
     resolve_workers,
@@ -53,18 +52,6 @@ def test_tiled_threads_step(benchmark):
         benchmark(lambda: runner.step())
     finally:
         executor.shutdown()
-
-
-def test_tiled_processes_step(benchmark):
-    workers = resolve_workers(None)
-    executor = ProcessPoolTileExecutor(workers=workers)
-    runner = _runner(executor)
-    benchmark.group = "parallel-step"
-    benchmark.name = f"per-layer-abft-{workers}procs-shm"
-    try:
-        benchmark(lambda: runner.step())
-    finally:
-        runner.shutdown()
 
 
 def test_tiled_unprotected_step(benchmark):

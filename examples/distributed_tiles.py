@@ -6,13 +6,14 @@ execution models:
 
 1. the shared-memory tiled runner, protecting each z-layer of a
    HotSpot3D domain with its own checksum pair (the paper's OpenMP
-   mapping), and
+   mapping); its tiles run serially, or on a thread pool under
+   ``REPRO_EXECUTOR=threads``, and
 2. the simulated message-passing runner, where each rank owns a
    persistent padded buffer pair for its block of a 2D domain, receives
    neighbour halo strips straight into the front buffer's ghost slabs,
-   sweeps through the backend's fused step (which also produces the
-   rank's checksums) and verifies its block locally — zero full-block
-   allocations per rank per iteration.
+   steps through the backend's step primitive, reduces its checksum
+   once and verifies its block locally — zero full-block allocations
+   per rank per iteration.
 
 In both cases a fault injected into one tile/rank is detected and
 corrected by that tile/rank alone — no global communication is needed.
@@ -20,6 +21,7 @@ corrected by that tile/rank alone — no global communication is needed.
 Run with::
 
     python examples/distributed_tiles.py
+    REPRO_EXECUTOR=threads python examples/distributed_tiles.py
 """
 
 import numpy as np

@@ -13,11 +13,14 @@ Backends are singletons: ``get_backend("fused")`` always returns the
 same instance, so per-backend caches (e.g. the fused backend's scratch
 buffers) are shared across the process.
 
-The process-pool tile executor resolves backends **by name inside each
-worker process** (see :mod:`repro.parallel.shm`): instances cannot cross
-the process boundary, so a custom backend must be registered at import
-time — module level of an imported package — for worker processes to
-find it.  Unregistered instances still work everywhere in-process.
+The campaign engine's process executor rebuilds grids and protectors
+inside each worker from pickled factories, and a backend instance does
+not cross the process boundary (the fused backend's thread-local
+scratch does not pickle).  Such a factory names its backend, which each
+worker resolves **by name** from its own registry, so a custom backend
+must be registered at import time — module level of an imported
+package — for worker processes to find it.  Unregistered instances
+still work everywhere in-process.
 """
 
 from __future__ import annotations

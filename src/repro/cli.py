@@ -151,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print {backend: [compiled-kernel entries]} as JSON instead",
     )
     subparsers.add_parser(
-        "executors", help="list the available tile executors"
+        "executors",
+        help="list the available executors (tiles take serial or threads; "
+        "campaigns take all three)",
     )
 
     dist = subparsers.add_parser(
@@ -280,18 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--batch", type=int, default=None,
-        help="runs per dispatched batch (default: automatic)",
+        help="runs per dispatched batch, which is also the stacked width "
+        "(default: automatic, at most 32)",
     )
     camp.add_argument(
         "--strategy", choices=("auto", "stacked", "replay"), default="auto",
         help="run strategy: auto picks the fastest eligible path per "
         "batch, stacked demands the batched fast path (error when the "
         "campaign cannot take it), replay forces the per-run legacy path",
-    )
-    camp.add_argument(
-        "--stacked-width", type=int, default=None, metavar="N",
-        help="cap on the stacked batch width (default: "
-        "REPRO_STACKED_WIDTH, else 32)",
     )
     camp.add_argument(
         "--backend", choices=available_backends(), default=None,
@@ -474,7 +472,6 @@ def _run_campaign_cli(args) -> int:
         inject=(args.scenario == "single-bit-flip"),
         seed=args.seed,
         fault_model=fault_model,
-        stacked_width=args.stacked_width,
     )
     with CampaignEngine(batch_size=args.batch) as engine:
         start = time.perf_counter()
@@ -617,8 +614,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default = default_executor_kind()
         descriptions = {
             "serial": "tiles swept one after another in the calling thread",
-            "threads": "thread pool (NumPy kernels release the GIL)",
-            "process": "process pool over multiprocessing.shared_memory",
+            "threads": "thread pool (NumPy and compiled kernels release the GIL)",
+            "process": "process pool for campaign batches (tiles refuse it)",
         }
         for kind in available_executors():
             marker = " (default)" if kind == default else ""

@@ -77,13 +77,6 @@ class CampaignConfig:
         their runs through the distributed runner's buddy-checkpoint
         recovery path (:func:`run_with_crashes`); the engine executes
         such runs on its replay path with the recorded fallback reason.
-    stacked_width:
-        Cap on the engine's stacked batch width (runs laid out along the
-        trailing axis of one buffer pair).  ``None`` (the default)
-        defers to the ``REPRO_STACKED_WIDTH`` environment variable and
-        then to the built-in default of 32 — see
-        :func:`repro.faults.engine.resolve_stacked_width`.  A pure
-        throughput knob: records are bitwise-independent of it.
     """
 
     iterations: int
@@ -93,7 +86,6 @@ class CampaignConfig:
     faults_per_run: int = 1
     seed: int = 0
     fault_model: Optional[FaultModel] = None
-    stacked_width: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -102,8 +94,6 @@ class CampaignConfig:
             raise ValueError("repetitions must be >= 1")
         if self.faults_per_run < 1:
             raise ValueError("faults_per_run must be >= 1")
-        if self.stacked_width is not None and self.stacked_width < 1:
-            raise ValueError("stacked_width must be >= 1")
         if self.fault_model is not None and not isinstance(
             self.fault_model, FaultModel
         ):

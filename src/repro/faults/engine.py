@@ -52,13 +52,15 @@ Two run strategies share that lifecycle:
     each campaign iteration drives the backend-owned
     :meth:`~repro.backends.base.Backend.batch_step_into` primitive —
     one vectorised pass over the whole batch — then applies that
-    iteration's bit flips, reduces every run's checksum with one
-    ``np.sum`` over the batch interior and runs one stacked Theorem-1
-    interpolation and detection screen for all runs at once.  Every
-    backend's batched step is per-slot bit-identical to its single-run
-    step, and each run's checksum is taken after its flips, as replay's
-    protector reduces after its inject hook, so every run's numbers are
-    identical to its serial execution.  The rare steps on which the
+    iteration's bit flips, reduces every run's checksum with the
+    protector's ``Backend.checksum`` (one call over a full-width batch's
+    column checksums, one call per run otherwise) and runs one stacked
+    Theorem-1 interpolation and detection screen for all runs at once.
+    Every backend's batched step is per-slot bit-identical to its
+    single-run step, and each run's checksum is the reduction replay's
+    protector makes, taken after the run's flips as replay takes it
+    after its inject hook, so every run's numbers are identical to its
+    serial execution.  The rare steps on which the
     vectorised detection screen flags a run are delegated, for that run
     only, to the ordinary
     :meth:`OnlineABFT.process` on per-run views — corrections reuse the
@@ -115,9 +117,7 @@ from repro.stencil.shift import interior_view
 
 __all__ = [
     "CampaignEngine",
-    "STACKED_WIDTH_ENV_VAR",
     "draw_fault_plans",
-    "resolve_stacked_width",
     "stacked_support_reason",
     "stacked_supported",
 ]
@@ -143,16 +143,12 @@ _DEFAULT_CHAOS_TIMEOUT = 30.0
 #: campaign configurations does not accumulate stacked buffer pairs.
 _STATE_CACHE_MAX = 4
 
-#: Environment variable overriding the stacked batch-width cap (lowest
-#: precedence is the built-in default; ``CampaignConfig.stacked_width``
-#: wins over both).
-STACKED_WIDTH_ENV_VAR = "REPRO_STACKED_WIDTH"
-
-#: Default cap on the stacked batch width.  Wider batches amortise the
-#: per-call/per-kernel-launch overhead further but grow the persistent
+#: Cap on the automatic batch width, and so on the stacked width
+#: (``batch_size`` / ``--batch`` set it outright).  Wider batches
+#: amortise the per-call overhead further but grow the persistent
 #: buffer pair linearly; 32 runs of the paper's 64x64x8 tile keep the
 #: pair ~11 MB.
-_DEFAULT_STACKED_WIDTH = 32
+_AUTO_BATCH_CAP = 32
 
 #: Signature of a per-run hook factory (sensitivity-style experiments):
 #: called in the parent, in run order, so stateful RNG draws match the
@@ -184,32 +180,6 @@ def draw_fault_plans(
             fault_model.draw(rng, shape, config.iterations, dtype=dtype)
         )
     return plans
-
-
-def resolve_stacked_width(config: Optional[CampaignConfig] = None) -> int:
-    """Resolve the stacked batch-width cap.
-
-    Precedence: ``config.stacked_width`` (when set) over the
-    ``REPRO_STACKED_WIDTH`` environment variable over the built-in
-    default of 32.  The width is a pure throughput knob — records are
-    bitwise-independent of it.
-    """
-    if config is not None and config.stacked_width is not None:
-        return int(config.stacked_width)
-    env = os.environ.get(STACKED_WIDTH_ENV_VAR)
-    if env:
-        try:
-            width = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{STACKED_WIDTH_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-        if width < 1:
-            raise ValueError(
-                f"{STACKED_WIDTH_ENV_VAR} must be >= 1, got {width}"
-            )
-        return width
-    return _DEFAULT_STACKED_WIDTH
 
 
 def _resolved_backend(grid: GridBase, protector: Protector):
@@ -323,10 +293,14 @@ class _StackedBatch:
     backend-owned batched step
     (:meth:`~repro.backends.base.Backend.batch_step_into` — ghost
     refresh and sweep for every run in one vectorised pass), the
-    iteration's bit flips, one ``np.sum`` checksum reduction, one
-    Theorem-1 interpolation and one detection screen — each acting on
-    every run of the batch at once.  All buffers are allocated once and
-    reset in place between batches.
+    iteration's bit flips, the batch's checksums, one Theorem-1
+    interpolation and one detection screen — each acting on every run
+    of the batch at once.  All buffers are allocated once and reset in
+    place between batches.
+
+    Every checksum goes through the protector's ``Backend.checksum``,
+    the call a replayed run makes on its own interior, so each slot's
+    checksum equals replay's bit for bit (see :meth:`_checksums`).
     """
 
     def __init__(
@@ -371,7 +345,6 @@ class _StackedBatch:
         if isinstance(protector, OnlineABFT):
             self.protector = protector
             self.verify_axis = protector.verify_axis
-            self.cs_dtype = protector.checksum_dtype
             self.epsilon = protector.epsilon
             cs = protector._constant_sums[self.verify_axis]
             self.constant_sum = None if cs is None else cs[..., None]
@@ -414,7 +387,7 @@ class _StackedBatch:
         if protector is not None:
             # Step t=0 data assumed correct (Theorem 2), as in
             # OnlineABFT.step's first-iteration checksum seed.
-            prev_cs = np.sum(interior, axis=verify, dtype=self.cs_dtype)
+            prev_cs = self._checksums(interior)
         for t in range(1, iterations + 1):
             backend.batch_step_into(
                 self.pair.front[..., :width], self.pair.back[..., :width],
@@ -431,7 +404,7 @@ class _StackedBatch:
                 continue
             # Every run's checksum is reduced after its flips, as a
             # replayed run's protector reduces after its inject hook.
-            cs = np.sum(interior, axis=verify, dtype=self.cs_dtype)
+            cs = self._checksums(interior)
             predicted = _interpolate_stacked(
                 prev_cs,
                 self.pair.back[..., :width],
@@ -469,6 +442,33 @@ class _StackedBatch:
         if protector is not None:
             protector.reset()
         return counters, interior, elapsed
+
+    def _checksums(self, interior: np.ndarray) -> np.ndarray:
+        """Every slot's verify-axis checksum, shaped ``(..., run)``.
+
+        Each slot is reduced with the protector's ``Backend.checksum``,
+        the call a replayed run makes.  A column checksum (axis 0) of a
+        full-width batch is one call instead: the base grid's last axis
+        and the run axis merge into one contiguous axis, and each lane
+        of the merged view still adds over x in order, as a slot's own
+        column checksum does.  Any other batch goes slot by slot: a 2D
+        row checksum reduces the innermost axis, which NumPy adds
+        pairwise within each slot, where a batch-wide sum would add it
+        in order.
+        """
+        protector = self.protector
+        verify = self.verify_axis
+        width = interior.shape[-1]
+        if verify == 0 and width == self.width:
+            merged = interior.reshape(interior.shape[:-2] + (-1,))
+            if np.may_share_memory(merged, interior):  # a view, not a copy
+                return protector._checksum(merged, 0).reshape(
+                    self.base_shape[1:] + (width,)
+                )
+        return np.stack(
+            [protector._checksum(interior[..., s], verify) for s in range(width)],
+            axis=-1,
+        )
 
 
 def _interpolate_stacked(
@@ -910,12 +910,12 @@ class CampaignEngine:
         ).hexdigest()[:12]
         return f"{meta.key_prefix}-i{config.iterations}-r{digest}"
 
-    def _auto_batch(self, repetitions: int, config: CampaignConfig) -> int:
+    def _auto_batch(self, repetitions: int) -> int:
         if self.batch_size is not None:
             return min(self.batch_size, repetitions)
         workers = getattr(self.executor, "workers", 1) or 1
         spread = -(-repetitions // workers)  # ceil
-        return max(1, min(resolve_stacked_width(config), spread))
+        return max(1, min(_AUTO_BATCH_CAP, spread))
 
     def run(
         self,
@@ -1010,7 +1010,7 @@ class CampaignEngine:
             reference=np.asarray(reference),
         )
         key = self._campaign_key(meta, config, payload.reference)
-        batch = self._auto_batch(config.repetitions, config)
+        batch = self._auto_batch(config.repetitions)
         tasks: List[_BatchTask] = []
         for start in range(0, config.repetitions, batch):
             stop = min(start + batch, config.repetitions)

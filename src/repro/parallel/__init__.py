@@ -8,13 +8,13 @@ communication beyond the halo exchange the stencil needs anyway.
 
 This subpackage exercises that property in two settings:
 
-``decomposition`` / ``executor`` / ``runner`` / ``shm``
+``decomposition`` / ``executor`` / ``runner``
     Shared-memory tiling: the global domain is split into tiles, each
-    tile is swept (serially, on a thread pool, or on a process pool
-    attached to the domain through ``multiprocessing.shared_memory``)
-    from a ghost-padded view of the global buffer pair, writes its new
-    interior in place, and is verified by its own independent
-    :class:`~repro.core.online.OnlineABFT` instance.
+    tile is swept (serially or on a thread pool) from a ghost-padded
+    view of the global buffer pair, writes its new interior in place,
+    and is verified by its own independent
+    :class:`~repro.core.online.OnlineABFT` instance.  The executors'
+    process pool serves the campaign engine, not the tiles.
 
 ``simmpi``
     A small simulated message-passing layer (ranks, Send/Recv

@@ -1,16 +1,14 @@
 """Executors that run per-tile work serially, on threads or on processes.
 
-NumPy releases the GIL inside its array kernels, so a thread pool gives
-genuine concurrency for the memory-bound sweeps of large tiles; for tiny
-tiles the serial executor avoids the dispatch overhead; and for runs
-where the per-tile Python dispatch itself becomes the bottleneck the
-process pool sidesteps the GIL entirely, exchanging data with the
-workers through ``multiprocessing.shared_memory`` (see
-:mod:`repro.parallel.shm`) so the domain is never copied or pickled.
+NumPy and the compiled kernels release the GIL inside their loops, so a
+thread pool gives genuine concurrency for the memory-bound sweeps of
+large tiles, while for tiny tiles the serial executor avoids the
+dispatch overhead.  The tiled runner takes either of the two.  The
+process pool serves the campaign engine, whose batches of runs are
+Python-bound, picklable tasks: it adds ``submit`` and ``restart`` so the
+engine can supervise its workers and re-dispatch a lost batch.
 
-All executors expose the same ``map`` interface; the process executor
-additionally exposes ``map_tiles`` (shared-memory tile tasks), which the
-tiled runner uses automatically when available.
+All executors expose the same ``map`` interface.
 
 Selection mirrors the backend registry: ``make_executor(None)`` resolves
 through the process-wide default installed by :func:`set_default_executor`
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "EXECUTOR_ENV_VAR",
@@ -62,7 +60,6 @@ _KIND_ALIASES = {
     "process": "process",
     "processes": "process",
     "processpool": "process",
-    "shm": "process",
 }
 
 
@@ -124,7 +121,7 @@ class SerialExecutor:
 
 
 class ThreadPoolTileExecutor:
-    """Run tile tasks concurrently on a shared-memory thread pool.
+    """Run tile tasks concurrently on a thread pool.
 
     Parameters
     ----------
@@ -163,20 +160,13 @@ class ThreadPoolTileExecutor:
 
 
 class ProcessPoolTileExecutor:
-    """Run tile tasks on a pool of worker *processes* over shared memory.
+    """Run picklable tasks on a pool of worker *processes*.
 
-    Unlike the thread pool, worker processes hold no Python objects in
-    common with the parent, so the tiled runner routes work to them as
-    :class:`~repro.parallel.shm.TileTask` descriptors: the global domain
-    lives in ``multiprocessing.shared_memory`` (the grid's buffer pair is
-    migrated there once, see ``GridBase.share_buffers``), each task names
-    the shared blocks and the tile's slice bounds, and only the per-tile
-    checksum vectors, reduced in the worker, travel back over the pipe.
-    The per-tile ABFT protectors stay in the parent and verify those
-    checksums exactly as the serial path does.
-
-    ``map`` is also provided for plain picklable functions, so the
-    executor satisfies the generic executor contract.
+    The campaign engine's executor for Python-bound batches of runs:
+    :meth:`map` and :meth:`submit` ship picklable functions and their
+    arguments to the workers, and :meth:`restart` replaces a pool that
+    lost a worker.  The tiled runner refuses it, since its tiles are
+    closures over the parent's buffer pair.
 
     Parameters
     ----------
@@ -192,11 +182,7 @@ class ProcessPoolTileExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            from repro.parallel.shm import worker_init
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=worker_init
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
@@ -237,37 +223,6 @@ class ProcessPoolTileExecutor:
                 proc.terminate()
         for proc in processes:
             proc.join(timeout=5)
-
-    def map_tiles(self, tasks: Sequence) -> List[Tuple]:
-        """Run shared-memory :class:`~repro.parallel.shm.TileTask` items.
-
-        The tasks are grouped into (at most) one contiguous batch per
-        worker and each batch is submitted as a single pool task
-        (:func:`~repro.parallel.shm.run_tile_batch`), so the per-step
-        submission overhead is ``O(workers)`` instead of ``O(tiles)`` —
-        with a 2x2 tiling and cheap tiles the per-future pickle/IPC
-        round trip otherwise dominates the step.
-
-        Returns ``[(tile_index, checksums_or_None), ...]`` in task order.
-        """
-        from repro.parallel.shm import run_tile_batch
-
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        n_batches = min(self.workers, len(tasks))
-        base, extra = divmod(len(tasks), n_batches)
-        batches = []
-        start = 0
-        for b in range(n_batches):
-            size = base + (1 if b < extra else 0)
-            batches.append(tuple(tasks[start:start + size]))
-            start += size
-        results: List[Tuple] = []
-        for batch_result in pool.map(run_tile_batch, batches):
-            results.extend(batch_result)
-        return results
 
     def shutdown(self) -> None:
         if self._pool is not None:

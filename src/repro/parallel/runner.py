@@ -1,4 +1,4 @@
-"""Shared-memory tiled runner with per-tile ABFT protection.
+"""Tiled runner with per-tile ABFT protection.
 
 The runner splits the global domain into tiles, sweeps every tile from a
 ghost-padded view of the previous global state and lets each tile's own
@@ -12,22 +12,15 @@ grids: every step refreshes the ghost cells of the grid's persistent
 front buffer in place, each tile sweeps a halo-extended *view* of it and
 writes its new interior directly into the tile's slice of the back
 buffer, and the pair swaps.  No full-domain array is allocated per
-iteration on any executor:
-
-* **serial / threads** — tiles are swept by closures over the shared
-  buffers (NumPy releases the GIL inside the kernels, so threads overlap
-  on multi-core machines);
-* **process** — the buffer pair is migrated into
-  ``multiprocessing.shared_memory`` once, worker processes attach it by
-  name, sweep their tile slices in place and reduce each tile's
-  checksum vectors there; only those are pickled back
-  (:mod:`repro.parallel.shm`), and the per-tile protectors verify them
-  in the parent.
+iteration.  Tiles are closures over the grid's buffer pair, run on the
+serial or the thread executor: NumPy and the compiled kernels release
+the GIL inside their loops, so threads overlap on multi-core machines.
+A process executor is refused, since a closure over the pair can reach
+no other process.
 
 Corrections write straight into the tile's view of the global array, so
 a corrected tile is immediately consistent for the next iteration's halo
-reads by its neighbours — in every executor mode, including across
-process boundaries.
+reads by its neighbours.
 """
 
 from __future__ import annotations
@@ -41,9 +34,8 @@ from repro.backends.registry import BackendLike
 from repro.core.online import OnlineABFT
 from repro.core.protector import InjectHook, StepReport
 from repro.parallel.decomposition import TileBox, decompose, decompose_layers
-from repro.parallel.executor import make_executor
+from repro.parallel.executor import ProcessPoolTileExecutor, make_executor
 from repro.parallel.halo import padded_tile_view, tile_constant
-from repro.parallel.shm import TileTask, share_array_copy, sweep_tile
 from repro.stencil.grid import GridBase
 from repro.stencil.shift import interior_view
 
@@ -69,16 +61,18 @@ class TiledStencilRunner:
         Callable building one protector per tile; ``None`` runs the tiles
         unprotected. Use :meth:`with_online_abft` for the common case.
     executor:
-        Tile executor: a :class:`SerialExecutor`, a
-        :class:`~repro.parallel.executor.ThreadPoolTileExecutor`, or a
-        :class:`~repro.parallel.executor.ProcessPoolTileExecutor`
-        (detected through its ``map_tiles`` capability, which switches
-        the runner to shared-memory task dispatch).  ``None`` builds one
-        through :func:`~repro.parallel.executor.make_executor`'s default
-        chain (``--executor`` / ``REPRO_EXECUTOR``, else serial); an
-        executor the runner built itself is shut down by
-        :meth:`shutdown`, while a caller-provided executor stays alive
-        for reuse and remains the caller's to release.
+        Tile executor: a :class:`SerialExecutor` or a
+        :class:`~repro.parallel.executor.ThreadPoolTileExecutor`.
+        ``None`` builds one through
+        :func:`~repro.parallel.executor.make_executor`'s default chain
+        (``--executor`` / ``REPRO_EXECUTOR``, else serial); an executor
+        the runner built itself is shut down by :meth:`shutdown`, while
+        a caller-provided executor stays alive for reuse and remains the
+        caller's to release.  A
+        :class:`~repro.parallel.executor.ProcessPoolTileExecutor`,
+        passed in or resolved, raises ``ValueError``: each tile is a
+        closure over the grid's buffer pair, which a worker process can
+        neither unpickle nor reach.
     backend:
         Compute backend executing the per-tile sweeps (registry name or
         instance; ``None`` follows the grid's backend). Each protected
@@ -87,8 +81,6 @@ class TiledStencilRunner:
         fault-injection hook is active, in which case
         :meth:`OnlineABFT.process` reduces it after injection, as the
         paper's semantics require.
-        The process executor resolves the backend *by name* inside each
-        worker, so it requires a registered backend.
     """
 
     def __init__(
@@ -108,6 +100,14 @@ class TiledStencilRunner:
             self.boxes = decompose(grid.shape, parts)
         self._owns_executor = executor is None
         self.executor = executor if executor is not None else make_executor(None)
+        if isinstance(self.executor, ProcessPoolTileExecutor):
+            raise ValueError(
+                "TiledStencilRunner cannot run tiles on a process executor: "
+                "each tile is a closure over the grid's buffer pair, which "
+                "a worker process can neither unpickle nor reach; use the "
+                "'serial' or 'threads' executor (check --executor / "
+                "REPRO_EXECUTOR when the runner resolves its own)"
+            )
         self.backend = None if backend is None else get_backend(backend)
         self.protectors: Dict[tuple, Optional[OnlineABFT]] = {}
         if protector_factory is not None:
@@ -117,11 +117,9 @@ class TiledStencilRunner:
             for box in self.boxes:
                 self.protectors[box.index] = None
         self.radius = grid.spec.radius()
-        self._const_shm = None
-        self._const_name: Optional[str] = None
         # Build or load the backend's compiled kernels (the fused
-        # backend's native library) before the first step, so neither
-        # the timed loop nor a forked pool worker runs the compiler.
+        # backend's native library) before the first step, so the timed
+        # loop never runs the compiler.
         warm_backend = self.backend if self.backend is not None else grid.backend
         warm_backend.warmup()
 
@@ -156,39 +154,14 @@ class TiledStencilRunner:
             backend=backend,
         )
 
-    # -- shared-memory setup -------------------------------------------------------
-    @property
-    def uses_processes(self) -> bool:
-        """Whether tile work is dispatched as shared-memory process tasks."""
-        return hasattr(self.executor, "map_tiles")
-
-    def _ensure_shared(self) -> None:
-        """Migrate the grid (and constant) into shared memory, once."""
-        if not self.grid.buffers.is_shared:
-            self.grid.share_buffers()
-        if self.grid.constant is not None and self._const_name is None:
-            self._const_shm, self._const_name = share_array_copy(self.grid.constant)
-
     def shutdown(self) -> None:
-        """Release the resources this runner created.
+        """Shut down the executor if the runner built it (``executor=None``).
 
-        Shuts down the executor only if the runner built it
-        (``executor=None``); a caller-provided executor may be shared
-        with other runners and stays alive.  Shared-memory blocks the
-        runner migrated (grid buffers, constant) are always released —
-        the grid keeps its contents on the heap.
+        A caller-provided executor may be shared with other runners and
+        stays alive.
         """
-        if self._owns_executor and hasattr(self.executor, "shutdown"):
+        if self._owns_executor:
             self.executor.shutdown()
-        if self._const_shm is not None:
-            try:
-                self._const_shm.close()
-                self._const_shm.unlink()
-            except (BufferError, FileNotFoundError, OSError):
-                pass
-            self._const_shm = None
-            self._const_name = None
-        self.grid.close_buffers()
 
     def __enter__(self) -> "TiledStencilRunner":
         return self
@@ -201,65 +174,46 @@ class TiledStencilRunner:
     def n_tiles(self) -> int:
         return len(self.boxes)
 
-    def _sweep_tiles_inprocess(
+    def _sweep_tiles(
         self,
         be: Backend,
         src: np.ndarray,
         dst_interior: np.ndarray,
         reduce_tiles: bool,
     ) -> Dict[tuple, Optional[dict]]:
-        """Serial/thread path: closures sweep shared views in place."""
+        """Sweep every tile in place; returns ``{tile index: checksums}``.
+
+        Each tile sweeps its halo-extended view of ``src`` into its
+        slice of ``dst_interior``, then reduces the new tile's checksum
+        along each of its protector's verify axes on the same worker.
+        The map is ``None`` for an unprotected tile, and for every tile
+        when ``reduce_tiles`` is off (a step with an inject hook, whose
+        checksums :meth:`OnlineABFT.process` takes after the hook).
+        """
         grid = self.grid
 
         def run_tile(box: TileBox):
-            protector = self.protectors[box.index]
-            protected = reduce_tiles and protector is not None
-            return box.index, sweep_tile(
-                be,
+            tile_out = dst_interior[box.slices]
+            new = be.sweep_padded(
                 padded_tile_view(src, box, self.radius),
-                dst_interior[box.slices],
                 grid.spec,
                 self.radius,
                 box.shape,
-                tile_constant(grid.constant, box),
-                protector.verify_axes() if protected else None,
-                protector.checksum_dtype if protected else None,
+                constant=tile_constant(grid.constant, box),
+                out=tile_out,
             )
+            if new is not tile_out:
+                # Backend ignored ``out`` (copy-based fallback): land it.
+                tile_out[...] = new
+            protector = self.protectors[box.index]
+            if not reduce_tiles or protector is None:
+                return box.index, None
+            return box.index, {
+                axis: be.checksum(new, axis, dtype=protector.checksum_dtype)
+                for axis in protector.verify_axes()
+            }
 
         return dict(self.executor.map(run_tile, self.boxes))
-
-    def _sweep_tiles_processes(
-        self, be: Backend, reduce_tiles: bool
-    ) -> Dict[tuple, Optional[dict]]:
-        """Process path: ship shared-memory tile tasks, collect checksums."""
-        grid = self.grid
-        src_name, dst_name = grid.buffers.shm_names
-        tasks = []
-        for box in self.boxes:
-            protector = self.protectors[box.index]
-            axes = None
-            cs_dtype = None
-            if reduce_tiles and protector is not None:
-                axes = tuple(protector.verify_axes())
-                if protector.checksum_dtype is not None:
-                    cs_dtype = np.dtype(protector.checksum_dtype).str
-            tasks.append(
-                TileTask(
-                    src_name=src_name,
-                    dst_name=dst_name,
-                    padded_shape=tuple(grid.buffers.padded_shape),
-                    dtype_str=grid.dtype.str,
-                    radius=tuple(self.radius),
-                    spec=grid.spec,
-                    box=box,
-                    backend_name=be.name,
-                    axes=axes,
-                    checksum_dtype_str=cs_dtype,
-                    const_name=self._const_name,
-                    interior_shape=tuple(grid.shape),
-                )
-            )
-        return dict(self.executor.map_tiles(tasks))
 
     def step(self, inject: Optional[InjectHook] = None) -> List[StepReport]:
         """One global sweep: per-tile sweeps, then per-tile verification.
@@ -273,16 +227,10 @@ class TiledStencilRunner:
         # mask its fault, so process() reduces each tile after it.
         reduce_tiles = inject is None
 
-        if self.uses_processes:
-            self._ensure_shared()
         src = grid.padded_current()  # persistent front buffer, ghosts refreshed
-        if self.uses_processes:
-            tile_checksums = self._sweep_tiles_processes(be, reduce_tiles)
-        else:
-            dst_interior = interior_view(grid.back_padded, self.radius)
-            tile_checksums = self._sweep_tiles_inprocess(
-                be, src, dst_interior, reduce_tiles
-            )
+        tile_checksums = self._sweep_tiles(
+            be, src, interior_view(grid.back_padded, self.radius), reduce_tiles
+        )
 
         # Commit the new step on the grid (the buffer-pair swap shared
         # with Grid.step).

@@ -43,7 +43,6 @@ communication structure matches a 1D-decomposed MPI stencil code.
 from __future__ import annotations
 
 import inspect
-import time as _time
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -175,19 +174,6 @@ class SimChannel:
         — the unprotected-wire baseline the hardening tests compare
         against.
 
-    recv_retries:
-        Bounded drain attempts for an empty mailbox before
-        :meth:`recv` gives up.  In a lock-step schedule a transient
-        ordering hiccup (a post arriving "late") must not masquerade as
-        rank death, so the receive re-polls the mailbox up to this many
-        times — with an optional exponential ``retry_backoff`` sleep —
-        before raising the final :class:`ChannelError`, which names the
-        failing link and the receiver's pending-tag inventory.
-    retry_backoff:
-        Base seconds of the exponential backoff between drain attempts
-        (default ``0.0``: re-poll without sleeping, the right choice for
-        the in-process simulation where no concurrent producer exists).
-
     Notes
     -----
     In-flight faults are scheduled with :meth:`schedule_fault` against
@@ -197,20 +183,16 @@ class SimChannel:
     Checkpoint shipments are sent with ``fault_eligible=False`` so they
     never consume an ordinal — arming a payload fault stays stable
     whether or not buddy checkpointing is on.
+
+    A receive from an empty mailbox raises :class:`ChannelError` at
+    once, naming the link and the receiver's pending-tag inventory: the
+    ranks run one after another, so nothing can post between two polls
+    of the same mailbox.
     """
 
-    def __init__(
-        self,
-        integrity: bool = True,
-        recv_retries: int = 3,
-        retry_backoff: float = 0.0,
-    ) -> None:
+    def __init__(self, integrity: bool = True) -> None:
         self._mailboxes: Dict[Tuple[int, int, str], Deque[_Message]] = {}
         self.integrity = bool(integrity)
-        self.recv_retries = int(recv_retries)
-        if self.recv_retries < 0:
-            raise ValueError("recv_retries must be >= 0")
-        self.retry_backoff = float(retry_backoff)
         self._send_ordinal = 0
         self._scheduled: Dict[int, Tuple[str, Tuple[int, ...], int]] = {}
         self._failed: set = set()
@@ -219,7 +201,6 @@ class SimChannel:
         self.messages_dropped = 0
         self.messages_corrupted = 0
         self.messages_retransmitted = 0
-        self.recv_retry_attempts = 0
         self.messages_by_tag: Dict[str, int] = {}
         self.bytes_by_tag: Dict[str, int] = {}
         self.dropped_by_tag: Dict[str, int] = {}
@@ -249,8 +230,8 @@ class SimChannel:
 
         The lock-step runner calls this before each exchange so a rank
         death is detected even when the topology exchanges no halo
-        messages (``halo_width == 0``) — the recv-timeout path alone
-        would never fire there.
+        messages (``halo_width == 0``), where no receive from the dead
+        rank would ever notice it.
         """
         for rank in ranks:
             if int(rank) in self._failed:
@@ -357,19 +338,6 @@ class SimChannel:
                 f"recovery required",
             )
         if not queue:
-            # Bounded retry/backoff drain: a transient ordering hiccup
-            # must not masquerade as rank death.  In this in-process
-            # simulation nothing can post concurrently, but the drain
-            # models (and its counters expose) what a real progress
-            # engine would do before escalating.
-            for attempt in range(self.recv_retries):
-                self.recv_retry_attempts += 1
-                if self.retry_backoff > 0:
-                    _time.sleep(self.retry_backoff * (2 ** attempt))
-                queue = self._mailboxes.get(key)
-                if queue:
-                    break
-        if not queue:
             pending = self.pending_tags(dest)
             inventory = (
                 ", ".join(f"{t!r}: {n}" for t, n in sorted(pending.items()))
@@ -378,9 +346,9 @@ class SimChannel:
             )
             raise ChannelError(
                 f"no message from rank {source} to rank {dest} with tag "
-                f"{tag!r} after {self.recv_retries} drain attempts: the "
-                f"mailbox is empty (was the halo posted this iteration?); "
-                f"link rank {source} -> rank {dest}, pending tags for rank "
+                f"{tag!r}: the mailbox is empty (was the halo posted this "
+                f"iteration?); link rank {source} -> rank {dest}, pending "
+                f"tags for rank "
                 f"{dest}: {inventory}"
             )
         msg = queue.popleft()
@@ -438,7 +406,6 @@ class SimChannel:
             "messages_dropped": self.messages_dropped,
             "messages_corrupted": self.messages_corrupted,
             "messages_retransmitted": self.messages_retransmitted,
-            "recv_retry_attempts": self.recv_retry_attempts,
             "messages_by_tag": dict(self.messages_by_tag),
             "bytes_by_tag": dict(self.bytes_by_tag),
             "dropped_by_tag": dict(self.dropped_by_tag),

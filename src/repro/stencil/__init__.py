@@ -18,8 +18,7 @@ The implementation is split into small modules:
     interpolation.
 ``doublebuffer``
     :class:`DoubleBufferedGrid` — the persistent padded buffer pair that
-    removes the per-iteration full-domain copy (optionally backed by
-    ``multiprocessing.shared_memory`` for the process-pool executor).
+    removes the per-iteration full-domain copy.
 ``sweep``
     The generic N-dimensional padded sweep operator (plus the zero-copy
     ``sweep_into`` primitive).  Both dispatch to the pluggable compute

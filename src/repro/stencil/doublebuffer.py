@@ -22,16 +22,13 @@ The previous step therefore stays alive exactly one iteration — long
 enough for the ABFT protectors, which read ``grid.previous_padded``
 immediately after each sweep, and no longer.
 
-For the process-pool tile executor the pair can be migrated into
-``multiprocessing.shared_memory`` (:meth:`DoubleBufferedGrid.share`):
-worker processes then attach the same physical pages by name and the
-halo pipeline crosses process boundaries without copying the domain.
+Both buffers are ordinary heap arrays.  The tiled runner's threads
+sweep views of them in place.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -114,21 +111,6 @@ class GridLayout:
         return cls(tuple(radius), tuple(kinds), tuple(fills))
 
 
-def _release_shared(blocks) -> None:
-    """Close and unlink the shared-memory blocks backing a buffer pair."""
-    for shm in blocks:
-        try:
-            # Raises BufferError while numpy views are still alive; the
-            # resource tracker then reclaims the block at process exit.
-            shm.close()
-        except BufferError:
-            pass
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # already released elsewhere
-            pass
-
-
 class DoubleBufferedGrid:
     """A pair of persistent ghost-padded buffers for one stencil domain.
 
@@ -142,9 +124,6 @@ class DoubleBufferedGrid:
         Boundary specification used by :meth:`refresh`.
     dtype:
         Buffer dtype (``None`` → dtype of ``initial``).
-    shared:
-        Allocate the pair in ``multiprocessing.shared_memory`` straight
-        away (equivalent to calling :meth:`share` after construction).
     external_axes:
         Axes whose ghost slabs are *externally managed*: :meth:`refresh`
         and :meth:`step` never touch them, leaving whatever a halo
@@ -163,7 +142,6 @@ class DoubleBufferedGrid:
         radius,
         boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
         dtype=None,
-        shared: bool = False,
         external_axes: Sequence[int] = (),
     ) -> None:
         initial = np.asarray(initial)
@@ -184,14 +162,9 @@ class DoubleBufferedGrid:
         self.interior_shape = initial.shape
         self.padded_shape = padded_shape(initial.shape, self.radius)
         self.dtype = np.dtype(dtype) if dtype is not None else initial.dtype
-        self._shm_blocks: Tuple = ()
-        self._shm_names: Optional[Tuple[str, str]] = None
-        self._finalizer = None
         self._front = np.zeros(self.padded_shape, dtype=self.dtype)
         self._back = np.zeros(self.padded_shape, dtype=self.dtype)
         interior_view(self._front, self.radius)[...] = initial
-        if shared:
-            self.share()
 
     # -- accessors ----------------------------------------------------------
     @property
@@ -277,8 +250,6 @@ class DoubleBufferedGrid:
     def swap(self) -> None:
         """Exchange front and back (the freshly swept back becomes current)."""
         self._front, self._back = self._back, self._front
-        if self._shm_names is not None:
-            self._shm_names = (self._shm_names[1], self._shm_names[0])
 
     # -- checkpointing --------------------------------------------------------
     def snapshot_interior(self) -> np.ndarray:
@@ -306,76 +277,11 @@ class DoubleBufferedGrid:
             )
         interior_view(self._front, self.radius)[...] = u
 
-    # -- shared-memory migration --------------------------------------------
-    @property
-    def is_shared(self) -> bool:
-        """Whether the pair lives in ``multiprocessing.shared_memory``."""
-        return self._shm_names is not None
-
-    @property
-    def shm_names(self) -> Optional[Tuple[str, str]]:
-        """``(front_name, back_name)`` shared-memory block names, if shared.
-
-        The names track :meth:`swap`, so ``shm_names[0]`` always refers
-        to the block currently holding the front buffer.
-        """
-        return self._shm_names
-
-    def share(self) -> Tuple[str, str]:
-        """Migrate the pair into shared memory (idempotent).
-
-        The current contents are copied across once; afterwards the
-        front/back views alias the shared blocks, so every later sweep,
-        correction and ghost refresh happens directly in memory that
-        worker processes can attach by name.
-        """
-        if self._shm_names is not None:
-            return self._shm_names
-        from multiprocessing import shared_memory
-
-        nbytes = int(
-            np.prod(self.padded_shape, dtype=np.int64) * self.dtype.itemsize
-        )
-        blocks = []
-        arrays = []
-        for source in (self._front, self._back):
-            shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-            arr = np.ndarray(self.padded_shape, dtype=self.dtype, buffer=shm.buf)
-            arr[...] = source
-            blocks.append(shm)
-            arrays.append(arr)
-        self._front, self._back = arrays
-        self._shm_blocks = tuple(blocks)
-        self._shm_names = (blocks[0].name, blocks[1].name)
-        # Unlink happens at gc/interpreter exit even if close() is never
-        # called explicitly, so tests and crashed runs do not leak blocks.
-        self._finalizer = weakref.finalize(self, _release_shared, self._shm_blocks)
-        return self._shm_names
-
-    def close(self) -> None:
-        """Release the shared-memory blocks (no-op for heap buffers).
-
-        The buffer contents are preserved: the pair is copied back onto
-        the ordinary heap before the blocks are unlinked, so a grid can
-        keep stepping after its executor is shut down.
-        """
-        if self._shm_names is None:
-            return
-        self._front = self._front.copy()
-        self._back = self._back.copy()
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        _release_shared(self._shm_blocks)
-        self._shm_blocks = ()
-        self._shm_names = None
-
     def __repr__(self) -> str:
-        kind = "shared" if self.is_shared else "heap"
         ext = (
             f", external_axes={self.external_axes}" if self.external_axes else ""
         )
         return (
             f"DoubleBufferedGrid(interior={self.interior_shape}, "
-            f"radius={self.radius}, {kind}{ext})"
+            f"radius={self.radius}{ext})"
         )

@@ -165,29 +165,6 @@ class GridBase:
         """The padded back buffer the next sweep will write into."""
         return self.buffers.back
 
-    def share_buffers(self) -> Tuple[str, str]:
-        """Migrate the buffer pair into shared memory; returns block names.
-
-        Used by the process-pool tile executor so worker processes can
-        attach the domain by name.  All live views (``u``, ``previous``,
-        ``previous_padded``) are rebound to the shared blocks.
-        """
-        names = self.buffers.share()
-        self.u = self.buffers.interior
-        self._previous = None
-        self._previous_padded = None
-        return names
-
-    def close_buffers(self) -> None:
-        """Release shared-memory buffers (contents survive on the heap)."""
-        if not self.buffers.is_shared:
-            return
-        self._previous = None
-        self._previous_padded = None
-        self.u = None  # drop the shm view before the block is closed
-        self.buffers.close()
-        self.u = self.buffers.interior
-
     def step(self, backend: BackendLike = None) -> np.ndarray:
         """Advance one stencil sweep and return the new domain.
 

@@ -232,27 +232,6 @@ class TestDoubleBufferedGridUnit:
         )
         assert pair.refresh() is pair.front
 
-    def test_shared_memory_roundtrip(self, rng):
-        u = rng.random((6, 6)).astype(np.float32)
-        pair = DoubleBufferedGrid(u, 1, BoundaryCondition.clamp())
-        assert not pair.is_shared and pair.shm_names is None
-        names = pair.share()
-        try:
-            assert pair.is_shared
-            assert pair.shm_names == names
-            np.testing.assert_array_equal(pair.interior, u)
-            # share() is idempotent
-            assert pair.share() == names
-            # names follow the swap
-            pair.swap()
-            assert pair.shm_names == (names[1], names[0])
-        finally:
-            pair.close()
-        assert not pair.is_shared
-        # contents survive on the heap (swap above: interior is old back)
-        pair.swap()
-        np.testing.assert_array_equal(pair.interior, u)
-
     def test_nbytes(self, rng):
         pair = DoubleBufferedGrid(
             rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero()

@@ -113,7 +113,7 @@ class TestGridStepping:
         with pytest.raises(ValueError, match="read-only"):
             grids[0].constant[0, 0, 0] = 1.0
 
-    def test_read_only_owned_constant_is_shared(self, rng):
+    def test_read_only_owned_constant_is_not_copied(self, rng):
         constant = rng.random((6, 6)).astype(np.float32)
         constant.flags.writeable = False
         u0 = np.zeros((6, 6), dtype=np.float32)

@@ -1,9 +1,13 @@
-"""Tests for the shared-memory process-pool tile executor.
+"""Tests for the executors and the tiled runner on a thread pool.
 
-The process pipeline must be indistinguishable from the serial one:
-bit-identical domains, identical detection/correction counts (including
-under fault injection, where checksums are recomputed in the parent
-after the hook runs), and clean shared-memory lifecycle.
+The process pool (the campaign engine's executor) must map picklable
+work like the serial executor; executor and worker selection must
+follow the default chains.  Tiles run on the serial or thread executor
+only: the thread pipeline must be indistinguishable from the serial
+one — bit-identical domains and identical detection/correction counts,
+including under fault injection, where each tile's checksum is reduced
+after the hook runs — and the runner must refuse a process executor,
+passed in or resolved, with a message naming the cause.
 
 CI runs this file with ``REPRO_TEST_WORKERS=2`` to pin the pool width.
 """
@@ -76,7 +80,7 @@ class TestMakeExecutorAndDefaults:
         ex.shutdown()
 
     def test_make_process_aliases(self):
-        for alias in ("processes", "processpool", "shm"):
+        for alias in ("processes", "processpool"):
             assert isinstance(
                 make_executor(alias, workers=1), ProcessPoolTileExecutor
             )
@@ -165,7 +169,7 @@ class TestResolveWorkers:
         assert make_executor("threads").workers == 2
 
 
-class TestProcessRunnerEquivalence:
+class TestThreadRunnerEquivalence:
     def _run_pair(self, seed, inject=None, steps=5, **grid_kwargs):
         # Fresh generator per build so both grids see identical data.
         serial = TiledStencilRunner.with_online_abft(
@@ -173,23 +177,20 @@ class TestProcessRunnerEquivalence:
             executor=SerialExecutor(), epsilon=1e-5,
         )
         serial.run(steps, inject=inject)
-        with ProcessPoolTileExecutor(workers=WORKERS) as pool:
-            proc = TiledStencilRunner.with_online_abft(
+        with ThreadPoolTileExecutor(workers=WORKERS) as pool:
+            threaded = TiledStencilRunner.with_online_abft(
                 _grid_2d(np.random.default_rng(seed), **grid_kwargs), (2, 2),
                 executor=pool, epsilon=1e-5,
             )
-            try:
-                proc.run(steps, inject=inject)
-                np.testing.assert_array_equal(serial.grid.u, proc.grid.u)
-                return serial, proc
-            finally:
-                proc.shutdown()
+            threaded.run(steps, inject=inject)
+            np.testing.assert_array_equal(serial.grid.u, threaded.grid.u)
+            return serial, threaded
 
     def test_fault_free_bitwise_identical(self):
-        serial, proc = self._run_pair(seed=11)
-        assert proc.total_detected() == serial.total_detected() == 0
+        serial, threaded = self._run_pair(seed=11)
+        assert threaded.total_detected() == serial.total_detected() == 0
 
-    def test_constant_term_travels_by_shared_memory(self):
+    def test_constant_term(self):
         self._run_pair(seed=12, constant=True)
 
     def test_injection_checksums_identical_to_serial(self):
@@ -197,9 +198,9 @@ class TestProcessRunnerEquivalence:
             if iteration == 2:
                 grid.u[10, 10] += 2048.0
 
-        serial, proc = self._run_pair(seed=13, inject=inject, steps=4)
-        assert serial.total_detected() == proc.total_detected() == 1
-        assert serial.total_corrected() == proc.total_corrected() == 1
+        serial, threaded = self._run_pair(seed=13, inject=inject, steps=4)
+        assert serial.total_detected() == threaded.total_detected() == 1
+        assert serial.total_corrected() == threaded.total_corrected() == 1
 
     def test_3d_layers_decomposition(self):
         rng = np.random.default_rng(14)
@@ -214,12 +215,12 @@ class TestProcessRunnerEquivalence:
             build(), "layers", executor=SerialExecutor(), epsilon=1e-5
         )
         serial.run(3)
-        with ProcessPoolTileExecutor(workers=WORKERS) as pool:
+        with ThreadPoolTileExecutor(workers=WORKERS) as pool:
             with TiledStencilRunner.with_online_abft(
                 build(), "layers", executor=pool, epsilon=1e-5
-            ) as proc:
-                proc.run(3)
-                np.testing.assert_array_equal(serial.grid.u, proc.grid.u)
+            ) as threaded:
+                threaded.run(3)
+                np.testing.assert_array_equal(serial.grid.u, threaded.grid.u)
 
     def test_unprotected_tiles(self):
         rng = np.random.default_rng(15)
@@ -227,7 +228,7 @@ class TestProcessRunnerEquivalence:
         ref = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.periodic())
         ref.run(4)
         grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.periodic())
-        with ProcessPoolTileExecutor(workers=WORKERS) as pool:
+        with ThreadPoolTileExecutor(workers=WORKERS) as pool:
             with TiledStencilRunner(grid, (2, 2), executor=pool) as runner:
                 runner.run(4)
                 np.testing.assert_array_equal(grid.u, ref.u)
@@ -247,91 +248,53 @@ class TestProcessRunnerEquivalence:
             np.testing.assert_array_equal(serial.grid.u, threaded.grid.u)
 
 
-class TestTileBatching:
-    """map_tiles groups tiles into one task per worker per step."""
+class TestMoreTilesThanWorkers:
+    """A 3x3 tiling on a narrower pool: workers take several tiles each."""
 
-    def test_empty_task_list(self):
-        with ProcessPoolTileExecutor(workers=WORKERS) as pool:
-            assert pool.map_tiles([]) == []
-
-    def test_more_tiles_than_workers_matches_serial(self):
-        """A 3x3 tiling on a narrower pool: batches are uneven (the
-        first batches carry the extra tiles) and the flattened results
-        must keep per-tile order and serial semantics bit for bit."""
-        seed = 21
-        serial = TiledStencilRunner.with_online_abft(
-            _grid_2d(np.random.default_rng(seed), size=(33, 27)), (3, 3),
-            executor=SerialExecutor(), epsilon=1e-5,
-        )
-        serial.run(4)
-        with ProcessPoolTileExecutor(workers=WORKERS) as pool:
-            proc = TiledStencilRunner.with_online_abft(
-                _grid_2d(np.random.default_rng(seed), size=(33, 27)), (3, 3),
-                executor=pool, epsilon=1e-5,
-            )
-            try:
-                proc.run(4)
-                np.testing.assert_array_equal(serial.grid.u, proc.grid.u)
-                assert proc.total_detected() == serial.total_detected() == 0
-            finally:
-                proc.shutdown()
-
-    def test_injection_with_batched_tiles(self):
-        def inject(grid, iteration):
-            if iteration == 2:
-                grid.u[20, 20] += 1024.0
-
-        seed = 22
+    def _run_pair(self, seed, inject=None):
         serial = TiledStencilRunner.with_online_abft(
             _grid_2d(np.random.default_rng(seed), size=(33, 27)), (3, 3),
             executor=SerialExecutor(), epsilon=1e-5,
         )
         serial.run(4, inject=inject)
-        with ProcessPoolTileExecutor(workers=WORKERS) as pool:
-            proc = TiledStencilRunner.with_online_abft(
+        with ThreadPoolTileExecutor(workers=WORKERS) as pool:
+            threaded = TiledStencilRunner.with_online_abft(
                 _grid_2d(np.random.default_rng(seed), size=(33, 27)), (3, 3),
                 executor=pool, epsilon=1e-5,
             )
-            try:
-                proc.run(4, inject=inject)
-                np.testing.assert_array_equal(serial.grid.u, proc.grid.u)
-                assert proc.total_detected() == serial.total_detected() == 1
-                assert proc.total_corrected() == serial.total_corrected() == 1
-            finally:
-                proc.shutdown()
+            threaded.run(4, inject=inject)
+            np.testing.assert_array_equal(serial.grid.u, threaded.grid.u)
+            return serial, threaded
+
+    def test_more_tiles_than_workers_matches_serial(self):
+        """Per-tile order and serial semantics hold bit for bit."""
+        serial, threaded = self._run_pair(seed=21)
+        assert threaded.total_detected() == serial.total_detected() == 0
+
+    def test_injection_with_more_tiles_than_workers(self):
+        def inject(grid, iteration):
+            if iteration == 2:
+                grid.u[20, 20] += 1024.0
+
+        serial, threaded = self._run_pair(seed=22, inject=inject)
+        assert threaded.total_detected() == serial.total_detected() == 1
+        assert threaded.total_corrected() == serial.total_corrected() == 1
 
 
-class TestSharedMemoryLifecycle:
-    def test_buffers_migrate_once_and_release(self):
-        rng = np.random.default_rng(17)
-        grid = _grid_2d(rng)
-        with ProcessPoolTileExecutor(workers=WORKERS) as pool:
-            runner = TiledStencilRunner.with_online_abft(
-                grid, (2, 2), executor=pool, epsilon=1e-5
-            )
-            assert not grid.buffers.is_shared
-            runner.step()
-            assert grid.buffers.is_shared
-            names = grid.buffers.shm_names
-            runner.step()  # no re-migration: same blocks, swapped roles
-            assert set(grid.buffers.shm_names) == set(names)
-            before = grid.u.copy()
-            runner.shutdown()
-            assert not grid.buffers.is_shared
-            np.testing.assert_array_equal(grid.u, before)
-            # a caller-provided executor survives runner.shutdown()
-            assert pool._pool is not None
-            # the grid keeps working on heap buffers after shutdown
-            grid.step()
+class TestRunnerRefusesProcesses:
+    """Tiles are closures over the grid's buffer pair: no process runs them."""
 
-    def test_grid_share_buffers_rebinds_views(self):
-        rng = np.random.default_rng(18)
-        grid = _grid_2d(rng)
-        before = grid.u.copy()
-        grid.share_buffers()
-        assert grid.buffers.is_shared
-        np.testing.assert_array_equal(grid.u, before)
-        grid.step()  # stepping works on shared buffers
-        grid.close_buffers()
-        assert not grid.buffers.is_shared
-        grid.step()
+    def test_process_executor_passed_in(self):
+        rng = np.random.default_rng(23)
+        with ProcessPoolTileExecutor(workers=1) as pool:
+            with pytest.raises(ValueError, match="process executor") as exc:
+                TiledStencilRunner(_grid_2d(rng), (2, 2), executor=pool)
+            assert "buffer pair" in str(exc.value)
+            assert pool._pool is None  # no worker was started
+
+    def test_process_executor_from_default_chain(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        rng = np.random.default_rng(24)
+        with pytest.raises(ValueError, match="process executor") as exc:
+            TiledStencilRunner.with_online_abft(_grid_2d(rng), (2, 2))
+        assert "REPRO_EXECUTOR" in str(exc.value)

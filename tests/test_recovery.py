@@ -159,29 +159,18 @@ class TestRankCrashModel:
 # ---------------------------------------------------------------------------
 class TestChannelResilience:
     def test_empty_mailbox_error_names_link_and_inventory(self):
-        ch = SimChannel(recv_retries=2)
+        ch = SimChannel()
         ch.send(0, 1, "halo", np.zeros(4, dtype=np.float32))
         with pytest.raises(ChannelError, match="no message") as exc:
             ch.recv(2, 1, "other")
         msg = str(exc.value)
-        assert "after 2 drain attempts" in msg
         assert "link rank 2 -> rank 1" in msg
         assert "'halo': 1" in msg
-        assert ch.recv_retry_attempts == 2
-        assert ch.traffic()["recv_retry_attempts"] == 2
 
     def test_empty_mailbox_reports_nothing_pending(self):
         ch = SimChannel()
         with pytest.raises(ChannelError, match="nothing pending"):
             ch.recv(0, 1, "halo")
-
-    def test_retry_attempts_configurable(self):
-        ch = SimChannel(recv_retries=0)
-        with pytest.raises(ChannelError, match="after 0 drain attempts"):
-            ch.recv(0, 1, "halo")
-        assert ch.recv_retry_attempts == 0
-        with pytest.raises(ValueError, match="recv_retries"):
-            SimChannel(recv_retries=-1)
 
     def test_recv_from_failed_rank_raises_rank_failure(self):
         ch = SimChannel()
