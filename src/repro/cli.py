@@ -19,8 +19,9 @@ Regenerates the paper's tables and figures from the command line::
 configuration used by the test suite. Every experiment accepts
 ``--backend`` to pick the compute backend (overriding the
 ``REPRO_BACKEND`` environment variable) and ``--executor``/``--workers``
-to pick the tile executor (overriding ``REPRO_EXECUTOR``); ``backends``
-and ``executors`` list what is available. The same entry point is
+to pick the campaign engine's executor (overriding
+``REPRO_EXECUTOR``); ``backends`` and ``executors`` list what is
+available. The same entry point is
 installed as the ``repro`` (and ``repro-abft``) console script by
 ``pip install -e .``.
 """
@@ -120,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=available_executors(),
             default=None,
             help=(
-                "tile executor for parallel runs (default: the "
-                "REPRO_EXECUTOR environment variable, else 'serial')"
+                "executor of the experiment's campaign engine (default: "
+                "the REPRO_EXECUTOR environment variable, else 'serial')"
             ),
         )
         sub.add_argument(

@@ -30,7 +30,7 @@ BATCH = 8
 
 
 class _GridFactory:
-    """Picklable-style factory for one float64 domain on one backend."""
+    """Builds the same float64 domain on one backend for every run."""
 
     def __init__(self, shape, backend):
         self.shape = tuple(shape)
