@@ -17,6 +17,7 @@ from repro.experiments.common import make_protector_factory
 from repro.experiments.report import format_scientific, format_table
 from repro.faults.bitflip import bit_field
 from repro.faults.campaign import CampaignConfig, run_campaign
+from repro.faults.models import SingleBitFlip
 from repro.apps.hotspot3d import HotSpot3D, HotSpot3DConfig
 from repro.metrics.statistics import quartile_summary
 
@@ -46,8 +47,8 @@ def main() -> None:
                 iterations=args.iterations,
                 repetitions=args.repetitions,
                 inject=True,
-                bit=bit,
                 seed=100 + bit,
+                fault_model=SingleBitFlip(bit=bit),
             )
             campaign = run_campaign(app.build_grid, factory, config,
                                     reference=reference)

@@ -230,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument("--seed", type=int, default=0, help="campaign base seed")
     camp.add_argument(
-        "--fault-model", default=None, metavar="NAME",
+        "--fault-model", default="bitflip", metavar="NAME",
         help="pluggable fault model for injected runs (see `repro.faults."
-        "models`): bitflip (paper default), burst, mtbf, region, "
-        "region-checksum, region-ghost, region-payload, rank-crash, "
-        "rank-crash-mtbf (fail-stop runs execute on the distributed "
-        "buddy-checkpoint recovery path)",
+        "models`): bitflip (the paper's model, default), burst, mtbf, "
+        "region, region-checksum, region-ghost, region-payload, "
+        "rank-crash, rank-crash-mtbf (fail-stop runs execute on the "
+        "distributed buddy-checkpoint recovery path)",
     )
     camp.add_argument(
         "--mtbf", type=float, default=64.0,
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--bit", type=int, default=None,
-        help="pin the flipped bit position (default: uniform random)",
+        help="pin the flipped bit position of the fault model "
+        "(default: uniform random)",
     )
     camp.add_argument(
         "--faults-per-run", type=int, default=1,
@@ -287,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: automatic, at most 32)",
     )
     camp.add_argument(
-        "--strategy", choices=("auto", "stacked", "replay"), default="auto",
-        help="run strategy: auto picks the fastest eligible path per "
-        "batch, stacked demands the batched fast path (error when the "
-        "campaign cannot take it), replay forces the per-run legacy path",
+        "--strategy", choices=("auto", "replay"), default="auto",
+        help="run strategy: auto stacks every batch that can stack and "
+        "reports why the others replay; replay forces the per-run path "
+        "(per-run times instead of batch means)",
     )
     camp.add_argument(
         "--backend", choices=available_backends(), default=None,
@@ -444,35 +445,32 @@ def _run_campaign_cli(args) -> int:
     app = make_hotspot_app(tile)
     reference = app.reference_solution(args.iterations)
     factory = make_protector_factory(args.method, period=args.period)
-    fault_model = None
-    if args.fault_model is not None:
-        params = {}
-        if args.fault_model == "mtbf":
+    params = {}
+    if args.fault_model == "mtbf":
+        params["mtbf"] = args.mtbf
+    elif args.fault_model == "burst":
+        params["burst_size"] = args.burst_size
+        params["spread"] = args.burst_spread
+    elif args.fault_model == "bitflip":
+        params["faults_per_run"] = args.faults_per_run
+    elif args.fault_model in ("rank-crash", "rank-crash-mtbf"):
+        params["n_ranks"] = args.crash_ranks
+        params["bitflips"] = args.crash_bitflips
+        if args.crash_rank is not None:
+            params["rank"] = args.crash_rank
+        if args.fault_model == "rank-crash-mtbf":
             params["mtbf"] = args.mtbf
-        elif args.fault_model == "burst":
-            params["burst_size"] = args.burst_size
-            params["spread"] = args.burst_spread
-        elif args.fault_model == "bitflip":
-            params["faults_per_run"] = args.faults_per_run
-        elif args.fault_model in ("rank-crash", "rank-crash-mtbf"):
-            params["n_ranks"] = args.crash_ranks
-            params["bitflips"] = args.crash_bitflips
-            if args.crash_rank is not None:
-                params["rank"] = args.crash_rank
-            if args.fault_model == "rank-crash-mtbf":
-                params["mtbf"] = args.mtbf
-            elif args.crash_iter is not None:
-                _check_crash_iter(args.crash_iter, args.iterations)
-                params["at_iteration"] = args.crash_iter
-        if args.bit is not None:
-            params["bit"] = args.bit
-        fault_model = make_fault_model(args.fault_model, **params)
+        elif args.crash_iter is not None:
+            _check_crash_iter(args.crash_iter, args.iterations)
+            params["at_iteration"] = args.crash_iter
+    if args.bit is not None:
+        params["bit"] = args.bit
     config = CampaignConfig(
         iterations=args.iterations,
         repetitions=args.repetitions,
         inject=(args.scenario == "single-bit-flip"),
         seed=args.seed,
-        fault_model=fault_model,
+        fault_model=make_fault_model(args.fault_model, **params),
     )
     with CampaignEngine(batch_size=args.batch) as engine:
         start = time.perf_counter()
@@ -483,10 +481,10 @@ def _run_campaign_cli(args) -> int:
         elapsed = time.perf_counter() - start
         executor = engine.executor
 
-        model_name = getattr(config.resolved_fault_model(), "name", "bitflip")
         print(
             f"campaign: {tile[0]}x{tile[1]}x{tile[2]} HotSpot3D, "
-            f"{args.method}, {args.scenario} (model {model_name}), "
+            f"{args.method}, {args.scenario} "
+            f"(model {config.fault_model.name}), "
             f"{args.iterations} iterations x "
             f"{args.repetitions} runs (seed {args.seed})"
         )

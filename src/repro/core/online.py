@@ -82,15 +82,6 @@ class OnlineABFT(Protector):
         sizes (Section 5.1). Pass ``None`` to accumulate in the domain
         dtype exactly as the paper's fused float32 kernel does (the
         ablation benchmark compares the two).
-    refresh_checksums:
-        After correcting a point, recompute the affected checksum entries
-        directly from the repaired domain instead of only patching them
-        (the paper's Figure 6 patches). Patching a checksum that briefly
-        held a huge corrupted value leaves a large cancellation residue
-        in float32, which can trigger spurious detections on later
-        iterations; the refresh costs one row/column sum per corrected
-        point and avoids that. Set to ``False`` to reproduce the paper's
-        listing exactly.
     metadata_self_check:
         Guard the protector's own state against corruption (default on).
         Every stored previous-step checksum is kept twice; before it is
@@ -134,7 +125,6 @@ class OnlineABFT(Protector):
         correction_strategy: str = "average",
         eager_row_checksum: bool = False,
         checksum_dtype=np.float64,
-        refresh_checksums: bool = True,
         metadata_self_check: bool = True,
         backend: BackendLike = None,
     ) -> None:
@@ -153,7 +143,6 @@ class OnlineABFT(Protector):
         self.other_axis = 1 - verify_axis
         self.correction_strategy = correction_strategy
         self.eager_row_checksum = bool(eager_row_checksum)
-        self.refresh_checksums = bool(refresh_checksums)
         self.metadata_self_check = bool(metadata_self_check)
         self.backend = None if backend is None else get_backend(backend)
         self.radius = spec.radius()
@@ -447,7 +436,7 @@ class OnlineABFT(Protector):
             self.total_uncorrected += unresolved
             # correct_errors patched a_comp/b_comp in place, so cs_comp and
             # other_comp are already consistent with the repaired domain.
-            if self.refresh_checksums and records:
+            if records:
                 self._refresh_entries(grid_u, records, a_comp, b_comp)
 
         self._store_prev_cs(verify, cs_comp)
@@ -456,6 +445,12 @@ class OnlineABFT(Protector):
 
     def _refresh_entries(self, u: np.ndarray, records, a_comp, b_comp) -> None:
         """Recompute the checksum entries touched by corrections from ``u``.
+
+        The paper's Figure 6 only patches them; patching a checksum that
+        briefly held a huge corrupted value leaves a large cancellation
+        residue in float32, which can trigger spurious detections on
+        later iterations.  The refresh costs one row/column sum per
+        corrected point.
 
         Each entry is summed in the order the checksum reduction adds its
         lane, so it is bitwise equal to ``backend.checksum(u, axis)`` at

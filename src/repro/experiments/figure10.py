@@ -18,7 +18,7 @@ to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.experiments.common import (
     METHODS,
@@ -31,6 +31,7 @@ from repro.experiments.report import format_scientific, format_table
 from repro.faults.bitflip import bit_field
 from repro.faults.campaign import CampaignConfig
 from repro.faults.engine import CampaignEngine
+from repro.faults.models import SingleBitFlip
 from repro.metrics.statistics import quartile_summary
 
 __all__ = ["Figure10Cell", "Figure10Result", "run_figure10", "format_figure10"]
@@ -111,8 +112,8 @@ def run_figure10(
                     iterations=iterations,
                     repetitions=scale.bit_repetitions,
                     inject=True,
-                    bit=bit,
                     seed=1000 + bit,
+                    fault_model=SingleBitFlip(bit=bit),
                 )
                 campaign = eng.run(
                     app.build_grid, factory, config, reference=reference

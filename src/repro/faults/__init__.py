@@ -10,29 +10,35 @@ This subpackage reproduces that fault model:
     including the sign/exponent/fraction field classification used by
     Figure 10.
 ``injector``
-    :class:`FaultPlan` (a concrete fault to inject) and
-    :class:`FaultInjector` (the step hook that fires it at the right
-    iteration).
+    :class:`FaultPlan` (a concrete fault to inject),
+    :func:`~repro.faults.injector.flip_plan` (the one rule every plan
+    flip follows: check the index, then flip) and
+    :class:`FaultInjector` (the serial step hook that fires domain and
+    stored-checksum plans at the right iteration).
 ``models``
     Pluggable fault models beyond the paper's single flip:
     :class:`~repro.faults.models.MultiBitBurst`,
     :class:`~repro.faults.models.PoissonArrival` (MTBF-driven arrival
-    across iterations and ranks) and
+    across iterations and ranks),
     :class:`~repro.faults.models.RegionTargeted` corruption striking
-    ghosts, stored checksums and in-flight halo payloads, plus the
-    hooks that deliver them
-    (:func:`~repro.faults.models.make_injector`,
-    :class:`~repro.faults.models.DistributedFaultInjector`).
+    ghosts, stored checksums and in-flight halo payloads, and
+    :class:`~repro.faults.models.RankCrash`, plus the hook that
+    delivers every region on a distributed run
+    (:class:`~repro.faults.models.DistributedFaultInjector`).
 ``campaign``
-    Orchestration of repeated runs with independent random faults and
-    aggregation of the timing/accuracy statistics the paper reports
+    One run path for every campaign: one plan draw
+    (:func:`~repro.faults.campaign.draw_fault_plans`), one per-run
+    function (:func:`~repro.faults.campaign.run_one`) and one record
+    type (:class:`RunRecord`), plus the aggregation of the
+    timing/accuracy statistics the paper reports
     (:func:`~repro.faults.campaign.run_campaign` is the reference
-    serial loop).
+    serial loop, one fresh grid per run).
 ``engine``
     The throughput harness: :class:`~repro.faults.engine.CampaignEngine`
     dispatches batched runs to a persistent worker pool whose grids and
-    protectors are reset in place between runs, producing records
-    bitwise-identical to the serial loop.
+    protectors are reset in place between runs (replay calls the same
+    per-run function) or stepped a batch at a time as one stacked
+    array, producing records bitwise-identical to the serial loop.
 """
 
 from repro.faults.bitflip import (
@@ -47,6 +53,7 @@ from repro.faults.bitflip import (
 from repro.faults.injector import (
     FaultPlan,
     FaultInjector,
+    flip_plan,
     random_fault_plan,
     validate_plan_index,
 )
@@ -59,19 +66,17 @@ from repro.faults.models import (
     register_fault_model,
     make_fault_model,
     available_fault_models,
-    ChecksumInjector,
-    CompositeInjector,
-    make_injector,
     DistributedFaultInjector,
 )
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignResult,
     RunRecord,
+    draw_fault_plans,
     resolve_run_counters,
     run_campaign,
 )
-from repro.faults.engine import CampaignEngine, draw_fault_plans, stacked_supported
+from repro.faults.engine import CampaignEngine
 
 __all__ = [
     "bit_width",
@@ -83,6 +88,7 @@ __all__ = [
     "sign_bit",
     "FaultPlan",
     "FaultInjector",
+    "flip_plan",
     "random_fault_plan",
     "validate_plan_index",
     "FaultModel",
@@ -93,16 +99,12 @@ __all__ = [
     "register_fault_model",
     "make_fault_model",
     "available_fault_models",
-    "ChecksumInjector",
-    "CompositeInjector",
-    "make_injector",
     "DistributedFaultInjector",
     "CampaignConfig",
     "CampaignResult",
     "RunRecord",
     "resolve_run_counters",
     "run_campaign",
-    "CampaignEngine",
     "draw_fault_plans",
-    "stacked_supported",
+    "CampaignEngine",
 ]

@@ -7,16 +7,23 @@ reference, and the detection/correction bookkeeping. This is the
 harness behind the paper's evaluation (Section 5): 1,000 repetitions for
 the 64x64x8 tiles and 100 repetitions for the 512x512x8 tiles.
 
-:func:`run_campaign` is the *reference* serial loop: one fresh grid and
-one fresh protector per run.  The throughput-oriented harness is
-:class:`repro.faults.engine.CampaignEngine`, which produces records
-bitwise-identical to this loop (same ``seed + i`` fault plans, same
-numerics) from persistent workers that reset their state in place; the
-benchmark suite gates that equivalence.
+Every campaign run takes one path.  :func:`draw_fault_plans` draws each
+run's plans from ``default_rng(seed + run_index)``; :func:`run_one`
+resets the protector, runs from the grid's initial state, fires the
+plans through one :class:`~repro.faults.injector.FaultInjector` (or, for
+fail-stop plans, on the distributed runner, :func:`run_with_crashes`)
+and returns the run's :class:`RunRecord`.  :func:`run_campaign` is the
+*reference* serial loop: it hands :func:`run_one` a fresh grid and a
+fresh protector per run.  The throughput harness,
+:class:`repro.faults.engine.CampaignEngine`, hands it a worker's
+persistent grid restored in place, or steps a whole batch as one
+stacked array; its records are bitwise-identical to this loop's, which
+the benchmark suite gates.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -24,8 +31,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.protector import Protector
-from repro.faults.injector import FaultPlan
-from repro.faults.models import FaultModel, SingleBitFlip, make_injector
+from repro.faults.injector import FaultInjector, FaultPlan
+from repro.faults.models import FaultModel, SingleBitFlip
 from repro.metrics.accuracy import l2_error
 from repro.metrics.statistics import SummaryStats, summarize
 from repro.stencil.grid import GridBase
@@ -36,8 +43,9 @@ __all__ = [
     "RunRecord",
     "CampaignResult",
     "resolve_run_counters",
-    "crash_run_counters",
     "run_with_crashes",
+    "draw_fault_plans",
+    "run_one",
     "run_campaign",
 ]
 
@@ -56,57 +64,38 @@ class CampaignConfig:
     repetitions:
         Number of independent runs.
     inject:
-        Whether each run receives random bit-flip(s)
+        Whether each run receives the fault model's faults
         (``False`` reproduces the error-free scenario).
-    bit:
-        Pin the bit position of the injected flip (used by the Figure 10
-        bit-position sweep); ``None`` draws it uniformly.
-    faults_per_run:
-        Number of independent faults injected per run (the paper injects
-        exactly one; larger values exercise the multi-error behaviour).
     seed:
         Base seed; run ``i`` uses ``seed + i`` so campaigns are fully
         reproducible and runs are independent.
     fault_model:
         The :class:`~repro.faults.models.FaultModel` drawing each run's
-        plans.  ``None`` (the default) resolves to
-        :class:`~repro.faults.models.SingleBitFlip` built from
-        ``faults_per_run``/``bit`` — the legacy paper model, with RNG
-        draws bit-identical to the historical loop.  Models that draw
-        fail-stop plans (:class:`~repro.faults.models.RankCrash`) route
-        their runs through the distributed runner's buddy-checkpoint
-        recovery path (:func:`run_with_crashes`); the engine executes
-        such runs on its replay path with the recorded fallback reason.
+        plans: by default the paper's single uniform bit flip,
+        :class:`~repro.faults.models.SingleBitFlip`, whose ``bit`` pins
+        the flipped bit (the Figure 10 sweep) and ``faults_per_run``
+        draws several flips per run.  Models that draw fail-stop plans
+        (:class:`~repro.faults.models.RankCrash`) run on the distributed
+        runner's buddy-checkpoint recovery path
+        (:func:`run_with_crashes`).
     """
 
     iterations: int
     repetitions: int
     inject: bool = True
-    bit: Optional[int] = None
-    faults_per_run: int = 1
     seed: int = 0
-    fault_model: Optional[FaultModel] = None
+    fault_model: FaultModel = SingleBitFlip()
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.faults_per_run < 1:
-            raise ValueError("faults_per_run must be >= 1")
-        if self.fault_model is not None and not isinstance(
-            self.fault_model, FaultModel
-        ):
+        if not isinstance(self.fault_model, FaultModel):
             raise TypeError(
                 f"fault_model must be a FaultModel, got "
                 f"{type(self.fault_model).__name__}"
             )
-
-    def resolved_fault_model(self) -> FaultModel:
-        """The effective model: explicit, else the legacy single-bit-flip."""
-        if self.fault_model is not None:
-            return self.fault_model
-        return SingleBitFlip(faults_per_run=self.faults_per_run, bit=self.bit)
 
 
 @dataclass
@@ -116,12 +105,12 @@ class RunRecord:
     run_index: int
     elapsed_seconds: float
     arithmetic_error: float
-    fault: Optional[FaultPlan]
     errors_detected: int
     errors_corrected: int
     errors_uncorrected: int
     rollbacks: int
     recomputed_iterations: int
+    #: The run's fault plans, in draw order (empty for a fault-free run).
     faults: List[FaultPlan] = field(default_factory=list)
     #: Ranks rebuilt from a buddy checkpoint (fail-stop runs; 0 for
     #: SDC-only runs, which never lose a rank).
@@ -129,13 +118,14 @@ class RunRecord:
     #: Bytes shipped to buddies for checkpointing during the run.
     checkpoint_bytes: int = 0
 
-    def __post_init__(self) -> None:
-        if self.fault is not None and not self.faults:
-            self.faults = [self.fault]
+    @property
+    def fault(self) -> Optional[FaultPlan]:
+        """The run's first fault plan (``None`` for a fault-free run)."""
+        return self.faults[0] if self.faults else None
 
     @property
     def injected(self) -> bool:
-        return self.fault is not None
+        return bool(self.faults)
 
     @property
     def detected(self) -> bool:
@@ -203,7 +193,7 @@ class _ResultColumns:
             uncorrected[i] = r.errors_uncorrected
             rollbacks[i] = r.rollbacks
             recomputed[i] = r.recomputed_iterations
-            injected[i] = r.fault is not None
+            injected[i] = r.injected
         return cls(
             elapsed=elapsed,
             error=error,
@@ -324,35 +314,6 @@ def resolve_run_counters(protector: Protector, run_report) -> tuple:
     )
 
 
-def crash_run_counters(runner) -> tuple:
-    """Per-run counters of a distributed (fail-stop) campaign run.
-
-    Returns the five classic counters (detections, corrections,
-    uncorrected, rollbacks, recomputed iterations) followed by the two
-    recovery-accounting extras (ranks rebuilt, checkpoint bytes).  The
-    rollback/recompute slots are fed by the runner's
-    :class:`~repro.parallel.simmpi.RecoveryStats` — for fail-stop runs
-    the rollback *is* the checkpoint restore and the recomputation is
-    the replayed iteration span, the distributed analogue of the serial
-    offline-ABFT counters.
-    """
-    uncorrected = sum(
-        r.protector.total_uncorrected
-        for r in runner.ranks
-        if r.protector is not None
-    )
-    stats = runner.recovery
-    return (
-        runner.total_detected(),
-        runner.total_corrected(),
-        int(uncorrected),
-        stats.rollbacks,
-        stats.replayed_iterations,
-        stats.ranks_rebuilt,
-        stats.checkpoint_bytes,
-    )
-
-
 def run_with_crashes(
     grid: GridBase,
     protector: Protector,
@@ -376,8 +337,8 @@ def run_with_crashes(
     bare ranks.  Other protectors (e.g. offline ABFT) have no per-rank
     distributed counterpart and are rejected.
 
-    Returns ``(elapsed_seconds, runner)``; pull the final domain from
-    ``runner.gather()`` and the counters via :func:`crash_run_counters`.
+    Returns ``(elapsed_seconds, runner)``; :func:`run_one` reads the
+    final domain (``runner.gather()``) and the counters from the runner.
     """
     from repro.core.online import OnlineABFT
     from repro.core.protector import NoProtection
@@ -414,6 +375,96 @@ def compute_reference(grid_factory: GridFactory, iterations: int) -> np.ndarray:
     return grid.u.copy()
 
 
+def draw_fault_plans(
+    config: CampaignConfig, shape: Sequence[int], dtype
+) -> List[List[FaultPlan]]:
+    """Every run's fault plans: ``config.fault_model`` drawn per run.
+
+    Run ``i`` draws from its own ``default_rng(seed + i)``, so a run's
+    plans depend on neither the other runs nor the order they execute
+    in.  Returns one (possibly empty) plan list per run; an error-free
+    campaign (``inject=False``) draws nothing.
+    """
+    if not config.inject:
+        return [[] for _ in range(config.repetitions)]
+    return [
+        config.fault_model.draw(
+            np.random.default_rng(config.seed + run_index),
+            shape,
+            config.iterations,
+            dtype=dtype,
+        )
+        for run_index in range(config.repetitions)
+    ]
+
+
+def run_one(
+    grid: GridBase,
+    protector: Protector,
+    plans: Sequence[FaultPlan],
+    config: CampaignConfig,
+    run_index: int,
+    error: Callable[[np.ndarray], float],
+    inject: Optional[Callable] = None,
+) -> RunRecord:
+    """One campaign run from ``grid``'s current (initial) state.
+
+    Resets ``protector``, runs ``config.iterations`` protected steps
+    with ``plans`` fired by one
+    :class:`~repro.faults.injector.FaultInjector` (an ``inject`` hook
+    replaces it: the engine's per-run hooks) and returns the run's
+    record, its arithmetic error ``error(final domain)``.  A plan list
+    holding a fail-stop (``crash``) plan runs on the distributed runner
+    instead (:func:`run_with_crashes`); its rollbacks and recomputed
+    iterations are the runner's checkpoint restores and replayed
+    iterations, the distributed analogue of the offline-ABFT counters.
+
+    The callers differ only in where ``grid`` comes from:
+    :func:`run_campaign` builds a fresh one per run, the engine's replay
+    restores its persistent one in place.
+    """
+    plans = list(plans)
+    protector.reset()
+    recovery = {}
+    if any(p.target == "crash" for p in plans):
+        elapsed, runner = run_with_crashes(
+            grid, protector, plans, config.iterations, config.fault_model
+        )
+        final = runner.gather()
+        stats = runner.recovery
+        counters = (
+            runner.total_detected(),
+            runner.total_corrected(),
+            sum(
+                r.protector.total_uncorrected
+                for r in runner.ranks
+                if r.protector is not None
+            ),
+            stats.rollbacks,
+            stats.replayed_iterations,
+        )
+        recovery = {
+            "ranks_rebuilt": int(stats.ranks_rebuilt),
+            "checkpoint_bytes": int(stats.checkpoint_bytes),
+        }
+    else:
+        if inject is None and plans:
+            inject = FaultInjector(plans, protector)
+        start = time.perf_counter()
+        report = protector.run(grid, config.iterations, inject=inject)
+        elapsed = time.perf_counter() - start
+        final = grid.u
+        counters = resolve_run_counters(protector, report)
+    return RunRecord(
+        run_index,
+        elapsed,
+        error(final),
+        *(int(c) for c in counters),
+        faults=plans,
+        **recovery,
+    )
+
+
 def run_campaign(
     grid_factory: GridFactory,
     protector_factory: ProtectorFactory,
@@ -446,6 +497,7 @@ def run_campaign(
     sample_grid = grid_factory()
     protector_name = getattr(protector_factory(sample_grid), "name", "protector")
     result = CampaignResult(config=config, protector_name=protector_name)
+    plans = draw_fault_plans(config, sample_grid.shape, sample_grid.dtype)
 
     # Warm-up run (not recorded): pays one-off costs (allocator growth,
     # lazy imports, CPU frequency ramp) outside the timed repetitions so
@@ -453,69 +505,13 @@ def run_campaign(
     warmup_protector = protector_factory(sample_grid)
     warmup_protector.run(sample_grid, min(3, config.iterations))
 
-    fault_model = config.resolved_fault_model()
-    for run_index in range(config.repetitions):
+    error = functools.partial(l2_error, reference)
+    for run_index, run_plans in enumerate(plans):
         grid = grid_factory()
-        protector = protector_factory(grid)
-        protector.reset()
-
-        injector = None
-        plan: Optional[FaultPlan] = None
-        plans: List[FaultPlan] = []
-        if config.inject:
-            rng = np.random.default_rng(config.seed + run_index)
-            plans = fault_model.draw(
-                rng, grid.shape, config.iterations, dtype=grid.dtype
+        result.records.append(
+            run_one(
+                grid, protector_factory(grid), run_plans, config, run_index,
+                error,
             )
-            # MTBF-style models legitimately draw no fault for a run.
-            plan = plans[0] if plans else None
-            if any(p.target == "crash" for p in plans):
-                # Fail-stop plans cannot fire in a serial run: execute on
-                # the distributed runner with buddy-checkpoint recovery.
-                elapsed, runner = run_with_crashes(
-                    grid, protector, plans, config.iterations, fault_model
-                )
-                det, cor, unc, rb, rec, rebuilt, ck_bytes = (
-                    crash_run_counters(runner)
-                )
-                result.records.append(
-                    RunRecord(
-                        run_index=run_index,
-                        elapsed_seconds=elapsed,
-                        arithmetic_error=l2_error(reference, runner.gather()),
-                        fault=plan,
-                        errors_detected=int(det),
-                        errors_corrected=int(cor),
-                        errors_uncorrected=int(unc),
-                        rollbacks=int(rb),
-                        recomputed_iterations=int(rec),
-                        faults=plans,
-                        ranks_rebuilt=int(rebuilt),
-                        checkpoint_bytes=int(ck_bytes),
-                    )
-                )
-                continue
-            injector = make_injector(plans, protector)
-
-        start = time.perf_counter()
-        run_report = protector.run(grid, config.iterations, inject=injector)
-        elapsed = time.perf_counter() - start
-
-        detections, corrections, uncorrected, rollbacks, recomputed = (
-            resolve_run_counters(protector, run_report)
         )
-
-        record = RunRecord(
-            run_index=run_index,
-            elapsed_seconds=elapsed,
-            arithmetic_error=l2_error(reference, grid.u),
-            fault=plan,
-            errors_detected=int(detections),
-            errors_corrected=int(corrections),
-            errors_uncorrected=int(uncorrected),
-            rollbacks=int(rollbacks),
-            recomputed_iterations=int(recomputed),
-            faults=plans,
-        )
-        result.records.append(record)
     return result

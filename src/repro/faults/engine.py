@@ -13,8 +13,8 @@ it:
   :mod:`repro.parallel.executor` (``serial`` / ``threads`` / ``process``,
   selected exactly like the tile executors: explicit kind, else the
   process-wide default, else ``REPRO_EXECUTOR``, else serial).  Only the
-  campaign payload travels out once per batch and only compact per-run
-  record tuples travel back.
+  campaign payload travels out once per batch and only the batch's
+  :class:`~repro.faults.campaign.RunRecord` list travels back.
 
 * **Persistent per-worker state, reset in place.**  Each worker builds
   the campaign state once (grid, protector, float64 reference scratch)
@@ -25,26 +25,25 @@ it:
   and the next run starts — no per-run grid or protector allocation.
 
 * **Pre-drawn fault plans.**  The parent draws every run's fault plans
-  up front with the exact ``seed + run_index`` generator sequence of the
-  legacy loop, so the injected faults — and therefore every detection,
-  correction and arithmetic-error record — are bitwise-identical to
-  :func:`run_campaign` regardless of executor kind, worker count or
-  batch size.
+  up front with :func:`~repro.faults.campaign.draw_fault_plans`, the draw
+  the legacy loop makes, so the injected faults — and therefore every
+  detection, correction and arithmetic-error record — are
+  bitwise-identical to :func:`run_campaign` regardless of executor kind,
+  worker count or batch size.
 
 Two run strategies share that lifecycle:
 
 ``replay``
-    The universal strategy: the persistent protector drives the
-    persistent grid through ``Protector.run`` exactly as the legacy loop
-    does, stepping through the backend-owned ``step_into`` path — so
-    whatever speeds up a single run speeds up campaigns the same way.
-    Bitwise-identical to the legacy loop by construction (same code
-    path).  Used for the offline
-    protector (checkpoint/rollback state), custom protectors, custom
-    inject hooks, and non-domain fault targets (checksum/ghost/payload
-    strikes must replay the exact machinery they attack; fail-stop
-    crash plans additionally route to the distributed runner's
-    buddy-checkpoint recovery path).
+    The universal strategy: each run restores the persistent grid in
+    place and calls :func:`~repro.faults.campaign.run_one`, the per-run
+    function the legacy loop calls on its fresh grid — so replay is
+    bitwise-identical to the legacy loop by construction, and whatever
+    speeds up a single run speeds up campaigns the same way.  Used for
+    the offline protector (checkpoint/rollback state), custom
+    protectors, custom inject hooks, and non-domain fault targets
+    (stored-checksum strikes must replay the exact machinery they
+    attack; fail-stop crash plans take ``run_one``'s branch onto the
+    distributed runner's buddy-checkpoint recovery path).
 
 ``stacked``
     The batched fast path: the whole batch of runs is laid out as one
@@ -52,7 +51,9 @@ Two run strategies share that lifecycle:
     each campaign iteration drives the backend-owned
     :meth:`~repro.backends.base.Backend.batch_step_into` primitive —
     one vectorised pass over the whole batch — then applies that
-    iteration's bit flips, reduces every run's checksum with the
+    iteration's bit flips (each through
+    :func:`~repro.faults.injector.flip_plan`, the rule every plan flip
+    follows), reduces every run's checksum with the
     protector's ``Backend.checksum`` (one call over a full-width batch's
     column checksums, one call per run otherwise) and runs one stacked
     Theorem-1 interpolation and detection screen for all runs at once.
@@ -64,11 +65,11 @@ Two run strategies share that lifecycle:
     vectorised detection screen flags a run are delegated, for that run
     only, to the ordinary
     :meth:`OnlineABFT.process` on per-run views — corrections reuse the
-    library implementation verbatim.  Eligibility is checked per
-    campaign (:func:`stacked_support_reason`, which names the fallback
-    reason the records report); anything else replays.  Stacked versus
-    replay is a pure throughput choice — records are bitwise-identical
-    either way.
+    library implementation verbatim.  Each worker decides per batch
+    (:func:`stacked_support_reason` and the batch's plan targets and
+    hooks name the fallback reason the result reports); anything else
+    replays.  Stacked versus replay is a pure throughput choice —
+    records are bitwise-identical either way.
 
 The engine powers every experiment harness
 (:mod:`repro.experiments.campaign_runner`, figures 10/11, sensitivity)
@@ -94,7 +95,6 @@ import numpy as np
 
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection, Protector
-from repro.faults.bitflip import flip_bit_in_array
 from repro.faults.campaign import (
     BatchStrategy,
     CampaignConfig,
@@ -103,12 +103,10 @@ from repro.faults.campaign import (
     ProtectorFactory,
     RunRecord,
     compute_reference,
-    crash_run_counters,
-    resolve_run_counters,
-    run_with_crashes,
+    draw_fault_plans,
+    run_one,
 )
-from repro.faults.injector import FaultPlan
-from repro.faults.models import make_injector
+from repro.faults.injector import FaultPlan, flip_plan
 from repro.parallel.executor import make_executor
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
@@ -117,9 +115,7 @@ from repro.stencil.shift import interior_view
 
 __all__ = [
     "CampaignEngine",
-    "draw_fault_plans",
     "stacked_support_reason",
-    "stacked_supported",
 ]
 
 #: Environment variable arming chaos injection into the engine's own
@@ -154,32 +150,6 @@ _AUTO_BATCH_CAP = 32
 #: called in the parent, in run order, so stateful RNG draws match the
 #: equivalent serial loop.
 HookFactory = Callable[[int], Callable]
-
-
-def draw_fault_plans(
-    config: CampaignConfig, shape: Sequence[int], dtype
-) -> List[List[FaultPlan]]:
-    """Pre-draw every run's fault plans with the legacy ``seed + i`` scheme.
-
-    Returns one (possibly empty) plan list per run, drawn from the
-    campaign's resolved :class:`~repro.faults.models.FaultModel`.  The
-    draws replicate :func:`repro.faults.campaign.run_campaign` exactly —
-    one fresh ``default_rng(seed + run_index)`` per run, the model's
-    plans from it — so engine campaigns inject bit-for-bit the same
-    faults as the legacy loop (for the default single-bit-flip model
-    this is byte-identical to the historical ``random_fault_plan``
-    loop).
-    """
-    if not config.inject:
-        return [[] for _ in range(config.repetitions)]
-    fault_model = config.resolved_fault_model()
-    plans: List[List[FaultPlan]] = []
-    for run_index in range(config.repetitions):
-        rng = np.random.default_rng(config.seed + run_index)
-        plans.append(
-            fault_model.draw(rng, shape, config.iterations, dtype=dtype)
-        )
-    return plans
 
 
 def _resolved_backend(grid: GridBase, protector: Protector):
@@ -219,11 +189,6 @@ def stacked_support_reason(
     return f"protector {name!r} has no stacked implementation"
 
 
-def stacked_supported(grid: GridBase, protector: Protector) -> bool:
-    """Whether a campaign qualifies for the stacked batched fast path."""
-    return stacked_support_reason(grid, protector) is None
-
-
 # ---------------------------------------------------------------------------
 # Worker-side campaign state
 # ---------------------------------------------------------------------------
@@ -241,9 +206,6 @@ class _CampaignMeta:
     protector_name: str
     grid_factory: GridFactory
     protector_factory: ProtectorFactory
-    #: Why this factory pair cannot stack (``None`` = it can) — used to
-    #: fail fast, in the parent, when ``strategy="stacked"`` is forced.
-    stacked_reason: Optional[str] = None
 
 
 @dataclass
@@ -399,7 +361,7 @@ class _StackedBatch:
             fired = by_iteration.get(t)
             if fired is not None:
                 for slot, plan in fired:
-                    flip_bit_in_array(interior[..., slot], plan.index, plan.bit)
+                    flip_plan(interior[..., slot], plan)
             if protector is None:
                 continue
             # Every run's checksum is reduced after its flips, as a
@@ -530,10 +492,8 @@ class _WorkerCampaign:
         # (bitwise-identical to repro.metrics.accuracy.l2_error).
         self.reference64 = np.asarray(payload.reference, dtype=np.float64)
         self._diff64 = np.empty(self.reference64.shape, dtype=np.float64)
-        self._final32 = np.empty(self.grid.shape, dtype=self.grid.dtype)
         self.stacked: Optional[_StackedBatch] = None
         self.stacked_reason = stacked_support_reason(self.grid, self.protector)
-        self.use_stacked = self.stacked_reason is None
         # One short warm-up pays the one-off costs (lazy imports, scratch
         # growth) outside the timed runs, mirroring the legacy loop's
         # untimed warm-up run.
@@ -565,16 +525,14 @@ class _WorkerCampaign:
         np.multiply(self._diff64, self._diff64, out=self._diff64)
         return float(np.sqrt(np.sum(self._diff64)))
 
-    def execute(self, task: _BatchTask) -> Tuple[str, Optional[str], List[Tuple]]:
-        """Run one batch; returns ``(strategy, fallback_reason, rows)``.
+    def execute(self, task: _BatchTask) -> Tuple[BatchStrategy, List[RunRecord]]:
+        """Run one batch; returns the strategy it took and its records.
 
-        ``strategy`` is the strategy actually used (``"stacked"`` |
-        ``"replay"``); ``fallback_reason`` names why replay was chosen
-        when it was (``None`` under stacked).
+        The strategy is ``"stacked"`` unless something forces replay,
+        whose reason the :class:`BatchStrategy` names.
         """
-        # The stacked fast path only knows how to flip domain values;
-        # checksum/ghost/payload-targeted plans replay through the full
-        # protector machinery they attack.
+        # The stacked fast path only flips domain values; checksum and
+        # crash plans replay through the machinery they attack.
         only_domain = all(
             p.target == "domain" for run_plans in task.plans for p in run_plans
         )
@@ -587,77 +545,51 @@ class _WorkerCampaign:
         else:
             reason = self.stacked_reason
         if reason is None:
-            return "stacked", None, self._execute_stacked(task)
-        return "replay", reason, self._execute_replay(task)
+            records = self._stacked(task)
+        else:
+            records = self._replay(task)
+        strategy = BatchStrategy(
+            start=task.start,
+            width=len(task.plans),
+            strategy="stacked" if reason is None else "replay",
+            reason=reason,
+        )
+        return strategy, records
 
-    def _execute_stacked(self, task: _BatchTask) -> List[Tuple]:
-        stacked = self._ensure_stacked(len(task.plans))
-        counters, finals, elapsed = stacked.run_batch(task.plans, self.config)
+    def _stacked(self, task: _BatchTask) -> List[RunRecord]:
         width = len(task.plans)
-        per_run = elapsed / max(1, width)
-        results: List[Tuple] = []
-        for slot in range(width):
-            # Contiguous copy first: the error norm then reduces exactly
-            # the arrays the serial loop reduces.
-            self._final32[...] = finals[..., slot]
-            error = self._l2_error(self._final32)
-            det, cor, unc = (int(v) for v in counters[slot])
-            results.append(
-                (task.start + slot, per_run, error, det, cor, unc, 0, 0, 0, 0)
+        counters, finals, elapsed = self._ensure_stacked(width).run_batch(
+            task.plans, self.config
+        )
+        return [
+            RunRecord(
+                task.start + slot,
+                elapsed / width,
+                self._l2_error(finals[..., slot]),
+                *(int(c) for c in counters[slot]),
+                rollbacks=0,
+                recomputed_iterations=0,
+                faults=list(task.plans[slot]),
             )
-        return results
+            for slot in range(width)
+        ]
 
-    def _execute_replay(self, task: _BatchTask) -> List[Tuple]:
-        results: List[Tuple] = []
-        for slot, run_plans in enumerate(task.plans):
-            if any(p.target == "crash" for p in run_plans):
-                results.append(self._execute_crash(task.start + slot, run_plans))
-                continue
+    def _replay(self, task: _BatchTask) -> List[RunRecord]:
+        records = []
+        for slot, plans in enumerate(task.plans):
             self.grid.restore(self.snapshot0)
-            self.protector.reset()
-            if task.hooks is not None:
-                hook = task.hooks[slot]
-            else:
-                hook = make_injector(list(run_plans), self.protector)
-            start = time.perf_counter()
-            report = self.protector.run(
-                self.grid, self.config.iterations, inject=hook
+            records.append(
+                run_one(
+                    self.grid,
+                    self.protector,
+                    plans,
+                    self.config,
+                    task.start + slot,
+                    self._l2_error,
+                    inject=None if task.hooks is None else task.hooks[slot],
+                )
             )
-            elapsed = time.perf_counter() - start
-            det, cor, unc, rb, rec = resolve_run_counters(self.protector, report)
-            error = self._l2_error(self.grid.u)
-            results.append(
-                (task.start + slot, elapsed, error, det, cor, unc, rb, rec, 0, 0)
-            )
-        return results
-
-    def _execute_crash(self, run_index: int, run_plans) -> Tuple:
-        """One fail-stop run on the distributed recovery path.
-
-        The persistent grid is restored to the shared initial state and
-        handed to :func:`run_with_crashes` exactly as the legacy loop
-        hands it a fresh factory grid — the runner scatters a copy, so
-        the worker's persistent buffers survive untouched for the next
-        slot.  Counters and recovery accounting come from the same
-        :func:`crash_run_counters` helper, keeping engine records
-        bitwise-identical to the serial loop.
-        """
-        self.grid.restore(self.snapshot0)
-        self.protector.reset()
-        elapsed, runner = run_with_crashes(
-            self.grid,
-            self.protector,
-            list(run_plans),
-            self.config.iterations,
-            self.config.resolved_fault_model(),
-        )
-        det, cor, unc, rb, rec, rebuilt, ck_bytes = crash_run_counters(runner)
-        self._final32[...] = runner.gather()
-        error = self._l2_error(self._final32)
-        return (
-            run_index, elapsed, error, int(det), int(cor), int(unc),
-            int(rb), int(rec), int(rebuilt), int(ck_bytes),
-        )
+        return records
 
 
 _WORKER_LOCAL = threading.local()
@@ -679,7 +611,7 @@ def _trigger_chaos(mode: str) -> None:
     raise ValueError(f"unknown chaos mode {mode!r}; expected {_CHAOS_MODES}")
 
 
-def _execute_batch(task: _BatchTask) -> Tuple[str, Optional[str], List[Tuple]]:
+def _execute_batch(task: _BatchTask) -> Tuple[BatchStrategy, List[RunRecord]]:
     """Worker entry point: resolve (or build) the cached state, run one batch.
 
     Module-level so process pools can import it by reference; the state
@@ -701,14 +633,14 @@ def _execute_batch(task: _BatchTask) -> Tuple[str, Optional[str], List[Tuple]]:
 
 def _execute_batch_group(
     tasks: Sequence[_BatchTask],
-) -> List[Tuple[str, Optional[str], List[Tuple]]]:
+) -> List[Tuple[BatchStrategy, List[RunRecord]]]:
     """Run a contiguous group of batches in one pool task.
 
     The process executor dispatches one group per worker: all batches of
     a group travel in a single pickle graph, where the shared campaign
     payload (reference array, factories) is memoised and serialised
     once — instead of once per batch — keeping the pipe traffic at
-    "payload once per worker plus compact record tuples".
+    "payload once per worker plus the run records".
     """
     return [_execute_batch(task) for task in tasks]
 
@@ -888,9 +820,6 @@ class CampaignEngine:
                 protector_name=getattr(sample_protector, "name", "protector"),
                 grid_factory=grid_factory,
                 protector_factory=protector_factory,
-                stacked_reason=stacked_support_reason(
-                    sample, sample_protector
-                ),
             )
             self._campaigns[ident] = meta
         return meta
@@ -944,16 +873,14 @@ class CampaignEngine:
             record must never carry fault plans that did not fire.
             Hooks must be picklable under the process executor.
         strategy:
-            ``None``/``"auto"`` picks the fastest eligible strategy per
-            campaign; ``"replay"`` forces the per-run replay even where
-            stacking is eligible; ``"stacked"`` demands the stacked fast
-            path and raises ``ValueError`` (naming the fallback reason)
-            when the campaign cannot take it.  Use ``"replay"`` when the
-            *per-run time distribution* is the experiment's measurand
-            (Figure 8): the stacked strategy executes a whole batch
-            together and can only report the batch-mean elapsed per run.
-            The strategy each batch actually used is reported in
-            :attr:`CampaignResult.batch_strategies`.
+            ``None``/``"auto"`` stacks every batch that can stack;
+            ``"replay"`` forces the per-run replay even where stacking
+            is eligible.  Use ``"replay"`` when the *per-run time
+            distribution* is the experiment's measurand (Figure 8): the
+            stacked strategy executes a whole batch together and can
+            only report the batch-mean elapsed per run.  The strategy
+            each batch actually used, and why replay was chosen when it
+            was, is reported in :attr:`CampaignResult.batch_strategies`.
         """
         if hook_factory is not None and config.inject:
             raise ValueError(
@@ -961,44 +888,14 @@ class CampaignEngine:
                 "inject=False (records would otherwise carry fault plans "
                 "that never fired)"
             )
-        if strategy not in (None, "auto", "stacked", "replay"):
+        if strategy not in (None, "auto", "replay"):
             raise ValueError(
-                f"unknown strategy {strategy!r}; expected 'auto', "
-                f"'stacked' or 'replay'"
+                f"unknown strategy {strategy!r}; expected 'auto' or 'replay'"
             )
-        force_replay = strategy == "replay"
         if reference is None:
             reference = compute_reference(grid_factory, config.iterations)
         meta = self._campaign_meta(grid_factory, protector_factory)
         plans = draw_fault_plans(config, meta.shape, meta.dtype)
-        if strategy == "stacked":
-            # Fail fast in the parent: every blocker a worker would hit
-            # is decidable here from the meta sample and the pre-drawn
-            # plans, so a forced-stacked campaign never silently replays.
-            if hook_factory is not None:
-                raise ValueError(
-                    "strategy 'stacked' is unavailable: opaque inject "
-                    "hooks replace the plan injector and force replay"
-                )
-            if meta.stacked_reason is not None:
-                raise ValueError(
-                    f"strategy 'stacked' is unavailable: "
-                    f"{meta.stacked_reason}"
-                )
-            bad_targets = sorted(
-                {
-                    p.target
-                    for run_plans in plans
-                    for p in run_plans
-                    if p.target != "domain"
-                }
-            )
-            if bad_targets:
-                raise ValueError(
-                    f"strategy 'stacked' is unavailable: non-domain "
-                    f"fault target(s) {bad_targets} replay the "
-                    f"protector machinery they attack"
-                )
         hooks = None
         if hook_factory is not None:
             hooks = [hook_factory(i) for i in range(config.repetitions)]
@@ -1022,57 +919,29 @@ class CampaignEngine:
                     plans=tuple(tuple(p) for p in plans[start:stop]),
                     hooks=None if hooks is None else tuple(hooks[start:stop]),
                     width_hint=batch,
-                    force_replay=force_replay,
+                    force_replay=strategy == "replay",
                 )
             )
 
         executor = self.executor
         if executor.kind == "process":
             self._check_picklable(tasks[0])
-            rows_by_task = self._dispatch_process(executor, tasks)
-            batches = [rows_by_task[i] for i in range(len(tasks))]
+            by_task = self._dispatch_process(executor, tasks)
+            batches = [by_task[i] for i in range(len(tasks))]
         else:
             batches = executor.map(_execute_batch, tasks)
 
         result = CampaignResult(
             config=config, protector_name=meta.protector_name
         )
-        for task, (used, reason, rows) in zip(tasks, batches):
-            result.batch_strategies.append(
-                BatchStrategy(
-                    start=task.start,
-                    width=len(task.plans),
-                    strategy=used,
-                    reason=reason,
-                )
-            )
-            for row in rows:
-                (
-                    run_index, elapsed, error, det, cor, unc, rb, rec,
-                    rebuilt, ck_bytes,
-                ) = row
-                run_plans = list(plans[run_index])
-                result.records.append(
-                    RunRecord(
-                        run_index=run_index,
-                        elapsed_seconds=float(elapsed),
-                        arithmetic_error=float(error),
-                        fault=run_plans[0] if run_plans else None,
-                        errors_detected=int(det),
-                        errors_corrected=int(cor),
-                        errors_uncorrected=int(unc),
-                        rollbacks=int(rb),
-                        recomputed_iterations=int(rec),
-                        faults=run_plans,
-                        ranks_rebuilt=int(rebuilt),
-                        checkpoint_bytes=int(ck_bytes),
-                    )
-                )
+        for strategy_used, records in batches:
+            result.batch_strategies.append(strategy_used)
+            result.records.extend(records)
         return result
 
     def _dispatch_process(
         self, executor, tasks: Sequence[_BatchTask]
-    ) -> Dict[int, Tuple[str, Optional[str], List[Tuple]]]:
+    ) -> Dict[int, Tuple[BatchStrategy, List[RunRecord]]]:
         """Supervised dispatch to the process pool, resilient to worker loss.
 
         Each wave submits the still-pending batches as one contiguous
@@ -1094,7 +963,7 @@ class CampaignEngine:
         if self.chaos is not None and pending:
             victim = len(tasks) // 2
             pending[victim] = replace(pending[victim], chaos=self.chaos)
-        results: Dict[int, Tuple[str, Optional[str], List[Tuple]]] = {}
+        results: Dict[int, Tuple[BatchStrategy, List[RunRecord]]] = {}
         attempts = 0
         while pending:
             attempts += 1
@@ -1133,7 +1002,7 @@ class CampaignEngine:
             for future in done:
                 group = futures[future]
                 try:
-                    group_rows = future.result()
+                    group_results = future.result()
                 except BrokenProcessPool:
                     # This group's worker (or a sibling's) died; its
                     # batches stay pending for the next wave.
@@ -1148,8 +1017,8 @@ class CampaignEngine:
                         f"campaign batch starting at run {start} (width "
                         f"{width}) raised inside a worker process: {exc!r}"
                     ) from exc
-                for task_index, rows in zip(group, group_rows):
-                    results[task_index] = rows
+                for task_index, batch_result in zip(group, group_results):
+                    results[task_index] = batch_result
                     pending.pop(task_index, None)
             if pending and wave_failed:
                 self.worker_restarts += 1

@@ -8,12 +8,14 @@ called right after the sweep produced the new domain and before any
 checksum is computed from it, matching the injection point of the
 paper's campaign ("after the stencil point targeted for data corruption
 has been updated and before it is stored into the domain",
-Section 5.1).
+Section 5.1).  Every plan flip, serial or not, goes through
+:func:`flip_plan`: the plan's index is checked against the struck array,
+then the bit is flipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.stencil.grid import GridBase
 __all__ = [
     "FaultPlan",
     "FaultInjector",
+    "flip_plan",
     "random_fault_plan",
     "validate_plan_index",
 ]
@@ -155,15 +158,73 @@ def random_fault_plan(
     return FaultPlan(iteration=iteration, index=index, bit=int(bit))
 
 
+def flip_plan(values: np.ndarray, plan: FaultPlan) -> Tuple[float, float]:
+    """Flip ``plan``'s bit in ``values`` after checking its index.
+
+    The one rule every plan flip follows — serial, distributed or
+    stacked, domain or stored checksum: :func:`validate_plan_index`
+    against the struck array, then
+    :func:`~repro.faults.bitflip.flip_bit_in_array`.  Returns the value
+    before and after the flip.
+    """
+    validate_plan_index(plan, values.shape)
+    return flip_bit_in_array(values, plan.index, plan.bit)
+
+
+def _corrupt_stored_checksum(protector, plan: FaultPlan) -> Tuple[float, float]:
+    """Flip a bit of the protector's *primary* stored checksum copy.
+
+    Supports both protector families by duck-typing their metadata:
+    the online protector's ``_prev_cs`` dict and the primary
+    ``checksum`` of the offline protector's ``checkpoint`` snapshot.
+    Only the primary copy is struck —
+    the self-check duplicate models independent storage, exactly the
+    asymmetry the duplicated-checksum rule exploits.
+    """
+    prev_cs = getattr(protector, "_prev_cs", None)
+    if prev_cs is not None:
+        cs = prev_cs.get(plan.axis)
+        if cs is None:
+            axis = getattr(protector, "verify_axis", None)
+            cs = prev_cs.get(axis) if axis is not None else None
+        if cs is None:
+            raise ValueError(
+                f"no stored checksum to corrupt at iteration "
+                f"{plan.iteration} (axis {plan.axis}); the online "
+                f"protector only holds the verified axis between steps"
+            )
+        return flip_plan(cs, plan)
+    checkpoint = getattr(protector, "checkpoint", None)
+    cs = None if checkpoint is None else checkpoint.checksum
+    if cs is not None:
+        return flip_plan(cs, plan)
+    raise ValueError(
+        f"protector {type(protector).__name__} holds no stored checksum "
+        f"metadata to corrupt (checksum-targeted plans need an ABFT "
+        f"protector)"
+    )
+
+
 class FaultInjector:
-    """Step hook that fires planned faults at their target iteration.
+    """Serial step hook that fires planned faults at their target iteration.
 
     Parameters
     ----------
     plans:
-        The faults to inject. Each plan fires at most once — rollback
-        recovery re-executes iterations, and a transient soft error does
-        not re-occur on re-execution.
+        The faults to inject: ``domain`` plans flip a bit of the grid's
+        domain, ``checksum`` plans a bit of ``protector``'s stored
+        checksum vector (the threat the duplicated-checksum self-check
+        exists for).  Each plan fires at most once — rollback recovery
+        re-executes iterations, and a transient soft error does not
+        re-occur on re-execution.
+    protector:
+        The protector whose stored checksums the ``checksum`` plans
+        strike; required when there are any.
+
+    Ghost, payload and crash plans strike halos, messages and ranks,
+    which a serial run does not have: they are refused at construction
+    (:class:`~repro.faults.models.DistributedFaultInjector` fires them
+    on a distributed run).
 
     Notes
     -----
@@ -171,10 +232,27 @@ class FaultInjector:
     protector expects for its ``inject=`` argument.
     """
 
-    def __init__(self, plans: Sequence[FaultPlan] | FaultPlan) -> None:
+    def __init__(
+        self, plans: Sequence[FaultPlan] | FaultPlan, protector=None
+    ) -> None:
         if isinstance(plans, FaultPlan):
             plans = [plans]
         self.plans: List[FaultPlan] = list(plans)
+        for plan in self.plans:
+            if plan.target in ("ghost", "payload", "crash"):
+                raise ValueError(
+                    f"{plan.target!r}-targeted plans require a distributed "
+                    f"run (use DistributedFaultInjector on a "
+                    f"DistributedStencilRunner)"
+                )
+            if plan.target == "checksum" and protector is None:
+                raise ValueError(
+                    "checksum-targeted plans need the protector whose "
+                    "stored checksums they corrupt: pass it as "
+                    "FaultInjector(plans, protector), or use "
+                    "DistributedFaultInjector on a distributed run"
+                )
+        self.protector = protector
         self._fired = [False] * len(self.plans)
         self.injections: List[Tuple[FaultPlan, float, float]] = []
 
@@ -200,14 +278,10 @@ class FaultInjector:
         for i, plan in enumerate(self.plans):
             if self._fired[i] or plan.iteration != iteration:
                 continue
-            if plan.target != "domain":
-                raise ValueError(
-                    f"FaultInjector only fires 'domain' plans; got a "
-                    f"{plan.target!r} plan (use repro.faults.models."
-                    f"make_injector to route non-domain targets)"
-                )
-            validate_plan_index(plan, grid.shape)
-            old, new = flip_bit_in_array(grid.u, plan.index, plan.bit)
+            if plan.target == "checksum":
+                old, new = _corrupt_stored_checksum(self.protector, plan)
+            else:
+                old, new = flip_plan(grid.u, plan)
             self._fired[i] = True
             self.injections.append((plan, old, new))
 

@@ -35,11 +35,12 @@ campaign:
     or in-flight ``payload`` messages on the
     :class:`~repro.parallel.simmpi.SimChannel`.
 
-Plans whose ``target`` is not ``"domain"`` need richer hooks than the
-plain :class:`~repro.faults.injector.FaultInjector`:
-:func:`make_injector` builds the right hook for a serial run (domain +
-checksum targets), and :class:`DistributedFaultInjector` covers every
-region on a :class:`~repro.parallel.simmpi.DistributedStencilRunner`.
+A serial run fires its domain and checksum plans through the one
+:class:`~repro.faults.injector.FaultInjector`, which refuses the targets
+only a distributed run has (ghost, payload, crash);
+:class:`DistributedFaultInjector` covers every region on a
+:class:`~repro.parallel.simmpi.DistributedStencilRunner`.  Both flip
+through :func:`~repro.faults.injector.flip_plan`.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ import numpy as np
 
 from repro.faults.bitflip import bit_width, flip_bit_in_array
 from repro.faults.injector import (
-    FaultInjector,
     FaultPlan,
+    _corrupt_stored_checksum,
+    flip_plan,
     random_fault_plan,
-    validate_plan_index,
 )
 
 __all__ = [
@@ -68,9 +69,6 @@ __all__ = [
     "register_fault_model",
     "make_fault_model",
     "available_fault_models",
-    "ChecksumInjector",
-    "CompositeInjector",
-    "make_injector",
     "DistributedFaultInjector",
 ]
 
@@ -518,152 +516,8 @@ register_fault_model("rank-crash-mtbf", _crash_mtbf_factory)
 
 
 # ---------------------------------------------------------------------------
-# Injection hooks beyond the plain domain injector
+# The distributed injection hook
 # ---------------------------------------------------------------------------
-def _corrupt_stored_checksum(protector, plan: FaultPlan) -> None:
-    """Flip a bit of the protector's *primary* stored checksum copy.
-
-    Supports both protector families by duck-typing their metadata:
-    the online protector's ``_prev_cs`` dict and the primary
-    ``checksum`` of the offline protector's ``checkpoint`` snapshot.
-    Only the primary copy is struck —
-    the self-check duplicate models independent storage, exactly the
-    asymmetry the duplicated-checksum rule exploits.
-    """
-    prev_cs = getattr(protector, "_prev_cs", None)
-    if prev_cs is not None:
-        cs = prev_cs.get(plan.axis)
-        if cs is None:
-            axis = getattr(protector, "verify_axis", None)
-            cs = prev_cs.get(axis) if axis is not None else None
-        if cs is None:
-            raise ValueError(
-                f"no stored checksum to corrupt at iteration "
-                f"{plan.iteration} (axis {plan.axis}); the online "
-                f"protector only holds the verified axis between steps"
-            )
-        validate_plan_index(plan, cs.shape)
-        flip_bit_in_array(cs, plan.index, plan.bit)
-        return
-    checkpoint = getattr(protector, "checkpoint", None)
-    cs = None if checkpoint is None else checkpoint.checksum
-    if cs is not None:
-        validate_plan_index(plan, cs.shape)
-        flip_bit_in_array(cs, plan.index, plan.bit)
-        return
-    raise ValueError(
-        f"protector {type(protector).__name__} holds no stored checksum "
-        f"metadata to corrupt (checksum-targeted plans need an ABFT "
-        f"protector)"
-    )
-
-
-class ChecksumInjector:
-    """Step hook striking the protector's stored checksum metadata.
-
-    Fires like :class:`~repro.faults.injector.FaultInjector` (once per
-    plan, at the plan's iteration, with the ``(grid, iteration)`` hook
-    signature) but corrupts the *protector state* instead of the domain
-    — the threat the duplicated-checksum self-check exists for.
-    """
-
-    def __init__(self, plans: Sequence[FaultPlan], protector) -> None:
-        self.plans: List[FaultPlan] = list(plans)
-        for plan in self.plans:
-            if plan.target != "checksum":
-                raise ValueError(
-                    f"ChecksumInjector only fires 'checksum' plans; got "
-                    f"{plan.target!r}"
-                )
-        self.protector = protector
-        self._fired = [False] * len(self.plans)
-
-    def __call__(self, grid, iteration: int) -> None:
-        self.inject(grid, iteration)
-
-    def inject(self, grid, iteration: int) -> None:
-        for i, plan in enumerate(self.plans):
-            if self._fired[i] or plan.iteration != iteration:
-                continue
-            self._fired[i] = True
-            _corrupt_stored_checksum(self.protector, plan)
-
-    @property
-    def fired_count(self) -> int:
-        return sum(self._fired)
-
-    def reset(self) -> None:
-        self._fired = [False] * len(self.plans)
-
-
-class CompositeInjector:
-    """Fan a step's injection out to several target-specific hooks.
-
-    Exposes the union ``plans`` list, so callers can introspect the
-    composite's pending plans like those of a single hook.
-    """
-
-    def __init__(self, hooks: Sequence) -> None:
-        self.hooks = [h for h in hooks if h is not None]
-
-    @property
-    def plans(self) -> List[FaultPlan]:
-        return [p for h in self.hooks for p in getattr(h, "plans", [])]
-
-    @property
-    def fired_count(self) -> int:
-        return sum(getattr(h, "fired_count", 0) for h in self.hooks)
-
-    def __call__(self, grid, iteration: int) -> None:
-        for hook in self.hooks:
-            hook(grid, iteration)
-
-    def reset(self) -> None:
-        for hook in self.hooks:
-            reset = getattr(hook, "reset", None)
-            if reset is not None:
-                reset()
-
-
-def make_injector(
-    plans: Sequence[FaultPlan], protector=None
-) -> Optional[Callable]:
-    """Build the serial inject hook for a heterogeneous plan list.
-
-    Domain plans fire through the classic
-    :class:`~repro.faults.injector.FaultInjector`; checksum plans
-    through a :class:`ChecksumInjector` bound to ``protector``.  Ghost
-    and payload plans have no serial meaning (no halos, no messages)
-    and raise immediately rather than silently not firing.  Returns
-    ``None`` for an empty plan list — MTBF draws legitimately produce
-    fault-free runs.
-    """
-    plans = list(plans)
-    if not plans:
-        return None
-    domain = [p for p in plans if p.target == "domain"]
-    checksum = [p for p in plans if p.target == "checksum"]
-    other = [p for p in plans if p.target in ("ghost", "payload", "crash")]
-    if other:
-        raise ValueError(
-            f"{other[0].target!r}-targeted plans require a distributed run "
-            f"(use DistributedFaultInjector on a DistributedStencilRunner)"
-        )
-    if checksum and protector is None:
-        raise ValueError(
-            "checksum-targeted plans need the protector instance whose "
-            "stored metadata they corrupt"
-        )
-    hooks: List = []
-    if domain:
-        hooks.append(FaultInjector(domain))
-    if checksum:
-        hooks.append(ChecksumInjector(checksum, protector))
-    if len(hooks) == 1:
-        return hooks[0]
-    return CompositeInjector(hooks)
-
-
 class DistributedFaultInjector:
     """Inject hook for the distributed runner covering every target region.
 
@@ -811,8 +665,7 @@ class DistributedFaultInjector:
                 continue
             if plan.target == "domain":
                 self._fired[(rank.rank, i)] = True
-                validate_plan_index(plan, rank.shape)
-                flip_bit_in_array(rank.interior, plan.index, plan.bit)
+                flip_plan(rank.interior, plan)
             elif plan.target == "checksum":
                 self._fired[(rank.rank, i)] = True
                 if rank.protector is None:

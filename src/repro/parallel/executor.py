@@ -52,17 +52,6 @@ BUILTIN_DEFAULT_EXECUTOR = "serial"
 _DEFAULT_EXECUTOR_OVERRIDE: Optional[str] = None
 _DEFAULT_WORKERS_OVERRIDE: Optional[int] = None
 
-_KIND_ALIASES = {
-    "serial": "serial",
-    "threads": "threads",
-    "thread": "threads",
-    "threadpool": "threads",
-    "process": "process",
-    "processes": "process",
-    "processpool": "process",
-}
-
-
 def resolve_workers(workers: Optional[int]) -> int:
     """Resolve a worker count; never returns fewer than 1.
 
@@ -255,13 +244,11 @@ def set_default_executor(kind: Optional[str]) -> None:
     the kind is validated immediately.
     """
     global _DEFAULT_EXECUTOR_OVERRIDE
-    if kind is not None:
-        if kind not in _KIND_ALIASES:
-            raise ValueError(
-                f"unknown executor kind {kind!r}; expected one of "
-                f"{available_executors()}"
-            )
-        kind = _KIND_ALIASES[kind]
+    if kind is not None and kind not in available_executors():
+        raise ValueError(
+            f"unknown executor kind {kind!r}; expected one of "
+            f"{available_executors()}"
+        )
     _DEFAULT_EXECUTOR_OVERRIDE = kind
 
 
@@ -274,12 +261,11 @@ def make_executor(kind: Optional[str] = None, workers: Optional[int] = None):
     """
     if kind is None:
         kind = default_executor_kind()
-    canonical = _KIND_ALIASES.get(str(kind))
-    if canonical == "serial":
+    if kind == "serial":
         return SerialExecutor()
-    if canonical == "threads":
+    if kind == "threads":
         return ThreadPoolTileExecutor(workers=workers)
-    if canonical == "process":
+    if kind == "process":
         return ProcessPoolTileExecutor(workers=workers)
     raise ValueError(
         f"unknown executor kind {kind!r}; expected one of {available_executors()}"

@@ -12,6 +12,7 @@ from repro.faults.campaign import (
     resolve_run_counters,
     run_campaign,
 )
+from repro.faults.models import SingleBitFlip
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
 from repro.stencil.kernels import five_point_diffusion
@@ -37,7 +38,7 @@ class TestCampaignConfig:
     def test_defaults(self):
         config = CampaignConfig(iterations=10, repetitions=3)
         assert config.inject is True
-        assert config.bit is None
+        assert config.fault_model == SingleBitFlip()
 
 
 class TestComputeReference:
@@ -91,7 +92,10 @@ class TestRunCampaign:
 
     def test_pinned_bit_position(self):
         factory = _grid_factory()
-        config = CampaignConfig(iterations=6, repetitions=4, inject=True, bit=30, seed=1)
+        config = CampaignConfig(
+            iterations=6, repetitions=4, inject=True, seed=1,
+            fault_model=SingleBitFlip(bit=30),
+        )
         result = run_campaign(factory, lambda g: NoProtection(), config)
         assert all(r.fault.bit == 30 for r in result.records)
 
@@ -112,10 +116,11 @@ class TestRunCampaign:
 
     def test_run_record_properties(self):
         record = RunRecord(
-            run_index=0, elapsed_seconds=0.1, arithmetic_error=1.0, fault=None,
+            run_index=0, elapsed_seconds=0.1, arithmetic_error=1.0,
             errors_detected=0, errors_corrected=0, errors_uncorrected=0,
             rollbacks=0, recomputed_iterations=0,
         )
+        assert record.fault is None
         assert not record.injected
         assert not record.detected
 

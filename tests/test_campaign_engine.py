@@ -7,7 +7,9 @@ worker count and batch size — plus zero full-domain allocations per run
 once a worker's persistent state is warm.
 """
 
+import re
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,8 +17,15 @@ import pytest
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
 from repro.experiments.common import make_hotspot_app, make_protector_factory
-from repro.faults.campaign import CampaignConfig, resolve_run_counters, run_campaign
-from repro.faults.engine import CampaignEngine, draw_fault_plans, stacked_supported
+from repro.faults.campaign import (
+    CampaignConfig,
+    draw_fault_plans,
+    resolve_run_counters,
+    run_campaign,
+)
+from repro.faults.engine import CampaignEngine, stacked_support_reason
+from repro.faults.injector import FaultPlan
+from repro.faults.models import FaultModel, SingleBitFlip
 from repro.metrics.accuracy import l2_error
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.grid import Grid2D
@@ -180,7 +189,7 @@ class TestRecordEquivalence:
         factory = make_protector_factory("online-abft")
         config = CampaignConfig(
             iterations=ITERATIONS, repetitions=5, inject=True, seed=8,
-            **config_kwargs,
+            fault_model=SingleBitFlip(**config_kwargs),
         )
         legacy = run_campaign(app.build_grid, factory, config, reference=reference)
         with CampaignEngine(executor="serial") as engine:
@@ -231,15 +240,15 @@ class TestFaultPlans:
 class TestStrategySelection:
     def test_online_and_noprotection_are_stackable(self, app):
         grid = app.build_grid()
-        assert stacked_supported(grid, OnlineABFT.for_grid(grid))
-        assert stacked_supported(grid, NoProtection())
+        assert stacked_support_reason(grid, OnlineABFT.for_grid(grid)) is None
+        assert stacked_support_reason(grid, NoProtection()) is None
 
     def test_offline_and_eager_online_replay(self, app):
         grid = app.build_grid()
         offline = make_protector_factory("offline-abft", period=4)(grid)
-        assert not stacked_supported(grid, offline)
+        assert stacked_support_reason(grid, offline) is not None
         eager = OnlineABFT.for_grid(grid, eager_row_checksum=True)
-        assert not stacked_supported(grid, eager)
+        assert stacked_support_reason(grid, eager) is not None
 
 
 class TestHookFactory:
@@ -430,8 +439,6 @@ class TestStackedOnEveryBackend:
 
 class TestStrategyReporting:
     def test_support_reasons(self, app):
-        from repro.faults.engine import stacked_support_reason
-
         grid = app.build_grid()
         assert stacked_support_reason(grid, OnlineABFT.for_grid(grid)) is None
         assert stacked_support_reason(grid, NoProtection()) is None
@@ -467,27 +474,10 @@ class TestStrategyReporting:
             auto = engine.run(
                 app.build_grid, factory, config, reference=reference
             )
-            with pytest.raises(ValueError, match="non-domain"):
-                engine.run(
-                    app.build_grid, factory, config, reference=reference,
-                    strategy="stacked",
-                )
         assert auto.strategy_counts() == {"replay": 4}
         assert any("non-domain" in r for r in auto.fallback_reasons())
 
-    def test_forced_stacked_raises_for_ineligible_protector(
-        self, app, reference
-    ):
-        factory = make_protector_factory("offline-abft", period=4)
-        config = CampaignConfig(iterations=ITERATIONS, repetitions=3, seed=1)
-        with CampaignEngine(executor="serial") as engine:
-            with pytest.raises(ValueError, match="no stacked implementation"):
-                engine.run(
-                    app.build_grid, factory, config, reference=reference,
-                    strategy="stacked",
-                )
-
-    def test_forced_stacked_runs_and_reports_stacked(self, app, reference):
+    def test_auto_strategy_runs_and_reports_stacked(self, app, reference):
         factory = make_protector_factory("online-abft")
         config = CampaignConfig(iterations=ITERATIONS, repetitions=5, seed=17)
         legacy = run_campaign(
@@ -495,8 +485,7 @@ class TestStrategyReporting:
         )
         with CampaignEngine(executor="serial") as engine:
             result = engine.run(
-                app.build_grid, factory, config, reference=reference,
-                strategy="stacked",
+                app.build_grid, factory, config, reference=reference
             )
         assert_equivalent(legacy, result)
         assert result.strategy_counts() == {"stacked": 5}
@@ -509,6 +498,49 @@ class TestStrategyReporting:
         )
         assert legacy.batch_strategies == []
         assert legacy.strategy_counts() == {}
+
+
+@dataclass(frozen=True)
+class _OnePlan(FaultModel):
+    """Draws one domain plan per run: ``index`` at iteration 3, bit 30."""
+
+    index: tuple = (0, 0, 0)
+
+    name = "one-plan"
+
+    def draw(self, rng, shape, iterations, dtype=np.float32):
+        return [FaultPlan(iteration=3, index=self.index, bit=30)]
+
+
+class TestPlanIndexCheck:
+    """Every path checks a domain plan's index before it flips a bit."""
+
+    @pytest.mark.parametrize(
+        "index", [(-1, 0, 0), (16, 0, 0)], ids=["negative", "past-the-end"]
+    )
+    def test_out_of_range_index_raises_on_every_path(
+        self, app, reference, index
+    ):
+        factory = make_protector_factory("online-abft")
+        config = CampaignConfig(
+            iterations=ITERATIONS, repetitions=3, seed=0,
+            fault_model=_OnePlan(index),
+        )
+        match = re.escape(f"index {index} is out of range along axis 0")
+        with pytest.raises(ValueError, match=match):
+            run_campaign(app.build_grid, factory, config, reference=reference)
+        with CampaignEngine(executor="serial") as engine:
+            valid = replace(config, fault_model=_OnePlan())
+            auto = engine.run(
+                app.build_grid, factory, valid, reference=reference
+            )
+            assert auto.strategy_counts() == {"stacked": 3}
+            for strategy in (None, "replay"):
+                with pytest.raises(ValueError, match=match):
+                    engine.run(
+                        app.build_grid, factory, config, reference=reference,
+                        strategy=strategy,
+                    )
 
 
 class TestStackedWidth:

@@ -107,6 +107,29 @@ class TestMain:
                      "--size", "24", "--crash-iter", "8"]) == 0
         assert "recovery        : 1 rank failure" in capsys.readouterr().out
 
+    def test_campaign_bit_flags_reach_the_default_model(
+        self, capsys, monkeypatch
+    ):
+        # --bit and --faults-per-run configure the bitflip model, which
+        # is also the model a campaign runs without --fault-model.
+        from repro.faults.engine import CampaignEngine
+
+        results = []
+        run = CampaignEngine.run
+
+        def spy(self, *args, **kwargs):
+            results.append(run(self, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(CampaignEngine, "run", spy)
+        assert main(["campaign", "--tile", "16", "16", "4", "--iterations",
+                     "8", "--repetitions", "6", "--bit", "30",
+                     "--faults-per-run", "2"]) == 0
+        (result,) = results
+        assert [len(r.faults) for r in result.records] == [2] * 6
+        assert {p.bit for r in result.records for p in r.faults} == {30}
+        assert "(model bitflip)" in capsys.readouterr().out
+
 
 class TestFlatKernelState:
     """`repro backends` names the fused backend's flat kernel state."""

@@ -17,8 +17,6 @@ from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.engine import CampaignEngine
 from repro.faults.injector import FaultInjector, FaultPlan, random_fault_plan
 from repro.faults.models import (
-    ChecksumInjector,
-    CompositeInjector,
     FaultModel,
     MultiBitBurst,
     PoissonArrival,
@@ -27,7 +25,6 @@ from repro.faults.models import (
     SingleBitFlip,
     available_fault_models,
     make_fault_model,
-    make_injector,
 )
 
 
@@ -230,18 +227,11 @@ class TestRegistry:
             assert hash(model) == hash(pickle.loads(pickle.dumps(model)))
 
 
-class TestMakeInjector:
-    def test_empty_plans_yield_no_hook(self):
-        assert make_injector([]) is None
-
-    def test_domain_plans_use_the_classic_injector(self):
-        hook = make_injector([FaultPlan(iteration=1, index=(0, 0), bit=3)])
-        assert isinstance(hook, FaultInjector)
-
+class TestSerialInjector:
     def test_checksum_plans_need_a_protector(self):
         plan = FaultPlan(iteration=2, index=(0,), bit=40, target="checksum")
         with pytest.raises(ValueError, match="protector"):
-            make_injector([plan])
+            FaultInjector([plan])
 
     def test_ghost_and_payload_have_no_serial_meaning(self):
         for target in ("ghost", "payload"):
@@ -250,9 +240,9 @@ class TestMakeInjector:
                 bit=3, target=target,
             )
             with pytest.raises(ValueError, match="distributed"):
-                make_injector([plan], protector=object())
+                FaultInjector([plan], protector=object())
 
-    def test_mixed_targets_compose_and_expose_union_plans(self, rng):
+    def test_mixed_targets_fire_from_one_injector(self, rng):
         from repro.core.online import OnlineABFT
         from repro.stencil.boundary import BoundaryCondition
         from repro.stencil.grid import Grid2D
@@ -266,17 +256,28 @@ class TestMakeInjector:
             iteration=4, index=(2,), bit=62, target="checksum",
             axis=protector.verify_axis,
         )
-        hook = make_injector([domain, checksum], protector)
-        assert isinstance(hook, CompositeInjector)
+        hook = FaultInjector([domain, checksum], protector)
         assert hook.plans == [domain, checksum]
         protector.run(grid, 8, inject=hook)
         assert hook.fired_count == 2
 
-    def test_checksum_injector_rejects_foreign_targets(self):
-        with pytest.raises(ValueError, match="checksum"):
-            ChecksumInjector(
-                [FaultPlan(iteration=1, index=(0, 0), bit=3)], object()
-            )
+
+#: Every registered model a serial campaign runs, with the parameters
+#: its equivalence case draws with.  ``mtbf`` at 6 iterations stacks a
+#: fault-free run beside faulty ones; ``rank-crash-mtbf`` at 8 crashes
+#: some runs and not others.
+_SERIAL_MODELS = {
+    "bitflip": {},
+    "burst": {"burst_size": 3, "spread": 1},
+    "mtbf": {"mtbf": 6.0},
+    "region": {},
+    "region-checksum": {},
+    "rank-crash": {},
+    "rank-crash-mtbf": {"mtbf": 8.0},
+}
+
+#: Registered models whose plans only a distributed run can fire.
+_DISTRIBUTED_ONLY = ("region-ghost", "region-payload")
 
 
 class TestCampaignPlumbing:
@@ -285,11 +286,8 @@ class TestCampaignPlumbing:
             CampaignConfig(iterations=4, repetitions=2, fault_model="mtbf")
 
     def test_default_model_resolves_to_legacy_bitflip(self):
-        config = CampaignConfig(
-            iterations=4, repetitions=2, faults_per_run=3, bit=29
-        )
-        model = config.resolved_fault_model()
-        assert model == SingleBitFlip(faults_per_run=3, bit=29)
+        config = CampaignConfig(iterations=4, repetitions=2)
+        assert config.fault_model == SingleBitFlip()
 
     def test_explicit_bitflip_model_reproduces_default_records(self):
         app = make_hotspot_app((16, 16, 4))
@@ -306,11 +304,9 @@ class TestCampaignPlumbing:
             r.arithmetic_error for r in b.records
         ]
 
-    @pytest.mark.parametrize("model", [
-        PoissonArrival(mtbf=6.0),
-        MultiBitBurst(burst_size=3, spread=1),
-    ])
-    def test_engine_matches_legacy_loop_under_pluggable_models(self, model):
+    @pytest.mark.parametrize("name", sorted(_SERIAL_MODELS))
+    def test_engine_matches_legacy_loop_under_pluggable_models(self, name):
+        model = make_fault_model(name, **_SERIAL_MODELS[name])
         app = make_hotspot_app((16, 16, 4))
         reference = app.reference_solution(10)
         factory = make_protector_factory("online-abft")
@@ -324,14 +320,23 @@ class TestCampaignPlumbing:
             got = engine.run(
                 app.build_grid, factory, config, reference=reference
             )
+            replay = engine.run(
+                app.build_grid, factory, config, reference=reference,
+                strategy="replay",
+            )
         key = lambda r: (
             r.run_index, r.arithmetic_error, r.errors_detected,
             r.errors_corrected, r.errors_uncorrected, r.rollbacks,
-            r.recomputed_iterations,
+            r.recomputed_iterations, r.ranks_rebuilt, r.checkpoint_bytes,
             tuple((p.iteration, p.index, p.bit, p.target) for p in r.faults),
         )
         assert [key(r) for r in got.records] == [key(r) for r in legacy.records]
-        if isinstance(model, PoissonArrival):
+        assert [key(r) for r in replay.records] == [
+            key(r) for r in legacy.records
+        ]
+        if name.startswith("rank-crash"):
+            assert any(r.ranks_rebuilt for r in legacy.records)
+        if name == "mtbf":
             # Keep the case only this model stacks: a fault-free run
             # beside faulty ones in one stacked batch, whose records
             # must match legacy through the one post-flip checksum.
@@ -342,6 +347,32 @@ class TestCampaignPlumbing:
                 == {False, True}
             ]
             assert mixed, [len(r.faults) for r in got.records]
+
+    @pytest.mark.parametrize("name", _DISTRIBUTED_ONLY)
+    def test_distributed_only_models_are_refused_on_every_path(self, name):
+        app = make_hotspot_app((16, 16, 4))
+        reference = app.reference_solution(10)
+        factory = make_protector_factory("online-abft")
+        config = CampaignConfig(
+            iterations=10, repetitions=6, seed=5,
+            fault_model=make_fault_model(name),
+        )
+        with pytest.raises(ValueError, match="DistributedFaultInjector"):
+            run_campaign(app.build_grid, factory, config, reference=reference)
+        with CampaignEngine(executor="serial", batch_size=3) as engine:
+            for strategy in (None, "replay"):
+                with pytest.raises(
+                    ValueError, match="DistributedFaultInjector"
+                ):
+                    engine.run(
+                        app.build_grid, factory, config,
+                        reference=reference, strategy=strategy,
+                    )
+
+    def test_every_registered_model_is_checked(self):
+        assert sorted([*_SERIAL_MODELS, *_DISTRIBUTED_ONLY]) == (
+            available_fault_models()
+        )
 
     def test_mtbf_campaign_supports_fault_free_runs(self):
         app = make_hotspot_app((16, 16, 4))

@@ -73,12 +73,10 @@ class TestValidatePlanIndex:
         with pytest.raises(ValueError, match="out of range"):
             injector(small_grid_2d, 1)
 
-    def test_injector_refuses_non_domain_plans(self, small_grid_2d):
+    def test_injector_refuses_non_domain_plans(self):
         plan = FaultPlan(iteration=1, index=(0,), bit=3, target="checksum")
-        injector = FaultInjector([plan])
-        small_grid_2d.step()
-        with pytest.raises(ValueError, match="make_injector"):
-            injector(small_grid_2d, 1)
+        with pytest.raises(ValueError, match="DistributedFaultInjector"):
+            FaultInjector([plan])
 
 
 class TestRandomFaultPlan:

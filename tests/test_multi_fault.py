@@ -13,6 +13,7 @@ from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.injector import FaultInjector, FaultPlan
+from repro.faults.models import SingleBitFlip
 from repro.metrics.accuracy import l2_error
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
@@ -105,7 +106,8 @@ class TestMultiFaultCampaign:
             return Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
 
         config = CampaignConfig(
-            iterations=10, repetitions=3, inject=True, faults_per_run=3, seed=5
+            iterations=10, repetitions=3, inject=True, seed=5,
+            fault_model=SingleBitFlip(faults_per_run=3),
         )
         result = run_campaign(
             factory, lambda g: OnlineABFT.for_grid(g, epsilon=1e-5), config
@@ -115,4 +117,7 @@ class TestMultiFaultCampaign:
 
     def test_invalid_faults_per_run(self):
         with pytest.raises(ValueError):
-            CampaignConfig(iterations=5, repetitions=1, faults_per_run=0)
+            CampaignConfig(
+                iterations=5, repetitions=1,
+                fault_model=SingleBitFlip(faults_per_run=0),
+            )

@@ -79,11 +79,9 @@ class TestMakeExecutorAndDefaults:
         assert ex.workers == WORKERS
         ex.shutdown()
 
-    def test_make_process_aliases(self):
-        for alias in ("processes", "processpool"):
-            assert isinstance(
-                make_executor(alias, workers=1), ProcessPoolTileExecutor
-            )
+    def test_make_rejects_alias_spellings(self):
+        with pytest.raises(ValueError, match="expected one of"):
+            make_executor("processes")
 
     def test_default_chain(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)

@@ -17,12 +17,8 @@ import pytest
 
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
-from repro.faults.injector import FaultPlan
-from repro.faults.models import (
-    ChecksumInjector,
-    DistributedFaultInjector,
-    make_injector,
-)
+from repro.faults.injector import FaultInjector, FaultPlan
+from repro.faults.models import DistributedFaultInjector
 from repro.parallel.simmpi import DistributedStencilRunner
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
@@ -57,7 +53,7 @@ class TestOnlineSerial:
         clean_protector.run(clean, 16)
 
         protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
-        hook = ChecksumInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
         run = protector.run(grid, 16, inject=hook)
 
         assert hook.fired_count == 1
@@ -75,7 +71,7 @@ class TestOnlineSerial:
         protector = OnlineABFT.for_grid(
             grid, epsilon=1e-5, metadata_self_check=False
         )
-        hook = ChecksumInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
         run = protector.run(grid, 16, inject=hook)
 
         assert protector.total_metadata_repairs == 0
@@ -93,7 +89,7 @@ class TestOnlineSerial:
         for j in range(0, cs_len, 3):
             grid = grid0.copy()
             protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
-            hook = ChecksumInjector(
+            hook = FaultInjector(
                 [_checksum_plan(protector, 4, index=(j,))], protector
             )
             run = protector.run(grid, 10, inject=hook)
@@ -104,7 +100,7 @@ class TestOnlineSerial:
     def test_reset_clears_repair_counter(self, rng):
         grid = _make_grid(rng)
         protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
-        hook = ChecksumInjector([_checksum_plan(protector, 3)], protector)
+        hook = FaultInjector([_checksum_plan(protector, 3)], protector)
         protector.run(grid, 6, inject=hook)
         assert protector.total_metadata_repairs == 1
         protector.reset()
@@ -118,7 +114,7 @@ class TestOfflineSerial:
         OfflineABFT.for_grid(clean, period=4, epsilon=1e-5).run(clean, 16)
 
         protector = OfflineABFT.for_grid(grid, period=4, epsilon=1e-5)
-        hook = ChecksumInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
         run = protector.run(grid, 16, inject=hook)
 
         assert hook.fired_count == 1
@@ -133,7 +129,7 @@ class TestOfflineSerial:
         protector = OfflineABFT.for_grid(
             grid, period=4, epsilon=1e-5, metadata_self_check=False
         )
-        hook = ChecksumInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
         run = protector.run(grid, 16, inject=hook)
         assert protector.total_metadata_repairs == 0
         assert run.total_detected >= 1
@@ -147,7 +143,7 @@ class TestOfflineSerial:
             FaultPlan(iteration=6, index=(7, 7), bit=27),
             _checksum_plan(protector, 7),
         ]
-        run = protector.run(grid, 16, inject=make_injector(plans, protector))
+        run = protector.run(grid, 16, inject=FaultInjector(plans, protector))
         assert run.total_detected >= 1  # the genuine domain fault
         assert protector.total_metadata_repairs >= 1
 

@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
-from repro.faults.injector import FaultPlan
+from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.models import (
     DistributedFaultInjector,
     RankCrash,
     available_fault_models,
     make_fault_model,
-    make_injector,
 )
 from repro.parallel.simmpi import (
     CKPT_META_TAG,
@@ -151,7 +150,7 @@ class TestRankCrashModel:
 
     def test_serial_injector_rejects_crash(self):
         with pytest.raises(ValueError, match="distributed run"):
-            make_injector([_crash_plan(3, 0)])
+            FaultInjector([_crash_plan(3, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +509,6 @@ class TestCampaignCrash:
             assert a.ranks_rebuilt == b.ranks_rebuilt
             assert a.checkpoint_bytes == b.checkpoint_bytes
 
-    def test_forced_stacked_fails_fast(self):
-        from repro.faults.campaign import CampaignConfig
-        from repro.faults.engine import CampaignEngine
-
-        gf, pf = self._factories()
-        model = make_fault_model("rank-crash", n_ranks=2)
-        config = CampaignConfig(
-            iterations=8, repetitions=2, seed=0, fault_model=model
-        )
-        with CampaignEngine(executor="serial") as engine:
-            with pytest.raises(ValueError, match="'crash'"):
-                engine.run(gf, pf, config, strategy="stacked")
-
     def test_run_with_crashes_rejects_unknown_protector(self):
         from repro.faults.campaign import run_with_crashes
 
@@ -538,7 +524,7 @@ class TestCampaignCrash:
             )
 
     def test_run_with_crashes_unprotected(self):
-        from repro.faults.campaign import crash_run_counters, run_with_crashes
+        from repro.faults.campaign import run_with_crashes
 
         gf, _ = self._factories()
         reference = gf()
@@ -551,9 +537,11 @@ class TestCampaignCrash:
             RankCrash(at_iteration=7, rank=1, n_ranks=4),
         )
         assert elapsed >= 0.0
-        det, cor, unc, rb, rec, rebuilt, ck_bytes = crash_run_counters(runner)
-        assert (det, cor, unc) == (0, 0, 0)
-        assert rb >= 1 and rebuilt == 1 and ck_bytes > 0
+        stats = runner.recovery
+        assert (runner.total_detected(), runner.total_corrected()) == (0, 0)
+        assert all(rank.protector is None for rank in runner.ranks)
+        assert stats.rollbacks >= 1 and stats.ranks_rebuilt == 1
+        assert stats.checkpoint_bytes > 0
         np.testing.assert_array_equal(reference.u, runner.gather())
 
 

@@ -17,9 +17,13 @@ import pytest
 
 import repro.faults.engine as engine_mod
 from repro.experiments.common import make_protector_factory
-from repro.faults.campaign import CampaignConfig, compute_reference
-from repro.faults.engine import CampaignEngine, draw_fault_plans
-from repro.faults.models import make_injector
+from repro.faults.campaign import (
+    CampaignConfig,
+    compute_reference,
+    draw_fault_plans,
+)
+from repro.faults.engine import CampaignEngine
+from repro.faults.injector import FaultInjector
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
@@ -72,10 +76,10 @@ def _stacked_checksums(grid_factory, protector_factory, config, monkeypatch):
     reference = compute_reference(grid_factory, ITERATIONS)
     with CampaignEngine(executor="serial", batch_size=BATCH) as engine:
         result = engine.run(
-            grid_factory, protector_factory, config, reference=reference,
-            strategy="stacked",
+            grid_factory, protector_factory, config, reference=reference
         )
     monkeypatch.undo()
+    assert result.strategy_counts() == {"stacked": REPETITIONS}
     assert [b.width for b in result.batch_strategies] == [8, 3]
     return seeds, computed
 
@@ -96,7 +100,7 @@ def _replayed_checksums(grid_factory, protector_factory, plans, monkeypatch):
 
     monkeypatch.setattr(protector, "process", spy_process)
     seed = protector._checksum(grid.u, verify)
-    protector.run(grid, ITERATIONS, inject=make_injector(list(plans), protector))
+    protector.run(grid, ITERATIONS, inject=FaultInjector(plans, protector))
     monkeypatch.undo()
     assert len(computed) == ITERATIONS
     return seed, computed
