@@ -348,14 +348,7 @@ def main(argv=None) -> int:
         args.exec_size = args.size
 
     if args.backends is None:
-        # Canonical names only (aliases point at the same instances).
-        seen, names = set(), []
-        for name in available_backends():
-            backend = get_backend(name)
-            if id(backend) in seen:
-                continue
-            seen.add(id(backend))
-            names.append(backend.name)
+        names = list(available_backends())
     else:
         names = list(args.backends)
     if REFERENCE not in names:

@@ -52,6 +52,7 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from typing import Dict, List, Tuple
@@ -156,15 +157,40 @@ def check_equivalence(smoke: bool) -> Dict[str, bool]:
 # --------------------------------------------------------------------------
 # Chaos resilience
 # --------------------------------------------------------------------------
-def check_chaos_resilience(chaos_mode: str) -> Dict[str, object]:
-    """Campaign under an injected worker failure vs an undisturbed run.
+class _KillsOneWorker:
+    """Protector factory that kills the first pool worker building it.
 
-    The chaos engine marks one batch so the pool worker that picks it up
-    kills or hangs itself mid-campaign; the engine must detect the loss,
-    restart the pool, re-dispatch the batch, and still produce records
-    bitwise-identical (all fields except elapsed time) to an engine that
-    was never disturbed.  ``worker_restarts`` proves the failure was
-    actually injected and survived, rather than silently skipped.
+    The worker that removes ``marker`` exits at once; every other build
+    (the parent's sample protector, the surviving and the restarted
+    workers) runs normally.  Process workers fork, so this class, defined
+    in the running script, pickles by reference.
+    """
+
+    def __init__(self, marker: str) -> None:
+        self.parent_pid = os.getpid()
+        self.marker = marker
+        self.inner = make_protector_factory("online-abft")
+
+    def __call__(self, grid):
+        if os.getpid() != self.parent_pid:
+            try:
+                os.remove(self.marker)
+            except FileNotFoundError:
+                pass
+            else:
+                os._exit(43)
+        return self.inner(grid)
+
+
+def check_chaos_resilience() -> Dict[str, object]:
+    """Campaign with one pool worker killed vs an undisturbed run.
+
+    One worker dies while building its campaign state; the engine must
+    detect the loss, restart the pool, re-dispatch the lost batches,
+    and still produce records bitwise-identical (all fields except
+    elapsed time) to an engine that was never disturbed.
+    ``worker_restarts`` proves the failure was actually injected and
+    survived, rather than silently skipped.
     """
     app = make_hotspot_app((16, 16, 4))
     iterations, repetitions = 10, 24
@@ -176,24 +202,26 @@ def check_chaos_resilience(chaos_mode: str) -> Dict[str, object]:
     workers = min(2, resolve_workers(None))
     common = dict(executor="process", workers=workers, batch_size=4)
 
-    # chaos="off" pins an undisturbed baseline even when REPRO_CHAOS is
-    # exported (the CI smoke step sets it for the whole job).
-    with CampaignEngine(chaos="off", **common) as engine:
+    with CampaignEngine(**common) as engine:
         baseline = engine.run(app.build_grid, factory, config, reference=reference)
         baseline_restarts = engine.worker_restarts
 
-    with CampaignEngine(
-        chaos=chaos_mode, worker_timeout=15.0, **common
-    ) as engine:
-        disturbed = engine.run(app.build_grid, factory, config, reference=reference)
-        restarts = engine.worker_restarts
+    with tempfile.TemporaryDirectory() as scratch:
+        marker = os.path.join(scratch, "kill-once")
+        open(marker, "w").close()
+        with CampaignEngine(worker_timeout=15.0, **common) as engine:
+            disturbed = engine.run(
+                app.build_grid, _KillsOneWorker(marker), config,
+                reference=reference,
+            )
+            restarts = engine.worker_restarts
 
     identical = bool(
         [_record_key(r) for r in disturbed.records]
         == [_record_key(r) for r in baseline.records]
     )
     return {
-        "chaos_mode": chaos_mode,
+        "chaos_mode": "worker-kill",
         "records_identical_to_undisturbed": identical,
         "worker_restarts": restarts,
         "baseline_worker_restarts": baseline_restarts,
@@ -428,19 +456,19 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--chaos-smoke", action="store_true",
         help=(
-            "CI chaos gate: run one small process-executor campaign with "
-            "an injected worker failure (mode from REPRO_CHAOS, default "
-            "worker-kill) next to an undisturbed one; exit non-zero "
-            "unless the pool was restarted at least once and the records "
-            "are bitwise-identical.  Runs only this check"
+            "CI chaos gate: run one small process-executor campaign whose "
+            "protector factory kills one pool worker next to an "
+            "undisturbed one; exit non-zero unless the pool was "
+            "restarted at least once and the records are "
+            "bitwise-identical.  Runs only this check"
         ),
     )
     args = parser.parse_args(argv)
 
     if args.chaos_smoke:
-        mode = os.environ.get("REPRO_CHAOS") or "worker-kill"
-        print(f"Chaos smoke: campaign engine under {mode} (process executor)")
-        chaos = check_chaos_resilience(mode)
+        print("Chaos smoke: campaign engine with one worker killed "
+              "(process executor)")
+        chaos = check_chaos_resilience()
         survived = chaos["failure_was_injected_and_survived"]
         identical = chaos["records_identical_to_undisturbed"]
         print(

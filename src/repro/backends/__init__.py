@@ -62,5 +62,5 @@ __all__ = [
     "default_backend_name",
 ]
 
-register_backend(NumpyBackend(), aliases=("reference",))
+register_backend(NumpyBackend())
 register_backend(FusedBackend())

@@ -54,14 +54,13 @@ _DEFAULT_OVERRIDE: Optional[str] = None
 BackendLike = Union[None, str, Backend]
 
 
-def register_backend(backend: Backend, aliases: Tuple[str, ...] = ()) -> Backend:
-    """Register a backend instance under its ``name`` (plus ``aliases``).
+def register_backend(backend: Backend) -> Backend:
+    """Register a backend instance under its ``name``.
 
     Re-registering a name replaces the previous instance, so tests and
     downstream packages can swap in instrumented implementations.
     """
-    for name in (backend.name, *aliases):
-        _REGISTRY[str(name)] = backend
+    _REGISTRY[str(backend.name)] = backend
     return backend
 
 

@@ -29,6 +29,10 @@ from repro.stencil.shift import pad_array, shifted_view
 
 __all__ = ["SpatialInterpolationDetector"]
 
+#: Absolute scale floor of the relative comparison, so that near-zero
+#: regions do not produce spurious flags.
+_MIN_SCALE = 1e-6
+
 
 class SpatialInterpolationDetector(Protector):
     """Flag points that deviate strongly from their neighbourhood average.
@@ -42,9 +46,6 @@ class SpatialInterpolationDetector(Protector):
     correct:
         Replace flagged points by their neighbourhood prediction
         (``True``) or only detect (``False``).
-    min_scale:
-        Absolute scale floor used in the relative comparison so that
-        near-zero regions do not produce spurious flags.
     """
 
     name = "spatial-detector"
@@ -53,13 +54,11 @@ class SpatialInterpolationDetector(Protector):
         self,
         threshold: float = 1e-2,
         correct: bool = True,
-        min_scale: float = 1e-6,
     ) -> None:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         self.threshold = float(threshold)
         self.correct = bool(correct)
-        self.min_scale = float(min_scale)
         self.total_detections = 0
         self.total_corrections = 0
         self.total_uncorrected = 0
@@ -92,7 +91,7 @@ class SpatialInterpolationDetector(Protector):
         # curvature-sized deviations remain and legitimate smooth fields do
         # not trigger the detector.
         mean_prediction = stack.mean(axis=0).astype(u.dtype)
-        scale = np.maximum(np.abs(mean_prediction), self.min_scale)
+        scale = np.maximum(np.abs(mean_prediction), _MIN_SCALE)
         deviation = np.abs(u - mean_prediction) / scale
         flagged = deviation > self.threshold
 

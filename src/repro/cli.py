@@ -29,8 +29,10 @@ installed as the ``repro`` (and ``repro-abft``) console script by
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.backends import (
     available_backends,
@@ -41,6 +43,7 @@ from repro.backends import (
 from repro.parallel.executor import (
     available_executors,
     default_executor_kind,
+    make_executor,
     resolve_workers,
     set_default_executor,
     set_default_workers,
@@ -60,6 +63,8 @@ from repro.experiments import (
     run_sensitivity,
     run_table1,
 )
+from repro.faults.engine import CampaignEngine
+from repro.faults.models import FaultModel, make_fault_model
 from repro.version import __version__
 
 __all__ = ["main", "build_parser"]
@@ -69,6 +74,28 @@ _SCALES: Dict[str, Callable[[], EvaluationScale]] = {
     "quick": EvaluationScale.quick,
     "paper": EvaluationScale.paper,
 }
+
+#: ``repro campaign``'s fault-model flags: the model field each sets
+#: (only when given, so the defaults are the model's own), its type and
+#: its help.
+_FAULT_MODEL_FLAGS = (
+    ("--mtbf", "mtbf", float,
+     "mean iterations between faults (mtbf) or crashes (rank-crash models)"),
+    ("--burst-size", "burst_size", int, "flips per burst (burst)"),
+    ("--burst-spread", "spread", int, "Chebyshev radius of the burst (burst)"),
+    ("--bit", "bit", int,
+     "pin the flipped bit position (every model; default: uniform random)"),
+    ("--faults-per-run", "faults_per_run", int,
+     "independent faults per run (bitflip)"),
+    ("--crash-ranks", "n_ranks", int, "simulated rank count (rank-crash models)"),
+    ("--crash-rank", "rank", int,
+     "pin the crash victim rank (rank-crash models; default: uniform random)"),
+    ("--crash-iter", "at_iteration", int,
+     "pin the crash iteration, 1..iterations (rank-crash; default: uniform "
+     "random)"),
+    ("--crash-bitflips", "bitflips", int,
+     "extra uniform bit flips mixed into every crash draw (rank-crash models)"),
+)
 
 _EXPERIMENTS = {
     "table1": (run_table1, format_table1),
@@ -235,49 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         "models`): bitflip (the paper's model, default), burst, mtbf, "
         "region, region-checksum, region-ghost, region-payload, "
         "rank-crash, rank-crash-mtbf (fail-stop runs execute on the "
-        "distributed buddy-checkpoint recovery path)",
+        "distributed buddy-checkpoint recovery path). The flags below "
+        "default to the model's own values; one the model does not "
+        "take is an error",
     )
-    camp.add_argument(
-        "--mtbf", type=float, default=64.0,
-        help="mean iterations between faults for --fault-model mtbf "
-        "(also the crash-arrival mean for rank-crash-mtbf)",
-    )
-    camp.add_argument(
-        "--burst-size", type=int, default=3,
-        help="flips per burst for --fault-model burst",
-    )
-    camp.add_argument(
-        "--burst-spread", type=int, default=1,
-        help="Chebyshev radius of the burst for --fault-model burst",
-    )
-    camp.add_argument(
-        "--bit", type=int, default=None,
-        help="pin the flipped bit position of the fault model "
-        "(default: uniform random)",
-    )
-    camp.add_argument(
-        "--faults-per-run", type=int, default=1,
-        help="independent faults per run for the bitflip model",
-    )
-    camp.add_argument(
-        "--crash-ranks", type=int, default=4, metavar="N",
-        help="simulated rank count for the rank-crash models",
-    )
-    camp.add_argument(
-        "--crash-rank", type=int, default=None, metavar="R",
-        help="pin the crash victim rank for rank-crash "
-        "(default: uniform random)",
-    )
-    camp.add_argument(
-        "--crash-iter", type=int, default=None, metavar="T",
-        help="pin the crash iteration for rank-crash, 1..iterations "
-        "(default: uniform random)",
-    )
-    camp.add_argument(
-        "--crash-bitflips", type=int, default=0, metavar="K",
-        help="extra uniform bit flips mixed into every rank-crash draw "
-        "(combined fail-stop + silent-fault runs)",
-    )
+    for flag, field, kind, text in _FAULT_MODEL_FLAGS:
+        camp.add_argument(flag, type=kind, dest=field, help=text)
     camp.add_argument(
         "--period", type=int, default=16,
         help="offline detection/checkpoint period",
@@ -313,6 +303,15 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+@contextmanager
+def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """Turn a bad setting into exit 2 with one line instead of a traceback."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc.args[0]))
 
 
 def _check_crash_iter(crash_iter: int, iterations: int) -> None:
@@ -431,46 +430,50 @@ def _run_distributed(args) -> int:
     return 0
 
 
-def _run_campaign_cli(args) -> int:
+def _campaign_fault_model(args) -> FaultModel:
+    """The model ``repro campaign`` draws from, built from the flags given.
+
+    Only flags on the command line reach the model, so every other field
+    keeps the model's own default; a flag whose field the model lacks
+    raises ``ValueError`` naming the flag and the model.
+    """
+    name = args.fault_model
+    fields = {f.name for f in dataclasses.fields(make_fault_model(name))}
+    params = {
+        field: getattr(args, field)
+        for _, field, _, _ in _FAULT_MODEL_FLAGS
+        if getattr(args, field) is not None
+    }
+    foreign = [f for f, field, _, _ in _FAULT_MODEL_FLAGS
+               if field in params and field not in fields]
+    if foreign:
+        raise ValueError(f"fault model {name!r} does not take {', '.join(foreign)}")
+    if "at_iteration" in params:
+        _check_crash_iter(params["at_iteration"], args.iterations)
+    try:
+        return make_fault_model(name, **params)
+    except ValueError as exc:
+        raise ValueError(f"fault model {name!r}: {exc}") from None
+
+
+def _run_campaign_cli(args, fault_model: FaultModel) -> int:
     """``repro campaign``: one campaign on the high-throughput engine."""
     import time
 
     from repro.experiments.common import make_hotspot_app, make_protector_factory
     from repro.experiments.report import format_seconds
     from repro.faults.campaign import CampaignConfig
-    from repro.faults.engine import CampaignEngine
-    from repro.faults.models import make_fault_model
 
     tile = tuple(args.tile)
     app = make_hotspot_app(tile)
     reference = app.reference_solution(args.iterations)
     factory = make_protector_factory(args.method, period=args.period)
-    params = {}
-    if args.fault_model == "mtbf":
-        params["mtbf"] = args.mtbf
-    elif args.fault_model == "burst":
-        params["burst_size"] = args.burst_size
-        params["spread"] = args.burst_spread
-    elif args.fault_model == "bitflip":
-        params["faults_per_run"] = args.faults_per_run
-    elif args.fault_model in ("rank-crash", "rank-crash-mtbf"):
-        params["n_ranks"] = args.crash_ranks
-        params["bitflips"] = args.crash_bitflips
-        if args.crash_rank is not None:
-            params["rank"] = args.crash_rank
-        if args.fault_model == "rank-crash-mtbf":
-            params["mtbf"] = args.mtbf
-        elif args.crash_iter is not None:
-            _check_crash_iter(args.crash_iter, args.iterations)
-            params["at_iteration"] = args.crash_iter
-    if args.bit is not None:
-        params["bit"] = args.bit
     config = CampaignConfig(
         iterations=args.iterations,
         repetitions=args.repetitions,
         inject=(args.scenario == "single-bit-flip"),
         seed=args.seed,
-        fault_model=make_fault_model(args.fault_model, **params),
+        fault_model=fault_model,
     )
     with CampaignEngine(batch_size=args.batch) as engine:
         start = time.perf_counter()
@@ -504,10 +507,9 @@ def _run_campaign_cli(args) -> int:
             if reasons:
                 line += f" — replay because: {'; '.join(reasons)}"
             print(line)
-        if engine.chaos is not None or engine.worker_restarts:
+        if engine.worker_restarts:
             print(
-                f"resilience: chaos {engine.chaos or 'off'}, "
-                f"{engine.worker_restarts} worker-pool "
+                f"resilience: {engine.worker_restarts} worker-pool "
                 f"restart{'s' if engine.worker_restarts != 1 else ''} "
                 "(lost batches re-dispatched)"
             )
@@ -557,9 +559,7 @@ def _list_backends(as_json: bool) -> int:
         backend = get_backend(name)
         marker = " (default)" if name == default else ""
         lines.append(f"{name:12s} -> {type(backend).__name__}{marker}")
-        if backend.name in kernels:
-            continue
-        kernels[backend.name] = entries = [
+        kernels[name] = entries = [
             dict(e) for e in backend.compiled_kernels()
         ]
         for e in entries:
@@ -586,28 +586,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _list_backends(args.json)
 
     if args.command == "distributed":
-        if args.backend is None:
-            # Fail fast on a bad REPRO_BACKEND (exit 2, like every other
-            # command) instead of crashing once the runner resolves it.
-            try:
-                get_backend()
-            except KeyError as exc:
-                parser.error(str(exc.args[0]))
+        with _usage_errors(parser):
+            get_backend(args.backend)
         return _run_distributed(args)
-
-    if args.command == "campaign":
-        if args.executor is not None:
-            set_default_executor(args.executor)
-        if args.workers is not None:
-            set_default_workers(args.workers)
-        if args.backend is not None:
-            set_default_backend(args.backend)
-        else:
-            try:
-                get_backend()
-            except KeyError as exc:
-                parser.error(str(exc.args[0]))
-        return _run_campaign_cli(args)
 
     if args.command == "executors":
         default = default_executor_kind()
@@ -622,25 +603,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"workers default: {resolve_workers(None)} (os.cpu_count)")
         return 0
 
-    if args.executor is not None:
-        set_default_executor(args.executor)
-    if args.workers is not None:
-        set_default_workers(args.workers)
-    if args.backend is not None:
-        set_default_backend(args.backend)
-    else:
-        # Fail fast on a bad REPRO_BACKEND instead of crashing mid-run
-        # (some experiments only resolve the backend at the first sweep).
-        try:
-            get_backend()
-        except KeyError as exc:
-            parser.error(str(exc.args[0]))
+    # The campaign command and every experiment.  Each setting a run
+    # reads is resolved before any work starts: most are otherwise first
+    # read deep inside the run, where a bad value ends in a traceback.
+    with _usage_errors(parser):
+        if args.executor is not None:
+            set_default_executor(args.executor)
+        if args.workers is not None:
+            set_default_workers(args.workers)
+        if args.backend is not None:
+            set_default_backend(args.backend)
+        get_backend()
+        CampaignEngine()  # REPRO_WORKER_TIMEOUT
+        make_executor().shutdown()  # REPRO_EXECUTOR, REPRO_WORKERS for a pool
+    if args.command == "campaign":
+        with _usage_errors(parser):
+            fault_model = _campaign_fault_model(args)
+        return _run_campaign_cli(args, fault_model)
     scale = _SCALES[args.scale]()
 
     if args.command == "all":
         chunks = []
+        figure8 = None
         for name, (run, fmt) in _EXPERIMENTS.items():
-            chunks.append(fmt(run(scale)))
+            if name == "figure9":
+                # Figure 9 reads the errors of the campaigns Figure 8 timed.
+                result = run(scale, campaigns=figure8.campaigns)
+            else:
+                result = run(scale)
+            if name == "figure8":
+                figure8 = result
+            chunks.append(fmt(result))
         _emit("\n\n".join(chunks), args.output)
         return 0
 

@@ -46,6 +46,11 @@ from repro.stencil.spec import StencilSpec
 
 __all__ = ["OfflineABFT"]
 
+#: Consecutive rollbacks of one detection window before the protector
+#: gives up and reports the error uncorrected (the guard against a
+#: persistent fault livelocking the recompute loop).
+_MAX_RECOVERY_ATTEMPTS = 3
+
 
 class OfflineABFT(Protector):
     """Periodic checksum detection coupled with checkpoint/rollback recovery.
@@ -67,9 +72,6 @@ class OfflineABFT(Protector):
     track_strips:
         Record exact α/β strips every sweep (default) or use the
         simplified interpolation of Eqs. (8)-(9).
-    max_recovery_attempts:
-        Upper bound on consecutive rollback attempts for one detection
-        window (guards against persistent-fault livelock).
     metadata_self_check:
         Guard the protector's own state against corruption (default on).
         The checkpoint's working checksum is validated against its
@@ -78,8 +80,8 @@ class OfflineABFT(Protector):
         it is recomputed from the checkpoint interior instead of being
         trusted. Without this, a bit flip striking the
         *stored checksum* (rather than the domain) drives futile
-        rollback/recompute cycles of perfectly healthy data until
-        ``max_recovery_attempts`` is exhausted. Repairs are counted in
+        rollback/recompute cycles of perfectly healthy data until the
+        window's three rollbacks are spent. Repairs are counted in
         ``total_metadata_repairs``.
     checksum_dtype:
         Accumulation dtype for checksums. Defaults to ``numpy.float64``
@@ -108,7 +110,6 @@ class OfflineABFT(Protector):
         epsilon: Optional[float] = None,
         verify_axis: int = 0,
         track_strips: bool = True,
-        max_recovery_attempts: int = 3,
         metadata_self_check: bool = True,
         checksum_dtype=np.float64,
         backend: BackendLike = None,
@@ -130,7 +131,6 @@ class OfflineABFT(Protector):
         self.verify_axis = verify_axis
         self.track_strips = bool(track_strips)
         self.radius = spec.radius()
-        self.max_recovery_attempts = int(max_recovery_attempts)
         self.metadata_self_check = bool(metadata_self_check)
         self.backend = None if backend is None else get_backend(backend)
         if epsilon is None:
@@ -274,7 +274,7 @@ class OfflineABFT(Protector):
                 report.errors_detected = detection.n_errors
                 self.total_detections += detection.n_errors
             attempts += 1
-            if attempts > self.max_recovery_attempts:
+            if attempts > _MAX_RECOVERY_ATTEMPTS:
                 report.errors_uncorrected = detection.n_errors
                 break
             window = self._since_checkpoint

@@ -49,9 +49,7 @@ class TileCampaigns:
 def run_tile_campaigns(
     scale: EvaluationScale,
     tile: Tuple[int, int, int],
-    methods: Tuple[str, ...] = METHODS,
     seed: int = 0,
-    offline_kwargs: Optional[dict] = None,
     engine: Optional[CampaignEngine] = None,
 ) -> TileCampaigns:
     """Run the error-free and bit-flip campaigns of every method on a tile.
@@ -70,14 +68,12 @@ def run_tile_campaigns(
     result = TileCampaigns(
         tile_size=tile, iterations=iterations, repetitions=repetitions
     )
-    offline_kwargs = offline_kwargs or {}
 
     with CampaignEngine.shared(engine) as eng:
-        for method in methods:
+        for method in METHODS:
             if method == "offline-abft":
                 factory = make_protector_factory(
-                    method, epsilon=scale.epsilon, period=scale.period,
-                    **offline_kwargs,
+                    method, epsilon=scale.epsilon, period=scale.period
                 )
             else:
                 factory = make_protector_factory(method, epsilon=scale.epsilon)

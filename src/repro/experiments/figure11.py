@@ -68,7 +68,6 @@ class Figure11Result:
 
 def run_figure11(
     scale: EvaluationScale | None = None,
-    tiles: Tuple[Tuple[int, int, int], ...] | None = None,
     engine: CampaignEngine | None = None,
 ) -> Figure11Result:
     """Regenerate Figure 11 at the requested scale.
@@ -81,43 +80,42 @@ def run_figure11(
     disappears).
     """
     scale = scale if scale is not None else EvaluationScale.quick()
-    tiles = tiles if tiles is not None else (scale.primary_tile(),)
+    tile = scale.primary_tile()
+    iterations = scale.iterations[tile]
+    repetitions = scale.repetitions[tile]
+    app = make_hotspot_app(tile)
+    reference = app.reference_solution(iterations)
     result = Figure11Result(scale_name=scale.name)
     with CampaignEngine.shared(engine) as eng:
-        for tile in tiles:
-            iterations = scale.iterations[tile]
-            repetitions = scale.repetitions[tile]
-            app = make_hotspot_app(tile)
-            reference = app.reference_solution(iterations)
-            for period in scale.detection_periods:
-                if period > iterations:
-                    continue
-                factory = make_protector_factory(
-                    "offline-abft", epsilon=scale.epsilon, period=period
+        for period in scale.detection_periods:
+            if period > iterations:
+                continue
+            factory = make_protector_factory(
+                "offline-abft", epsilon=scale.epsilon, period=period
+            )
+            for scenario, inject in (
+                ("error-free", False), ("single-bit-flip", True)
+            ):
+                config = CampaignConfig(
+                    iterations=iterations,
+                    repetitions=repetitions,
+                    inject=inject,
+                    seed=500 + period,
                 )
-                for scenario, inject in (
-                    ("error-free", False), ("single-bit-flip", True)
-                ):
-                    config = CampaignConfig(
-                        iterations=iterations,
-                        repetitions=repetitions,
-                        inject=inject,
-                        seed=500 + period,
+                campaign = eng.run(
+                    app.build_grid, factory, config, reference=reference
+                )
+                stats = campaign.time_stats()
+                result.points.append(
+                    Figure11Point(
+                        tile_size=tile,
+                        scenario=scenario,
+                        period=period,
+                        mean_time=stats.mean,
+                        std_time=stats.std,
+                        rollbacks=campaign.total_rollbacks(),
                     )
-                    campaign = eng.run(
-                        app.build_grid, factory, config, reference=reference
-                    )
-                    stats = campaign.time_stats()
-                    result.points.append(
-                        Figure11Point(
-                            tile_size=tile,
-                            scenario=scenario,
-                            period=period,
-                            mean_time=stats.mean,
-                            std_time=stats.std,
-                            rollbacks=campaign.total_rollbacks(),
-                        )
-                    )
+                )
     return result
 
 

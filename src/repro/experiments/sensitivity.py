@@ -92,12 +92,8 @@ class _RelativePerturbation:
 class _SpatialDetectorFactory:
     """Picklable per-run factory for the spatial-interpolation baseline."""
 
-    threshold: float
-
     def __call__(self, grid) -> SpatialInterpolationDetector:
-        return SpatialInterpolationDetector(
-            threshold=self.threshold, correct=False
-        )
+        return SpatialInterpolationDetector(correct=False)
 
 
 class _PerturbationHookFactory:
@@ -124,7 +120,6 @@ def run_sensitivity(
     scale: EvaluationScale | None = None,
     magnitudes: Tuple[float, ...] = DEFAULT_MAGNITUDES,
     runs_per_magnitude: int = 8,
-    spatial_threshold: float = 1e-2,
     engine: CampaignEngine | None = None,
 ) -> SensitivityResult:
     """Measure detection rate vs. perturbation magnitude for both detectors.
@@ -145,7 +140,7 @@ def run_sensitivity(
         "abft-online": make_protector_factory(
             "online-abft", epsilon=scale.epsilon
         ),
-        "spatial-interpolation": _SpatialDetectorFactory(spatial_threshold),
+        "spatial-interpolation": _SpatialDetectorFactory(),
     }
 
     rng = np.random.default_rng(4242)

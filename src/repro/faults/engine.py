@@ -31,6 +31,13 @@ it:
   bitwise-identical to :func:`run_campaign` regardless of executor kind,
   worker count or batch size.
 
+* **Supervised process dispatch.**  On the process executor a worker
+  that dies, or hangs past ``worker_timeout``, loses only its own
+  batches: the engine banks the batches that finished, restarts the
+  pool and re-dispatches the rest, for at most three waves per
+  campaign.  A re-dispatched batch replays its pre-drawn plans, so the
+  records do not change.
+
 Two run strategies share that lifecycle:
 
 ``replay``
@@ -88,7 +95,7 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,21 +125,13 @@ __all__ = [
     "stacked_support_reason",
 ]
 
-#: Environment variable arming chaos injection into the engine's own
-#: worker pool (``worker-kill`` | ``worker-hang``): one pool worker is
-#: sacrificed mid-campaign to exercise the detect/restart/re-dispatch
-#: path.  Only ever honoured on the process executor.
-CHAOS_ENV_VAR = "REPRO_CHAOS"
-
 #: Environment variable setting the per-dispatch worker timeout (seconds).
 WORKER_TIMEOUT_ENV_VAR = "REPRO_WORKER_TIMEOUT"
 
-#: Chaos modes the engine understands.
-_CHAOS_MODES = ("worker-kill", "worker-hang")
-
-#: Timeout armed automatically when a hang is being injected and the
-#: caller set none — a hung worker must not stall the campaign forever.
-_DEFAULT_CHAOS_TIMEOUT = 30.0
+#: Dispatch waves for one campaign (first attempt included) before the
+#: engine gives up with a ``RuntimeError``: the guard against a factory
+#: that crashes every worker it touches.
+_MAX_DISPATCH_ATTEMPTS = 3
 
 #: Per-worker campaign states kept alive between batches (the whole
 #: point of the engine).  Bounded so a long-lived pool sweeping many
@@ -239,12 +238,6 @@ class _BatchTask:
     #: Caller requested the replay strategy even where stacking is
     #: eligible (per-run timing fidelity; see ``CampaignEngine.run``).
     force_replay: bool = False
-    #: Chaos marker (``worker-kill`` | ``worker-hang``): the worker that
-    #: picks this batch up sabotages itself before running it, so the
-    #: engine's failure detection and re-dispatch can be exercised end
-    #: to end.  Only ever set by the engine on the process executor, and
-    #: stripped when the lost batch is re-dispatched.
-    chaos: Optional[str] = None
 
 
 class _StackedBatch:
@@ -595,22 +588,6 @@ class _WorkerCampaign:
 _WORKER_LOCAL = threading.local()
 
 
-def _trigger_chaos(mode: str) -> None:
-    """Sabotage this worker process (chaos testing of the dispatch loop).
-
-    Only ever reached inside a process-pool worker — the engine refuses
-    to set chaos markers on the serial/thread executors, where an
-    ``os._exit`` would take the parent (or the whole test process) down
-    with it.
-    """
-    if mode == "worker-kill":
-        os._exit(43)
-    if mode == "worker-hang":
-        time.sleep(3600)
-        return
-    raise ValueError(f"unknown chaos mode {mode!r}; expected {_CHAOS_MODES}")
-
-
 def _execute_batch(task: _BatchTask) -> Tuple[BatchStrategy, List[RunRecord]]:
     """Worker entry point: resolve (or build) the cached state, run one batch.
 
@@ -618,8 +595,6 @@ def _execute_batch(task: _BatchTask) -> Tuple[BatchStrategy, List[RunRecord]]:
     cache is thread-local so the thread executor's workers never share
     mutable campaign state.
     """
-    if task.chaos is not None:
-        _trigger_chaos(task.chaos)
     cache: Dict[str, _WorkerCampaign] = getattr(_WORKER_LOCAL, "cache", None)
     if cache is None:
         cache = _WORKER_LOCAL.cache = {}
@@ -669,25 +644,12 @@ class CampaignEngine:
     worker_timeout:
         Seconds to wait for each dispatched wave of batches on the
         process executor before declaring the stragglers hung,
-        restarting the pool and re-dispatching them (``None`` → wait
-        forever, unless a hang is being chaos-injected, in which case a
-        default timeout is armed; also settable via
-        ``REPRO_WORKER_TIMEOUT``).  Timeouts never change records: a
-        re-dispatched batch replays the same pre-drawn plans.
-    max_dispatch_attempts:
-        Upper bound on dispatch waves for one campaign (first attempt
-        included) before the engine gives up with a ``RuntimeError`` —
-        the guard against a factory that crashes every worker it
-        touches.
-    chaos:
-        Chaos-testing mode (``"worker-kill"`` | ``"worker-hang"``;
-        also settable via ``REPRO_CHAOS``): one batch per campaign is
-        marked so the pool worker that picks it up kills or hangs
-        itself, exercising the detect/restart/re-dispatch path.
-        Honoured on the process executor only — records must stay
-        bitwise-identical to an undisturbed run, which
-        :attr:`worker_restarts` (incremented per pool restart) makes
-        observable.
+        restarting the pool and re-dispatching them (``None`` → the
+        ``REPRO_WORKER_TIMEOUT`` environment variable, else wait
+        forever).  Timeouts never change records: a re-dispatched batch
+        replays the same pre-drawn plans.  A campaign gives up with a
+        ``RuntimeError`` after three waves that lose batches, and
+        :attr:`worker_restarts` counts the pool restarts.
 
     Notes
     -----
@@ -707,8 +669,6 @@ class CampaignEngine:
         workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         worker_timeout: Optional[float] = None,
-        max_dispatch_attempts: int = 3,
-        chaos: Optional[str] = None,
     ) -> None:
         self._kind = executor
         self._workers = workers
@@ -716,26 +676,19 @@ class CampaignEngine:
         if worker_timeout is None:
             env = os.environ.get(WORKER_TIMEOUT_ENV_VAR)
             if env:
-                worker_timeout = float(env)
+                try:
+                    worker_timeout = float(env)
+                except ValueError:
+                    raise ValueError(
+                        f"{WORKER_TIMEOUT_ENV_VAR} must be a number of "
+                        f"seconds, got {env!r}"
+                    ) from None
         if worker_timeout is not None and worker_timeout <= 0:
             raise ValueError("worker_timeout must be > 0 seconds")
         self.worker_timeout = worker_timeout
-        self.max_dispatch_attempts = max(1, int(max_dispatch_attempts))
-        if chaos is None:
-            chaos = os.environ.get(CHAOS_ENV_VAR) or None
-        if chaos is not None and str(chaos).lower() in ("off", "none", "0"):
-            # Explicit disable: lets a caller pin an undisturbed engine
-            # even when REPRO_CHAOS is set in the environment (the chaos
-            # smoke benchmark compares exactly such a pair).
-            chaos = None
-        if chaos is not None and chaos not in _CHAOS_MODES:
-            raise ValueError(
-                f"unknown chaos mode {chaos!r}; expected one of {_CHAOS_MODES}"
-            )
-        self.chaos = chaos
         #: Pool restarts performed after a worker death/hang (cumulative
-        #: across :meth:`run` calls) — the observable proof that a chaos
-        #: run actually lost and re-dispatched a batch.
+        #: across :meth:`run` calls) — the observable proof that a
+        #: campaign lost and re-dispatched a batch.
         self.worker_restarts = 0
         self._executor = None
         # Campaign metadata keyed by the factory pair *by value* (bound
@@ -951,30 +904,26 @@ class CampaignEngine:
         worker died (a dead worker breaks the whole
         ``ProcessPoolExecutor``, failing every outstanding future) or
         hung past ``worker_timeout``.  The pool is then restarted and
-        only the lost batches are re-dispatched — with any chaos marker
-        stripped, so an injected failure strikes exactly once.  Only a
-        dead worker (``BrokenProcessPool``) or a hang counts as a lost
-        batch: any other exception raised inside a worker is re-raised
-        at once, chained, naming the batch's first run and width.  Records
-        are bitwise-independent of all of this: batches carry their
+        only the lost batches are re-dispatched, for at most
+        ``_MAX_DISPATCH_ATTEMPTS`` waves.  Only a dead worker
+        (``BrokenProcessPool``) or a hang counts as a lost batch: any
+        other exception raised inside a worker is re-raised at once,
+        chained, naming the batch's first run and width.  Records are
+        bitwise-independent of all of this: batches carry their
         pre-drawn plans, and a re-run of a batch is deterministic.
         """
         pending: Dict[int, _BatchTask] = dict(enumerate(tasks))
-        if self.chaos is not None and pending:
-            victim = len(tasks) // 2
-            pending[victim] = replace(pending[victim], chaos=self.chaos)
         results: Dict[int, Tuple[BatchStrategy, List[RunRecord]]] = {}
         attempts = 0
         while pending:
             attempts += 1
-            if attempts > self.max_dispatch_attempts:
+            if attempts > _MAX_DISPATCH_ATTEMPTS:
                 raise RuntimeError(
                     f"{len(pending)} campaign batches still undone after "
-                    f"{self.max_dispatch_attempts} dispatch attempts "
+                    f"{_MAX_DISPATCH_ATTEMPTS} dispatch attempts "
                     f"({self.worker_restarts} pool restarts so far): the "
                     f"worker pool keeps dying or hanging — check that the "
-                    f"campaign factories are sound before raising "
-                    f"max_dispatch_attempts"
+                    f"campaign factories are sound"
                 )
             indices = sorted(pending)
             workers = max(1, getattr(executor, "workers", 1) or 1)
@@ -986,18 +935,15 @@ class CampaignEngine:
                 size = base + (1 if g < extra else 0)
                 groups.append(indices[start_idx:start_idx + size])
                 start_idx += size
-            timeout = self.worker_timeout
-            if timeout is None and any(
-                t.chaos == "worker-hang" for t in pending.values()
-            ):
-                timeout = _DEFAULT_CHAOS_TIMEOUT
             futures = {
                 executor.submit(
                     _execute_batch_group, [pending[i] for i in group]
                 ): group
                 for group in groups
             }
-            done, not_done = concurrent.futures.wait(futures, timeout=timeout)
+            done, not_done = concurrent.futures.wait(
+                futures, timeout=self.worker_timeout
+            )
             wave_failed = bool(not_done)
             for future in done:
                 group = futures[future]
@@ -1025,13 +971,6 @@ class CampaignEngine:
                 restart = getattr(executor, "restart", None)
                 if restart is not None:
                     restart()
-                # The injected failure already struck (its worker died or
-                # hung with the marked batch in hand); the re-dispatched
-                # batches must run clean.
-                pending = {
-                    i: replace(t, chaos=None) if t.chaos is not None else t
-                    for i, t in pending.items()
-                }
         return results
 
     @staticmethod

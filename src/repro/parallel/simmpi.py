@@ -12,9 +12,10 @@ deterministic stand-in:
   keyed by (source, destination, tag); payloads are copied on send, so
   ranks cannot share memory by accident.  Message and byte counts are
   tracked globally and per tag for the weak-scaling benchmark.  Every
-  payload carries a CRC32: in-flight corruption and drops (scheduled
-  through :meth:`SimChannel.schedule_fault`, e.g. by the
-  ``region-targeted`` fault models) are detected at receive time and
+  payload is covered by a CRC32, computed only for a payload a fault
+  struck (the only kind that can fail it): in-flight corruption and
+  drops (scheduled through :meth:`SimChannel.schedule_fault`, e.g. by
+  the ``region-targeted`` fault models) are detected at receive time and
   recovered by retransmission from the sender-side retention copy,
   with per-tag drop/corrupt/retransmit accounting — the standard
   link-level protection real interconnects provide underneath MPI.
@@ -140,13 +141,15 @@ class _Message:
 
     ``payload`` is what travels (and what scheduled faults mutate);
     ``pristine`` is the sender-side retention copy used for
-    retransmission; ``crc`` is the CRC32 of the payload as it was sent.
-    When no fault struck, ``payload`` *is* ``pristine`` (no extra copy).
+    retransmission.  When no fault struck, ``payload`` *is* ``pristine``
+    (no extra copy) and carries no CRC: ``recv`` checks only a payload
+    that is not its retention copy, so ``crc``, the CRC32 of the payload
+    as it was sent, is taken only for a payload a fault struck.
     """
 
     payload: np.ndarray
     pristine: np.ndarray
-    crc: int
+    crc: Optional[int] = None
     dropped: bool = False
 
 
@@ -161,18 +164,11 @@ class SimChannel:
     (``messages_by_tag``/``bytes_by_tag``) — the weak-scaling benchmark
     reports the per-tag breakdown.
 
-    Parameters
-    ----------
-    integrity:
-        Verify a CRC32 per payload at receive time (default on). A
-        corrupted payload is detected and recovered by "retransmission"
-        from the sender-side retention copy; a dropped message is
-        likewise detected and retransmitted. Both are counted per tag
-        (``corrupted_by_tag``/``dropped_by_tag``/
-        ``retransmitted_by_tag``). With ``integrity=False`` corruption
-        passes through silently and a drop raises :class:`ChannelError`
-        — the unprotected-wire baseline the hardening tests compare
-        against.
+    A corrupted payload fails its CRC32 at receive time and is
+    recovered by "retransmission" from the sender-side retention copy;
+    a dropped message is likewise detected and retransmitted. Both are
+    counted per tag (``corrupted_by_tag``/``dropped_by_tag``/
+    ``retransmitted_by_tag``).
 
     Notes
     -----
@@ -190,9 +186,8 @@ class SimChannel:
     of the same mailbox.
     """
 
-    def __init__(self, integrity: bool = True) -> None:
+    def __init__(self) -> None:
         self._mailboxes: Dict[Tuple[int, int, str], Deque[_Message]] = {}
-        self.integrity = bool(integrity)
         self._send_ordinal = 0
         self._scheduled: Dict[int, Tuple[str, Tuple[int, ...], int]] = {}
         self._failed: set = set()
@@ -286,7 +281,6 @@ class SimChannel:
         tag = str(tag)
         key = (int(source), int(dest), tag)
         pristine = np.array(payload, copy=True)
-        crc = zlib.crc32(pristine.tobytes())
         fault = None
         if fault_eligible:
             # Only fault-eligible sends (the halo stream) advance the
@@ -295,6 +289,7 @@ class SimChannel:
             self._send_ordinal += 1
             fault = self._scheduled.pop(self._send_ordinal, None)
         wire = pristine
+        crc = None
         dropped = False
         if fault is not None:
             action, index, bit = fault
@@ -310,6 +305,7 @@ class SimChannel:
                         f"for a payload of {pristine.size} elements "
                         f"(tag {tag!r}, rank {source} -> rank {dest})"
                     )
+                crc = zlib.crc32(pristine.tobytes())
                 wire = pristine.copy()
                 from repro.faults.bitflip import flip_bit_in_array
 
@@ -353,16 +349,10 @@ class SimChannel:
             )
         msg = queue.popleft()
         if msg.dropped:
-            if not self.integrity:
-                raise ChannelError(
-                    f"no message from rank {source} to rank {dest} with tag "
-                    f"{tag!r}: the payload was dropped in flight and "
-                    f"integrity tracking is disabled (no retransmission)"
-                )
             self.messages_retransmitted += 1
             self._count(self.retransmitted_by_tag, tag)
             return msg.pristine
-        if self.integrity and msg.payload is not msg.pristine:
+        if msg.payload is not msg.pristine:
             if zlib.crc32(msg.payload.tobytes()) != msg.crc:
                 self.messages_retransmitted += 1
                 self._count(self.retransmitted_by_tag, tag)

@@ -9,6 +9,8 @@ An empty mailbox raises a :class:`ChannelError` that names the link
 instead of a bare ``KeyError``/``IndexError``.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -80,21 +82,29 @@ class TestScheduledFaults:
         assert channel.messages_corrupted == 1
         assert channel.messages_retransmitted == 1
 
-    def test_unprotected_wire_lets_corruption_through(self):
-        channel = SimChannel(integrity=False)
-        payload = np.arange(8, dtype=np.float64)
-        channel.schedule_fault(1, action="corrupt", index=(3,), bit=62)
-        channel.send(0, 1, "halo", payload)
-        got = channel.recv(0, 1, "halo")
-        assert not np.array_equal(got, payload)  # silent corruption
-        assert channel.messages_retransmitted == 0
+    def test_crc_is_taken_only_for_a_struck_payload(self, monkeypatch):
+        # An unstruck payload is its own retention copy and is never
+        # checked, so only the struck one pays a CRC32: once when it is
+        # sent and once when it is received.
+        calls = []
+        crc32 = zlib.crc32
 
-    def test_unprotected_wire_raises_on_drop(self):
-        channel = SimChannel(integrity=False)
-        channel.schedule_fault(1, action="drop")
-        channel.send(0, 1, "halo", np.zeros(4))
-        with pytest.raises(ChannelError, match="dropped"):
-            channel.recv(0, 1, "halo")
+        def spy(data, *args):
+            calls.append(len(data))
+            return crc32(data, *args)
+
+        monkeypatch.setattr(zlib, "crc32", spy)
+        channel = SimChannel()
+        channel.schedule_fault(4, action="corrupt", index=(1,), bit=62)
+        for i in range(10):
+            channel.send(0, 1, "halo", np.full(8, float(i)))
+        for i in range(10):
+            np.testing.assert_array_equal(
+                channel.recv(0, 1, "halo"), np.full(8, float(i))
+            )
+        assert len(calls) == 2
+        assert channel.messages_corrupted == 1
+        assert channel.messages_retransmitted == 1
 
     def test_traffic_reports_loss_accounting(self):
         channel = SimChannel()

@@ -4,6 +4,47 @@ import pytest
 
 from repro.cli import build_parser, main
 
+_SMALL_CAMPAIGN = ["campaign", "--tile", "16", "16", "4", "--iterations", "8",
+                   "--repetitions", "6"]
+
+
+@pytest.fixture
+def restore_defaults(monkeypatch):
+    """Undo the process-wide defaults ``main`` installs from its flags."""
+    from repro.backends import registry
+    from repro.parallel import executor
+
+    for module, name in (
+        (executor, "_DEFAULT_EXECUTOR_OVERRIDE"),
+        (executor, "_DEFAULT_WORKERS_OVERRIDE"),
+        (registry, "_DEFAULT_OVERRIDE"),
+    ):
+        monkeypatch.setattr(module, name, getattr(module, name))
+
+
+def _campaign_results(monkeypatch):
+    """Collect every result ``CampaignEngine.run`` returns."""
+    from repro.faults.engine import CampaignEngine
+
+    results = []
+    run = CampaignEngine.run
+
+    def spy(self, *args, **kwargs):
+        results.append(run(self, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(CampaignEngine, "run", spy)
+    return results
+
+
+def _record_keys(result):
+    return [
+        (r.run_index, r.arithmetic_error, r.errors_detected,
+         r.errors_corrected, r.errors_uncorrected,
+         tuple((p.iteration, p.index, p.bit, p.target) for p in r.faults))
+        for r in result.records
+    ]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -112,23 +153,105 @@ class TestMain:
     ):
         # --bit and --faults-per-run configure the bitflip model, which
         # is also the model a campaign runs without --fault-model.
-        from repro.faults.engine import CampaignEngine
-
-        results = []
-        run = CampaignEngine.run
-
-        def spy(self, *args, **kwargs):
-            results.append(run(self, *args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(CampaignEngine, "run", spy)
-        assert main(["campaign", "--tile", "16", "16", "4", "--iterations",
-                     "8", "--repetitions", "6", "--bit", "30",
-                     "--faults-per-run", "2"]) == 0
+        results = _campaign_results(monkeypatch)
+        assert main(_SMALL_CAMPAIGN + ["--bit", "30",
+                                       "--faults-per-run", "2"]) == 0
         (result,) = results
         assert [len(r.faults) for r in result.records] == [2] * 6
         assert {p.bit for r in result.records for p in r.faults} == {30}
         assert "(model bitflip)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--fault-model", "mtbf", "--mtbf", "4", "--faults-per-run",
+              "3", "--burst-size", "9"], ["--faults-per-run", "'mtbf'"]),
+            (["--fault-model", "burst", "--crash-rank", "2", "--crash-iter",
+              "3", "--mtbf", "2"], ["--crash-rank", "'burst'"]),
+            # The model itself refuses a pinned iteration with an MTBF.
+            (["--fault-model", "rank-crash-mtbf", "--crash-iter", "3"],
+             ["'rank-crash-mtbf'", "at_iteration"]),
+        ],
+        ids=["flag-of-other-models", "crash-flags-on-burst", "model-refuses"],
+    )
+    def test_campaign_refuses_fault_flags_its_model_does_not_take(
+        self, capsys, flags, named
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(_SMALL_CAMPAIGN + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        for text in named:
+            assert text in err
+
+    def test_campaign_model_defaults_come_from_the_model(self, monkeypatch):
+        results = _campaign_results(monkeypatch)
+        assert main(_SMALL_CAMPAIGN + ["--fault-model", "mtbf"]) == 0
+        assert main(_SMALL_CAMPAIGN + ["--fault-model", "mtbf",
+                                       "--mtbf", "64"]) == 0
+        default, explicit = results
+        assert _record_keys(default) == _record_keys(explicit)
+
+    def test_campaign_mtbf_reaches_rank_crash(self, monkeypatch):
+        # RankCrash has an mtbf field: an arrival mean far beyond the
+        # horizon crashes no run, where the uniform draw crashes each.
+        results = _campaign_results(monkeypatch)
+        assert main(_SMALL_CAMPAIGN + ["--fault-model", "rank-crash",
+                                       "--mtbf", "1e9"]) == 0
+        (result,) = results
+        assert not any(p.target == "crash"
+                       for r in result.records for p in r.faults)
+
+    @pytest.mark.parametrize(
+        "command",
+        [_SMALL_CAMPAIGN, ["figure8", "--scale", "smoke"]],
+        ids=["campaign", "figure8"],
+    )
+    @pytest.mark.parametrize(
+        "variable, value, flags",
+        [
+            ("REPRO_EXECUTOR", "bogus", []),
+            ("REPRO_WORKER_TIMEOUT", "abc", []),
+            ("REPRO_WORKERS", "abc", ["--executor", "threads"]),
+        ],
+        ids=["executor", "worker-timeout", "workers"],
+    )
+    def test_bad_environment_setting_exits_2_with_one_line(
+        self, capsys, monkeypatch, restore_defaults, command, variable,
+        value, flags,
+    ):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(SystemExit) as exc:
+            main(command + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [l for l in err.splitlines() if "error:" in l]
+        assert repr(value) in line
+        if variable != "REPRO_EXECUTOR":
+            assert variable in line
+
+    def test_all_reuses_figure8_campaigns_for_figure9(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments import campaign_runner, figure8, figure9
+        from repro.experiments.common import EvaluationScale
+
+        calls = []
+
+        def spy(scale, tile, **kwargs):
+            calls.append(tile)
+            return campaign_runner.run_tile_campaigns(scale, tile, **kwargs)
+
+        monkeypatch.setattr(figure8, "run_tile_campaigns", spy)
+        monkeypatch.setattr(figure9, "run_tile_campaigns", spy)
+        assert main(["all", "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        scale = EvaluationScale.smoke()
+        assert sorted(calls) == sorted(scale.tile_sizes)
+        # Figure 9 from its own campaigns reads the same.
+        own = figure9.format_figure9(figure9.run_figure9(scale))
+        assert own in out
 
 
 class TestFlatKernelState:

@@ -144,19 +144,17 @@ class TestOfflineWithFault:
     def test_persistent_fault_bounded_by_max_attempts(self, rng):
         # A hook that corrupts the same point on every iteration can never
         # be repaired by recomputation; the protector must give up after
-        # max_recovery_attempts instead of livelocking.
+        # three rollbacks of the window instead of livelocking.
         grid = _make_grid(rng)
 
         def persistent(g, iteration):
             g.u[5, 5] += 1e4
 
-        p = OfflineABFT.for_grid(
-            grid, epsilon=1e-5, period=4, max_recovery_attempts=2
-        )
+        p = OfflineABFT.for_grid(grid, epsilon=1e-5, period=4)
         run = p.run(grid, 4, inject=persistent)
         assert run.total_detected >= 1
         assert run.total_uncorrected >= 1
-        assert p.total_rollbacks <= 2
+        assert p.total_rollbacks == 3
 
     def test_3d_fault_erased(self, small_grid_3d):
         grid = small_grid_3d

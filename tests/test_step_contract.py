@@ -73,8 +73,7 @@ class _BaseLoopBackend(Backend):
         )
 
 
-# Each registered backend once (``reference`` is an alias of ``numpy``).
-_NAMES = sorted({get_backend(name).name for name in available_backends()})
+_NAMES = list(available_backends())
 
 
 @pytest.fixture(scope="module", params=_NAMES + ["base"])
