@@ -5,8 +5,12 @@ detection threshold of :func:`repro.core.thresholds.recommend_epsilon`
 across the whole stencil library (2D and 3D, every boundary condition),
 and its ``checksum`` of a freshly swept domain must equal post-hoc
 ``checksum()`` results — otherwise swapping backends would change the
-false-positive/detection behaviour the paper calibrates.
+false-positive/detection behaviour the paper calibrates.  ``fused`` runs
+twice: with its compiled kernels, and with the native library reading
+as unavailable, so its NumPy paths keep the same contract.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from repro.backends import (
     available_backends,
     default_backend_name,
     get_backend,
+    native,
     register_backend,
     set_default_backend,
 )
@@ -51,9 +56,18 @@ def _spec_id(spec):
     return f"{spec.ndim}d-{spec.npoints}pt"
 
 
-@pytest.fixture(params=sorted(set(available_backends())))
+#: ``fused`` with its native library reading as unavailable: the NumPy
+#: sweep, lane fold and step a machine without ``cc`` runs.
+INTERPRETED_FUSED = "fused-interpreted"
+
+
+@pytest.fixture(params=[*available_backends(), INTERPRETED_FUSED])
 def backend_name(request):
-    return request.param
+    if request.param != INTERPRETED_FUSED:
+        yield request.param
+        return
+    with mock.patch.object(native, "_state", "forced unavailable by a test"):
+        yield "fused"
 
 
 class TestRegistry:
