@@ -54,7 +54,7 @@ if _SRC not in sys.path:
 
 import numpy as np
 
-from repro.backends import available_backends, get_backend
+from repro.backends import available_backends, get_backend, set_default_backend
 from repro.core.online import OnlineABFT
 from repro.core.thresholds import recommend_epsilon
 from repro.parallel.executor import make_executor, resolve_workers
@@ -75,15 +75,11 @@ DEFAULT_JSON = "BENCH_backends.json"
 ALLOC_OVERHEAD_ALLOWANCE = 256 * 1024
 
 
-def build_grid(size: int, backend: str) -> Grid2D:
+def build_grid(size: int) -> Grid2D:
+    """The benchmark domain; it steps on the process-wide backend."""
     rng = np.random.default_rng(42)
     initial = (rng.random((size, size)) * 100.0).astype(np.float32)
-    return Grid2D(
-        initial,
-        five_point_diffusion(0.2),
-        BoundaryCondition.clamp(),
-        backend=backend,
-    )
+    return Grid2D(initial, five_point_diffusion(0.2), BoundaryCondition.clamp())
 
 
 def warmup_backend(backend: str) -> float:
@@ -99,7 +95,7 @@ def warmup_backend(backend: str) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
-def time_protected_run(backend: str, size: int, iters: int, repeats: int):
+def time_protected_run(size: int, iters: int, repeats: int):
     """(median, min) per-iteration wall time (ms) of an OnlineABFT run.
 
     The median is reported in the table; the min — the least
@@ -108,8 +104,8 @@ def time_protected_run(backend: str, size: int, iters: int, repeats: int):
     """
     samples = []
     for _ in range(repeats):
-        grid = build_grid(size, backend)
-        protector = OnlineABFT.for_grid(grid, backend=backend)
+        grid = build_grid(size)
+        protector = OnlineABFT.for_grid(grid)
         protector.step(grid)  # warm-up: scratch buffers, first checksums
         start = time.perf_counter()
         for _ in range(iters):
@@ -118,11 +114,11 @@ def time_protected_run(backend: str, size: int, iters: int, repeats: int):
     return statistics.median(samples), min(samples)
 
 
-def time_raw_sweep(backend: str, size: int, iters: int, repeats: int) -> float:
+def time_raw_sweep(size: int, iters: int, repeats: int) -> float:
     """Median per-iteration wall time (ms) of the unprotected sweep."""
     samples = []
     for _ in range(repeats):
-        grid = build_grid(size, backend)
+        grid = build_grid(size)
         grid.step()
         start = time.perf_counter()
         for _ in range(iters):
@@ -131,7 +127,7 @@ def time_raw_sweep(backend: str, size: int, iters: int, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def measure_allocations(backend: str, size: int, iters: int = 5) -> dict:
+def measure_allocations(size: int, iters: int = 5) -> dict:
     """Tracemalloc profile of the protected hot loop.
 
     Measures the *peak* allocation growth across ``iters`` protected
@@ -141,8 +137,8 @@ def measure_allocations(backend: str, size: int, iters: int = 5) -> dict:
     double-buffered zero-copy pipeline only allocates O(edge) checksum
     vectors, orders of magnitude below it.
     """
-    grid = build_grid(size, backend)
-    protector = OnlineABFT.for_grid(grid, backend=backend)
+    grid = build_grid(size)
+    protector = OnlineABFT.for_grid(grid)
     # Warm up everything that legitimately allocates once: the buffer
     # pair's first ghost refresh, scratch buffers, initial checksums.
     protector.step(grid)
@@ -184,7 +180,7 @@ def _injection_signature(executor, size: int = 96) -> dict:
         if iteration == 3:
             grid.u[size // 3, size // 2] += 4096.0
 
-    grid = build_grid(size, "fused")
+    grid = build_grid(size)
     runner = TiledStencilRunner.with_online_abft(
         grid, (2, 2), executor=executor, epsilon=1e-5
     )
@@ -203,15 +199,16 @@ def compare_executors(size: int, iters: int, workers) -> dict:
     """Protected tiled-run timing + injection equivalence per executor.
 
     One executor (and pool) per kind serves both the timing run and the
-    injection-equivalence check.
+    injection-equivalence check, both on the ``fused`` backend.
     """
+    set_default_backend("fused")
     workers = resolve_workers(workers)
     results: dict = {"workers": workers, "tile_parts": [2, 2], "kinds": {}}
     serial_sig = None
     for kind in ("serial", "threads"):
         executor = make_executor(kind, workers=workers)
         try:
-            grid = build_grid(size, "fused")
+            grid = build_grid(size)
             runner = TiledStencilRunner.with_online_abft(
                 grid, (2, 2), executor=executor, epsilon=1e-5
             )
@@ -438,10 +435,11 @@ def main(argv=None) -> int:
     print("-" * len(header))
     warmups = {}
     for name in names:
+        set_default_backend(name)
         warmups[name] = warmup_backend(name)
-        raw = time_raw_sweep(name, args.size, args.iters, args.repeats)
-        protected, best = time_protected_run(name, args.size, args.iters, args.repeats)
-        alloc = measure_allocations(name, args.size)
+        raw = time_raw_sweep(args.size, args.iters, args.repeats)
+        protected, best = time_protected_run(args.size, args.iters, args.repeats)
+        alloc = measure_allocations(args.size)
         results[name] = (raw, protected, best, alloc)
     ref_sweep = results[REFERENCE][0]
     ref_protected = results[REFERENCE][1]

@@ -26,7 +26,7 @@ Run with::
 
 import numpy as np
 
-from repro import FaultInjector, FaultPlan, l2_error
+from repro import FaultInjector, FaultPlan, get_backend, l2_error
 from repro.apps.hotspot3d import HotSpot3D, HotSpot3DConfig
 from repro.faults.bitflip import flip_bit_in_array
 from repro.parallel.runner import TiledStencilRunner
@@ -81,7 +81,7 @@ def distributed_ranks() -> None:
         for tag in sorted(traffic["messages_by_tag"])
     )
     print(f"ranks                   : {runner.n_ranks} "
-          f"(backend {runner.backend.name}, zero-copy buffer pairs)")
+          f"(backend {get_backend().name}, zero-copy buffer pairs)")
     print(f"halo messages exchanged : {runner.channel.messages_sent}")
     print(f"halo bytes exchanged    : {runner.channel.bytes_sent} ({per_tag})")
     print(f"errors detected         : {runner.total_detected()} "

@@ -12,9 +12,9 @@ The library is organised as a set of small, composable subsystems:
 ``repro.backends``
     Pluggable compute backends behind every sweep and checksum: the
     ``numpy`` reference and the optimised ``fused`` backend (compiled
-    flat sweep and lane-folded checksum), selected via ``backend=`` keywords,
-    the ``REPRO_BACKEND`` environment variable or the ``--backend`` CLI
-    flag.
+    flat sweep and lane-folded checksum), selected once for the whole
+    process via ``set_default_backend``, the ``REPRO_BACKEND``
+    environment variable or the ``--backend`` CLI flag.
 
 ``repro.stencil``
     Arbitrary 2D/3D stencil specifications, boundary conditions and

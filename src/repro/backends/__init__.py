@@ -28,14 +28,17 @@ that fuses the refresh into its own sweep only has to override those.
 A protector then reduces the new domain with ``checksum``, after any
 fault-injection hook has run.
 
-Select a backend with the ``backend=`` keyword accepted throughout the
-stack (grids, sweeps, protectors, the tiled runner), the
-``REPRO_BACKEND`` environment variable, or the CLI's ``--backend`` flag.
+One process-wide selection picks the backend for every layer:
+:func:`~repro.backends.registry.set_default_backend` (what the CLI's
+``--backend`` flag calls), else the ``REPRO_BACKEND`` environment
+variable, else ``fused``.  Grids, protectors, runners and the campaign
+engine each call :func:`~repro.backends.registry.get_backend` where
+they use the backend, so they all run on the same instance.
 Third-party backends join the same registry through
 :func:`~repro.backends.registry.register_backend`.
 """
 
-from repro.backends.base import Backend, ChecksumMap
+from repro.backends.base import Backend
 from repro.backends.fused import FusedBackend
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.registry import (
@@ -50,7 +53,6 @@ from repro.backends.registry import (
 
 __all__ = [
     "Backend",
-    "ChecksumMap",
     "NumpyBackend",
     "FusedBackend",
     "ENV_VAR",

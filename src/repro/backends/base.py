@@ -41,9 +41,9 @@ calibrates.  The equivalence is enforced by ``tests/test_backends.py``
 for every registered backend.
 
 Backends are registered with :func:`repro.backends.register_backend` and
-selected through :func:`repro.backends.get_backend` (programmatically),
-the ``REPRO_BACKEND`` environment variable, or the ``--backend`` CLI
-flag.  See ``README.md`` ("Adding a backend") for a walkthrough.
+selected process-wide through :func:`repro.backends.set_default_backend`
+(programmatically), the ``REPRO_BACKEND`` environment variable, or the
+``--backend`` CLI flag.  See ``README.md`` ("Adding a backend") for a walkthrough.
 """
 
 from __future__ import annotations
@@ -55,11 +55,7 @@ import numpy as np
 
 from repro.stencil.spec import StencilSpec
 
-__all__ = ["Backend", "ChecksumMap"]
-
-#: ``{reduce_axis: checksum_vector}``: the checksums a tiled run's
-#: executor reduces per tile and hands to ``OnlineABFT.process``.
-ChecksumMap = Dict[int, np.ndarray]
+__all__ = ["Backend"]
 
 
 class _BatchedSpecView:

@@ -1,7 +1,8 @@
 """Backend registry and selection.
 
-Resolution order of :func:`get_backend` when no explicit choice is
-given:
+The process-wide selection is the one way a layer gets its backend:
+grids, protectors, runners and the campaign engine call
+:func:`get_backend` with no argument where they use it, which resolves
 
 1. the process-wide default installed with :func:`set_default_backend`
    (what the ``--backend`` CLI flag sets),
@@ -14,13 +15,12 @@ same instance, so per-backend caches (e.g. the fused backend's scratch
 buffers) are shared across the process.
 
 The campaign engine's process executor rebuilds grids and protectors
-inside each worker from pickled factories, and a backend instance does
-not cross the process boundary (the fused backend's thread-local
-scratch does not pickle).  Such a factory names its backend, which each
-worker resolves **by name** from its own registry, so a custom backend
-must be registered at import time — module level of an imported
-package — for worker processes to find it.  Unregistered instances
-still work everywhere in-process.
+inside each worker, and a backend instance does not cross the process
+boundary (the fused backend's thread-local scratch does not pickle).
+Each worker resolves the selection from its own registry (forked
+workers inherit the default), so a custom backend must be registered at
+import time — module level of an imported package — for worker
+processes to find it.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def default_backend_name() -> str:
-    """The name the current process resolves ``backend=None`` to."""
+    """The name :func:`get_backend` resolves with no argument."""
     if _DEFAULT_OVERRIDE is not None:
         return _DEFAULT_OVERRIDE
     return os.environ.get(ENV_VAR, BUILTIN_DEFAULT)
@@ -94,8 +94,9 @@ def get_backend(spec: BackendLike = None) -> Backend:
     """Resolve a backend name/instance/``None`` to a :class:`Backend`.
 
     ``None`` resolves through the default chain documented in the module
-    docstring; an instance is returned unchanged (so callers can inject
-    unregistered custom backends).
+    docstring; a name fetches that registered instance (tests compare
+    against the ``numpy`` reference this way); an instance is returned
+    unchanged.
     """
     if isinstance(spec, Backend):
         return spec

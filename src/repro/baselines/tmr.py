@@ -12,8 +12,9 @@ Fault-model note: the injection hook corrupts the grid's freshly swept
 domain, which plays the role of replica 1; the two redundant replicas
 are recomputed from the (still intact) previous padded state.
 
-The redundant replicas run through the grid's own compute backend
-(``grid.backend.sweep_padded``) into two *persistent* replica buffers,
+The redundant replicas run through the process-wide compute backend,
+the one the grid steps on (``get_backend().sweep_padded``), into two
+*persistent* replica buffers,
 so a TMR step costs exactly two extra backend sweeps — no per-replica
 padding and no per-replica full-domain allocation beyond the two
 buffers the protector owns for its lifetime.
@@ -25,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backends import get_backend
 from repro.core.protector import InjectHook, Protector, StepReport
 from repro.stencil.grid import GridBase
 
@@ -85,7 +87,7 @@ class TMRProtector(Protector):
         # the already-padded previous buffer into persistent output
         # buffers: two extra backend sweeps, zero extra padding and zero
         # per-step full-domain allocations.
-        backend = grid.backend
+        backend = get_backend()
         buf_2, buf_3 = self._replica_buffers(grid.u)
         replica_1 = grid.u
         replica_2 = backend.sweep_padded(

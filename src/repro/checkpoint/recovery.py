@@ -28,7 +28,6 @@ def rollback_and_recompute(
     iterations: int,
     inject: Optional[Callable[[GridBase, int], None]] = None,
     on_step: Optional[StepCallback] = None,
-    backend=None,
 ) -> int:
     """Restore ``grid`` from ``checkpoint`` and recompute ``iterations`` sweeps.
 
@@ -49,11 +48,6 @@ def rollback_and_recompute(
         Optional callback invoked after every recomputed sweep — the
         offline protector uses it to re-record the boundary strips it
         needs for re-verification.
-    backend:
-        Optional compute backend (name or instance) for the recomputed
-        sweeps. The offline protector forwards its own backend so the
-        replayed window uses the same numerics as the original sweeps;
-        ``None`` uses the grid's backend.
 
     Returns
     -------
@@ -64,7 +58,7 @@ def rollback_and_recompute(
         raise ValueError("iterations must be non-negative")
     grid.restore(checkpoint)
     for _ in range(iterations):
-        grid.step(backend=backend)
+        grid.step()
         if inject is not None:
             inject(grid, grid.iteration)
         if on_step is not None:

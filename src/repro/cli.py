@@ -65,6 +65,7 @@ from repro.experiments import (
 )
 from repro.faults.engine import CampaignEngine
 from repro.faults.models import FaultModel, make_fault_model
+from repro.parallel.simmpi import DistributedStencilRunner, RecoveryError
 from repro.version import __version__
 
 __all__ = ["main", "build_parser"]
@@ -307,75 +308,62 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 @contextmanager
 def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
-    """Turn a bad setting into exit 2 with one line instead of a traceback."""
+    """Turn a bad setting into exit 2 with one line instead of a traceback.
+
+    Wrap only argument checks and object construction, never a run, so
+    an error a bug raises mid-run keeps its traceback.
+    """
     try:
         yield
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, RecoveryError) as exc:
         parser.error(str(exc.args[0]))
+
+
+def _select_backend(name: Optional[str]) -> None:
+    """Install ``--backend`` as the process-wide selection and validate it."""
+    if name is not None:
+        set_default_backend(name)
+    get_backend()  # REPRO_BACKEND
 
 
 def _check_crash_iter(crash_iter: int, iterations: int) -> None:
     """Reject a pinned crash iteration the run would never reach."""
     if not 1 <= crash_iter <= iterations:
-        raise SystemExit(
-            f"error: --crash-iter {crash_iter} out of range for a run of "
+        raise ValueError(
+            f"--crash-iter {crash_iter} out of range for a run of "
             f"{iterations} iterations (1..{iterations})"
         )
 
 
-def _run_distributed(args) -> int:
+def _run_distributed(args, parser: argparse.ArgumentParser) -> int:
     """``repro distributed``: drive the simulated rank-decomposed runner."""
     import numpy as np
 
-    from repro.parallel.simmpi import DistributedStencilRunner, RecoveryError
     from repro.stencil.boundary import BoundaryCondition
     from repro.stencil.grid import Grid2D
     from repro.stencil.kernels import five_point_diffusion
 
-    rng = np.random.default_rng(42)
-    initial = (rng.random((args.size, args.size)) * 100.0).astype(np.float32)
-    boundary = (
-        BoundaryCondition.periodic()
-        if args.boundary == "periodic"
-        else BoundaryCondition.clamp()
-    )
-    grid = Grid2D(initial, five_point_diffusion(0.2), boundary)
-    try:
+    with _usage_errors(parser):
+        _select_backend(args.backend)
+        if args.iters < 0:
+            raise ValueError(f"--iters must be >= 0, got {args.iters}")
+        rng = np.random.default_rng(42)
+        initial = (rng.random((args.size, args.size)) * 100.0).astype(np.float32)
+        boundary = (
+            BoundaryCondition.periodic()
+            if args.boundary == "periodic"
+            else BoundaryCondition.clamp()
+        )
+        grid = Grid2D(initial, five_point_diffusion(0.2), boundary)
         runner = DistributedStencilRunner(
             grid,
             n_ranks=args.ranks,
             protect=not args.no_protect,
-            backend=args.backend,
             checkpoint_period=args.checkpoint_period,
         )
-    except RecoveryError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    inject = None
-    crash_requested = args.crash_rank is not None or args.crash_iter is not None
-    if crash_requested:
-        from repro.faults.injector import FaultPlan
-        from repro.faults.models import DistributedFaultInjector
-
-        victim = args.crash_rank if args.crash_rank is not None else 1 % args.ranks
-        if not 0 <= victim < args.ranks:
-            raise SystemExit(
-                f"error: --crash-rank {victim} out of range for "
-                f"{args.ranks} ranks"
-            )
-        crash_iter = (
-            args.crash_iter
-            if args.crash_iter is not None
-            else max(1, args.iters // 2)
-        )
-        _check_crash_iter(crash_iter, args.iters)
-        per_rank = [[] for _ in range(args.ranks)]
-        per_rank[victim] = [
-            FaultPlan(
-                iteration=crash_iter, index=(), bit=0, target="crash",
-                rank=victim,
-            )
-        ]
-        inject = DistributedFaultInjector(runner, per_rank)
+        inject = None
+        if args.crash_rank is not None or args.crash_iter is not None:
+            inject = _crash_injector(args, runner)
     runner.run(args.iters, inject=inject)
 
     gathered = runner.gather()
@@ -383,7 +371,7 @@ def _run_distributed(args) -> int:
     print(
         f"distributed run: {args.size}x{args.size} five-point diffusion "
         f"({args.boundary}), {args.ranks} ranks, {args.iters} iterations "
-        f"(backend {runner.backend.name})"
+        f"(backend {get_backend().name})"
     )
     print(f"gather checksum : {checksum:.6f}")
     print(
@@ -430,6 +418,29 @@ def _run_distributed(args) -> int:
     return 0
 
 
+def _crash_injector(args, runner):
+    """The injector crashing ``--crash-rank`` at ``--crash-iter``."""
+    from repro.faults.injector import FaultPlan
+    from repro.faults.models import DistributedFaultInjector
+
+    victim = args.crash_rank if args.crash_rank is not None else 1 % args.ranks
+    if not 0 <= victim < args.ranks:
+        raise ValueError(
+            f"--crash-rank {victim} out of range for {args.ranks} ranks"
+        )
+    crash_iter = (
+        args.crash_iter if args.crash_iter is not None else max(1, args.iters // 2)
+    )
+    _check_crash_iter(crash_iter, args.iters)
+    per_rank = [[] for _ in range(args.ranks)]
+    per_rank[victim] = [
+        FaultPlan(
+            iteration=crash_iter, index=(), bit=0, target="crash", rank=victim,
+        )
+    ]
+    return DistributedFaultInjector(runner, per_rank)
+
+
 def _campaign_fault_model(args) -> FaultModel:
     """The model ``repro campaign`` draws from, built from the flags given.
 
@@ -456,7 +467,7 @@ def _campaign_fault_model(args) -> FaultModel:
         raise ValueError(f"fault model {name!r}: {exc}") from None
 
 
-def _run_campaign_cli(args, fault_model: FaultModel) -> int:
+def _run_campaign_cli(args, parser: argparse.ArgumentParser) -> int:
     """``repro campaign``: one campaign on the high-throughput engine."""
     import time
 
@@ -465,17 +476,19 @@ def _run_campaign_cli(args, fault_model: FaultModel) -> int:
     from repro.faults.campaign import CampaignConfig
 
     tile = tuple(args.tile)
-    app = make_hotspot_app(tile)
+    with _usage_errors(parser):
+        config = CampaignConfig(
+            iterations=args.iterations,
+            repetitions=args.repetitions,
+            inject=(args.scenario == "single-bit-flip"),
+            seed=args.seed,
+            fault_model=_campaign_fault_model(args),
+        )
+        app = make_hotspot_app(tile)
+        factory = make_protector_factory(args.method, period=args.period)
+        engine = CampaignEngine(batch_size=args.batch)
     reference = app.reference_solution(args.iterations)
-    factory = make_protector_factory(args.method, period=args.period)
-    config = CampaignConfig(
-        iterations=args.iterations,
-        repetitions=args.repetitions,
-        inject=(args.scenario == "single-bit-flip"),
-        seed=args.seed,
-        fault_model=fault_model,
-    )
-    with CampaignEngine(batch_size=args.batch) as engine:
+    with engine:
         start = time.perf_counter()
         result = engine.run(
             app.build_grid, factory, config, reference=reference,
@@ -586,9 +599,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _list_backends(args.json)
 
     if args.command == "distributed":
-        with _usage_errors(parser):
-            get_backend(args.backend)
-        return _run_distributed(args)
+        return _run_distributed(args, parser)
 
     if args.command == "executors":
         default = default_executor_kind()
@@ -600,7 +611,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for kind in available_executors():
             marker = " (default)" if kind == default else ""
             print(f"{kind:12s} -> {descriptions[kind]}{marker}")
-        print(f"workers default: {resolve_workers(None)} (os.cpu_count)")
+        with _usage_errors(parser):
+            workers = resolve_workers(None)  # REPRO_WORKERS
+        print(f"workers default: {workers} (os.cpu_count)")
         return 0
 
     # The campaign command and every experiment.  Each setting a run
@@ -611,15 +624,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             set_default_executor(args.executor)
         if args.workers is not None:
             set_default_workers(args.workers)
-        if args.backend is not None:
-            set_default_backend(args.backend)
-        get_backend()
+        _select_backend(args.backend)
         CampaignEngine()  # REPRO_WORKER_TIMEOUT
         make_executor().shutdown()  # REPRO_EXECUTOR, REPRO_WORKERS for a pool
     if args.command == "campaign":
-        with _usage_errors(parser):
-            fault_model = _campaign_fault_model(args)
-        return _run_campaign_cli(args, fault_model)
+        return _run_campaign_cli(args, parser)
     scale = _SCALES[args.scale]()
 
     if args.command == "all":

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.backends import get_backend
-from repro.backends.registry import BackendLike
 from repro.checkpoint.recovery import rollback_and_recompute
 from repro.checkpoint.snapshot import Snapshot
 from repro.core.checksums import constant_checksum
@@ -72,29 +71,27 @@ class OfflineABFT(Protector):
     track_strips:
         Record exact α/β strips every sweep (default) or use the
         simplified interpolation of Eqs. (8)-(9).
-    metadata_self_check:
-        Guard the protector's own state against corruption (default on).
-        The checkpoint's working checksum is validated against its
-        independent duplicate before every replay (the duplicate rule of
-        :meth:`~repro.checkpoint.snapshot.Snapshot.verify`); on mismatch
-        it is recomputed from the checkpoint interior instead of being
-        trusted. Without this, a bit flip striking the
-        *stored checksum* (rather than the domain) drives futile
-        rollback/recompute cycles of perfectly healthy data until the
-        window's three rollbacks are spent. Repairs are counted in
-        ``total_metadata_repairs``.
     checksum_dtype:
         Accumulation dtype for checksums. Defaults to ``numpy.float64``
         so that the Δ-step replay does not itself drift past ε — a
         documented deviation from the paper's float32 checksums (see
         EXPERIMENTS.md).
-    backend:
-        Compute backend (registry name or instance) used for the sweeps
-        and checksums. ``None`` steps with the grid's backend and
-        reduces with the process-wide selection. Only the sweep that
-        closes a detection window is followed by a checksum, taken
-        after the fault-injection hook (if any) has run, so the hook
-        can corrupt the domain *before* the checksum is taken.
+
+    Notes
+    -----
+    Only the sweep that closes a detection window is followed by a
+    checksum, taken after the fault-injection hook (if any) has run, so
+    the hook can corrupt the domain *before* the checksum is taken.
+
+    The protector guards its own state against corruption: the
+    checkpoint's working checksum is validated against its independent
+    duplicate before every replay (the duplicate rule of
+    :meth:`~repro.checkpoint.snapshot.Snapshot.verify`); on mismatch it
+    is recomputed from the checkpoint interior instead of being trusted.
+    Without this, a bit flip striking the *stored checksum* (rather
+    than the domain) drives futile rollback/recompute cycles of
+    perfectly healthy data until the window's three rollbacks are
+    spent. Repairs are counted in ``total_metadata_repairs``.
     """
 
     name = "offline-abft"
@@ -110,9 +107,7 @@ class OfflineABFT(Protector):
         epsilon: Optional[float] = None,
         verify_axis: int = 0,
         track_strips: bool = True,
-        metadata_self_check: bool = True,
         checksum_dtype=np.float64,
-        backend: BackendLike = None,
     ) -> None:
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
@@ -131,8 +126,6 @@ class OfflineABFT(Protector):
         self.verify_axis = verify_axis
         self.track_strips = bool(track_strips)
         self.radius = spec.radius()
-        self.metadata_self_check = bool(metadata_self_check)
-        self.backend = None if backend is None else get_backend(backend)
         if epsilon is None:
             # As for the online protector, the margin is governed by the
             # domain dtype; the period enters because the interpolation is
@@ -180,8 +173,9 @@ class OfflineABFT(Protector):
         self.total_metadata_repairs = 0
 
     def _checksum(self, u: np.ndarray) -> np.ndarray:
-        be = self.backend if self.backend is not None else get_backend()
-        return be.checksum(u, self.verify_axis, dtype=self.checksum_dtype)
+        return get_backend().checksum(
+            u, self.verify_axis, dtype=self.checksum_dtype
+        )
 
     def _record_strips(self, grid: GridBase) -> None:
         # ``previous_padded`` is a live view into the grid's buffer pair
@@ -208,15 +202,15 @@ class OfflineABFT(Protector):
     def _replay_interpolation(self) -> np.ndarray:
         """Interpolate the checkpoint checksum forward through the window.
 
-        With the self-check on, the checkpoint checksum first passes the
-        duplicate rule: a copy mismatch means a fault struck the
-        metadata, not the domain, so the checksum is recomputed from the
-        checkpoint interior (no payload check — that would cost a
-        reduction pass per window) and a corrupted checksum never drives
-        futile rollbacks of healthy data.
+        The checkpoint checksum first passes the duplicate rule: a copy
+        mismatch means a fault struck the metadata, not the domain, so
+        the checksum is recomputed from the checkpoint interior (no
+        payload check — that would cost a reduction pass per window) and
+        a corrupted checksum never drives futile rollbacks of healthy
+        data.
         """
         ckpt = self.checkpoint
-        if self.metadata_self_check and ckpt.verify(self._checksum, payload=False):
+        if ckpt.verify(self._checksum, payload=False):
             self.total_metadata_repairs += 1
         cs = ckpt.checksum
         for strips in self._strips:
@@ -239,7 +233,7 @@ class OfflineABFT(Protector):
         if self.checkpoint is None:
             # Initial verified state (t = 0 data assumed correct).
             self._take_checkpoint(grid)
-        grid.step(backend=self.backend)
+        grid.step()
         if inject is not None:
             inject(grid, grid.iteration)
         self._record_strips(grid)
@@ -285,7 +279,6 @@ class OfflineABFT(Protector):
                 window,
                 inject=inject,
                 on_step=self._record_strips,
-                backend=self.backend,
             )
             report.rollback = True
             report.recomputed_iterations += recomputed

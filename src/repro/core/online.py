@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backends import ChecksumMap, get_backend
-from repro.backends.registry import BackendLike
+from repro.backends import get_backend
 from repro.checkpoint.snapshot import ProtectorState
 from repro.core.checksums import constant_checksum
 from repro.core.correction import correct_errors, match_detections
@@ -82,23 +81,17 @@ class OnlineABFT(Protector):
         sizes (Section 5.1). Pass ``None`` to accumulate in the domain
         dtype exactly as the paper's fused float32 kernel does (the
         ablation benchmark compares the two).
-    metadata_self_check:
-        Guard the protector's own state against corruption (default on).
-        Every stored previous-step checksum is kept twice; before it is
-        used for interpolation the two copies are compared, and on
-        mismatch the checksum is recomputed from the still-alive
-        previous domain instead of being trusted. Without this, a bit
-        flip striking the *stored checksum* (rather than the domain)
-        triggers a one-sided detection and a bogus correction of healthy
-        data. Repairs are counted in ``total_metadata_repairs``.
-    backend:
-        Compute backend (registry name or instance) used for the grid's
-        step and for every checksum the protector computes. ``None``
-        steps with the grid's backend and reduces with the process-wide
-        selection.
-
     Notes
     -----
+    The protector guards its own state against corruption: every stored
+    previous-step checksum is kept twice; before it is used for
+    interpolation the two copies are compared, and on mismatch the
+    checksum is recomputed from the still-alive previous domain instead
+    of being trusted. Without this, a bit flip striking the *stored
+    checksum* (rather than the domain) triggers a one-sided detection
+    and a bogus correction of healthy data. Repairs are counted in
+    ``total_metadata_repairs``.
+
     :meth:`step` has one path, hook or not: the grid's step (ghost
     refresh and sweep), then the ``inject`` hook if one is set, then
     :meth:`process`, which reduces the verified checksum from the new
@@ -125,8 +118,6 @@ class OnlineABFT(Protector):
         correction_strategy: str = "average",
         eager_row_checksum: bool = False,
         checksum_dtype=np.float64,
-        metadata_self_check: bool = True,
-        backend: BackendLike = None,
     ) -> None:
         if verify_axis not in (0, 1):
             raise ValueError("verify_axis must be 0 (column) or 1 (row)")
@@ -143,8 +134,6 @@ class OnlineABFT(Protector):
         self.other_axis = 1 - verify_axis
         self.correction_strategy = correction_strategy
         self.eager_row_checksum = bool(eager_row_checksum)
-        self.metadata_self_check = bool(metadata_self_check)
-        self.backend = None if backend is None else get_backend(backend)
         self.radius = spec.radius()
         if epsilon is None:
             # The detection margin is governed by the *domain* dtype (the
@@ -223,8 +212,7 @@ class OnlineABFT(Protector):
         ) = (int(c) for c in state.counters)
 
     def _checksum(self, u: np.ndarray, axis: int) -> np.ndarray:
-        be = self.backend if self.backend is not None else get_backend()
-        return be.checksum(u, axis, dtype=self.checksum_dtype)
+        return get_backend().checksum(u, axis, dtype=self.checksum_dtype)
 
     def _store_prev_cs(self, axis: int, cs: Optional[np.ndarray]) -> None:
         """Store a previous-step checksum (plus its self-check duplicate).
@@ -234,10 +222,7 @@ class OnlineABFT(Protector):
         fault struck the metadata itself.
         """
         self._prev_cs[axis] = cs
-        if cs is None or not self.metadata_self_check:
-            self._prev_cs_dup[axis] = None
-        else:
-            self._prev_cs_dup[axis] = cs.copy()
+        self._prev_cs_dup[axis] = None if cs is None else cs.copy()
 
     def _checked_prev_cs(self, axis: int, prev_u: np.ndarray) -> np.ndarray:
         """The stored previous-step checksum, validated against its duplicate.
@@ -248,23 +233,11 @@ class OnlineABFT(Protector):
         detection/correction of healthy data.
         """
         cs = self._prev_cs[axis]
-        dup = self._prev_cs_dup[axis]
-        if (
-            self.metadata_self_check
-            and cs is not None
-            and dup is not None
-            and not np.array_equal(cs, dup)
-        ):
+        if cs is not None and not np.array_equal(cs, self._prev_cs_dup[axis]):
             self.total_metadata_repairs += 1
             cs = self._checksum(prev_u, axis)
             self._store_prev_cs(axis, cs)
         return cs
-
-    def verify_axes(self):
-        """Axes whose checksums :meth:`process` reduces from each new step."""
-        if self.eager_row_checksum:
-            return (self.verify_axis, self.other_axis)
-        return (self.verify_axis,)
 
     def step(self, grid: GridBase, inject: Optional[InjectHook] = None) -> StepReport:
         if grid.shape != self.shape:
@@ -278,7 +251,7 @@ class OnlineABFT(Protector):
             if self.eager_row_checksum:
                 self._store_prev_cs(other, self._checksum(grid.u, other))
 
-        grid.step(backend=self.backend)
+        grid.step()
         if inject is not None:
             inject(grid, grid.iteration)
         return self.process(
@@ -291,7 +264,6 @@ class OnlineABFT(Protector):
         u_new: np.ndarray,
         padded_prev: np.ndarray,
         iteration: int,
-        precomputed_checksums: Optional[ChecksumMap] = None,
         layout: Optional[GridLayout] = None,
     ) -> StepReport:
         """Verify (and correct) a freshly swept domain.
@@ -304,13 +276,6 @@ class OnlineABFT(Protector):
         identically).  The parallel tile runner calls this directly, one
         call per tile, and so does the distributed runner, one call per
         rank with the rank's pre-swap front buffer as ``padded_prev``.
-
-        ``precomputed_checksums`` carries checksums of ``u_new`` the
-        caller has already reduced (``{axis: vector}``): the tiled
-        runner's executor reduces each tile where it swept it.  Any axis
-        present is trusted instead of being recomputed here, so callers
-        must only pass checksums that reflect ``u_new``'s current
-        contents; with an inject hook set the tiled runner passes none.
 
         ``layout`` is the :class:`~repro.stencil.doublebuffer.GridLayout`
         of ``padded_prev``, passed by callers that own their buffer pair
@@ -353,10 +318,7 @@ class OnlineABFT(Protector):
         grid_u = u_new
         grid_ndim = u_new.ndim
 
-        if precomputed_checksums is not None and verify in precomputed_checksums:
-            cs_comp = precomputed_checksums[verify]
-        else:
-            cs_comp = self._checksum(grid_u, verify)
+        cs_comp = self._checksum(grid_u, verify)
         cs_interp = interpolate_checksum_padded(
             self._checked_prev_cs(verify, prev_u),
             padded_prev,
@@ -376,12 +338,9 @@ class OnlineABFT(Protector):
             max_relative_error=detection.max_relative_error,
         )
 
-        other_comp = None
-        if self.eager_row_checksum:
-            if precomputed_checksums is not None and other in precomputed_checksums:
-                other_comp = precomputed_checksums[other]
-            else:
-                other_comp = self._checksum(grid_u, other)
+        other_comp = (
+            self._checksum(grid_u, other) if self.eager_row_checksum else None
+        )
 
         if detection.detected:
             self.total_detections += detection.n_errors

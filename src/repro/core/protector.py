@@ -12,10 +12,9 @@ the paper's evaluation are
 
 All three expose the same ``step(grid, inject=...)`` / ``run(...)`` /
 ``finalize(grid)`` interface so that the experiment harness can swap
-them freely. Protectors also surface the pluggable compute-backend
-choice (:mod:`repro.backends`): the ABFT protectors accept a
-``backend=`` keyword and route their sweeps and checksum reductions
-through it. The optional ``inject`` callable models the paper's fault
+them freely. Every sweep and checksum reduction runs on the process-wide
+compute-backend selection (:func:`repro.backends.get_backend`),
+resolved where it is used. The optional ``inject`` callable models the paper's fault
 injection point: it is invoked *after* the sweep has produced the new
 domain and *before* any checksum is computed from it (Section 5.1: the
 bit-flip is injected "after the stencil point targeted for data
@@ -100,11 +99,6 @@ class Protector(ABC):
 
     #: Human-readable name used by the experiment reports.
     name: str = "protector"
-
-    #: Resolved compute backend driving this protector's numerics, or
-    #: ``None`` to follow the grid's backend (which itself defaults to
-    #: the process-wide selection — see :mod:`repro.backends`).
-    backend = None
 
     @abstractmethod
     def step(self, grid: GridBase, inject: Optional[InjectHook] = None) -> StepReport:

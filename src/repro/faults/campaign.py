@@ -355,12 +355,7 @@ def run_with_crashes(
             f"'no-abft' protectors; got {getattr(protector, 'name', type(protector).__name__)!r}"
         )
     n_ranks = int(getattr(fault_model, "n_ranks", 2))
-    runner = DistributedStencilRunner(
-        grid,
-        n_ranks=n_ranks,
-        protect=protect,
-        backend=getattr(protector, "backend", None),
-    )
+    runner = DistributedStencilRunner(grid, n_ranks=n_ranks, protect=protect)
     injector = DistributedFaultInjector.from_global(runner, plans)
     start = time.perf_counter()
     runner.run(iterations, inject=injector)

@@ -100,6 +100,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends import get_backend
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection, Protector
 from repro.faults.campaign import (
@@ -149,12 +150,6 @@ _AUTO_BATCH_CAP = 32
 #: called in the parent, in run order, so stateful RNG draws match the
 #: equivalent serial loop.
 HookFactory = Callable[[int], Callable]
-
-
-def _resolved_backend(grid: GridBase, protector: Protector):
-    """The backend the protector's sweeps will actually run through."""
-    backend = getattr(protector, "backend", None)
-    return backend if backend is not None else grid.backend
 
 
 def stacked_support_reason(
@@ -251,7 +246,8 @@ class _StackedBatch:
     iteration's bit flips, the batch's checksums, one Theorem-1
     interpolation and one detection screen — each acting on every run
     of the batch at once.  All buffers are allocated once and reset in
-    place between batches.
+    place between batches.  Each batch resolves the process-wide
+    backend selection when it starts.
 
     Every checksum goes through the protector's ``Backend.checksum``,
     the call a replayed run makes on its own interior, so each slot's
@@ -270,7 +266,6 @@ class _StackedBatch:
         self.base_radius = grid.radius
         self.dtype = grid.dtype
         self.spec = grid.spec
-        self.backend = _resolved_backend(grid, protector)
         # Domain-axis boundary: the backend's batched step treats the
         # trailing run axis itself (ghost width 0, never refreshed).
         self.base_boundary = BoundarySpec.from_any(
@@ -335,7 +330,7 @@ class _StackedBatch:
         counters = np.zeros((width, 3), dtype=np.int64)
         protector = self.protector
         verify = self.verify_axis if protector is not None else 0
-        backend = self.backend
+        backend = get_backend()
 
         start = time.perf_counter()
         interior = interior_view(self.pair.front, self.radius)[..., :width]
@@ -496,7 +491,7 @@ class _WorkerCampaign:
         self.protector.reset()
         # Build or load the backend's compiled kernels here, outside
         # the timed runs, whichever strategy the batches take.
-        _resolved_backend(self.grid, self.protector).warmup()
+        get_backend().warmup()
 
     def _ensure_stacked(self, width: int) -> _StackedBatch:
         # Built lazily (hook-driven campaigns replay and never need the
@@ -638,9 +633,9 @@ class CampaignEngine:
         :func:`resolve_workers`' default chain).
     batch_size:
         Runs per dispatched batch (``None`` → automatic: bounded by 32
-        and by an even split across the workers).  Batch size affects
-        scheduling and the stacked width only — records are
-        bitwise-independent of it.
+        and by an even split across the workers; below 1 raises
+        ``ValueError``).  Batch size affects scheduling and the stacked
+        width only — records are bitwise-independent of it.
     worker_timeout:
         Seconds to wait for each dispatched wave of batches on the
         process executor before declaring the stragglers hung,
@@ -672,7 +667,9 @@ class CampaignEngine:
     ) -> None:
         self._kind = executor
         self._workers = workers
-        self.batch_size = None if batch_size is None else max(1, int(batch_size))
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self.batch_size = None if batch_size is None else int(batch_size)
         if worker_timeout is None:
             env = os.environ.get(WORKER_TIMEOUT_ENV_VAR)
             if env:

@@ -16,7 +16,8 @@ iteration.  Tiles are closures over the grid's buffer pair, run on the
 serial or the thread executor: NumPy and the compiled kernels release
 the GIL inside their loops, so threads overlap on multi-core machines.
 A process executor is refused, since a closure over the pair can reach
-no other process.
+no other process.  Every tile task runs on the process-wide backend
+selection (:func:`~repro.backends.get_backend`).
 
 Corrections write straight into the tile's view of the global array, so
 a corrected tile is immediately consistent for the next iteration's halo
@@ -27,10 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.backends import Backend, get_backend
-from repro.backends.registry import BackendLike
+from repro.backends import get_backend
 from repro.core.online import OnlineABFT
 from repro.core.protector import InjectHook, StepReport
 from repro.parallel.decomposition import TileBox, decompose, decompose_layers
@@ -73,14 +71,15 @@ class TiledStencilRunner:
         passed in or resolved, raises ``ValueError``: each tile is a
         closure over the grid's buffer pair, which a worker process can
         neither unpickle nor reach.
-    backend:
-        Compute backend executing the per-tile sweeps (registry name or
-        instance; ``None`` follows the grid's backend). Each protected
-        tile's verified checksum is reduced by the backend right after
-        the tile's sweep, on the executor that swept it — unless a
-        fault-injection hook is active, in which case
-        :meth:`OnlineABFT.process` reduces it after injection, as the
-        paper's semantics require.
+
+    Notes
+    -----
+    Every protected tile is verified by :meth:`OnlineABFT.process`, on
+    the executor, which reduces the tile's checksum itself.  Without a
+    fault-injection hook one task sweeps a tile and verifies it; with a
+    hook every tile is swept first, the hook strikes the new global
+    domain, and only then are the tiles verified, so each checksum sees
+    the hook's faults, as the paper's semantics require.
     """
 
     def __init__(
@@ -89,7 +88,6 @@ class TiledStencilRunner:
         parts: Sequence[int] | str = (2, 2),
         protector_factory: Optional[TileProtectorFactory] = None,
         executor=None,
-        backend: BackendLike = None,
     ) -> None:
         self.grid = grid
         if isinstance(parts, str):
@@ -108,20 +106,17 @@ class TiledStencilRunner:
                 "'serial' or 'threads' executor (check --executor / "
                 "REPRO_EXECUTOR when the runner resolves its own)"
             )
-        self.backend = None if backend is None else get_backend(backend)
-        self.protectors: Dict[tuple, Optional[OnlineABFT]] = {}
-        if protector_factory is not None:
-            for box in self.boxes:
-                self.protectors[box.index] = protector_factory(box, grid)
-        else:
-            for box in self.boxes:
-                self.protectors[box.index] = None
+        self.protectors: Dict[tuple, Optional[OnlineABFT]] = {
+            box.index: (
+                None if protector_factory is None else protector_factory(box, grid)
+            )
+            for box in self.boxes
+        }
         self.radius = grid.spec.radius()
         # Build or load the backend's compiled kernels (the fused
         # backend's native library) before the first step, so the timed
         # loop never runs the compiler.
-        warm_backend = self.backend if self.backend is not None else grid.backend
-        warm_backend.warmup()
+        get_backend().warmup()
 
     # -- constructors ------------------------------------------------------------
     @classmethod
@@ -130,7 +125,6 @@ class TiledStencilRunner:
         grid: GridBase,
         parts: Sequence[int] | str = (2, 2),
         executor=None,
-        backend: BackendLike = None,
         **abft_kwargs,
     ) -> "TiledStencilRunner":
         """A runner whose every tile is protected by its own OnlineABFT."""
@@ -142,17 +136,10 @@ class TiledStencilRunner:
                 box.shape,
                 dtype=g.dtype,
                 constant=tile_constant(g.constant, box),
-                backend=backend,
                 **abft_kwargs,
             )
 
-        return cls(
-            grid,
-            parts,
-            protector_factory=factory,
-            executor=executor,
-            backend=backend,
-        )
+        return cls(grid, parts, protector_factory=factory, executor=executor)
 
     def shutdown(self) -> None:
         """Shut down the executor if the runner built it (``executor=None``).
@@ -174,26 +161,25 @@ class TiledStencilRunner:
     def n_tiles(self) -> int:
         return len(self.boxes)
 
-    def _sweep_tiles(
-        self,
-        be: Backend,
-        src: np.ndarray,
-        dst_interior: np.ndarray,
-        reduce_tiles: bool,
-    ) -> Dict[tuple, Optional[dict]]:
-        """Sweep every tile in place; returns ``{tile index: checksums}``.
+    def step(self, inject: Optional[InjectHook] = None) -> List[StepReport]:
+        """One global sweep: per-tile sweeps, then per-tile verification.
 
-        Each tile sweeps its halo-extended view of ``src`` into its
-        slice of ``dst_interior``, then reduces the new tile's checksum
-        along each of its protector's verify axes on the same worker.
-        The map is ``None`` for an unprotected tile, and for every tile
-        when ``reduce_tiles`` is off (a step with an inject hook, whose
-        checksums :meth:`OnlineABFT.process` takes after the hook).
+        Each tile sweeps its halo-extended view of the front buffer into
+        its slice of the back buffer; its protector then verifies that
+        slice against the front buffer, so tiles never read each other's
+        new values and every task can run on any worker.
+
+        Returns one report per tile (empty report for unprotected tiles).
         """
         grid = self.grid
+        be = get_backend()
+        src = grid.padded_current()  # persistent front buffer, ghosts refreshed
+        # The tiles' new values, which the commit below turns into grid.u.
+        new_u = interior_view(grid.back_padded, self.radius)
+        iteration = grid.iteration + 1
 
-        def run_tile(box: TileBox):
-            tile_out = dst_interior[box.slices]
+        def sweep(box: TileBox) -> None:
+            tile_out = new_u[box.slices]
             new = be.sweep_padded(
                 padded_tile_view(src, box, self.radius),
                 grid.spec,
@@ -205,59 +191,29 @@ class TiledStencilRunner:
             if new is not tile_out:
                 # Backend ignored ``out`` (copy-based fallback): land it.
                 tile_out[...] = new
-            protector = self.protectors[box.index]
-            if not reduce_tiles or protector is None:
-                return box.index, None
-            return box.index, {
-                axis: be.checksum(new, axis, dtype=protector.checksum_dtype)
-                for axis in protector.verify_axes()
-            }
 
-        return dict(self.executor.map(run_tile, self.boxes))
-
-    def step(self, inject: Optional[InjectHook] = None) -> List[StepReport]:
-        """One global sweep: per-tile sweeps, then per-tile verification.
-
-        Returns one report per tile (empty report for unprotected tiles).
-        """
-        grid = self.grid
-        be = self.backend if self.backend is not None else grid.backend
-        # Tiles reduce their checksums where they are swept, unless an
-        # injection hook is set: checksums taken before the hook would
-        # mask its fault, so process() reduces each tile after it.
-        reduce_tiles = inject is None
-
-        src = grid.padded_current()  # persistent front buffer, ghosts refreshed
-        tile_checksums = self._sweep_tiles(
-            be, src, interior_view(grid.back_padded, self.radius), reduce_tiles
-        )
-
-        # Commit the new step on the grid (the buffer-pair swap shared
-        # with Grid.step).
-        grid._commit(src)
-
-        # Fault injection targets the freshly swept global domain, matching
-        # the single-grid protectors' injection point.
-        if inject is not None:
-            inject(grid, grid.iteration)
-
-        reports: List[StepReport] = []
-        for box in self.boxes:
+        def verify(box: TileBox) -> StepReport:
             protector = self.protectors[box.index]
             if protector is None:
-                reports.append(
-                    StepReport(iteration=grid.iteration, detection_performed=False)
-                )
-                continue
-            tile_view = grid.u[box.slices]
-            report = protector.process(
-                tile_view,
-                padded_tile_view(src, box, self.radius),
-                grid.iteration,
-                precomputed_checksums=tile_checksums[box.index],
+                return StepReport(iteration=iteration, detection_performed=False)
+            return protector.process(
+                new_u[box.slices], padded_tile_view(src, box, self.radius), iteration
             )
-            reports.append(report)
-        return reports
+
+        def sweep_and_verify(box: TileBox) -> StepReport:
+            sweep(box)
+            return verify(box)
+
+        if inject is None:
+            reports = self.executor.map(sweep_and_verify, self.boxes)
+            grid._commit(src)
+            return reports
+        self.executor.map(sweep, self.boxes)
+        grid._commit(src)
+        # Fault injection targets the freshly swept global domain, matching
+        # the single-grid protectors' injection point.
+        inject(grid, grid.iteration)
+        return self.executor.map(verify, self.boxes)
 
     def run(self, iterations: int, inject: Optional[InjectHook] = None) -> List[StepReport]:
         """Advance ``iterations`` sweeps; returns the flat list of tile reports."""

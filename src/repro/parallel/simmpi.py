@@ -53,7 +53,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.backends import get_backend
-from repro.backends.registry import BackendLike
 from repro.checkpoint.snapshot import CheckpointCorrupt, Snapshot
 from repro.core.online import OnlineABFT
 from repro.core.protector import StepReport
@@ -93,7 +92,7 @@ DETECTION_PERIOD = 16
 #: The :class:`OnlineABFT` keywords a caller may pass through the runner
 #: (the rest are set by the runner for every rank).
 _ABFT_KWARGS = frozenset(inspect.signature(OnlineABFT).parameters) - {
-    "spec", "boundary", "shape", "dtype", "constant", "backend",
+    "spec", "boundary", "shape", "dtype", "constant",
 }
 
 #: Channel tags of the buddy-checkpoint shipments (domain payload and
@@ -519,10 +518,6 @@ class DistributedStencilRunner:
         ``axis``.
     protect:
         Protect every rank's block with its own OnlineABFT instance.
-    backend:
-        Compute backend driving every rank's step and checksum
-        (registry name or instance; ``None`` follows the process
-        default).
     axis:
         Decomposition axis (default 0).  Any axis works, including the
         orderings where the external axis follows refreshed axes.
@@ -555,7 +550,6 @@ class DistributedStencilRunner:
         grid: GridBase,
         n_ranks: int = 4,
         protect: bool = True,
-        backend: BackendLike = None,
         axis: int = DISTRIBUTED_AXIS,
         checkpoint_period: Optional[int] = None,
         **abft_kwargs,
@@ -583,7 +577,6 @@ class DistributedStencilRunner:
         self.iteration = grid.iteration
         self.channel = SimChannel()
         self.n_ranks = int(n_ranks)
-        self.backend_spec = backend
         self._protect = bool(protect)
         self._abft_kwargs = dict(abft_kwargs)
 
@@ -632,7 +625,6 @@ class DistributedStencilRunner:
                     block.shape,
                     dtype=self.dtype,
                     constant=const,
-                    backend=backend,
                     **abft_kwargs,
                 )
             self.ranks.append(
@@ -652,14 +644,9 @@ class DistributedStencilRunner:
         # Build or load the backend's compiled kernels before the first
         # step, so neither a timed loop nor a forked worker runs the
         # compiler.
-        self.backend.warmup()
+        get_backend().warmup()
         if checkpoint_period is not None:
             self.enable_checkpointing()
-
-    @property
-    def backend(self):
-        """The resolved compute backend (tracks the process default)."""
-        return get_backend(self.backend_spec)
 
     # -- buddy checkpointing --------------------------------------------------
     @staticmethod
@@ -776,7 +763,6 @@ class DistributedStencilRunner:
                 ckpt.interior.shape,
                 dtype=self.dtype,
                 constant=old.constant,
-                backend=self.backend_spec,
                 **self._abft_kwargs,
             )
             if ckpt.protector is not None:
@@ -977,7 +963,6 @@ class DistributedStencilRunner:
             self.channel.check_liveness(range(self.n_ranks))
         self._post_halos()
         self.iteration += 1
-        backend = self.backend
 
         # Region-targeted hooks may corrupt a just-ingested ghost slab —
         # after halo ingestion, before the sweep reads it.
@@ -989,9 +974,7 @@ class DistributedStencilRunner:
                 ghost_hook(self, self.iteration, rank)
 
         for rank in self.ranks:
-            src_padded, _ = rank.buffers.step(
-                backend, self.spec, constant=rank.constant
-            )
+            src_padded, _ = rank.buffers.step(self.spec, constant=rank.constant)
             rank.buffers.swap()
             if inject is not None:
                 inject(self, self.iteration, rank)

@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends import get_backend
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import (
     interior_view,
@@ -182,11 +183,6 @@ class DoubleBufferedGrid:
         """View of the current interior domain (front buffer)."""
         return interior_view(self._front, self.radius)
 
-    @property
-    def back_interior(self) -> np.ndarray:
-        """View of the back buffer's interior (the next sweep's target)."""
-        return interior_view(self._back, self.radius)
-
     def nbytes(self) -> int:
         """Total footprint of the pair in bytes."""
         return int(self._front.nbytes + self._back.nbytes)
@@ -219,15 +215,16 @@ class DoubleBufferedGrid:
             self._front, self.radius, self.boundary, axes=self.refresh_axes
         )
 
-    def step(self, backend, spec, constant: Optional[np.ndarray] = None):
+    def step(self, spec, constant: Optional[np.ndarray] = None):
         """One backend-owned step of the pair: refresh + sweep.
 
         The whole iteration — ghost refresh of the front buffer and the
-        sweep into the back buffer — is delegated to the backend's
-        ``step_into`` primitive, whose base-class implementation is the
-        classic :meth:`refresh`-then-``sweep_into`` sequence.  The front
-        buffer's halo is consistent with its interior afterwards — the
-        ABFT protectors read it as ``previous_padded``.
+        sweep into the back buffer — is delegated to the ``step_into``
+        primitive of the process-wide backend selection, whose
+        base-class implementation is the classic
+        :meth:`refresh`-then-``sweep_into`` sequence.  The front buffer's
+        halo is consistent with its interior afterwards — the ABFT
+        protectors read it as ``previous_padded``.
 
         The pair is **not** swapped: callers (``GridBase._commit``, the
         distributed runner) own the swap so previous-step bookkeeping
@@ -235,7 +232,7 @@ class DoubleBufferedGrid:
 
         Returns ``(src_padded, new_interior)``.
         """
-        new = backend.step_into(
+        new = get_backend().step_into(
             self._front,
             self._back,
             spec,

@@ -33,8 +33,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import Backend, get_backend
-from repro.backends.registry import BackendLike
 from repro.checkpoint.snapshot import Snapshot
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
@@ -63,10 +61,9 @@ class GridBase:
         is shared, anything else is copied, so a caller updating its
         array in place cannot change a grid's steps (backends may cache
         a prepared copy of the constant).
-    backend:
-        Compute backend executing the sweeps: a registry name, a
-        :class:`~repro.backends.base.Backend` instance, or ``None`` to
-        track the process default (``REPRO_BACKEND`` / ``--backend``).
+
+    Every step runs on the process-wide backend selection
+    (:func:`~repro.backends.get_backend`), resolved at each step.
     """
 
     expected_ndim: Optional[int] = None
@@ -77,7 +74,6 @@ class GridBase:
         spec: StencilSpec,
         boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
         constant: Optional[np.ndarray] = None,
-        backend: BackendLike = None,
     ) -> None:
         u = np.asarray(initial)
         if self.expected_ndim is not None and u.ndim != self.expected_ndim:
@@ -105,7 +101,6 @@ class GridBase:
         self.constant = constant
         self.radius = spec.radius()
         self.iteration = 0
-        self.backend_spec = backend
         #: The persistent padded buffer pair backing this grid.
         self.buffers = DoubleBufferedGrid(u, self.radius, self.boundary)
         #: Interior domain at the current step (a view into the pair).
@@ -140,16 +135,6 @@ class GridBase:
         """Ghost-padded domain at the previous step (``None`` before step 1)."""
         return self._previous_padded
 
-    @property
-    def backend(self) -> Backend:
-        """The resolved compute backend.
-
-        Resolved on every access so a grid built with ``backend=None``
-        follows later :func:`~repro.backends.set_default_backend` /
-        ``--backend`` changes.
-        """
-        return get_backend(self.backend_spec)
-
     # -- stepping -----------------------------------------------------------
     def padded_current(self) -> np.ndarray:
         """The persistent front buffer with its ghost cells refreshed.
@@ -165,7 +150,7 @@ class GridBase:
         """The padded back buffer the next sweep will write into."""
         return self.buffers.back
 
-    def step(self, backend: BackendLike = None) -> np.ndarray:
+    def step(self) -> np.ndarray:
         """Advance one stencil sweep and return the new domain.
 
         The whole iteration — ghost refresh of the front buffer and the
@@ -175,15 +160,8 @@ class GridBase:
         the pair.  No full-domain allocation is made, and no checksum
         is taken: a protector reduces the new domain itself, after any
         fault-injection hook has run.
-
-        Parameters
-        ----------
-        backend:
-            Optional backend override for this step only (``None`` →
-            the grid's own backend).
         """
-        be = self.backend if backend is None else get_backend(backend)
-        padded, new = self.buffers.step(be, self.spec, constant=self.constant)
+        padded, new = self.buffers.step(self.spec, constant=self.constant)
         self._commit(padded)
         return new
 
@@ -239,7 +217,6 @@ class GridBase:
             self.spec,
             self.boundary,
             constant=self.constant,
-            backend=self.backend_spec,
         )
         clone.iteration = self.iteration
         return clone

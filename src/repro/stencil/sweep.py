@@ -13,10 +13,9 @@ of a closed boundary condition.
 
 The actual arithmetic lives in the pluggable compute backends
 (:mod:`repro.backends`); the functions here are thin dispatchers that
-resolve the active backend and delegate, so every caller — grids,
-protectors, the tiled runner, the baselines — picks up the selected
-backend transparently.  Checksums are not part of a sweep: a caller
-reduces the new domain with the backend's ``checksum``.
+delegate to the process-wide selection
+(:func:`~repro.backends.get_backend`).  Checksums are not part of a
+sweep: a caller reduces the new domain with the backend's ``checksum``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.backends import get_backend
-from repro.backends.registry import BackendLike
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import pad_array
 from repro.stencil.spec import StencilSpec
@@ -41,7 +39,6 @@ def sweep_padded(
     interior_shape: Sequence[int],
     constant: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """Apply one stencil sweep to a ghost-padded array.
 
@@ -62,15 +59,13 @@ def sweep_padded(
         interior), e.g. a heat-source/power map.
     out:
         Optional pre-allocated output array (interior shape).
-    backend:
-        Compute backend name or instance (``None`` → active default).
 
     Returns
     -------
     numpy.ndarray
         The updated interior domain at step ``t+1``.
     """
-    return get_backend(backend).sweep_padded(
+    return get_backend().sweep_padded(
         padded, spec, radius, interior_shape, constant=constant, out=out
     )
 
@@ -82,7 +77,6 @@ def sweep_into(
     radius,
     interior_shape: Sequence[int],
     constant: Optional[np.ndarray] = None,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """One sweep from one padded buffer into the interior of another.
 
@@ -92,7 +86,7 @@ def sweep_into(
     block and returned as a view.  Backends without an in-place kernel
     fall back to sweep-then-copy transparently.
     """
-    return get_backend(backend).sweep_into(
+    return get_backend().sweep_into(
         src_padded, dst_padded, spec, radius, interior_shape, constant=constant
     )
 
@@ -103,7 +97,6 @@ def sweep(
     boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
     constant: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """Apply one stencil sweep to an interior domain with a boundary condition.
 
@@ -116,6 +109,4 @@ def sweep(
         )
     radius = spec.radius()
     padded = pad_array(u, radius, boundary)
-    return sweep_padded(
-        padded, spec, radius, u.shape, constant=constant, out=out, backend=backend
-    )
+    return sweep_padded(padded, spec, radius, u.shape, constant=constant, out=out)

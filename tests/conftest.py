@@ -27,6 +27,32 @@ settings.load_profile("repro")
 
 
 @pytest.fixture
+def use_backend():
+    """Switch the process-wide backend selection for one test.
+
+    ``use_backend("numpy")`` selects a registered backend by name;
+    ``use_backend(instance)`` first registers ``instance`` under its own
+    name (a spy standing in for a built-in, say).  Either way every
+    layer resolves it on its next step, and the test's end restores the
+    previous selection and registry, whatever the test's own
+    ``monkeypatch`` undoes.  Returns the selected instance.
+    """
+    from repro.backends import registry
+
+    with pytest.MonkeyPatch.context() as patch:
+
+        def use(backend):
+            if isinstance(backend, str):
+                backend = registry.get_backend(backend)
+            else:
+                patch.setitem(registry._REGISTRY, str(backend.name), backend)
+            patch.setattr(registry, "_DEFAULT_OVERRIDE", str(backend.name))
+            return backend
+
+        yield use
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for test data."""
     return np.random.default_rng(123456789)

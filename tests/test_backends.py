@@ -240,7 +240,7 @@ class TestSweepInto:
                 checksum(new, axis, dtype=np.float64),
             ) <= 1e-10
 
-    def test_module_dispatcher(self, rng):
+    def test_module_dispatcher(self, rng, use_backend):
         from repro.stencil.shift import padded_shape
         from repro.stencil.sweep import sweep_into
 
@@ -249,7 +249,8 @@ class TestSweepInto:
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
         dst = np.empty(padded_shape(SHAPE_2D, radius), dtype=np.float32)
-        result = sweep_into(padded, dst, spec, radius, SHAPE_2D, backend="fused")
+        use_backend("fused")
+        result = sweep_into(padded, dst, spec, radius, SHAPE_2D)
         np.testing.assert_array_equal(
             result,
             get_backend("numpy").sweep_padded(padded, spec, radius, SHAPE_2D),
@@ -305,17 +306,19 @@ class TestChecksums:
                 be.checksum(new, axis, dtype=checksum_dtype), posthoc
             ) <= eps
 
-    def test_sweep_dispatcher_then_checksum(self, rng, backend_name):
-        """The module-level sweep resolves the backend by name, and that
+    def test_sweep_dispatcher_then_checksum(
+        self, rng, backend_name, use_backend
+    ):
+        """The module-level sweep runs on the selected backend, and that
         backend's domain-dtype checksum of its output matches post-hoc."""
         from repro.stencil.sweep import sweep_padded
 
-        be = get_backend(backend_name)
+        be = use_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
-        new = sweep_padded(padded, spec, radius, SHAPE_2D, backend=backend_name)
+        new = sweep_padded(padded, spec, radius, SHAPE_2D)
         np.testing.assert_array_equal(
             new, be.sweep_padded(padded, spec, radius, SHAPE_2D)
         )
@@ -329,25 +332,29 @@ class TestChecksums:
 
 
 class TestGridAndProtectorAcrossBackends:
-    def test_grid_runs_are_equivalent(self, rng, backend_name):
+    def test_grid_runs_are_equivalent(self, rng, backend_name, use_backend):
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
-        ref = Grid2D(u, spec, BoundaryCondition.clamp(), backend=REFERENCE)
+        use_backend(REFERENCE)
+        ref = Grid2D(u, spec, BoundaryCondition.clamp())
         ref.run(8)
-        other = Grid2D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
+        use_backend(backend_name)
+        other = Grid2D(u, spec, BoundaryCondition.clamp())
         other.run(8)
         eps = recommend_epsilon(SHAPE_2D, 0, np.float32, spec)
         assert _relative_mismatch(other.u, ref.u) <= eps
 
-    def test_grid_step_then_checksum_matches_fresh_fold(self, rng, backend_name):
+    def test_grid_step_then_checksum_matches_fresh_fold(
+        self, rng, backend_name, use_backend
+    ):
         """The column checksum of a 3D grid's new state (an interior view
         of its padded front buffer) is bit for bit a fold of a fresh
         copy, and the next step leaves that state intact as
         ``previous``."""
-        be = get_backend(backend_name)
+        be = use_backend(backend_name)
         spec = stencil_library_3d()[0]
         u = _domain(rng, SHAPE_3D)
-        grid = Grid3D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
+        grid = Grid3D(u, spec, BoundaryCondition.clamp())
         new = grid.step()
         fresh = checksum(new.copy(), 0, dtype=np.float64)
         np.testing.assert_array_equal(be.checksum(new, 0, dtype=np.float64), fresh)
@@ -357,32 +364,37 @@ class TestGridAndProtectorAcrossBackends:
         )
 
     def test_online_abft_detects_and_corrects_on_every_backend(
-        self, rng, backend_name
+        self, rng, backend_name, use_backend
     ):
+        use_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, (32, 28))
-        grid = Grid2D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
-        protector = OnlineABFT.for_grid(grid, backend=backend_name)
+        grid = Grid2D(u, spec, BoundaryCondition.clamp())
+        protector = OnlineABFT.for_grid(grid)
         inject = FaultInjector([FaultPlan(iteration=5, index=(10, 12), bit=27)])
         report = protector.run(grid, 12, inject=inject)
         assert report.total_detected >= 1
         assert report.total_corrected >= 1
 
-    def test_online_abft_clean_run_no_false_positives(self, rng, backend_name):
+    def test_online_abft_clean_run_no_false_positives(
+        self, rng, backend_name, use_backend
+    ):
+        use_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, (32, 28))
-        grid = Grid2D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
-        protector = OnlineABFT.for_grid(grid, backend=backend_name)
+        grid = Grid2D(u, spec, BoundaryCondition.clamp())
+        protector = OnlineABFT.for_grid(grid)
         report = protector.run(grid, 10)
         assert report.total_detected == 0
 
-    def test_fused_and_reference_protected_runs_agree(self, rng):
+    def test_fused_and_reference_protected_runs_agree(self, rng, use_backend):
         spec = stencil_library_2d()[1]
         u = _domain(rng, (32, 28))
         finals = {}
         for name in (REFERENCE, "fused"):
-            grid = Grid2D(u, spec, BoundaryCondition.clamp(), backend=name)
-            OnlineABFT.for_grid(grid, backend=name).run(grid, 10)
+            use_backend(name)
+            grid = Grid2D(u, spec, BoundaryCondition.clamp())
+            OnlineABFT.for_grid(grid).run(grid, 10)
             finals[name] = grid.u
         np.testing.assert_array_equal(finals[REFERENCE], finals["fused"])
 
@@ -524,17 +536,17 @@ class TestBackendOwnedStep:
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
     def test_grid_step_fast_path_matches_classic_pipeline(
-        self, rng, backend_name, bc
+        self, rng, backend_name, use_backend, bc
     ):
         """``Grid2D.step`` (whole iteration delegated to the backend)
         must track the explicit refresh + ``sweep_into`` + swap sequence
         bit for bit over several iterations."""
-        be = get_backend(backend_name)
+        be = use_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
-        fast = Grid2D(u, spec, bc, backend=backend_name)
+        fast = Grid2D(u, spec, bc)
         fast.run(6)
-        classic = Grid2D(u, spec, bc, backend=backend_name)
+        classic = Grid2D(u, spec, bc)
         for _ in range(6):
             padded = classic.buffers.refresh()
             be.sweep_into(
@@ -545,16 +557,18 @@ class TestBackendOwnedStep:
         np.testing.assert_array_equal(fast.u, classic.u)
         assert fast.iteration == classic.iteration == 6
 
-    def test_grid_step_uses_backend_owned_step(self, rng, backend_name):
+    def test_grid_step_uses_backend_owned_step(
+        self, rng, backend_name, use_backend
+    ):
         """A grid step returns the buffer the pair just swapped in, whose
         checksums the backend reduces, and leaves previous_padded's halo
         valid."""
         from repro.stencil.shift import interior_view
 
-        be = get_backend(backend_name)
+        be = use_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
-        grid = Grid2D(u, spec, BoundaryCondition.clamp(), backend=backend_name)
+        grid = Grid2D(u, spec, BoundaryCondition.clamp())
         new = grid.step()
         assert np.shares_memory(new, grid.u)
         for axis in (0, 1):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
 from repro.experiments.common import make_hotspot_app, make_protector_factory
@@ -387,15 +388,10 @@ class TestProcessExecutorContract:
 
 
 @pytest.fixture(params=["fused", "numpy"])
-def default_backend(request):
+def default_backend(request, use_backend):
     """Make one backend the process default for one test."""
-    from repro.backends import set_default_backend
-
-    set_default_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        set_default_backend(None)
+    use_backend(request.param)
+    return request.param
 
 
 class TestStackedOnEveryBackend:
@@ -412,7 +408,7 @@ class TestStackedOnEveryBackend:
         config = CampaignConfig(
             iterations=ITERATIONS, repetitions=6, inject=inject, seed=23
         )
-        assert app.build_grid().backend.name == default_backend
+        assert get_backend().name == default_backend
         legacy = run_campaign(
             app.build_grid, factory, config, reference=reference
         )

@@ -37,6 +37,17 @@ def _campaign_results(monkeypatch):
     return results
 
 
+def _usage_error_line(capsys, argv):
+    """Run ``main(argv)``; assert exit 2 and return the one ``error:`` line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [l for l in err.splitlines() if "error:" in l]
+    return line
+
+
 def _record_keys(result):
     return [
         (r.run_index, r.arithmetic_error, r.errors_detected,
@@ -121,6 +132,13 @@ class TestMain:
         # 6 iterations x 3 ring interfaces x 2 directions.
         assert "36 messages" in out
 
+    def test_distributed_backend_flag_selects_the_backend(
+        self, capsys, restore_defaults
+    ):
+        assert main(["distributed", "--ranks", "2", "--iters", "2",
+                     "--size", "24", "--backend", "numpy"]) == 0
+        assert "(backend numpy)" in capsys.readouterr().out
+
     def test_distributed_parser_defaults(self):
         args = build_parser().parse_args(["distributed"])
         assert args.ranks == 4
@@ -129,19 +147,53 @@ class TestMain:
         assert args.boundary == "clamp"
 
     @pytest.mark.parametrize("crash_iter", ["0", "50"])
-    def test_distributed_crash_iter_out_of_range(self, crash_iter):
-        with pytest.raises(SystemExit, match="--crash-iter") as exc:
-            main(["distributed", "--ranks", "3", "--iters", "8",
-                  "--size", "24", "--crash-iter", crash_iter])
-        assert str(exc.value).startswith("error: ")
+    def test_distributed_crash_iter_out_of_range(self, capsys, crash_iter):
+        line = _usage_error_line(
+            capsys, ["distributed", "--ranks", "3", "--iters", "8",
+                     "--size", "24", "--crash-iter", crash_iter])
+        assert "--crash-iter" in line
 
     @pytest.mark.parametrize("crash_iter", ["0", "99"])
-    def test_campaign_crash_iter_out_of_range(self, crash_iter):
-        with pytest.raises(SystemExit, match="--crash-iter") as exc:
-            main(["campaign", "--tile", "16", "16", "4", "--iterations", "8",
-                  "--repetitions", "2", "--fault-model", "rank-crash",
-                  "--crash-iter", crash_iter])
-        assert str(exc.value).startswith("error: ")
+    def test_campaign_crash_iter_out_of_range(self, capsys, crash_iter):
+        line = _usage_error_line(
+            capsys, ["campaign", "--tile", "16", "16", "4", "--iterations",
+                     "8", "--repetitions", "2", "--fault-model", "rank-crash",
+                     "--crash-iter", crash_iter])
+        assert "--crash-iter" in line
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["distributed", "--ranks", "0"], "n_ranks"),
+            (["distributed", "--iters", "-1"], "--iters"),
+            (["distributed", "--checkpoint-period", "0"], "checkpoint_period"),
+            (["distributed", "--ranks", "40"], "cannot split"),
+            (["distributed", "--ranks", "3", "--crash-rank", "5"],
+             "--crash-rank 5"),
+            (_SMALL_CAMPAIGN + ["--iterations", "0"], "iterations"),
+            (_SMALL_CAMPAIGN + ["--repetitions", "0"], "repetitions"),
+            (_SMALL_CAMPAIGN + ["--batch", "0"], "batch_size"),
+        ],
+        ids=[
+            "ranks-0", "iters-negative", "checkpoint-period-0",
+            "more-ranks-than-rows", "crash-rank",
+            "campaign-iterations-0", "campaign-repetitions-0",
+            "campaign-batch-0",
+        ],
+    )
+    def test_bad_flag_exits_2_with_one_line(
+        self, capsys, restore_defaults, flags, named
+    ):
+        # A small distributed run; a later flag overrides an earlier one.
+        base = ["--size", "16", "--iters", "4"] if flags[0] == "distributed" else []
+        argv = flags[:1] + base + flags[1:]
+        assert named in _usage_error_line(capsys, argv)
+
+    def test_bad_workers_variable_exits_2_listing_executors(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        assert "REPRO_WORKERS" in _usage_error_line(capsys, ["executors"])
 
     def test_distributed_crash_iter_in_range_recovers(self, capsys):
         assert main(["distributed", "--ranks", "3", "--iters", "8",
@@ -221,12 +273,7 @@ class TestMain:
         value, flags,
     ):
         monkeypatch.setenv(variable, value)
-        with pytest.raises(SystemExit) as exc:
-            main(command + flags)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        (line,) = [l for l in err.splitlines() if "error:" in l]
+        line = _usage_error_line(capsys, command + flags)
         assert repr(value) in line
         if variable != "REPRO_EXECUTOR":
             assert variable in line

@@ -158,10 +158,11 @@ class TestDoubleBufferedGridEquivalence:
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=BC_IDS)
     @pytest.mark.parametrize("backend", ["numpy", "fused"])
     @pytest.mark.parametrize("steps", [1, 4, 9])
-    def test_2d(self, rng, bc, backend, steps):
+    def test_2d(self, rng, use_backend, bc, backend, steps):
         u0 = (rng.random((13, 11)) * 100.0).astype(np.float32)
         spec = five_point_diffusion(0.2)
-        grid = Grid2D(u0, spec, bc, backend=backend)
+        use_backend(backend)
+        grid = Grid2D(u0, spec, bc)
         grid.run(steps)
         np.testing.assert_array_equal(
             grid.u, _reference_run(u0, spec, bc, backend, steps)

@@ -212,18 +212,22 @@ def _full_box(ndim):
 
 
 class TestConstantCache:
-    def test_alternating_grids_never_share_a_padded_constant(self, rng):
+    def test_alternating_grids_never_share_a_padded_constant(
+        self, rng, use_backend
+    ):
         """Same start, same operator: only the constant tells them apart."""
         shape, spec = (6, 5, 3), _full_box(3)
         bc = all_boundary_conditions()[0]
         fused = FusedBackend()
         u0 = rng.random(shape).astype(np.float32)
         constants = [rng.random(shape).astype(np.float32) for _ in range(2)]
-        grids = [Grid3D(u0, spec, bc, constant=c, backend=fused) for c in constants]
-        refs = [Grid3D(u0, spec, bc, constant=c, backend="numpy") for c in constants]
+        grids = [Grid3D(u0, spec, bc, constant=c) for c in constants]
+        refs = [Grid3D(u0, spec, bc, constant=c) for c in constants]
         for _ in range(3):
             for grid, ref in zip(grids, refs):
+                use_backend(fused)
                 grid.step()
+                use_backend("numpy")
                 ref.step()
                 np.testing.assert_array_equal(grid.u, ref.u)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.checkpoint import Snapshot
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
@@ -92,22 +93,26 @@ class TestGridStepping:
         g.step()
         np.testing.assert_allclose(g.u, 2.0, rtol=1e-6)
 
-    def test_caller_updating_its_constant_changes_no_backend(self, rng):
+    def test_caller_updating_its_constant_changes_no_backend(
+        self, rng, use_backend
+    ):
         """The grid keeps its own read-only constant: after the caller
         doubles its array in place, ``fused`` (which caches a padded copy
         of the constant) and ``numpy`` still step the same values."""
         u0 = rng.random((16, 12, 6)).astype(np.float32)
         constant = rng.random((16, 12, 6)).astype(np.float32)
         spec = seven_point_diffusion_3d(0.1)
+        names = ("fused", "numpy")
         grids = [
-            Grid3D(u0, spec, BoundaryCondition.clamp(), constant=constant,
-                   backend=name)
-            for name in ("fused", "numpy")
+            Grid3D(u0, spec, BoundaryCondition.clamp(), constant=constant)
+            for _ in names
         ]
-        for g in grids:
+        for name, g in zip(names, grids):
+            use_backend(name)
             g.step()
         constant *= 2.0
-        for g in grids:
+        for name, g in zip(names, grids):
+            use_backend(name)
             g.step()
         np.testing.assert_array_equal(grids[0].u, grids[1].u)
         with pytest.raises(ValueError, match="read-only"):
@@ -134,7 +139,7 @@ class TestGridStepping:
         g = small_grid_2d
         u0 = g.u.copy()
         src = g.padded_current()
-        g.backend.sweep_into(src, g.back_padded, g.spec, g.radius, g.shape)
+        get_backend().sweep_into(src, g.back_padded, g.spec, g.radius, g.shape)
         g._commit(src)
         np.testing.assert_array_equal(g.u, sweep(u0, g.spec, g.boundary))
         np.testing.assert_array_equal(g.previous, u0)

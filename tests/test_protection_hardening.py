@@ -9,12 +9,14 @@ between the primary copy and its independently stored duplicate, falls
 back to recomputing the checksum from the (still healthy) data, and
 counts the repair.  These tests pin the rule in all four settings —
 online and offline, serial and distributed — and prove it has teeth by
-showing the bogus detections that occur with the self-check disabled.
+showing the bogus detections that occur once a test patches the rule
+out (the protectors have no switch for it).
 """
 
 import numpy as np
 import pytest
 
+from repro.checkpoint.snapshot import Snapshot
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.faults.injector import FaultInjector, FaultPlan
@@ -33,6 +35,13 @@ HIGH_BIT = 62
 def _make_grid(rng, shape=(24, 20)):
     u0 = (rng.random(shape) * 100).astype(np.float32)
     return Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
+
+
+def _trust_stored_checksums(monkeypatch):
+    """Switch the online duplicate rule off: use the stored copy as is."""
+    monkeypatch.setattr(
+        OnlineABFT, "_checked_prev_cs", lambda self, axis, prev_u: self._prev_cs[axis]
+    )
 
 
 def _checksum_plan(protector, iteration, index=(5,), bit=HIGH_BIT):
@@ -62,15 +71,14 @@ class TestOnlineSerial:
         assert run.total_corrected == 0
         np.testing.assert_array_equal(grid.u, clean.u)
 
-    def test_self_check_has_teeth(self, rng):
+    def test_self_check_has_teeth(self, rng, monkeypatch):
         """Disabled, the same corruption is misread as a domain error."""
         grid = _make_grid(rng)
         clean = grid.copy()
         OnlineABFT.for_grid(clean, epsilon=1e-5).run(clean, 16)
 
-        protector = OnlineABFT.for_grid(
-            grid, epsilon=1e-5, metadata_self_check=False
-        )
+        _trust_stored_checksums(monkeypatch)
+        protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
         hook = FaultInjector([_checksum_plan(protector, 6)], protector)
         run = protector.run(grid, 16, inject=hook)
 
@@ -123,12 +131,12 @@ class TestOfflineSerial:
         assert run.total_detected == 0
         np.testing.assert_array_equal(grid.u, clean.u)
 
-    def test_self_check_has_teeth(self, rng):
+    def test_self_check_has_teeth(self, rng, monkeypatch):
         """Disabled, the corruption triggers a pointless rollback."""
         grid = _make_grid(rng)
-        protector = OfflineABFT.for_grid(
-            grid, period=4, epsilon=1e-5, metadata_self_check=False
-        )
+        # The duplicate rule never repairs: the stored checksum is trusted.
+        monkeypatch.setattr(Snapshot, "verify", lambda self, *args, **kwargs: False)
+        protector = OfflineABFT.for_grid(grid, period=4, epsilon=1e-5)
         hook = FaultInjector([_checksum_plan(protector, 6)], protector)
         run = protector.run(grid, 16, inject=hook)
         assert protector.total_metadata_repairs == 0
@@ -149,14 +157,14 @@ class TestOfflineSerial:
 
 
 class TestDistributed:
-    def _runners(self, rng, **abft_kwargs):
+    def _runners(self, rng):
         grid = _make_grid(rng)
         clean = DistributedStencilRunner(
             grid.copy(), n_ranks=3, protect=True, epsilon=1e-5
         )
         clean.run(12)
         runner = DistributedStencilRunner(
-            grid.copy(), n_ranks=3, protect=True, epsilon=1e-5, **abft_kwargs
+            grid.copy(), n_ranks=3, protect=True, epsilon=1e-5
         )
         return clean, runner
 
@@ -182,8 +190,9 @@ class TestDistributed:
         assert runner.total_corrected() == 0
         np.testing.assert_array_equal(runner.gather(), clean.gather())
 
-    def test_self_check_has_teeth_distributed(self, rng):
-        clean, runner = self._runners(rng, metadata_self_check=False)
+    def test_self_check_has_teeth_distributed(self, rng, monkeypatch):
+        clean, runner = self._runners(rng)
+        _trust_stored_checksums(monkeypatch)
         inject = DistributedFaultInjector(
             runner, self._rank_checksum_plans(runner)
         )

@@ -575,14 +575,19 @@ class TestRecoveryCLI:
         assert code == 0
         assert "rebuilt from buddy" in out
 
-    def test_single_rank_checkpointing_refused(self):
+    def test_single_rank_checkpointing_refused(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="n_ranks >= 2"):
+        with pytest.raises(SystemExit) as exc:
             main(
                 ["distributed", "--ranks", "1", "--iters", "8", "--size",
                  "16", "--checkpoint-period", "4"]
             )
+        assert exc.value.code == 2
+        (line,) = [
+            l for l in capsys.readouterr().err.splitlines() if "error:" in l
+        ]
+        assert "n_ranks >= 2" in line
 
     def test_campaign_rank_crash(self, capsys):
         from repro.cli import main

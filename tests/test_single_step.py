@@ -15,19 +15,29 @@ what the layers above rely on:
   is called once per iteration;
 * a protected step makes the same backend calls with and without an
   inject hook, and reduces its checksum once, after the hook returns
-  (online, window-closing offline and distributed steps alike).
+  (online, window-closing offline and distributed steps alike);
+* every layer steps and reduces on the process-wide backend selection,
+  resolved where it is used: objects built before a spy backend is
+  selected run on the spy.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import all_boundary_conditions
-from repro.backends import Backend, FusedBackend
+from repro.backends import Backend, get_backend
 from repro.core.checksums import checksum
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
+from repro.experiments.common import make_hotspot_app, make_protector_factory
+from repro.faults.campaign import CampaignConfig
+from repro.faults.engine import CampaignEngine
 from repro.faults.injector import FaultInjector, FaultPlan
+from repro.parallel.executor import SerialExecutor
+from repro.parallel.runner import TiledStencilRunner
 from repro.parallel.simmpi import DistributedStencilRunner
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
@@ -44,22 +54,24 @@ def _grid(rng, bc=None, spec=None, shape=(20, 14), constant=False):
 
 
 def _padded_sweeps(grid, u, k):
-    """``k`` allocating pad-then-sweep passes on the grid's own backend."""
+    """``k`` allocating pad-then-sweep passes on the selected backend."""
     for _ in range(k):
         padded = pad_array(u, grid.radius, grid.boundary)
-        u = grid.backend.sweep_padded(
+        u = get_backend().sweep_padded(
             padded, grid.spec, grid.radius, grid.shape, constant=grid.constant
         )
     return u
 
 
 def _spy_backend(log):
-    """A ``fused`` backend that logs every contract method called on it.
+    """A fresh instance of the selected backend's class that logs every
+    contract method called on it.
 
     Each public :class:`Backend` method, nested calls included, appends
-    its name to ``log`` before it runs.
+    its name to ``log`` before it runs.  Its ``name`` is the selected
+    backend's, so ``use_backend`` registers it in that one's place.
     """
-    backend = FusedBackend()
+    backend = type(get_backend())()
 
     def logged(name, fn):
         def call(*args, **kwargs):
@@ -112,7 +124,7 @@ class TestGridSteps:
         np.testing.assert_array_equal(grid.previous, plain.previous)
         for axis in (0, 1):
             np.testing.assert_array_equal(
-                grid.backend.checksum(new, axis, dtype=np.float64),
+                get_backend().checksum(new, axis, dtype=np.float64),
                 checksum(new.copy(), axis, dtype=np.float64),
             )
 
@@ -143,12 +155,14 @@ class TestOfflineSingleStepRuns:
                 sl.rollback, sl.recomputed_iterations,
             )
 
-    def test_only_the_window_closing_step_takes_a_checksum(self, rng):
+    def test_only_the_window_closing_step_takes_a_checksum(
+        self, rng, use_backend
+    ):
         log = []
+        use_backend(_spy_backend(log))
         g = _grid(rng)
         protector = OfflineABFT.for_grid(
-            g, period=4, epsilon=1e-5, track_strips=False,
-            backend=_spy_backend(log),
+            g, period=4, epsilon=1e-5, track_strips=False
         )
         reduced = []
         for _ in range(8):
@@ -197,25 +211,23 @@ class TestOfflineSingleStepRuns:
         np.testing.assert_array_equal(g_abft.u, g_plain.u)
 
 
-def _online_step(u0, backend):
+def _online_step(u0):
     grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
-    protector = OnlineABFT.for_grid(grid, epsilon=1e-5, backend=backend)
+    protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
     protector.step(grid)  # seeds the t=0 checksum
     return lambda inject: protector.step(grid, inject=inject)
 
 
-def _offline_step(u0, backend):
+def _offline_step(u0):
     grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
-    protector = OfflineABFT.for_grid(
-        grid, period=2, epsilon=1e-5, backend=backend
-    )
+    protector = OfflineABFT.for_grid(grid, period=2, epsilon=1e-5)
     protector.step(grid)  # seeds the checkpoint; the next step closes the window
     return lambda inject: protector.step(grid, inject=inject)
 
 
-def _distributed_step(u0, backend):
+def _distributed_step(u0):
     grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
-    runner = DistributedStencilRunner(grid, n_ranks=2, backend=backend)
+    runner = DistributedStencilRunner(grid, n_ranks=2)
     runner.step()
     return lambda inject: runner.step(inject=inject)
 
@@ -227,18 +239,22 @@ class TestOneStepPath:
         ids=["online", "offline-window-closing", "distributed"],
     )
     def test_hook_or_not_the_step_makes_the_same_calls(
-        self, rng, make_step, ranks
+        self, rng, use_backend, make_step, ranks
     ):
         """With no hook and with a no-op hook, one protected step makes
         the same backend calls; each rank's step reduces one checksum,
         after the hook has returned."""
         u0 = (rng.random((20, 14)) * 100).astype(np.float32)
-        plain, hooked = [], []
-        step_plain = make_step(u0, _spy_backend(plain))
-        step_hooked = make_step(u0, _spy_backend(hooked))
-        del plain[:], hooked[:]  # the warm-up step's calls
+        log = []
+        use_backend(_spy_backend(log))
+        step_plain = make_step(u0)
+        step_hooked = make_step(u0)
+        del log[:]  # the warm-up steps' calls
         step_plain(None)
-        step_hooked(lambda *args: hooked.append("hook"))
+        plain = log[:]
+        del log[:]
+        step_hooked(lambda *args: log.append("hook"))
+        hooked = log
         assert [call for call in hooked if call != "hook"] == plain
         # One segment per rank step, each opened by its step_into.
         starts = [i for i, call in enumerate(hooked) if call == "step_into"]
@@ -248,3 +264,58 @@ class TestOneStepPath:
             assert segment.count("hook") == 1
             assert segment.count("checksum") == 1
             assert segment.index("checksum") > segment.index("hook")
+
+
+class TestOneSelectionPoint:
+    def test_every_layer_calls_the_selected_instance(self, rng, use_backend):
+        """Every layer, built and seeded before a spy is registered under
+        the selected backend's name, then steps and reduces on the spy:
+        none keeps a backend of its own."""
+        grid = _grid(rng)
+        online = OnlineABFT.for_grid(grid, epsilon=1e-5)
+        online.step(grid)  # seeds the t=0 checksum
+        windowed = _grid(rng)
+        offline = OfflineABFT.for_grid(windowed, period=2, epsilon=1e-5)
+        ranks = DistributedStencilRunner(_grid(rng), n_ranks=2)
+        ranks.step()
+        tiles = TiledStencilRunner.with_online_abft(
+            _grid(rng), (2, 2), executor=SerialExecutor(), epsilon=1e-5
+        )
+        tiles.step()
+        app = make_hotspot_app((8, 8, 2))
+        campaign = (
+            app.build_grid, make_protector_factory("online-abft"),
+            CampaignConfig(iterations=4, repetitions=3, seed=3),
+        )
+        reference = app.reference_solution(4)
+        engine = CampaignEngine(executor="serial")
+        # Builds and keeps the worker's stacked batch.
+        engine.run(*campaign, reference=reference)
+
+        log = []
+        use_backend(_spy_backend(log))
+
+        def calls(run):
+            del log[:]
+            result = run()
+            return Counter(log), result
+
+        # grid.step, then the online checksum.
+        made, _ = calls(lambda: online.step(grid))
+        assert (made["step_into"], made["checksum"]) == (1, 1)
+        # A flip in the first window: the window-closing checksum
+        # detects it and rollback_and_recompute replays both steps.
+        flip = FaultInjector([FaultPlan(iteration=1, index=(5, 5), bit=27)])
+        made, report = calls(lambda: offline.run(windowed, 2, inject=flip))
+        assert report.total_rollbacks == 1
+        assert made["step_into"] == 4
+        assert made["checksum"] >= 2
+        made, _ = calls(ranks.step)
+        assert (made["step_into"], made["checksum"]) == (2, 2)
+        made, _ = calls(tiles.step)
+        assert (made["sweep_padded"], made["checksum"]) == (4, 4)
+        made, result = calls(lambda: engine.run(*campaign, reference=reference))
+        engine.shutdown()
+        assert result.strategy_counts() == {"stacked": 3}
+        assert made["batch_step_into"] == 4
+        assert made["checksum"] >= 4

@@ -34,11 +34,10 @@ BATCH = 8
 
 
 class _GridFactory:
-    """Builds the same float64 domain on one backend for every run."""
+    """Builds the same float64 domain for every run."""
 
-    def __init__(self, shape, backend):
+    def __init__(self, shape):
         self.shape = tuple(shape)
-        self.backend = backend
         self.u0 = np.random.default_rng(5).random(self.shape) * 100.0
 
     def __call__(self):
@@ -48,7 +47,7 @@ class _GridFactory:
         else:
             spec = seven_point_diffusion_3d(0.1)
             cls = Grid3D
-        return cls(self.u0, spec, BoundaryCondition.clamp(), backend=self.backend)
+        return cls(self.u0, spec, BoundaryCondition.clamp())
 
 
 def _bits(a):
@@ -114,9 +113,10 @@ def _replayed_checksums(grid_factory, protector_factory, plans, monkeypatch):
     ids=["2d-row", "2d-column", "3d-column", "3d-row"],
 )
 def test_stacked_checksums_match_replay_bitwise(
-    shape, verify_axis, checksum_dtype, backend, monkeypatch
+    shape, verify_axis, checksum_dtype, backend, monkeypatch, use_backend
 ):
-    grid_factory = _GridFactory(shape, backend)
+    use_backend(backend)
+    grid_factory = _GridFactory(shape)
     protector_factory = make_protector_factory(
         "online-abft", epsilon=1e-5, verify_axis=verify_axis,
         checksum_dtype=checksum_dtype,
