@@ -17,16 +17,16 @@ buffers) are shared across the process.
 The campaign engine's process executor rebuilds grids and protectors
 inside each worker, and a backend instance does not cross the process
 boundary (the fused backend's thread-local scratch does not pickle).
-Each worker resolves the selection from its own registry (forked
-workers inherit the default), so a custom backend must be registered at
-import time — module level of an imported package — for worker
-processes to find it.
+Each batch carries the parent's selection by name and the worker
+installs it from its own registry, so a custom backend must be
+registered at import time — module level of an imported package — for
+worker processes to find it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.backends.base import Backend
 
@@ -48,10 +48,6 @@ BUILTIN_DEFAULT = "fused"
 
 _REGISTRY: Dict[str, Backend] = {}
 _DEFAULT_OVERRIDE: Optional[str] = None
-
-#: Anything accepted where a backend is expected: a registry name, a
-#: :class:`Backend` instance, or ``None`` for the active default.
-BackendLike = Union[None, str, Backend]
 
 
 def register_backend(backend: Backend) -> Backend:
@@ -90,17 +86,15 @@ def set_default_backend(name: Optional[str]) -> None:
     _DEFAULT_OVERRIDE = name
 
 
-def get_backend(spec: BackendLike = None) -> Backend:
-    """Resolve a backend name/instance/``None`` to a :class:`Backend`.
+def get_backend(name: Optional[str] = None) -> Backend:
+    """The registered backend ``name``, or the selection for ``None``.
 
     ``None`` resolves through the default chain documented in the module
     docstring; a name fetches that registered instance (tests compare
-    against the ``numpy`` reference this way); an instance is returned
-    unchanged.
+    against the ``numpy`` reference this way).
     """
-    if isinstance(spec, Backend):
-        return spec
-    name = default_backend_name() if spec is None else str(spec)
+    if name is None:
+        name = default_backend_name()
     try:
         return _REGISTRY[name]
     except KeyError:

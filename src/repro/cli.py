@@ -108,6 +108,26 @@ _EXPERIMENTS = {
 }
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``minimum``.
+
+    argparse refuses a smaller value with exit 2, naming the flag.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -155,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--workers",
-            type=int,
+            type=_int_at_least(1),
             default=None,
             help="worker count for thread/process executors (default: all cores)",
         )
@@ -191,13 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
         "and report the gather checksum plus per-rank detection totals",
     )
     dist.add_argument(
-        "--ranks", type=int, default=4, help="number of simulated ranks"
+        "--ranks", type=_int_at_least(1), default=4,
+        help="number of simulated ranks"
     )
     dist.add_argument(
-        "--iters", type=int, default=50, help="distributed sweeps to run"
+        "--iters", type=_int_at_least(0), default=50,
+        help="distributed sweeps to run"
     )
     dist.add_argument(
-        "--size", type=int, default=256, help="square domain edge length"
+        "--size", type=_int_at_least(1), default=256,
+        help="square domain edge length"
     )
     dist.add_argument(
         "--backend",
@@ -228,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "1..iters (default when only --crash-rank is given: iters // 2)",
     )
     dist.add_argument(
-        "--checkpoint-period", type=int, default=None, metavar="P",
+        "--checkpoint-period", type=_int_at_least(1), default=None,
+        metavar="P",
         help="buddy-checkpoint period in iterations (default: the ABFT "
         "detection period, 16)",
     )
@@ -239,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign engine and report detection/timing statistics",
     )
     camp.add_argument(
-        "--tile", type=int, nargs=3, default=[64, 64, 8],
+        "--tile", type=_int_at_least(1), nargs=3, default=[64, 64, 8],
         metavar=("NX", "NY", "NZ"), help="HotSpot3D tile size",
     )
     camp.add_argument(
@@ -251,10 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="single-bit-flip", help="fault scenario",
     )
     camp.add_argument(
-        "--iterations", type=int, default=64, help="stencil sweeps per run"
+        "--iterations", type=_int_at_least(1), default=64,
+        help="stencil sweeps per run"
     )
     camp.add_argument(
-        "--repetitions", type=int, default=50, help="independent runs"
+        "--repetitions", type=_int_at_least(1), default=50,
+        help="independent runs"
     )
     camp.add_argument("--seed", type=int, default=0, help="campaign base seed")
     camp.add_argument(
@@ -270,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, field, kind, text in _FAULT_MODEL_FLAGS:
         camp.add_argument(flag, type=kind, dest=field, help=text)
     camp.add_argument(
-        "--period", type=int, default=16,
+        "--period", type=_int_at_least(1), default=16,
         help="offline detection/checkpoint period",
     )
     camp.add_argument(
-        "--batch", type=int, default=None,
+        "--batch", type=_int_at_least(1), default=None,
         help="runs per dispatched batch, which is also the stacked width "
         "(default: automatic, at most 32)",
     )
@@ -293,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign-engine executor (default: REPRO_EXECUTOR, else serial)",
     )
     camp.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_int_at_least(1), default=None,
         help="worker count for thread/process executors",
     )
     return parser
@@ -345,8 +371,6 @@ def _run_distributed(args, parser: argparse.ArgumentParser) -> int:
 
     with _usage_errors(parser):
         _select_backend(args.backend)
-        if args.iters < 0:
-            raise ValueError(f"--iters must be >= 0, got {args.iters}")
         rng = np.random.default_rng(42)
         initial = (rng.random((args.size, args.size)) * 100.0).astype(np.float32)
         boundary = (

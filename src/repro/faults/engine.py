@@ -100,7 +100,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import get_backend
+from repro.backends import default_backend_name, get_backend, set_default_backend
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection, Protector
 from repro.faults.campaign import (
@@ -225,6 +225,9 @@ class _BatchTask:
     payload: _CampaignPayload
     start: int
     plans: Tuple[Tuple[FaultPlan, ...], ...]
+    #: The parent's backend selection when it dispatched the batch, which
+    #: a pool worker started earlier, or spawned, may not share.
+    backend_name: str
     hooks: Optional[Tuple] = None
     #: The campaign's full batch width.  A worker may receive the
     #: (smaller) final batch first, so the stacked state is sized from
@@ -586,10 +589,14 @@ _WORKER_LOCAL = threading.local()
 def _execute_batch(task: _BatchTask) -> Tuple[BatchStrategy, List[RunRecord]]:
     """Worker entry point: resolve (or build) the cached state, run one batch.
 
-    Module-level so process pools can import it by reference; the state
-    cache is thread-local so the thread executor's workers never share
-    mutable campaign state.
+    A worker whose backend selection differs from the parent's installs
+    the parent's first.  Module-level so process pools can import it by
+    reference; the state cache is thread-local so the thread executor's
+    workers never share mutable campaign state.
     """
+    if default_backend_name() != task.backend_name:
+        set_default_backend(task.backend_name)
+        get_backend().warmup()
     cache: Dict[str, _WorkerCampaign] = getattr(_WORKER_LOCAL, "cache", None)
     if cache is None:
         cache = _WORKER_LOCAL.cache = {}
@@ -858,6 +865,7 @@ class CampaignEngine:
         )
         key = self._campaign_key(meta, config, payload.reference)
         batch = self._auto_batch(config.repetitions)
+        backend_name = default_backend_name()
         tasks: List[_BatchTask] = []
         for start in range(0, config.repetitions, batch):
             stop = min(start + batch, config.repetitions)
@@ -867,6 +875,7 @@ class CampaignEngine:
                     payload=payload,
                     start=start,
                     plans=tuple(tuple(p) for p in plans[start:stop]),
+                    backend_name=backend_name,
                     hooks=None if hooks is None else tuple(hooks[start:stop]),
                     width_hint=batch,
                     force_replay=strategy == "replay",

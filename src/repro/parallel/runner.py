@@ -74,12 +74,11 @@ class TiledStencilRunner:
 
     Notes
     -----
-    Every protected tile is verified by :meth:`OnlineABFT.process`, on
-    the executor, which reduces the tile's checksum itself.  Without a
-    fault-injection hook one task sweeps a tile and verifies it; with a
-    hook every tile is swept first, the hook strikes the new global
-    domain, and only then are the tiles verified, so each checksum sees
-    the hook's faults, as the paper's semantics require.
+    Every tile is swept first; then a fault-injection hook, if any,
+    strikes the new global domain; then :meth:`OnlineABFT.process`
+    verifies every protected tile on the executor, reducing the tile's
+    checksum itself, so each checksum sees the hook's faults, as the
+    paper's semantics require.
     """
 
     def __init__(
@@ -162,12 +161,13 @@ class TiledStencilRunner:
         return len(self.boxes)
 
     def step(self, inject: Optional[InjectHook] = None) -> List[StepReport]:
-        """One global sweep: per-tile sweeps, then per-tile verification.
+        """One global sweep: per-tile sweeps, the hook, per-tile verification.
 
         Each tile sweeps its halo-extended view of the front buffer into
-        its slice of the back buffer; its protector then verifies that
-        slice against the front buffer, so tiles never read each other's
-        new values and every task can run on any worker.
+        its slice of the back buffer; after the commit and the hook, its
+        protector verifies that slice against the previous values, so
+        tiles never read each other's new values and every task can run
+        on any worker.
 
         Returns one report per tile (empty report for unprotected tiles).
         """
@@ -200,19 +200,12 @@ class TiledStencilRunner:
                 new_u[box.slices], padded_tile_view(src, box, self.radius), iteration
             )
 
-        def sweep_and_verify(box: TileBox) -> StepReport:
-            sweep(box)
-            return verify(box)
-
-        if inject is None:
-            reports = self.executor.map(sweep_and_verify, self.boxes)
-            grid._commit(src)
-            return reports
         self.executor.map(sweep, self.boxes)
         grid._commit(src)
-        # Fault injection targets the freshly swept global domain, matching
-        # the single-grid protectors' injection point.
-        inject(grid, grid.iteration)
+        if inject is not None:
+            # Fault injection targets the freshly swept global domain,
+            # matching the single-grid protectors' injection point.
+            inject(grid, grid.iteration)
         return self.executor.map(verify, self.boxes)
 
     def run(self, iterations: int, inject: Optional[InjectHook] = None) -> List[StepReport]:

@@ -84,10 +84,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown backend"):
             get_backend("cuda-42")
 
-    def test_instance_passthrough(self):
-        be = NumpyBackend()
-        assert get_backend(be) is be
-
     def test_default_resolution_chain(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         set_default_backend(None)

@@ -374,7 +374,35 @@ class TestAllocationProfile:
         assert per_run < domain_bytes / 2
 
 
+class _RecordsBackend:
+    """Inject hook appending the backend its worker resolves to a file."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __call__(self, grid, iteration):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(get_backend().name + "\n")
+
+
 class TestProcessExecutorContract:
+    def test_workers_follow_each_run_selection(self, app, tmp_path, use_backend):
+        # The pool outlives a run, so its worker starts under the first
+        # run's selection; each later run's selection must still reach it.
+        seen = tmp_path / "backends"
+        config = CampaignConfig(iterations=2, repetitions=2, inject=False)
+        with CampaignEngine(executor="process", workers=1) as engine:
+            for name in ("numpy", "fused", "numpy"):
+                use_backend(name)
+                engine.run(
+                    app.build_grid,
+                    make_protector_factory("no-abft"),
+                    config,
+                    hook_factory=lambda i: _RecordsBackend(seen),
+                )
+                assert set(seen.read_text().split()) == {name}
+                seen.unlink()
+
     def test_unpicklable_factory_raises_clear_error(self, app, reference):
         config = CampaignConfig(iterations=4, repetitions=2, inject=False)
         with CampaignEngine(executor="process", workers=1) as engine:

@@ -164,21 +164,29 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["distributed", "--ranks", "0"], "n_ranks"),
+            (["distributed", "--ranks", "0"], "--ranks"),
             (["distributed", "--iters", "-1"], "--iters"),
-            (["distributed", "--checkpoint-period", "0"], "checkpoint_period"),
+            (["distributed", "--checkpoint-period", "0"],
+             "--checkpoint-period"),
             (["distributed", "--ranks", "40"], "cannot split"),
             (["distributed", "--ranks", "3", "--crash-rank", "5"],
              "--crash-rank 5"),
-            (_SMALL_CAMPAIGN + ["--iterations", "0"], "iterations"),
-            (_SMALL_CAMPAIGN + ["--repetitions", "0"], "repetitions"),
-            (_SMALL_CAMPAIGN + ["--batch", "0"], "batch_size"),
+            (_SMALL_CAMPAIGN + ["--iterations", "0"], "--iterations"),
+            (_SMALL_CAMPAIGN + ["--repetitions", "0"], "--repetitions"),
+            (_SMALL_CAMPAIGN + ["--batch", "0"], "--batch"),
+            (["distributed", "--size", "-3"], "--size"),
+            (_SMALL_CAMPAIGN + ["--workers", "0"], "--workers"),
+            (_SMALL_CAMPAIGN + ["--tile", "0", "16", "4"], "--tile"),
+            (_SMALL_CAMPAIGN + ["--method", "offline-abft", "--period", "0"],
+             "--period"),
+            (["figure8", "--scale", "smoke", "--workers", "0"], "--workers"),
         ],
         ids=[
             "ranks-0", "iters-negative", "checkpoint-period-0",
             "more-ranks-than-rows", "crash-rank",
             "campaign-iterations-0", "campaign-repetitions-0",
-            "campaign-batch-0",
+            "campaign-batch-0", "size-negative", "campaign-workers-0",
+            "campaign-tile-0", "campaign-period-0", "experiment-workers-0",
         ],
     )
     def test_bad_flag_exits_2_with_one_line(
