@@ -322,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_int_at_least(1), default=None,
         help="worker count for thread/process executors",
     )
+    for sub in subparsers.choices.values():
+        sub.set_defaults(command_parser=sub)
     return parser
 
 
@@ -497,7 +499,7 @@ def _run_campaign_cli(args, parser: argparse.ArgumentParser) -> int:
 
     from repro.experiments.common import make_hotspot_app, make_protector_factory
     from repro.experiments.report import format_seconds
-    from repro.faults.campaign import CampaignConfig
+    from repro.faults.campaign import CampaignConfig, check_plans, draw_fault_plans
 
     tile = tuple(args.tile)
     with _usage_errors(parser):
@@ -510,6 +512,10 @@ def _run_campaign_cli(args, parser: argparse.ArgumentParser) -> int:
         )
         app = make_hotspot_app(tile)
         factory = make_protector_factory(args.method, period=args.period)
+        grid = app.build_grid()
+        protector = factory(grid)
+        for plans in draw_fault_plans(config, grid.shape, grid.dtype):
+            check_plans(plans, protector)
         engine = CampaignEngine(batch_size=args.batch)
     reference = app.reference_solution(args.iterations)
     with engine:
@@ -616,8 +622,10 @@ def _list_backends(as_json: bool) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Usage errors found after parsing print the subcommand's usage and
+    # ``repro-abft <command>: error:``, as argparse's own errors do.
+    parser = args.command_parser
 
     if args.command == "backends":
         return _list_backends(args.json)

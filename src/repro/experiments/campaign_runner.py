@@ -16,7 +16,7 @@ to the legacy serial loop for every executor and worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments.common import (
     METHODS,
@@ -50,16 +50,13 @@ def run_tile_campaigns(
     scale: EvaluationScale,
     tile: Tuple[int, int, int],
     seed: int = 0,
-    engine: Optional[CampaignEngine] = None,
 ) -> TileCampaigns:
     """Run the error-free and bit-flip campaigns of every method on a tile.
 
     The error-free reference solution is computed once and reused across
     all campaigns of the tile so that arithmetic errors are comparable.
-    An ``engine`` may be shared across calls to keep one worker pool
-    alive for a whole experiment; when omitted a private engine
-    (following the process-wide executor selection) is created and shut
-    down around the call.
+    The campaigns share one engine (following the process-wide executor
+    selection), shut down when the tile is done.
     """
     iterations = scale.iterations[tile]
     repetitions = scale.repetitions[tile]
@@ -69,7 +66,7 @@ def run_tile_campaigns(
         tile_size=tile, iterations=iterations, repetitions=repetitions
     )
 
-    with CampaignEngine.shared(engine) as eng:
+    with CampaignEngine() as eng:
         for method in METHODS:
             if method == "offline-abft":
                 factory = make_protector_factory(

@@ -77,7 +77,6 @@ class Figure10Result:
 
 def run_figure10(
     scale: EvaluationScale | None = None,
-    engine: CampaignEngine | None = None,
 ) -> Figure10Result:
     """Regenerate Figure 10 at the requested scale.
 
@@ -101,7 +100,7 @@ def run_figure10(
         iterations=iterations,
         repetitions_per_bit=scale.bit_repetitions,
     )
-    with CampaignEngine.shared(engine) as eng:
+    with CampaignEngine() as eng:
         for method in METHODS:
             factory = make_protector_factory(
                 method, epsilon=scale.epsilon, period=scale.period

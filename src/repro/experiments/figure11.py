@@ -68,7 +68,6 @@ class Figure11Result:
 
 def run_figure11(
     scale: EvaluationScale | None = None,
-    engine: CampaignEngine | None = None,
 ) -> Figure11Result:
     """Regenerate Figure 11 at the requested scale.
 
@@ -86,7 +85,7 @@ def run_figure11(
     app = make_hotspot_app(tile)
     reference = app.reference_solution(iterations)
     result = Figure11Result(scale_name=scale.name)
-    with CampaignEngine.shared(engine) as eng:
+    with CampaignEngine() as eng:
         for period in scale.detection_periods:
             if period > iterations:
                 continue

@@ -120,12 +120,11 @@ def run_sensitivity(
     scale: EvaluationScale | None = None,
     magnitudes: Tuple[float, ...] = DEFAULT_MAGNITUDES,
     runs_per_magnitude: int = 8,
-    engine: CampaignEngine | None = None,
 ) -> SensitivityResult:
     """Measure detection rate vs. perturbation magnitude for both detectors.
 
     The clean runs and every magnitude's perturbed runs execute as
-    campaigns on a shared :class:`CampaignEngine`; the custom
+    campaigns on one :class:`CampaignEngine`; the custom
     perturbation hooks take the engine's replay strategy, so each worker
     reuses one persistent grid/detector pair across the whole sweep.
     """
@@ -144,7 +143,7 @@ def run_sensitivity(
     }
 
     rng = np.random.default_rng(4242)
-    with CampaignEngine.shared(engine) as eng:
+    with CampaignEngine() as eng:
         for name, factory in detectors.items():
             # False positives on clean runs.
             clean_runs = max(2, runs_per_magnitude // 2)

@@ -17,6 +17,7 @@ actually take on their machine.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -95,17 +96,12 @@ def _measure_throughput(
 def run_table1(
     scale: EvaluationScale | None = None,
     measure_throughput: bool = False,
-    engine: CampaignEngine | None = None,
 ) -> Table1Result:
     """Collect the experimental parameters for the given scale."""
     scale = scale if scale is not None else EvaluationScale.quick()
     result = Table1Result(scale_name=scale.name)
-
-    def build_rows(eng: Optional[CampaignEngine]) -> None:
+    with CampaignEngine() if measure_throughput else nullcontext() as eng:
         for tile in scale.tile_sizes:
-            throughput = None
-            if measure_throughput:
-                throughput = _measure_throughput(scale, tile, eng)
             result.rows.append(
                 Table1Row(
                     tile_size=tile,
@@ -113,15 +109,13 @@ def run_table1(
                     repetitions=scale.repetitions[tile],
                     epsilon=scale.epsilon,
                     offline_period=scale.period,
-                    runs_per_second=throughput,
+                    runs_per_second=(
+                        _measure_throughput(scale, tile, eng)
+                        if measure_throughput
+                        else None
+                    ),
                 )
             )
-
-    if not measure_throughput:
-        build_rows(None)
-        return result
-    with CampaignEngine.shared(engine) as eng:
-        build_rows(eng)
     return result
 
 

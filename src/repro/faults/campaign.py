@@ -30,7 +30,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.protector import Protector
+from repro.core.offline import OfflineABFT
+from repro.core.online import OnlineABFT
+from repro.core.protector import NoProtection, Protector
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.models import FaultModel, SingleBitFlip
 from repro.metrics.accuracy import l2_error
@@ -42,6 +44,7 @@ __all__ = [
     "CampaignConfig",
     "RunRecord",
     "CampaignResult",
+    "check_plans",
     "resolve_run_counters",
     "run_with_crashes",
     "draw_fault_plans",
@@ -314,6 +317,43 @@ def resolve_run_counters(protector: Protector, run_report) -> tuple:
     )
 
 
+def check_plans(plans: Sequence[FaultPlan], protector: Protector) -> None:
+    """Raise ``ValueError`` naming why :func:`run_one` cannot fire ``plans``.
+
+    Campaigns check every run's plans before the first run.  Ghost and
+    payload plans need a distributed run; a crash run
+    (:func:`run_with_crashes`) needs a protector with a per-rank
+    counterpart and maps only domain plans onto its ranks; checksum
+    plans strike an ABFT protector's stored checksums.
+    """
+    name = getattr(protector, "name", type(protector).__name__)
+    targets = {plan.target for plan in plans}
+    halo_targets = sorted(targets & {"ghost", "payload"})
+    if halo_targets:
+        raise ValueError(
+            f"{halo_targets[0]!r}-targeted plans require a distributed run "
+            f"(use DistributedFaultInjector on a DistributedStencilRunner)"
+        )
+    if "crash" in targets:
+        if not isinstance(protector, (OnlineABFT, NoProtection)):
+            raise ValueError(
+                f"fail-stop campaign runs support the 'online-abft' and "
+                f"'no-abft' protectors; got {name!r}"
+            )
+        if targets - {"crash", "domain"}:
+            raise ValueError(
+                f"a fail-stop campaign run maps only domain plans onto its "
+                f"ranks; got {sorted(targets - {'crash', 'domain'})}"
+            )
+    elif "checksum" in targets and not isinstance(
+        protector, (OnlineABFT, OfflineABFT)
+    ):
+        raise ValueError(
+            f"checksum-targeted plans strike an ABFT protector's stored "
+            f"checksums; {name!r} holds none"
+        )
+
+
 def run_with_crashes(
     grid: GridBase,
     protector: Protector,
@@ -332,30 +372,25 @@ def run_with_crashes(
 
     The serial ``protector`` is not stepped; it only selects the
     distributed protection mode: :class:`~repro.core.online.OnlineABFT`
-    runs protected ranks (same per-rank configuration the runner builds
-    everywhere else), :class:`~repro.core.protector.NoProtection` runs
-    bare ranks.  Other protectors (e.g. offline ABFT) have no per-rank
-    distributed counterpart and are rejected.
+    runs protected ranks, each built with the serial protector's
+    settings (its value of every option the runner passes through),
+    :class:`~repro.core.protector.NoProtection` runs bare ranks.
+    :func:`check_plans` refuses every other protector (e.g. offline
+    ABFT), which has no per-rank distributed counterpart.
 
     Returns ``(elapsed_seconds, runner)``; :func:`run_one` reads the
     final domain (``runner.gather()``) and the counters from the runner.
     """
-    from repro.core.online import OnlineABFT
-    from repro.core.protector import NoProtection
     from repro.faults.models import DistributedFaultInjector
-    from repro.parallel.simmpi import DistributedStencilRunner
+    from repro.parallel.simmpi import _ABFT_KWARGS, DistributedStencilRunner
 
-    if isinstance(protector, OnlineABFT):
-        protect = True
-    elif isinstance(protector, NoProtection):
-        protect = False
-    else:
-        raise ValueError(
-            f"fail-stop campaign runs support the 'online-abft' and "
-            f"'no-abft' protectors; got {getattr(protector, 'name', type(protector).__name__)!r}"
-        )
+    check_plans(plans, protector)
+    protect = isinstance(protector, OnlineABFT)
+    settings = {n: getattr(protector, n) for n in _ABFT_KWARGS} if protect else {}
     n_ranks = int(getattr(fault_model, "n_ranks", 2))
-    runner = DistributedStencilRunner(grid, n_ranks=n_ranks, protect=protect)
+    runner = DistributedStencilRunner(
+        grid, n_ranks=n_ranks, protect=protect, **settings
+    )
     injector = DistributedFaultInjector.from_global(runner, plans)
     start = time.perf_counter()
     runner.run(iterations, inject=injector)
@@ -419,6 +454,7 @@ def run_one(
     restores its persistent one in place.
     """
     plans = list(plans)
+    check_plans(plans, protector)
     protector.reset()
     recovery = {}
     if any(p.target == "crash" for p in plans):
@@ -490,9 +526,14 @@ def run_campaign(
         reference = compute_reference(grid_factory, config.iterations)
 
     sample_grid = grid_factory()
-    protector_name = getattr(protector_factory(sample_grid), "name", "protector")
-    result = CampaignResult(config=config, protector_name=protector_name)
+    sample_protector = protector_factory(sample_grid)
     plans = draw_fault_plans(config, sample_grid.shape, sample_grid.dtype)
+    for run_plans in plans:
+        check_plans(run_plans, sample_protector)
+    result = CampaignResult(
+        config=config,
+        protector_name=getattr(sample_protector, "name", "protector"),
+    )
 
     # Warm-up run (not recorded): pays one-off costs (allocator growth,
     # lazy imports, CPU frequency ramp) outside the timed repetitions so

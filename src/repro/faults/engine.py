@@ -94,9 +94,8 @@ import pickle
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +109,7 @@ from repro.faults.campaign import (
     GridFactory,
     ProtectorFactory,
     RunRecord,
+    check_plans,
     compute_reference,
     draw_fault_plans,
     run_one,
@@ -197,7 +197,9 @@ class _CampaignMeta:
     key_prefix: str
     shape: Tuple[int, ...]
     dtype: np.dtype
-    protector_name: str
+    #: The sample protector: its name labels the result, and
+    #: :func:`~repro.faults.campaign.check_plans` reads its kind.
+    protector: Protector
     grid_factory: GridFactory
     protector_factory: ProtectorFactory
 
@@ -725,26 +727,6 @@ class CampaignEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    @classmethod
-    @contextmanager
-    def shared(
-        cls, engine: Optional["CampaignEngine"] = None, **kwargs
-    ) -> Iterator["CampaignEngine"]:
-        """Yield ``engine`` as-is, or a private one shut down on exit.
-
-        The experiment harnesses all take an optional engine so a caller
-        can keep one worker pool alive across figures; this is the one
-        place the create-if-absent/shutdown-if-owned lifecycle lives.
-        """
-        if engine is not None:
-            yield engine
-            return
-        own = cls(**kwargs)
-        try:
-            yield own
-        finally:
-            own.shutdown()
-
     # -- dispatch ------------------------------------------------------------
     def _campaign_meta(
         self, grid_factory, protector_factory
@@ -752,7 +734,7 @@ class CampaignEngine:
         """Per-campaign metadata, resolved once per factory pair.
 
         Besides the worker-cache key prefix, the entry caches the sample
-        grid's shape/dtype and the protector name, so repeated
+        grid's shape/dtype and the sample protector, so repeated
         :meth:`run` calls (chunked benchmarks, figure sweeps) skip the
         sample-grid construction entirely.  The key deliberately
         excludes ``seed`` and ``repetitions``, which do not enter the
@@ -774,7 +756,7 @@ class CampaignEngine:
                 key_prefix=f"engine-{self._token}-{self._key_serial}",
                 shape=sample.shape,
                 dtype=sample.dtype,
-                protector_name=getattr(sample_protector, "name", "protector"),
+                protector=sample_protector,
                 grid_factory=grid_factory,
                 protector_factory=protector_factory,
             )
@@ -853,6 +835,8 @@ class CampaignEngine:
             reference = compute_reference(grid_factory, config.iterations)
         meta = self._campaign_meta(grid_factory, protector_factory)
         plans = draw_fault_plans(config, meta.shape, meta.dtype)
+        for run_plans in plans:
+            check_plans(run_plans, meta.protector)
         hooks = None
         if hook_factory is not None:
             hooks = [hook_factory(i) for i in range(config.repetitions)]
@@ -891,7 +875,8 @@ class CampaignEngine:
             batches = executor.map(_execute_batch, tasks)
 
         result = CampaignResult(
-            config=config, protector_name=meta.protector_name
+            config=config,
+            protector_name=getattr(meta.protector, "name", "protector"),
         )
         for strategy_used, records in batches:
             result.batch_strategies.append(strategy_used)

@@ -78,7 +78,8 @@ class FaultPlan:
         of a distributed rank (``axis``/``side`` select the slab,
         ``index`` the point within it). ``"payload"`` corrupts an
         in-flight :class:`~repro.parallel.simmpi.SimChannel` message
-        (``index[0]`` is the flat element offset within the payload).
+        (``index[0]``, modulo the strip's element count, is the flat
+        element offset within the payload).
         ``"crash"`` is a fail-stop failure, not an SDC: the ``rank``
         stops posting and answering messages at the start of
         ``iteration`` (``index``/``bit`` are unused).

@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.bitflip import bit_width, flip_bit_in_array
+from repro.faults.bitflip import bit_width
 from repro.faults.injector import (
     FaultPlan,
     _corrupt_stored_checksum,
@@ -252,8 +252,9 @@ class RegionTargeted(FaultModel):
     ``"payload"``
         An in-flight halo message on the
         :class:`~repro.parallel.simmpi.SimChannel`; ``index[0]`` is a
-        draw the scheduler maps onto a flat payload offset.  ``action``
-        chooses ``"corrupt"`` (bit flip, CRC-detected) or ``"drop"``.
+        draw :meth:`DistributedFaultInjector.payload_strike` maps onto a
+        flat offset of the strip.  ``action`` chooses ``"corrupt"`` (bit
+        flip, CRC-detected) or ``"drop"``.
     """
 
     region: str = "checksum"
@@ -525,9 +526,8 @@ class DistributedFaultInjector:
     ----------
     runner:
         The :class:`~repro.parallel.simmpi.DistributedStencilRunner`
-        under attack.  Payload plans are armed on its channel at
-        construction time (in-flight faults strike at *send* time, so
-        they must be scheduled before the iteration's halo post).
+        under attack.  Payload plans are checked against its topology:
+        a rank that sends no halo message cannot carry one.
     plans_by_rank:
         One plan list per rank, in rank order, with rank-local indices —
         e.g. the output of :meth:`FaultModel.draw_for_ranks` over
@@ -537,8 +537,12 @@ class DistributedFaultInjector:
     -----
     The runner invokes the hook as ``inject(runner, iteration, rank)``
     after each rank's sweep (domain and checksum targets) and — when the
-    hook exposes it — ``inject_ghosts(runner, iteration, rank)`` right
-    after halo ingestion, before the sweep reads the ghost slabs.
+    hook exposes them — ``apply_crashes(runner, iteration)`` before the
+    iteration's halo post, ``payload_strike(iteration, rank, side)`` for
+    each strip it posts, and ``inject_ghosts(runner, iteration, rank)``
+    right after halo ingestion, before the sweep reads the ghost slabs.
+    Every plan fires once; :meth:`rewind` re-arms the SDC plans of a
+    window that recovery replays.
     """
 
     def __init__(self, runner, plans_by_rank: Sequence[Sequence[FaultPlan]]) -> None:
@@ -551,27 +555,23 @@ class DistributedFaultInjector:
         self.plans_by_rank: List[List[FaultPlan]] = [
             list(p) for p in plans_by_rank
         ]
-        self._fired = {
-            (r, i): False
-            for r, rank_plans in enumerate(self.plans_by_rank)
-            for i, _ in enumerate(rank_plans)
-        }
-        flat = self.plans
-        self.has_crash_plans = any(p.target == "crash" for p in flat)
-        if self.has_crash_plans:
-            if n_ranks < 2:
+        self._fired: set = set()
+        self.has_crash_plans = any(p.target == "crash" for p in self.plans)
+        if self.has_crash_plans and n_ranks < 2:
+            raise ValueError(
+                "crash plans need n_ranks >= 2: a sole rank has no "
+                "buddy checkpoint to recover from"
+            )
+        for rank, rank_plans in zip(runner.ranks, self.plans_by_rank):
+            if any(p.target == "payload" for p in rank_plans) and (
+                runner.halo_width == 0
+                or rank.lo_neighbor is None and rank.hi_neighbor is None
+            ):
                 raise ValueError(
-                    "crash plans need n_ranks >= 2: a sole rank has no "
-                    "buddy checkpoint to recover from"
+                    f"payload plans need halo traffic, but rank {rank.rank} "
+                    f"sends no messages (single rank, closed boundary, or "
+                    f"a radius-0 axis?)"
                 )
-            if any(p.target == "payload" for p in flat):
-                raise ValueError(
-                    "payload and crash plans cannot be combined: in-flight "
-                    "faults address absolute send ordinals, which shift "
-                    "when recovery replays the halo stream (combine "
-                    "crashes with domain/checksum/ghost faults instead)"
-                )
-        self._schedule_payload_faults(runner)
 
     @classmethod
     def from_global(cls, runner, plans: Sequence[FaultPlan]) -> "DistributedFaultInjector":
@@ -606,82 +606,29 @@ class DistributedFaultInjector:
 
     @property
     def fired_count(self) -> int:
-        return sum(self._fired.values())
+        return len(self._fired)
 
-    # -- payload scheduling ---------------------------------------------------
-    def _schedule_payload_faults(self, runner) -> None:
-        """Translate payload plans into channel send ordinals.
-
-        ``_post_halos`` sends in a fixed order — ranks ascending, low
-        neighbour before high — so the n-th send of any iteration is
-        fully determined by the topology.  A payload plan on rank ``r``
-        with ``side`` 0/1 corrupts the strip *sent by* ``r`` to its
-        low/high neighbour during the plan's iteration.
-        """
-        sends: List[Tuple[int, int]] = []  # (rank, side) in send order
-        for rank in runner.ranks:
-            if rank.lo_neighbor is not None:
-                sends.append((rank.rank, 0))
-            if rank.hi_neighbor is not None:
-                sends.append((rank.rank, 1))
-        per_iter = len(sends)
-        for r, rank_plans in enumerate(self.plans_by_rank):
-            for plan in rank_plans:
-                if plan.target != "payload":
-                    continue
-                if per_iter == 0:
-                    raise ValueError(
-                        "payload plans need halo traffic, but this "
-                        "topology exchanges no messages (single rank, "
-                        "closed boundary?)"
-                    )
-                side = plan.side
-                if (r, side) not in sends:
-                    side = 1 - side  # edge rank: fall back to the live link
-                if (r, side) not in sends:
-                    raise ValueError(
-                        f"rank {r} has no neighbours to send to; cannot "
-                        f"place a payload fault"
-                    )
-                position = sends.index((r, side)) + 1
-                ordinal = (plan.iteration - 1) * per_iter + position
-                from repro.parallel.halo import strip_size
-
-                payload_size = 1
-                if runner.halo_width >= 1:
-                    payload_size = strip_size(
-                        runner.ranks[r].shape, runner.axis, runner.halo_width
-                    )
-                offset = plan.index[0] % max(1, payload_size)
-                runner.channel.schedule_fault(
-                    ordinal, action=plan.action, index=(offset,), bit=plan.bit
-                )
+    def _due(self, rank: int, target: str, iteration: int):
+        """``(key, plan)`` of each unfired ``target`` plan of ``rank`` due now."""
+        for i, plan in enumerate(self.plans_by_rank[rank]):
+            due = plan.target == target and plan.iteration == iteration
+            if due and (rank, i) not in self._fired:
+                yield (rank, i), plan
 
     # -- hook entry points -----------------------------------------------------
     def __call__(self, runner, iteration: int, rank) -> None:
         """Post-sweep targets: domain values and stored checksums."""
-        for i, plan in enumerate(self.plans_by_rank[rank.rank]):
-            if self._fired[(rank.rank, i)] or plan.iteration != iteration:
-                continue
-            if plan.target == "domain":
-                self._fired[(rank.rank, i)] = True
-                flip_plan(rank.interior, plan)
-            elif plan.target == "checksum":
-                self._fired[(rank.rank, i)] = True
-                if rank.protector is None:
-                    raise ValueError(
-                        f"rank {rank.rank} is unprotected; checksum plans "
-                        f"need a per-rank protector"
-                    )
-                _corrupt_stored_checksum(rank.protector, plan)
-            elif plan.target == "payload":
-                # Armed on the channel at construction; mark as consumed
-                # once its iteration passes.
-                self._fired[(rank.rank, i)] = True
-            elif plan.target == "crash":
-                # Fail-stop plans are delivered by apply_crashes at the
-                # start of the iteration, never by the post-sweep hook.
-                continue
+        for key, plan in self._due(rank.rank, "domain", iteration):
+            self._fired.add(key)
+            flip_plan(rank.interior, plan)
+        for key, plan in self._due(rank.rank, "checksum", iteration):
+            self._fired.add(key)
+            if rank.protector is None:
+                raise ValueError(
+                    f"rank {rank.rank} is unprotected; checksum plans "
+                    f"need a per-rank protector"
+                )
+            _corrupt_stored_checksum(rank.protector, plan)
 
     def apply_crashes(self, runner, iteration: int) -> None:
         """Deliver due fail-stop plans: the victim goes silent.
@@ -692,18 +639,32 @@ class DistributedFaultInjector:
         rank failed so the next liveness check (or recv on the dead
         link) raises :class:`~repro.parallel.simmpi.RankFailure`.
         """
-        for r, rank_plans in enumerate(self.plans_by_rank):
-            for i, plan in enumerate(rank_plans):
-                if (
-                    plan.target != "crash"
-                    or self._fired[(r, i)]
-                    or plan.iteration != iteration
-                ):
-                    continue
-                self._fired[(r, i)] = True
+        for r in range(len(self.plans_by_rank)):
+            for key, plan in self._due(r, "crash", iteration):
+                self._fired.add(key)
                 victim = plan.rank if plan.rank is not None else r
                 runner.ranks[victim].alive = False
                 runner.channel.mark_failed(victim)
+
+    def payload_strike(
+        self, iteration: int, rank, side: int
+    ) -> Optional[Tuple[str, int, int]]:
+        """``SimChannel.send``'s strike for ``rank``'s strip to ``side``.
+
+        A payload plan strikes the strip its rank sends to the low (0)
+        or high (1) neighbour in its iteration — at a closed domain edge
+        the one live link — at its ``index[0]`` modulo the strip size.
+        """
+        links = (rank.lo_neighbor, rank.hi_neighbor)
+        for key, plan in self._due(rank.rank, "payload", iteration):
+            if plan.side == side or links[plan.side] is None:
+                self._fired.add(key)
+                strip = (
+                    rank.interior.size // rank.shape[rank.axis]
+                    * rank.buffers.radius[rank.axis]
+                )
+                return plan.action, plan.index[0] % strip, plan.bit
+        return None
 
     def rewind(self, iteration: int) -> None:
         """Re-arm SDC plans inside a rolled-back window (recovery replay).
@@ -715,41 +676,21 @@ class DistributedFaultInjector:
         failure-free run under concurrent SDC injection.  Crash plans
         stay fired: a rebuilt rank does not re-die.
         """
-        for (r, i), fired in self._fired.items():
-            if not fired:
-                continue
+        for r, i in list(self._fired):
             plan = self.plans_by_rank[r][i]
-            if plan.target == "crash":
-                continue
-            if plan.iteration > iteration:
-                self._fired[(r, i)] = False
+            if plan.target != "crash" and plan.iteration > iteration:
+                self._fired.discard((r, i))
 
     def inject_ghosts(self, runner, iteration: int, rank) -> None:
         """Pre-sweep target: a just-ingested ghost slab of ``rank``."""
         from repro.parallel.halo import ghost_slab
 
-        for i, plan in enumerate(self.plans_by_rank[rank.rank]):
-            if self._fired[(rank.rank, i)] or plan.iteration != iteration:
-                continue
-            if plan.target != "ghost":
-                continue
-            self._fired[(rank.rank, i)] = True
-            if runner.halo_width == 0:
-                raise ValueError(
-                    f"axis {runner.axis} exchanges no ghosts (radius 0); "
-                    f"cannot place a ghost fault"
-                )
+        for key, plan in self._due(rank.rank, "ghost", iteration):
+            self._fired.add(key)
             slab = ghost_slab(
                 rank.buffers.front,
                 runner.radius,
                 runner.axis,
                 "low" if plan.side == 0 else "high",
             )
-            index = tuple(
-                min(i_, n - 1) for i_, n in zip(plan.index, slab.shape)
-            )
-            flip_bit_in_array(slab, index, plan.bit)
-
-    def reset(self) -> None:
-        for key in self._fired:
-            self._fired[key] = False
+            flip_plan(slab, plan)

@@ -17,7 +17,7 @@ three-allocations-per-step path as a baseline.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,34 +29,12 @@ __all__ = [
     "padded_tile_view",
     "tile_constant",
     "boundary_strip",
-    "strip_size",
     "ghost_slab",
     "ingest_halo",
     "synthesize_ghost",
     "synthesize_ghost_into",
     "stack_with_halos",
 ]
-
-
-def strip_size(interior_shape: Sequence[int], axis: int, width: int) -> int:
-    """Element count of one ``width``-thick halo strip along ``axis``.
-
-    The strip spans ``width`` layers of ``axis`` and the full interior
-    extent of every other axis — the exact size of a
-    :func:`boundary_strip` payload.  Used by the payload fault
-    scheduler to map flat offsets and by the checkpoint/traffic
-    accounting to predict per-message byte counts.
-    """
-    if width < 1:
-        raise ValueError("strip width must be >= 1")
-    shape = tuple(int(n) for n in interior_shape)
-    if not 0 <= axis < len(shape):
-        raise ValueError(f"axis {axis} out of range for shape {shape}")
-    size = width
-    for ax, n in enumerate(shape):
-        if ax != axis:
-            size *= n
-    return int(size)
 
 
 def padded_tile_view(

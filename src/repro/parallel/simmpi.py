@@ -14,8 +14,8 @@ deterministic stand-in:
   tracked globally and per tag for the weak-scaling benchmark.  Every
   payload is covered by a CRC32, computed only for a payload a fault
   struck (the only kind that can fail it): in-flight corruption and
-  drops (scheduled through :meth:`SimChannel.schedule_fault`, e.g. by
-  the ``region-targeted`` fault models) are detected at receive time and
+  drops (a ``send``'s ``strike``, which the runner asks its inject hook
+  for as it posts each halo strip) are detected at receive time and
   recovered by retransmission from the sender-side retention copy,
   with per-tag drop/corrupt/retransmit accounting — the standard
   link-level protection real interconnects provide underneath MPI.
@@ -56,6 +56,7 @@ from repro.backends import get_backend
 from repro.checkpoint.snapshot import CheckpointCorrupt, Snapshot
 from repro.core.online import OnlineABFT
 from repro.core.protector import StepReport
+from repro.faults.bitflip import flip_bit_in_array
 from repro.parallel.decomposition import partition_extent
 from repro.parallel.halo import (
     boundary_strip,
@@ -138,7 +139,7 @@ class RecoveryError(RuntimeError):
 class _Message:
     """One in-flight message: the wire copy plus integrity metadata.
 
-    ``payload`` is what travels (and what scheduled faults mutate);
+    ``payload`` is what travels (and what an in-flight strike mutates);
     ``pristine`` is the sender-side retention copy used for
     retransmission.  When no fault struck, ``payload`` *is* ``pristine``
     (no extra copy) and carries no CRC: ``recv`` checks only a payload
@@ -171,13 +172,11 @@ class SimChannel:
 
     Notes
     -----
-    In-flight faults are scheduled with :meth:`schedule_fault` against
-    the 1-based *global send ordinal* (the n-th *fault-eligible*
-    ``send`` on this channel), which is how the ``payload``-targeted
-    fault models address a specific halo message deterministically.
-    Checkpoint shipments are sent with ``fault_eligible=False`` so they
-    never consume an ordinal — arming a payload fault stays stable
-    whether or not buddy checkpointing is on.
+    An in-flight fault travels with the message it strikes:
+    ``send(..., strike=(action, offset, bit))``.  The channel keeps no
+    fault schedule; the distributed runner asks its inject hook for a
+    strike as it posts each halo strip, so only the runner knows the
+    order of sends.
 
     A receive from an empty mailbox raises :class:`ChannelError` at
     once, naming the link and the receiver's pending-tag inventory: the
@@ -187,8 +186,6 @@ class SimChannel:
 
     def __init__(self) -> None:
         self._mailboxes: Dict[Tuple[int, int, str], Deque[_Message]] = {}
-        self._send_ordinal = 0
-        self._scheduled: Dict[int, Tuple[str, Tuple[int, ...], int]] = {}
         self._failed: set = set()
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -235,37 +232,6 @@ class SimChannel:
                     f"(fail-stop), recovery required",
                 )
 
-    # -- fault surface ---------------------------------------------------------
-    def schedule_fault(
-        self,
-        ordinal: int,
-        action: str = "corrupt",
-        index: Tuple[int, ...] = (0,),
-        bit: int = 0,
-    ) -> None:
-        """Arm an in-flight fault against the ``ordinal``-th future send.
-
-        ``action`` is ``"corrupt"`` (flip ``bit`` of the payload element
-        at flat offset ``index[0]``) or ``"drop"`` (the wire loses the
-        message). The fault strikes the in-flight copy only — the
-        sender-side retention copy stays pristine, which is what makes
-        detect-and-retransmit recovery possible.
-        """
-        ordinal = int(ordinal)
-        if ordinal < 1:
-            raise ValueError("send ordinals are 1-based; got ordinal < 1")
-        if ordinal <= self._send_ordinal:
-            raise ValueError(
-                f"send ordinal {ordinal} already passed "
-                f"({self._send_ordinal} messages sent)"
-            )
-        if action not in ("corrupt", "drop"):
-            raise ValueError(
-                f"unknown in-flight fault action {action!r}; "
-                "expected 'corrupt' or 'drop'"
-            )
-        self._scheduled[ordinal] = (action, tuple(int(i) for i in index), int(bit))
-
     def _count(self, counters: Dict[str, int], tag: str) -> None:
         counters[tag] = counters.get(tag, 0) + 1
 
@@ -275,45 +241,42 @@ class SimChannel:
         dest: int,
         tag: str,
         payload: np.ndarray,
-        fault_eligible: bool = True,
+        strike: Optional[Tuple[str, int, int]] = None,
     ) -> None:
+        """Post a copy of ``payload``, struck by at most one in-flight fault.
+
+        ``strike=(action, offset, bit)``: ``"corrupt"`` flips ``bit`` of
+        the wire copy's element at flat ``offset``, ``"drop"`` loses the
+        message.  The retention copy stays pristine for retransmission.
+        """
         tag = str(tag)
         key = (int(source), int(dest), tag)
         pristine = np.array(payload, copy=True)
-        fault = None
-        if fault_eligible:
-            # Only fault-eligible sends (the halo stream) advance the
-            # scheduled-fault ordinal space; checkpoint shipments travel
-            # outside it so PR 8's ordinal arithmetic stays stable.
-            self._send_ordinal += 1
-            fault = self._scheduled.pop(self._send_ordinal, None)
-        wire = pristine
-        crc = None
-        dropped = False
-        if fault is not None:
-            action, index, bit = fault
+        message = _Message(payload=pristine, pristine=pristine)
+        if strike is not None:
+            action, offset, bit = strike
             if action == "drop":
-                dropped = True
+                message.dropped = True
                 self.messages_dropped += 1
                 self._count(self.dropped_by_tag, tag)
-            else:
-                offset = index[0] if index else 0
+            elif action == "corrupt":
                 if not 0 <= offset < pristine.size:
                     raise ValueError(
                         f"in-flight corruption offset {offset} out of range "
                         f"for a payload of {pristine.size} elements "
                         f"(tag {tag!r}, rank {source} -> rank {dest})"
                     )
-                crc = zlib.crc32(pristine.tobytes())
-                wire = pristine.copy()
-                from repro.faults.bitflip import flip_bit_in_array
-
-                flip_bit_in_array(wire.reshape(-1), (offset,), bit)
+                message.crc = zlib.crc32(pristine.tobytes())
+                message.payload = pristine.copy()
+                flip_bit_in_array(message.payload.reshape(-1), (offset,), bit)
                 self.messages_corrupted += 1
                 self._count(self.corrupted_by_tag, tag)
-        self._mailboxes.setdefault(key, deque()).append(
-            _Message(payload=wire, pristine=pristine, crc=crc, dropped=dropped)
-        )
+            else:
+                raise ValueError(
+                    f"unknown in-flight fault action {action!r}; "
+                    "expected 'corrupt' or 'drop'"
+                )
+        self._mailboxes.setdefault(key, deque()).append(message)
         nbytes = int(pristine.nbytes)
         self.messages_sent += 1
         self.bytes_sent += nbytes
@@ -685,8 +648,7 @@ class DistributedStencilRunner:
         the buddy ring over the shared channel — two messages per rank
         (domain payload tag ``"ckpt"``, :meth:`Snapshot.meta` vector tag
         ``"ckpt_meta"``), counted in :meth:`SimChannel.traffic` like any
-        other traffic but *not* fault-eligible, so halo payload-fault
-        ordinals never shift.
+        other traffic.  In-flight faults strike halo strips only.
         """
         stats = self.recovery
         for rank in self.ranks:
@@ -703,12 +665,8 @@ class DistributedStencilRunner:
             rank.own_checkpoint = ckpt
             meta = ckpt.meta()
             buddy = self.buddy_of[rank.rank]
-            self.channel.send(
-                rank.rank, buddy, CKPT_TAG, interior, fault_eligible=False
-            )
-            self.channel.send(
-                rank.rank, buddy, CKPT_META_TAG, meta, fault_eligible=False
-            )
+            self.channel.send(rank.rank, buddy, CKPT_TAG, interior)
+            self.channel.send(rank.rank, buddy, CKPT_META_TAG, meta)
             stats.checkpoint_messages += 2
             stats.checkpoint_bytes += int(interior.nbytes) + int(meta.nbytes)
         # Drain the ring: every rank stores the copy its partner shipped.
@@ -862,10 +820,12 @@ class DistributedStencilRunner:
         stats.recovery_seconds += perf_counter() - t0
 
     # -- halo exchange -------------------------------------------------------------
-    def _post_halos(self) -> None:
+    def _post_halos(self, inject=None) -> None:
+        """Send every live rank's strips; ``inject.payload_strike`` may strike each."""
         width = self.halo_width
         if width == 0:
             return
+        strike = getattr(inject, "payload_strike", None)
         for rank in self.ranks:
             if not rank.alive:
                 # Fail-stop: a dead rank posts nothing.  Its neighbours'
@@ -874,10 +834,16 @@ class DistributedStencilRunner:
             interior = rank.interior
             if rank.lo_neighbor is not None:
                 strip = boundary_strip(interior, self.axis, "low", width)
-                self.channel.send(rank.rank, rank.lo_neighbor, "to_hi", strip)
+                hit = None if strike is None else strike(self.iteration, rank, 0)
+                self.channel.send(
+                    rank.rank, rank.lo_neighbor, "to_hi", strip, strike=hit
+                )
             if rank.hi_neighbor is not None:
                 strip = boundary_strip(interior, self.axis, "high", width)
-                self.channel.send(rank.rank, rank.hi_neighbor, "to_lo", strip)
+                hit = None if strike is None else strike(self.iteration, rank, 1)
+                self.channel.send(
+                    rank.rank, rank.hi_neighbor, "to_lo", strip, strike=hit
+                )
 
     def _ingest_halos(self, rank: SimRank) -> None:
         """Write halo messages / edge boundary straight into the front buffer.
@@ -919,11 +885,7 @@ class DistributedStencilRunner:
         until this step's iteration is (re-)committed.  The returned
         reports are the final committed ones for the step.
         """
-        if (
-            inject is not None
-            and getattr(inject, "has_crash_plans", False)
-            and not self._checkpointing
-        ):
+        if getattr(inject, "has_crash_plans", False) and not self._checkpointing:
             self.enable_checkpointing()
         start_counts = [len(rank.reports) for rank in self.ranks]
         self._advance_to(self.iteration + 1, inject)
@@ -955,14 +917,13 @@ class DistributedStencilRunner:
         loop — and it guarantees a failure is detected before any rank
         has swept, keeping recovery a pure rollback.
         """
-        if inject is not None:
-            crash_hook = getattr(inject, "apply_crashes", None)
-            if crash_hook is not None:
-                crash_hook(self, self.iteration + 1)
+        crash_hook = getattr(inject, "apply_crashes", None)
+        if crash_hook is not None:
+            crash_hook(self, self.iteration + 1)
         if self.channel.has_failures:
             self.channel.check_liveness(range(self.n_ranks))
-        self._post_halos()
         self.iteration += 1
+        self._post_halos(inject)
 
         # Region-targeted hooks may corrupt a just-ingested ghost slab —
         # after halo ingestion, before the sweep reads it.
@@ -1006,7 +967,7 @@ class DistributedStencilRunner:
         return reports
 
     def run(self, iterations: int, inject=None) -> List[StepReport]:
-        """Advance ``iterations`` distributed sweeps.
+        """Advance ``iterations`` distributed sweeps through :meth:`step`.
 
         Injectors carrying fail-stop plans auto-enable buddy
         checkpointing before the first sweep, and every committed
@@ -1014,12 +975,6 @@ class DistributedStencilRunner:
         """
         if iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if (
-            inject is not None
-            and getattr(inject, "has_crash_plans", False)
-            and not self._checkpointing
-        ):
-            self.enable_checkpointing()
         all_reports: List[StepReport] = []
         for _ in range(iterations):
             all_reports.extend(self.step(inject=inject))

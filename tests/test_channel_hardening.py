@@ -13,7 +13,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.faults.injector import FaultPlan
 from repro.faults.models import DistributedFaultInjector, RegionTargeted
 from repro.parallel.simmpi import (
     ChannelError,
@@ -50,8 +53,7 @@ class TestScheduledFaults:
     def test_corrupt_is_detected_and_retransmitted(self):
         channel = SimChannel()
         payload = np.arange(8, dtype=np.float64)
-        channel.schedule_fault(1, action="corrupt", index=(3,), bit=62)
-        channel.send(0, 1, "halo", payload)
+        channel.send(0, 1, "halo", payload, strike=("corrupt", 3, 62))
         got = channel.recv(0, 1, "halo")
         np.testing.assert_array_equal(got, payload)
         assert channel.messages_corrupted == 1
@@ -62,19 +64,18 @@ class TestScheduledFaults:
     def test_drop_is_detected_and_retransmitted(self):
         channel = SimChannel()
         payload = np.arange(6, dtype=np.float32)
-        channel.schedule_fault(1, action="drop")
-        channel.send(0, 1, "halo", payload)
+        channel.send(0, 1, "halo", payload, strike=("drop", 0, 0))
         got = channel.recv(0, 1, "halo")
         np.testing.assert_array_equal(got, payload)
         assert channel.messages_dropped == 1
         assert channel.messages_retransmitted == 1
         assert channel.dropped_by_tag == {"halo": 1}
 
-    def test_only_the_scheduled_ordinal_is_hit(self):
+    def test_only_the_struck_send_is_hit(self):
         channel = SimChannel()
-        channel.schedule_fault(2, action="corrupt", index=(0,), bit=62)
         for i in range(3):
-            channel.send(0, 1, "halo", np.full(4, float(i)))
+            strike = ("corrupt", 0, 62) if i == 1 else None
+            channel.send(0, 1, "halo", np.full(4, float(i)), strike=strike)
         for i in range(3):
             np.testing.assert_array_equal(
                 channel.recv(0, 1, "halo"), np.full(4, float(i))
@@ -95,9 +96,9 @@ class TestScheduledFaults:
 
         monkeypatch.setattr(zlib, "crc32", spy)
         channel = SimChannel()
-        channel.schedule_fault(4, action="corrupt", index=(1,), bit=62)
         for i in range(10):
-            channel.send(0, 1, "halo", np.full(8, float(i)))
+            strike = ("corrupt", 1, 62) if i == 3 else None
+            channel.send(0, 1, "halo", np.full(8, float(i)), strike=strike)
         for i in range(10):
             np.testing.assert_array_equal(
                 channel.recv(0, 1, "halo"), np.full(8, float(i))
@@ -108,10 +109,8 @@ class TestScheduledFaults:
 
     def test_traffic_reports_loss_accounting(self):
         channel = SimChannel()
-        channel.schedule_fault(1, action="drop")
-        channel.schedule_fault(2, action="corrupt", index=(0,), bit=62)
-        channel.send(0, 1, "a", np.zeros(4))
-        channel.send(0, 1, "b", np.ones(4))
+        channel.send(0, 1, "a", np.zeros(4), strike=("drop", 0, 0))
+        channel.send(0, 1, "b", np.ones(4), strike=("corrupt", 0, 62))
         channel.recv(0, 1, "a")
         channel.recv(0, 1, "b")
         snapshot = channel.traffic()
@@ -122,11 +121,18 @@ class TestScheduledFaults:
         assert snapshot["corrupted_by_tag"] == {"b": 1}
         assert snapshot["retransmitted_by_tag"] == {"a": 1, "b": 1}
 
-    def test_cannot_schedule_a_past_send(self):
+    @pytest.mark.parametrize(
+        "strike, match",
+        [(("mangle", 0, 3), "unknown in-flight fault action"),
+         (("corrupt", 2, 3), "offset 2 out of range")],
+        ids=["unknown-action", "offset-out-of-range"],
+    )
+    def test_bad_strike_is_refused_before_posting(self, strike, match):
         channel = SimChannel()
-        channel.send(0, 1, "halo", np.zeros(2))
-        with pytest.raises(ValueError):
-            channel.schedule_fault(1, action="corrupt", index=(0,), bit=3)
+        with pytest.raises(ValueError, match=match):
+            channel.send(0, 1, "halo", np.zeros(2), strike=strike)
+        assert channel.messages_sent == 0
+        assert channel.pending() == 0
 
 
 class TestDistributedPayloadFaults:
@@ -182,6 +188,70 @@ class TestDistributedPayloadFaults:
         # trajectory diverges.  (Transport CRCs are the honest defence:
         # the in-flight variant above recovers bitwise.)
         assert not np.array_equal(runner.gather(), clean.gather())
+
+    def test_ghost_index_outside_the_slab_names_the_plan(self, rng):
+        runner = DistributedStencilRunner(_grid_2d(rng), n_ranks=3)
+        plan = FaultPlan(
+            iteration=2, index=(0, 18), bit=27, target="ghost", side=1
+        )
+        inject = DistributedFaultInjector(runner, [[], [plan], []])
+        with pytest.raises(ValueError, match="target='ghost'.*out of range"):
+            runner.run(4, inject=inject)
+
+    @given(
+        n_ranks=st.sampled_from([2, 3]),
+        iteration=st.integers(min_value=1, max_value=12),
+        rank=st.integers(min_value=0, max_value=2),
+        side=st.sampled_from([0, 1]),
+        action=st.sampled_from(["corrupt", "drop"]),
+        offset=st.integers(min_value=0, max_value=10**6),
+        crash_after=st.none() | st.integers(min_value=1, max_value=6),
+    )
+    def test_strike_recovers_bitwise_and_counts_every_firing(
+        self, n_ranks, iteration, rank, side, action, offset, crash_after
+    ):
+        # A payload strike is asked for as the runner posts each strip;
+        # one inside a window a crash rolls back fires again on replay.
+        # Checkpoints fall every 4 iterations.
+        rank %= n_ranks
+        grid = _grid_2d(np.random.default_rng(7), shape=(16, 12))
+        clean = DistributedStencilRunner(grid.copy(), n_ranks=n_ranks)
+        clean.run(12)
+        runner = DistributedStencilRunner(
+            grid.copy(), n_ranks=n_ranks, checkpoint_period=4
+        )
+        plans = [[] for _ in range(n_ranks)]
+        plans[rank].append(FaultPlan(
+            iteration=iteration, index=(offset,), bit=30, target="payload",
+            side=side, action=action,
+        ))
+        crash = None if crash_after is None else iteration + crash_after
+        if crash is not None and crash <= 12:
+            victim = (rank + 1) % n_ranks
+            plans[victim].append(FaultPlan(
+                iteration=crash, index=(), bit=0, target="crash", rank=victim
+            ))
+        else:
+            crash = None
+        inject = DistributedFaultInjector(runner, plans)
+        fired = []
+        strike = inject.payload_strike
+
+        def spy(*args):
+            fired.append(strike(*args))
+            return fired[-1]
+
+        inject.payload_strike = spy
+        runner.run(12, inject=inject)
+
+        np.testing.assert_array_equal(runner.gather(), clean.gather())
+        assert runner.total_detected() == clean.total_detected()
+        strikes = sum(hit is not None for hit in fired)
+        channel = runner.channel
+        assert channel.messages_corrupted + channel.messages_dropped == strikes
+        assert channel.messages_retransmitted == strikes
+        replayed = crash is not None and iteration > (crash - 1) // 4 * 4
+        assert strikes == 1 + replayed
 
     def test_payload_plans_need_halo_traffic(self, rng):
         grid = _grid_2d(rng)

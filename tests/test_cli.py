@@ -45,6 +45,7 @@ def _usage_error_line(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     (line,) = [l for l in err.splitlines() if "error:" in l]
+    assert line.startswith(f"repro-abft {argv[0]}: error: ")
     return line
 
 
@@ -196,6 +197,27 @@ class TestMain:
         base = ["--size", "16", "--iters", "4"] if flags[0] == "distributed" else []
         argv = flags[:1] + base + flags[1:]
         assert named in _usage_error_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--fault-model", "region-ghost"], "'ghost'-targeted"),
+            (["--fault-model", "region-payload"], "'payload'-targeted"),
+            (["--fault-model", "rank-crash", "--method", "offline-abft"],
+             "'offline-abft'"),
+            (["--fault-model", "region-checksum", "--method", "no-abft"],
+             "'no-abft' holds none"),
+        ],
+        ids=["ghost", "payload", "crash-offline", "checksum-unprotected"],
+    )
+    def test_campaign_refuses_plans_it_cannot_fire_before_the_run(
+        self, capsys, monkeypatch, flags, named
+    ):
+        results = _campaign_results(monkeypatch)
+        argv = ["campaign", "--tile", "8", "8", "2", "--iterations", "4",
+                "--repetitions", "2", *flags]
+        assert named in _usage_error_line(capsys, argv)
+        assert results == []
 
     def test_bad_workers_variable_exits_2_listing_executors(
         self, capsys, monkeypatch

@@ -369,6 +369,20 @@ class TestCampaignPlumbing:
                         reference=reference, strategy=strategy,
                     )
 
+    def test_pool_campaign_is_refused_before_dispatch(self):
+        # The refusal names its cause in the parent, before any pool
+        # worker starts, instead of surfacing from a worker mid-run.
+        app = make_hotspot_app((8, 8, 2))
+        config = CampaignConfig(
+            iterations=4, repetitions=2,
+            fault_model=make_fault_model("rank-crash", n_ranks=2),
+        )
+        factory = make_protector_factory("offline-abft")
+        with CampaignEngine(executor="process", workers=1) as engine:
+            with pytest.raises(ValueError, match="'offline-abft'"):
+                engine.run(app.build_grid, factory, config)
+            assert engine._executor is None
+
     def test_every_registered_model_is_checked(self):
         assert sorted([*_SERIAL_MODELS, *_DISTRIBUTED_ONLY]) == (
             available_fault_models()

@@ -321,15 +321,26 @@ class TestBuddyCheckpointing:
         with pytest.raises(ValueError, match="no buddy checkpoint"):
             DistributedFaultInjector(runner, [[_crash_plan(3, 0)]])
 
-    def test_crash_and_payload_plans_conflict(self):
-        runner = DistributedStencilRunner(_grid_2d(), n_ranks=2)
-        payload = FaultPlan(
-            iteration=2, index=(0,), bit=3, target="payload", side=1
+    def test_crash_and_payload_plans_combine(self):
+        # Rank 1's strip to rank 0 is struck at iteration 6, inside the
+        # window a crash at 7 rolls back to the checkpoint at 4: the
+        # strike fires again on replay and the CRC catches it both times.
+        clean = DistributedStencilRunner(_grid_2d(), n_ranks=2)
+        clean.run(10)
+        runner = DistributedStencilRunner(
+            _grid_2d(), n_ranks=2, checkpoint_period=4
         )
-        with pytest.raises(ValueError, match="cannot be combined"):
-            DistributedFaultInjector(
-                runner, [[_crash_plan(4, 0)], [payload]]
-            )
+        payload = FaultPlan(
+            iteration=6, index=(5,), bit=30, target="payload", side=0
+        )
+        inject = DistributedFaultInjector(
+            runner, [[_crash_plan(7, 0)], [payload]]
+        )
+        runner.run(10, inject=inject)
+        assert runner.recovery.ranks_rebuilt == 1
+        assert runner.channel.messages_corrupted == 2
+        assert runner.channel.messages_retransmitted == 2
+        np.testing.assert_array_equal(runner.gather(), clean.gather())
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +533,24 @@ class TestCampaignCrash:
             run_with_crashes(
                 grid, Oddball(), [_crash_plan(3, 0)], 8, RankCrash(n_ranks=2)
             )
+
+    def test_crash_run_ranks_keep_the_protector_settings(self):
+        from repro.faults.campaign import run_with_crashes
+        from repro.parallel.simmpi import _ABFT_KWARGS
+
+        gf, _ = self._factories()
+        grid = gf()
+        protector = OnlineABFT.for_grid(
+            grid, epsilon=1e-3, verify_axis=1, correction_strategy="row"
+        )
+        _, runner = run_with_crashes(
+            grid, protector, [_crash_plan(5, 1)], 8, RankCrash(n_ranks=2)
+        )
+        assert runner.recovery.ranks_rebuilt == 1
+        for rank in runner.ranks:
+            for name in _ABFT_KWARGS:
+                assert getattr(rank.protector, name) == getattr(protector, name)
+        assert runner.ranks[1].protector.epsilon == 1e-3
 
     def test_run_with_crashes_unprotected(self):
         from repro.faults.campaign import run_with_crashes
