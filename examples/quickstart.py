@@ -8,15 +8,8 @@ run ends up to the error-free reference.
 
 Run with::
 
-    python examples/quickstart.py [--backend numpy|fused]
-
-``--backend`` selects the compute backend executing every sweep and
-checksum (see ``repro.backends``); the default is the optimised
-``fused`` backend, which produces the verified checksum from the same
-kernel call as the sweep.
+    python examples/quickstart.py
 """
-
-import argparse
 
 import numpy as np
 
@@ -27,7 +20,6 @@ from repro import (
     OnlineABFT,
     l2_error,
 )
-from repro.backends import available_backends, default_backend_name, set_default_backend
 from repro.stencil import Grid2D, kernels
 from repro.stencil.boundary import BoundaryCondition
 
@@ -43,19 +35,6 @@ def build_grid() -> Grid2D:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="compute backend for sweeps and checksums (default: fused)",
-    )
-    args = parser.parse_args()
-    if args.backend is not None:
-        set_default_backend(args.backend)
-    print(f"Compute backend: {default_backend_name()}")
-    print()
-
     # Error-free reference (what the result should be).
     reference = build_grid()
     reference.run(ITERATIONS)

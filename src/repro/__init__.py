@@ -10,11 +10,10 @@ This package is a from-scratch Python reproduction of:
 The library is organised as a set of small, composable subsystems:
 
 ``repro.backends``
-    Pluggable compute backends behind every sweep and checksum: the
-    ``numpy`` reference and the optimised ``fused`` backend (compiled
-    flat sweep and lane-folded checksum), selected once for the whole
-    process via ``set_default_backend``, the ``REPRO_BACKEND``
-    environment variable or the ``--backend`` CLI flag.
+    The one compute backend behind every sweep and checksum, ``fused``
+    (compiled flat sweep and lane-folded checksum where a C compiler
+    exists, the same code in NumPy otherwise), returned by
+    ``get_backend()``.
 
 ``repro.stencil``
     Arbitrary 2D/3D stencil specifications, boundary conditions and
@@ -74,12 +73,7 @@ from repro.version import __version__
 from repro.stencil.spec import StencilPoint, StencilSpec
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.grid import Grid2D, Grid3D
-from repro.backends import (
-    Backend,
-    available_backends,
-    get_backend,
-    set_default_backend,
-)
+from repro.backends import Backend, get_backend
 from repro.core.online import OnlineABFT
 from repro.core.offline import OfflineABFT
 from repro.core.protector import NoProtection, StepReport
@@ -92,9 +86,7 @@ from repro.metrics.accuracy import l2_error
 __all__ = [
     "__version__",
     "Backend",
-    "available_backends",
     "get_backend",
-    "set_default_backend",
     "StencilPoint",
     "StencilSpec",
     "BoundaryCondition",

@@ -1,7 +1,9 @@
-"""The compute-backend contract.
+"""The layout-independent half of the compute backend.
 
-A *backend* owns the numerical primitives every other layer of the
-reproduction is built on:
+:class:`Backend` holds what the one backend,
+:class:`~repro.backends.fused.FusedBackend`, does the same way for every
+view; ``FusedBackend`` adds ``sweep_padded`` and its flat, compiled and
+lane-folded paths.  The primitives:
 
 ``sweep_padded``
     One stencil sweep over a ghost-padded array (Equation (1) of the
@@ -15,41 +17,31 @@ reproduction is built on:
     The *zero-copy* form used by the double-buffered grids: the sweep
     reads one persistent padded buffer and writes the new interior
     straight into the interior block of a second padded buffer, so no
-    full-domain array is allocated per iteration.  The base class
-    provides a copy-based fallback (sweep to a fresh array, then copy
-    into the destination interior) so a third-party backend that only
-    implements ``sweep_padded`` keeps working; the built-in backends
-    override it to write in place.
+    full-domain array is allocated per iteration.  The base class holds
+    the copy-based route (sweep to a fresh array, then copy into the
+    destination interior) an overlapping buffer pair takes.
 ``step_into`` / ``batch_step_into``
     One whole *step* of a buffer pair, **including the ghost refresh**
     of the source buffer: refresh halo, then sweep into the destination
     interior; the batched form steps a batch of independent runs laid
     out along a trailing run axis.  Both run one private helper,
-    ``_refresh_and_sweep``: the base implementation is
-    :func:`repro.stencil.shift.refresh_ghosts` followed by
-    ``sweep_into``; the ``fused`` backend overrides it to fill the last
-    ghost axis inside its compiled sweep, so refresh and sweep are one
-    traversal.  Either way the source buffer's halo holds the boundary
-    condition afterwards, because the ABFT protectors read it for the
-    Theorem-1 α/β terms.
+    ``_refresh_and_sweep``: here :func:`repro.stencil.shift.refresh_ghosts`
+    followed by ``sweep_into``; ``FusedBackend`` overrides it to fill
+    the last ghost axis inside its compiled sweep, so refresh and sweep
+    are one traversal.  Either way the source buffer's halo holds the
+    boundary condition afterwards, because the ABFT protectors read it
+    for the Theorem-1 α/β terms.
 
-All backends must agree numerically with the ``numpy`` reference within
-the detection threshold recommended by
-:func:`repro.core.thresholds.recommend_epsilon` — otherwise swapping the
-backend would shift the false-positive/detection trade-off the paper
-calibrates.  The equivalence is enforced by ``tests/test_backends.py``
-for every registered backend.
-
-Backends are registered with :func:`repro.backends.register_backend` and
-selected process-wide through :func:`repro.backends.set_default_backend`
-(programmatically), the ``REPRO_BACKEND`` environment variable, or the
-``--backend`` CLI flag.  See ``README.md`` ("Adding a backend") for a walkthrough.
+Every sweep is bitwise equal to
+:func:`repro.stencil.reference.reference_sweep_padded`, compiled or
+not: ``tests/test_backends.py`` and ``tests/test_step_contract.py``
+check both paths against it, and these base-class routes too, on a
+subclass whose only sweep is the reference.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,10 +54,10 @@ class _BatchedSpecView:
     """Duck-typed view of a spec with a trailing zero offset appended.
 
     :class:`~repro.stencil.spec.StencilSpec` only models 2D/3D
-    operators, but the interpreted sweeps consume nothing beyond the
-    ``(offset, weight)`` iteration — so the batched interpreted path
-    extends each offset with ``0`` along the run axis through this shim
-    instead of constructing an (impossible) higher-dimensional spec.
+    operators, but the sweeps consume nothing beyond the
+    ``(offset, weight)`` iteration — so the batched step extends each
+    offset with ``0`` along the run axis through this shim instead of
+    constructing an (impossible) higher-dimensional spec.
     """
 
     __slots__ = ("_points", "ndim")
@@ -80,47 +72,8 @@ class _BatchedSpecView:
         return iter(self._points)
 
 
-class Backend(ABC):
-    """Abstract compute backend: sweep, step and checksum."""
-
-    #: Registry name (also accepted by ``get_backend`` / ``REPRO_BACKEND``).
-    name: str = "abstract"
-
-    @abstractmethod
-    def sweep_padded(
-        self,
-        padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        constant: Optional[np.ndarray] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Apply one stencil sweep to a ghost-padded array.
-
-        Parameters
-        ----------
-        padded:
-            Domain surrounded by ghost cells (boundary condition or halo
-            data already applied).
-        spec:
-            The stencil operator.
-        radius:
-            Ghost width of ``padded`` (scalar or per axis); must be at
-            least the stencil radius on every axis.
-        interior_shape:
-            Shape of the interior domain to update.
-        constant:
-            Optional per-point constant term :math:`C` (same shape as
-            the interior), e.g. a heat-source/power map.
-        out:
-            Optional pre-allocated output array (interior shape).
-
-        Returns
-        -------
-        numpy.ndarray
-            The updated interior domain at step ``t+1``.
-        """
+class Backend:
+    """Validation, the copy-based sweep, the step and the batched step."""
 
     @staticmethod
     def _normalize_sweep_args(
@@ -133,8 +86,8 @@ class Backend(ABC):
         """Shared ``sweep_padded`` precondition checks.
 
         Returns the coerced ``(interior_shape, radius)`` pair; raises
-        ``ValueError`` on shape mismatches. Backends call this first so
-        validation behaviour cannot drift between implementations.
+        ``ValueError`` on shape mismatches. Every sweep path calls this
+        first so validation behaviour cannot drift between them.
         """
         from repro.stencil.shift import normalize_radius
 
@@ -199,21 +152,20 @@ class Backend(ABC):
         (whose ghost cells are refreshed separately, before the *next*
         sweep reads it), so stepping allocates no full-domain array.
 
-        The base implementation is the **copy-based fallback**: it runs
+        This base form is the **copy-based route**: it runs
         ``sweep_padded`` into a fresh array and copies the result into
-        the destination interior.  That is always safe — including when
-        ``src_padded`` and ``dst_padded`` overlap — and keeps minimal
-        third-party backends working unchanged.  Optimised backends
-        override this to pass the destination interior as ``out``.
+        the destination interior, which is safe when ``src_padded`` and
+        ``dst_padded`` overlap.  ``FusedBackend.sweep_into`` takes it
+        for such a pair and writes in place otherwise.
 
         **Ghost-overwrite rule.**  ``src_padded`` is never written,
-        except by a backend's own step: the ``fused`` step's call fills
-        the source ghost lanes the step left to it (see
+        except by the backend's own step: the ``fused`` step's call
+        fills the source ghost lanes the step left to it (see
         ``_refresh_and_sweep``).  In
         ``dst_padded``, the ghost cells of axes >= 1 that lie inside the
         interior's axis-0 extent may be overwritten with meaningless
-        values (the ``fused`` backend's flat-stride sweep computes
-        through them); its axis-0 ghost slabs and all memory outside
+        values (the flat-stride sweep computes through them); its
+        axis-0 ghost slabs and all memory outside
         ``dst_padded`` are left alone.  Every in-tree caller refreshes
         or ingests those ghosts before it reads them:
 
@@ -233,22 +185,10 @@ class Backend(ABC):
         Returns the destination interior view.
         """
         interior = self._dst_interior(dst_padded, radius, interior_shape)
-        new = self.sweep_padded(
+        interior[...] = self.sweep_padded(
             src_padded, spec, radius, interior_shape, constant=constant
         )
-        if new is not interior:
-            interior[...] = new
         return interior
-
-    def compiled_kernels(self) -> Tuple[Dict, ...]:
-        """One dict per compiled library the backend runs.
-
-        Interpreted backends have none and return an empty tuple; the
-        ``fused`` backend returns its native flat library's entry
-        (:func:`repro.backends.native.describe`).  ``repro backends``
-        and the backend benchmark report these.
-        """
-        return ()
 
     # -- backend-owned full steps (ghost refresh + sweep) --------------------
     @staticmethod
@@ -317,8 +257,9 @@ class Backend(ABC):
 
         :func:`~repro.stencil.shift.refresh_ghosts` followed by
         :meth:`sweep_into`; returns the destination interior view.
-        ``step_into`` and the vectorised batch step both run it, so a
-        backend that fills ghosts inside its sweep overrides only this.
+        ``step_into`` and the batched step both run it, so
+        ``FusedBackend``, which fills ghosts inside its sweep, overrides
+        only this.
         """
         from repro.stencil.shift import refresh_ghosts
 
@@ -336,7 +277,7 @@ class Backend(ABC):
         interior_shape: Sequence[int],
         constant: Optional[np.ndarray],
     ):
-        """Shared ``batch_step_into`` validation.
+        """``batch_step_into``'s validation.
 
         Batched buffers are the padded single-run buffers with one
         trailing run axis appended: shape ``padded_shape + (nb,)``.
@@ -388,51 +329,20 @@ class Backend(ABC):
         (shape ``padded_shape + (nb,)``); slot ``b`` of the batch is
         stepped exactly like :meth:`step_into` on ``[..., b]`` views —
         ghost refresh from ``boundary`` included, constant shared across
-        runs — and must come out bit-identical to that single-run call.
-        This is the campaign engine's stacked fast path; the base
-        implementation is the always-correct loop over slots.
+        runs — and comes out bit-identical to that single-run call.
+        This is the campaign engine's stacked fast path.
+
+        The batch is treated as one (ndim+1)-dimensional domain whose
+        run axis has ghost width 0, so a single ``_refresh_and_sweep``
+        covers every run.  Per-slot bit-identity holds because every
+        constituent is elementwise: the slab fills copy slot-by-slot and
+        the sweep's multiply/add sequence is the single-run order on
+        each slot.  A full-width batch pair is contiguous and takes the
+        flat-stride sweep; a narrower slice of the pair is strided and
+        takes the staged route.
 
         Returns the batched destination interior view
         (``interior_shape + (nb,)``).
-        """
-        from repro.stencil.shift import interior_view
-
-        radius, interior_shape, nb = self._batch_geometry(
-            src_padded, dst_padded, radius, interior_shape, constant
-        )
-        for b in range(nb):
-            self.step_into(
-                src_padded[..., b],
-                dst_padded[..., b],
-                spec,
-                radius,
-                interior_shape,
-                boundary,
-                constant=constant,
-                refresh_axes=refresh_axes,
-            )
-        return interior_view(dst_padded, radius + (0,))
-
-    def _batch_step_vectorized(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Whole-batch step in one vectorised pass.
-
-        The built-in backends' shared ``batch_step_into`` body: the
-        batch is treated as one (ndim+1)-dimensional domain whose run
-        axis has ghost width 0, so a single ``_refresh_and_sweep``
-        covers every run.  Per-slot bit-identity with the single-run
-        step holds because every constituent is elementwise: the slab
-        fills copy slot-by-slot and the sweep's multiply/add sequence
-        is the single-run order on each slot.
         """
         from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 
@@ -455,15 +365,3 @@ class Backend(ABC):
             src_padded, dst_padded, _BatchedSpecView(spec), ext_radius,
             ext_shape, ext_boundary, ext_const, refresh_axes,
         )
-
-    def warmup(self) -> None:
-        """Prepare the backend before timing-sensitive work.
-
-        A no-op by default.  A backend that builds or loads compiled
-        code overrides this to do it up front, so the one-off cost
-        never lands inside a benchmark loop; called before a process
-        pool forks, it also keeps that cost out of every worker.
-        """
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r}>"

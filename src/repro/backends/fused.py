@@ -1,7 +1,8 @@
 """The ``fused`` backend: allocation-free sweep, lane-folded checksums.
 
-Four optimisations over the ``numpy`` reference, all aimed at the
-memory-bound nature of large stencil sweeps:
+Four optimisations over the plain sweep of
+:func:`~repro.stencil.reference.reference_sweep_padded`, all aimed at
+the memory-bound nature of large stencil sweeps:
 
 1. **No per-point temporaries.**  The reference's ``out += w * view``
    allocates (and page-faults) a full interior-sized temporary for every
@@ -498,9 +499,9 @@ class FusedBackend(Backend):
                 constant, refresh_axes,
             )
         refresh_ghosts(src_padded, radius, boundary, axes=lanes.head)
-        # sweep_into's signature is the Backend contract's: the lanes
-        # reach it through this thread's state, which it clears first
-        # and which never outlives this call.
+        # sweep_into keeps its public signature: the lanes reach it
+        # through this thread's state, which it clears first and which
+        # never outlives this call.
         self._local.lanes = lanes
         try:
             return self.sweep_into(
@@ -612,27 +613,3 @@ class FusedBackend(Backend):
         ):
             return None
         return np.ndarray((n0, span), u.dtype, root, offset, (s0, item))
-
-    def batch_step_into(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Whole-batch step in one vectorised pass over the run axis.
-
-        A full-width batch pair is contiguous, so :meth:`sweep_into`
-        takes the flat-stride sweep over the batch; a narrower slice of
-        the pair is strided and takes the staged route.  Both follow the
-        single-run operation order on every slot, keeping each slot
-        bitwise equal to a single :meth:`step_into` on that slot.
-        """
-        return self._batch_step_vectorized(
-            src_padded, dst_padded, spec, radius, interior_shape, boundary,
-            constant=constant, refresh_axes=refresh_axes,
-        )

@@ -12,8 +12,8 @@ Fault-model note: the injection hook corrupts the grid's freshly swept
 domain, which plays the role of replica 1; the two redundant replicas
 are recomputed from the (still intact) previous padded state.
 
-The redundant replicas run through the process-wide compute backend,
-the one the grid steps on (``get_backend().sweep_padded``), into two
+The redundant replicas run through the compute backend the grid steps
+on (``get_backend().sweep_padded``), into two
 *persistent* replica buffers,
 so a TMR step costs exactly two extra backend sweeps — no per-replica
 padding and no per-replica full-domain allocation beyond the two

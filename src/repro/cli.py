@@ -17,11 +17,10 @@ Regenerates the paper's tables and figures from the command line::
 ``--scale paper`` switches to the published campaign parameters
 (hours of compute in pure NumPy); ``--scale smoke`` is the tiny
 configuration used by the test suite. Every experiment accepts
-``--backend`` to pick the compute backend (overriding the
-``REPRO_BACKEND`` environment variable) and ``--executor``/``--workers``
-to pick the campaign engine's executor (overriding
-``REPRO_EXECUTOR``); ``backends`` and ``executors`` list what is
-available. The same entry point is
+``--executor``/``--workers`` to pick the campaign engine's executor
+(overriding ``REPRO_EXECUTOR``); ``executors`` lists what is available
+and ``backends`` shows whether the compute backend runs its compiled
+kernels. The same entry point is
 installed as the ``repro`` (and ``repro-abft``) console script by
 ``pip install -e .``.
 """
@@ -34,12 +33,7 @@ import sys
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Sequence
 
-from repro.backends import (
-    available_backends,
-    default_backend_name,
-    get_backend,
-    set_default_backend,
-)
+from repro.backends import get_backend
 from repro.parallel.executor import (
     available_executors,
     default_executor_kind,
@@ -156,15 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="optional file to write the rendered table to",
         )
         sub.add_argument(
-            "--backend",
-            choices=available_backends(),
-            default=None,
-            help=(
-                "compute backend for every sweep/checksum (default: the "
-                "REPRO_BACKEND environment variable, else 'fused')"
-            ),
-        )
-        sub.add_argument(
             "--executor",
             choices=available_executors(),
             default=None,
@@ -191,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     backends_cmd = subparsers.add_parser(
         "backends",
-        help="list compute backends and the compiled kernels each runs "
+        help="show the compute backend and the compiled kernels it runs "
         "(or why they are not loaded)",
     )
     backends_cmd.add_argument(
@@ -221,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument(
         "--size", type=_int_at_least(1), default=256,
         help="square domain edge length"
-    )
-    dist.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="compute backend driving every rank's step and checksum",
     )
     dist.add_argument(
         "--no-protect",
@@ -311,10 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(per-run times instead of batch means)",
     )
     camp.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="compute backend for the sweeps",
-    )
-    camp.add_argument(
         "--executor", choices=available_executors(), default=None,
         help="campaign-engine executor (default: REPRO_EXECUTOR, else serial)",
     )
@@ -347,13 +322,6 @@ def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
         parser.error(str(exc.args[0]))
 
 
-def _select_backend(name: Optional[str]) -> None:
-    """Install ``--backend`` as the process-wide selection and validate it."""
-    if name is not None:
-        set_default_backend(name)
-    get_backend()  # REPRO_BACKEND
-
-
 def _check_crash_iter(crash_iter: int, iterations: int) -> None:
     """Reject a pinned crash iteration the run would never reach."""
     if not 1 <= crash_iter <= iterations:
@@ -372,7 +340,6 @@ def _run_distributed(args, parser: argparse.ArgumentParser) -> int:
     from repro.stencil.kernels import five_point_diffusion
 
     with _usage_errors(parser):
-        _select_backend(args.backend)
         rng = np.random.default_rng(42)
         initial = (rng.random((args.size, args.size)) * 100.0).astype(np.float32)
         boundary = (
@@ -396,8 +363,7 @@ def _run_distributed(args, parser: argparse.ArgumentParser) -> int:
     checksum = float(gathered.sum(dtype=np.float64))
     print(
         f"distributed run: {args.size}x{args.size} five-point diffusion "
-        f"({args.boundary}), {args.ranks} ranks, {args.iters} iterations "
-        f"(backend {get_backend().name})"
+        f"({args.boundary}), {args.ranks} ranks, {args.iters} iterations"
     )
     print(f"gather checksum : {checksum:.6f}")
     print(
@@ -594,29 +560,21 @@ def _run_campaign_cli(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _list_backends(as_json: bool) -> int:
-    """``repro backends``: each backend and its compiled-kernel entries."""
-    default = default_backend_name()
-    kernels: Dict[str, list] = {}
-    lines = []
-    for name in available_backends():
-        backend = get_backend(name)
-        marker = " (default)" if name == default else ""
-        lines.append(f"{name:12s} -> {type(backend).__name__}{marker}")
-        kernels[name] = entries = [
-            dict(e) for e in backend.compiled_kernels()
-        ]
-        for e in entries:
-            if e["reason"]:
-                state = f"interpreted: {e['reason']}"
-            else:
-                state = f"compiled: {e['path']} ({e['compiler']})"
-            lines.append(f"{'':12s}    {e['kind']} kernels {state}")
+    """``repro backends``: the backend and its compiled-kernel entries."""
+    backend = get_backend()
+    entries = [dict(e) for e in backend.compiled_kernels()]
     if as_json:
         import json
 
-        print(json.dumps(kernels, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+        print(json.dumps({backend.name: entries}, indent=2, sort_keys=True))
+        return 0
+    print(f"{backend.name:12s} -> {type(backend).__name__}")
+    for e in entries:
+        if e["reason"]:
+            state = f"interpreted: {e['reason']}"
+        else:
+            state = f"compiled: {e['path']} ({e['compiler']})"
+        print(f"{'':12s}    {e['kind']} kernels {state}")
     return 0
 
 
@@ -656,7 +614,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             set_default_executor(args.executor)
         if args.workers is not None:
             set_default_workers(args.workers)
-        _select_backend(args.backend)
         CampaignEngine()  # REPRO_WORKER_TIMEOUT
         make_executor().shutdown()  # REPRO_EXECUTOR, REPRO_WORKERS for a pool
     if args.command == "campaign":

@@ -12,11 +12,11 @@ the paper's evaluation are
 
 All three expose the same ``step(grid, inject=...)`` / ``run(...)`` /
 ``finalize(grid)`` interface so that the experiment harness can swap
-them freely. Every sweep and checksum reduction runs on the process-wide
-compute-backend selection (:func:`repro.backends.get_backend`),
-resolved where it is used. The optional ``inject`` callable models the paper's fault
-injection point: it is invoked *after* the sweep has produced the new
-domain and *before* any checksum is computed from it (Section 5.1: the
+them freely. Every sweep and checksum reduction runs on the compute
+backend (:func:`repro.backends.get_backend`). The optional ``inject``
+callable models the paper's fault injection point: it is invoked
+*after* the sweep has produced the new domain and *before* any checksum
+is computed from it (Section 5.1: the
 bit-flip is injected "after the stencil point targeted for data
 corruption has been updated and before it is stored into the domain").
 """

@@ -64,7 +64,7 @@ Two run strategies share that lifecycle:
     protector's ``Backend.checksum`` (one call over a full-width batch's
     column checksums, one call per run otherwise) and runs one stacked
     Theorem-1 interpolation and detection screen for all runs at once.
-    Every backend's batched step is per-slot bit-identical to its
+    The backend's batched step is per-slot bit-identical to its
     single-run step, and each run's checksum is the reduction replay's
     protector makes, taken after the run's flips as replay takes it
     after its inject hook, so every run's numbers are identical to its
@@ -99,7 +99,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import default_backend_name, get_backend, set_default_backend
+from repro.backends import get_backend
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection, Protector
 from repro.faults.campaign import (
@@ -158,9 +158,8 @@ def stacked_support_reason(
     """Why a campaign cannot take the stacked fast path (``None`` = it can).
 
     The stacked strategy drives the backend-owned batched step
-    primitive, which every backend guarantees per-slot bit-identical to
-    its single-run step — so backend choice no longer matters.  What
-    still forces replay is *protocol* the batched loop does not
+    primitive, which is per-slot bit-identical to the single-run step.
+    What forces replay is *protocol* the batched loop does not
     re-implement: grid subclasses with their own stepping, protectors
     other than the default online one or the unprotected baseline, and
     the online protector's eager row-checksum mode (a second paired
@@ -227,9 +226,6 @@ class _BatchTask:
     payload: _CampaignPayload
     start: int
     plans: Tuple[Tuple[FaultPlan, ...], ...]
-    #: The parent's backend selection when it dispatched the batch, which
-    #: a pool worker started earlier, or spawned, may not share.
-    backend_name: str
     hooks: Optional[Tuple] = None
     #: The campaign's full batch width.  A worker may receive the
     #: (smaller) final batch first, so the stacked state is sized from
@@ -251,8 +247,7 @@ class _StackedBatch:
     iteration's bit flips, the batch's checksums, one Theorem-1
     interpolation and one detection screen — each acting on every run
     of the batch at once.  All buffers are allocated once and reset in
-    place between batches.  Each batch resolves the process-wide
-    backend selection when it starts.
+    place between batches.
 
     Every checksum goes through the protector's ``Backend.checksum``,
     the call a replayed run makes on its own interior, so each slot's
@@ -591,14 +586,10 @@ _WORKER_LOCAL = threading.local()
 def _execute_batch(task: _BatchTask) -> Tuple[BatchStrategy, List[RunRecord]]:
     """Worker entry point: resolve (or build) the cached state, run one batch.
 
-    A worker whose backend selection differs from the parent's installs
-    the parent's first.  Module-level so process pools can import it by
-    reference; the state cache is thread-local so the thread executor's
-    workers never share mutable campaign state.
+    Module-level so process pools can import it by reference; the state
+    cache is thread-local so the thread executor's workers never share
+    mutable campaign state.
     """
-    if default_backend_name() != task.backend_name:
-        set_default_backend(task.backend_name)
-        get_backend().warmup()
     cache: Dict[str, _WorkerCampaign] = getattr(_WORKER_LOCAL, "cache", None)
     if cache is None:
         cache = _WORKER_LOCAL.cache = {}
@@ -849,7 +840,6 @@ class CampaignEngine:
         )
         key = self._campaign_key(meta, config, payload.reference)
         batch = self._auto_batch(config.repetitions)
-        backend_name = default_backend_name()
         tasks: List[_BatchTask] = []
         for start in range(0, config.repetitions, batch):
             stop = min(start + batch, config.repetitions)
@@ -859,7 +849,6 @@ class CampaignEngine:
                     payload=payload,
                     start=start,
                     plans=tuple(tuple(p) for p in plans[start:stop]),
-                    backend_name=backend_name,
                     hooks=None if hooks is None else tuple(hooks[start:stop]),
                     width_hint=batch,
                     force_replay=strategy == "replay",

@@ -542,7 +542,9 @@ class DistributedFaultInjector:
     each strip it posts, and ``inject_ghosts(runner, iteration, rank)``
     right after halo ingestion, before the sweep reads the ghost slabs.
     Every plan fires once; :meth:`rewind` re-arms the SDC plans of a
-    window that recovery replays.
+    window that recovery replays.  A message takes one strike, so two
+    payload plans of one rank that strike the same link in the same
+    iteration are refused with a ``ValueError`` naming both.
     """
 
     def __init__(self, runner, plans_by_rank: Sequence[Sequence[FaultPlan]]) -> None:
@@ -563,15 +565,28 @@ class DistributedFaultInjector:
                 "buddy checkpoint to recover from"
             )
         for rank, rank_plans in zip(runner.ranks, self.plans_by_rank):
-            if any(p.target == "payload" for p in rank_plans) and (
-                runner.halo_width == 0
-                or rank.lo_neighbor is None and rank.hi_neighbor is None
-            ):
+            payload = [p for p in rank_plans if p.target == "payload"]
+            links = (rank.lo_neighbor, rank.hi_neighbor)
+            if payload and (runner.halo_width == 0 or links == (None, None)):
                 raise ValueError(
                     f"payload plans need halo traffic, but rank {rank.rank} "
                     f"sends no messages (single rank, closed boundary, or "
                     f"a radius-0 axis?)"
                 )
+            # A message takes one strike (payload_strike): two plans on
+            # one link in one iteration would leave one unfired.
+            struck: Dict[Tuple[int, int], FaultPlan] = {}
+            for plan in payload:
+                side = self._link(plan, links)
+                key = (plan.iteration, side)
+                if key in struck:
+                    raise ValueError(
+                        f"payload plans {struck[key]!r} and {plan!r} strike "
+                        f"the one message rank {rank.rank} sends to side "
+                        f"{side} in iteration {plan.iteration}; a message "
+                        f"takes one strike"
+                    )
+                struck[key] = plan
 
     @classmethod
     def from_global(cls, runner, plans: Sequence[FaultPlan]) -> "DistributedFaultInjector":
@@ -646,6 +661,12 @@ class DistributedFaultInjector:
                 runner.ranks[victim].alive = False
                 runner.channel.mark_failed(victim)
 
+    @staticmethod
+    def _link(plan: FaultPlan, links) -> int:
+        """The side ``plan`` strikes: its own, or the live link when that
+        side is a closed domain edge."""
+        return plan.side if links[plan.side] is not None else 1 - plan.side
+
     def payload_strike(
         self, iteration: int, rank, side: int
     ) -> Optional[Tuple[str, int, int]]:
@@ -657,7 +678,7 @@ class DistributedFaultInjector:
         """
         links = (rank.lo_neighbor, rank.hi_neighbor)
         for key, plan in self._due(rank.rank, "payload", iteration):
-            if plan.side == side or links[plan.side] is None:
+            if self._link(plan, links) == side:
                 self._fired.add(key)
                 strip = (
                     rank.interior.size // rank.shape[rank.axis]

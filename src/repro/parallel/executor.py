@@ -10,10 +10,9 @@ engine can supervise its workers and re-dispatch a lost batch.
 
 All executors expose the same ``map`` interface.
 
-Selection mirrors the backend registry: ``make_executor(None)`` resolves
-through the process-wide default installed by :func:`set_default_executor`
-(what the ``--executor`` CLI flag sets), then the ``REPRO_EXECUTOR``
-environment variable, then ``"serial"``.
+``make_executor(None)`` resolves the process-wide default installed by
+:func:`set_default_executor` (what the ``--executor`` CLI flag sets),
+then the ``REPRO_EXECUTOR`` environment variable, then ``"serial"``.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ iteration.  Tiles are closures over the grid's buffer pair, run on the
 serial or the thread executor: NumPy and the compiled kernels release
 the GIL inside their loops, so threads overlap on multi-core machines.
 A process executor is refused, since a closure over the pair can reach
-no other process.  Every tile task runs on the process-wide backend
-selection (:func:`~repro.backends.get_backend`).
+no other process.  Every tile task runs on the compute backend
+(:func:`~repro.backends.get_backend`).
 
 Corrections write straight into the tile's view of the global array, so
 a corrected tile is immediately consistent for the next iteration's halo
@@ -179,18 +179,14 @@ class TiledStencilRunner:
         iteration = grid.iteration + 1
 
         def sweep(box: TileBox) -> None:
-            tile_out = new_u[box.slices]
-            new = be.sweep_padded(
+            be.sweep_padded(
                 padded_tile_view(src, box, self.radius),
                 grid.spec,
                 self.radius,
                 box.shape,
                 constant=tile_constant(grid.constant, box),
-                out=tile_out,
+                out=new_u[box.slices],
             )
-            if new is not tile_out:
-                # Backend ignored ``out`` (copy-based fallback): land it.
-                tile_out[...] = new
 
         def verify(box: TileBox) -> StepReport:
             protector = self.protectors[box.index]

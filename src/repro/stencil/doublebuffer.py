@@ -220,11 +220,10 @@ class DoubleBufferedGrid:
 
         The whole iteration — ghost refresh of the front buffer and the
         sweep into the back buffer — is delegated to the ``step_into``
-        primitive of the process-wide backend selection, whose
-        base-class implementation is the classic
-        :meth:`refresh`-then-``sweep_into`` sequence.  The front buffer's
-        halo is consistent with its interior afterwards — the ABFT
-        protectors read it as ``previous_padded``.
+        primitive of the compute backend, which matches the classic
+        :meth:`refresh`-then-``sweep_into`` sequence bit for bit.  The
+        front buffer's halo is consistent with its interior afterwards —
+        the ABFT protectors read it as ``previous_padded``.
 
         The pair is **not** swapped: callers (``GridBase._commit``, the
         distributed runner) own the swap so previous-step bookkeeping

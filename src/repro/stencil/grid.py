@@ -62,8 +62,8 @@ class GridBase:
         array in place cannot change a grid's steps (backends may cache
         a prepared copy of the constant).
 
-    Every step runs on the process-wide backend selection
-    (:func:`~repro.backends.get_backend`), resolved at each step.
+    Every step runs on the one compute backend
+    (:func:`~repro.backends.get_backend`).
     """
 
     expected_ndim: Optional[int] = None

@@ -4,6 +4,11 @@ These implementations follow the paper's pseudo-code (Figure 2) literally
 — explicit Python loops, per-point boundary-index resolution — and are
 intentionally slow. They exist solely to validate the vectorised sweeps
 and the checksum interpolation on small domains.
+
+:func:`reference_sweep_padded` is the bitwise oracle: the loop oracles
+add in Python floats, while it adds point by point in the domain dtype,
+in the order the backend's sweeps keep, so their results must equal it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +18,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
+from repro.stencil.shift import normalize_radius, shifted_view
 from repro.stencil.spec import StencilSpec
 
-__all__ = ["resolve_index", "reference_sweep2d", "reference_sweep3d", "reference_sweep"]
+__all__ = [
+    "resolve_index",
+    "reference_sweep2d",
+    "reference_sweep3d",
+    "reference_sweep",
+    "reference_sweep_padded",
+]
 
 
 def resolve_index(idx: int, n: int, bc: BoundaryCondition):
@@ -87,6 +99,31 @@ def reference_sweep3d(
     if u.ndim != 3:
         raise ValueError("reference_sweep3d expects a 3D array")
     return reference_sweep(u, spec, boundary, constant=constant)
+
+
+def reference_sweep_padded(
+    padded: np.ndarray,
+    spec: StencilSpec,
+    radius,
+    interior_shape: Sequence[int],
+    constant: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One sweep of a ghost-padded array, in the domain dtype (bitwise oracle).
+
+    Zero-fill, add ``constant``, then add ``w * view`` for each stencil
+    point in spec order: one full-size temporary per point, and the
+    operation order every sweep of the backend keeps.
+    """
+    interior_shape = tuple(int(n) for n in interior_shape)
+    radius = normalize_radius(radius, padded.ndim)
+    dtype = padded.dtype
+    out = np.zeros(interior_shape, dtype=dtype)
+    if constant is not None:
+        out += constant
+    for offset, weight in spec:
+        view = shifted_view(padded, offset, radius, interior_shape)
+        out += np.asarray(weight, dtype=dtype) * view
+    return out
 
 
 def reference_row_checksum(u: np.ndarray) -> np.ndarray:

@@ -11,10 +11,9 @@ The padded form (:func:`sweep_padded`) is the primitive shared with the
 parallel tile runner, which fills the ghost cells with halo data instead
 of a closed boundary condition.
 
-The actual arithmetic lives in the pluggable compute backends
+The actual arithmetic lives in the compute backend
 (:mod:`repro.backends`); the functions here are thin dispatchers that
-delegate to the process-wide selection
-(:func:`~repro.backends.get_backend`).  Checksums are not part of a
+delegate to it (:func:`~repro.backends.get_backend`).  Checksums are not part of a
 sweep: a caller reduces the new domain with the backend's ``checksum``.
 """
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,31 +27,89 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+from repro.backends import Backend  # noqa: E402
+from repro.stencil.reference import reference_sweep_padded  # noqa: E402
+
+
+@contextlib.contextmanager
+def on_backend(instance):
+    """Run the enclosed code with ``instance`` (a spy, say) as the one
+    backend: every layer calls ``get_backend()`` where it steps or
+    reduces, so it reaches them all until the block ends."""
+    import repro.backends
+
+    with mock.patch.object(repro.backends, "_BACKEND", instance):
+        yield instance
+
 
 @pytest.fixture
 def use_backend():
-    """Switch the process-wide backend selection for one test.
+    """``use_backend(spy)`` swaps ``spy`` in for the one backend until
+    the test ends (:func:`on_backend`).  Returns ``spy``."""
+    with contextlib.ExitStack() as stack:
+        yield lambda backend: stack.enter_context(on_backend(backend))
 
-    ``use_backend("numpy")`` selects a registered backend by name;
-    ``use_backend(instance)`` first registers ``instance`` under its own
-    name (a spy standing in for a built-in, say).  Either way every
-    layer resolves it on its next step, and the test's end restores the
-    previous selection and registry, whatever the test's own
-    ``monkeypatch`` undoes.  Returns the selected instance.
+
+#: The two paths of the ``fused`` backend: compiled where ``cc`` exists,
+#: and ``fused-interpreted``, its NumPy code (what a machine without
+#: ``cc`` runs), forced by marking the native library unavailable.
+COMPUTE_PATHS = ("fused", "fused-interpreted")
+
+#: The compute paths plus ``base``: the routes of the ``Backend`` base
+#: class alone, run by a :class:`BaseRoutes` instance standing in for
+#: the backend.
+CONTRACT_PATHS = COMPUTE_PATHS + ("base",)
+
+
+class BaseRoutes(Backend):
+    """Only ``sweep_padded``, the reference sweep: the rest is ``Backend``'s.
+
+    ``FusedBackend`` reaches the base class's copy-based ``sweep_into``,
+    refresh-then-sweep step and plain-reduction checksum only for some
+    views (an overlapping pair, no compiled sweep, a 2D tile); on this
+    backend every call takes them, so the contract tests hold those
+    routes to the same bits on every case.
     """
-    from repro.backends import registry
 
-    with pytest.MonkeyPatch.context() as patch:
+    def sweep_padded(self, padded, spec, radius, interior_shape,
+                     constant=None, out=None):
+        interior_shape, radius = self._normalize_sweep_args(
+            padded, radius, interior_shape, constant, out
+        )
+        new = reference_sweep_padded(
+            padded, spec, radius, interior_shape, constant=constant
+        )
+        if out is None:
+            return new
+        out[...] = new
+        return out
 
-        def use(backend):
-            if isinstance(backend, str):
-                backend = registry.get_backend(backend)
-            else:
-                patch.setitem(registry._REGISTRY, str(backend.name), backend)
-            patch.setattr(registry, "_DEFAULT_OVERRIDE", str(backend.name))
-            return backend
 
-        yield use
+@contextlib.contextmanager
+def on_path(name):
+    """Run the enclosed code on path ``name`` of CONTRACT_PATHS.
+
+    ``base`` swaps in a :class:`BaseRoutes` instance (:func:`on_backend`).
+    """
+    from repro.backends import native
+
+    if name == "fused-interpreted":
+        with mock.patch.object(native, "_state", "forced unavailable by a test"):
+            yield
+    elif name == "base":
+        with on_backend(BaseRoutes()):
+            yield
+    else:
+        yield
+
+
+@pytest.fixture(params=CONTRACT_PATHS)
+def backend(request):
+    """The backend, on each path of CONTRACT_PATHS in turn."""
+    from repro.backends import get_backend
+
+    with on_path(request.param):
+        yield get_backend()
 
 
 @pytest.fixture

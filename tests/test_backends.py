@@ -1,43 +1,39 @@
-"""Backend registry and cross-backend numerical equivalence tests.
+"""Numerical equivalence of the backend's paths with the reference sweep.
 
-Every registered backend must match the ``numpy`` reference within the
+The backend runs each test twice (the ``backend`` fixture): compiled,
+and with its native library reading as unavailable, so its NumPy paths
+keep the same contract.  A third run, ``base``, stands a backend with
+only the reference ``sweep_padded`` in for it (``conftest.BaseRoutes``),
+so the :class:`~repro.backends.base.Backend` routes ``FusedBackend``
+falls back to keep it too.  Its sweep must match
+:func:`~repro.stencil.reference.reference_sweep_padded` within the
 detection threshold of :func:`repro.core.thresholds.recommend_epsilon`
 across the whole stencil library (2D and 3D, every boundary condition),
 and its ``checksum`` of a freshly swept domain must equal post-hoc
-``checksum()`` results — otherwise swapping backends would change the
-false-positive/detection behaviour the paper calibrates.  ``fused`` runs
-twice: with its compiled kernels, and with the native library reading
-as unavailable, so its NumPy paths keep the same contract.
+``checksum()`` results — otherwise the false-positive/detection
+behaviour the paper calibrates would depend on the machine.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import all_boundary_conditions, stencil_library_2d, stencil_library_3d
-
-from repro.backends import (
-    Backend,
-    FusedBackend,
-    NumpyBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    native,
-    register_backend,
-    set_default_backend,
+from conftest import (
+    COMPUTE_PATHS,
+    all_boundary_conditions,
+    on_path,
+    stencil_library_2d,
+    stencil_library_3d,
 )
-from repro.backends.registry import BUILTIN_DEFAULT, ENV_VAR
+
+from repro.backends import Backend, FusedBackend, get_backend
 from repro.core.checksums import checksum
 from repro.core.online import OnlineABFT
 from repro.core.thresholds import recommend_epsilon
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
+from repro.stencil.reference import reference_sweep_padded
 from repro.stencil.shift import pad_array
-
-REFERENCE = "numpy"
 
 SHAPE_2D = (24, 18)
 SHAPE_3D = (12, 10, 4)
@@ -56,112 +52,53 @@ def _spec_id(spec):
     return f"{spec.ndim}d-{spec.npoints}pt"
 
 
-#: ``fused`` with its native library reading as unavailable: the NumPy
-#: sweep, lane fold and step a machine without ``cc`` runs.
-INTERPRETED_FUSED = "fused-interpreted"
-
-
-@pytest.fixture(params=[*available_backends(), INTERPRETED_FUSED])
-def backend_name(request):
-    if request.param != INTERPRETED_FUSED:
-        yield request.param
-        return
-    with mock.patch.object(native, "_state", "forced unavailable by a test"):
-        yield "fused"
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        # One name per backend: no alias lists an instance twice.
-        assert available_backends() == ("fused", "numpy")
-        assert isinstance(get_backend("numpy"), NumpyBackend)
-        assert isinstance(get_backend("fused"), FusedBackend)
-
-    def test_backends_are_singletons(self):
-        assert get_backend("fused") is get_backend("fused")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            get_backend("cuda-42")
-
-    def test_default_resolution_chain(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        set_default_backend(None)
-        assert default_backend_name() == BUILTIN_DEFAULT
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert default_backend_name() == "numpy"
-        assert isinstance(get_backend(), NumpyBackend)
-        try:
-            set_default_backend("fused")  # override beats the env var
-            assert default_backend_name() == "fused"
-        finally:
-            set_default_backend(None)
-
-    def test_set_default_validates_name(self):
-        with pytest.raises(KeyError):
-            set_default_backend("no-such-backend")
-
-    def test_register_custom_backend(self):
-        class TracingBackend(NumpyBackend):
-            name = "tracing-test"
-
-        register_backend(TracingBackend())
-        try:
-            assert "tracing-test" in available_backends()
-            assert isinstance(get_backend("tracing-test"), TracingBackend)
-        finally:
-            from repro.backends.registry import _REGISTRY
-
-            _REGISTRY.pop("tracing-test", None)
-
-
 class TestSweepEquivalence:
     @pytest.mark.parametrize("spec", stencil_library_2d(), ids=_spec_id)
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
-    def test_2d_matches_reference(self, rng, backend_name, spec, bc):
-        self._check_sweep(rng, backend_name, spec, bc, SHAPE_2D, constant=False)
+    def test_2d_matches_reference(self, rng, backend, spec, bc):
+        self._check_sweep(rng, backend, spec, bc, SHAPE_2D, constant=False)
 
     @pytest.mark.parametrize("spec", stencil_library_3d(), ids=_spec_id)
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
-    def test_3d_matches_reference(self, rng, backend_name, spec, bc):
-        self._check_sweep(rng, backend_name, spec, bc, SHAPE_3D, constant=True)
+    def test_3d_matches_reference(self, rng, backend, spec, bc):
+        self._check_sweep(rng, backend, spec, bc, SHAPE_3D, constant=True)
 
-    def _check_sweep(self, rng, backend_name, spec, bc, shape, constant):
+    def _check_sweep(self, rng, backend, spec, bc, shape, constant):
         u = _domain(rng, shape)
         const = (
             (rng.random(shape) * 0.1).astype(np.float32) if constant else None
         )
         radius = spec.radius()
         padded = pad_array(u, radius, bc)
-        reference = get_backend(REFERENCE).sweep_padded(
+        reference = reference_sweep_padded(
             padded, spec, radius, shape, constant=const
         )
-        result = get_backend(backend_name).sweep_padded(
+        result = backend.sweep_padded(
             padded, spec, radius, shape, constant=const
         )
         eps = recommend_epsilon(shape, 0, np.float32, spec)
         assert _relative_mismatch(result, reference) <= eps
 
-    def test_out_parameter_respected(self, rng, backend_name):
+    def test_out_parameter_respected(self, rng, backend):
         spec = stencil_library_2d()[0]
         u = _domain(rng, SHAPE_2D)
         padded = pad_array(u, spec.radius(), BoundaryCondition.clamp())
         out = np.full(SHAPE_2D, np.nan, dtype=np.float32)
-        result = get_backend(backend_name).sweep_padded(
+        result = backend.sweep_padded(
             padded, spec, spec.radius(), SHAPE_2D, out=out
         )
         assert result is out
-        reference = get_backend(REFERENCE).sweep_padded(
+        reference = reference_sweep_padded(
             padded, spec, spec.radius(), SHAPE_2D
         )
         np.testing.assert_allclose(out, reference, rtol=1e-6)
 
-    def test_out_shape_validated(self, rng, backend_name):
+    def test_out_shape_validated(self, rng, backend):
         spec = stencil_library_2d()[0]
         u = _domain(rng, SHAPE_2D)
         padded = pad_array(u, spec.radius(), BoundaryCondition.clamp())
         with pytest.raises(ValueError, match="out has shape"):
-            get_backend(backend_name).sweep_padded(
+            backend.sweep_padded(
                 padded, spec, spec.radius(), SHAPE_2D, out=np.empty((3, 3), np.float32)
             )
 
@@ -170,25 +107,23 @@ class TestSweepInto:
     """The zero-copy primitive must equal the allocating sweep bitwise."""
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
-    def test_matches_sweep_padded(self, rng, backend_name, bc):
+    def test_matches_sweep_padded(self, rng, backend, bc):
         from repro.stencil.shift import interior_view, padded_shape
 
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
         padded = pad_array(u, radius, bc)
-        reference = get_backend(backend_name).sweep_padded(
-            padded, spec, radius, SHAPE_2D
-        )
+        reference = backend.sweep_padded(padded, spec, radius, SHAPE_2D)
         dst = np.full(padded_shape(SHAPE_2D, radius), np.nan, dtype=np.float32)
-        result = get_backend(backend_name).sweep_into(
+        result = backend.sweep_into(
             padded, dst, spec, radius, SHAPE_2D
         )
         assert np.shares_memory(result, dst)
         np.testing.assert_array_equal(result, reference)
         np.testing.assert_array_equal(interior_view(dst, radius), reference)
 
-    def test_overlapping_buffers_fall_back_safely(self, rng, backend_name):
+    def test_overlapping_buffers_fall_back_safely(self, rng, backend):
         """src == dst must still produce the correct result (via copy)."""
         from repro.stencil.shift import interior_view
 
@@ -196,31 +131,27 @@ class TestSweepInto:
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
-        reference = get_backend(backend_name).sweep_padded(
-            padded, spec, radius, SHAPE_2D
-        )
-        get_backend(backend_name).sweep_into(
-            padded, padded, spec, radius, SHAPE_2D
-        )
+        reference = backend.sweep_padded(padded, spec, radius, SHAPE_2D)
+        backend.sweep_into(padded, padded, spec, radius, SHAPE_2D)
         np.testing.assert_array_equal(interior_view(padded, radius), reference)
 
-    def test_dst_shape_validated(self, rng, backend_name):
+    def test_dst_shape_validated(self, rng, backend):
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
         with pytest.raises(ValueError, match="dst_padded has shape"):
-            get_backend(backend_name).sweep_into(
+            backend.sweep_into(
                 padded, np.empty((5, 5), np.float32), spec, radius, SHAPE_2D
             )
 
-    def test_sweep_into_then_checksum_matches_posthoc(self, rng, backend_name):
+    def test_sweep_into_then_checksum_matches_posthoc(self, rng, backend):
         """The checksum of the destination interior (a view into a padded
         buffer, which ``fused`` folds lane by lane) matches a post-hoc
         reduction."""
         from repro.stencil.shift import padded_shape
 
-        be = get_backend(backend_name)
+        be = backend
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
@@ -236,7 +167,7 @@ class TestSweepInto:
                 checksum(new, axis, dtype=np.float64),
             ) <= 1e-10
 
-    def test_module_dispatcher(self, rng, use_backend):
+    def test_module_dispatcher(self, rng):
         from repro.stencil.shift import padded_shape
         from repro.stencil.sweep import sweep_into
 
@@ -245,11 +176,9 @@ class TestSweepInto:
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
         dst = np.empty(padded_shape(SHAPE_2D, radius), dtype=np.float32)
-        use_backend("fused")
         result = sweep_into(padded, dst, spec, radius, SHAPE_2D)
         np.testing.assert_array_equal(
-            result,
-            get_backend("numpy").sweep_padded(padded, spec, radius, SHAPE_2D),
+            result, reference_sweep_padded(padded, spec, radius, SHAPE_2D)
         )
 
     def test_copy_fallback_for_minimal_backend(self, rng):
@@ -257,12 +186,10 @@ class TestSweepInto:
         from repro.stencil.shift import interior_view, padded_shape
 
         class MinimalBackend(Backend):
-            name = "minimal-test"
-
             def sweep_padded(self, padded, spec, radius, interior_shape,
                              constant=None, out=None):
                 # Deliberately ignores ``out`` — the fallback must copy.
-                return get_backend(REFERENCE).sweep_padded(
+                return reference_sweep_padded(
                     padded, spec, radius, interior_shape, constant=constant
                 )
 
@@ -274,9 +201,17 @@ class TestSweepInto:
         result = MinimalBackend().sweep_into(padded, dst, spec, radius, SHAPE_2D)
         np.testing.assert_array_equal(
             interior_view(dst, radius),
-            get_backend(REFERENCE).sweep_padded(padded, spec, radius, SHAPE_2D),
+            reference_sweep_padded(padded, spec, radius, SHAPE_2D),
         )
         assert np.shares_memory(result, dst)
+
+
+def test_get_backend_returns_one_shared_instance():
+    """Every layer that calls ``get_backend()`` gets the same ``fused``
+    instance, so they share its scratch buffers and flat plans."""
+    backend = get_backend()
+    assert isinstance(backend, FusedBackend)
+    assert get_backend() is backend
 
 
 class TestChecksums:
@@ -287,9 +222,9 @@ class TestChecksums:
     )
     @pytest.mark.parametrize("checksum_dtype", [np.float64, None], ids=["f64", "domain"])
     def test_swept_domain_checksums_match_posthoc(
-        self, rng, backend_name, spec, checksum_dtype
+        self, rng, backend, spec, checksum_dtype
     ):
-        be = get_backend(backend_name)
+        be = backend
         shape = SHAPE_2D if spec.ndim == 2 else SHAPE_3D
         u = _domain(rng, shape)
         radius = spec.radius()
@@ -302,14 +237,12 @@ class TestChecksums:
                 be.checksum(new, axis, dtype=checksum_dtype), posthoc
             ) <= eps
 
-    def test_sweep_dispatcher_then_checksum(
-        self, rng, backend_name, use_backend
-    ):
-        """The module-level sweep runs on the selected backend, and that
-        backend's domain-dtype checksum of its output matches post-hoc."""
+    def test_sweep_dispatcher_then_checksum(self, rng, backend):
+        """The module-level sweep runs on the backend, and the backend's
+        domain-dtype checksum of its output matches post-hoc."""
         from repro.stencil.sweep import sweep_padded
 
-        be = use_backend(backend_name)
+        be = backend
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
@@ -328,26 +261,26 @@ class TestChecksums:
 
 
 class TestGridAndProtectorAcrossBackends:
-    def test_grid_runs_are_equivalent(self, rng, backend_name, use_backend):
+    def test_grid_runs_are_equivalent(self, rng, backend):
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
-        use_backend(REFERENCE)
-        ref = Grid2D(u, spec, BoundaryCondition.clamp())
-        ref.run(8)
-        use_backend(backend_name)
-        other = Grid2D(u, spec, BoundaryCondition.clamp())
+        bc = BoundaryCondition.clamp()
+        ref = u
+        for _ in range(8):
+            ref = reference_sweep_padded(
+                pad_array(ref, spec.radius(), bc), spec, spec.radius(), SHAPE_2D
+            )
+        other = Grid2D(u, spec, bc)
         other.run(8)
         eps = recommend_epsilon(SHAPE_2D, 0, np.float32, spec)
-        assert _relative_mismatch(other.u, ref.u) <= eps
+        assert _relative_mismatch(other.u, ref) <= eps
 
-    def test_grid_step_then_checksum_matches_fresh_fold(
-        self, rng, backend_name, use_backend
-    ):
+    def test_grid_step_then_checksum_matches_fresh_fold(self, rng, backend):
         """The column checksum of a 3D grid's new state (an interior view
         of its padded front buffer) is bit for bit a fold of a fresh
         copy, and the next step leaves that state intact as
         ``previous``."""
-        be = use_backend(backend_name)
+        be = backend
         spec = stencil_library_3d()[0]
         u = _domain(rng, SHAPE_3D)
         grid = Grid3D(u, spec, BoundaryCondition.clamp())
@@ -360,9 +293,8 @@ class TestGridAndProtectorAcrossBackends:
         )
 
     def test_online_abft_detects_and_corrects_on_every_backend(
-        self, rng, backend_name, use_backend
+        self, rng, backend
     ):
-        use_backend(backend_name)
         spec = stencil_library_2d()[1]
         u = _domain(rng, (32, 28))
         grid = Grid2D(u, spec, BoundaryCondition.clamp())
@@ -372,10 +304,7 @@ class TestGridAndProtectorAcrossBackends:
         assert report.total_detected >= 1
         assert report.total_corrected >= 1
 
-    def test_online_abft_clean_run_no_false_positives(
-        self, rng, backend_name, use_backend
-    ):
-        use_backend(backend_name)
+    def test_online_abft_clean_run_no_false_positives(self, rng, backend):
         spec = stencil_library_2d()[1]
         u = _domain(rng, (32, 28))
         grid = Grid2D(u, spec, BoundaryCondition.clamp())
@@ -383,16 +312,16 @@ class TestGridAndProtectorAcrossBackends:
         report = protector.run(grid, 10)
         assert report.total_detected == 0
 
-    def test_fused_and_reference_protected_runs_agree(self, rng, use_backend):
+    def test_compiled_and_interpreted_protected_runs_agree(self, rng):
         spec = stencil_library_2d()[1]
         u = _domain(rng, (32, 28))
         finals = {}
-        for name in (REFERENCE, "fused"):
-            use_backend(name)
-            grid = Grid2D(u, spec, BoundaryCondition.clamp())
-            OnlineABFT.for_grid(grid).run(grid, 10)
+        for name in COMPUTE_PATHS:
+            with on_path(name):
+                grid = Grid2D(u, spec, BoundaryCondition.clamp())
+                OnlineABFT.for_grid(grid).run(grid, 10)
             finals[name] = grid.u
-        np.testing.assert_array_equal(finals[REFERENCE], finals["fused"])
+        np.testing.assert_array_equal(*finals.values())
 
 
 def _fresh_pair(u, radius, ghost_fill=np.nan):
@@ -441,11 +370,9 @@ class TestBackendOwnedStep:
     in 2D and 3D.  This pins any backend that overrides the step to the
     refresh-then-sweep semantics."""
 
-    def _check_step(self, rng, backend_name, boundary, spec, shape,
-                    constant=False):
+    def _check_step(self, rng, be, boundary, spec, shape, constant=False):
         from repro.stencil.shift import refresh_ghosts
 
-        be = get_backend(backend_name)
         u = _domain(rng, shape)
         const = (
             (rng.random(shape) * 0.1).astype(np.float32) if constant else None
@@ -470,37 +397,37 @@ class TestBackendOwnedStep:
         np.testing.assert_array_equal(src, src_ref)
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
-    def test_2d_matches_refresh_then_sweep(self, rng, backend_name, bc):
-        self._check_step(rng, backend_name, bc, stencil_library_2d()[1], SHAPE_2D)
+    def test_2d_matches_refresh_then_sweep(self, rng, backend, bc):
+        self._check_step(rng, backend, bc, stencil_library_2d()[1], SHAPE_2D)
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
-    def test_3d_matches_refresh_then_sweep(self, rng, backend_name, bc):
+    def test_3d_matches_refresh_then_sweep(self, rng, backend, bc):
         self._check_step(
-            rng, backend_name, bc, stencil_library_3d()[0], SHAPE_3D,
+            rng, backend, bc, stencil_library_3d()[0], SHAPE_3D,
             constant=True,
         )
 
     @pytest.mark.parametrize("spec", stencil_library_2d(), ids=_spec_id)
-    def test_2d_asymmetric_and_wide_stencils(self, rng, backend_name, spec):
+    def test_2d_asymmetric_and_wide_stencils(self, rng, backend, spec):
         self._check_step(
-            rng, backend_name, BoundaryCondition.periodic(), spec, SHAPE_2D
+            rng, backend, BoundaryCondition.periodic(), spec, SHAPE_2D
         )
 
-    def test_2d_mixed_axis_boundaries(self, rng, backend_name):
+    def test_2d_mixed_axis_boundaries(self, rng, backend):
         for boundary in _mixed_boundaries(2):
             self._check_step(
-                rng, backend_name, boundary, stencil_library_2d()[2], SHAPE_2D
+                rng, backend, boundary, stencil_library_2d()[2], SHAPE_2D
             )
 
-    def test_3d_mixed_axis_boundaries(self, rng, backend_name):
+    def test_3d_mixed_axis_boundaries(self, rng, backend):
         for boundary in _mixed_boundaries(3):
             self._check_step(
-                rng, backend_name, boundary, stencil_library_3d()[1], SHAPE_3D
+                rng, backend, boundary, stencil_library_3d()[1], SHAPE_3D
             )
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
-    def test_step_checksums_match_posthoc(self, rng, backend_name, bc):
-        be = get_backend(backend_name)
+    def test_step_checksums_match_posthoc(self, rng, backend, bc):
+        be = backend
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         src, dst = _fresh_pair(u, spec.radius())
@@ -511,7 +438,7 @@ class TestBackendOwnedStep:
                 checksum(new, axis, dtype=np.float64),
             ) <= 1e-10
 
-    def test_degenerate_periodic_halo_handled(self, rng, backend_name):
+    def test_degenerate_periodic_halo_handled(self, rng, backend):
         """Ghost wider than the interior: the refresh tiles the periodic
         wrap, and the step stays pad_array-exact."""
         from repro.stencil.spec import StencilSpec
@@ -521,9 +448,9 @@ class TestBackendOwnedStep:
         )
         shape = (1, 6)  # interior extent 1 < radius 2 along axis 0
         bc = BoundaryCondition.periodic()
-        be = get_backend(backend_name)
+        be = backend
         u = _domain(rng, shape)
-        expected = get_backend(REFERENCE).sweep_padded(
+        expected = reference_sweep_padded(
             pad_array(u, spec.radius(), bc), spec, spec.radius(), shape
         )
         src, dst = _fresh_pair(u, spec.radius())
@@ -532,12 +459,12 @@ class TestBackendOwnedStep:
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
     def test_grid_step_fast_path_matches_classic_pipeline(
-        self, rng, backend_name, use_backend, bc
+        self, rng, backend, bc
     ):
         """``Grid2D.step`` (whole iteration delegated to the backend)
         must track the explicit refresh + ``sweep_into`` + swap sequence
         bit for bit over several iterations."""
-        be = use_backend(backend_name)
+        be = backend
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         fast = Grid2D(u, spec, bc)
@@ -553,15 +480,13 @@ class TestBackendOwnedStep:
         np.testing.assert_array_equal(fast.u, classic.u)
         assert fast.iteration == classic.iteration == 6
 
-    def test_grid_step_uses_backend_owned_step(
-        self, rng, backend_name, use_backend
-    ):
+    def test_grid_step_uses_backend_owned_step(self, rng, backend):
         """A grid step returns the buffer the pair just swapped in, whose
         checksums the backend reduces, and leaves previous_padded's halo
         valid."""
         from repro.stencil.shift import interior_view
 
-        be = use_backend(backend_name)
+        be = backend
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         grid = Grid2D(u, spec, BoundaryCondition.clamp())

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from conftest import COMPUTE_PATHS
+
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
 from repro.experiments.common import make_hotspot_app, make_protector_factory
@@ -374,35 +375,7 @@ class TestAllocationProfile:
         assert per_run < domain_bytes / 2
 
 
-class _RecordsBackend:
-    """Inject hook appending the backend its worker resolves to a file."""
-
-    def __init__(self, path):
-        self.path = str(path)
-
-    def __call__(self, grid, iteration):
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(get_backend().name + "\n")
-
-
 class TestProcessExecutorContract:
-    def test_workers_follow_each_run_selection(self, app, tmp_path, use_backend):
-        # The pool outlives a run, so its worker starts under the first
-        # run's selection; each later run's selection must still reach it.
-        seen = tmp_path / "backends"
-        config = CampaignConfig(iterations=2, repetitions=2, inject=False)
-        with CampaignEngine(executor="process", workers=1) as engine:
-            for name in ("numpy", "fused", "numpy"):
-                use_backend(name)
-                engine.run(
-                    app.build_grid,
-                    make_protector_factory("no-abft"),
-                    config,
-                    hook_factory=lambda i: _RecordsBackend(seen),
-                )
-                assert set(seen.read_text().split()) == {name}
-                seen.unlink()
-
     def test_unpicklable_factory_raises_clear_error(self, app, reference):
         config = CampaignConfig(iterations=4, repetitions=2, inject=False)
         with CampaignEngine(executor="process", workers=1) as engine:
@@ -415,28 +388,22 @@ class TestProcessExecutorContract:
                 )
 
 
-@pytest.fixture(params=["fused", "numpy"])
-def default_backend(request, use_backend):
-    """Make one backend the process default for one test."""
-    use_backend(request.param)
-    return request.param
-
-
 class TestStackedOnEveryBackend:
-    """Stacked batches on each backend: the same records as replay/legacy."""
+    """Stacked batches on each compute path: the same records as
+    replay/legacy."""
 
     @pytest.mark.parametrize(
         "method", ["no-abft", "online-abft", "offline-abft"]
     )
     @pytest.mark.parametrize("inject", [False, True])
+    @pytest.mark.parametrize("backend", COMPUTE_PATHS, indirect=True)
     def test_stacked_replay_and_legacy_agree(
-        self, app, reference, method, inject, default_backend
+        self, app, reference, method, inject, backend
     ):
         factory = make_protector_factory(method, period=4)
         config = CampaignConfig(
             iterations=ITERATIONS, repetitions=6, inject=inject, seed=23
         )
-        assert get_backend().name == default_backend
         legacy = run_campaign(
             app.build_grid, factory, config, reference=reference
         )

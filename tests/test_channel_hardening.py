@@ -253,6 +253,70 @@ class TestDistributedPayloadFaults:
         replayed = crash is not None and iteration > (crash - 1) // 4 * 4
         assert strikes == 1 + replayed
 
+    @pytest.mark.parametrize("rank", [0, 1], ids=["rank0", "rank1"])
+    @pytest.mark.parametrize("first_side", ["closed", "live"],
+                             ids=["closed-edge", "live-link"])
+    def test_two_plans_on_one_message_are_refused(self, rng, first_side, rank):
+        # Each rank of a clamped pair sends one strip, to the other (rank
+        # 0 to its high side, rank 1 to its low side); a plan for its
+        # closed edge strikes that strip too.
+        runner = DistributedStencilRunner(_grid_2d(rng), n_ranks=2)
+        live = 1 - rank
+        corrupt = FaultPlan(
+            iteration=3, index=(0,), bit=30, target="payload",
+            side=live if first_side == "live" else rank,
+        )
+        drop = FaultPlan(
+            iteration=3, index=(5,), bit=30, target="payload", side=live,
+            action="drop",
+        )
+        plans = [[], []]
+        plans[rank] = [corrupt, drop]
+        with pytest.raises(ValueError, match="one strike") as exc:
+            DistributedFaultInjector(runner, plans)
+        assert repr(corrupt) in str(exc.value)
+        assert repr(drop) in str(exc.value)
+
+    def test_one_link_in_two_iterations_fires_both_plans(self, rng):
+        """The refusal is per iteration: one link struck in two
+        iterations takes both strikes, and recovery repairs both."""
+        grid = _grid_2d(rng)
+        clean = DistributedStencilRunner(grid.copy(), n_ranks=2)
+        clean.run(8)
+        runner = DistributedStencilRunner(grid.copy(), n_ranks=2)
+        plans = [[
+            FaultPlan(iteration=3, index=(0,), bit=30, target="payload", side=1),
+            FaultPlan(
+                iteration=6, index=(5,), bit=30, target="payload", side=1,
+                action="drop",
+            ),
+        ], []]
+        inject = DistributedFaultInjector(runner, plans)
+        runner.run(8, inject=inject)
+        assert inject.fired_count == 2
+        assert runner.channel.messages_corrupted == 1
+        assert runner.channel.messages_dropped == 1
+        np.testing.assert_array_equal(runner.gather(), clean.gather())
+
+    def test_one_plan_per_link_fires_every_plan(self, rng):
+        grid = _grid_2d(rng)
+        clean = DistributedStencilRunner(grid.copy(), n_ranks=3)
+        clean.run(6)
+        runner = DistributedStencilRunner(grid.copy(), n_ranks=3)
+        plans = [[], [
+            FaultPlan(iteration=3, index=(0,), bit=30, target="payload", side=0),
+            FaultPlan(
+                iteration=3, index=(5,), bit=30, target="payload", side=1,
+                action="drop",
+            ),
+        ], []]
+        inject = DistributedFaultInjector(runner, plans)
+        runner.run(6, inject=inject)
+        assert inject.fired_count == 2
+        assert runner.channel.messages_corrupted == 1
+        assert runner.channel.messages_dropped == 1
+        np.testing.assert_array_equal(runner.gather(), clean.gather())
+
     def test_payload_plans_need_halo_traffic(self, rng):
         grid = _grid_2d(rng)
         runner = DistributedStencilRunner(grid, n_ranks=1, protect=False)

@@ -11,13 +11,11 @@ _SMALL_CAMPAIGN = ["campaign", "--tile", "16", "16", "4", "--iterations", "8",
 @pytest.fixture
 def restore_defaults(monkeypatch):
     """Undo the process-wide defaults ``main`` installs from its flags."""
-    from repro.backends import registry
     from repro.parallel import executor
 
     for module, name in (
         (executor, "_DEFAULT_EXECUTOR_OVERRIDE"),
         (executor, "_DEFAULT_WORKERS_OVERRIDE"),
-        (registry, "_DEFAULT_OVERRIDE"),
     ):
         monkeypatch.setattr(module, name, getattr(module, name))
 
@@ -133,18 +131,10 @@ class TestMain:
         # 6 iterations x 3 ring interfaces x 2 directions.
         assert "36 messages" in out
 
-    def test_distributed_backend_flag_selects_the_backend(
-        self, capsys, restore_defaults
-    ):
-        assert main(["distributed", "--ranks", "2", "--iters", "2",
-                     "--size", "24", "--backend", "numpy"]) == 0
-        assert "(backend numpy)" in capsys.readouterr().out
-
     def test_distributed_parser_defaults(self):
         args = build_parser().parse_args(["distributed"])
         assert args.ranks == 4
         assert args.iters == 50
-        assert args.backend is None
         assert args.boundary == "clamp"
 
     @pytest.mark.parametrize("crash_iter", ["0", "50"])
@@ -393,6 +383,5 @@ class TestFlatKernelState:
     def test_json_alone_prints_json(self, capsys):
         """`--json` needs no other flag, and prints nothing but JSON."""
         payload = self._json(capsys)
-        assert set(payload) == {"fused", "numpy"}
-        assert payload["numpy"] == []
+        assert set(payload) == {"fused"}
         assert [e["kind"] for e in payload["fused"]] == ["flat"]

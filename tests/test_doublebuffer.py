@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_boundary_conditions
-from repro.backends import get_backend
+from conftest import COMPUTE_PATHS, all_boundary_conditions
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
 from repro.stencil.grid import Grid2D
@@ -22,6 +21,7 @@ from repro.stencil.kernels import (
     five_point_diffusion,
     seven_point_diffusion_3d,
 )
+from repro.stencil.reference import reference_sweep_padded
 from repro.stencil.shift import (
     interior_view,
     pad_array,
@@ -142,13 +142,12 @@ class TestRefreshGhosts:
             refresh_ghosts(padded, 1, BoundaryCondition.clamp(), axes=(2,))
 
 
-def _reference_run(u0, spec, bc, backend, steps):
-    """N sweeps the old way: a fresh pad_array copy every iteration."""
-    be = get_backend(backend)
+def _reference_run(u0, spec, bc, steps):
+    """N reference sweeps, each of a fresh pad_array copy."""
     u = u0.copy()
     for _ in range(steps):
         padded = pad_array(u, spec.radius(), bc)
-        u = be.sweep_padded(padded, spec, spec.radius(), u.shape)
+        u = reference_sweep_padded(padded, spec, spec.radius(), u.shape)
     return u
 
 
@@ -156,16 +155,15 @@ class TestDoubleBufferedGridEquivalence:
     """N buffer-pair swaps == N fresh ``pad_array`` sweeps, bit for bit."""
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=BC_IDS)
-    @pytest.mark.parametrize("backend", ["numpy", "fused"])
+    @pytest.mark.parametrize("backend", COMPUTE_PATHS, indirect=True)
     @pytest.mark.parametrize("steps", [1, 4, 9])
-    def test_2d(self, rng, use_backend, bc, backend, steps):
+    def test_2d(self, rng, bc, backend, steps):
         u0 = (rng.random((13, 11)) * 100.0).astype(np.float32)
         spec = five_point_diffusion(0.2)
-        use_backend(backend)
         grid = Grid2D(u0, spec, bc)
         grid.run(steps)
         np.testing.assert_array_equal(
-            grid.u, _reference_run(u0, spec, bc, backend, steps)
+            grid.u, _reference_run(u0, spec, bc, steps)
         )
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=BC_IDS)
@@ -175,7 +173,7 @@ class TestDoubleBufferedGridEquivalence:
         grid = Grid2D(u0, spec, bc)
         grid.run(5)
         np.testing.assert_array_equal(
-            grid.u, _reference_run(u0, spec, bc, None, 5)
+            grid.u, _reference_run(u0, spec, bc, 5)
         )
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=BC_IDS)
@@ -187,7 +185,7 @@ class TestDoubleBufferedGridEquivalence:
         grid = Grid3D(u0, spec, bc)
         grid.run(4)
         np.testing.assert_array_equal(
-            grid.u, _reference_run(u0, spec, bc, None, 4)
+            grid.u, _reference_run(u0, spec, bc, 4)
         )
 
     def test_interior_mutation_between_steps_is_respected(self, rng):
@@ -201,7 +199,7 @@ class TestDoubleBufferedGridEquivalence:
         mutated = grid.u.copy()
         grid.step()
         np.testing.assert_array_equal(
-            grid.u, _reference_run(mutated, spec, bc, None, 1)
+            grid.u, _reference_run(mutated, spec, bc, 1)
         )
 
 

@@ -4,7 +4,7 @@ Whole C-contiguous buffer pairs are swept on flat 1-D views (one
 contiguous ufunc loop per stencil point and strip), which also
 computes the destination's axis >= 1 ghost positions inside the
 interior's axis-0 extent.  These tests pin the contract: every interior value equals the
-``numpy`` reference (and is bitwise equal to the fused staged route),
+reference sweep (and is bitwise equal to the fused staged route),
 the source is never written, nothing outside the flat interior range is
 touched, non-contiguous views keep every ghost intact, and the cached
 padded constant is never served to the wrong grid.
@@ -19,14 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_boundary_conditions
-from repro.backends import FusedBackend, NumpyBackend
+from repro.backends import FusedBackend
 from repro.backends import fused as fused_module
 from repro.stencil.boundary import BoundarySpec
 from repro.stencil.grid import Grid3D
+from repro.stencil.reference import reference_sweep_padded
 from repro.stencil.shift import interior_view, pad_array, padded_shape
 from repro.stencil.spec import StencilSpec
-
-REFERENCE = NumpyBackend()
 
 
 @st.composite
@@ -106,7 +105,7 @@ class TestFlatSweepProperty:
             src_before, dst_before = src.copy(), dst.copy()
             got = fused.sweep_into(src, dst, spec, radius, shape, constant=constant)
             staged = fused.sweep_padded(src, spec, radius, shape, constant=constant)
-            want = REFERENCE.sweep_padded(src, spec, radius, shape, constant=constant)
+            want = reference_sweep_padded(src, spec, radius, shape, constant=constant)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(_bits(got), _bits(staged))
             # The ghost-overwrite rule: nothing outside [lo, hi) moves.
@@ -125,7 +124,7 @@ class TestFlatSweepProperty:
             )
             assert got.shape == shape + (nb,)
             for b, slot in enumerate(slots):
-                want = REFERENCE.sweep_padded(
+                want = reference_sweep_padded(
                     slot, spec, radius, shape, constant=constant
                 )
                 np.testing.assert_array_equal(got[..., b], want)
@@ -162,7 +161,7 @@ class TestViews:
         got = FusedBackend().sweep_into(
             src, dst, spec, radius, shape, constant=constant
         )
-        want = REFERENCE.sweep_padded(src, spec, radius, shape, constant=constant)
+        want = reference_sweep_padded(src, spec, radius, shape, constant=constant)
         np.testing.assert_array_equal(got, want)
         # Every row outside the view's interior rows — the neighbours'
         # rows and the view's own axis-0 ghost rows — is bit-identical.
@@ -194,7 +193,7 @@ class TestViews:
 
         monkeypatch.setattr(fused, "_sweep_flat", no_flat)
         got = fused.sweep_into(src, dst, spec, radius, shape)
-        want = REFERENCE.sweep_padded(src, spec, radius, shape)
+        want = reference_sweep_padded(src, spec, radius, shape)
         np.testing.assert_array_equal(got, want)
         mask = np.ones(big_shape, dtype=bool)
         interior_view(mask[cols], radius)[...] = False
@@ -218,18 +217,18 @@ class TestConstantCache:
         """Same start, same operator: only the constant tells them apart."""
         shape, spec = (6, 5, 3), _full_box(3)
         bc = all_boundary_conditions()[0]
-        fused = FusedBackend()
+        use_backend(FusedBackend())
         u0 = rng.random(shape).astype(np.float32)
         constants = [rng.random(shape).astype(np.float32) for _ in range(2)]
         grids = [Grid3D(u0, spec, bc, constant=c) for c in constants]
-        refs = [Grid3D(u0, spec, bc, constant=c) for c in constants]
+        refs = [u0, u0]
         for _ in range(3):
-            for grid, ref in zip(grids, refs):
-                use_backend(fused)
+            for i, (grid, c) in enumerate(zip(grids, constants)):
                 grid.step()
-                use_backend("numpy")
-                ref.step()
-                np.testing.assert_array_equal(grid.u, ref.u)
+                refs[i] = reference_sweep_padded(
+                    pad_array(refs[i], 1, bc), spec, 1, shape, constant=c
+                )
+                np.testing.assert_array_equal(grid.u, refs[i])
 
     def test_freed_constant_is_not_served_stale(self, rng):
         """A new constant at a recycled address must miss the cache."""
@@ -241,7 +240,7 @@ class TestConstantCache:
         for step in range(8):
             c = np.full(shape, float(step))
             got = fused.sweep_into(src, dst, spec, radius, shape, constant=c)
-            want = REFERENCE.sweep_padded(src, spec, radius, shape, constant=c)
+            want = reference_sweep_padded(src, spec, radius, shape, constant=c)
             np.testing.assert_array_equal(got, want)
             del c
 

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import CONTRACT_PATHS, on_path
 from repro.backends import get_backend
 from repro.checkpoint import Snapshot
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
+from repro.stencil.reference import reference_sweep_padded
+from repro.stencil.shift import pad_array
 from repro.stencil.sweep import sweep
 
 
@@ -93,30 +96,30 @@ class TestGridStepping:
         g.step()
         np.testing.assert_allclose(g.u, 2.0, rtol=1e-6)
 
-    def test_caller_updating_its_constant_changes_no_backend(
-        self, rng, use_backend
-    ):
+    @pytest.mark.parametrize("path", CONTRACT_PATHS)
+    def test_caller_updating_its_constant_changes_no_backend(self, rng, path):
         """The grid keeps its own read-only constant: after the caller
-        doubles its array in place, ``fused`` (which caches a padded copy
-        of the constant) and ``numpy`` still step the same values."""
-        u0 = rng.random((16, 12, 6)).astype(np.float32)
-        constant = rng.random((16, 12, 6)).astype(np.float32)
-        spec = seven_point_diffusion_3d(0.1)
-        names = ("fused", "numpy")
-        grids = [
-            Grid3D(u0, spec, BoundaryCondition.clamp(), constant=constant)
-            for _ in names
-        ]
-        for name, g in zip(names, grids):
-            use_backend(name)
-            g.step()
-        constant *= 2.0
-        for name, g in zip(names, grids):
-            use_backend(name)
-            g.step()
-        np.testing.assert_array_equal(grids[0].u, grids[1].u)
+        doubles its array in place, every path (``fused`` and
+        ``fused-interpreted`` read a cached padded copy of it, ``base``
+        reads the grid's own array) still steps with the original."""
+        shape = (16, 12, 6)
+        u0 = rng.random(shape).astype(np.float32)
+        constant = rng.random(shape).astype(np.float32)
+        original = constant.copy()
+        spec, bc = seven_point_diffusion_3d(0.1), BoundaryCondition.clamp()
+        g = Grid3D(u0, spec, bc, constant=constant)
+        want = u0
+        with on_path(path):
+            for doubled in (False, True):
+                if doubled:
+                    constant *= 2.0
+                g.step()
+                want = reference_sweep_padded(
+                    pad_array(want, 1, bc), spec, 1, shape, constant=original
+                )
+                np.testing.assert_array_equal(g.u, want)
         with pytest.raises(ValueError, match="read-only"):
-            grids[0].constant[0, 0, 0] = 1.0
+            g.constant[0, 0, 0] = 1.0
 
     def test_read_only_owned_constant_is_not_copied(self, rng):
         constant = rng.random((6, 6)).astype(np.float32)

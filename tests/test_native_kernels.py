@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import FusedBackend, NumpyBackend, native
+from repro.backends import FusedBackend, native
 from repro.backends.base import Backend
 from repro.parallel.decomposition import decompose
+from repro.stencil.reference import reference_sweep_padded
 from repro.stencil.shift import interior_view, padded_shape
 from repro.stencil.spec import StencilSpec
 
@@ -201,7 +202,7 @@ class TestSweepGuards:
         return interior_view(dst, self.CASE["radius"])
 
     def _want(self, src):
-        return NumpyBackend().sweep_padded(
+        return reference_sweep_padded(
             np.asarray(src, dtype=src.dtype.newbyteorder("=")),
             self.CASE["points"], self.CASE["radius"], self.CASE["shape"],
         )
@@ -597,15 +598,13 @@ class TestBuild:
 
     @pytest.mark.skipif(not HAVE_CC, reason="no `cc` on PATH")
     def test_warmup_loads_the_library(self, fresh_build):
-        """``fused``'s warmup does the build up front; ``numpy`` has none."""
+        """``fused``'s warmup does the build up front."""
         FusedBackend().warmup()
         assert isinstance(native._state, native.NativeLibrary)
         (entry,) = FusedBackend().compiled_kernels()
         assert entry == native.describe()
         assert entry["path"] == str(native._state.path)
         assert entry["path"].startswith(str(fresh_build))
-        NumpyBackend().warmup()
-        assert NumpyBackend().compiled_kernels() == ()
 
     @pytest.mark.skipif(not HAVE_CC, reason="no `cc` on PATH")
     def test_compiler_error_is_named(self, fresh_build, monkeypatch):

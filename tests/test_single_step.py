@@ -16,9 +16,9 @@ what the layers above rely on:
 * a protected step makes the same backend calls with and without an
   inject hook, and reduces its checksum once, after the hook returns
   (online, window-closing offline and distributed steps alike);
-* every layer steps and reduces on the process-wide backend selection,
-  resolved where it is used: objects built before a spy backend is
-  selected run on the spy.
+* every layer steps and reduces on the instance ``get_backend()``
+  returns, resolved where it is used: objects built before a spy is
+  swapped in run on the spy.
 """
 
 from collections import Counter
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from conftest import all_boundary_conditions
-from repro.backends import Backend, get_backend
+from repro.backends import get_backend
 from repro.core.checksums import checksum
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
@@ -54,7 +54,7 @@ def _grid(rng, bc=None, spec=None, shape=(20, 14), constant=False):
 
 
 def _padded_sweeps(grid, u, k):
-    """``k`` allocating pad-then-sweep passes on the selected backend."""
+    """``k`` allocating pad-then-sweep passes on the backend."""
     for _ in range(k):
         padded = pad_array(u, grid.radius, grid.boundary)
         u = get_backend().sweep_padded(
@@ -64,12 +64,12 @@ def _padded_sweeps(grid, u, k):
 
 
 def _spy_backend(log):
-    """A fresh instance of the selected backend's class that logs every
-    contract method called on it.
+    """A fresh instance of the backend's class that logs every public
+    method called on it.
 
-    Each public :class:`Backend` method, nested calls included, appends
-    its name to ``log`` before it runs.  Its ``name`` is the selected
-    backend's, so ``use_backend`` registers it in that one's place.
+    Each public method, nested calls included, appends its name to
+    ``log`` before it runs; ``use_backend`` swaps it in for the one
+    instance.
     """
     backend = type(get_backend())()
 
@@ -79,7 +79,7 @@ def _spy_backend(log):
             return fn(*args, **kwargs)
         return call
 
-    for name in dir(Backend):
+    for name in dir(backend):
         attr = getattr(backend, name)
         if not name.startswith("_") and callable(attr):
             setattr(backend, name, logged(name, attr))
@@ -268,9 +268,9 @@ class TestOneStepPath:
 
 class TestOneSelectionPoint:
     def test_every_layer_calls_the_selected_instance(self, rng, use_backend):
-        """Every layer, built and seeded before a spy is registered under
-        the selected backend's name, then steps and reduces on the spy:
-        none keeps a backend of its own."""
+        """Every layer, built and seeded before a spy is swapped in for
+        the backend, then steps and reduces on the spy: none keeps a
+        backend of its own."""
         grid = _grid(rng)
         online = OnlineABFT.for_grid(grid, epsilon=1e-5)
         online.step(grid)  # seeds the t=0 checksum

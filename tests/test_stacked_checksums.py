@@ -15,6 +15,8 @@ batch and a narrower final batch of 3 are both pinned.
 import numpy as np
 import pytest
 
+from conftest import COMPUTE_PATHS
+
 import repro.faults.engine as engine_mod
 from repro.experiments.common import make_protector_factory
 from repro.faults.campaign import (
@@ -105,7 +107,7 @@ def _replayed_checksums(grid_factory, protector_factory, plans, monkeypatch):
     return seed, computed
 
 
-@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("backend", COMPUTE_PATHS, indirect=True)
 @pytest.mark.parametrize("checksum_dtype", [np.float64, None])
 @pytest.mark.parametrize(
     "shape, verify_axis",
@@ -113,9 +115,8 @@ def _replayed_checksums(grid_factory, protector_factory, plans, monkeypatch):
     ids=["2d-row", "2d-column", "3d-column", "3d-row"],
 )
 def test_stacked_checksums_match_replay_bitwise(
-    shape, verify_axis, checksum_dtype, backend, monkeypatch, use_backend
+    shape, verify_axis, checksum_dtype, backend, monkeypatch
 ):
-    use_backend(backend)
     grid_factory = _GridFactory(shape)
     protector_factory = make_protector_factory(
         "online-abft", epsilon=1e-5, verify_axis=verify_axis,

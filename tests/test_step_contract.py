@@ -1,27 +1,30 @@
-"""The step and batch contract every backend keeps, bit for bit.
+"""The step and batch contract the backend keeps, bit for bit.
 
-A backend may override any of ``sweep_padded``, ``step_into``,
-``batch_step_into`` and ``checksum``; whatever it overrides must come
-out exactly as the interpreted sequence it replaces:
+Whatever the backend runs for ``sweep_padded``, ``step_into``,
+``batch_step_into`` and ``checksum`` must come out exactly as the
+interpreted sequence it replaces:
 
 * a single step equals ``refresh_ghosts`` (over the refreshed axes
-  only) followed by the ``numpy`` reference sweep — interior and the
-  whole source halo, corners included — and the backend's checksum of
-  the new interior equals a post-hoc reduction;
+  only) followed by the reference sweep
+  (:func:`~repro.stencil.reference.reference_sweep_padded`) — interior
+  and the whole source halo, corners included — and the backend's
+  checksum of the new interior equals a post-hoc reduction;
 * slot ``b`` of a batched step equals a single step on slot ``b``'s
   buffers, and the campaign engine's ``np.sum`` over the batch interior
   equals, column for column, the backend's checksum of each single
   step.
 
-Every registered backend is checked, plus ``base``: a backend that
-provides only ``sweep_padded``, so the :class:`Backend` base-class
-implementations (copy-into-destination sweep, refresh-then-sweep step,
-loop-over-slots batch) are held to the same contract.  Two hypothesis
-properties draw random stencils (radius <= 3, 2D and 3D), float32 and
-float64 domains, boundary-kind mixes (constant values float32 cannot
-hold exactly included), external (distributed) axis subsets and
-degenerate periodic halos (ghost wider than the interior); both also
-run on ``fused`` with its native library forced unavailable.
+Both compute paths are checked: compiled, and with the native library
+forced unavailable (``fused-interpreted``, the NumPy code a machine
+without ``cc`` runs).  So is ``base``: a backend that provides only
+``sweep_padded`` (``conftest.BaseRoutes``), so the :class:`Backend`
+base-class routes (copy-into-destination sweep, refresh-then-sweep
+step, batched step over the run-extended pair) are held to the same
+contract.  Two hypothesis properties draw random stencils
+(radius <= 3, 2D and 3D), float32 and float64 domains, boundary-kind
+mixes (constant values float32 cannot hold exactly included), external
+(distributed) axis subsets and degenerate periodic halos (ghost wider
+than the interior).
 
 ``fused``'s compiled step fills the last ghost axis's lanes inside its
 sweep; the named cases at the end pin the views that must take the
@@ -35,19 +38,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_boundary_conditions
-
-from repro.backends import (
-    Backend,
-    FusedBackend,
-    available_backends,
-    get_backend,
-    native,
+from conftest import (
+    COMPUTE_PATHS,
+    CONTRACT_PATHS,
+    all_boundary_conditions,
+    on_path,
 )
+
+from repro.backends import get_backend, native
 from repro.backends import fused as fused_module
 from repro.core.checksums import checksum
 from repro.stencil import kernels, shift
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
+from repro.stencil.reference import reference_sweep_padded
 from repro.stencil.shift import (
     ghost_lanes,
     interior_view,
@@ -59,33 +62,6 @@ from repro.stencil.spec import StencilSpec
 
 SHAPE_2D = (24, 18)
 SHAPE_3D = (12, 10, 4)
-
-
-class _BaseLoopBackend(Backend):
-    """Only ``sweep_padded``: every other method is the base class's."""
-
-    name = "base-loop-test"
-
-    def sweep_padded(self, padded, spec, radius, interior_shape,
-                     constant=None, out=None):
-        return get_backend("numpy").sweep_padded(
-            padded, spec, radius, interior_shape, constant=constant, out=out
-        )
-
-
-_NAMES = list(available_backends())
-
-
-@pytest.fixture(scope="module", params=_NAMES + ["base"])
-def backend(request):
-    if request.param == "base":
-        return _BaseLoopBackend()
-    return get_backend(request.param)
-
-
-def numpy_only():
-    """Force ``fused``'s NumPy paths: the native library reads as unavailable."""
-    return mock.patch.object(native, "_state", "forced unavailable by a test")
 
 
 def _domain(rng, shape):
@@ -105,9 +81,7 @@ def _reference_step(src, spec, radius, shape, boundary, constant=None,
                     refresh_axes=None):
     """Refresh ``src`` in place, then the reference sweep of it."""
     refresh_ghosts(src, radius, boundary, axes=refresh_axes)
-    return get_backend("numpy").sweep_padded(
-        src, spec, radius, shape, constant=constant
-    )
+    return reference_sweep_padded(src, spec, radius, shape, constant=constant)
 
 
 def _assert_bits(got, want):
@@ -153,10 +127,8 @@ def test_sweep_and_checksums_match_reference(rng, spec, shape, bc):
     const = (rng.random(shape) * 0.1).astype(np.float32)
     radius = spec.radius()
     padded = pad_array(u, radius, bc)
-    expected = get_backend("numpy").sweep_padded(
-        padded, spec, radius, shape, constant=const
-    )
-    fused = get_backend("fused")
+    expected = reference_sweep_padded(padded, spec, radius, shape, constant=const)
+    fused = get_backend()
     new = fused.sweep_padded(padded, spec, radius, shape, constant=const)
     np.testing.assert_array_equal(new, expected)
     _assert_checksums(_checksums(fused, new), new, (0, 1))
@@ -300,7 +272,7 @@ def test_step_aliasing_pair(rng, backend):
     spec = kernels.nine_point_smoothing()
     radius = spec.radius()
     u = _domain(rng, (7, 6))
-    expected = get_backend("numpy").sweep_padded(
+    expected = reference_sweep_padded(
         pad_array(u, radius, BoundaryCondition.clamp()), spec, radius, (7, 6)
     )
     src, _ = _poisoned_pair(u, radius)
@@ -321,6 +293,7 @@ def test_src_shape_mismatch_raises(rng, backend):
         )
 
 
+@pytest.mark.parametrize("backend", COMPUTE_PATHS, indirect=True)
 def test_warmup_is_idempotent(rng, backend):
     """``warmup()`` may run any number of times, before or between steps,
     and leaves the kernel report and the results unchanged."""
@@ -395,9 +368,10 @@ def _cases(draw):
     return spec, shape, boundary, refresh_axes, has_const, dtype
 
 
+@pytest.mark.parametrize("path", CONTRACT_PATHS)
 @settings(max_examples=60, deadline=None)
 @given(case=_cases(), seed=st.integers(0, 2**31 - 1))
-def test_step_bit_identical_to_interpreted(backend, case, seed):
+def test_step_bit_identical_to_interpreted(path, case, seed):
     """Random spec x layout: the step equals refresh + the reference
     sweep, interior and whole source halo bit for bit, and the
     backend's checksums of its interior match a post-hoc reduction.
@@ -405,14 +379,8 @@ def test_step_bit_identical_to_interpreted(backend, case, seed):
     The halos start as random data, standing in for ingested neighbour
     halos on the external axes.
     """
-    _check_step(backend, case, seed)
-
-
-@settings(max_examples=30, deadline=None)
-@given(case=_cases(), seed=st.integers(0, 2**31 - 1))
-def test_interpreted_fused_step_bit_identical(case, seed):
-    with numpy_only():
-        _check_step(FusedBackend(), case, seed)
+    with on_path(path):
+        _check_step(get_backend(), case, seed)
 
 
 def _check_step(backend, case, seed):
@@ -438,6 +406,7 @@ def _check_step(backend, case, seed):
     _assert_checksums(_checksums(backend, got), expected, (0, 1))
 
 
+@pytest.mark.parametrize("path", CONTRACT_PATHS)
 @settings(max_examples=25, deadline=None)
 @given(
     case=_cases(),
@@ -446,26 +415,15 @@ def _check_step(backend, case, seed):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_batched_step_bit_identical_to_single_steps(
-    backend, case, batch, with_cs, seed
+    path, case, batch, with_cs, seed
 ):
     """Random spec x layout x batch width: a batched step equals
     ``batch`` independent single steps, slot for slot, and (``with_cs``)
     the engine's ``np.sum`` over the batch interior equals the backend's
     checksum of each single step.  This is what makes stacked-vs-replay
     a pure throughput choice in the campaign engine."""
-    _check_batch(backend, case, batch, with_cs, seed)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    case=_cases(),
-    batch=st.sampled_from((1, 3, 8)),
-    with_cs=st.booleans(),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_interpreted_fused_batch_bit_identical(case, batch, with_cs, seed):
-    with numpy_only():
-        _check_batch(FusedBackend(), case, batch, with_cs, seed)
+    with on_path(path):
+        _check_batch(get_backend(), case, batch, with_cs, seed)
 
 
 def _check_batch(backend, case, batch, with_cs, seed):
@@ -627,7 +585,7 @@ def test_compiled_step_leaves_the_lanes_to_the_sweep(rng, case):
     ``fill_ghosts``, and the compiled sweep gets the lanes."""
     if native.library() is None:
         pytest.skip(f"native library unavailable: {native.unavailable_reason()}")
-    backend = get_backend("fused")
+    backend = get_backend()
     boundary = BoundarySpec.from_any(
         [BoundaryCondition.constant(0.1), BoundaryCondition.periodic(),
          BoundaryCondition.clamp()][: 2 if case == "rank" else 3],

@@ -1,14 +1,31 @@
-"""Unit tests for the vectorised sweeps against the loop reference."""
+"""Unit tests for the vectorised sweeps against the loop reference.
+
+The bitwise oracle the backend tests use, ``reference_sweep_padded``,
+is checked against the same loop reference (the paper's Figure 2
+pseudo-code) here.
+"""
 
 import numpy as np
 import pytest
 
 from conftest import all_boundary_conditions, stencil_library_2d, stencil_library_3d
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
-from repro.stencil.reference import reference_sweep2d, reference_sweep3d
+from repro.stencil.reference import (
+    reference_sweep2d,
+    reference_sweep3d,
+    reference_sweep_padded,
+)
 from repro.stencil.shift import pad_array
 from repro.stencil.spec import StencilSpec
 from repro.stencil.sweep import sweep, sweep_padded
+
+
+def _padded_oracle(u, spec, boundary, constant=None):
+    """``reference_sweep_padded`` of ``u`` padded under ``boundary``."""
+    radius = spec.radius()
+    return reference_sweep_padded(
+        pad_array(u, radius, boundary), spec, radius, u.shape, constant=constant
+    )
 
 
 @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
@@ -20,6 +37,7 @@ def test_sweep2d_matches_reference(rng, bc, spec):
     expected = reference_sweep2d(u, spec, bc)
     actual = sweep(u, spec, bc)
     np.testing.assert_allclose(actual, expected, rtol=1e-12)
+    np.testing.assert_allclose(_padded_oracle(u, spec, bc), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
@@ -30,6 +48,9 @@ def test_sweep2d_with_constant_matches_reference(rng, bc):
     expected = reference_sweep2d(u, spec, bc, constant=constant)
     actual = sweep(u, spec, bc, constant=constant)
     np.testing.assert_allclose(actual, expected, rtol=1e-12)
+    np.testing.assert_allclose(
+        _padded_oracle(u, spec, bc, constant), expected, rtol=1e-12
+    )
 
 
 @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
@@ -41,15 +62,20 @@ def test_sweep3d_matches_reference(rng, bc, spec):
     expected = reference_sweep3d(u, spec, bc)
     actual = sweep(u, spec, bc)
     np.testing.assert_allclose(actual, expected, rtol=1e-12)
+    np.testing.assert_allclose(_padded_oracle(u, spec, bc), expected, rtol=1e-12)
 
 
-def test_sweep3d_with_constant_matches_reference(rng):
+@pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
+def test_sweep3d_with_constant_matches_reference(rng, bc):
     spec = stencil_library_3d()[0]
     u = rng.random((5, 4, 3))
     constant = rng.random((5, 4, 3))
-    expected = reference_sweep3d(u, spec, BoundaryCondition.clamp(), constant=constant)
-    actual = sweep(u, spec, BoundaryCondition.clamp(), constant=constant)
+    expected = reference_sweep3d(u, spec, bc, constant=constant)
+    actual = sweep(u, spec, bc, constant=constant)
     np.testing.assert_allclose(actual, expected, rtol=1e-12)
+    np.testing.assert_allclose(
+        _padded_oracle(u, spec, bc, constant), expected, rtol=1e-12
+    )
 
 
 def test_mixed_boundary_conditions_per_axis(rng):
@@ -59,6 +85,7 @@ def test_mixed_boundary_conditions_per_axis(rng):
     expected = reference_sweep2d(u, spec, bspec)
     actual = sweep(u, spec, bspec)
     np.testing.assert_allclose(actual, expected, rtol=1e-12)
+    np.testing.assert_allclose(_padded_oracle(u, spec, bspec), expected, rtol=1e-12)
 
 
 def test_sweep_preserves_dtype(rng):
