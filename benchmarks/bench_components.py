@@ -14,7 +14,7 @@ each against the form it replaced: the compiled flat sweep must cost
 < 0.75x the NumPy strip loop on the buffer pair, the lane fold of the
 column checksum (compiled where a C compiler exists) < 0.8x
 ``u.sum(axis=0, dtype=float64)`` of the padded interior, the exact
-interpolation given the grid's layout < 0.25x the domain-read form, and
+interpolation given the grid's boundary < 0.25x the domain-read form, and
 the fused step, whose compiled sweep fills the last axis's ghost lanes,
 < 0.95x ``refresh_ghosts`` followed by ``sweep_into``.  The sweep and
 step gates skip, printing why, only where no ``cc`` is on PATH.
@@ -242,12 +242,11 @@ def test_closed_borders_are_cheaper_than_domain_reads(large_state):
     """Lever 2: closed-axis border sums come from the checksum."""
     grid, padded, cs = large_state
 
-    def interpolate(layout):
+    def interpolate(boundary):
         return interpolate_checksum_padded(
-            cs, padded, grid.spec, grid.radius, grid.shape, 0, layout=layout
+            cs, padded, grid.spec, grid.radius, grid.shape, 0, boundary=boundary
         )
 
-    layout = grid.buffers.layout
-    ratio = _ratio(lambda: interpolate(layout), lambda: interpolate(None))
-    print(f"\nlayout-aware / domain-read interpolation = {ratio:.2f}")
+    ratio = _ratio(lambda: interpolate(grid.boundary), lambda: interpolate(None))
+    print(f"\nclosed-border / domain-read interpolation = {ratio:.2f}")
     assert ratio < 0.25

@@ -165,15 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker count for thread/process executors (default: all cores)",
         )
 
-    # table1 additionally offers the measured campaign-engine throughput
-    # column (runs/second per tile).
-    subparsers.choices["table1"].add_argument(
-        "--measure-throughput",
-        action="store_true",
-        help="append the measured online-ABFT campaign throughput "
-        "(runs/second on the campaign engine) per tile",
-    )
-
     backends_cmd = subparsers.add_parser(
         "backends",
         help="show the compute backend and the compiled kernels it runs "
@@ -266,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-model", default="bitflip", metavar="NAME",
         help="pluggable fault model for injected runs (see `repro.faults."
         "models`): bitflip (the paper's model, default), burst, mtbf, "
-        "region, region-checksum, region-ghost, region-payload, "
+        "region-checksum (a stored checksum; needs an ABFT method), "
         "rank-crash, rank-crash-mtbf (fail-stop runs execute on the "
         "distributed buddy-checkpoint recovery path). The flags below "
         "default to the model's own values; one the model does not "
@@ -496,7 +487,7 @@ def _run_campaign_cli(args, parser: argparse.ArgumentParser) -> int:
         print(
             f"campaign: {tile[0]}x{tile[1]}x{tile[2]} HotSpot3D, "
             f"{args.method}, {args.scenario} "
-            f"(model {config.fault_model.name}), "
+            f"(model {args.fault_model}), "
             f"{args.iterations} iterations x "
             f"{args.repetitions} runs (seed {args.seed})"
         )
@@ -636,9 +627,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     run, fmt = _EXPERIMENTS[args.command]
-    if args.command == "table1" and getattr(args, "measure_throughput", False):
-        _emit(fmt(run(scale, measure_throughput=True)), args.output)
-        return 0
     _emit(fmt(run(scale)), args.output)
     return 0
 

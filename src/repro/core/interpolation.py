@@ -19,9 +19,9 @@ This module provides three implementations of that prediction:
     *any* (possibly asymmetric) stencil, and also for tiles whose ghost
     cells carry halo data from neighbouring tiles. Complexity is
     ``O(k (n_x + n_y) r)`` extra work per step — the strip accesses of
-    Theorem 1 — never a full domain pass.  Given the padded domain's
-    :class:`~repro.stencil.doublebuffer.GridLayout`, it reads still less
-    (the layout rule below).
+    Theorem 1 — never a full domain pass.  Given the boundary the padded
+    domain's ghosts were refreshed from, it reads still less (the
+    closed-border rule below).
 
 :func:`interpolate_checksum_reduced`
     The **checksum-only** form used by the offline protector: it needs
@@ -43,14 +43,14 @@ derived once and kept in a bounded module-level cache (a
 entries, reset when full):
 
 * a **domain plan**, keyed on (spec, radius, interior shape, reduce
-  axis, dtype, layout), serves :func:`interpolate_checksum_padded` and
+  axis, dtype, boundary), serves :func:`interpolate_checksum_padded` and
   :func:`extract_delta_strips`. It holds the index pairs that sum the
   ghost border of the extended checksum out of the padded domain (or
-  the ghost-fill ops that rebuild it from the checksum, by the layout
-  rule), the gained/lost strip windows of every distinct reduce-axis
-  offset, and one term per stencil point: its reduce-axis offset, the
-  shifted window of the extended vector it reads and its weight cast to
-  the dtype;
+  the ghost-fill ops that rebuild it from the checksum, by the
+  closed-border rule), the gained/lost strip windows of every distinct
+  reduce-axis offset, and one term per stencil point: its reduce-axis
+  offset, the shifted window of the extended vector it reads and its
+  weight cast to the dtype;
 * a **checksum plan**, keyed on the same plus the boundary and
   ``n_reduce``, serves :func:`interpolate_checksum_reduced`. Instead of
   border sums it holds the ghost-fill slab ops
@@ -70,26 +70,26 @@ is built; shape errors are checked on every call. Plans are immutable
 and every call allocates its own checksum-sized buffers, so threads can
 share a plan and returned vectors never alias.
 
-The layout rule
----------------
+The closed-border rule
+----------------------
 The extended checksum's ghost border is a sum, over the reduce axis, of
-the padded domain's ghost slabs.  Without a layout every one of them is
-read from the domain: tiles, ranks and campaign batches carry halo data
-there.  A caller that owns its buffer pair and refreshed its ghosts from
-its layout passes that layout, and then, when every refreshed axis other
-than the reduce axis is clamp, periodic with ghost <= extent or a zero
-fill, each of those slabs is a copy of interior slabs (or zeros), filled
-by :func:`~repro.stencil.shift.ghost_fill_ops`.  Its sum is then the same
-copy of checksum entries, so the plan applies the same ops to the
-extended checksum, after reading only the external axes' borders from
-the domain.  Both forms add each lane over the reduce axis in order,
-except where the domain read collapses a border slab one lane wide to a
-1-D sum, which NumPy adds pairwise; there they can differ by a few ULP.
-Float64 sums of float32 data in a moderate range are exact, so float32
-domains with float64 checksums agree bit for bit.  The rule is all or
-nothing: a non-zero constant fill on any other refreshed axis sends
-every border back to the domain, since that axis's slabs own their
-ghost corners with the closed axes.
+the padded domain's ghost slabs.  Without a boundary every one of them
+is read from the domain: tiles, ranks and campaign batches carry halo
+data there.  A caller that owns its buffer pair and refreshed every
+ghost from its boundary passes that boundary, and then, when every axis
+other than the reduce axis is clamp, periodic with ghost <= extent or a
+zero fill, each of those slabs is a copy of interior slabs (or zeros),
+filled by :func:`~repro.stencil.shift.ghost_fill_ops`.  Its sum is then
+the same copy of checksum entries, so the plan applies the same ops to
+the extended checksum and reads no border from the domain.  Both forms
+add each lane over the reduce axis in order, except where the domain
+read collapses a border slab one lane wide to a 1-D sum, which NumPy
+adds pairwise; there they can differ by a few ULP.  Float64 sums of
+float32 data in a moderate range are exact, so float32 domains with
+float64 checksums agree bit for bit.  The rule is all or nothing: a
+non-zero constant fill on any other axis sends every border back to the
+domain, since that axis's slabs own their ghost corners with the closed
+axes.
 
 Index conventions
 -----------------
@@ -110,7 +110,6 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
-from repro.stencil.doublebuffer import GridLayout
 from repro.stencil.shift import (
     GhostFillOp,
     PlanCache,
@@ -227,37 +226,24 @@ def _terms(spec, reduce_axis: int, radius, other_shape, dtype) -> Tuple[Term, ..
     return tuple(terms)
 
 
-def _closed_ops(layout: GridLayout, reduce_axis: int, ext_shape):
-    """Ops rebuilding the extended checksum's closed-axis border, or ``None``.
+def _closed_ops(boundary: BoundarySpec, radius, reduce_axis: int, ext_shape):
+    """Ops rebuilding the extended checksum's ghost border, or ``None``.
 
-    ``None`` when the layout rule (module docstring) sends every border
-    to the domain, on a degenerate periodic axis included.  External
-    axes get width 0, as in :func:`~repro.stencil.shift.refresh_ghosts`:
-    their border is read from the domain before the ops run.
+    ``None`` when the closed-border rule (module docstring) sends every
+    border to the domain: a non-zero constant fill on an axis other than
+    ``reduce_axis``, or a degenerate periodic axis.
     """
-    conditions, widths = [], []
-    for axis, (r, kind, fill) in enumerate(
-        zip(layout.radius, layout.kinds, layout.fills)
-    ):
-        if axis == reduce_axis:
-            continue
-        if kind == "external":
-            bc, r = BoundaryCondition.clamp(), 0
-        elif kind == "clamp":
-            bc = BoundaryCondition.clamp()
-        elif kind == "periodic":
-            bc = BoundaryCondition.periodic()
-        elif kind == "fill" and fill == 0.0:
-            bc = BoundaryCondition.zero()
-        else:
-            return None
-        conditions.append(bc)
-        widths.append(r)
-    return ghost_fill_ops(ext_shape, widths, BoundarySpec(tuple(conditions)))
+    other = _other_axes(boundary.ndim, reduce_axis)
+    conditions = tuple(boundary.axis(a) for a in other)
+    if any(bc.fill_value() != 0.0 for bc in conditions):
+        return None
+    return ghost_fill_ops(
+        ext_shape, tuple(radius[a] for a in other), BoundarySpec(conditions)
+    )
 
 
 def _build_domain_plan(
-    spec, radius, interior_shape, reduce_axis, dtype, layout
+    spec, radius, interior_shape, reduce_axis, dtype, boundary
 ) -> _DomainPlan:
     ndim = len(interior_shape)
     radius = normalize_radius(radius, ndim)
@@ -268,23 +254,22 @@ def _build_domain_plan(
     other_shape = tuple(interior_shape[a] for a in other)
     ext_shape = tuple(n + 2 * r for n, r in zip(other_shape, radius_other))
     closed = None
-    if layout is not None:
-        if layout.radius != radius:
+    if boundary is not None:
+        if boundary.ndim != ndim:
             raise ValueError(
-                f"layout radius {layout.radius} does not match the padded "
-                f"domain's radius {radius}"
+                f"boundary has {boundary.ndim} axes, the padded domain "
+                f"has {ndim}"
             )
-        closed = _closed_ops(layout, reduce_axis, ext_shape)
+        closed = _closed_ops(boundary, radius, reduce_axis, ext_shape)
 
     # The extended checksum's ghost border is summed over the interior
-    # window of the reduce axis (only on external axes when the closed
-    # axes' borders come from the checksum); the interior block is the
-    # checksum itself.
+    # window of the reduce axis, unless the closed-border rule rebuilds
+    # it from the checksum; the interior block is the checksum itself.
     interior = _window(ndim, reduce_axis, r_d, r_d + n_d)
     borders = []
     for pos, axis in enumerate(other):
         r_a = radius[axis]
-        if r_a == 0 or (closed is not None and layout.kinds[axis] != "external"):
+        if r_a == 0 or closed is not None:
             continue
         for border in (slice(0, r_a), slice(ext_shape[pos] - r_a, ext_shape[pos])):
             dst = [slice(None)] * len(other)
@@ -332,7 +317,7 @@ def _build_domain_plan(
 
 
 def _domain_plan(
-    spec, radius, interior_shape, reduce_axis, padded_prev, dtype, layout=None
+    spec, radius, interior_shape, reduce_axis, padded_prev, dtype, boundary=None
 ):
     """The cached domain plan, after checking ``padded_prev`` against it."""
     interior_shape = tuple(int(n) for n in interior_shape)
@@ -341,10 +326,10 @@ def _domain_plan(
     spec_key = _spec_key(spec)
     if not isinstance(spec, StencilSpec):
         spec = spec_key[0]
-    key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype, layout)
+    key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype, boundary)
     plan = _plans.get_or_build(
         key, _build_domain_plan, spec, radius, interior_shape, reduce_axis,
-        dtype, layout,
+        dtype, boundary,
     )
     if padded_prev.shape != plan.padded_shape:
         raise ValueError(
@@ -403,7 +388,7 @@ def interpolate_checksum_padded(
     interior_shape: Sequence[int],
     reduce_axis: int,
     constant_sum: Optional[np.ndarray] = None,
-    layout: Optional[GridLayout] = None,
+    boundary: Optional[BoundarySpec] = None,
 ) -> np.ndarray:
     """Exact Theorem-1 interpolation of a checksum.
 
@@ -428,18 +413,18 @@ def interpolate_checksum_padded(
     constant_sum:
         Pre-computed checksum of the constant term ``C`` along
         ``reduce_axis`` (the ``c_x`` / ``c_y`` of Theorem 1), or ``None``.
-    layout:
-        The :class:`~repro.stencil.doublebuffer.GridLayout` of
-        ``padded_prev``, from a caller that refreshed its ghosts from that
-        layout after the last write to its interior.  ``None`` (the
+    boundary:
+        The :class:`~repro.stencil.boundary.BoundarySpec` every ghost of
+        ``padded_prev`` was refreshed from, by a caller that refreshed
+        them after the last write to its interior.  ``None`` (the
         default) treats every ghost as possible halo data and sums each
-        border from the domain.  With a layout, when every refreshed
-        axis other than ``reduce_axis`` is clamp, periodic with ghost <=
-        extent or a zero fill, those axes' border sums are rebuilt from
-        ``cs_prev`` by the ghost-fill ops :func:`~repro.stencil.shift.refresh_ghosts`
-        applies, after the external axes' borders are read from the
-        domain; otherwise every border is read from the domain (module
-        docstring, "The layout rule").
+        border from the domain.  With a boundary, when every axis other
+        than ``reduce_axis`` is clamp, periodic with ghost <= extent or a
+        zero fill, the border sums are rebuilt from ``cs_prev`` by the
+        ghost-fill ops :func:`~repro.stencil.shift.refresh_ghosts`
+        applies; otherwise every border is read from the domain (module
+        docstring, "The closed-border rule").  A boundary whose axis
+        count differs from the domain's raises ``ValueError``.
 
     Returns
     -------
@@ -448,7 +433,7 @@ def interpolate_checksum_padded(
     """
     dtype = np.result_type(cs_prev.dtype, padded_prev.dtype)
     plan = _domain_plan(
-        spec, radius, interior_shape, reduce_axis, padded_prev, dtype, layout
+        spec, radius, interior_shape, reduce_axis, padded_prev, dtype, boundary
     )
     if cs_prev.shape != plan.other_shape:
         raise ValueError(

@@ -50,6 +50,9 @@ __all__ = ["OfflineABFT"]
 #: persistent fault livelocking the recompute loop).
 _MAX_RECOVERY_ATTEMPTS = 3
 
+#: The verified checksum: the column checksum ``b``, which reduces over x.
+_COLUMN_AXIS = 0
+
 
 class OfflineABFT(Protector):
     """Periodic checksum detection coupled with checkpoint/rollback recovery.
@@ -66,8 +69,6 @@ class OfflineABFT(Protector):
         :func:`repro.core.thresholds.recommend_epsilon` with the given
         period (the replayed interpolation accumulates round-off over Δ
         steps, so the default grows slowly with Δ).
-    verify_axis:
-        Which checksum is verified (0 → column checksum ``b``, default).
     track_strips:
         Record exact α/β strips every sweep (default) or use the
         simplified interpolation of Eqs. (8)-(9).
@@ -105,14 +106,11 @@ class OfflineABFT(Protector):
         constant: Optional[np.ndarray] = None,
         period: int = 16,
         epsilon: Optional[float] = None,
-        verify_axis: int = 0,
         track_strips: bool = True,
         checksum_dtype=np.float64,
     ) -> None:
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
-        if verify_axis not in (0, 1):
-            raise ValueError("verify_axis must be 0 (column) or 1 (row)")
         self.spec = spec
         self.boundary = BoundarySpec.from_any(boundary, spec.ndim)
         self.shape = tuple(int(n) for n in shape)
@@ -123,7 +121,6 @@ class OfflineABFT(Protector):
         self.dtype = np.dtype(dtype)
         self.checksum_dtype = None if checksum_dtype is None else np.dtype(checksum_dtype)
         self.period = int(period)
-        self.verify_axis = verify_axis
         self.track_strips = bool(track_strips)
         self.radius = spec.radius()
         if epsilon is None:
@@ -131,14 +128,14 @@ class OfflineABFT(Protector):
             # domain dtype; the period enters because the interpolation is
             # replayed Δ times before each comparison.
             epsilon = recommend_epsilon(
-                self.shape, verify_axis, self.dtype, spec, period=self.period
+                self.shape, _COLUMN_AXIS, self.dtype, spec, period=self.period
             )
         self.epsilon = float(epsilon)
         cs_dtype = self.checksum_dtype or self.dtype
         self._constant_sum = constant_checksum(
-            constant, verify_axis, self.shape, cs_dtype
+            constant, _COLUMN_AXIS, self.shape, cs_dtype
         )
-        self._n_reduce = self.shape[verify_axis]
+        self._n_reduce = self.shape[_COLUMN_AXIS]
         #: The last verified state: interior plus duplicated checksum.
         self.checkpoint: Optional[Snapshot] = None
         self._strips: List[Dict[int, np.ndarray]] = []
@@ -173,9 +170,7 @@ class OfflineABFT(Protector):
         self.total_metadata_repairs = 0
 
     def _checksum(self, u: np.ndarray) -> np.ndarray:
-        return get_backend().checksum(
-            u, self.verify_axis, dtype=self.checksum_dtype
-        )
+        return get_backend().checksum(u, _COLUMN_AXIS, dtype=self.checksum_dtype)
 
     def _record_strips(self, grid: GridBase) -> None:
         # ``previous_padded`` is a live view into the grid's buffer pair
@@ -186,7 +181,7 @@ class OfflineABFT(Protector):
             self._strips.append({})
             return
         strips = extract_delta_strips(
-            grid.previous_padded, self.spec, self.radius, self.shape, self.verify_axis
+            grid.previous_padded, self.spec, self.radius, self.shape, _COLUMN_AXIS
         )
         self._strips.append(strips)
 
@@ -218,7 +213,7 @@ class OfflineABFT(Protector):
                 cs,
                 self.spec,
                 self.boundary,
-                self.verify_axis,
+                _COLUMN_AXIS,
                 self._n_reduce,
                 deltas=strips if self.track_strips else None,
                 constant_sum=self._constant_sum,

@@ -2,13 +2,13 @@
 
 After every stencil sweep the online protector
 
-1. computes **one** checksum vector of the new domain (the column
-   checksum ``b`` by default, as in the paper's Figure 2 listing),
+1. computes **one** checksum vector of the new domain, the column
+   checksum ``b``, as in the paper's Figure 2 listing,
 2. interpolates the same checksum from the previous step's checksum
    using Theorem 1,
 3. compares the two element-wise (Section 3.4); and, only if a mismatch
    is found,
-4. lazily computes the *other* checksum pair (from the still-alive
+4. lazily computes the row checksum pair ``a`` (from the still-alive
    previous domain and from the corrupted new domain), locates the
    corrupted point(s) from the row/column mismatch pattern and corrects
    them in place using Eq. 10 (Section 3.5), patching the checksums so
@@ -34,7 +34,6 @@ from repro.core.interpolation import interpolate_checksum_padded
 from repro.core.protector import InjectHook, Protector, StepReport
 from repro.core.thresholds import recommend_epsilon
 from repro.stencil.boundary import BoundarySpec
-from repro.stencil.doublebuffer import GridLayout
 from repro.stencil.grid import GridBase
 from repro.stencil.spec import StencilSpec
 
@@ -64,9 +63,6 @@ class OnlineABFT(Protector):
         Detection threshold ε. Defaults to
         :func:`repro.core.thresholds.recommend_epsilon` for the given
         configuration (1e-5 for paper-scale float32 domains).
-    verify_axis:
-        Which checksum is computed and verified every iteration:
-        0 → column checksum ``b`` (paper default), 1 → row checksum ``a``.
     correction_strategy:
         ``"average"`` (paper default), ``"row"`` or ``"column"``.
     eager_row_checksum:
@@ -114,13 +110,10 @@ class OnlineABFT(Protector):
         dtype=np.float32,
         constant: Optional[np.ndarray] = None,
         epsilon: Optional[float] = None,
-        verify_axis: int = _COLUMN_AXIS,
         correction_strategy: str = "average",
         eager_row_checksum: bool = False,
         checksum_dtype=np.float64,
     ) -> None:
-        if verify_axis not in (0, 1):
-            raise ValueError("verify_axis must be 0 (column) or 1 (row)")
         self.spec = spec
         self.boundary = BoundarySpec.from_any(boundary, spec.ndim)
         self.shape = tuple(int(n) for n in shape)
@@ -130,8 +123,6 @@ class OnlineABFT(Protector):
             )
         self.dtype = np.dtype(dtype)
         self.checksum_dtype = None if checksum_dtype is None else np.dtype(checksum_dtype)
-        self.verify_axis = verify_axis
-        self.other_axis = 1 - verify_axis
         self.correction_strategy = correction_strategy
         self.eager_row_checksum = bool(eager_row_checksum)
         self.radius = spec.radius()
@@ -139,7 +130,7 @@ class OnlineABFT(Protector):
             # The detection margin is governed by the *domain* dtype (the
             # sweep rounds every point in that precision); the checksum
             # accumulation dtype only tightens it further.
-            epsilon = recommend_epsilon(self.shape, verify_axis, self.dtype, spec)
+            epsilon = recommend_epsilon(self.shape, _COLUMN_AXIS, self.dtype, spec)
         self.epsilon = float(epsilon)
         cs_dtype = self.checksum_dtype or self.dtype
         self._constant_sums = {
@@ -244,19 +235,17 @@ class OnlineABFT(Protector):
             raise ValueError(
                 f"grid shape {grid.shape} does not match protector shape {self.shape}"
             )
-        verify, other = self.verify_axis, self.other_axis
         # Initial checksums (step t=0 data assumed correct, as in Theorem 2).
-        if self._prev_cs[verify] is None:
-            self._store_prev_cs(verify, self._checksum(grid.u, verify))
+        if self._prev_cs[_COLUMN_AXIS] is None:
+            self._store_prev_cs(_COLUMN_AXIS, self._checksum(grid.u, _COLUMN_AXIS))
             if self.eager_row_checksum:
-                self._store_prev_cs(other, self._checksum(grid.u, other))
+                self._store_prev_cs(_ROW_AXIS, self._checksum(grid.u, _ROW_AXIS))
 
         grid.step()
         if inject is not None:
             inject(grid, grid.iteration)
         return self.process(
-            grid.u, grid.previous_padded, grid.iteration,
-            layout=grid.buffers.layout,
+            grid.u, grid.previous_padded, grid.iteration, boundary=grid.boundary
         )
 
     def process(
@@ -264,7 +253,7 @@ class OnlineABFT(Protector):
         u_new: np.ndarray,
         padded_prev: np.ndarray,
         iteration: int,
-        layout: Optional[GridLayout] = None,
+        boundary: Optional[BoundarySpec] = None,
     ) -> StepReport:
         """Verify (and correct) a freshly swept domain.
 
@@ -277,10 +266,10 @@ class OnlineABFT(Protector):
         call per tile, and so does the distributed runner, one call per
         rank with the rank's pre-swap front buffer as ``padded_prev``.
 
-        ``layout`` is the :class:`~repro.stencil.doublebuffer.GridLayout`
-        of ``padded_prev``, passed by callers that own their buffer pair
-        and refreshed its ghosts from that layout (:meth:`step` passes
-        its grid's).  It lets the interpolation rebuild closed-boundary
+        ``boundary`` is the :class:`~repro.stencil.boundary.BoundarySpec`
+        every ghost of ``padded_prev`` was refreshed from, passed by
+        callers that own their buffer pair (:meth:`step` passes its
+        grid's).  It lets the interpolation rebuild closed-boundary
         border sums from the stored checksum instead of re-reading the
         domain (:func:`~repro.core.interpolation.interpolate_checksum_padded`).
         The default ``None`` reads every border from the domain, as
@@ -303,84 +292,66 @@ class OnlineABFT(Protector):
                 "different buffer than the padded previous step (did the "
                 "double-buffer swap go missing?)"
             )
-        verify, other = self.verify_axis, self.other_axis
-        if self._prev_cs[verify] is None:
-            self._store_prev_cs(
-                verify,
-                self._checksum(interior_view(padded_prev, self.radius), verify),
-            )
-            if self.eager_row_checksum:
-                self._store_prev_cs(
-                    other,
-                    self._checksum(interior_view(padded_prev, self.radius), other),
-                )
         prev_u = interior_view(padded_prev, self.radius)
-        grid_u = u_new
-        grid_ndim = u_new.ndim
+        if self._prev_cs[_COLUMN_AXIS] is None:
+            self._store_prev_cs(_COLUMN_AXIS, self._checksum(prev_u, _COLUMN_AXIS))
+            if self.eager_row_checksum:
+                self._store_prev_cs(_ROW_AXIS, self._checksum(prev_u, _ROW_AXIS))
 
-        cs_comp = self._checksum(grid_u, verify)
-        cs_interp = interpolate_checksum_padded(
-            self._checked_prev_cs(verify, prev_u),
+        b_comp = self._checksum(u_new, _COLUMN_AXIS)
+        b_interp = interpolate_checksum_padded(
+            self._checked_prev_cs(_COLUMN_AXIS, prev_u),
             padded_prev,
             self.spec,
             self.radius,
             self.shape,
-            verify,
-            constant_sum=self._constant_sums[verify],
-            layout=layout,
+            _COLUMN_AXIS,
+            constant_sum=self._constant_sums[_COLUMN_AXIS],
+            boundary=boundary,
         )
-        detection = detect_errors(cs_comp, cs_interp, self.epsilon)
+        det_b = detect_errors(b_comp, b_interp, self.epsilon)
 
         report = StepReport(
             iteration=iteration,
             detection_performed=True,
-            errors_detected=detection.n_errors,
-            max_relative_error=detection.max_relative_error,
+            errors_detected=det_b.n_errors,
+            max_relative_error=det_b.max_relative_error,
         )
 
-        other_comp = (
-            self._checksum(grid_u, other) if self.eager_row_checksum else None
+        a_comp = (
+            self._checksum(u_new, _ROW_AXIS) if self.eager_row_checksum else None
         )
 
-        if detection.detected:
-            self.total_detections += detection.n_errors
-            # Lazily build the second checksum pair: previous-step checksum
+        if det_b.detected:
+            self.total_detections += det_b.n_errors
+            # Lazily build the row checksum pair: previous-step checksum
             # from the still-alive previous domain, current from the new one.
-            other_prev = (
-                self._checked_prev_cs(other, prev_u)
-                if self._prev_cs[other] is not None
+            a_prev = (
+                self._checked_prev_cs(_ROW_AXIS, prev_u)
+                if self._prev_cs[_ROW_AXIS] is not None
                 else None
             )
-            if other_prev is None:
-                other_prev = self._checksum(prev_u, other)
-            if other_comp is None:
-                other_comp = self._checksum(grid_u, other)
-            other_interp = interpolate_checksum_padded(
-                other_prev,
+            if a_prev is None:
+                a_prev = self._checksum(prev_u, _ROW_AXIS)
+            if a_comp is None:
+                a_comp = self._checksum(u_new, _ROW_AXIS)
+            a_interp = interpolate_checksum_padded(
+                a_prev,
                 padded_prev,
                 self.spec,
                 self.radius,
                 self.shape,
-                other,
-                constant_sum=self._constant_sums[other],
-                layout=layout,
+                _ROW_AXIS,
+                constant_sum=self._constant_sums[_ROW_AXIS],
+                boundary=boundary,
             )
-            other_detection = detect_errors(other_comp, other_interp, self.epsilon)
-
-            if verify == _COLUMN_AXIS:
-                det_a, det_b = other_detection, detection
-                a_comp, a_interp = other_comp, other_interp
-                b_comp, b_interp = cs_comp, cs_interp
-            else:
-                det_a, det_b = detection, other_detection
-                a_comp, a_interp = cs_comp, cs_interp
-                b_comp, b_interp = other_comp, other_interp
+            det_a = detect_errors(a_comp, a_interp, self.epsilon)
 
             locations, unresolved = match_detections(
-                det_a, det_b, a_comp, a_interp, b_comp, b_interp, grid_ndim
+                det_a, det_b, a_comp, a_interp, b_comp, b_interp, u_new.ndim
             )
             records = correct_errors(
-                grid_u,
+                u_new,
                 locations,
                 a_comp,
                 a_interp,
@@ -393,13 +364,13 @@ class OnlineABFT(Protector):
             report.corrections = records
             self.total_corrections += len(records)
             self.total_uncorrected += unresolved
-            # correct_errors patched a_comp/b_comp in place, so cs_comp and
-            # other_comp are already consistent with the repaired domain.
+            # correct_errors patched a_comp/b_comp in place, so both are
+            # already consistent with the repaired domain.
             if records:
-                self._refresh_entries(grid_u, records, a_comp, b_comp)
+                self._refresh_entries(u_new, records, a_comp, b_comp)
 
-        self._store_prev_cs(verify, cs_comp)
-        self._store_prev_cs(other, other_comp if self.eager_row_checksum else None)
+        self._store_prev_cs(_COLUMN_AXIS, b_comp)
+        self._store_prev_cs(_ROW_AXIS, a_comp if self.eager_row_checksum else None)
         return report
 
     def _refresh_entries(self, u: np.ndarray, records, a_comp, b_comp) -> None:

@@ -27,6 +27,12 @@ __all__ = ["PAPER_EPSILON", "recommend_epsilon"]
 #: The detection threshold used throughout the paper's evaluation.
 PAPER_EPSILON = 1e-5
 
+#: Multiplicative safety margin over the round-off estimate.
+_SAFETY = 64.0
+
+#: Hard lower bound on a recommended threshold.
+_FLOOR = 1e-14
+
 
 def recommend_epsilon(
     shape: Sequence[int],
@@ -34,8 +40,6 @@ def recommend_epsilon(
     dtype=np.float32,
     spec: StencilSpec | None = None,
     period: int = 1,
-    safety: float = 64.0,
-    floor: float = 1e-14,
 ) -> float:
     """Suggest a detection threshold for a given configuration.
 
@@ -45,9 +49,9 @@ def recommend_epsilon(
     previous checksum), compounded over ``period`` interpolation steps
     for the offline variant:
 
-    ``eps ≈ safety * machine_eps * sqrt(n) * max(1, sum|w|) * period``
+    ``eps ≈ 64 * machine_eps * sqrt(n) * max(1, sum|w|) * period``
 
-    The result is clamped from below by ``floor`` and never returned
+    The result is clamped from below by 1e-14 and never returned
     smaller than the paper's 1e-5 for float32 domains of the paper's
     scale, so default configurations reproduce the published setting.
 
@@ -64,10 +68,6 @@ def recommend_epsilon(
         amplification).
     period:
         Detection period Δ (1 for the online protector).
-    safety:
-        Multiplicative safety margin.
-    floor:
-        Hard lower bound on the returned threshold.
     """
     shape = tuple(int(n) for n in shape)
     if reduce_axis < 0 or reduce_axis >= len(shape):
@@ -79,8 +79,8 @@ def recommend_epsilon(
     amplification = 1.0
     if spec is not None:
         amplification = max(1.0, spec.abs_weight_sum())
-    estimate = safety * machine_eps * math.sqrt(max(n, 1)) * amplification * period
-    estimate = max(estimate, floor)
+    estimate = _SAFETY * machine_eps * math.sqrt(max(n, 1)) * amplification * period
+    estimate = max(estimate, _FLOOR)
     if np.dtype(dtype) == np.dtype(np.float32):
         # Keep the paper's published operating point for float32 domains.
         estimate = max(estimate, PAPER_EPSILON)

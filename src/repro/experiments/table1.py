@@ -5,33 +5,19 @@ iterations, the number of experiment repetitions, the error-detection
 threshold and the offline detection period. This module emits the same
 table for any :class:`~repro.experiments.common.EvaluationScale`, so the
 scaled-down campaign and the paper-scale campaign are documented with
-the same code.
-
-With ``measure_throughput=True`` the table also reports the measured
-campaign throughput (runs/second of the online-ABFT bit-flip campaign)
-per tile, timed on the :class:`~repro.faults.engine.CampaignEngine` —
-the number that tells a reader how long the listed repetition counts
-actually take on their machine.
+the same code.  ``repro campaign`` reports the runs/second a
+configuration takes on the campaign engine.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.experiments.common import EvaluationScale, make_hotspot_app, make_protector_factory
+from repro.experiments.common import EvaluationScale
 from repro.experiments.report import format_table
-from repro.faults.campaign import CampaignConfig
-from repro.faults.engine import CampaignEngine
 
 __all__ = ["Table1Row", "Table1Result", "run_table1", "format_table1"]
-
-#: Repetition cap for the optional throughput measurement: enough runs
-#: to amortise the engine's one-off state construction, few enough that
-#: ``--measure-throughput`` stays interactive at every scale.
-_THROUGHPUT_MAX_RUNS = 12
 
 
 @dataclass(frozen=True)
@@ -43,9 +29,6 @@ class Table1Row:
     repetitions: int
     epsilon: float
     offline_period: int
-    #: Measured online-ABFT campaign throughput (runs/second) on the
-    #: campaign engine; ``None`` unless the caller asked to measure.
-    runs_per_second: Optional[float] = None
 
 
 @dataclass
@@ -65,57 +48,23 @@ class Table1Result:
                 "epsilon": row.epsilon,
                 "offline_period": row.offline_period,
             }
-            if row.runs_per_second is not None:
-                out[key]["runs_per_second"] = row.runs_per_second
         return out
 
 
-def _measure_throughput(
-    scale: EvaluationScale,
-    tile: Tuple[int, int, int],
-    engine: CampaignEngine,
-) -> float:
-    """Runs/second of the tile's online-ABFT bit-flip campaign."""
-    iterations = scale.iterations[tile]
-    repetitions = min(scale.repetitions[tile], _THROUGHPUT_MAX_RUNS)
-    app = make_hotspot_app(tile)
-    reference = app.reference_solution(iterations)
-    factory = make_protector_factory("online-abft", epsilon=scale.epsilon)
-    config = CampaignConfig(
-        iterations=iterations, repetitions=repetitions, inject=True
-    )
-    # Untimed call warms the worker states (grid, protector, stacked
-    # buffers) so the measurement reflects steady-state throughput.
-    engine.run(app.build_grid, factory, config, reference=reference)
-    start = time.perf_counter()
-    engine.run(app.build_grid, factory, config, reference=reference)
-    elapsed = time.perf_counter() - start
-    return repetitions / elapsed if elapsed > 0 else float("inf")
-
-
-def run_table1(
-    scale: EvaluationScale | None = None,
-    measure_throughput: bool = False,
-) -> Table1Result:
+def run_table1(scale: EvaluationScale | None = None) -> Table1Result:
     """Collect the experimental parameters for the given scale."""
     scale = scale if scale is not None else EvaluationScale.quick()
     result = Table1Result(scale_name=scale.name)
-    with CampaignEngine() if measure_throughput else nullcontext() as eng:
-        for tile in scale.tile_sizes:
-            result.rows.append(
-                Table1Row(
-                    tile_size=tile,
-                    iterations=scale.iterations[tile],
-                    repetitions=scale.repetitions[tile],
-                    epsilon=scale.epsilon,
-                    offline_period=scale.period,
-                    runs_per_second=(
-                        _measure_throughput(scale, tile, eng)
-                        if measure_throughput
-                        else None
-                    ),
-                )
+    for tile in scale.tile_sizes:
+        result.rows.append(
+            Table1Row(
+                tile_size=tile,
+                iterations=scale.iterations[tile],
+                repetitions=scale.repetitions[tile],
+                epsilon=scale.epsilon,
+                offline_period=scale.period,
             )
+        )
     return result
 
 
@@ -131,14 +80,6 @@ def format_table1(result: Table1Result) -> str:
         ["Offline detection period"]
         + [f"{r.offline_period} iterations" for r in result.rows],
     ]
-    if any(r.runs_per_second is not None for r in result.rows):
-        rows.append(
-            ["Campaign throughput (online)"]
-            + [
-                "-" if r.runs_per_second is None else f"{r.runs_per_second:.1f} runs/s"
-                for r in result.rows
-            ]
-        )
     return format_table(
         headers, rows, title=f"Table 1 — experimental parameters ({result.scale_name} scale)"
     )

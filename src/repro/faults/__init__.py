@@ -19,7 +19,7 @@ This subpackage reproduces that fault model:
     Pluggable fault models beyond the paper's single flip:
     :class:`~repro.faults.models.MultiBitBurst`,
     :class:`~repro.faults.models.PoissonArrival` (MTBF-driven arrival
-    across iterations and ranks),
+    across iterations),
     :class:`~repro.faults.models.RegionTargeted` corruption striking
     ghosts, stored checksums and in-flight halo payloads, and
     :class:`~repro.faults.models.RankCrash`, plus the hook that
@@ -63,7 +63,6 @@ from repro.faults.models import (
     MultiBitBurst,
     PoissonArrival,
     RegionTargeted,
-    register_fault_model,
     make_fault_model,
     available_fault_models,
     DistributedFaultInjector,
@@ -96,7 +95,6 @@ __all__ = [
     "MultiBitBurst",
     "PoissonArrival",
     "RegionTargeted",
-    "register_fault_model",
     "make_fault_model",
     "available_fault_models",
     "DistributedFaultInjector",

@@ -281,10 +281,9 @@ class _StackedBatch:
         self.boundary = boundary
         # The campaign's shared initial domain — passed explicitly (the
         # worker grid may hold the final state of an earlier replay run).
-        self.initial = np.ascontiguousarray(initial)[..., None]
+        self.initial = np.ascontiguousarray(initial, dtype=self.dtype)[..., None]
         self.pair = DoubleBufferedGrid(
-            np.broadcast_to(self.initial, shape), radius, boundary,
-            dtype=self.dtype,
+            np.broadcast_to(self.initial, shape), radius, boundary
         )
         self.constant = grid.constant
         # Batch-extended (offset, weight) pairs for the stacked Theorem-1
@@ -294,9 +293,8 @@ class _StackedBatch:
         self.protector: Optional[OnlineABFT] = None
         if isinstance(protector, OnlineABFT):
             self.protector = protector
-            self.verify_axis = protector.verify_axis
             self.epsilon = protector.epsilon
-            cs = protector._constant_sums[self.verify_axis]
+            cs = protector._constant_sums[0]
             self.constant_sum = None if cs is None else cs[..., None]
 
     def run_batch(
@@ -329,7 +327,6 @@ class _StackedBatch:
 
         counters = np.zeros((width, 3), dtype=np.int64)
         protector = self.protector
-        verify = self.verify_axis if protector is not None else 0
         backend = get_backend()
 
         start = time.perf_counter()
@@ -361,7 +358,6 @@ class _StackedBatch:
                 self.spec_ext,
                 self.radius,
                 self.base_shape + (width,),
-                verify,
                 self.constant_sum,
             )
             flagged = _detection_screen(cs, predicted, self.epsilon)
@@ -378,7 +374,7 @@ class _StackedBatch:
                     # duplicated-checksum self-check state stays
                     # consistent with the seeded checksum.
                     protector._store_prev_cs(
-                        verify, np.ascontiguousarray(prev_cs[..., slot])
+                        0, np.ascontiguousarray(prev_cs[..., slot])
                     )
                     report = protector.process(
                         interior[..., slot], self.pair.back[..., slot], t
@@ -386,7 +382,7 @@ class _StackedBatch:
                     counters[slot, 0] += report.errors_detected
                     counters[slot, 1] += report.errors_corrected
                     counters[slot, 2] += report.errors_uncorrected
-                    cs[..., slot] = protector._prev_cs[verify]
+                    cs[..., slot] = protector._prev_cs[0]
             prev_cs = cs
         elapsed = time.perf_counter() - start
         if protector is not None:
@@ -394,29 +390,26 @@ class _StackedBatch:
         return counters, interior, elapsed
 
     def _checksums(self, interior: np.ndarray) -> np.ndarray:
-        """Every slot's verify-axis checksum, shaped ``(..., run)``.
+        """Every slot's column checksum, shaped ``(..., run)``.
 
         Each slot is reduced with the protector's ``Backend.checksum``,
-        the call a replayed run makes.  A column checksum (axis 0) of a
-        full-width batch is one call instead: the base grid's last axis
-        and the run axis merge into one contiguous axis, and each lane
-        of the merged view still adds over x in order, as a slot's own
-        column checksum does.  Any other batch goes slot by slot: a 2D
-        row checksum reduces the innermost axis, which NumPy adds
-        pairwise within each slot, where a batch-wide sum would add it
-        in order.
+        the call a replayed run makes.  A full-width batch is one call
+        instead: the base grid's last axis and the run axis merge into
+        one contiguous axis, and each lane of the merged view still adds
+        over x in order, as a slot's own column checksum does.  A
+        narrower batch goes slot by slot: its run axis is a slice of the
+        pair's, which does not merge with the last axis.
         """
         protector = self.protector
-        verify = self.verify_axis
         width = interior.shape[-1]
-        if verify == 0 and width == self.width:
+        if width == self.width:
             merged = interior.reshape(interior.shape[:-2] + (-1,))
             if np.may_share_memory(merged, interior):  # a view, not a copy
                 return protector._checksum(merged, 0).reshape(
                     self.base_shape[1:] + (width,)
                 )
         return np.stack(
-            [protector._checksum(interior[..., s], verify) for s in range(width)],
+            [protector._checksum(interior[..., s], 0) for s in range(width)],
             axis=-1,
         )
 
@@ -427,10 +420,9 @@ def _interpolate_stacked(
     spec_ext,
     radius,
     shape,
-    verify: int,
     constant_sum: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Theorem-1 interpolation of the whole batch in one call.
+    """Theorem-1 column-checksum interpolation of the whole batch in one call.
 
     ``interpolate_checksum_padded`` is dimension-generic and only
     iterates ``(offset, weight)`` pairs from its ``spec`` argument, so
@@ -442,7 +434,7 @@ def _interpolate_stacked(
     from repro.core.interpolation import interpolate_checksum_padded
 
     return interpolate_checksum_padded(
-        prev_cs, padded_prev, spec_ext, radius, shape, verify,
+        prev_cs, padded_prev, spec_ext, radius, shape, 0,
         constant_sum=constant_sum,
     )
 

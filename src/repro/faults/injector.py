@@ -186,13 +186,13 @@ def _corrupt_stored_checksum(protector, plan: FaultPlan) -> Tuple[float, float]:
     if prev_cs is not None:
         cs = prev_cs.get(plan.axis)
         if cs is None:
-            axis = getattr(protector, "verify_axis", None)
-            cs = prev_cs.get(axis) if axis is not None else None
+            cs = prev_cs.get(0)
         if cs is None:
             raise ValueError(
                 f"no stored checksum to corrupt at iteration "
                 f"{plan.iteration} (axis {plan.axis}); the online "
-                f"protector only holds the verified axis between steps"
+                f"protector holds only the column checksum (axis 0) "
+                f"between steps"
             )
         return flip_plan(cs, plan)
     checkpoint = getattr(protector, "checkpoint", None)
@@ -255,20 +255,6 @@ class FaultInjector:
                 )
         self.protector = protector
         self._fired = [False] * len(self.plans)
-        self.injections: List[Tuple[FaultPlan, float, float]] = []
-
-    # -- factory ---------------------------------------------------------------
-    @classmethod
-    def single_random(
-        cls,
-        rng: np.random.Generator,
-        shape: Sequence[int],
-        iterations: int,
-        dtype=np.float32,
-        bit: Optional[int] = None,
-    ) -> "FaultInjector":
-        """Injector with one uniformly random fault (the paper's campaign)."""
-        return cls([random_fault_plan(rng, shape, iterations, dtype=dtype, bit=bit)])
 
     # -- hook --------------------------------------------------------------------
     def __call__(self, grid: GridBase, iteration: int) -> None:
@@ -280,22 +266,12 @@ class FaultInjector:
             if self._fired[i] or plan.iteration != iteration:
                 continue
             if plan.target == "checksum":
-                old, new = _corrupt_stored_checksum(self.protector, plan)
+                _corrupt_stored_checksum(self.protector, plan)
             else:
-                old, new = flip_plan(grid.u, plan)
+                flip_plan(grid.u, plan)
             self._fired[i] = True
-            self.injections.append((plan, old, new))
 
     # -- bookkeeping ----------------------------------------------------------
     @property
     def fired_count(self) -> int:
         return sum(self._fired)
-
-    @property
-    def all_fired(self) -> bool:
-        return all(self._fired) if self._fired else True
-
-    def reset(self) -> None:
-        """Re-arm every plan (for reuse across repetitions)."""
-        self._fired = [False] * len(self.plans)
-        self.injections.clear()

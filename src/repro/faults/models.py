@@ -13,8 +13,7 @@ campaign:
 
 :class:`FaultModel`
     The protocol: ``draw(rng, shape, iterations, dtype)`` returns the
-    run's :class:`~repro.faults.injector.FaultPlan` list;
-    ``draw_for_ranks`` extends a draw across a rank decomposition.
+    run's :class:`~repro.faults.injector.FaultPlan` list.
 :class:`SingleBitFlip`
     The legacy paper model, refactored behind the protocol — its RNG
     consumption is byte-identical to the historical
@@ -27,8 +26,7 @@ campaign:
 :class:`PoissonArrival`
     Arrivals of a memoryless process with the given MTBF (in
     iterations); registered as ``"mtbf"``.  A run may legitimately draw
-    zero faults.  Across ranks the *system* MTBF is preserved: each of
-    ``n`` ranks sees a per-rank MTBF of ``n * mtbf``.
+    zero faults.
 :class:`RegionTargeted`
     Corruption aimed at a specific region: ``interior`` domain values,
     ``ghost`` slabs of a distributed rank, stored ``checksum`` vectors,
@@ -66,7 +64,6 @@ __all__ = [
     "PoissonArrival",
     "RegionTargeted",
     "RankCrash",
-    "register_fault_model",
     "make_fault_model",
     "available_fault_models",
     "DistributedFaultInjector",
@@ -96,18 +93,6 @@ class FaultModel(ABC):
         dtype=np.float32,
     ) -> List[FaultPlan]:
         """Draw one run's fault plans (possibly an empty list)."""
-
-    def draw_for_ranks(
-        self,
-        rng: np.random.Generator,
-        shapes: Sequence[Sequence[int]],
-        iterations: int,
-        dtype=np.float32,
-    ) -> List[List[FaultPlan]]:
-        """One plan list per rank block (default: independent draws)."""
-        return [
-            self.draw(rng, shape, iterations, dtype=dtype) for shape in shapes
-        ]
 
 
 @dataclass(frozen=True)
@@ -187,12 +172,6 @@ class PoissonArrival(FaultModel):
     shorter than the first gap draw **no** fault — the correct behaviour
     for an MTBF model, and one the campaign plumbing must support
     (records with an empty plan list).
-
-    Across a rank decomposition the *system* MTBF is preserved: with
-    ``n`` rank blocks each sees an independent arrival process of mean
-    ``n * mtbf``, so the aggregate fault rate matches the single-block
-    draw regardless of scale — the weak-scaling assumption of
-    MTBF-driven campaigns.
     """
 
     mtbf: float = 64.0
@@ -217,15 +196,6 @@ class PoissonArrival(FaultModel):
             t += float(rng.exponential(self.mtbf))
         return plans
 
-    def draw_for_ranks(
-        self, rng, shapes, iterations, dtype=np.float32
-    ) -> List[List[FaultPlan]]:
-        n = max(1, len(shapes))
-        scaled = PoissonArrival(mtbf=self.mtbf * n, bit=self.bit)
-        return [
-            scaled.draw(rng, shape, iterations, dtype=dtype) for shape in shapes
-        ]
-
 
 #: Checksum accumulation dtype the protectors default to; the checksum
 #: region draws its bit positions over this width so flips can land in
@@ -243,12 +213,12 @@ class RegionTargeted(FaultModel):
         A domain value (equivalent to a single :class:`SingleBitFlip`).
     ``"checksum"``
         An element of the protector's *stored* checksum vector for
-        ``axis`` — the metadata the duplicated-checksum self-check
-        defends (see ``metadata_self_check`` on the protectors).
+        ``axis`` — the metadata the duplicated-checksum self-check of
+        both protectors defends.
     ``"ghost"``
         A point of a just-ingested ghost slab (distributed runs only):
-        ``axis``/side select the slab, the index addresses the slab's
-        innermost layer.
+        the side selects the slab of the distributed axis, the index
+        addresses the slab's innermost layer.
     ``"payload"``
         An in-flight halo message on the
         :class:`~repro.parallel.simmpi.SimChannel`; ``index[0]`` is a
@@ -436,45 +406,28 @@ class RankCrash(FaultModel):
             )
         return plans
 
-    def draw_for_ranks(
-        self, rng, shapes, iterations, dtype=np.float32
-    ) -> List[List[FaultPlan]]:
-        n = len(shapes)
-        if n != self.n_ranks:
-            raise ValueError(
-                f"model is configured for {self.n_ranks} ranks, runner has {n}"
-            )
-        iteration, victim = self._draw_crash(rng, iterations)
-        per_rank: List[List[FaultPlan]] = [[] for _ in shapes]
-        if iteration is not None:
-            per_rank[victim].append(
-                FaultPlan(
-                    iteration=iteration,
-                    index=(),
-                    bit=0,
-                    target="crash",
-                    rank=victim,
-                )
-            )
-        for _ in range(self.bitflips):
-            r = int(rng.integers(0, n))
-            per_rank[r].append(
-                random_fault_plan(
-                    rng, shapes[r], iterations, dtype=dtype, bit=self.bit
-                )
-            )
-        return per_rank
-
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[..., FaultModel]] = {}
+def _crash_mtbf_factory(**kwargs) -> FaultModel:
+    kwargs.setdefault("mtbf", 64.0)
+    return RankCrash(**kwargs)
 
 
-def register_fault_model(name: str, factory: Callable[..., FaultModel]) -> None:
-    """Register a fault-model factory under ``name`` (e.g. for the CLI)."""
-    _REGISTRY[str(name)] = factory
+#: The models ``repro campaign --fault-model`` offers: every one runs a
+#: serial or fail-stop campaign.  ``region-checksum`` is
+#: ``RegionTargeted``'s default region; its ghost and payload regions
+#: strike a distributed run's halos, so they are built directly for
+#: :class:`DistributedFaultInjector`.
+_REGISTRY: Dict[str, Callable[..., FaultModel]] = {
+    "bitflip": SingleBitFlip,
+    "burst": MultiBitBurst,
+    "mtbf": PoissonArrival,
+    "region-checksum": RegionTargeted,
+    "rank-crash": RankCrash,
+    "rank-crash-mtbf": _crash_mtbf_factory,
+}
 
 
 def make_fault_model(name: str, **kwargs) -> FaultModel:
@@ -493,29 +446,6 @@ def available_fault_models() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def _region_factory(region: str) -> Callable[..., FaultModel]:
-    def build(**kwargs) -> FaultModel:
-        return RegionTargeted(region=region, **kwargs)
-
-    return build
-
-
-def _crash_mtbf_factory(**kwargs) -> FaultModel:
-    kwargs.setdefault("mtbf", 64.0)
-    return RankCrash(**kwargs)
-
-
-register_fault_model("bitflip", SingleBitFlip)
-register_fault_model("burst", MultiBitBurst)
-register_fault_model("mtbf", PoissonArrival)
-register_fault_model("region", RegionTargeted)
-register_fault_model("region-checksum", _region_factory("checksum"))
-register_fault_model("region-ghost", _region_factory("ghost"))
-register_fault_model("region-payload", _region_factory("payload"))
-register_fault_model("rank-crash", RankCrash)
-register_fault_model("rank-crash-mtbf", _crash_mtbf_factory)
-
-
 # ---------------------------------------------------------------------------
 # The distributed injection hook
 # ---------------------------------------------------------------------------
@@ -529,9 +459,8 @@ class DistributedFaultInjector:
         under attack.  Payload plans are checked against its topology:
         a rank that sends no halo message cannot carry one.
     plans_by_rank:
-        One plan list per rank, in rank order, with rank-local indices —
-        e.g. the output of :meth:`FaultModel.draw_for_ranks` over
-        ``[rank.shape for rank in runner.ranks]``.
+        One plan list per rank, in rank order, with rank-local indices
+        (:meth:`from_global` maps global-domain plans onto them).
 
     Notes
     -----
@@ -606,8 +535,9 @@ class DistributedFaultInjector:
                 continue
             if plan.target != "domain":
                 raise ValueError(
-                    "from_global only maps 'domain' and 'crash' plans; "
-                    "draw other targets per rank with draw_for_ranks"
+                    f"from_global only maps 'domain' and 'crash' plans, got "
+                    f"a {plan.target!r} plan; pass plans of other targets "
+                    f"per rank to DistributedFaultInjector(runner, plans_by_rank)"
                 )
             r, local = runner.rank_of_global_index(plan.index)
             per_rank[r].append(
@@ -676,13 +606,15 @@ class DistributedFaultInjector:
         or high (1) neighbour in its iteration — at a closed domain edge
         the one live link — at its ``index[0]`` modulo the strip size.
         """
+        from repro.parallel.simmpi import DISTRIBUTED_AXIS
+
         links = (rank.lo_neighbor, rank.hi_neighbor)
         for key, plan in self._due(rank.rank, "payload", iteration):
             if self._link(plan, links) == side:
                 self._fired.add(key)
                 strip = (
-                    rank.interior.size // rank.shape[rank.axis]
-                    * rank.buffers.radius[rank.axis]
+                    rank.interior.size // rank.shape[DISTRIBUTED_AXIS]
+                    * rank.buffers.radius[DISTRIBUTED_AXIS]
                 )
                 return plan.action, plan.index[0] % strip, plan.bit
         return None
@@ -705,13 +637,14 @@ class DistributedFaultInjector:
     def inject_ghosts(self, runner, iteration: int, rank) -> None:
         """Pre-sweep target: a just-ingested ghost slab of ``rank``."""
         from repro.parallel.halo import ghost_slab
+        from repro.parallel.simmpi import DISTRIBUTED_AXIS
 
         for key, plan in self._due(rank.rank, "ghost", iteration):
             self._fired.add(key)
             slab = ghost_slab(
                 rank.buffers.front,
                 runner.radius,
-                runner.axis,
+                DISTRIBUTED_AXIS,
                 "low" if plan.side == 0 else "high",
             )
             flip_plan(slab, plan)

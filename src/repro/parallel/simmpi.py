@@ -21,8 +21,7 @@ deterministic stand-in:
   link-level protection real interconnects provide underneath MPI.
 * :class:`SimRank` — one rank's state: a persistent padded
   :class:`~repro.stencil.doublebuffer.DoubleBufferedGrid` pair holding
-  its contiguous block of the domain (split along the chosen
-  decomposition axis), its
+  its contiguous block of the domain (split along axis 0), its
   constant-term block and its own
   :class:`~repro.core.online.OnlineABFT` protector.
 * :class:`DistributedStencilRunner` — drives all ranks in lock-step
@@ -79,9 +78,8 @@ __all__ = [
     "DistributedStencilRunner",
 ]
 
-#: Default axis along which the domain is distributed across ranks.
-#: :class:`DistributedStencilRunner` accepts any axis via ``axis=`` —
-#: every decomposition axis runs the same backend step.
+#: The axis along which the domain is distributed across ranks: the 1D
+#: rank blocks of the paper's distributed scheme (Section 5.2).
 DISTRIBUTED_AXIS = 0
 
 #: Default checkpoint period: the ABFT detection period Δ (the offline
@@ -430,11 +428,9 @@ class SimRank:
         global_offset: int,
         radius,
         boundary: BoundarySpec,
-        axis: int = DISTRIBUTED_AXIS,
     ) -> None:
         self.rank = int(rank)
-        self.axis = int(axis)
-        external = (self.axis,) if radius[self.axis] > 0 else ()
+        external = (DISTRIBUTED_AXIS,) if radius[DISTRIBUTED_AXIS] > 0 else ()
         self.buffers = DoubleBufferedGrid(
             block, radius, boundary, external_axes=external
         )
@@ -478,12 +474,9 @@ class DistributedStencilRunner:
         across the ranks at construction time.
     n_ranks:
         Number of simulated ranks; the domain is block-distributed along
-        ``axis``.
+        axis 0 (:data:`DISTRIBUTED_AXIS`).
     protect:
         Protect every rank's block with its own OnlineABFT instance.
-    axis:
-        Decomposition axis (default 0).  Any axis works, including the
-        orderings where the external axis follows refreshed axes.
     checkpoint_period:
         Enable buddy checkpointing with this period (iterations between
         checkpoints).  ``None`` (default) leaves checkpointing **off**
@@ -513,7 +506,6 @@ class DistributedStencilRunner:
         grid: GridBase,
         n_ranks: int = 4,
         protect: bool = True,
-        axis: int = DISTRIBUTED_AXIS,
         checkpoint_period: Optional[int] = None,
         **abft_kwargs,
     ) -> None:
@@ -527,11 +519,6 @@ class DistributedStencilRunner:
                 f"keywords must be OnlineABFT options "
                 f"({', '.join(sorted(_ABFT_KWARGS))})"
             )
-        if not 0 <= int(axis) < grid.ndim:
-            raise ValueError(
-                f"axis {axis} out of range for a {grid.ndim}-d grid"
-            )
-        self.axis = int(axis)
         self.spec: StencilSpec = grid.spec
         self.boundary: BoundarySpec = grid.boundary
         self.radius = grid.spec.radius()
@@ -543,11 +530,11 @@ class DistributedStencilRunner:
         self._protect = bool(protect)
         self._abft_kwargs = dict(abft_kwargs)
 
-        axis_bc = self.boundary.axis(self.axis)
-        bounds = partition_extent(grid.shape[self.axis], self.n_ranks)
+        axis_bc = self.boundary.axis(DISTRIBUTED_AXIS)
+        bounds = partition_extent(grid.shape[DISTRIBUTED_AXIS], self.n_ranks)
 
         #: Ghost-slab depth along the distributed axis (the stencil radius).
-        self.halo_width = self.radius[self.axis]
+        self.halo_width = self.radius[DISTRIBUTED_AXIS]
 
         # Buddy checkpointing: each rank ships its snapshot to the next
         # rank around the ring.  Off by default (zero overhead, zero
@@ -568,12 +555,10 @@ class DistributedStencilRunner:
 
         self.ranks: List[SimRank] = []
         for r, (start, stop) in enumerate(bounds):
-            sl = [slice(None)] * grid.ndim
-            sl[self.axis] = slice(start, stop)
-            block = np.array(grid.u[tuple(sl)], copy=True)
+            block = np.array(grid.u[start:stop], copy=True)
             const = None
             if grid.constant is not None:
-                const = np.array(grid.constant[tuple(sl)], copy=True)
+                const = np.array(grid.constant[start:stop], copy=True)
             if axis_bc.is_periodic:
                 lo = (r - 1) % self.n_ranks
                 hi = (r + 1) % self.n_ranks
@@ -601,7 +586,6 @@ class DistributedStencilRunner:
                     global_offset=start,
                     radius=self.radius,
                     boundary=self.boundary,
-                    axis=self.axis,
                 )
             )
         # Build or load the backend's compiled kernels before the first
@@ -735,7 +719,6 @@ class DistributedStencilRunner:
             global_offset=old.global_offset,
             radius=self.radius,
             boundary=self.boundary,
-            axis=self.axis,
         )
         # Keep the globally aggregated report history (truncated to the
         # checkpoint) — the runner owns it, not the dead process.
@@ -833,13 +816,13 @@ class DistributedStencilRunner:
                 continue
             interior = rank.interior
             if rank.lo_neighbor is not None:
-                strip = boundary_strip(interior, self.axis, "low", width)
+                strip = boundary_strip(interior, DISTRIBUTED_AXIS, "low", width)
                 hit = None if strike is None else strike(self.iteration, rank, 0)
                 self.channel.send(
                     rank.rank, rank.lo_neighbor, "to_hi", strip, strike=hit
                 )
             if rank.hi_neighbor is not None:
-                strip = boundary_strip(interior, self.axis, "high", width)
+                strip = boundary_strip(interior, DISTRIBUTED_AXIS, "high", width)
                 hit = None if strike is None else strike(self.iteration, rank, 1)
                 self.channel.send(
                     rank.rank, rank.hi_neighbor, "to_lo", strip, strike=hit
@@ -860,21 +843,18 @@ class DistributedStencilRunner:
         if width == 0:
             return
         front = rank.buffers.front
-        axis_bc = self.boundary.axis(self.axis)
+        axis = DISTRIBUTED_AXIS
+        axis_bc = self.boundary.axis(axis)
         if rank.lo_neighbor is not None:
             payload = self.channel.recv(rank.lo_neighbor, rank.rank, "to_lo")
-            ingest_halo(front, self.radius, self.axis, "low", payload)
+            ingest_halo(front, self.radius, axis, "low", payload)
         else:
-            synthesize_ghost_into(
-                front, self.radius, self.axis, "low", axis_bc
-            )
+            synthesize_ghost_into(front, self.radius, axis, "low", axis_bc)
         if rank.hi_neighbor is not None:
             payload = self.channel.recv(rank.hi_neighbor, rank.rank, "to_hi")
-            ingest_halo(front, self.radius, self.axis, "high", payload)
+            ingest_halo(front, self.radius, axis, "high", payload)
         else:
-            synthesize_ghost_into(
-                front, self.radius, self.axis, "high", axis_bc
-            )
+            synthesize_ghost_into(front, self.radius, axis, "high", axis_bc)
 
     # -- stepping --------------------------------------------------------------------
     def step(self, inject=None) -> List[StepReport]:
@@ -984,7 +964,7 @@ class DistributedStencilRunner:
     def gather(self) -> np.ndarray:
         """Assemble the global domain from all rank blocks."""
         return np.concatenate(
-            [rank.interior for rank in self.ranks], axis=self.axis
+            [rank.interior for rank in self.ranks], axis=DISTRIBUTED_AXIS
         )
 
     def total_detected(self) -> int:
@@ -1000,11 +980,11 @@ class DistributedStencilRunner:
     def rank_of_global_index(self, index) -> Tuple[int, Tuple[int, ...]]:
         """Map a global domain index to ``(rank, local index)``."""
         index = tuple(int(i) for i in index)
-        pos = index[self.axis]
+        pos = index[DISTRIBUTED_AXIS]
         for rank in self.ranks:
-            size = rank.shape[self.axis]
+            size = rank.shape[DISTRIBUTED_AXIS]
             if rank.global_offset <= pos < rank.global_offset + size:
                 local = list(index)
-                local[self.axis] = pos - rank.global_offset
+                local[DISTRIBUTED_AXIS] = pos - rank.global_offset
                 return rank.rank, tuple(local)
         raise ValueError(f"index {index} outside the global domain")

@@ -28,9 +28,7 @@ sweep views of them in place.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,73 +41,7 @@ from repro.stencil.shift import (
     refresh_ghosts,
 )
 
-__all__ = ["GridLayout", "DoubleBufferedGrid"]
-
-
-@dataclass(frozen=True)
-class GridLayout:
-    """Structural description of a padded buffer's ghost layout.
-
-    Per-axis ghost width, per-axis boundary *kind* and fill value, and
-    which axes are externally managed (their slabs are filled by halo
-    ingestion, never by the refresh).  The exact checksum interpolation
-    (:func:`repro.core.interpolation.interpolate_checksum_padded`) reads
-    it to take the borders of closed axes from checksum space.
-
-    Parameters
-    ----------
-    radius:
-        Per-axis ghost width of the padded buffers.
-    kinds:
-        Per-axis boundary kind: ``"clamp"``, ``"periodic"``, ``"fill"``
-        (covers both ``constant`` and ``zero``) or ``"external"``.
-    fills:
-        Per-axis ghost fill values (0.0 for non-``fill`` axes).
-    """
-
-    radius: Tuple[int, ...]
-    kinds: Tuple[str, ...]
-    fills: Tuple[float, ...]
-
-    @property
-    def external_axes(self) -> Tuple[int, ...]:
-        return tuple(
-            a for a, kind in enumerate(self.kinds) if kind == "external"
-        )
-
-    @classmethod
-    def from_args(
-        cls,
-        radius,
-        boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
-        ndim: int,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> "GridLayout":
-        """Build a layout from ``step_into``-style arguments.
-
-        Axes outside ``refresh_axes`` (``None`` → all axes refresh) are
-        marked ``"external"`` regardless of their boundary condition,
-        mirroring :func:`repro.stencil.shift.refresh_ghosts`.
-        """
-        radius = normalize_radius(radius, ndim)
-        bspec = BoundarySpec.from_any(boundary, ndim)
-        keep = None if refresh_axes is None else {int(a) for a in refresh_axes}
-        kinds = []
-        fills = []
-        for axis, bc in enumerate(bspec):
-            if keep is not None and axis not in keep:
-                kinds.append("external")
-                fills.append(0.0)
-            elif bc.is_clamp:
-                kinds.append("clamp")
-                fills.append(0.0)
-            elif bc.is_periodic:
-                kinds.append("periodic")
-                fills.append(0.0)
-            else:
-                kinds.append("fill")
-                fills.append(float(bc.fill_value()))
-        return cls(tuple(radius), tuple(kinds), tuple(fills))
+__all__ = ["DoubleBufferedGrid"]
 
 
 class DoubleBufferedGrid:
@@ -118,13 +50,12 @@ class DoubleBufferedGrid:
     Parameters
     ----------
     initial:
-        Interior domain values (always copied into the front buffer).
+        Interior domain values (always copied into the front buffer,
+        whose dtype is ``initial``'s).
     radius:
         Ghost width, scalar or per axis.
     boundary:
         Boundary specification used by :meth:`refresh`.
-    dtype:
-        Buffer dtype (``None`` → dtype of ``initial``).
     external_axes:
         Axes whose ghost slabs are *externally managed*: :meth:`refresh`
         and :meth:`step` never touch them, leaving whatever a halo
@@ -142,7 +73,6 @@ class DoubleBufferedGrid:
         initial: np.ndarray,
         radius,
         boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
-        dtype=None,
         external_axes: Sequence[int] = (),
     ) -> None:
         initial = np.asarray(initial)
@@ -162,7 +92,7 @@ class DoubleBufferedGrid:
         )
         self.interior_shape = initial.shape
         self.padded_shape = padded_shape(initial.shape, self.radius)
-        self.dtype = np.dtype(dtype) if dtype is not None else initial.dtype
+        self.dtype = initial.dtype
         self._front = np.zeros(self.padded_shape, dtype=self.dtype)
         self._back = np.zeros(self.padded_shape, dtype=self.dtype)
         interior_view(self._front, self.radius)[...] = initial
@@ -186,20 +116,6 @@ class DoubleBufferedGrid:
     def nbytes(self) -> int:
         """Total footprint of the pair in bytes."""
         return int(self._front.nbytes + self._back.nbytes)
-
-    @functools.cached_property
-    def layout(self) -> GridLayout:
-        """The pair's :class:`GridLayout` (read by the exact interpolation).
-
-        Built once: radius, boundary and external axes are fixed at
-        construction.
-        """
-        return GridLayout.from_args(
-            self.radius,
-            self.boundary,
-            len(self.interior_shape),
-            refresh_axes=self.refresh_axes,
-        )
 
     # -- the per-step lifecycle ---------------------------------------------
     def refresh(self) -> np.ndarray:

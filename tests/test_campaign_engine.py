@@ -167,13 +167,15 @@ class TestRecordEquivalence:
         assert_equivalent(first, second)
 
     @pytest.mark.parametrize("boundary_key", sorted(_BOUNDARIES_2D))
-    @pytest.mark.parametrize("verify_axis", [0, 1])
-    def test_2d_grids_every_boundary_kind(self, boundary_key, verify_axis):
+    @pytest.mark.parametrize(
+        "checksum_dtype", [np.float64, None], ids=["float64-sums", "float32-sums"]
+    )
+    def test_2d_grids_every_boundary_kind(self, boundary_key, checksum_dtype):
         factory = _grid2d_factory(boundary_key)
 
         def protector_factory(grid):
             return OnlineABFT.for_grid(
-                grid, epsilon=1e-5, verify_axis=verify_axis
+                grid, epsilon=1e-5, checksum_dtype=checksum_dtype
             )
 
         config = CampaignConfig(iterations=9, repetitions=6, inject=True, seed=4)

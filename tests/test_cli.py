@@ -191,8 +191,12 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--fault-model", "region-ghost"], "'ghost'-targeted"),
-            (["--fault-model", "region-payload"], "'payload'-targeted"),
+            # Ghost and payload regions need a distributed run, so no
+            # campaign model draws them.
+            (["--fault-model", "region-ghost"],
+             "unknown fault model 'region-ghost'"),
+            (["--fault-model", "region-payload"],
+             "unknown fault model 'region-payload'"),
             (["--fault-model", "rank-crash", "--method", "offline-abft"],
              "'offline-abft'"),
             (["--fault-model", "region-checksum", "--method", "no-abft"],
@@ -263,6 +267,10 @@ class TestMain:
                                        "--mtbf", "64"]) == 0
         default, explicit = results
         assert _record_keys(default) == _record_keys(explicit)
+
+    def test_campaign_names_the_registered_model(self, capsys):
+        assert main(_SMALL_CAMPAIGN + ["--fault-model", "region-checksum"]) == 0
+        assert "(model region-checksum)" in capsys.readouterr().out
 
     def test_campaign_mtbf_reaches_rank_crash(self, monkeypatch):
         # RankCrash has an mtbf field: an arrival mean far beyond the

@@ -117,28 +117,24 @@ class TestFaultInjector:
         plan = FaultPlan(iteration=3, index=(4, 4), bit=30)
         injector = FaultInjector([plan])
         for _ in range(5):
-            before = small_grid_2d.u[4, 4]
             small_grid_2d.step()
+            swept = small_grid_2d.u[4, 4]
             injector(small_grid_2d, small_grid_2d.iteration)
+            struck = small_grid_2d.u[4, 4] != swept
+            assert struck == (small_grid_2d.iteration == 3)
         assert injector.fired_count == 1
-        assert injector.all_fired
-        assert len(injector.injections) == 1
-        fired_plan, old, new = injector.injections[0]
-        assert fired_plan is plan
-        assert old != new
 
     def test_single_plan_can_be_passed_directly(self, small_grid_2d):
         injector = FaultInjector(FaultPlan(iteration=1, index=(0, 0), bit=30))
         small_grid_2d.step()
         injector(small_grid_2d, 1)
-        assert injector.all_fired
+        assert injector.fired_count == 1
 
     def test_does_not_fire_on_other_iterations(self, small_grid_2d):
         injector = FaultInjector([FaultPlan(iteration=99, index=(0, 0), bit=3)])
         small_grid_2d.step()
         injector(small_grid_2d, small_grid_2d.iteration)
         assert injector.fired_count == 0
-        assert not injector.all_fired
 
     def test_does_not_refire_on_recomputation(self, small_grid_2d):
         # Rollback recovery replays iterations; a transient fault must not
@@ -157,22 +153,3 @@ class TestFaultInjector:
         small_grid_2d.step()
         with pytest.raises(ValueError, match="dimensionality"):
             injector(small_grid_2d, 1)
-
-    def test_reset_rearms_plans(self, small_grid_2d):
-        injector = FaultInjector([FaultPlan(iteration=1, index=(2, 2), bit=31)])
-        small_grid_2d.step()
-        injector(small_grid_2d, 1)
-        assert injector.all_fired
-        injector.reset()
-        assert injector.fired_count == 0
-        injector(small_grid_2d, 1)
-        assert injector.fired_count == 1
-
-    def test_single_random_factory(self, small_grid_2d):
-        rng = np.random.default_rng(5)
-        injector = FaultInjector.single_random(rng, small_grid_2d.shape, 10)
-        assert len(injector.plans) == 1
-        assert 1 <= injector.plans[0].iteration <= 10
-
-    def test_empty_injector_is_trivially_all_fired(self):
-        assert FaultInjector([]).all_fired

@@ -36,10 +36,6 @@ class TestOfflineConstruction:
         with pytest.raises(ValueError, match="period"):
             OfflineABFT.for_grid(small_grid_2d, period=0)
 
-    def test_invalid_verify_axis(self, small_grid_2d):
-        with pytest.raises(ValueError):
-            OfflineABFT.for_grid(small_grid_2d, verify_axis=5)
-
     def test_grid_shape_mismatch(self, rng, small_grid_2d):
         other = _make_grid(rng, shape=(8, 8))
         p = OfflineABFT.for_grid(small_grid_2d)
@@ -102,7 +98,7 @@ class TestOfflineWithFault:
         injector = FaultInjector([FaultPlan(iteration=13, index=(9, 6), bit=27)])
         p = OfflineABFT.for_grid(grid, epsilon=1e-5, period=8)
         run = p.run(grid, 32, inject=injector)
-        assert injector.all_fired
+        assert injector.fired_count == 1
         assert run.total_detected >= 1
         assert run.total_rollbacks >= 1
         # Rollback + recomputation erases the error completely.

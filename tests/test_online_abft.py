@@ -32,10 +32,6 @@ class TestOnlineConstruction:
         assert p.spec is small_grid_2d.spec
         assert p.epsilon > 0.0
 
-    def test_invalid_verify_axis(self, small_grid_2d):
-        with pytest.raises(ValueError):
-            OnlineABFT.for_grid(small_grid_2d, verify_axis=2)
-
     def test_shape_stencil_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             OnlineABFT(five_point_diffusion(0.2), BoundarySpec.clamp(2), (4, 4, 4))
@@ -91,7 +87,7 @@ class TestOnlineWithFault:
         injector = FaultInjector([FaultPlan(iteration=17, index=(11, 7), bit=24)])
         p = OnlineABFT.for_grid(grid, epsilon=1e-5)
         run = p.run(grid, 40, inject=injector)
-        assert injector.all_fired
+        assert injector.fired_count == 1
         assert run.total_detected >= 1
         assert run.total_corrected >= 1
         # residual error is small compared to an unprotected run
@@ -128,14 +124,6 @@ class TestOnlineWithFault:
         p = OnlineABFT.for_grid(grid, epsilon=1e-5)
         run = p.run(grid, 10, inject=injector)
         assert run.total_detected == 0  # flip of the lowest fraction bit
-
-    def test_verify_axis_row_also_works(self, rng):
-        grid = _make_grid(rng)
-        injector = FaultInjector([FaultPlan(iteration=8, index=(10, 3), bit=26)])
-        p = OnlineABFT.for_grid(grid, epsilon=1e-5, verify_axis=1)
-        run = p.run(grid, 15, inject=injector)
-        assert run.total_detected >= 1
-        assert run.total_corrected >= 1
 
     def test_eager_row_checksum_mode(self, rng):
         grid = _make_grid(rng)

@@ -44,13 +44,10 @@ def _trust_stored_checksums(monkeypatch):
     )
 
 
-def _checksum_plan(protector, iteration, index=(5,), bit=HIGH_BIT):
+def _checksum_plan(iteration, index=(5,), bit=HIGH_BIT):
+    """A flip of the stored column checksum (axis 0), the verified one."""
     return FaultPlan(
-        iteration=iteration,
-        index=index,
-        bit=bit,
-        target="checksum",
-        axis=protector.verify_axis,
+        iteration=iteration, index=index, bit=bit, target="checksum", axis=0
     )
 
 
@@ -62,7 +59,7 @@ class TestOnlineSerial:
         clean_protector.run(clean, 16)
 
         protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
-        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(6)], protector)
         run = protector.run(grid, 16, inject=hook)
 
         assert hook.fired_count == 1
@@ -79,7 +76,7 @@ class TestOnlineSerial:
 
         _trust_stored_checksums(monkeypatch)
         protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
-        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(6)], protector)
         run = protector.run(grid, 16, inject=hook)
 
         assert protector.total_metadata_repairs == 0
@@ -92,13 +89,12 @@ class TestOnlineSerial:
         grid0 = _make_grid(rng, shape=(12, 10))
         clean = grid0.copy()
         OnlineABFT.for_grid(clean, epsilon=1e-5).run(clean, 10)
-        probe = OnlineABFT.for_grid(grid0.copy(), epsilon=1e-5)
-        cs_len = grid0.shape[1 - probe.verify_axis]
+        cs_len = grid0.shape[1]
         for j in range(0, cs_len, 3):
             grid = grid0.copy()
             protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
             hook = FaultInjector(
-                [_checksum_plan(protector, 4, index=(j,))], protector
+                [_checksum_plan(4, index=(j,))], protector
             )
             run = protector.run(grid, 10, inject=hook)
             assert run.total_detected == 0
@@ -108,7 +104,7 @@ class TestOnlineSerial:
     def test_reset_clears_repair_counter(self, rng):
         grid = _make_grid(rng)
         protector = OnlineABFT.for_grid(grid, epsilon=1e-5)
-        hook = FaultInjector([_checksum_plan(protector, 3)], protector)
+        hook = FaultInjector([_checksum_plan(3)], protector)
         protector.run(grid, 6, inject=hook)
         assert protector.total_metadata_repairs == 1
         protector.reset()
@@ -122,7 +118,7 @@ class TestOfflineSerial:
         OfflineABFT.for_grid(clean, period=4, epsilon=1e-5).run(clean, 16)
 
         protector = OfflineABFT.for_grid(grid, period=4, epsilon=1e-5)
-        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(6)], protector)
         run = protector.run(grid, 16, inject=hook)
 
         assert hook.fired_count == 1
@@ -137,7 +133,7 @@ class TestOfflineSerial:
         # The duplicate rule never repairs: the stored checksum is trusted.
         monkeypatch.setattr(Snapshot, "verify", lambda self, *args, **kwargs: False)
         protector = OfflineABFT.for_grid(grid, period=4, epsilon=1e-5)
-        hook = FaultInjector([_checksum_plan(protector, 6)], protector)
+        hook = FaultInjector([_checksum_plan(6)], protector)
         run = protector.run(grid, 16, inject=hook)
         assert protector.total_metadata_repairs == 0
         assert run.total_detected >= 1
@@ -149,7 +145,7 @@ class TestOfflineSerial:
         protector = OfflineABFT.for_grid(grid, period=4, epsilon=1e-5)
         plans = [
             FaultPlan(iteration=6, index=(7, 7), bit=27),
-            _checksum_plan(protector, 7),
+            _checksum_plan(7),
         ]
         run = protector.run(grid, 16, inject=FaultInjector(plans, protector))
         assert run.total_detected >= 1  # the genuine domain fault
@@ -170,11 +166,8 @@ class TestDistributed:
 
     def _rank_checksum_plans(self, runner, victim=1, iteration=5):
         plans = [[] for _ in runner.ranks]
-        protector = runner.ranks[victim].protector
-        cs_len = runner.ranks[victim].shape[1 - protector.verify_axis]
-        plans[victim] = [
-            _checksum_plan(protector, iteration, index=(cs_len // 2,))
-        ]
+        cs_len = runner.ranks[victim].shape[1]
+        plans[victim] = [_checksum_plan(iteration, index=(cs_len // 2,))]
         return plans
 
     def test_rank_checksum_corruption_repairs_without_miscorrection(self, rng):

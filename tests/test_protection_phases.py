@@ -7,10 +7,11 @@ pin it to the form it replaced:
 * **lane fold** — ``FusedBackend.checksum`` reduces the axis-0 checksum
   of a padded interior over whole contiguous lanes, then keeps the
   interior ones: bitwise equal to ``u.sum(axis=0, dtype=...)``;
-* **closed borders** — with the buffer's ``GridLayout``, exact Theorem-1
-  interpolation rebuilds the border sums of closed axes from the stored
-  checksum instead of reading the domain: bitwise equal to the
-  domain-read form on float32 domains with float64 checksums;
+* **closed borders** — with the boundary a grid refreshed its ghosts
+  from, exact Theorem-1 interpolation rebuilds the border sums of closed
+  axes from the stored checksum instead of reading the domain: bitwise
+  equal to the domain-read form on float32 domains with float64
+  checksums;
 * **column refresh** — ``refresh_ghosts`` fills a whole buffer's
   last-axis ghosts one 1-D column at a time: bitwise equal to the slab
   fill it replaced, which every other view still takes.
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from conftest import all_boundary_conditions
 from repro.backends import FusedBackend
 from repro.backends.base import Backend
-from repro.core import interpolation
+from repro.core import interpolation, online
 from repro.core.interpolation import interpolate_checksum_padded
 from repro.core.online import OnlineABFT
 from repro.faults.bitflip import flip_bit_in_array
@@ -40,7 +41,6 @@ from repro.parallel.runner import TiledStencilRunner
 from repro.parallel.simmpi import DistributedStencilRunner
 from repro.stencil import shift
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
-from repro.stencil.doublebuffer import GridLayout
 from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
 from repro.stencil.shift import (
@@ -50,6 +50,7 @@ from repro.stencil.shift import (
     refresh_ghosts,
 )
 from repro.stencil.spec import StencilSpec
+from repro.stencil.sweep import sweep_padded
 
 FUSED = FusedBackend()
 
@@ -171,24 +172,19 @@ class TestLaneFold:
 # --------------------------------------------------------------------------
 
 @st.composite
-def layout_cases(draw):
-    """A refreshed padded domain, its layout and a checksum to interpolate."""
+def closed_border_cases(draw):
+    """A refreshed padded domain, its boundary and a checksum to interpolate."""
     ndim = draw(st.sampled_from([2, 3]))
     radius = tuple(draw(st.integers(0, 2)) for _ in range(ndim))
     shape = tuple(draw(st.integers(1, 7)) for _ in range(ndim))
     boundary = BoundarySpec(
         tuple(draw(st.sampled_from(all_boundary_conditions())) for _ in range(ndim))
     )
-    external = tuple(a for a in range(ndim) if draw(st.booleans()))
     return {
-        "ndim": ndim,
         "radius": radius,
         "shape": shape,
         "spec": draw(specs(radius)),
         "boundary": boundary,
-        "refresh_axes": (
-            tuple(a for a in range(ndim) if a not in external) if external else None
-        ),
         "reduce_axis": draw(st.sampled_from([0, 1])),
         "dtype": draw(st.sampled_from([np.float32, np.float64])),
         "constant": draw(st.booleans()),
@@ -197,17 +193,13 @@ def layout_cases(draw):
 
 
 def _interpolations(case):
-    """``(domain-read form, layout form)`` of one interpolation."""
+    """``(domain-read form, closed-border form)`` of one interpolation."""
     rng = np.random.default_rng(case["seed"])
     radius, shape, axis = case["radius"], case["shape"], case["reduce_axis"]
     # Values in [1, 101): float64 sums of float32 values are then exact,
-    # whatever the order of the additions.  External ghost slabs keep
-    # their random values: they stand for halo data.
+    # whatever the order of the additions.
     padded = (rng.random(padded_shape(shape, radius)) * 100 + 1).astype(case["dtype"])
-    refresh_ghosts(padded, radius, case["boundary"], axes=case["refresh_axes"])
-    layout = GridLayout.from_args(
-        radius, case["boundary"], case["ndim"], refresh_axes=case["refresh_axes"]
-    )
+    refresh_ghosts(padded, radius, case["boundary"])
     cs = interior_view(padded, radius).sum(axis=axis, dtype=np.float64)
     constant_sum = (
         rng.random(cs.shape) if case["constant"] else None
@@ -215,34 +207,13 @@ def _interpolations(case):
     args = (cs, padded, case["spec"], radius, shape, axis, constant_sum)
     return (
         interpolate_checksum_padded(*args),
-        interpolate_checksum_padded(*args, layout=layout),
+        interpolate_checksum_padded(*args, boundary=case["boundary"]),
     )
-
-
-class TestGridLayout:
-    """The layout the closed borders read: kinds per axis, external axes."""
-
-    def test_external_axes_from_refresh_axes(self):
-        layout = GridLayout.from_args(
-            (2, 1), BoundarySpec.from_any(BoundaryCondition.periodic(), 2),
-            2, refresh_axes=(1,),
-        )
-        assert layout.kinds == ("external", "periodic")
-        assert layout.external_axes == (0,)
-
-    def test_grid_exposes_its_layout(self):
-        from repro.stencil.doublebuffer import DoubleBufferedGrid
-
-        grid = DoubleBufferedGrid(
-            np.zeros((4, 5), dtype=np.float32), (1, 1),
-            BoundaryCondition.clamp(), external_axes=(0,),
-        )
-        assert grid.layout.kinds == ("external", "clamp")
 
 
 class TestClosedBorders:
     @settings(max_examples=200)
-    @given(case=layout_cases())
+    @given(case=closed_border_cases())
     def test_matches_the_domain_read_form(self, case):
         domain, closed = _interpolations(case)
         if case["dtype"] == np.float32:
@@ -254,9 +225,9 @@ class TestClosedBorders:
             # across the non-reduced axes (a width-1 ghost column of a
             # 2D column checksum, or of a 3D row checksum) collapses to
             # a 1-D reduction, which NumPy sums pairwise, while the
-            # checksum adds each lane in order.  The layout form copies
-            # the checksum's entries, so it is the one consistent with
-            # the stored checksum.
+            # checksum adds each lane in order.  The closed-border form
+            # copies the checksum's entries, so it is the one consistent
+            # with the stored checksum.
             np.testing.assert_allclose(closed, domain, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("reduce_axis", [0, 1])
@@ -269,10 +240,10 @@ class TestClosedBorders:
         conditions = [BoundaryCondition.clamp()] * 3
         conditions[constant_axis] = BoundaryCondition.constant(46.0)
         case = {
-            "ndim": 3, "radius": (1, 2, 1), "shape": (9, 6, 5),
+            "radius": (1, 2, 1), "shape": (9, 6, 5),
             "spec": seven_point_diffusion_3d(0.1),
             "boundary": BoundarySpec(tuple(conditions)),
-            "refresh_axes": None, "reduce_axis": reduce_axis,
+            "reduce_axis": reduce_axis,
             "dtype": np.float32, "constant": False, "seed": 3,
         }
         case["spec"] = StencilSpec(
@@ -280,11 +251,10 @@ class TestClosedBorders:
         )
         domain, closed = _interpolations(case)
         _assert_bitwise(closed, domain)
-        layout = GridLayout.from_args(case["radius"], case["boundary"], 3)
         plan = interpolation._domain_plan(
             case["spec"], case["radius"], case["shape"], reduce_axis,
             np.empty(padded_shape(case["shape"], case["radius"])), np.float64,
-            layout,
+            case["boundary"],
         )
         if constant_axis == reduce_axis:
             # Summed away: the other two axes are clamp.
@@ -293,38 +263,67 @@ class TestClosedBorders:
             assert plan.closed == () and len(plan.borders) == 4
 
     def test_external_axis_halo_is_read_from_the_domain(self, rng):
-        """A halo is not a copy of the interior: a layout that called the
-        distributed axis clamp would predict a different checksum."""
+        """A halo is not a copy of the interior: ranks pass no boundary,
+        so their interpolation reads the axis-0 halo from the domain.
+        The rank's own clamp boundary would predict a different row
+        checksum than the sweep computes."""
         radius, shape = (1, 1), (8, 6)
         padded = (rng.random(padded_shape(shape, radius)) * 100 + 1).astype(np.float32)
         boundary = BoundarySpec.clamp(2)
+        # The axis-0 ghost rows keep their random values: halo data.
         refresh_ghosts(padded, radius, boundary, axes=(1,))
-        cs = interior_view(padded, radius).sum(axis=1, dtype=np.float64)
         spec = five_point_diffusion(0.2)
+        cs = interior_view(padded, radius).sum(axis=1, dtype=np.float64)
+        swept = sweep_padded(padded, spec, radius, shape).sum(axis=1, dtype=np.float64)
         args = (cs, padded, spec, radius, shape, 1)
-        domain = interpolate_checksum_padded(*args)
-        ranks = GridLayout.from_args(radius, boundary, 2, refresh_axes=(1,))
-        _assert_bitwise(interpolate_checksum_padded(*args, layout=ranks), domain)
-        wrong = GridLayout.from_args(radius, boundary, 2)
-        assert not np.array_equal(
-            interpolate_checksum_padded(*args, layout=wrong), domain
-        )
+        np.testing.assert_allclose(interpolate_checksum_padded(*args), swept, rtol=1e-6)
+        closed = interpolate_checksum_padded(*args, boundary=boundary)
+        assert not np.allclose(closed, swept, rtol=1e-6)
 
-    def test_layout_radius_must_match(self, rng):
+    @pytest.mark.parametrize("n_axes", [1, 3])
+    def test_boundary_axis_count_must_match(self, rng, n_axes):
         padded = rng.random((10, 10))
         cs = interior_view(padded, 1).sum(axis=0)
-        layout = GridLayout.from_args(2, BoundarySpec.clamp(2), 2)
-        with pytest.raises(ValueError, match="layout radius"):
+        with pytest.raises(ValueError, match=f"boundary has {n_axes} axes.* has 2"):
             interpolate_checksum_padded(
-                cs, padded, five_point_diffusion(), 1, (8, 8), 0, layout=layout
+                cs, padded, five_point_diffusion(), 1, (8, 8), 0,
+                boundary=BoundarySpec.clamp(n_axes),
             )
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_fault_free_ranks_detect_nothing(self, rng, axis):
+    def test_step_hands_its_grid_boundary_to_both_interpolations(self, rng):
+        """The verified column checksum, and after a detection the row
+        checksum, are interpolated with the boundary the grid refreshed
+        its ghosts from."""
+        initial = (rng.random((16, 12, 4)) * 50 + 300).astype(np.float32)
+        boundary = BoundarySpec((
+            BoundaryCondition.clamp(),
+            BoundaryCondition.periodic(),
+            BoundaryCondition.zero(),
+        ))
+        grid = Grid3D(initial, seven_point_diffusion_3d(0.1), boundary)
+        protector = OnlineABFT.for_grid(grid)
+
+        def flip(g, iteration):
+            if iteration == 2:
+                flip_bit_in_array(g.u, (5, 7, 2), 28)
+
+        with mock.patch.object(
+            online, "interpolate_checksum_padded",
+            side_effect=interpolate_checksum_padded,
+        ) as spy:
+            reports = [protector.step(grid, inject=flip) for _ in range(3)]
+        assert [r.errors_corrected for r in reports] == [0, 1, 0]
+        axes = [call.args[5] for call in spy.call_args_list]
+        assert axes == [0, 0, 1, 0]
+        for call in spy.call_args_list:
+            assert call.kwargs["boundary"] is grid.boundary
+
+    @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
+    def test_fault_free_ranks_detect_nothing(self, rng, bc):
         initial = (rng.random((48, 40)) * 100).astype(np.float32)
-        grid = Grid2D(initial, five_point_diffusion(0.2), BoundaryCondition.clamp())
+        grid = Grid2D(initial, five_point_diffusion(0.2), bc)
         reference = grid.copy()
-        runner = DistributedStencilRunner(grid, n_ranks=3, protect=True, axis=axis)
+        runner = DistributedStencilRunner(grid, n_ranks=3, protect=True)
         runner.run(12)
         reference.run(12)
         assert runner.total_detected() == 0
@@ -340,18 +339,16 @@ class TestClosedBorders:
             runner.shutdown()
         assert runner.total_detected() == 0
 
-    @pytest.mark.parametrize("verify_axis", [0, 1])
-    def test_layout_and_domain_forms_agree_through_a_correction(self, rng, verify_axis):
-        """A grid-protected run (layout form) and the same run verified
-        through ``process`` without a layout give identical reports."""
+    @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
+    def test_boundary_and_domain_forms_agree_through_a_correction(self, rng, bc):
+        """A grid-protected run (closed-border form) and the same run
+        verified through ``process`` without a boundary give identical
+        reports.  Clamp, periodic and zero fills close the borders; a
+        constant fill keeps the domain reads."""
         initial = (rng.random((16, 12, 4)) * 50 + 300).astype(np.float32)
         spec = seven_point_diffusion_3d(0.1)
-        grids = [
-            Grid3D(initial, spec, BoundaryCondition.clamp()) for _ in range(2)
-        ]
-        protectors = [
-            OnlineABFT.for_grid(g, verify_axis=verify_axis) for g in grids
-        ]
+        grids = [Grid3D(initial, spec, bc) for _ in range(2)]
+        protectors = [OnlineABFT.for_grid(g) for g in grids]
 
         def flip(grid, iteration):
             if iteration == 4:
@@ -361,7 +358,7 @@ class TestClosedBorders:
         for _ in range(10):
             reports.append((
                 protectors[0].step(grids[0], inject=flip),
-                self._step_without_layout(protectors[1], grids[1], flip),
+                self._step_without_boundary(protectors[1], grids[1], flip),
             ))
         assert sum(a.errors_corrected for a, _ in reports) >= 1
         for a, b in reports:
@@ -372,7 +369,7 @@ class TestClosedBorders:
         _assert_bitwise(grids[0].u, grids[1].u)
 
     @staticmethod
-    def _step_without_layout(protector, grid, inject):
+    def _step_without_boundary(protector, grid, inject):
         grid.step()
         inject(grid, grid.iteration)
         return protector.process(grid.u, grid.previous_padded, grid.iteration)
@@ -384,11 +381,11 @@ class TestClosedBorders:
 
 class TestRefreshedEntries:
     @pytest.mark.parametrize("ndim", [2, 3])
-    @pytest.mark.parametrize("verify_axis", [0, 1])
+    @pytest.mark.parametrize("strategy", ["average", "row", "column"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("checksum_dtype", [None, np.float64])
     def test_equal_a_fresh_checksum_of_the_repaired_domain(
-        self, rng, ndim, verify_axis, dtype, checksum_dtype
+        self, rng, ndim, strategy, dtype, checksum_dtype
     ):
         shape = (96, 80) if ndim == 2 else (64, 48, 4)
         initial = (rng.random(shape) * 50 + 300).astype(dtype)
@@ -398,8 +395,8 @@ class TestRefreshedEntries:
             BoundaryCondition.clamp(),
         )
         protector = OnlineABFT.for_grid(
-            grid, verify_axis=verify_axis, eager_row_checksum=True,
-            checksum_dtype=checksum_dtype,
+            grid, eager_row_checksum=True, checksum_dtype=checksum_dtype,
+            correction_strategy=strategy,
         )
         bit = 30 if dtype == np.float32 else 62
         site = (37, 21) if ndim == 2 else (37, 21, 1)

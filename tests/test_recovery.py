@@ -4,7 +4,7 @@ The headline invariant of the recovery subsystem is exactness: a run
 that loses a rank mid-execution and recovers from buddy checkpoints
 must finish **bitwise-identical** to the failure-free run — final
 domain *and* detection/correction counters — for every boundary kind,
-decomposition axis and protection setting, including runs where
+rank count and protection setting, including runs where
 silent bit flips strike inside the replayed window or on the rebuilt
 rank.  The hypothesis sweep at the bottom pins that invariant.
 """
@@ -117,22 +117,6 @@ class TestRankCrashModel:
         assert plans[0].target == "crash"
         assert all(p.target == "domain" for p in plans[1:])
 
-    def test_draw_for_ranks_places_victim(self):
-        model = RankCrash(at_iteration=5, rank=2, n_ranks=4, bitflips=2)
-        shapes = [(4, 8)] * 4
-        per_rank = model.draw_for_ranks(np.random.default_rng(3), shapes, 16)
-        assert len(per_rank) == 4
-        assert any(p.target == "crash" for p in per_rank[2])
-        n_flips = sum(
-            1 for plans in per_rank for p in plans if p.target == "domain"
-        )
-        assert n_flips == 2
-
-    def test_draw_for_ranks_shape_mismatch(self):
-        model = RankCrash(n_ranks=4)
-        with pytest.raises(ValueError, match="configured for 4 ranks"):
-            model.draw_for_ranks(np.random.default_rng(0), [(4, 8)] * 3, 16)
-
     @pytest.mark.parametrize(
         "kwargs, match",
         [
@@ -151,6 +135,39 @@ class TestRankCrashModel:
     def test_serial_injector_rejects_crash(self):
         with pytest.raises(ValueError, match="distributed run"):
             FaultInjector([_crash_plan(3, 0)])
+
+    def test_from_global_places_victim(self):
+        """A crash campaign's draw maps onto the runner: the crash on its
+        victim rank, each flip on the rank owning its global index."""
+        model = RankCrash(at_iteration=5, rank=2, n_ranks=4, bitflips=2)
+        runner = DistributedStencilRunner(
+            _grid_2d(shape=(16, 8)), n_ranks=4, protect=True
+        )
+        plans = model.draw(np.random.default_rng(3), (16, 8), 16)
+        injector = DistributedFaultInjector.from_global(runner, plans)
+        assert [p.target for p in injector.plans_by_rank[2]].count("crash") == 1
+        flips = [
+            (r, p) for r, rank_plans in enumerate(injector.plans_by_rank)
+            for p in rank_plans if p.target == "domain"
+        ]
+        drawn = [p for p in plans if p.target == "domain"]
+        assert len(flips) == len(drawn) == 2
+        for (r, local), plan in zip(flips, drawn):
+            assert runner.rank_of_global_index(plan.index) == (r, local.index)
+            assert (local.iteration, local.bit) == (plan.iteration, plan.bit)
+
+    def test_from_global_victim_out_of_range(self):
+        runner = DistributedStencilRunner(_grid_2d(), n_ranks=3, protect=True)
+        with pytest.raises(ValueError, match="rank 3 out of range for 3 ranks"):
+            DistributedFaultInjector.from_global(runner, [_crash_plan(2, 3)])
+
+    def test_from_global_refuses_other_targets(self):
+        runner = DistributedStencilRunner(_grid_2d(), n_ranks=2, protect=True)
+        plan = FaultPlan(
+            iteration=2, index=(3,), bit=30, target="checksum", axis=0
+        )
+        with pytest.raises(ValueError, match="got a 'checksum' plan"):
+            DistributedFaultInjector.from_global(runner, [plan])
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +374,12 @@ class TestRecoveryBitIdentity:
     @given(
         ndim=st.sampled_from([2, 3]),
         bc_kind=st.sampled_from(sorted(_BOUNDARIES)),
-        axis=st.integers(min_value=0, max_value=1),
         protect=st.booleans(),
         timing=st.sampled_from(["start", "mid", "boundary"]),
         n_ranks=st.sampled_from([2, 3]),
     )
     def test_recovered_run_matches_failure_free(
-        self, ndim, bc_kind, axis, protect, timing, n_ranks
+        self, ndim, bc_kind, protect, timing, n_ranks
     ):
         bc = _BOUNDARIES[bc_kind]()
         make_grid = _grid_2d if ndim == 2 else _grid_3d
@@ -374,12 +390,12 @@ class TestRecoveryBitIdentity:
         victim = n_ranks - 1
 
         baseline = DistributedStencilRunner(
-            make_grid(bc), n_ranks=n_ranks, protect=protect, axis=axis
+            make_grid(bc), n_ranks=n_ranks, protect=protect
         )
         baseline.run(iters)
 
         crashed = DistributedStencilRunner(
-            make_grid(bc), n_ranks=n_ranks, protect=protect, axis=axis
+            make_grid(bc), n_ranks=n_ranks, protect=protect
         )
         inject = _crash_injector(crashed, crash_iter, victim)
         crashed.run(iters, inject=inject)
@@ -541,7 +557,7 @@ class TestCampaignCrash:
         gf, _ = self._factories()
         grid = gf()
         protector = OnlineABFT.for_grid(
-            grid, epsilon=1e-3, verify_axis=1, correction_strategy="row"
+            grid, epsilon=1e-3, eager_row_checksum=True, correction_strategy="row"
         )
         _, runner = run_with_crashes(
             grid, protector, [_crash_plan(5, 1)], 8, RankCrash(n_ranks=2)

@@ -153,78 +153,6 @@ class TestDistributedEquivalence:
         assert all(rank.protector is None for rank in runner.ranks)
 
 
-class TestDecompositionAxis:
-    """Non-default decomposition axes — including the orderings where the
-    external (halo-ingested) axis comes *after* refreshed axes, which the
-    old hand-written kernels declined and the kernel compiler now
-    compiles like any other layout."""
-
-    @pytest.mark.parametrize("n_ranks", [1, 2, 3])
-    def test_axis1_run_bitwise_equals_single_grid(self, rng, n_ranks):
-        grid = _grid_2d(rng)
-        single = grid.copy()
-        runner = DistributedStencilRunner(
-            grid, n_ranks=n_ranks, protect=False, axis=1
-        )
-        assert runner.axis == 1
-        runner.run(8)
-        NoProtection().run(single, 8)
-        np.testing.assert_array_equal(runner.gather(), single.u)
-
-    def test_axis1_periodic_wraps(self, rng):
-        grid = _grid_2d(rng, bc=BoundaryCondition.periodic())
-        single = grid.copy()
-        runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, axis=1
-        )
-        runner.run(6)
-        NoProtection().run(single, 6)
-        np.testing.assert_array_equal(runner.gather(), single.u)
-
-    @pytest.mark.parametrize("axis", [1, 2])
-    def test_3d_middle_and_last_axis(self, rng, axis):
-        u0 = (rng.random((10, 12, 8)) * 50).astype(np.float32)
-        constant = (rng.random((10, 12, 8)) * 0.2).astype(np.float32)
-        grid = Grid3D(
-            u0, seven_point_diffusion_3d(0.1), BoundaryCondition.clamp(),
-            constant=constant,
-        )
-        single = grid.copy()
-        runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, axis=axis
-        )
-        runner.run(5)
-        NoProtection().run(single, 5)
-        np.testing.assert_array_equal(runner.gather(), single.u)
-
-    def test_axis1_protected_detection_and_correction(self, rng):
-        grid = _grid_2d(rng)
-        runner = DistributedStencilRunner(
-            grid, n_ranks=2, protect=True, epsilon=1e-5, axis=1
-        )
-
-        def inject(run, iteration, rank):
-            if iteration == 3 and rank.rank == 1:
-                rank.interior[5, 2] += 2048.0
-
-        runner.run(6, inject=inject)
-        assert runner.total_detected() >= 1
-        assert runner.total_corrected() >= 1
-
-    def test_rank_of_global_index_on_axis1(self, rng):
-        grid = _grid_2d(rng, shape=(8, 24))
-        runner = DistributedStencilRunner(
-            grid, n_ranks=3, protect=False, axis=1
-        )
-        rank, local = runner.rank_of_global_index((4, 17))
-        assert rank == 2
-        assert local == (4, 1)
-
-    def test_invalid_axis(self, rng):
-        with pytest.raises(ValueError, match="axis"):
-            DistributedStencilRunner(_grid_2d(rng), n_ranks=2, axis=2)
-
-
 class TestDistributedProtection:
     def test_error_free_no_detection(self, rng):
         grid = _grid_2d(rng)
@@ -258,6 +186,30 @@ class TestDistributedProtection:
                 assert r.protector.total_detections == 0
         assert l2_error(reference.u, runner.gather()) < 1.0
 
+    def test_3d_rank_local_detection_and_correction(self, rng):
+        u0 = (rng.random((18, 10, 4)) * 50 + 300).astype(np.float32)
+        constant = (rng.random((18, 10, 4)) * 0.2).astype(np.float32)
+        grid = Grid3D(
+            u0, seven_point_diffusion_3d(0.1), BoundaryCondition.clamp(),
+            constant=constant,
+        )
+        reference = grid.copy()
+        reference.run(8)
+        runner = DistributedStencilRunner(grid, n_ranks=3, protect=True, epsilon=1e-5)
+        target_rank, target_local = runner.rank_of_global_index((7, 4, 2))
+
+        def inject(run, iteration, rank):
+            if iteration == 3 and rank.rank == target_rank:
+                flip_bit_in_array(rank.interior, target_local, 28)
+
+        runner.run(8, inject=inject)
+        assert runner.total_corrected() >= 1
+        # Only the struck rank's protector fired.
+        assert [r.protector.total_detections > 0 for r in runner.ranks] == [
+            r.rank == target_rank for r in runner.ranks
+        ]
+        assert l2_error(reference.u, runner.gather()) < 1.0
+
     def test_rank_of_global_index(self, rng):
         grid = _grid_2d(rng, shape=(10, 6))
         runner = DistributedStencilRunner(grid, n_ranks=2, protect=False)
@@ -267,14 +219,28 @@ class TestDistributedProtection:
         with pytest.raises(ValueError):
             runner.rank_of_global_index((99, 0))
 
+    def test_rank_of_global_index_on_uneven_blocks(self, rng):
+        runner = DistributedStencilRunner(
+            _grid_2d(rng, shape=(23, 6)), n_ranks=4, protect=False
+        )
+        assert [r.shape[0] for r in runner.ranks] == [6, 6, 6, 5]
+        owners = []
+        for x in range(23):
+            rank, local = runner.rank_of_global_index((x, 5))
+            assert runner.ranks[rank].global_offset + local[0] == x
+            assert local[1] == 5
+            owners.append(rank)
+        assert owners == [0] * 6 + [1] * 6 + [2] * 6 + [3] * 5
+
 
 class TestZeroCopyRankLifecycle:
     """The buffer-pair rank lifecycle: bit-identity and zero allocation."""
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
     @pytest.mark.parametrize("protect", [False, True], ids=["unprot", "prot"])
-    def test_2d_gather_bitwise_equals_serial_steps(self, rng, bc, protect):
-        grid = _grid_2d(rng, bc=bc)
+    @pytest.mark.parametrize("rows", [24, 23], ids=["even", "uneven"])
+    def test_2d_gather_bitwise_equals_serial_steps(self, rng, bc, protect, rows):
+        grid = _grid_2d(rng, shape=(rows, 18), bc=bc)
         serial = grid.copy()
         runner = DistributedStencilRunner(
             grid, n_ranks=4, protect=protect, epsilon=1e-5
@@ -400,20 +366,21 @@ def _radius2_cross():
 class TestSingleStepSchedule:
     """One halo exchange per sweep, halos exactly one stencil radius deep."""
 
-    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("protect", [False, True], ids=["unprot", "prot"])
     @pytest.mark.parametrize("n_ranks", [2, 3, 4])
-    def test_periodic_radius2_bitwise_equals_serial(self, rng, n_ranks, axis):
+    def test_periodic_radius2_bitwise_equals_serial(self, rng, n_ranks, protect):
         grid = _grid_2d(rng, bc=BoundaryCondition.periodic(),
                         spec=_radius2_cross())
         serial = grid.copy()
         runner = DistributedStencilRunner(
-            grid, n_ranks=n_ranks, protect=False, axis=axis
+            grid, n_ranks=n_ranks, protect=protect, epsilon=1e-5
         )
         assert runner.halo_width == 2
         runner.run(7)
         NoProtection().run(serial, 7)
         np.testing.assert_array_equal(runner.gather(), serial.u)
         assert runner.iteration == 7
+        assert runner.total_detected() == 0
 
     @pytest.mark.parametrize("n_ranks", [2, 3])
     def test_3d_periodic_bitwise_equals_serial(self, rng, n_ranks):
@@ -426,13 +393,29 @@ class TestSingleStepSchedule:
         NoProtection().run(serial, 5)
         np.testing.assert_array_equal(runner.gather(), serial.u)
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_halo_width_is_stencil_radius(self, rng, axis):
-        spec = StencilSpec([((0, 0), 0.5), ((3, 0), 0.25), ((0, -1), 0.25)])
-        runner = DistributedStencilRunner(
-            _grid_2d(rng, spec=spec), n_ranks=2, protect=False, axis=axis
-        )
-        assert runner.halo_width == spec.radius()[axis] == (3, 1)[axis]
+    @pytest.mark.parametrize(
+        "offsets, width",
+        [
+            ([((3, 0), 0.25), ((0, -1), 0.25)], 3),
+            ([((-2, 0), 0.25), ((0, 3), 0.25)], 2),
+            ([((1, 1), 0.25), ((0, -2), 0.25)], 1),
+            ([((0, 1), 0.25), ((0, -1), 0.25)], 0),
+        ],
+        ids=["reach-3", "reach-2-wider-on-axis1", "reach-1-diagonal", "reach-0"],
+    )
+    def test_halo_width_is_stencil_radius(self, rng, offsets, width):
+        """The halo is as deep as the stencil's axis-0 reach, whatever it
+        reaches along axis 1 or on the other side; with no reach, ranks
+        exchange nothing."""
+        spec = StencilSpec([((0, 0), 0.5), *offsets])
+        grid = _grid_2d(rng, bc=BoundaryCondition.periodic(), spec=spec)
+        serial = grid.copy()
+        runner = DistributedStencilRunner(grid, n_ranks=3, protect=False)
+        assert runner.halo_width == spec.radius()[0] == width
+        runner.run(4)
+        NoProtection().run(serial, 4)
+        np.testing.assert_array_equal(runner.gather(), serial.u)
+        assert (runner.channel.messages_sent == 0) == (width == 0)
 
     def test_one_exchange_per_step(self, rng):
         """7 iterations on a 4-rank ring: seven exchange rounds, each

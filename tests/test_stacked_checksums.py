@@ -1,15 +1,16 @@
-"""A stacked batch's verified checksums equal the replayed runs', bit for bit.
+"""A stacked batch's column checksums equal the replayed runs', bit for bit.
 
 The stacked campaign strategy lays a batch of runs along a trailing
 axis of one buffer pair and reduces every run's checksum itself; a
 replayed run's protector reduces its own interior with
 ``Backend.checksum``.  Records agree only if the two reductions agree in
 every bit: a checksum that differs in its last bit can decide a
-detection near epsilon differently.  NumPy adds an innermost axis
-pairwise once a lane holds 8 or more values, so a 2D row checksum
-(``verify_axis=1``) over 64-wide lanes is the case a batch-wide sum
-gets wrong.  Each case runs 11 runs in batches of 8, so a full-width
-batch and a narrower final batch of 3 are both pinned.
+detection near epsilon differently.  A full-width batch reduces in one
+call over the merged last and run axes, a narrower batch slot by slot.
+Each case runs 11 runs in batches of 8, so a full-width batch and a
+narrower final batch of 3 are both pinned.  Float64 domains fold in
+float64 with either checksum dtype; float32 domains, the paper's, take
+the float32-to-float64 and the float32-to-float32 folds.
 """
 
 import numpy as np
@@ -36,11 +37,11 @@ BATCH = 8
 
 
 class _GridFactory:
-    """Builds the same float64 domain for every run."""
+    """Builds the same domain of ``dtype`` for every run."""
 
-    def __init__(self, shape):
+    def __init__(self, shape, dtype=np.float64):
         self.shape = tuple(shape)
-        self.u0 = np.random.default_rng(5).random(self.shape) * 100.0
+        self.u0 = (np.random.default_rng(5).random(self.shape) * 100.0).astype(dtype)
 
     def __call__(self):
         if len(self.shape) == 2:
@@ -89,18 +90,17 @@ def _replayed_checksums(grid_factory, protector_factory, plans, monkeypatch):
     """One run replayed alone: its seed and every step's computed checksum."""
     grid = grid_factory()
     protector = protector_factory(grid)
-    verify = protector.verify_axis
     computed = []
     process = protector.process
 
     def spy_process(u_new, *args, **kwargs):
         # The reduction process() makes of the new step before it
         # interpolates, detects or corrects anything.
-        computed.append(protector._checksum(u_new, verify))
+        computed.append(protector._checksum(u_new, 0))
         return process(u_new, *args, **kwargs)
 
     monkeypatch.setattr(protector, "process", spy_process)
-    seed = protector._checksum(grid.u, verify)
+    seed = protector._checksum(grid.u, 0)
     protector.run(grid, ITERATIONS, inject=FaultInjector(plans, protector))
     monkeypatch.undo()
     assert len(computed) == ITERATIONS
@@ -110,17 +110,21 @@ def _replayed_checksums(grid_factory, protector_factory, plans, monkeypatch):
 @pytest.mark.parametrize("backend", COMPUTE_PATHS, indirect=True)
 @pytest.mark.parametrize("checksum_dtype", [np.float64, None])
 @pytest.mark.parametrize(
-    "shape, verify_axis",
-    [((16, 64), 1), ((16, 64), 0), ((12, 10, 9), 0), ((12, 10, 9), 1)],
-    ids=["2d-row", "2d-column", "3d-column", "3d-row"],
+    "shape, dtype",
+    [
+        ((16, 64), np.float64),
+        ((12, 10, 9), np.float64),
+        ((16, 64), np.float32),
+        ((12, 10, 9), np.float32),
+    ],
+    ids=["2d-column", "3d-column", "2d-column-float32", "3d-column-float32"],
 )
 def test_stacked_checksums_match_replay_bitwise(
-    shape, verify_axis, checksum_dtype, backend, monkeypatch
+    shape, dtype, checksum_dtype, backend, monkeypatch
 ):
-    grid_factory = _GridFactory(shape)
+    grid_factory = _GridFactory(shape, dtype)
     protector_factory = make_protector_factory(
-        "online-abft", epsilon=1e-5, verify_axis=verify_axis,
-        checksum_dtype=checksum_dtype,
+        "online-abft", epsilon=1e-5, checksum_dtype=checksum_dtype
     )
     config = CampaignConfig(
         iterations=ITERATIONS, repetitions=REPETITIONS, seed=31
@@ -128,7 +132,7 @@ def test_stacked_checksums_match_replay_bitwise(
     seeds, computed = _stacked_checksums(
         grid_factory, protector_factory, config, monkeypatch
     )
-    plans = draw_fault_plans(config, shape, np.float64)
+    plans = draw_fault_plans(config, shape, dtype)
     for run in range(REPETITIONS):
         batch, slot = divmod(run, BATCH)
         seed, steps = _replayed_checksums(

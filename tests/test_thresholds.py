@@ -45,8 +45,10 @@ def test_threshold_accounts_for_weight_amplification():
 
 
 def test_floor_is_respected():
-    eps = recommend_epsilon((4, 4), 0, np.float64, floor=1e-6)
-    assert eps >= 1e-6
+    # Extended precision puts the raw estimate below the 1e-14 floor
+    # where long double is wider than float64.
+    eps = recommend_epsilon((4, 4), 0, np.longdouble)
+    assert eps >= 1e-14
 
 
 def test_invalid_axis_rejected():
