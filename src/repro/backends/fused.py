@@ -27,8 +27,8 @@ the memory-bound nature of large stencil sweeps:
    reference's operation order, so every interior value is still
    bitwise equal to it.  The range, the displacements and the cast
    weights are derived once per (layout, operator) and cached.  The
-   strip loop is compiled (:mod:`repro.backends.native`, blocks of 512
-   elements, 0.5-0.6x the NumPy loop on the 512x512x8 pair) when the
+   strip loop is compiled (:mod:`repro.backends.native`, blocks of
+   1 KB, ~0.3x the NumPy loop on the 512x512x8 pair) when the
    library is loaded and the pair is native-byte-order float32/float64,
    aligned, with a writeable destination.  Otherwise NumPy runs it, in
    strips of ``_STRIP`` elements: every stencil point is applied to one

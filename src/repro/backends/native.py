@@ -8,9 +8,21 @@ arguments.
     ``dst[i] = const[i] + wts[0]*src[i+disp[0]]``, then
     ``dst[i] = dst[i] + wts[k]*src[i+disp[k]]`` for every further point
     in spec order, over the flat range ``[lo, hi)`` in blocks of
-    :data:`BLOCK` elements (``const`` may be ``NULL``: the first term is
+    :data:`BLOCK_BYTES` (``const`` may be ``NULL``: the first term is
     then the product alone).  That is the multiply/add sequence of the
     NumPy strip loop it replaces, so every element is bitwise equal.
+    Each further point's term is added to a block by ``add_f32`` /
+    ``add_f64``, which are ``noinline``: inlined into the loop over
+    points, GCC's unroll-and-jam pass (``-floop-unroll-and-jam``, on at
+    ``-O3``) fused two points into one inner loop that it compiled to
+    scalar code (``vmulss``/``vaddss``), so for a 5- or 7-point stencil
+    every point after the first ran scalar.  Called once per point and
+    block, the helper's loop vectorizes: with it and 1 KB blocks the
+    514x514x10 float32 sweep took 1.7-2.3 ms instead of 7.1-8.3 ms on a
+    2-core AVX-512 x86 VM (GCC 12).  The flag
+    ``-fno-loop-unroll-and-jam`` would fix the sweep too, but the column
+    fold below gains from the jam: on the same tile it took 610-730 us
+    with the jam and 740-830 us without.
     ``lane`` (``NULL``: none) describes the source's ghost lanes still
     to be filled, as :attr:`repro.stencil.shift.GhostLanes.descriptor`
     lays them out, and ``fill`` points to the boundary's fill value.
@@ -60,7 +72,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 __all__ = [
-    "BLOCK",
+    "BLOCK_BYTES",
     "CACHE_DIR_ENV_VAR",
     "LANE_ROWS",
     "FLAGS",
@@ -75,10 +87,15 @@ __all__ = [
 #: Environment variable overriding the on-disk kernel cache directory.
 CACHE_DIR_ENV_VAR = "REPRO_KERNEL_CACHE_DIR"
 
-#: Elements per block of the compiled sweep: every stencil point is
-#: applied to one block of the output before the next block starts, so
-#: the block stays in L1 cache.
-BLOCK = 512
+#: Bytes per block of the compiled sweep (256 float32 or 128 float64
+#: elements): every stencil point is applied to one block of the output
+#: before the next block starts, so the block stays in L1 cache.  The
+#: 512 elements used before were tuned while the loop ran scalar.  On
+#: the 514x514x10 pair (2-core AVX-512 x86 VM, GCC 12, best of 60
+#: calls, four runs) float32 took 1.8-2.3 ms in 1 KB blocks against
+#: 2.0-2.7 ms in 2 KB ones (512 elements), and float64 4.1-5.9 ms
+#: against 5.8-8.2 ms in 4 KB ones; 512 B blocks read as 1 KB.
+BLOCK_BYTES = 1024
 
 #: Fewest rows whose ghost lanes the compiled sweep fills at once.  A
 #: 258x1026 rank row holds its two lanes on two cache lines 4 KB
@@ -92,8 +109,19 @@ LANE_ROWS = 32
 SOURCE = r"""
 #include <stddef.h>
 
-#define BLOCK %(block)d
+#define BLOCK_BYTES %(block_bytes)d
 #define LANE_ROWS %(lane_rows)d
+
+/* One stencil point's term added to one block.  noinline: inlined into
+   the sweep's loop over points, it met GCC's unroll-and-jam, which
+   fused two points into one scalar inner loop; alone it vectorizes. */
+#define ADD(NAME, T)                                                        \
+static __attribute__((noinline)) void NAME(T *restrict out,                 \
+                                           const T *restrict s, T w,        \
+                                           ptrdiff_t n)                     \
+{                                                                           \
+    for (ptrdiff_t i = 0; i < n; i++) out[i] = out[i] + s[i] * w;           \
+}
 
 #define LANES(NAME, T)                                                      \
 static void NAME(T *restrict src, const ptrdiff_t *restrict lane,           \
@@ -126,7 +154,7 @@ static void NAME(T *restrict src, const ptrdiff_t *restrict lane,           \
     }                                                                       \
 }
 
-#define SWEEP(NAME, T, LANES)                                               \
+#define SWEEP(NAME, T, LANES, ADD)                                          \
 void NAME(T *restrict src, T *restrict dst, ptrdiff_t lo, ptrdiff_t hi,     \
           ptrdiff_t npts, const ptrdiff_t *restrict disp,                   \
           const T *restrict wts, const T *restrict cst,                     \
@@ -137,12 +165,13 @@ void NAME(T *restrict src, T *restrict dst, ptrdiff_t lo, ptrdiff_t hi,     \
        blocks, LANE_ROWS or more at a time: on long rows each row's      \
        lanes miss the cache alone, and a batch lets the misses overlap.  \
        Without lanes every block may run at once. */                     \
+    const ptrdiff_t block = BLOCK_BYTES / (ptrdiff_t)sizeof(T);             \
     ptrdiff_t stop = hi, filled = 0, ahead = disp[0];                       \
     for (ptrdiff_t k = 1; k < npts; k++)                                    \
         if (disp[k] > ahead) ahead = disp[k];                               \
     for (ptrdiff_t a = lo; a < hi;) {                                       \
         if (lane) {                                                         \
-            ptrdiff_t n = hi - a < BLOCK ? hi - a : BLOCK;                  \
+            ptrdiff_t n = hi - a < block ? hi - a : block;                  \
             ptrdiff_t need = (a + n - 1 + ahead) / lane[1] + 1;             \
             if (need < filled + LANE_ROWS) need = filled + LANE_ROWS;       \
             if (need > lane[0]) need = lane[0];                             \
@@ -150,8 +179,8 @@ void NAME(T *restrict src, T *restrict dst, ptrdiff_t lo, ptrdiff_t hi,     \
             filled = need;                                                  \
             stop = filled == lane[0] ? hi : filled * lane[1] - ahead;       \
         }                                                                   \
-        for (; a < hi; a += BLOCK) {                                        \
-            const ptrdiff_t n = hi - a < BLOCK ? hi - a : BLOCK;            \
+        for (; a < hi; a += block) {                                        \
+            const ptrdiff_t n = hi - a < block ? hi - a : block;            \
             if (a + n > stop) break;                                        \
             T *restrict out = dst + a;                                      \
             const T *restrict s = src + a + disp[0];                        \
@@ -162,12 +191,8 @@ void NAME(T *restrict src, T *restrict dst, ptrdiff_t lo, ptrdiff_t hi,     \
             } else {                                                        \
                 for (ptrdiff_t i = 0; i < n; i++) out[i] = s[i] * w;        \
             }                                                               \
-            for (ptrdiff_t k = 1; k < npts; k++) {                          \
-                const T *restrict sk = src + a + disp[k];                   \
-                const T wk = wts[k];                                        \
-                for (ptrdiff_t i = 0; i < n; i++)                           \
-                    out[i] = out[i] + sk[i] * wk;                           \
-            }                                                               \
+            for (ptrdiff_t k = 1; k < npts; k++)                            \
+                ADD(out, src + a + disp[k], wts[k], n);                     \
         }                                                                   \
     }                                                                       \
     if (lane && filled < lane[0]) LANES(src, lane, fill, filled, lane[0]);  \
@@ -186,12 +211,14 @@ void NAME(const TI *restrict base, ptrdiff_t n0, ptrdiff_t stride0,         \
 
 LANES(lanes_f32, float)
 LANES(lanes_f64, double)
-SWEEP(sweep_f32, float, lanes_f32)
-SWEEP(sweep_f64, double, lanes_f64)
+ADD(add_f32, float)
+ADD(add_f64, double)
+SWEEP(sweep_f32, float, lanes_f32, add_f32)
+SWEEP(sweep_f64, double, lanes_f64, add_f64)
 FOLD(fold_f32_f64, float, double)
 FOLD(fold_f32_f32, float, float)
 FOLD(fold_f64_f64, double, double)
-""" % {"block": BLOCK, "lane_rows": LANE_ROWS}
+""" % {"block_bytes": BLOCK_BYTES, "lane_rows": LANE_ROWS}
 
 #: Compiler flags.  Never ``-ffast-math`` or ``-Ofast``, and no FMA
 #: contraction: bitwise equality with NumPy's separate multiply and add

@@ -218,7 +218,9 @@ class RegionTargeted(FaultModel):
     ``"ghost"``
         A point of a just-ingested ghost slab (distributed runs only):
         the side selects the slab of the distributed axis, the index
-        addresses the slab's innermost layer.
+        addresses the slab's innermost layer.  ``axis`` must be the
+        distributed axis (:data:`repro.parallel.simmpi.DISTRIBUTED_AXIS`),
+        the only one with ingested slabs.
     ``"payload"``
         An in-flight halo message on the
         :class:`~repro.parallel.simmpi.SimChannel`; ``index[0]`` is a
@@ -245,6 +247,14 @@ class RegionTargeted(FaultModel):
             raise ValueError(
                 f"unknown action {self.action!r}; expected 'corrupt' or 'drop'"
             )
+        if self.region == "ghost":
+            from repro.parallel.simmpi import DISTRIBUTED_AXIS
+
+            if self.axis != DISTRIBUTED_AXIS:
+                raise ValueError(
+                    f"a ghost region has slabs only along the distributed "
+                    f"axis {DISTRIBUTED_AXIS}, not axis {self.axis}"
+                )
 
     def draw(self, rng, shape, iterations, dtype=np.float32) -> List[FaultPlan]:
         if iterations < 1:

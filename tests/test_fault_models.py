@@ -178,6 +178,19 @@ class TestRegionTargeted:
         with pytest.raises(ValueError, match="action"):
             RegionTargeted(action="mangle")
 
+    def test_ghost_region_takes_only_the_distributed_axis(self):
+        """Ranks ingest slabs along axis 0 only: an axis-1 ghost region is
+        refused when it is built, not when its plan first fires."""
+        from repro.parallel.simmpi import DISTRIBUTED_AXIS
+
+        with pytest.raises(
+            ValueError, match=f"distributed axis {DISTRIBUTED_AXIS}, not axis 1"
+        ):
+            RegionTargeted(region="ghost", axis=1)
+        assert RegionTargeted(region="ghost", axis=DISTRIBUTED_AXIS).axis == 0
+        for axis in (0, 1):  # a stored checksum exists for either axis
+            assert RegionTargeted(region="checksum", axis=axis).axis == axis
+
 
 class TestRegistry:
     def test_builtin_models_registered(self):

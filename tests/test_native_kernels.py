@@ -69,13 +69,14 @@ def _assert_bitwise(got, want):
 
 
 class Spy:
-    """Wraps a compiled kernel and counts its calls."""
+    """Wraps a compiled kernel, counts its calls and keeps the last arguments."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.args = fn, 0, None
 
     def __call__(self, *args):
         self.calls += 1
+        self.args = args
         return self.fn(*args)
 
 
@@ -110,7 +111,7 @@ def flat_sweeps(draw):
     radius = tuple(draw(st.integers(0, 3)) for _ in range(ndim))
     if ndim == 4:
         radius = radius[:3] + (0,)  # a batch: the run axis has no ghosts
-    # Interiors from a few elements to several 512-element blocks.
+    # Interiors from a few elements to several blocks of native.BLOCK_BYTES.
     hi = {2: 40, 3: 12, 4: 6}[ndim]
     shape = tuple(draw(st.integers(1, hi)) for _ in range(ndim))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
@@ -167,6 +168,52 @@ class TestCompiledSweep:
         _assert_bitwise(compiled, strip_loop)
         if not case["specials"]:
             np.testing.assert_array_equal(_bits(compiled), _bits(strip_loop))
+
+    @pytest.mark.parametrize("path", ["sweep_into", "step_into"])
+    @pytest.mark.parametrize("constant", [False, True], ids=["no-constant", "constant"])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_edges(self, lib, rng, dtype, blocks, extra, constant, path):
+        """Flat ranges one element short of, at and past whole blocks.
+
+        The interior is one row of ``n`` elements, so the flat range
+        ``[lo, hi)`` is ``n`` long: its last block is one element short
+        of full, full, or one element long.  ``step_into`` hands the
+        last axis's ghost lanes to the compiled sweep, which fills them;
+        the source halo and the destination must both equal the NumPy
+        path's bit for bit.
+        """
+        from repro.stencil.boundary import BoundaryCondition
+
+        block = native.BLOCK_BYTES // np.dtype(dtype).itemsize
+        shape, radius = (1, blocks * block + extra), (1, 1)
+        spec = StencilSpec.from_dict(
+            {(0, 0): 0.5, (-1, 0): 0.125, (1, 0): 0.0625, (0, -1): 0.2, (0, 1): 0.1}
+        )
+        src = rng.random(padded_shape(shape, radius)).astype(dtype)
+        dst = rng.random(src.shape).astype(dtype)
+        const = rng.random(shape).astype(dtype) if constant else None
+        fused = FusedBackend()
+        patch, spies = spy_on(lib.sweep)
+        pairs = []
+        for force_numpy in (False, True):
+            s, d = src.copy(), dst.copy()
+            with numpy_only() if force_numpy else patch:
+                if path == "step_into":
+                    fused.step_into(
+                        s, d, spec, radius, shape, BoundaryCondition.clamp(),
+                        constant=const,
+                    )
+                else:
+                    fused.sweep_into(s, d, spec, radius, shape, constant=const)
+            pairs.append((s, d))
+        (spy,) = [sp for sp in spies.values() if sp.calls]
+        assert spy.calls == 1
+        lo, hi, lane = spy.args[2], spy.args[3], spy.args[8]
+        assert hi - lo == shape[1]
+        assert (lane is not None) == (path == "step_into")
+        for got, want in zip(*pairs):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
     def test_grid_steps_take_the_compiled_sweep(self, lib):
         from repro.experiments.common import make_hotspot_app
