@@ -12,9 +12,9 @@ the distributed ABFT runner survive rank death:
   run pays.
 * **recovery latency vs rank count** — one rank is killed mid-run at
   each rank count in {2, 4, 8} and ``RecoveryStats.recovery_seconds``
-  (purge + buddy verify + rebuild + survivor rollback, excluding the
-  replayed iterations) is recorded along with the rollback depth and
-  checkpoint traffic.
+  (checkpoint verify + purge + in-place restore of every rank +
+  re-commit, excluding the replayed iterations) is recorded along with
+  the rollback depth and checkpoint traffic.
 
 Timings use the chunk-interleaved discipline of
 ``bench_weak_scaling.py``: within a repeat every leg advances in
@@ -166,8 +166,9 @@ def time_checkpoint_overhead(
 def measure_recovery(block, n_ranks: int, iters: int, repeats: int) -> Dict[str, object]:
     """Kill one rank mid-run and record what the recovery itself costs.
 
-    ``recovery_seconds`` covers channel purge, buddy-copy verification,
-    dead-rank rebuild and survivor rollback; the replayed iterations
+    ``recovery_seconds`` covers checkpoint verification, channel purge,
+    the in-place restore of every rank (the failed one from its buddy's
+    copy) and the re-commit of a fresh checkpoint; the replayed iterations
     are ordinary forward progress and are reported separately as a
     depth so the reader can price them at the sweep rate.
     """
@@ -304,9 +305,11 @@ def main(argv=None) -> int:
             ),
             "recovery_seconds": (
                 "median RecoveryStats.recovery_seconds over repeats: "
-                "channel purge + buddy-copy checksum verification + "
-                "dead-rank rebuild + survivor rollback, excluding the "
-                "replayed iterations (reported as rollback_depth)"
+                "checkpoint checksum verification + channel purge + "
+                "in-place restore of every rank (the failed one from its "
+                "buddy's copy) + re-commit of a fresh checkpoint, "
+                "excluding the replayed iterations (reported as "
+                "rollback_depth)"
             ),
             "identity": (
                 "bitwise equality of gather() and equality of "
@@ -353,7 +356,7 @@ def main(argv=None) -> int:
         )
     print()
 
-    print("Recovery latency vs rank count (crash mid-run, buddy rebuild):")
+    print("Recovery latency vs rank count (crash mid-run, buddy restore):")
     header = (
         f"{'ranks':>5s} {'recovery ms':>12s} {'depth':>6s} "
         f"{'replayed':>9s} {'ckpt bytes':>11s}"

@@ -76,14 +76,14 @@ def distributed_ranks() -> None:
     runner.run(ITERATIONS, inject=inject)
 
     traffic = runner.channel.traffic()
-    per_tag = ", ".join(
-        f"{tag} {traffic['bytes_by_tag'][tag]}B"
-        for tag in sorted(traffic["messages_by_tag"])
-    )
+    halo_tags = ("to_hi", "to_lo")
+    per_tag = ", ".join(f"{tag} {traffic['bytes_by_tag'][tag]}B" for tag in halo_tags)
+    halo_messages = sum(traffic["messages_by_tag"][tag] for tag in halo_tags)
+    halo_bytes = sum(traffic["bytes_by_tag"][tag] for tag in halo_tags)
     print(f"ranks                   : {runner.n_ranks} "
           f"(backend {get_backend().name}, zero-copy buffer pairs)")
-    print(f"halo messages exchanged : {runner.channel.messages_sent}")
-    print(f"halo bytes exchanged    : {runner.channel.bytes_sent} ({per_tag})")
+    print(f"halo messages exchanged : {halo_messages}")
+    print(f"halo bytes exchanged    : {halo_bytes} ({per_tag})")
     print(f"errors detected         : {runner.total_detected()} "
           f"(all on rank {target_rank})")
     print(f"errors corrected        : {runner.total_corrected()}")

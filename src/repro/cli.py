@@ -357,14 +357,13 @@ def _run_distributed(args, parser: argparse.ArgumentParser) -> int:
         f"({args.boundary}), {args.ranks} ranks, {args.iters} iterations"
     )
     print(f"gather checksum : {checksum:.6f}")
-    print(
-        f"halo traffic    : {runner.channel.messages_sent} messages, "
-        f"{runner.channel.bytes_sent} bytes"
-    )
     by_tag = runner.channel.messages_by_tag
+    bytes_by_tag = runner.channel.bytes_by_tag
+    halo_msgs = by_tag.get("to_lo", 0) + by_tag.get("to_hi", 0)
+    halo_bytes = bytes_by_tag.get("to_lo", 0) + bytes_by_tag.get("to_hi", 0)
+    print(f"halo traffic    : {halo_msgs} messages, {halo_bytes} bytes")
     ckpt_msgs = by_tag.get("ckpt", 0) + by_tag.get("ckpt_meta", 0)
     if ckpt_msgs:
-        bytes_by_tag = runner.channel.bytes_by_tag
         ckpt_bytes = bytes_by_tag.get("ckpt", 0) + bytes_by_tag.get(
             "ckpt_meta", 0
         )

@@ -466,8 +466,9 @@ class DistributedFaultInjector:
     ----------
     runner:
         The :class:`~repro.parallel.simmpi.DistributedStencilRunner`
-        under attack.  Payload plans are checked against its topology:
-        a rank that sends no halo message cannot carry one.
+        under attack.  A plan it could never fire is refused here: a
+        payload plan of a rank that sends nothing, a ghost plan with
+        ``halo_width == 0``, a checksum plan of an unprotected rank.
     plans_by_rank:
         One plan list per rank, in rank order, with rank-local indices
         (:meth:`from_global` maps global-domain plans onto them).
@@ -504,14 +505,25 @@ class DistributedFaultInjector:
                 "buddy checkpoint to recover from"
             )
         for rank, rank_plans in zip(runner.ranks, self.plans_by_rank):
-            payload = [p for p in rank_plans if p.target == "payload"]
             links = (rank.lo_neighbor, rank.hi_neighbor)
-            if payload and (runner.halo_width == 0 or links == (None, None)):
-                raise ValueError(
-                    f"payload plans need halo traffic, but rank {rank.rank} "
-                    f"sends no messages (single rank, closed boundary, or "
-                    f"a radius-0 axis?)"
+            # Why a plan of each target could never fire on this rank.
+            unfireable: Dict[str, str] = {}
+            if runner.halo_width == 0 or links == (None, None):
+                unfireable["payload"] = (
+                    "sends no messages (single rank, closed boundary, or a "
+                    "radius-0 axis?)"
                 )
+            if runner.halo_width == 0:
+                unfireable["ghost"] = "has no axis-0 ghost cells (radius 0)"
+            if rank.protector is None:
+                unfireable["checksum"] = "is unprotected (no stored checksum)"
+            for plan in rank_plans:
+                if plan.target in unfireable:
+                    raise ValueError(
+                        f"{plan.target} plan {plan!r} cannot fire: rank "
+                        f"{rank.rank} {unfireable[plan.target]}"
+                    )
+            payload = [p for p in rank_plans if p.target == "payload"]
             # A message takes one strike (payload_strike): two plans on
             # one link in one iteration would leave one unfired.
             struck: Dict[Tuple[int, int], FaultPlan] = {}
@@ -578,27 +590,20 @@ class DistributedFaultInjector:
             flip_plan(rank.interior, plan)
         for key, plan in self._due(rank.rank, "checksum", iteration):
             self._fired.add(key)
-            if rank.protector is None:
-                raise ValueError(
-                    f"rank {rank.rank} is unprotected; checksum plans "
-                    f"need a per-rank protector"
-                )
             _corrupt_stored_checksum(rank.protector, plan)
 
     def apply_crashes(self, runner, iteration: int) -> None:
-        """Deliver due fail-stop plans: the victim goes silent.
+        """Deliver due fail-stop plans: the channel marks each victim failed.
 
-        Called by the runner at the *start* of ``iteration``, before any
-        halo is posted: the struck :class:`~repro.parallel.simmpi.SimRank`
-        stops posting and answering messages, and the channel marks the
-        rank failed so the next liveness check (or recv on the dead
-        link) raises :class:`~repro.parallel.simmpi.RankFailure`.
+        Called by the runner at the *start* of ``iteration``, before its
+        heartbeat round, which then raises
+        :class:`~repro.parallel.simmpi.RankFailure` before any halo is
+        posted.
         """
         for r in range(len(self.plans_by_rank)):
             for key, plan in self._due(r, "crash", iteration):
                 self._fired.add(key)
                 victim = plan.rank if plan.rank is not None else r
-                runner.ranks[victim].alive = False
                 runner.channel.mark_failed(victim)
 
     @staticmethod
@@ -637,7 +642,7 @@ class DistributedFaultInjector:
         non-crash plan with ``plan.iteration > iteration`` fires again —
         that is what keeps a recovered run bitwise-identical to the
         failure-free run under concurrent SDC injection.  Crash plans
-        stay fired: a rebuilt rank does not re-die.
+        stay fired: a restored rank does not re-die.
         """
         for r, i in list(self._fired):
             plan = self.plans_by_rank[r][i]

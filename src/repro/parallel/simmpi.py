@@ -35,6 +35,11 @@ deterministic stand-in:
   hook if one is set, then reduces and verifies its own checksum.
   Zero full-block allocations per rank per iteration.
 
+Fail-stop: the channel's failed set is the one liveness record, and the
+heartbeat at the top of every iteration raises :class:`RankFailure`.
+Recovery restores every rank in place from a checkpoint ``Snapshot``: a
+failed rank from the copy its buddy holds, every other rank from its own.
+
 The simulation is sequential under the hood (ranks are stepped in a
 loop), but all inter-rank data flows through explicit messages, so the
 communication structure matches a 1D-decomposed MPI stencil code.
@@ -115,8 +120,7 @@ class RankFailure(ChannelError):
     Raised by :meth:`SimChannel.recv` when the source rank has been
     declared failed and its mailbox holds nothing, and by
     :meth:`SimChannel.check_liveness` when a heartbeat round finds a
-    failed rank.  ``rank`` names the dead peer so the runner's recovery
-    path knows whom to rebuild.
+    failed rank.  ``rank`` names the dead peer.
     """
 
     def __init__(self, rank: int, message: str) -> None:
@@ -202,7 +206,7 @@ class SimChannel:
         self._failed.add(int(rank))
 
     def revive(self, rank: int) -> None:
-        """Clear a rank's failed mark (after recovery rebuilt it)."""
+        """Clear a rank's failed mark (after recovery restored it)."""
         self._failed.discard(int(rank))
 
     @property
@@ -210,17 +214,13 @@ class SimChannel:
         """The ranks currently declared failed."""
         return frozenset(self._failed)
 
-    @property
-    def has_failures(self) -> bool:
-        return bool(self._failed)
-
     def check_liveness(self, ranks: Iterable[int]) -> None:
         """Heartbeat round: raise :class:`RankFailure` for a dead rank.
 
-        The lock-step runner calls this before each exchange so a rank
-        death is detected even when the topology exchanges no halo
-        messages (``halo_width == 0``), where no receive from the dead
-        rank would ever notice it.
+        The lock-step runner calls this at the top of every iteration,
+        before any rank posts a strip: it is the runner's one crash
+        detector, and it needs no halo traffic (``halo_width == 0``
+        exchanges none).
         """
         for rank in ranks:
             if int(rank) in self._failed:
@@ -367,10 +367,10 @@ class SimChannel:
 def _checkpoint_checksum(interior: np.ndarray) -> np.ndarray:
     """Integrity vector of a rank checkpoint payload.
 
-    Deliberately a plain ``np.sum`` in float64 along axis 0 — computed
-    identically at snapshot and verify time, independent of any backend
-    (a backend's ``checksum`` need not add in this order, so it would
-    not be bitwise-comparable across backends).
+    Deliberately a plain ``np.sum`` in float64 along axis 0, not the
+    rank protector's checksum: seal and verify must reduce the same way
+    whatever the rank's protector and checksum dtype, and unprotected
+    ranks checkpoint too.
     """
     return np.sum(interior, axis=0, dtype=np.float64)
 
@@ -390,20 +390,6 @@ class RecoveryStats:
     max_rollback_depth: int = 0
     recovery_seconds: float = 0.0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoint_messages": self.checkpoint_messages,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "checkpoint_metadata_repairs": self.checkpoint_metadata_repairs,
-            "rank_failures": self.rank_failures,
-            "ranks_rebuilt": self.ranks_rebuilt,
-            "rollbacks": self.rollbacks,
-            "replayed_iterations": self.replayed_iterations,
-            "max_rollback_depth": self.max_rollback_depth,
-            "recovery_seconds": self.recovery_seconds,
-        }
-
 
 class SimRank:
     """One simulated rank: its persistent buffer pair, protector and links.
@@ -415,6 +401,10 @@ class SimRank:
     condition at the domain edge) straight into the front buffer before
     every sweep, and the remaining axes refresh from the boundary spec
     inside the backend-owned step.
+
+    A crashed rank keeps its object: recovery restores its front
+    interior, protector state and report history from the copy its
+    buddy holds, and reads nothing else of it.
     """
 
     def __init__(
@@ -440,13 +430,10 @@ class SimRank:
         self.hi_neighbor = hi_neighbor
         self.global_offset = int(global_offset)
         self.reports: List[StepReport] = []
-        #: Fail-stop state: a dead rank posts and answers nothing until
-        #: recovery rebuilds it.
-        self.alive = True
         #: The rank's own last committed checkpoint (survivor rollback).
         self.own_checkpoint: Optional[Snapshot] = None
         #: Buddy copies this rank holds for its partner(s), keyed by the
-        #: owner rank — what recovery rebuilds a dead partner from.
+        #: owner rank — what recovery restores a failed partner from.
         self.buddy_store: Dict[int, Snapshot] = {}
 
     @property
@@ -479,10 +466,10 @@ class DistributedStencilRunner:
         Protect every rank's block with its own OnlineABFT instance.
     checkpoint_period:
         Enable buddy checkpointing with this period (iterations between
-        checkpoints).  ``None`` (default) leaves checkpointing **off**
-        until a crash-capable injector arrives, at which point it
-        auto-enables at the default period — the ABFT detection period
-        Δ (:data:`DETECTION_PERIOD`).  A period is turned on through
+        checkpoints, fixed for the runner's life).  ``None`` (default)
+        leaves checkpointing **off** until a crash-capable injector
+        arrives, then auto-enables it at the ABFT detection period Δ
+        (:data:`DETECTION_PERIOD`).  A period is turned on through
         :meth:`enable_checkpointing`, so a sole rank raises
         :class:`RecoveryError` here too.
     abft_kwargs:
@@ -527,8 +514,6 @@ class DistributedStencilRunner:
         self.iteration = grid.iteration
         self.channel = SimChannel()
         self.n_ranks = int(n_ranks)
-        self._protect = bool(protect)
-        self._abft_kwargs = dict(abft_kwargs)
 
         axis_bc = self.boundary.axis(DISTRIBUTED_AXIS)
         bounds = partition_extent(grid.shape[DISTRIBUTED_AXIS], self.n_ranks)
@@ -539,8 +524,8 @@ class DistributedStencilRunner:
         # Buddy checkpointing: each rank ships its snapshot to the next
         # rank around the ring.  Off by default (zero overhead, zero
         # extra allocations for SDC-only runs); enabled explicitly via
-        # checkpoint_period / enable_checkpointing, or automatically
-        # when a crash-capable injector shows up.
+        # checkpoint_period, or automatically when a crash-capable
+        # injector shows up.
         self.recovery = RecoveryStats()
         self.buddy_of: Dict[int, int] = (
             {r: (r + 1) % self.n_ranks for r in range(self.n_ranks)}
@@ -549,9 +534,11 @@ class DistributedStencilRunner:
         )
         self._checkpointing = False
         self._last_checkpoint_iteration = self.iteration
-        self.checkpoint_period = self._valid_period(
+        self.checkpoint_period = int(
             DETECTION_PERIOD if checkpoint_period is None else checkpoint_period
         )
+        if self.checkpoint_period < 1:
+            raise ValueError("checkpoint_period must be >= 1")
 
         self.ranks: List[SimRank] = []
         for r, (start, stop) in enumerate(bounds):
@@ -596,23 +583,13 @@ class DistributedStencilRunner:
             self.enable_checkpointing()
 
     # -- buddy checkpointing --------------------------------------------------
-    @staticmethod
-    def _valid_period(period: int) -> int:
-        period = int(period)
-        if period < 1:
-            raise ValueError("checkpoint_period must be >= 1")
-        return period
-
-    def enable_checkpointing(self, period: Optional[int] = None) -> None:
+    def enable_checkpointing(self) -> None:
         """Turn buddy checkpointing on (idempotent) and commit checkpoint 0.
 
-        ``period=None`` keeps the period resolved at construction (the
-        ABFT detection period by default).  The initial checkpoint is
-        taken immediately so a crash in the very first period can roll
-        back to the enable-time state.
+        The period is the one resolved at construction.  The initial
+        checkpoint is taken immediately so a crash in the very first
+        period can roll back to the enable-time state.
         """
-        if period is not None:
-            self.checkpoint_period = self._valid_period(period)
         if self._checkpointing:
             return
         if self.n_ranks < 2:
@@ -685,107 +662,61 @@ class DistributedStencilRunner:
             self.recovery.checkpoint_metadata_repairs += 1
         return ckpt
 
-    def _rebuild_rank(self, r: int, ckpt: Snapshot) -> None:
-        """Re-instantiate a dead rank from its buddy's checkpoint copy.
-
-        The replacement (a spare in real MPI) inherits the topology of
-        the old rank — neighbours, offset, constant block, which are
-        problem definition, not lost state — and restores domain +
-        protector state from the verified checkpoint.  Its ghost slabs
-        start cold and are re-warmed before first read: the distributed
-        axis by the next halo ingest, every other axis by the backend's
-        per-step boundary refresh.
-        """
-        old = self.ranks[r]
-        protector = None
-        if old.protector is not None:
-            protector = OnlineABFT(
-                self.spec,
-                self.boundary,
-                ckpt.interior.shape,
-                dtype=self.dtype,
-                constant=old.constant,
-                **self._abft_kwargs,
-            )
-            if ckpt.protector is not None:
-                protector.state_restore(ckpt.protector)
-        rebuilt = SimRank(
-            rank=r,
-            block=ckpt.interior,
-            constant=old.constant,
-            protector=protector,
-            lo_neighbor=old.lo_neighbor,
-            hi_neighbor=old.hi_neighbor,
-            global_offset=old.global_offset,
-            radius=self.radius,
-            boundary=self.boundary,
-        )
-        # Keep the globally aggregated report history (truncated to the
-        # checkpoint) — the runner owns it, not the dead process.
-        rebuilt.reports = [
-            rep for rep in old.reports if rep.iteration <= ckpt.iteration
-        ]
-        rebuilt.own_checkpoint = ckpt
-        self.ranks[r] = rebuilt
-
     def _recover(self, failure: RankFailure, inject=None) -> None:
-        """Roll back to the last committed checkpoint and rebuild the dead.
+        """Roll every rank back to the last committed checkpoint, in place.
 
-        The full local-recovery protocol: purge aborted traffic, rebuild
-        every failed rank from its buddy's verified copy, roll survivors
-        back to their own verified snapshots (domain + protector
-        checksums *and* counters), truncate the report history, re-arm
-        SDC plans inside the replayed window, and re-commit a fresh
-        checkpoint so the ring is protected again before the replay.
+        A failed rank restores from the copy its buddy holds, every other
+        rank from its own.  Every copy is verified, and every refusal
+        raised, before any rank is touched; then aborted traffic is
+        purged, each rank's domain, protector state (checksums *and*
+        counters) and report history restored, the failed ranks revived,
+        SDC plans inside the replayed window re-armed and a fresh
+        checkpoint committed before the replay.
         """
         t0 = perf_counter()
         stats = self.recovery
-        failed = sorted(self.channel.failed_ranks)
+        failed = self.channel.failed_ranks
         if not failed:
             raise failure
         if not self._checkpointing:
             raise RecoveryError(
-                f"rank(s) {failed} failed but buddy checkpointing was never "
-                f"enabled — no committed state to roll back to"
+                f"rank(s) {sorted(failed)} failed but buddy checkpointing was "
+                f"never enabled — no committed state to roll back to"
             ) from failure
         stats.rank_failures += len(failed)
-        completed = self.iteration
-        self.channel.purge()
-        for r in failed:
-            buddy = self.buddy_of[r]
-            if buddy in failed:
+        copies: List[Snapshot] = []
+        for rank in self.ranks:
+            r, buddy = rank.rank, self.buddy_of[rank.rank]
+            if r in failed and buddy in failed:
                 raise RecoveryError(
                     f"rank {r} and its buddy rank {buddy} both failed in "
                     f"the same checkpoint interval: the in-memory copy is "
                     f"gone (buddy checkpointing tolerates one failure per "
                     f"ring segment)"
                 ) from failure
-            ckpt = self.ranks[buddy].buddy_store.get(r)
+            if r in failed:
+                ckpt = self.ranks[buddy].buddy_store.get(r)
+            else:
+                ckpt = rank.own_checkpoint
             if ckpt is None:
-                raise RecoveryError(
-                    f"rank {buddy} holds no buddy checkpoint for dead "
-                    f"rank {r}"
-                ) from failure
-            self._rebuild_rank(r, self._checked(ckpt, owner=r))
-            self.channel.revive(r)
-            stats.ranks_rebuilt += 1
+                raise RecoveryError(f"no checkpoint of rank {r}") from failure
+            copies.append(self._checked(ckpt, owner=r))
+        completed = self.iteration
         ckpt_iteration = self._last_checkpoint_iteration
-        for rank in self.ranks:
-            if rank.rank in failed:
-                continue
-            own = rank.own_checkpoint
-            if own is None:
-                raise RecoveryError(
-                    f"surviving rank {rank.rank} holds no checkpoint to "
-                    f"roll back to"
-                ) from failure
-            self._checked(own, owner=rank.rank)
-            rank.buffers.restore_interior(own.interior)
-            if rank.protector is not None and own.protector is not None:
-                rank.protector.state_restore(own.protector)
+        self.channel.purge()
+        for rank, ckpt in zip(self.ranks, copies):
+            rank.buffers.restore_interior(ckpt.interior)
+            if rank.protector is not None:
+                rank.protector.state_restore(ckpt.protector)
             rank.reports = [
-                rep for rep in rank.reports if rep.iteration <= own.iteration
+                rep for rep in rank.reports if rep.iteration <= ckpt.iteration
             ]
+            if rank.rank in failed:
+                # The dead process held these copies; the re-commit
+                # below ships them again.
+                rank.buddy_store.clear()
+                self.channel.revive(rank.rank)
+                stats.ranks_rebuilt += 1
         depth = max(0, completed - ckpt_iteration)
         stats.rollbacks += 1
         stats.replayed_iterations += depth
@@ -796,7 +727,7 @@ class DistributedStencilRunner:
         rewind = getattr(inject, "rewind", None)
         if rewind is not None:
             rewind(ckpt_iteration)
-        # Re-commit immediately: the ring lost the copies the dead rank
+        # Re-commit immediately: the ring lost the copies the failed rank
         # held for its partner, so re-establish full protection before
         # replaying.
         self._take_checkpoints()
@@ -804,16 +735,12 @@ class DistributedStencilRunner:
 
     # -- halo exchange -------------------------------------------------------------
     def _post_halos(self, inject=None) -> None:
-        """Send every live rank's strips; ``inject.payload_strike`` may strike each."""
+        """Send every rank's strips; ``inject.payload_strike`` may strike each."""
         width = self.halo_width
         if width == 0:
             return
         strike = getattr(inject, "payload_strike", None)
         for rank in self.ranks:
-            if not rank.alive:
-                # Fail-stop: a dead rank posts nothing.  Its neighbours'
-                # receives (or the heartbeat round) surface the failure.
-                continue
             interior = rank.interior
             if rank.lo_neighbor is not None:
                 strip = boundary_strip(interior, DISTRIBUTED_AXIS, "low", width)
@@ -890,7 +817,7 @@ class DistributedStencilRunner:
         """One lock-step distributed sweep in three phases.
 
         Phase 1 delivers due fail-stop plans, runs the heartbeat round
-        and posts every live rank's strips; phase 2 ingests halos (and
+        and posts every rank's strips; phase 2 ingests halos (and
         fires ghost hooks) on every rank; phase 3 sweeps + verifies per
         rank.  Ranks only read their *own* buffers during phase 3, so
         the phase split is bit-identical to the historical interleaved
@@ -900,8 +827,7 @@ class DistributedStencilRunner:
         crash_hook = getattr(inject, "apply_crashes", None)
         if crash_hook is not None:
             crash_hook(self, self.iteration + 1)
-        if self.channel.has_failures:
-            self.channel.check_liveness(range(self.n_ranks))
+        self.channel.check_liveness(range(self.n_ranks))
         self.iteration += 1
         self._post_halos(inject)
 

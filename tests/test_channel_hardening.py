@@ -26,6 +26,7 @@ from repro.parallel.simmpi import (
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
 from repro.stencil.kernels import five_point_diffusion
+from repro.stencil.spec import StencilSpec
 
 
 def _grid_2d(rng, shape=(24, 18)):
@@ -197,6 +198,21 @@ class TestDistributedPayloadFaults:
         inject = DistributedFaultInjector(runner, [[], [plan], []])
         with pytest.raises(ValueError, match="target='ghost'.*out of range"):
             runner.run(4, inject=inject)
+
+    def test_ghost_plan_without_axis0_ghosts_is_refused(self, rng):
+        # Radius 0 along the distributed axis: no rank has a ghost slab
+        # there, so the plan is refused before the run, not at its
+        # iteration.
+        spec = StencilSpec.from_dict({(0, 0): 0.6, (0, -1): 0.2, (0, 1): 0.2})
+        grid = Grid2D(
+            (rng.random((24, 18)) * 100).astype(np.float32), spec,
+            BoundaryCondition.clamp(),
+        )
+        runner = DistributedStencilRunner(grid, n_ranks=3)
+        plan = FaultPlan(iteration=5, index=(0, 4), bit=27, target="ghost")
+        with pytest.raises(ValueError, match="rank 1 has no axis-0 ghost") as exc:
+            DistributedFaultInjector(runner, [[], [plan], []])
+        assert repr(plan) in str(exc.value)
 
     @given(
         n_ranks=st.sampled_from([2, 3]),

@@ -131,6 +131,15 @@ class TestMain:
         # 6 iterations x 3 ring interfaces x 2 directions.
         assert "36 messages" in out
 
+    def test_distributed_halo_traffic_excludes_checkpoints(self, capsys):
+        assert main(["distributed", "--ranks", "4", "--iters", "20",
+                     "--size", "64", "--checkpoint-period", "4"]) == 0
+        out = capsys.readouterr().out
+        # 20 iterations x 3 interfaces x 2 directions of 64 float32 each;
+        # the buddy checkpoints are reported on their own line.
+        assert "halo traffic    : 120 messages, 30720 bytes" in out
+        assert "48 messages, 134656 bytes to buddies" in out
+
     def test_distributed_parser_defaults(self):
         args = build_parser().parse_args(["distributed"])
         assert args.ranks == 4

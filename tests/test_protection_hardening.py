@@ -194,11 +194,12 @@ class TestDistributed:
         assert runner.total_detected() >= 1  # bogus detection
 
     def test_unprotected_rank_rejects_checksum_plans(self, rng):
+        # Refused when the injector is built, not at the plan's iteration.
         grid = _make_grid(rng)
         runner = DistributedStencilRunner(grid, n_ranks=2, protect=False)
-        plans = [[], [FaultPlan(
+        plan = FaultPlan(
             iteration=2, index=(0,), bit=HIGH_BIT, target="checksum"
-        )]]
-        inject = DistributedFaultInjector(runner, plans)
-        with pytest.raises(ValueError, match="unprotected"):
-            runner.run(4, inject=inject)
+        )
+        with pytest.raises(ValueError, match="rank 1 is unprotected") as exc:
+            DistributedFaultInjector(runner, [[], [plan]])
+        assert repr(plan) in str(exc.value)

@@ -11,6 +11,8 @@ rank.  The hypothesis sweep at the bottom pins that invariant.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -39,6 +41,7 @@ from repro.parallel.simmpi import (
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
+from repro.stencil.spec import StencilSpec
 
 
 def _grid_2d(bc=None, shape=(16, 12), seed=42):
@@ -208,15 +211,14 @@ class TestChannelResilience:
 
     def test_liveness_and_revive(self):
         ch = SimChannel()
-        assert not ch.has_failures
+        assert ch.failed_ranks == frozenset()
         ch.check_liveness(range(4))  # no-op when everyone is alive
         ch.mark_failed(1)
-        assert ch.has_failures
         assert ch.failed_ranks == frozenset({1})
         with pytest.raises(RankFailure, match="missed its heartbeat"):
             ch.check_liveness(range(4))
         ch.revive(1)
-        assert not ch.has_failures
+        assert ch.failed_ranks == frozenset()
         ch.check_liveness(range(4))
 
     def test_purge_and_pending_tags(self):
@@ -288,11 +290,14 @@ class TestBuddyCheckpointing:
         np.testing.assert_array_equal(baseline.gather(), ckpt.gather())
 
     def test_enable_checkpointing_idempotent_and_single_rank_rejected(self):
-        runner = DistributedStencilRunner(_grid_2d(), n_ranks=2)
-        runner.enable_checkpointing(period=4)
+        runner = DistributedStencilRunner(
+            _grid_2d(), n_ranks=2, checkpoint_period=4
+        )
         taken = runner.recovery.checkpoints_taken
+        assert taken == 1
         runner.enable_checkpointing()
         assert runner.recovery.checkpoints_taken == taken
+        assert runner.checkpoint_period == 4
         solo = DistributedStencilRunner(_grid_2d(), n_ranks=1)
         with pytest.raises(RecoveryError, match="no partner"):
             solo.enable_checkpointing()
@@ -449,7 +454,7 @@ class TestRecoveryBitIdentity:
         runner = DistributedStencilRunner(_grid_2d(), n_ranks=4)
         inject = _crash_injector(runner, 13, 2)
         runner.run(30, inject=inject)
-        stats = runner.recovery.as_dict()
+        stats = dataclasses.asdict(runner.recovery)
         assert stats["rank_failures"] == 1
         assert stats["ranks_rebuilt"] == 1
         assert stats["rollbacks"] == 1
@@ -461,7 +466,6 @@ class TestRecoveryBitIdentity:
     def test_uncheckpointed_failure_is_a_recovery_error(self):
         runner = DistributedStencilRunner(_grid_2d(), n_ranks=2)
         runner.channel.mark_failed(1)
-        runner.ranks[1].alive = False
         with pytest.raises(RecoveryError, match="never[\\s\\S]*enabled"):
             runner.step()
 
@@ -471,9 +475,125 @@ class TestRecoveryBitIdentity:
         )
         for r in (1, 2):  # rank 2 is rank 1's buddy
             runner.channel.mark_failed(r)
-            runner.ranks[r].alive = False
         with pytest.raises(RecoveryError, match="both failed"):
             runner.step()
+
+    @pytest.mark.parametrize("victim", range(4))
+    def test_heartbeat_alone_detects_a_crash(self, victim):
+        # Radius 0 along the distributed axis: no halo message ever
+        # travels, so no receive can notice the dead rank.
+        spec = StencilSpec.from_dict({(0, 0): 0.6, (0, -1): 0.2, (0, 1): 0.2})
+        u0 = _grid_2d().u
+
+        def build(with_crash: bool):
+            runner = DistributedStencilRunner(
+                Grid2D(u0.copy(), spec, BoundaryCondition.clamp()),
+                n_ranks=4, protect=True, checkpoint_period=8,
+            )
+            per_rank = [[] for _ in range(4)]
+            per_rank[(victim + 1) % 4].append(
+                FaultPlan(iteration=17, index=(1, 5), bit=24)
+            )
+            if with_crash:
+                per_rank[victim].append(_crash_plan(19, victim))
+            return runner, DistributedFaultInjector(runner, per_rank)
+
+        baseline, base_inject = build(with_crash=False)
+        baseline.run(24, inject=base_inject)
+        crashed, crash_inject = build(with_crash=True)
+        crashed.run(24, inject=crash_inject)
+
+        assert crashed.halo_width == 0
+        assert set(crashed.channel.messages_by_tag) == {CKPT_TAG, CKPT_META_TAG}
+        assert crashed.recovery.ranks_rebuilt == 1
+        assert crashed.recovery.replayed_iterations == 18 - 16
+        np.testing.assert_array_equal(baseline.gather(), crashed.gather())
+        assert crashed.total_detected() == baseline.total_detected() >= 1
+        assert crashed.total_corrected() == baseline.total_corrected()
+
+
+class _ScrubbingInjector(DistributedFaultInjector):
+    """Delivers crashes, then overwrites every victim's state with garbage.
+
+    Front and back buffers, both stored-checksum copies and the interiors
+    of every checkpoint the victim holds become NaN, and its counters
+    jump by 1000.  A run that still ends like the failure-free one read
+    none of it: recovery restored the rank from its buddy's copy alone.
+    """
+
+    def apply_crashes(self, runner, iteration: int) -> None:
+        before = runner.channel.failed_ranks
+        super().apply_crashes(runner, iteration)
+        for r in runner.channel.failed_ranks - before:
+            rank = runner.ranks[r]
+            rank.buffers.front[...] = np.nan
+            rank.buffers.back[...] = np.nan
+            protector = rank.protector
+            for stored in (protector._prev_cs, protector._prev_cs_dup):
+                for cs in stored.values():
+                    if cs is not None:
+                        cs[...] = np.nan
+            protector.total_detections += 1000
+            protector.total_corrections += 1000
+            protector.total_uncorrected += 1000
+            protector.total_metadata_repairs += 1000
+            for ckpt in (rank.own_checkpoint, *rank.buddy_store.values()):
+                ckpt.interior[...] = np.nan
+
+
+def _counters(runner):
+    return [
+        (
+            rank.protector.total_detections,
+            rank.protector.total_corrections,
+            rank.protector.total_uncorrected,
+            rank.protector.total_metadata_repairs,
+        )
+        for rank in runner.ranks
+    ]
+
+
+class TestRecoveryReadsNothingOfTheDeadRank:
+    @pytest.mark.parametrize("victim", range(4))
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize(
+        "make_grid",
+        [
+            _grid_2d,
+            lambda: _grid_2d(BoundaryCondition.periodic()),
+            _grid_3d,
+        ],
+        ids=["2d-clamp", "2d-periodic", "3d-clamp"],
+    )
+    def test_recovered_run_matches_failure_free(self, make_grid, eager, victim):
+        # The flip strikes the victim inside the window the crash at 7
+        # rolls back to the checkpoint at 4, so it fires again on the
+        # restored rank.
+        flip = FaultPlan(
+            iteration=6, index=(1, 3) + (2,) * (make_grid().ndim - 2), bit=21
+        )
+
+        def build(injector):
+            runner = DistributedStencilRunner(
+                make_grid(), n_ranks=4, checkpoint_period=4,
+                eager_row_checksum=eager,
+            )
+            per_rank = [[] for _ in range(4)]
+            per_rank[victim].append(flip)
+            if injector is _ScrubbingInjector:
+                per_rank[victim].append(_crash_plan(7, victim))
+            return runner, injector(runner, per_rank)
+
+        baseline, base_inject = build(DistributedFaultInjector)
+        baseline.run(12, inject=base_inject)
+        crashed, crash_inject = build(_ScrubbingInjector)
+        crashed.run(12, inject=crash_inject)
+
+        assert crashed.recovery.ranks_rebuilt == 1
+        np.testing.assert_array_equal(baseline.gather(), crashed.gather())
+        assert crashed.total_detected() == baseline.total_detected() >= 1
+        assert crashed.total_corrected() == baseline.total_corrected()
+        assert _counters(crashed) == _counters(baseline)
 
 
 # ---------------------------------------------------------------------------
