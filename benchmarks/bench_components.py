@@ -19,8 +19,11 @@ the fused step, whose compiled sweep fills the last axis's ghost lanes,
 < 0.95x ``refresh_ghosts`` followed by ``sweep_into``.  A fifth holds
 the compiled sweep under 4x an ``np.copyto`` of its pair, a bound that
 NumPy's speed cannot move: 2.0-2.3x with the sweep's inner loop
-vectorized, 6.4-7.0x when it ran scalar.  The sweep and step gates
-skip, printing why, only where no ``cc`` is on PATH.
+vectorized, 6.4-7.0x when it ran scalar.  A sixth times what a
+stacked campaign batch of eight 64x64x8 runs adds to each iteration
+(its checksums, Theorem-1 interpolation and detection screen) against
+its batched step: < 0.6x.  The sweep, step and stacked gates skip,
+printing why, only where no ``cc`` is on PATH.
 """
 
 import shutil
@@ -38,7 +41,7 @@ from repro.core.interpolation import (
     interpolate_checksum_reduced,
 )
 from repro.experiments.common import make_hotspot_app
-from repro.stencil.shift import pad_array, refresh_ghosts
+from repro.stencil.shift import interior_view, pad_array, refresh_ghosts
 from repro.stencil.sweep import sweep_padded
 
 
@@ -276,3 +279,53 @@ def test_closed_borders_are_cheaper_than_domain_reads(large_state):
     ratio = _ratio(lambda: interpolate(grid.boundary), lambda: interpolate(None))
     print(f"\nclosed-border / domain-read interpolation = {ratio:.2f}")
     assert ratio < 0.25
+
+
+#: Runs of the stacked batch the gate below times: the ``campaign``
+#: benchmark workload's eight runs of the 64x64x8 tile.
+STACKED_WIDTH = 8
+
+
+@pytest.fixture(scope="module")
+def stacked_state():
+    """A full-width stacked batch one step in, and its step's arguments."""
+    from repro.core.online import OnlineABFT
+    from repro.faults.engine import _StackedBatch
+
+    grid = make_hotspot_app((64, 64, 8)).build_grid()
+    batch = _StackedBatch(grid, OnlineABFT.for_grid(grid), STACKED_WIDTH, grid.u)
+    prev_cs = batch._checksums(interior_view(batch.pair.front, batch.radius))
+    batch.pair.swap()
+    step_args = (
+        batch.pair.back, batch.pair.front, batch.spec, batch.base_radius,
+        batch.base_shape, batch.base_boundary,
+    )
+    FusedBackend().batch_step_into(*step_args, constant=batch.constant)
+    return batch, prev_cs, step_args
+
+
+def test_stacked_protection_is_cheaper_than_its_batched_step(stacked_state):
+    """A stacked campaign iteration's protection against its step.
+
+    The checksums, the Theorem-1 interpolation and the detection screen
+    of a full batch (what ``_StackedBatch.run_batch`` adds to each
+    iteration when a protector is set) against the batched ghost
+    refresh and sweep.  The step rewrites the pair's front from its
+    back, the same values each time, so the protection always reads a
+    freshly stepped batch, as in a campaign.  It read 0.97-1.07 with
+    the NumPy interpolation reading the y and z borders from the domain
+    and the NumPy screen, and 0.44-0.52 with closed borders and the
+    compiled terms and compare (seven runs, 2-core x86 VM).
+    """
+    _require_compiled_sweep()
+    batch, prev_cs, step_args = stacked_state
+    fused = FusedBackend()
+    interior = interior_view(batch.pair.front, batch.radius)
+    assert batch._verify(prev_cs, interior)[1] is None
+
+    ratio = _ratio(
+        lambda: batch._verify(prev_cs, interior),
+        lambda: fused.batch_step_into(*step_args, constant=batch.constant),
+    )
+    print(f"\nstacked protection / batched step = {ratio:.2f}")
+    assert ratio < 0.6

@@ -1,8 +1,10 @@
-"""Native flat kernels: the ``fused`` backend's strip loop and column fold in C.
+"""Native flat kernels: the sweep, the column fold, the Theorem-1 terms, the compare.
 
-One C source (:data:`SOURCE`) holds two generic kernels, with no code
+One C source (:data:`SOURCE`) holds four generic kernels, with no code
 generation: the stencil, the layout and the constant are run-time
-arguments.
+arguments.  The ``fused`` backend calls the sweep and the fold;
+:mod:`repro.core.interpolation` and :mod:`repro.core.detection` call
+the other two, each through the function it replaces the NumPy code of.
 
 ``sweep_f32`` / ``sweep_f64`` ``(src, dst, lo, hi, npts, disp, wts, const, lane, fill)``
     ``dst[i] = const[i] + wts[0]*src[i+disp[0]]``, then
@@ -38,6 +40,39 @@ arguments.
     planes, lane by lane in order of x: the order of NumPy's axis-0
     ``sum`` (which starts from ``+0.0``, so a ``-0.0`` column sums to
     ``+0.0`` here too).
+``interp_f32_f64`` / ``interp_f32_f32`` / ``interp_f64_f64`` ``(padded, work, constant, plane, nstrip, strips, nrun, run, starts, nterm, terms, wts)``
+    The Theorem-1 strips and terms of a column checksum (reduce axis 0)
+    of a C-contiguous padded domain, whose x-planes of ``plane``
+    elements are laid out as the extended checksum.  ``work`` holds the
+    extended checksum ``ext``, as NumPy built it, then one shifted
+    vector per strip, then the result.  Strip ``k`` (``strips[4k:4k+4]``
+    = first gained plane, count, first lost plane, count) is
+    ``ext + (gained - lost)``, each side summed as ``fold_*`` sums, in
+    1 KB chunks of the plane; each run of the result is ``0 + c`` (the
+    constant it already holds, when ``constant``) or ``0``, plus
+    ``w * window`` per term in spec order as ``add_*`` adds, where term
+    ``k`` (``terms[2k:2k+2]``) reads ``ext`` (source ``-1``) or a
+    shifted vector at a flat displacement from the run's start.  That is
+    the NumPy interpolation operation for operation, so every entry is
+    bitwise equal to it.  The sums and terms run in the kernel's own
+    copies of the fold and ``add_*`` (``sum_*``, ``term_*``): hidden, so
+    called without a PLT entry, and ``no_icf``, so GCC does not merge
+    them with the originals.  Sharing ``add_f32`` changed its code and
+    a PLT entry per exported fold shifted every function after it;
+    either made the unchanged sweep measurably slower (the ``campaign``
+    workload's unprotected leg read +7-10%).  With the copies, every
+    earlier function is byte-identical to, and at the same address as,
+    in the library before these kernels.  On the 64x64x8 campaign batch
+    of eight runs the call took 13 us warm.
+``compare_f64`` ``(computed, interpolated, n, eps, max) -> count``
+    The detection compare in one pass: ``rel = |i - c| / |c|``, or
+    ``|i - c|`` where ``|c|`` is not positive, exactly as
+    :func:`~repro.core.detection.relative_discrepancy` computes it; it
+    returns how many ``rel > eps`` and stores the largest ``rel``, NaN
+    if any is NaN, as NumPy's ``max`` does.  The max is taken over the
+    doubles' bits (every ``rel`` is ``+0.0`` or more, or NaN, and such
+    bits order as unsigned integers), which lets GCC vectorize the loop:
+    7 us against 11 us for the scalar loop on 4096 entries.
 
 The library is built once per machine with ``cc`` (:data:`FLAGS`) into
 the kernel cache directory (:func:`default_cache_dir`, which honours
@@ -107,21 +142,27 @@ BLOCK_BYTES = 1024
 LANE_ROWS = 32
 
 SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 #define BLOCK_BYTES %(block_bytes)d
 #define LANE_ROWS %(lane_rows)d
 
 /* One stencil point's term added to one block.  noinline: inlined into
    the sweep's loop over points, it met GCC's unroll-and-jam, which
-   fused two points into one scalar inner loop; alone it vectorizes. */
-#define ADD(NAME, T)                                                        \
-static __attribute__((noinline)) void NAME(T *restrict out,                 \
-                                           const T *restrict s, T w,        \
-                                           ptrdiff_t n)                     \
+   fused two points into one scalar inner loop; alone it vectorizes.
+   The interpolation adds its terms with its own copy (TERM): GCC's
+   identical code folding merged the two, and add_f32 compiled for both
+   callers made the sweep slower. */
+#define ACCUMULATE(NAME, T, ...)                                            \
+__VA_ARGS__ void NAME(T *restrict out, const T *restrict s, T w,            \
+                      ptrdiff_t n)                                          \
 {                                                                           \
     for (ptrdiff_t i = 0; i < n; i++) out[i] = out[i] + s[i] * w;           \
 }
+#define ADD(NAME, T) ACCUMULATE(NAME, T, static __attribute__((noinline)))
 
 #define LANES(NAME, T)                                                      \
 static void NAME(T *restrict src, const ptrdiff_t *restrict lane,           \
@@ -198,9 +239,9 @@ void NAME(T *restrict src, T *restrict dst, ptrdiff_t lo, ptrdiff_t hi,     \
     if (lane && filled < lane[0]) LANES(src, lane, fill, filled, lane[0]);  \
 }
 
-#define FOLD(NAME, TI, TO)                                                  \
-void NAME(const TI *restrict base, ptrdiff_t n0, ptrdiff_t stride0,         \
-          ptrdiff_t span, TO *restrict out)                                 \
+#define PLANES(NAME, TI, TO, ...)                                           \
+__VA_ARGS__ void NAME(const TI *restrict base, ptrdiff_t n0,                \
+                      ptrdiff_t stride0, ptrdiff_t span, TO *restrict out)  \
 {                                                                           \
     for (ptrdiff_t j = 0; j < span; j++) out[j] = 0;                        \
     for (ptrdiff_t x = 0; x < n0; x++) {                                    \
@@ -208,6 +249,7 @@ void NAME(const TI *restrict base, ptrdiff_t n0, ptrdiff_t stride0,         \
         for (ptrdiff_t j = 0; j < span; j++) out[j] = out[j] + (TO)row[j];  \
     }                                                                       \
 }
+#define FOLD(NAME, TI, TO) PLANES(NAME, TI, TO, )
 
 LANES(lanes_f32, float)
 LANES(lanes_f64, double)
@@ -218,6 +260,90 @@ SWEEP(sweep_f64, double, lanes_f64, add_f64)
 FOLD(fold_f32_f64, float, double)
 FOLD(fold_f32_f32, float, float)
 FOLD(fold_f64_f64, double, double)
+
+/* The Theorem-1 strips and terms of a checksum reduced over axis 0 of a
+   C-contiguous padded domain, whose x-planes are laid out as the
+   extended checksum ext.  work holds ext, one shifted vector per strip
+   (plane elements each) and the checksum out.  Strip k's delta, over a
+   chunk of the plane, is the fold of its gained planes minus the fold
+   of its lost planes; its shifted vector is ext + delta.  Each run of
+   out starts at 0 + the constant it holds (constant != 0), or at 0,
+   and adds w * window per term in spec order: a window reads ext (term
+   source -1) or a shifted vector, displaced in ext. */
+#define INTERP(NAME, TD, T, FOLD, ADD)                                      \
+void NAME(const TD *restrict padded, T *restrict work, ptrdiff_t constant,  \
+          ptrdiff_t plane, ptrdiff_t nstrip,                                \
+          const ptrdiff_t *restrict strips, ptrdiff_t nrun, ptrdiff_t run,  \
+          const ptrdiff_t *restrict starts, ptrdiff_t nterm,                \
+          const ptrdiff_t *restrict terms, const T *restrict wts)           \
+{                                                                           \
+    enum { CHUNK = BLOCK_BYTES / sizeof(T) };                               \
+    const T *restrict ext = work;                                           \
+    T *restrict shifted = work + plane;                                     \
+    T *restrict out = work + (1 + nstrip) * plane;                          \
+    T gain[CHUNK], lose[CHUNK];                                             \
+    for (ptrdiff_t k = 0; k < nstrip; k++) {                                \
+        const ptrdiff_t *restrict s = strips + 4 * k;                       \
+        T *restrict sh = shifted + k * plane;                               \
+        for (ptrdiff_t a = 0; a < plane; a += CHUNK) {                      \
+            const ptrdiff_t n = plane - a < CHUNK ? plane - a : CHUNK;      \
+            FOLD(padded + s[0] * plane + a, s[1], plane, n, gain);          \
+            FOLD(padded + s[2] * plane + a, s[3], plane, n, lose);          \
+            for (ptrdiff_t i = 0; i < n; i++)                               \
+                sh[a + i] = ext[a + i] + (gain[i] - lose[i]);               \
+        }                                                                   \
+    }                                                                       \
+    for (ptrdiff_t r = 0; r < nrun; r++) {                                  \
+        T *restrict o = out + r * run;                                      \
+        if (constant) {                                                     \
+            for (ptrdiff_t i = 0; i < run; i++) o[i] = (T)0 + o[i];         \
+        } else {                                                            \
+            for (ptrdiff_t i = 0; i < run; i++) o[i] = 0;                   \
+        }                                                                   \
+        for (ptrdiff_t k = 0; k < nterm; k++) {                             \
+            const ptrdiff_t from = terms[2 * k];                            \
+            const T *v = from < 0 ? ext : shifted + from * plane;           \
+            ADD(o, v + starts[r] + terms[2 * k + 1], wts[k], run);          \
+        }                                                                   \
+    }                                                                       \
+}
+
+/* The interpolation's own plane sums and term helper, copies of the
+   fold and of ADD: hidden, so called directly rather than through the
+   PLT (each PLT entry shifted every function after it, the sweep's loops
+   too), and no_icf, so GCC keeps them apart from the originals. */
+#define OWN __attribute__((noinline, no_icf, visibility("hidden")))
+PLANES(sum_f32_f64, float, double, OWN)
+PLANES(sum_f32_f32, float, float, OWN)
+PLANES(sum_f64_f64, double, double, OWN)
+ACCUMULATE(term_f32, float, OWN)
+ACCUMULATE(term_f64, double, OWN)
+INTERP(interp_f32_f64, float, double, sum_f32_f64, term_f64)
+INTERP(interp_f32_f32, float, float, sum_f32_f32, term_f32)
+INTERP(interp_f64_f64, double, double, sum_f64_f64, term_f64)
+
+/* The detection compare: rel = |p - c| / |c|, or |p - c| where c is 0
+   or NaN; returns how many rel exceed eps and stores their max, NaN if
+   any rel is NaN.  Every rel is +0.0 or more, or NaN, and the bits of
+   such doubles order as unsigned integers do, every NaN above +inf: so
+   the max is taken over the bits, which, unlike a NaN-propagating
+   double max, lets the loop vectorize. */
+ptrdiff_t compare_f64(const double *restrict c, const double *restrict p,
+                      ptrdiff_t n, double eps, double *restrict max)
+{
+    ptrdiff_t count = 0;
+    uint64_t top = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double d = fabs(c[i]), diff = fabs(p[i] - c[i]);
+        const double r = d > 0 ? diff / (d > 0 ? d : 1.0) : diff;
+        uint64_t bits;
+        memcpy(&bits, &r, sizeof bits);
+        count += r > eps;
+        top = bits > top ? bits : top;
+    }
+    memcpy(max, &top, sizeof top);
+    return count;
+}
 """ % {"block_bytes": BLOCK_BYTES, "lane_rows": LANE_ROWS}
 
 #: Compiler flags.  Never ``-ffast-math`` or ``-Ofast``, and no FMA
@@ -235,9 +361,10 @@ _P, _N = ctypes.c_void_p, ctypes.c_ssize_t
 class NativeLibrary:
     """The loaded kernels and where they came from.
 
-    ``sweep`` is keyed on the domain dtype's ``str`` and ``fold`` on the
-    ``(input, accumulator)`` pair of them; both are native-byte-order
-    keys, so a byte-swapped array never finds a kernel.
+    ``sweep`` and ``compare`` are keyed on the dtype's ``str``, and
+    ``fold`` and ``interp`` on the ``(domain, accumulator)`` pair of
+    them; all are native-byte-order keys, so a byte-swapped array never
+    finds a kernel.
     """
 
     path: Path
@@ -248,6 +375,8 @@ class NativeLibrary:
     load_ms: float
     sweep: Dict[str, Callable]
     fold: Dict[Tuple[str, str], Callable]
+    interp: Dict[Tuple[str, str], Callable]
+    compare: Dict[str, Callable]
 
 
 #: The loaded library, the one-line reason it is unavailable, or
@@ -359,19 +488,30 @@ def _build_and_load() -> Union[NativeLibrary, str]:
         cdll = ctypes.CDLL(str(path))
     except OSError as exc:
         return f"dlopen failed: {exc}"
-    sweep, fold = {}, {}
-    for key, name in ((_F32, "sweep_f32"), (_F64, "sweep_f64")):
+    def bind(name, argtypes, restype=None):
         fn = getattr(cdll, name)
-        fn.argtypes, fn.restype = [_P, _P, _N, _N, _N, _P, _P, _P, _P, _P], None
-        sweep[key] = fn
-    for key, name in (
-        ((_F32, _F64), "fold_f32_f64"),
-        ((_F32, _F32), "fold_f32_f32"),
-        ((_F64, _F64), "fold_f64_f64"),
-    ):
-        fn = getattr(cdll, name)
-        fn.argtypes, fn.restype = [_P, _N, _N, _N, _P], None
-        fold[key] = fn
+        fn.argtypes, fn.restype = argtypes, restype
+        return fn
+
+    pairs = {(_F32, _F64): "f32_f64", (_F32, _F32): "f32_f32", (_F64, _F64): "f64_f64"}
+    sweep = {
+        key: bind(f"sweep_{suffix}", [_P, _P, _N, _N, _N, _P, _P, _P, _P, _P])
+        for key, suffix in ((_F32, "f32"), (_F64, "f64"))
+    }
+    fold = {
+        key: bind(f"fold_{suffix}", [_P, _N, _N, _N, _P])
+        for key, suffix in pairs.items()
+    }
+    interp = {
+        key: bind(f"interp_{suffix}", [_P, _P, _N, _N, _N, _P, _N, _N, _P, _N, _P, _P])
+        for key, suffix in pairs.items()
+    }
+    compare = {
+        _F64: bind(
+            "compare_f64",
+            [_P, _P, _N, ctypes.c_double, ctypes.POINTER(ctypes.c_double)], _N,
+        )
+    }
     return NativeLibrary(
         path=path,
         compiler=compiler,
@@ -381,6 +521,8 @@ def _build_and_load() -> Union[NativeLibrary, str]:
         load_ms=(time.perf_counter() - built) * 1e3,
         sweep=sweep,
         fold=fold,
+        interp=interp,
+        compare=compare,
     )
 
 

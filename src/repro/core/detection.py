@@ -16,10 +16,13 @@ point and are later consumed by the correction step.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
+
+from repro.backends import native
 
 __all__ = ["DetectionResult", "relative_discrepancy", "detect_errors"]
 
@@ -95,6 +98,20 @@ def relative_discrepancy(
     return out
 
 
+def _kernel(computed, interpolated):
+    """The compiled compare for this pair, or ``None``."""
+    if not (
+        isinstance(computed, np.ndarray) and isinstance(interpolated, np.ndarray)
+        and computed.ndim > 0 and computed.shape == interpolated.shape
+        and computed.dtype == interpolated.dtype
+        and computed.flags.c_contiguous and interpolated.flags.c_contiguous
+        and computed.flags.aligned and interpolated.flags.aligned
+    ):
+        return None
+    lib = native.library()
+    return None if lib is None else lib.compare.get(computed.dtype.str)
+
+
 def detect_errors(
     computed: np.ndarray,
     interpolated: np.ndarray,
@@ -115,9 +132,34 @@ def detect_errors(
     Returns
     -------
     DetectionResult
+
+    Notes
+    -----
+    Two C-contiguous float64 checksums of one shape are compared in one
+    compiled pass (:mod:`repro.backends.native`) that counts the entries
+    over ``threshold`` and takes the largest relative error, NaN if any
+    is NaN, as :func:`relative_discrepancy` and ``max`` do.  The flagged
+    indices and their errors are built with NumPy only when that count
+    is non-zero.  Without the library, and for any other pair, the
+    NumPy code runs.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    compare = _kernel(computed, interpolated)
+    if compare is not None:
+        top = ctypes.c_double()
+        count = compare(
+            computed.ctypes.data, interpolated.ctypes.data, computed.size,
+            threshold, ctypes.byref(top),
+        )
+        if count == 0:
+            return DetectionResult(
+                mismatch_indices=np.empty((0, computed.ndim), dtype=np.intp),
+                relative_errors=np.empty(0),
+                max_relative_error=top.value,
+                threshold=float(threshold),
+                n_checked=int(computed.size),
+            )
     rel = relative_discrepancy(computed, interpolated)
     flagged = rel > threshold
     idx = np.argwhere(flagged)

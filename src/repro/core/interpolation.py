@@ -50,7 +50,9 @@ entries, reset when full):
   closed-border rule), the gained/lost strip windows of every distinct
   reduce-axis offset, and one term per stencil point: its reduce-axis
   offset, the shifted window of the extended vector it reads and its
-  weight cast to the dtype;
+  weight cast to the dtype.  For the column checksum (reduce axis 0) it
+  also holds the same geometry as flat runs and the compiled call's
+  arguments (below);
 * a **checksum plan**, keyed on the same plus the boundary and
   ``n_reduce``, serves :func:`interpolate_checksum_reduced`. Instead of
   border sums it holds the ghost-fill slab ops
@@ -70,13 +72,37 @@ is built; shape errors are checked on every call. Plans are immutable
 and every call allocates its own checksum-sized buffers, so threads can
 share a plan and returned vectors never alias.
 
+The compiled strips and terms
+-----------------------------
+A column checksum (reduce axis 0) of an aligned C-contiguous padded
+domain, for a (domain, checksum) dtype pair of float32/float64,
+float32/float32 or float64/float64, takes one compiled call
+(``interp_*`` of :mod:`repro.backends.native`) once NumPy has built the
+extended checksum (block copy, border sums or closed fill ops).  The
+domain's x-planes are laid out as the extended checksum, so each
+distinct offset's delta is the sum of its gained planes minus the sum
+of its lost planes, each added in order of x from ``+0.0`` as NumPy's
+axis-0 ``sum`` adds, and ``ext + delta`` follows; each checksum entry
+is ``0 + c`` (or ``0``), then ``+ w * window`` per stencil point in
+spec order, over the checksum's contiguous runs.  That is
+:func:`_strip_deltas`, :func:`_predicted` and :func:`_accumulate`
+operation for operation, so the result is bitwise equal (built without
+FMA contraction).  The call's extended checksum, shifted vectors and
+result share one buffer, and the returned checksum is a view of it.
+The NumPy code runs everywhere else: without the library, for other
+dtypes, the row checksum, and strided views (tiles, a campaign slot,
+a narrower final campaign batch).
+
 The closed-border rule
 ----------------------
 The extended checksum's ghost border is a sum, over the reduce axis, of
 the padded domain's ghost slabs.  Without a boundary every one of them
-is read from the domain: tiles, ranks and campaign batches carry halo
-data there.  A caller that owns its buffer pair and refreshed every
-ghost from its boundary passes that boundary, and then, when every axis
+is read from the domain: tiles and ranks carry halo data there, and
+pass none.  A caller that owns its buffer pair and refreshed every
+ghost from its boundary after the last write to its interior passes
+that boundary: an online grid's step passes its grid's, and a stacked
+campaign batch the pair's (its run axis has ghost width 0 and adds no
+fill op).  Then, when every axis
 other than the reduce axis is clamp, periodic with ghost <= extent or a
 zero fill, each of those slabs is a copy of interior slabs (or zeros),
 filled by :func:`~repro.stencil.shift.ghost_fill_ops`.  Its sum is then
@@ -109,6 +135,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends import native
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import (
     GhostFillOp,
@@ -118,7 +145,7 @@ from repro.stencil.shift import (
     normalize_radius,
     pad_array,
 )
-from repro.stencil.spec import StencilSpec, spec_key as _spec_key
+from repro.stencil.spec import BatchOperator, StencilSpec, spec_key as _spec_key
 
 __all__ = [
     "interpolate_checksum",
@@ -144,6 +171,35 @@ Index = Tuple[slice, ...]
 Term = Tuple[int, Index, np.ndarray]
 
 
+class _Compiled(NamedTuple):
+    """The compiled strips and terms of a domain plan (reduce axis 0).
+
+    The padded domain's x-planes are laid out as the extended checksum,
+    so a strip's gained and lost windows are runs of whole planes, and a
+    term's window is its extended vector displaced by a flat offset.  A
+    call's one work buffer holds the extended checksum, one shifted
+    vector per strip and the predicted checksum, in that order.
+    """
+
+    #: Elements of one x-plane (the extended checksum), the offset of the
+    #: predicted checksum in the work buffer and the buffer's size.
+    plane: int
+    out: int
+    size: int
+    #: ``(first gained plane, count, first lost plane, count)`` per strip.
+    strips: np.ndarray
+    #: Flat offset in the extended checksum of each contiguous run of the
+    #: checksum (the trailing axes without ghosts merge into one run).
+    starts: np.ndarray
+    #: ``(strip index or -1 for the extended vector, flat offset)`` per term.
+    terms: np.ndarray
+    weights: np.ndarray
+    #: The kernel's ``plane, nstrip, strips, nrun, run, starts, nterm,
+    #: terms, wts`` arguments, with the addresses of the arrays above,
+    #: which the plan keeps alive, read once.
+    args: Tuple[int, ...]
+
+
 class _DomainPlan(NamedTuple):
     """Geometry of an interpolation that reads the padded domain."""
 
@@ -163,6 +219,9 @@ class _DomainPlan(NamedTuple):
     #: ``(o_d, gained, lost)`` padded windows per distinct offset ``o_d != 0``.
     strips: Tuple[Tuple[int, Index, Index], ...]
     terms: Tuple[Term, ...]
+    #: The compiled call's geometry, or ``None`` (a reduce axis other
+    #: than 0, or a 1-D domain).
+    compiled: Optional[_Compiled]
 
 
 class _ChecksumPlan(NamedTuple):
@@ -303,6 +362,10 @@ def _build_domain_plan(
                 _window(ndim, reduce_axis, r_d + n_d - m, r_d + n_d),
             )
 
+    strips = tuple((o_d, gained, lost) for o_d, (gained, lost) in strips.items())
+    compiled = None
+    if reduce_axis == 0 and ndim > 1:
+        compiled = _compiled(strips, terms, radius_other, other_shape, ext_shape, dtype)
     return _DomainPlan(
         reduce_axis=reduce_axis,
         padded_shape=tuple(n + 2 * r for n, r in zip(interior_shape, radius)),
@@ -311,9 +374,49 @@ def _build_domain_plan(
         block=tuple(slice(r, r + n) for n, r in zip(other_shape, radius_other)),
         borders=tuple(borders),
         closed=() if closed is None else closed,
-        strips=tuple((o_d, gained, lost) for o_d, (gained, lost) in strips.items()),
+        strips=strips,
         terms=terms,
+        compiled=compiled,
     )
+
+
+def _compiled(strips, terms, radius_other, other_shape, ext_shape, dtype) -> _Compiled:
+    """The geometry of :func:`_strip_deltas` and :func:`_accumulate` as flat runs."""
+    ndim = len(ext_shape)
+    stride = [1] * ndim
+    for a in range(ndim - 2, -1, -1):
+        stride[a] = stride[a + 1] * ext_shape[a + 1]
+    plane = stride[0] * ext_shape[0]
+    # A run of the checksum spans its trailing axes of ghost width 0,
+    # where the block covers the extended range, and the axis before them.
+    inner = ndim - 1
+    while inner > 0 and radius_other[inner] == 0:
+        inner -= 1
+    run = int(np.prod(other_shape[inner:]))
+    starts = np.array([sum(r * s for r, s in zip(radius_other, stride))], np.intp)
+    for a in range(inner):
+        steps = np.arange(other_shape[a], dtype=np.intp) * stride[a]
+        starts = (starts[:, None] + steps).reshape(-1)
+    windows = np.array(
+        [(g[0].start, g[0].stop - g[0].start, lo[0].start, lo[0].stop - lo[0].start)
+         for _, g, lo in strips],
+        dtype=np.intp,
+    ).reshape(-1, 4)
+    source = {o_d: k for k, (o_d, _, _) in enumerate(strips)}
+    flat = np.array(
+        [(source.get(o_d, -1),
+          sum((w.start - r) * s for w, r, s in zip(window, radius_other, stride)))
+         for o_d, window, _ in terms],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    weights = np.array([w for _, _, w in terms], dtype=dtype)
+    args = (
+        plane, len(windows), windows.ctypes.data, len(starts), run,
+        starts.ctypes.data, len(flat), flat.ctypes.data, weights.ctypes.data,
+    )
+    out = (1 + len(windows)) * plane
+    size = out + int(np.prod(other_shape))
+    return _Compiled(plane, out, size, windows, starts, flat, weights, args)
 
 
 def _domain_plan(
@@ -324,7 +427,7 @@ def _domain_plan(
     if not isinstance(radius, tuple):
         radius = normalize_radius(radius, len(interior_shape))
     spec_key = _spec_key(spec)
-    if not isinstance(spec, StencilSpec):
+    if not isinstance(spec, (StencilSpec, BatchOperator)):
         spec = spec_key[0]
     key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype, boundary)
     plan = _plans.get_or_build(
@@ -367,6 +470,22 @@ def _accumulate(
         np.multiply(weight, shifted.get(o_d, base)[window], out=scratch)
         predicted += scratch
     return predicted
+
+
+def _kernel(plan: _DomainPlan, padded_prev: np.ndarray, dtype):
+    """The compiled strips and terms for this call, or ``None``.
+
+    They run on an aligned C-contiguous padded domain reduced over axis
+    0, for the (domain, checksum) dtype pairs the library folds.
+    """
+    if plan.compiled is None or not (
+        padded_prev.flags.c_contiguous and padded_prev.flags.aligned
+    ):
+        return None
+    lib = native.library()
+    if lib is None:
+        return None
+    return lib.interp.get((padded_prev.dtype.str, dtype.str))
 
 
 def _predicted(shape, dtype, constant_sum) -> np.ndarray:
@@ -430,6 +549,9 @@ def interpolate_checksum_padded(
     -------
     numpy.ndarray
         The predicted step-``t+1`` checksum; same shape as ``cs_prev``.
+        A column checksum of an aligned C-contiguous ``padded_prev``
+        takes the compiled strips and terms, bitwise equal to the NumPy
+        code (module docstring).
     """
     dtype = np.result_type(cs_prev.dtype, padded_prev.dtype)
     plan = _domain_plan(
@@ -446,11 +568,28 @@ def interpolate_checksum_padded(
     # correct at step t, the ABFT inductive assumption); only the thin
     # ghost border is summed from the padded domain, keeping the extra
     # cost proportional to the boundary surface, not the domain volume.
-    ext = np.empty(plan.ext_shape, dtype=dtype)
+    kernel = _kernel(plan, padded_prev, dtype)
+    if kernel is None:
+        ext = np.empty(plan.ext_shape, dtype=dtype)
+    else:
+        # One buffer for the call's extended checksum, shifted vectors
+        # and result; the kernel derives their addresses from its start.
+        work = np.empty(plan.compiled.size, dtype=dtype)
+        ext = work[:plan.compiled.plane].reshape(plan.ext_shape)
     ext[plan.block] = cs_prev
     for dst, src in plan.borders:
         ext[dst] = padded_prev[src].sum(axis=plan.reduce_axis, dtype=dtype)
     fill_ghosts(ext, plan.closed)
+
+    if kernel is not None:
+        predicted = work[plan.compiled.out:].reshape(plan.other_shape)
+        if constant_sum is not None:
+            predicted[...] = np.asarray(constant_sum, dtype=dtype)
+        kernel(
+            padded_prev.ctypes.data, work.ctypes.data, constant_sum is not None,
+            *plan.compiled.args,
+        )
+        return predicted
 
     predicted = _predicted(plan.other_shape, dtype, constant_sum)
     shifted = {

@@ -272,9 +272,10 @@ class OnlineABFT(Protector):
         grid's).  It lets the interpolation rebuild closed-boundary
         border sums from the stored checksum instead of re-reading the
         domain (:func:`~repro.core.interpolation.interpolate_checksum_padded`).
-        The default ``None`` reads every border from the domain, as
-        tiles, ranks and campaign batches, whose ghosts may carry halo
-        data, need.
+        The stacked campaign batch passes its base grid's boundary for
+        the slots it delegates here.  The default ``None`` reads every
+        border from the domain, as tiles and ranks, whose ghosts may
+        carry halo data, need.
 
         With the double-buffered grids both arguments are live views into
         the persistent buffer pair: ``u_new`` into the front buffer the

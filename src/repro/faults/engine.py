@@ -63,7 +63,9 @@ Two run strategies share that lifecycle:
     follows), reduces every run's checksum with the
     protector's ``Backend.checksum`` (one call over a full-width batch's
     column checksums, one call per run otherwise) and runs one stacked
-    Theorem-1 interpolation and detection screen for all runs at once.
+    Theorem-1 interpolation (given the pair's boundary, as a replayed
+    run's step gives its grid's) and detection screen for all runs at
+    once.
     The backend's batched step is per-slot bit-identical to its
     single-run step, and each run's checksum is the reduction replay's
     protector makes, taken after the run's flips as replay takes it
@@ -120,6 +122,7 @@ from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
 from repro.stencil.grid import GridBase
 from repro.stencil.shift import interior_view
+from repro.stencil.spec import BatchOperator
 
 __all__ = [
     "CampaignEngine",
@@ -251,7 +254,15 @@ class _StackedBatch:
 
     Every checksum goes through the protector's ``Backend.checksum``,
     the call a replayed run makes on its own interior, so each slot's
-    checksum equals replay's bit for bit (see :meth:`_checksums`).
+    checksum equals replay's bit for bit (see :meth:`_checksums`).  The
+    interpolation takes the pair's boundary, as a replayed run's
+    ``OnlineABFT.step`` takes its grid's, so closed borders come from
+    the checksums (:func:`_interpolate_stacked`); the screen is the
+    protector's :func:`~repro.core.detection.detect_errors` over the
+    whole batch, and a flagged slot's delegated
+    :meth:`~repro.core.online.OnlineABFT.process` gets the base grid's
+    boundary.  On a full-width batch, whose pair is contiguous, both
+    take the compiled kernels of :mod:`repro.backends.native`.
     """
 
     def __init__(
@@ -286,9 +297,9 @@ class _StackedBatch:
             np.broadcast_to(self.initial, shape), radius, boundary
         )
         self.constant = grid.constant
-        # Batch-extended (offset, weight) pairs for the stacked Theorem-1
-        # interpolation: the batch axis never shifts.
-        self.spec_ext = tuple((tuple(o) + (0,), w) for o, w in self.spec)
+        # The operator of the stacked Theorem-1 interpolation: the batch
+        # axis never shifts.
+        self.spec_ext = BatchOperator(self.spec)
 
         self.protector: Optional[OnlineABFT] = None
         if isinstance(protector, OnlineABFT):
@@ -351,16 +362,7 @@ class _StackedBatch:
                 continue
             # Every run's checksum is reduced after its flips, as a
             # replayed run's protector reduces after its inject hook.
-            cs = self._checksums(interior)
-            predicted = _interpolate_stacked(
-                prev_cs,
-                self.pair.back[..., :width],
-                self.spec_ext,
-                self.radius,
-                self.base_shape + (width,),
-                self.constant_sum,
-            )
-            flagged = _detection_screen(cs, predicted, self.epsilon)
+            cs, flagged = self._verify(prev_cs, interior)
             if flagged is not None:
                 for slot in flagged:
                     # Delegate the rare detection step to the library
@@ -377,7 +379,8 @@ class _StackedBatch:
                         0, np.ascontiguousarray(prev_cs[..., slot])
                     )
                     report = protector.process(
-                        interior[..., slot], self.pair.back[..., slot], t
+                        interior[..., slot], self.pair.back[..., slot], t,
+                        boundary=self.base_boundary,
                     )
                     counters[slot, 0] += report.errors_detected
                     counters[slot, 1] += report.errors_corrected
@@ -388,6 +391,29 @@ class _StackedBatch:
         if protector is not None:
             protector.reset()
         return counters, interior, elapsed
+
+    def _verify(
+        self, prev_cs: np.ndarray, interior: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One iteration's protection of the batch in ``interior``.
+
+        Returns every slot's checksum (:meth:`_checksums`) and the slots
+        whose checksum mismatches its Theorem-1 prediction from
+        ``prev_cs`` and the pair's back buffer (one stacked
+        interpolation and one screen), or ``None`` when none does.
+        """
+        width = interior.shape[-1]
+        cs = self._checksums(interior)
+        predicted = _interpolate_stacked(
+            prev_cs,
+            self.pair.back[..., :width],
+            self.spec_ext,
+            self.radius,
+            self.base_shape + (width,),
+            self.constant_sum,
+            self.boundary,
+        )
+        return cs, _detection_screen(cs, predicted, self.epsilon)
 
     def _checksums(self, interior: np.ndarray) -> np.ndarray:
         """Every slot's column checksum, shaped ``(..., run)``.
@@ -417,25 +443,31 @@ class _StackedBatch:
 def _interpolate_stacked(
     prev_cs: np.ndarray,
     padded_prev: np.ndarray,
-    spec_ext,
+    spec_ext: BatchOperator,
     radius,
     shape,
     constant_sum: Optional[np.ndarray],
+    boundary: BoundarySpec,
 ) -> np.ndarray:
     """Theorem-1 column-checksum interpolation of the whole batch in one call.
 
     ``interpolate_checksum_padded`` is dimension-generic and only
     iterates ``(offset, weight)`` pairs from its ``spec`` argument, so
-    handing it the batch-extended offsets (batch axis shift 0, ghost
+    handing it the batch-extended operator (batch axis shift 0, ghost
     radius 0) interpolates every run's checksum at once; the boundary
-    strips it reduces are per-run independent, keeping the result
-    bitwise equal to the per-run calls of the serial protector.
+    strips it reduces are per-run independent.  ``boundary`` is the
+    pair's, run axis included: ``batch_step_into`` refreshed every
+    ghost of ``padded_prev`` from it after the last write to its
+    interior, so by the closed-border rule of
+    :mod:`repro.core.interpolation` closed axes' borders come from
+    ``prev_cs``, as a replayed run's ``OnlineABFT.step`` takes them
+    from its own checksum.  The run axis has no ghosts and adds no fill.
     """
     from repro.core.interpolation import interpolate_checksum_padded
 
     return interpolate_checksum_padded(
         prev_cs, padded_prev, spec_ext, radius, shape, 0,
-        constant_sum=constant_sum,
+        constant_sum=constant_sum, boundary=boundary,
     )
 
 
@@ -444,19 +476,17 @@ def _detection_screen(
 ) -> Optional[np.ndarray]:
     """Batch slots whose checksums mismatch, or ``None`` when all clean.
 
-    Replicates :func:`repro.core.detection.relative_discrepancy`
-    elementwise over the stacked checksums, so a slot is flagged exactly
-    when the serial protector's ``detect_errors`` would have flagged the
-    run — the flagged slots then re-run the full detection on their own
-    views.
+    One :func:`~repro.core.detection.detect_errors` over the stacked
+    checksums, the compare a replayed run's protector makes, so a slot
+    is flagged exactly when that run would have been; the flagged slots
+    then re-run the full detection on their own views.
     """
-    from repro.core.detection import relative_discrepancy
+    from repro.core.detection import detect_errors
 
-    rel = relative_discrepancy(computed, predicted)
-    flagged = rel > epsilon
-    if not flagged.any():
+    detection = detect_errors(computed, predicted, epsilon)
+    if not detection.detected:
         return None
-    return np.unique(np.argwhere(flagged)[:, -1])
+    return np.unique(detection.mismatch_indices[:, -1])
 
 
 class _WorkerCampaign:

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["StencilPoint", "StencilSpec", "spec_key"]
+__all__ = ["BatchOperator", "StencilPoint", "StencilSpec", "spec_key"]
 
 
 @dataclass(frozen=True)
@@ -288,19 +288,36 @@ class StencilSpec:
         return f"StencilSpec({{{pts}}})"
 
 
+class BatchOperator(tuple):
+    """A spec's ``(offset + (0,), weight)`` pairs: one more, unshifted axis.
+
+    The operator of a stacked campaign batch, whose runs lie along a
+    trailing axis of ghost width 0.  It is a tuple, so immutable, and
+    its :func:`spec_key` is computed once, at construction.
+    """
+
+    def __new__(cls, spec: StencilSpec) -> "BatchOperator":
+        self = super().__new__(cls, ((o + (0,), w) for o, w in spec))
+        offsets = np.array([o for o, _ in self], dtype=np.int64)
+        self.key = (offsets.tobytes(), spec.weights.tobytes())
+        return self
+
+
 def spec_key(spec) -> tuple:
     """Hashable identity of an operator, exact to the weight bits.
 
     The key of the plan caches that derive geometry from an operator.  A
-    :class:`StencilSpec` is keyed on its offset and weight bytes (its
-    ``==`` is far slower than a bytes compare).  Any other iterable of
-    ``(offset, weight)`` pairs, such as the batch-extended operator of
-    the stacked campaign strategy, is keyed on a tuple of its pairs —
+    :class:`StencilSpec` or :class:`BatchOperator` is keyed on its offset
+    and weight bytes (a ``==`` of specs is far slower than a bytes
+    compare, and bytes cache their hash).  Any other iterable of
+    ``(offset, weight)`` pairs is keyed on a tuple of its pairs —
     ``key[0]``, itself a valid operator to build a plan from — and its
     weight bytes, since ``0.0 == -0.0`` would make the pairs alone
     match an operator whose weights differ in the sign bit.
     """
     if isinstance(spec, StencilSpec):
         return (spec.offsets.tobytes(), spec.weights.tobytes())
+    if isinstance(spec, BatchOperator):
+        return spec.key
     pairs = tuple((tuple(int(o) for o in offset), float(w)) for offset, w in spec)
     return (pairs, np.array([w for _, w in pairs], dtype=np.float64).tobytes())

@@ -30,8 +30,8 @@ from repro.faults.injector import FaultPlan
 from repro.faults.models import FaultModel, SingleBitFlip
 from repro.metrics.accuracy import l2_error
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
-from repro.stencil.grid import Grid2D
-from repro.stencil.kernels import five_point_diffusion
+from repro.stencil.grid import Grid2D, Grid3D
+from repro.stencil.kernels import five_point_diffusion, seven_point_diffusion_3d
 
 TILE = (16, 16, 4)
 ITERATIONS = 10
@@ -41,9 +41,24 @@ _U0_2D = (np.random.default_rng(3).random((20, 14)) * 100).astype(np.float32)
 _BOUNDARIES_2D = {
     "clamp": BoundaryCondition.clamp(),
     "periodic": BoundaryCondition.periodic(),
+    "zero": BoundaryCondition.zero(),
     "clamp+constant": BoundarySpec(
         (BoundaryCondition.clamp(), BoundaryCondition.constant(5.0))
     ),
+}
+
+_U0_3D = (np.random.default_rng(8).random((12, 10, 4)) * 100).astype(np.float32)
+
+#: Clamp, periodic and zero axes close the stacked interpolation's
+#: borders; a constant fill on y sends every border back to the domain.
+_BOUNDARIES_3D = {
+    "clamp": BoundaryCondition.clamp(),
+    "periodic": BoundaryCondition.periodic(),
+    "zero": BoundaryCondition.zero(),
+    "clamp+constant": BoundarySpec((
+        BoundaryCondition.clamp(), BoundaryCondition.constant(40.0),
+        BoundaryCondition.clamp(),
+    )),
 }
 
 
@@ -560,3 +575,70 @@ class TestStackedWidth:
             )
         assert [b.width for b in wider.batch_strategies] == [3, 3]
         assert_equivalent(result, wider)
+
+
+class TestStackedClosedBorders:
+    """The stacked batch and its flagged-slot delegate pass the pair's
+    boundary to the interpolation, as a replayed run's ``step`` does."""
+
+    @pytest.mark.parametrize("boundary_key", sorted(_BOUNDARIES_3D))
+    def test_stacked_equals_replay_through_corrections(
+        self, boundary_key, monkeypatch
+    ):
+        import repro.core.interpolation as interpolation
+        import repro.core.online as online
+
+        boundaries = []
+
+        def spy(module):
+            original = module.interpolate_checksum_padded
+
+            def interpolate(*args, **kwargs):
+                boundaries.append(kwargs.get("boundary"))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "interpolate_checksum_padded", interpolate)
+
+        spy(interpolation)  # the stacked call imports it at call time
+        spy(online)  # the delegate's and replay's protector
+
+        def factory():
+            return Grid3D(
+                _U0_3D, seven_point_diffusion_3d(0.1), _BOUNDARIES_3D[boundary_key]
+            )
+
+        def protector_factory(grid):
+            return OnlineABFT.for_grid(grid, epsilon=1e-5)
+
+        config = CampaignConfig(iterations=8, repetitions=6, inject=True, seed=12)
+        legacy = run_campaign(factory, protector_factory, config)
+        with CampaignEngine(executor="serial", batch_size=6) as engine:
+            stacked = engine.run(factory, protector_factory, config)
+            replay = engine.run(factory, protector_factory, config, strategy="replay")
+        assert stacked.strategy_counts() == {"stacked": 6}
+        assert_equivalent(legacy, stacked)
+        assert_equivalent(legacy, replay)
+        assert sum(r.errors_corrected for r in stacked.records) > 0
+        assert boundaries and None not in boundaries
+
+    def test_screen_flags_exactly_the_slots_detect_errors_flags(self, rng):
+        from repro.core.detection import detect_errors
+        from repro.faults.engine import _detection_screen
+
+        eps = 2.0 ** -20  # 1 + eps is exact: a relative error can equal it
+        computed = rng.uniform(1.0, 100.0, (10, 4, 9))
+        predicted = computed * (1.0 + rng.normal(0.0, 1e-9, computed.shape))
+        assert _detection_screen(computed, predicted, eps) is None
+        computed[3, 1, 1], predicted[3, 1, 1] = 1.0, 1.0 + 2 * eps
+        computed[0, 0, 2], predicted[0, 0, 2] = 1.0, 1.0 + eps  # not over eps
+        computed[9, 3, 3], predicted[9, 3, 3] = np.nan, 1.0  # NaN compares false
+        computed[5, 2, 4], predicted[5, 2, 4] = 0.0, 1e-3  # the zero fallback
+        computed[5, 2, 5], predicted[5, 2, 5] = -0.0, 0.0
+        computed[7, 0, 6], predicted[7, 0, 6] = 2.0, np.inf
+        predicted[2, 3, 8] *= 1.0 + 1e-4
+        want = [
+            slot for slot in range(computed.shape[-1])
+            if detect_errors(computed[..., slot], predicted[..., slot], eps).detected
+        ]
+        assert want == [1, 4, 6, 8]
+        assert list(_detection_screen(computed, predicted, eps)) == want

@@ -368,6 +368,8 @@ class TestFlatKernelState:
             load_ms=0.2,
             sweep={},
             fold={},
+            interp={},
+            compare={},
         )
         monkeypatch.setattr(native, "_state", lib)
         assert main(["backends"]) == 0

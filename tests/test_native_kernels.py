@@ -10,6 +10,7 @@ or load failure is reported by name instead of passing as a fallback.
 
 import concurrent.futures
 import contextlib
+import ctypes
 import os
 import shutil
 import subprocess
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 from repro.backends import FusedBackend, native
 from repro.backends.base import Backend
 from repro.parallel.decomposition import decompose
+from repro.core.interpolation import interpolate_checksum_padded
 from repro.stencil.reference import reference_sweep_padded
-from repro.stencil.shift import interior_view, padded_shape
+from repro.stencil.shift import interior_slices, interior_view, padded_shape
 from repro.stencil.spec import StencilSpec
 
 # The specials (inf, NaN) drawn below make NumPy warn; the values are checked.
@@ -431,6 +433,248 @@ class TestFoldGuards:
         interior = interior_view(rng.random((10, 9, 14)).astype(np.float32), 1)
         for box in decompose(interior.shape, parts):
             assert self._fold(interior[box.slices], None)
+
+
+# --------------------------------------------------------------------------
+# the Theorem-1 strips and terms
+# --------------------------------------------------------------------------
+
+#: (domain dtype, checksum dtype or ``None`` for the domain's).
+INTERP_DTYPES = [(np.float32, np.float64), (np.float32, None), (np.float64, np.float64)]
+
+
+def _asymmetric_spec(rng, ndim, r):
+    """A spec reaching ``-r`` and ``+r`` along the reduce axis, and
+    asymmetric along every other axis, with random weights."""
+    points = {(0,) * ndim: rng.uniform(-1.0, 1.0)}
+    for o_d in (-r, r, 1, -1):
+        for axis in range(1, ndim):
+            offset = [0] * ndim
+            offset[0] = o_d
+            offset[axis] = int(rng.integers(-r, r + 1))
+            points[tuple(offset)] = rng.uniform(-1.0, 1.0)
+    for axis in range(1, ndim):
+        offset = [0] * ndim
+        offset[axis] = r
+        points[tuple(offset)] = rng.uniform(-1.0, 1.0)
+    return StencilSpec.from_dict(points)
+
+
+def _interp_case(rng, layout, r, dtypes, constant, closed):
+    """``(cs, padded, op, radius, shape, constant_sum, boundary)``."""
+    from repro.stencil.boundary import BoundaryCondition, BoundarySpec
+    from repro.stencil.shift import pad_array
+    from repro.stencil.spec import BatchOperator
+
+    dtype, cs_dtype = dtypes
+    base = {"2d": (9, 11), "3d": (7, 6, 5), "4d": (7, 6, 5)}[layout]
+    spec = _asymmetric_spec(rng, len(base), r)
+    kinds = (
+        BoundaryCondition.clamp(), BoundaryCondition.periodic(),
+        BoundaryCondition.zero(),
+    )
+    conditions = tuple(kinds[int(rng.integers(0, 3))] for _ in base)
+    radius = spec.radius()
+    op, shape = spec, base
+    if layout == "4d":  # the stacked batch: runs along a trailing axis
+        op, radius, shape = BatchOperator(spec), radius + (0,), base + (4,)
+        conditions += (BoundaryCondition.clamp(),)
+    boundary = BoundarySpec(conditions)
+    u = (rng.random(shape) * 100.0 - 50.0).astype(dtype)
+    if closed:
+        padded = pad_array(u, radius, boundary)
+    else:  # the ghosts hold halo data
+        padded = (rng.random(padded_shape(shape, radius)) * 100.0).astype(dtype)
+        padded[interior_slices(radius, len(shape))] = u
+    cs = u.sum(axis=0, dtype=cs_dtype)
+    constant_sum = {
+        "none": None,
+        "full": rng.uniform(-5.0, 5.0, cs.shape),
+        "broadcast": rng.uniform(-5.0, 5.0, cs.shape[:-1] + (1,)),
+    }[constant]
+    return cs, padded, op, radius, shape, constant_sum, boundary if closed else None
+
+
+def _interpolate(case):
+    cs, padded, op, radius, shape, constant_sum, boundary = case
+    return interpolate_checksum_padded(
+        cs, padded, op, radius, shape, 0, constant_sum=constant_sum,
+        boundary=boundary,
+    )
+
+
+class TestCompiledInterpolation:
+    @pytest.mark.parametrize("closed", [False, True], ids=["domain", "closed"])
+    @pytest.mark.parametrize("constant", ["none", "full", "broadcast"])
+    @pytest.mark.parametrize("dtypes", INTERP_DTYPES)
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("layout", ["2d", "3d", "4d"])
+    def test_bitwise_equal_to_the_numpy_terms(
+        self, lib, rng, layout, r, dtypes, constant, closed
+    ):
+        case = _interp_case(rng, layout, r, dtypes, constant, closed)
+        patch, spies = spy_on(lib.interp)
+        with patch:
+            got = _interpolate(case)
+        assert _calls(spies) == 1
+        with numpy_only():
+            want = _interpolate(case)
+        _assert_bitwise(got, want)
+
+    @settings(max_examples=100)
+    @given(
+        layout=st.sampled_from(["2d", "3d", "4d"]),
+        r=st.integers(1, 2),
+        dtypes=st.sampled_from(INTERP_DTYPES),
+        constant=st.sampled_from(["none", "full", "broadcast"]),
+        closed=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_specs(self, lib, layout, r, dtypes, constant, closed, seed):
+        case = _interp_case(
+            np.random.default_rng(seed), layout, r, dtypes, constant, closed
+        )
+        got = _interpolate(case)
+        with numpy_only():
+            _assert_bitwise(got, _interpolate(case))
+
+    def test_returned_vectors_never_alias(self, lib):
+        case = _interp_case(
+            np.random.default_rng(3), "3d", 1, INTERP_DTYPES[0], "full", True
+        )
+        first, second = _interpolate(case), _interpolate(case)
+        first[...] = np.nan
+        assert not np.shares_memory(first, second)
+        with numpy_only():
+            _assert_bitwise(second, _interpolate(case))
+
+
+class TestInterpolationGuards:
+    """Calls the compiled terms must not take; NumPy runs them."""
+
+    def _numpy_runs(self, cs, padded, op, radius, shape, reduce_axis=0):
+        lib = native.library()
+        patch, spies = spy_on({} if lib is None else lib.interp)
+        with patch:
+            got = interpolate_checksum_padded(cs, padded, op, radius, shape, reduce_axis)
+        assert _calls(spies) == 0
+        with numpy_only():
+            _assert_bitwise(
+                got, interpolate_checksum_padded(cs, padded, op, radius, shape, reduce_axis)
+            )
+
+    def test_row_checksum(self, rng):
+        cs, padded, op, radius, shape, _, _ = _interp_case(
+            rng, "3d", 1, INTERP_DTYPES[0], "none", False
+        )
+        u = padded[interior_slices(radius, 3)]
+        self._numpy_runs(u.sum(axis=1, dtype=np.float64), padded, op, radius, shape, 1)
+
+    def test_narrower_batch_and_slot_views(self, rng):
+        cs, padded, op, radius, shape, _, _ = _interp_case(
+            rng, "4d", 1, INTERP_DTYPES[0], "none", False
+        )
+        narrow = padded[..., :3]  # a narrower final batch: strided
+        self._numpy_runs(cs[..., :3].copy(), narrow, op, radius, shape[:3] + (3,))
+        slot = padded[..., 1]
+        spec = StencilSpec([(o[:3], w) for o, w in op])
+        self._numpy_runs(cs[..., 1].copy(), slot, spec, radius[:3], shape[:3])
+
+    def test_other_dtypes(self, rng):
+        cs, padded, op, radius, shape, _, _ = _interp_case(
+            rng, "2d", 1, INTERP_DTYPES[2], "none", False
+        )
+        self._numpy_runs(cs, padded.astype(">f8"), op, radius, shape)
+        self._numpy_runs(cs.astype(np.float16), padded.astype(np.float16), op, radius, shape)
+
+
+# --------------------------------------------------------------------------
+# the detection compare
+# --------------------------------------------------------------------------
+
+class TestCompiledCompare:
+    EPS = 2.0 ** -20  # 1 + EPS is exact, so a relative error can equal it
+
+    def _vectors(self, rng, n):
+        computed = rng.uniform(-100.0, 100.0, n)
+        interpolated = computed * (1.0 + rng.normal(0.0, 1e-7, n))
+        if n == 0:
+            return computed, interpolated
+        specials = [
+            (0.0, 0.0), (0.0, 1e-3), (-0.0, 0.0), (-0.0, -2e-9),  # zero fallback
+            (1.0, 1.0 + self.EPS), (-1.0, -1.0 - self.EPS),      # exactly at eps
+            (1.0, 1.0 + 2 * self.EPS),                           # just above
+            (np.inf, np.inf), (np.inf, 1.0), (-np.inf, 5.0), (3.0, np.inf),
+            (4.0, -np.inf), (np.nan, 1.0), (2.0, np.nan),
+        ]
+        for c, p in specials:
+            at = rng.integers(0, n)
+            computed[at], interpolated[at] = c, p
+        return computed, interpolated
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 4099])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_count_and_max_equal_numpys(self, lib, rng, n, nan):
+        from repro.core.detection import relative_discrepancy
+
+        computed, interpolated = self._vectors(rng, n)
+        if not nan:
+            keep = ~(np.isnan(computed) | np.isnan(interpolated))
+            keep &= ~(np.isinf(computed) & np.isinf(interpolated))
+            computed, interpolated = computed[keep], interpolated[keep]
+        top = ctypes.c_double()
+        count = lib.compare[np.dtype(np.float64).str](
+            computed.ctypes.data, interpolated.ctypes.data, computed.size,
+            self.EPS, ctypes.byref(top),
+        )
+        rel = relative_discrepancy(computed, interpolated)
+        assert count == int((rel > self.EPS).sum())
+        want = rel.max() if rel.size else 0.0
+        assert np.isnan(top.value) == np.isnan(want)
+        if not np.isnan(want):
+            assert top.value == want
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (16, 9), (12, 8, 4)])
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_detect_errors_equals_the_numpy_compare(self, lib, rng, shape, flagged):
+        from repro.core.detection import detect_errors
+
+        computed = rng.uniform(1.0, 100.0, shape)
+        interpolated = computed * (1.0 + rng.normal(0.0, 1e-9, shape))
+        if flagged and computed.size:
+            interpolated.reshape(-1)[rng.integers(0, computed.size, 2)] += 1.0
+        patch, spies = spy_on(lib.compare)
+        with patch:
+            got = detect_errors(computed, interpolated, 1e-5)
+        assert _calls(spies) == 1
+        with numpy_only():
+            want = detect_errors(computed, interpolated, 1e-5)
+        assert got.detected == want.detected == (flagged and computed.size > 0)
+        np.testing.assert_array_equal(got.mismatch_indices, want.mismatch_indices)
+        assert got.mismatch_indices.dtype == want.mismatch_indices.dtype
+        assert got.mismatch_indices.shape == want.mismatch_indices.shape
+        _assert_bitwise(got.relative_errors, want.relative_errors)
+        assert got.max_relative_error == want.max_relative_error
+        assert (got.threshold, got.n_checked) == (want.threshold, want.n_checked)
+
+    def test_nan_max_without_a_flag(self, lib):
+        from repro.core.detection import detect_errors
+
+        computed, interpolated = np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0, 2.0])
+        got = detect_errors(computed, interpolated, 1e-5)
+        assert not got.detected and np.isnan(got.max_relative_error)
+
+    def test_other_pairs_take_numpy(self, rng):
+        from repro.core.detection import detect_errors
+
+        lib = native.library()
+        patch, spies = spy_on({} if lib is None else lib.compare)
+        computed = rng.uniform(1.0, 2.0, (6, 4))
+        with patch:
+            detect_errors(computed.astype(np.float32), computed.astype(np.float32), 1e-5)
+            detect_errors(computed, computed.astype(np.float32), 1e-5)
+            detect_errors(computed[:, 1], computed[:, 1].copy(), 1e-5)  # strided
+        assert _calls(spies) == 0
 
 
 # --------------------------------------------------------------------------
