@@ -22,8 +22,11 @@ NumPy's speed cannot move: 2.0-2.3x with the sweep's inner loop
 vectorized, 6.4-7.0x when it ran scalar.  A sixth times what a
 stacked campaign batch of eight 64x64x8 runs adds to each iteration
 (its checksums, Theorem-1 interpolation and detection screen) against
-its batched step: < 0.6x.  The sweep, step and stacked gates skip,
-printing why, only where no ``cc`` is on PATH.
+its batched step: < 0.6x.  A seventh holds what a 64x64x8 grid's
+``step()`` spends around its work, the head ``refresh_ghosts`` and the
+compiled sweep filling its ghost lanes called directly: < 1.5x.  The
+sweep, step and stacked gates skip, printing why, only where no ``cc``
+is on PATH.
 """
 
 import shutil
@@ -33,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro.backends import FusedBackend, native
+from repro.backends import fused as fused_module
 from repro.core.checksums import checksum
 from repro.core.detection import detect_errors
 from repro.core.interpolation import (
@@ -41,7 +45,7 @@ from repro.core.interpolation import (
     interpolate_checksum_reduced,
 )
 from repro.experiments.common import make_hotspot_app
-from repro.stencil.shift import interior_view, pad_array, refresh_ghosts
+from repro.stencil.shift import ghost_lanes, interior_view, pad_array, refresh_ghosts
 from repro.stencil.sweep import sweep_padded
 
 
@@ -315,17 +319,60 @@ def test_stacked_protection_is_cheaper_than_its_batched_step(stacked_state):
     freshly stepped batch, as in a campaign.  It read 0.97-1.07 with
     the NumPy interpolation reading the y and z borders from the domain
     and the NumPy screen, and 0.44-0.52 with closed borders and the
-    compiled terms and compare (seven runs, 2-core x86 VM).
+    compiled terms and compare (seven runs, 2-core x86 VM).  With the
+    batch's interpolation bound once it reads 0.48-0.49; against the
+    step given the pair's plan, as ``run_batch`` steps, about 0.6.
     """
     _require_compiled_sweep()
     batch, prev_cs, step_args = stacked_state
     fused = FusedBackend()
     interior = interior_view(batch.pair.front, batch.radius)
-    assert batch._verify(prev_cs, interior)[1] is None
+    padded_prev = batch.pair.back
+    assert batch._verify(prev_cs, interior, padded_prev)[1] is None
 
     ratio = _ratio(
-        lambda: batch._verify(prev_cs, interior),
+        lambda: batch._verify(prev_cs, interior, padded_prev),
         lambda: fused.batch_step_into(*step_args, constant=batch.constant),
     )
     print(f"\nstacked protection / batched step = {ratio:.2f}")
     assert ratio < 0.6
+
+
+def test_grid_step_is_cheaper_than_one_and_a_half_times_its_work():
+    """What a small tile's step spends in Python around its work.
+
+    ``grid.step()`` on the 64x64x8 tile against the same work called
+    directly on a copy of its pair: ``refresh_ghosts`` of the axes
+    before the last ghost axis, then the compiled sweep, its arguments
+    prepared once, filling that axis's ghost lanes.  It read 2.18-2.35x
+    when every step re-derived its layout (radius, refresh and flat
+    plans looked up, the padded constant's key, the lanes handed over
+    in thread-local state), and 1.03-1.07x with the grid's step plan
+    (three runs each, 2-core x86 VM).
+    """
+    _require_compiled_sweep()
+    grid = make_hotspot_app((64, 64, 8)).build_grid()
+    grid.run(2)
+    src = grid.buffers.front.copy()
+    dst = np.empty_like(src)
+    dtype = src.dtype
+    lanes = ghost_lanes(src.shape, grid.radius, grid.boundary)
+    flat = fused_module._flat_plan(src.shape, grid.radius, grid.shape, dtype, grid.spec)
+    const = FusedBackend()._padded_constant(grid.constant, src.shape, grid.radius, dtype)
+    kernel = native.library().sweep[dtype.str]
+    args = (
+        src.ctypes.data, dst.ctypes.data, *flat.args, const.ctypes.data,
+        *lanes.addresses(dtype),
+    )
+
+    def work():
+        refresh_ghosts(src, grid.radius, grid.boundary, axes=lanes.head)
+        kernel(*args)
+
+    ratio = _ratio(
+        lambda: [grid.step() for _ in range(10)],
+        lambda: [work() for _ in range(10)],
+        rounds=40,
+    )
+    print(f"\ngrid.step() / head refresh + compiled sweep = {ratio:.2f}")
+    assert ratio < 1.5

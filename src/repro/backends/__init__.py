@@ -24,9 +24,9 @@ same instance.
 """
 
 from repro.backends.base import Backend
-from repro.backends.fused import FusedBackend
+from repro.backends.fused import FusedBackend, StepPlan
 
-__all__ = ["Backend", "FusedBackend", "get_backend"]
+__all__ = ["Backend", "FusedBackend", "StepPlan", "get_backend"]
 
 _BACKEND = FusedBackend()
 

@@ -32,6 +32,14 @@ lane-folded paths.  The primitives:
     boundary condition afterwards, because the ABFT protectors read it
     for the Theorem-1 α/β terms.
 
+``sweep_into``, ``step_into`` and ``batch_step_into`` take an optional
+``plan``: the :class:`~repro.backends.fused.StepPlan` a double-buffered
+pair builds once over its two buffers.  For those buffers the radius,
+boundary, refresh ops, geometry and views come from it; any other call
+validates its arguments and looks its plans up in their caches, as
+before.  A plan holds geometry only, so the base-class routes take it
+too.
+
 Every sweep is bitwise equal to
 :func:`repro.stencil.reference.reference_sweep_padded`, compiled or
 not: ``tests/test_backends.py`` and ``tests/test_step_contract.py``
@@ -45,31 +53,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.stencil.spec import StencilSpec
+from repro.stencil.spec import BatchOperator, StencilSpec
 
 __all__ = ["Backend"]
-
-
-class _BatchedSpecView:
-    """Duck-typed view of a spec with a trailing zero offset appended.
-
-    :class:`~repro.stencil.spec.StencilSpec` only models 2D/3D
-    operators, but the sweeps consume nothing beyond the
-    ``(offset, weight)`` iteration — so the batched step extends each
-    offset with ``0`` along the run axis through this shim instead of
-    constructing an (impossible) higher-dimensional spec.
-    """
-
-    __slots__ = ("_points", "ndim")
-
-    def __init__(self, spec: StencilSpec) -> None:
-        self._points = tuple(
-            (tuple(offset) + (0,), weight) for offset, weight in spec
-        )
-        self.ndim = spec.ndim + 1
-
-    def __iter__(self):
-        return iter(self._points)
 
 
 class Backend:
@@ -144,6 +130,7 @@ class Backend:
         radius,
         interior_shape: Sequence[int],
         constant: Optional[np.ndarray] = None,
+        plan=None,
     ) -> np.ndarray:
         """One sweep from ``src_padded`` into the interior of ``dst_padded``.
 
@@ -182,9 +169,18 @@ class Backend:
         * the batched step (``batch_step_into``) — the same refresh
           over the run-extended buffer pair.
 
+        ``plan`` is the pair's
+        :class:`~repro.backends.fused.StepPlan`, built from these
+        arguments: for its own buffers the destination interior comes
+        from it.
+
         Returns the destination interior view.
         """
-        interior = self._dst_interior(dst_padded, radius, interior_shape)
+        direction = None if plan is None else plan.direction(src_padded, dst_padded)
+        if direction is None:
+            interior = self._dst_interior(dst_padded, radius, interior_shape)
+        else:
+            interior = direction.interior
         interior[...] = self.sweep_padded(
             src_padded, spec, radius, interior_shape, constant=constant
         )
@@ -215,6 +211,7 @@ class Backend:
         boundary,
         constant: Optional[np.ndarray] = None,
         refresh_axes: Optional[Sequence[int]] = None,
+        plan=None,
     ) -> np.ndarray:
         """One full step of a buffer pair: ghost refresh + sweep.
 
@@ -234,12 +231,29 @@ class Backend:
         axes' ghosts are (re)built from the boundary condition — see
         :func:`repro.stencil.shift.refresh_ghosts`.
 
+        ``plan`` is a :class:`~repro.backends.fused.StepPlan` (what a
+        :class:`~repro.stencil.doublebuffer.DoubleBufferedGrid` builds
+        once over its pair).  When it holds ``src_padded`` and
+        ``dst_padded``, the step runs on the arguments it was built from
+        and takes its refresh, geometry and views from it, skipping the
+        per-call checks and cached lookups; a step of any other pair
+        runs as without one.
+
         Returns the destination interior view.
         """
+        if plan is not None and plan.direction(src_padded, dst_padded) is not None:
+            return self._planned_step(src_padded, dst_padded, plan)
         self._check_pair(src_padded, dst_padded)
         return self._refresh_and_sweep(
             src_padded, dst_padded, spec, radius, interior_shape, boundary,
             constant, refresh_axes,
+        )
+
+    def _planned_step(self, src_padded, dst_padded, plan) -> np.ndarray:
+        """A step of ``plan``'s pair, on the arguments it was built from."""
+        return self._refresh_and_sweep(
+            src_padded, dst_padded, plan.spec, plan.radius, plan.interior_shape,
+            plan.boundary, plan.constant, plan.refresh_axes, plan,
         )
 
     def _refresh_and_sweep(
@@ -252,20 +266,25 @@ class Backend:
         boundary,
         constant: Optional[np.ndarray],
         refresh_axes: Optional[Sequence[int]],
+        plan=None,
     ) -> np.ndarray:
         """The body of every step: refresh the source's ghosts, then sweep.
 
         :func:`~repro.stencil.shift.refresh_ghosts` followed by
-        :meth:`sweep_into`; returns the destination interior view.
-        ``step_into`` and the batched step both run it, so
-        ``FusedBackend``, which fills ghosts inside its sweep, overrides
-        only this.
+        :meth:`sweep_into`, each given the step's plan (or ``None``);
+        returns the destination interior view.  ``step_into`` and the
+        batched step both run it, so ``FusedBackend``, which fills
+        ghosts inside its sweep, overrides only this.
         """
         from repro.stencil.shift import refresh_ghosts
 
-        refresh_ghosts(src_padded, radius, boundary, axes=refresh_axes)
+        refresh_ghosts(
+            src_padded, radius, boundary, axes=refresh_axes,
+            plan=None if plan is None else plan.refresh,
+        )
         return self.sweep_into(
-            src_padded, dst_padded, spec, radius, interior_shape, constant=constant
+            src_padded, dst_padded, spec, radius, interior_shape,
+            constant=constant, plan=plan,
         )
 
     # -- batched campaign steps: trailing run axis ---------------------------
@@ -322,6 +341,7 @@ class Backend:
         boundary,
         constant: Optional[np.ndarray] = None,
         refresh_axes: Optional[Sequence[int]] = None,
+        plan=None,
     ) -> np.ndarray:
         """One full step of a whole *batch* of independent runs.
 
@@ -341,11 +361,20 @@ class Backend:
         flat-stride sweep; a narrower slice of the pair is strided and
         takes the staged route.
 
+        ``plan`` is the :class:`~repro.backends.fused.StepPlan` of the
+        run-extended pair (built over it with the :class:`BatchOperator`
+        of ``spec``, ``radius + (0,)``, ``interior_shape + (nb,)``, the
+        boundary with one more axis and the constant broadcast over the
+        runs, as a stacked campaign batch builds its pair): as for
+        :meth:`step_into`, it serves only the buffers it was built over.
+
         Returns the batched destination interior view
         (``interior_shape + (nb,)``).
         """
         from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 
+        if plan is not None and plan.direction(src_padded, dst_padded) is not None:
+            return self._planned_step(src_padded, dst_padded, plan)
         radius, interior_shape, nb = self._batch_geometry(
             src_padded, dst_padded, radius, interior_shape, constant
         )
@@ -362,6 +391,6 @@ class Backend:
             else np.broadcast_to(constant[..., None], ext_shape)
         )
         return self._refresh_and_sweep(
-            src_padded, dst_padded, _BatchedSpecView(spec), ext_radius,
+            src_padded, dst_padded, BatchOperator(spec), ext_radius,
             ext_shape, ext_boundary, ext_const, refresh_axes,
         )

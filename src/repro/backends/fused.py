@@ -26,7 +26,8 @@ the memory-bound nature of large stencil sweeps:
    ``dst.flat[lo:hi] = C + sum(w * src.flat[lo+d : hi+d])``, in the
    reference's operation order, so every interior value is still
    bitwise equal to it.  The range, the displacements and the cast
-   weights are derived once per (layout, operator) and cached.  The
+   weights are derived once per (layout, operator) and cached (a
+   :class:`StepPlan` keeps its pair's).  The
    strip loop is compiled (:mod:`repro.backends.native`, blocks of
    1 KB, ~0.3x the NumPy loop on the 512x512x8 pair) when the
    library is loaded and the pair is native-byte-order float32/float64,
@@ -47,8 +48,9 @@ the memory-bound nature of large stencil sweeps:
    and all memory outside the destination are never written.  The
    per-point constant is embedded once per (constant,
    layout) into a zero-ghost padded copy, cached beside the strip
-   scratch.  Views that are not contiguous (2D tiles, or narrower
-   slices of a campaign batch) keep the *staged* path: accumulate into
+   scratch (and kept by the plan of a pair that sweeps with it).
+   Views that are not contiguous (2D tiles, or narrower slices of a
+   campaign batch) keep the *staged* path: accumulate into
    a contiguous staging buffer, then one strided copy into the
    interior, which writes no ghost cell.
 
@@ -76,12 +78,14 @@ the memory-bound nature of large stencil sweeps:
    the source's ghosts before it sweeps, and on the 514x514x10 buffer
    the last axis's ghosts, two 1-D columns of its ``(rows, width)``
    view, cost a whole pass over the cold buffer (all but 0.13-0.15 ms
-   of a 2.1-2.3 ms refresh on a 2-core x86 VM).  :meth:`FusedBackend._refresh_and_sweep`, the body of
-   every step and batched step, refreshes the other axes only and
-   hands the last ghost axis's lanes
-   (:class:`~repro.stencil.shift.GhostLanes`) to the compiled sweep,
-   which fills them a few rows at a time just ahead of the blocks that
-   read them, so the refresh and the sweep are one pass.  Without the
+   of a 2.1-2.3 ms refresh on a 2-core x86 VM).
+   :meth:`FusedBackend._refresh_and_sweep`, the body of every step and
+   batched step, refreshes the other axes only and passes the last
+   ghost axis's lanes (:class:`~repro.stencil.shift.GhostLanes`, from
+   the step's plan or the refresh-plan cache) to :meth:`sweep_into` as
+   an argument; the compiled sweep fills them a few rows at a time just
+   ahead of the blocks that read them, so the refresh and the sweep are
+   one pass.  Without the
    library the step is the base class's refresh-then-sweep; where the
    compiled sweep does not run for another reason (a strided,
    overlapping, unaligned or read-only pair, an empty interior) NumPy
@@ -93,6 +97,13 @@ the memory-bound nature of large stencil sweeps:
 Without a C compiler, or when the build or load fails, every path
 runs its NumPy code, and :meth:`FusedBackend.compiled_kernels` (``repro
 backends``) names the reason.
+
+A pair stepped every iteration (a grid, a rank, a stacked campaign
+batch) passes its :class:`StepPlan`: what its layout fixes is derived
+once, and a 64x64x8 step costs about its refresh and compiled sweep
+(50-60 us instead of 80-110 us on a 2-core x86 VM).  A call without a
+plan derives the same parts through the bounded caches, with the same
+checks.
 
 The scratch cache is per-thread (``threading.local``) so the threaded
 tile executor can sweep same-shaped tiles concurrently without races.
@@ -108,6 +119,7 @@ import numpy as np
 
 from repro.backends import native
 from repro.backends.base import Backend
+from repro.stencil.boundary import BoundarySpec
 from repro.stencil.shift import (
     GhostLanes,
     PlanCache,
@@ -115,11 +127,12 @@ from repro.stencil.shift import (
     ghost_lanes,
     interior_view,
     refresh_ghosts,
+    refresh_plan,
     shifted_view,
 )
 from repro.stencil.spec import StencilSpec, spec_key
 
-__all__ = ["FusedBackend"]
+__all__ = ["FusedBackend", "StepPlan"]
 
 #: Scratch buffers and padded constants cached per thread before the
 #: cache is reset (guards against unbounded growth when many distinct
@@ -182,6 +195,143 @@ def _root(a: np.ndarray) -> np.ndarray:
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
+
+
+def _cached_flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
+    return _flat_plans.get_or_build(
+        (shape, radius, interior_shape, dtype.str, spec_key(spec)),
+        _flat_plan, shape, radius, interior_shape, dtype, spec,
+    )
+
+
+class _Direction(NamedTuple):
+    """A step of a :class:`StepPlan`'s pair from one buffer into the other."""
+
+    #: Addresses of the source and the destination buffer.
+    src: int
+    dst: int
+    #: The destination's interior view, what the step returns.
+    interior: np.ndarray
+
+
+class StepPlan:
+    """What every step of one buffer pair derives from its layout, once.
+
+    Built over the pair's two padded buffers and the arguments of its
+    steps (those of :meth:`~repro.backends.base.Backend.step_into`),
+    validated as a step validates them, it holds:
+
+    * the resolved ``radius``, ``boundary`` and ``refresh_axes``, and
+      the arguments as given (``spec``, ``interior_shape``,
+      ``constant``);
+    * the ghost refresh (:func:`~repro.stencil.shift.refresh_plan`):
+      the whole refresh in ``refresh``, and for the compiled step, which
+      fills the last ghost axis inside its sweep, that axis's ``lanes``
+      and the refresh of the other axes in ``head``;
+    * the flat-sweep geometry (``flat``; ``contiguous`` tells whether
+      the pair takes the flat sweep at all);
+    * each buffer's address and interior view (:meth:`interior`), per
+      step direction.
+
+    The padded constant of the flat sweep is made on the first flat
+    sweep, through the backend's constant cache (so grids sharing a
+    constant share it, and the one-off copy stays out of construction),
+    and kept in ``padded_constant`` with its address.  The plan holds
+    every array whose address it hands to compiled code: the buffers,
+    the flat geometry, the lanes and that constant, so clearing a plan
+    cache never frees one.
+
+    The plan is geometry only: a step still asks
+    :func:`~repro.backends.get_backend` for the backend and
+    :func:`~repro.backends.native.library` for the kernels, so a grid
+    built earlier follows a swapped backend or a library marked
+    unavailable.  It serves its own two buffers, in either order; a
+    step of any other pair ignores it (:meth:`direction`).
+    """
+
+    __slots__ = (
+        "spec", "radius", "interior_shape", "boundary", "refresh_axes",
+        "constant", "refresh", "head", "lanes", "contiguous", "flat",
+        "padded_constant", "_buffers", "_directions",
+    )
+
+    def __init__(
+        self,
+        front: np.ndarray,
+        back: np.ndarray,
+        spec,
+        radius,
+        interior_shape: Sequence[int],
+        boundary,
+        constant: Optional[np.ndarray] = None,
+        refresh_axes: Optional[Sequence[int]] = None,
+    ) -> None:
+        Backend._check_pair(front, back)
+        if np.may_share_memory(front, back):
+            raise ValueError("the two buffers of a step plan overlap")
+        interiors = tuple(
+            Backend._dst_interior(b, radius, interior_shape) for b in (front, back)
+        )
+        interior_shape, radius = Backend._normalize_sweep_args(
+            front, radius, interior_shape, constant, None
+        )
+        self.spec = spec
+        self.radius = radius
+        self.interior_shape = interior_shape
+        self.boundary = BoundarySpec.from_any(boundary, front.ndim)
+        self.refresh_axes = (
+            None if refresh_axes is None else tuple(int(a) for a in refresh_axes)
+        )
+        self.constant = constant
+        self.refresh = refresh_plan(
+            front.shape, radius, self.boundary, self.refresh_axes
+        )
+        self.lanes = self.refresh.lanes
+        self.head = None if self.lanes is None else refresh_plan(
+            front.shape, radius, self.boundary, self.lanes.head
+        )
+        self.contiguous = (
+            front.flags.c_contiguous and back.flags.c_contiguous
+            and front.dtype == back.dtype
+        )
+        self.flat = None
+        if self.contiguous and 0 not in interior_shape:
+            self.flat = _cached_flat_plan(
+                front.shape, radius, interior_shape, front.dtype, spec
+            )
+        self.padded_constant: Optional[Tuple[np.ndarray, int]] = None
+        self._buffers = (front, back)
+        addresses = (front.ctypes.data, back.ctypes.data)
+        self._directions = (
+            _Direction(addresses[0], addresses[1], interiors[1]),
+            _Direction(addresses[1], addresses[0], interiors[0]),
+        )
+
+    def __reduce__(self):
+        # A copied or unpickled plan is built again over the copied
+        # buffers: the addresses it holds belong to the originals.
+        return type(self), (
+            *self._buffers, self.spec, self.radius, self.interior_shape,
+            self.boundary, self.constant, self.refresh_axes,
+        )
+
+    def interior(self, buffer: np.ndarray) -> Optional[np.ndarray]:
+        """The interior view of one of the pair's buffers (else ``None``)."""
+        a, b = self._buffers
+        if buffer is a:
+            return self._directions[1].interior
+        if buffer is b:
+            return self._directions[0].interior
+        return None
+
+    def direction(self, src: np.ndarray, dst: np.ndarray) -> Optional[_Direction]:
+        """The step from ``src`` into ``dst``, or ``None`` for another pair."""
+        a, b = self._buffers
+        if src is a and dst is b:
+            return self._directions[0]
+        if src is b and dst is a:
+            return self._directions[1]
+        return None
 
 
 class FusedBackend(Backend):
@@ -331,11 +481,38 @@ class FusedBackend(Backend):
 
         Same multiply/add sequence as :meth:`sweep_padded`, per strip
         of the flat range (see the module docstring); overwrites the
-        destination ghost positions inside ``[lo, hi)``.  The compiled
-        strip loop runs it when the library is loaded and the pair is
-        native-byte-order float32/float64, aligned, with a writeable
-        destination; otherwise the NumPy strip loop below does (and a
-        read-only destination raises NumPy's ``ValueError``).
+        destination ghost positions inside ``[lo, hi)``.  The geometry
+        and the padded constant come from their caches, then
+        :meth:`_flat_pass` sweeps.
+        """
+        flat = const = None
+        if 0 not in interior_shape:
+            shape, dtype = dst_padded.shape, dst_padded.dtype
+            flat = _cached_flat_plan(shape, radius, interior_shape, dtype, spec)
+            if constant is not None:
+                const = self._padded_constant(constant, shape, radius, dtype)
+        self._flat_pass(src_padded, dst_padded, flat, const, lanes)
+
+    def _flat_pass(
+        self,
+        src_padded: np.ndarray,
+        dst_padded: np.ndarray,
+        flat: Optional[_FlatPlan],
+        const: Optional[np.ndarray],
+        lanes: Optional[GhostLanes],
+        addresses: Optional[Tuple] = None,
+    ) -> None:
+        """The flat sweep of :meth:`_sweep_flat`, its geometry given.
+
+        ``flat`` is the geometry (``None`` for an empty interior, which
+        sweeps nothing) and ``const`` the flat padded constant or
+        ``None``.  The compiled strip loop runs it when the library is
+        loaded and the pair is native-byte-order float32/float64,
+        aligned, with a writeable destination; otherwise the NumPy strip
+        loop below does (and a read-only destination raises NumPy's
+        ``ValueError``).  ``addresses`` are the compiled call's source,
+        destination and constant addresses, when a :class:`StepPlan`
+        knows them.
 
         ``lanes`` are source ghost lanes still to be filled (see
         :meth:`_refresh_and_sweep`).  The compiled loop fills them just
@@ -344,44 +521,41 @@ class FusedBackend(Backend):
         exactly; otherwise :func:`~repro.stencil.shift.fill_lanes`
         fills them first.
         """
-        if 0 in interior_shape:
+        if flat is None:
             if lanes is not None:
                 fill_lanes(src_padded, lanes)
             return
-        shape = dst_padded.shape
         dtype = dst_padded.dtype
-        plan = _flat_plans.get_or_build(
-            (shape, radius, interior_shape, dtype.str, spec_key(spec)),
-            _flat_plan, shape, radius, interior_shape, dtype, spec,
-        )
-        src = src_padded.reshape(-1)
-        dst = dst_padded.reshape(-1)
-        const = (
-            None
-            if constant is None
-            else self._padded_constant(constant, shape, radius, dtype)
-        )
         lib = native.library()
         kernel = None if lib is None else lib.sweep.get(dtype.str)
         if (
             kernel is not None
-            and src.flags.aligned
-            and dst.flags.aligned
-            and dst.flags.writeable
+            and src_padded.flags.aligned
+            and dst_padded.flags.aligned
+            and dst_padded.flags.writeable
             and (
                 lanes is None
-                or (src.flags.writeable and lanes.rows * lanes.width == src.size)
+                or (
+                    src_padded.flags.writeable
+                    and lanes.rows * lanes.width == src_padded.size
+                )
             )
         ):
+            if addresses is None:
+                addresses = (
+                    src_padded.ctypes.data,
+                    dst_padded.ctypes.data,
+                    None if const is None else const.ctypes.data,
+                )
+            src, dst, constant = addresses
             lane, fill = (None, None) if lanes is None else lanes.addresses(dtype)
-            kernel(
-                src.ctypes.data, dst.ctypes.data, *plan.args,
-                None if const is None else const.ctypes.data, lane, fill,
-            )
+            kernel(src, dst, *flat.args, constant, lane, fill)
             return
         if lanes is not None:
             fill_lanes(src_padded, lanes)
-        lo, hi = plan.lo, plan.hi
+        src = src_padded.reshape(-1)
+        dst = dst_padded.reshape(-1)
+        lo, hi = flat.lo, flat.hi
         scratch = self._scratch((min(_STRIP, hi - lo),), dtype)
         for a in range(lo, hi, _STRIP):
             b = min(a + _STRIP, hi)
@@ -390,7 +564,7 @@ class FusedBackend(Backend):
             # The running sum: the padded constant's strip before the
             # first point is added, ``out`` afterwards.
             acc = None if const is None else const[a:b]
-            for d, w in zip(plan.disp.tolist(), plan.weights):
+            for d, w in zip(flat.disp.tolist(), flat.weights):
                 view = src[a + d:b + d]
                 if acc is None:
                     np.multiply(view, w, out=out)
@@ -398,6 +572,20 @@ class FusedBackend(Backend):
                     np.multiply(view, w, out=tmp)
                     np.add(acc, tmp, out=out)
                 acc = out
+
+    def _plan_constant(
+        self, plan: StepPlan, padded: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, int]]:
+        """``plan``'s flat padded constant and its address, made once.
+
+        ``padded`` is one of the plan's buffers, whose layout it takes.
+        """
+        if plan.padded_constant is None and plan.constant is not None:
+            const = self._padded_constant(
+                plan.constant, padded.shape, plan.radius, padded.dtype
+            )
+            plan.padded_constant = (const, const.ctypes.data)
+        return plan.padded_constant
 
     def sweep_into(
         self,
@@ -407,6 +595,8 @@ class FusedBackend(Backend):
         radius,
         interior_shape: Sequence[int],
         constant: Optional[np.ndarray] = None,
+        plan: Optional[StepPlan] = None,
+        lanes: Optional[GhostLanes] = None,
     ) -> np.ndarray:
         """Zero-copy sweep: materialise the new step inside the destination.
 
@@ -428,30 +618,45 @@ class FusedBackend(Backend):
         ghost untouched.  Both paths keep the reference's operation
         order, so the interior is bitwise identical either way.
 
-        Called by this backend's step, the sweep also fills the source
-        ghost lanes the step left to it (:meth:`_refresh_and_sweep`):
-        inside the compiled flat sweep, or with NumPy before any other.
+        ``plan`` is the :class:`StepPlan` of the pair, built from these
+        arguments; for its own two buffers the layout checks, the flat
+        geometry, the padded constant and the addresses come from it
+        instead of being derived again.  ``lanes`` are the source ghost
+        lanes this backend's step left to the sweep
+        (:meth:`_refresh_and_sweep`): the compiled flat sweep fills them
+        as it goes, NumPy before any other sweep.
         """
-        lanes = getattr(self._local, "lanes", None)
-        if lanes is not None:
-            self._local.lanes = None
-        interior = self._dst_interior(dst_padded, radius, interior_shape)
-        shared = np.may_share_memory(src_padded, dst_padded)
-        if (
-            not shared
-            and src_padded.flags.c_contiguous
-            and dst_padded.flags.c_contiguous
-            and src_padded.shape == dst_padded.shape
-            and src_padded.dtype == dst_padded.dtype
-        ):
-            interior_shape, radius = self._normalize_sweep_args(
-                src_padded, radius, interior_shape, constant, None
-            )
-            self._sweep_flat(
-                src_padded, dst_padded, spec, radius, interior_shape, constant,
-                lanes,
-            )
-            return interior
+        direction = None if plan is None else plan.direction(src_padded, dst_padded)
+        if direction is not None:
+            interior = direction.interior
+            if plan.contiguous:
+                const, address = (
+                    self._plan_constant(plan, dst_padded) or (None, None)
+                )
+                self._flat_pass(
+                    src_padded, dst_padded, plan.flat, const, lanes,
+                    (direction.src, direction.dst, address),
+                )
+                return interior
+            shared = False
+        else:
+            interior = self._dst_interior(dst_padded, radius, interior_shape)
+            shared = np.may_share_memory(src_padded, dst_padded)
+            if (
+                not shared
+                and src_padded.flags.c_contiguous
+                and dst_padded.flags.c_contiguous
+                and src_padded.shape == dst_padded.shape
+                and src_padded.dtype == dst_padded.dtype
+            ):
+                interior_shape, radius = self._normalize_sweep_args(
+                    src_padded, radius, interior_shape, constant, None
+                )
+                self._sweep_flat(
+                    src_padded, dst_padded, spec, radius, interior_shape, constant,
+                    lanes,
+                )
+                return interior
         if lanes is not None:
             fill_lanes(src_padded, lanes)
         if shared:
@@ -477,39 +682,39 @@ class FusedBackend(Backend):
         boundary,
         constant: Optional[np.ndarray],
         refresh_axes: Optional[Sequence[int]],
+        plan: Optional[StepPlan] = None,
     ) -> np.ndarray:
         """A step's refresh and sweep, the last ghost axis left to the sweep.
 
         When the native library has a sweep for the source's dtype and
         the refresh has ghost lanes
-        (:func:`~repro.stencil.shift.ghost_lanes`),
+        (:func:`~repro.stencil.shift.ghost_lanes`, or the plan's),
         :func:`~repro.stencil.shift.refresh_ghosts` fills the other axes
         (:attr:`~repro.stencil.shift.GhostLanes.head`) and
-        :meth:`sweep_into` takes the lanes: its checks pick the compiled
-        flat sweep, which fills them as its blocks reach them, or a NumPy
-        fill before any other sweep.  The source halo ends bitwise
-        equal to a full refresh either way.  Without lanes or a kernel
-        this is the base class's refresh-then-sweep.
+        :meth:`sweep_into` takes the lanes as an argument: its checks
+        pick the compiled flat sweep, which fills them as its blocks
+        reach them, or a NumPy fill before any other sweep.  The source
+        halo ends bitwise equal to a full refresh either way.  Without
+        lanes or a kernel this is the base class's refresh-then-sweep.
         """
-        lanes = ghost_lanes(src_padded.shape, radius, boundary, refresh_axes)
+        if plan is None:
+            lanes = ghost_lanes(src_padded.shape, radius, boundary, refresh_axes)
+        else:
+            lanes = plan.lanes
         lib = native.library()
         if lanes is None or lib is None or src_padded.dtype.str not in lib.sweep:
             return super()._refresh_and_sweep(
                 src_padded, dst_padded, spec, radius, interior_shape, boundary,
-                constant, refresh_axes,
+                constant, refresh_axes, plan,
             )
-        refresh_ghosts(src_padded, radius, boundary, axes=lanes.head)
-        # sweep_into keeps its public signature: the lanes reach it
-        # through this thread's state, which it clears first and which
-        # never outlives this call.
-        self._local.lanes = lanes
-        try:
-            return self.sweep_into(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                constant=constant,
-            )
-        finally:
-            self._local.lanes = None
+        refresh_ghosts(
+            src_padded, radius, boundary, axes=lanes.head,
+            plan=None if plan is None else plan.head,
+        )
+        return self.sweep_into(
+            src_padded, dst_padded, spec, radius, interior_shape,
+            constant=constant, plan=plan, lanes=lanes,
+        )
 
     def checksum(
         self, u: np.ndarray, axis: int, dtype: Optional[np.dtype] = None

@@ -66,7 +66,13 @@ A call validates its arguments, looks up its plan and replays it: the
 same reductions, ``zeros`` then ``+= constant_sum``, one ``ext + delta``
 per distinct offset and ``multiply(w, view)`` then ``add`` per term, with
 the same operands in the same order as deriving everything afresh, so
-the results are bitwise identical. Geometry errors (an out-of-range
+the results are bitwise identical.  A caller that makes the same call
+every step binds it once instead and passes ``plan=``:
+:func:`interpolation_plan` (the domain plan, the promoted dtype, the
+constant sum cast and broadcast, the addresses of a buffer pair) for
+the two domain-reading functions, :func:`reduced_plan` for the
+checksum-space one.  The offline protector binds its strips and its
+replay, a stacked campaign batch its interpolation. Geometry errors (an out-of-range
 ``reduce_axis``, an offset wider than the ghosts) are raised when a plan
 is built; shape errors are checked on every call. Plans are immutable
 and every call allocates its own checksum-sized buffers, so threads can
@@ -152,6 +158,9 @@ __all__ = [
     "interpolate_checksum_padded",
     "interpolate_checksum_reduced",
     "extract_delta_strips",
+    "interpolation_plan",
+    "reduced_plan",
+    "InterpolationPlan",
     "reduced_boundary",
 ]
 
@@ -227,6 +236,8 @@ class _DomainPlan(NamedTuple):
 class _ChecksumPlan(NamedTuple):
     """Geometry of an interpolation in checksum space only."""
 
+    #: The checksum's dtype, which the weights are cast to.
+    dtype: np.dtype
     other_shape: Tuple[int, ...]
     ext_shape: Tuple[int, ...]
     block: Index
@@ -419,10 +430,9 @@ def _compiled(strips, terms, radius_other, other_shape, ext_shape, dtype) -> _Co
     return _Compiled(plane, out, size, windows, starts, flat, weights, args)
 
 
-def _domain_plan(
-    spec, radius, interior_shape, reduce_axis, padded_prev, dtype, boundary=None
-):
-    """The cached domain plan, after checking ``padded_prev`` against it."""
+def _cached_domain_plan(
+    spec, radius, interior_shape, reduce_axis, dtype, boundary
+) -> _DomainPlan:
     interior_shape = tuple(int(n) for n in interior_shape)
     if not isinstance(radius, tuple):
         radius = normalize_radius(radius, len(interior_shape))
@@ -430,9 +440,18 @@ def _domain_plan(
     if not isinstance(spec, (StencilSpec, BatchOperator)):
         spec = spec_key[0]
     key = ("domain", spec_key, radius, interior_shape, reduce_axis, dtype, boundary)
-    plan = _plans.get_or_build(
+    return _plans.get_or_build(
         key, _build_domain_plan, spec, radius, interior_shape, reduce_axis,
         dtype, boundary,
+    )
+
+
+def _domain_plan(
+    spec, radius, interior_shape, reduce_axis, padded_prev, dtype, boundary=None
+):
+    """The cached domain plan, after checking ``padded_prev`` against it."""
+    plan = _cached_domain_plan(
+        spec, radius, interior_shape, reduce_axis, dtype, boundary
     )
     if padded_prev.shape != plan.padded_shape:
         raise ValueError(
@@ -440,6 +459,86 @@ def _domain_plan(
             f"{plan.padded_shape} (domain {interior_shape}, radius {radius})"
         )
     return plan
+
+
+class InterpolationPlan(NamedTuple):
+    """An interpolation that reads the padded domain, bound once.
+
+    Built by :func:`interpolation_plan` from the arguments of
+    :func:`interpolate_checksum_padded` (or :func:`extract_delta_strips`)
+    other than the two arrays, for a caller that makes the same call
+    every step: a protector, or a stacked campaign batch.  Given as
+    ``plan=``, it replaces the per-call plan lookup, the dtype
+    promotion, the cast and broadcast of the constant sum and, for the
+    padded buffers it was bound to, the read of their address.
+    """
+
+    domain: _DomainPlan
+    #: The dtypes of ``cs_prev`` and ``padded_prev`` it serves, and the
+    #: checksum dtype they promote to.
+    cs_dtype: np.dtype
+    padded_dtype: np.dtype
+    dtype: np.dtype
+    #: ``constant_sum`` cast to ``dtype`` and broadcast to the checksum's
+    #: shape (a contiguous copy), or ``None``.
+    constant_sum: Optional[np.ndarray]
+    #: Padded buffers the calls read, kept alive, and their addresses.
+    buffers: Tuple[np.ndarray, ...]
+    addresses: Tuple[int, ...]
+
+    def fits(self, cs_prev: np.ndarray, padded_prev: np.ndarray) -> bool:
+        """Whether a call with these arrays is the one this plan binds."""
+        return (
+            padded_prev.shape == self.domain.padded_shape
+            and cs_prev.shape == self.domain.other_shape
+            and cs_prev.dtype == self.cs_dtype
+            and padded_prev.dtype == self.padded_dtype
+        )
+
+    def address(self, padded_prev: np.ndarray) -> int:
+        """Where ``padded_prev`` starts (read once for a bound buffer)."""
+        for buffer, address in zip(self.buffers, self.addresses):
+            if padded_prev is buffer:
+                return address
+        return padded_prev.ctypes.data
+
+
+def interpolation_plan(
+    spec,
+    radius,
+    interior_shape: Sequence[int],
+    reduce_axis: int,
+    cs_dtype,
+    padded_dtype,
+    constant_sum: Optional[np.ndarray] = None,
+    boundary: Optional[BoundarySpec] = None,
+    buffers: Sequence[np.ndarray] = (),
+) -> InterpolationPlan:
+    """Bind :func:`interpolate_checksum_padded` of one layout once.
+
+    The arguments are those of the calls it will serve (see
+    :func:`interpolate_checksum_padded`), with the dtypes of their
+    ``cs_prev`` and ``padded_prev`` in place of the arrays, and the
+    padded ``buffers`` they will read (a buffer pair), whose addresses
+    are read here.  :func:`extract_delta_strips` takes the same plan,
+    bound with ``cs_dtype=padded_dtype`` and no constant or boundary.
+    The domain plan comes from the module's cache and is kept, so
+    clearing the cache frees nothing the plan hands to compiled code.
+    """
+    cs_dtype, padded_dtype = np.dtype(cs_dtype), np.dtype(padded_dtype)
+    dtype = np.result_type(cs_dtype, padded_dtype)
+    domain = _cached_domain_plan(
+        spec, radius, interior_shape, reduce_axis, dtype, boundary
+    )
+    if constant_sum is not None:
+        constant_sum = np.array(
+            np.broadcast_to(np.asarray(constant_sum, dtype=dtype), domain.other_shape)
+        )
+    buffers = tuple(buffers)
+    return InterpolationPlan(
+        domain, cs_dtype, padded_dtype, dtype, constant_sum, buffers,
+        tuple(b.ctypes.data for b in buffers),
+    )
 
 
 def _strip_deltas(plan: _DomainPlan, padded_prev: np.ndarray, dtype):
@@ -508,6 +607,7 @@ def interpolate_checksum_padded(
     reduce_axis: int,
     constant_sum: Optional[np.ndarray] = None,
     boundary: Optional[BoundarySpec] = None,
+    plan: Optional[InterpolationPlan] = None,
 ) -> np.ndarray:
     """Exact Theorem-1 interpolation of a checksum.
 
@@ -544,6 +644,11 @@ def interpolate_checksum_padded(
         applies; otherwise every border is read from the domain (module
         docstring, "The closed-border rule").  A boundary whose axis
         count differs from the domain's raises ``ValueError``.
+    plan:
+        The :func:`interpolation_plan` of the other arguments, for a
+        caller that makes this call every step.  It serves the calls
+        whose arrays have the shapes and dtypes it was bound for; any
+        other call runs as without one.
 
     Returns
     -------
@@ -553,15 +658,20 @@ def interpolate_checksum_padded(
         takes the compiled strips and terms, bitwise equal to the NumPy
         code (module docstring).
     """
-    dtype = np.result_type(cs_prev.dtype, padded_prev.dtype)
-    plan = _domain_plan(
-        spec, radius, interior_shape, reduce_axis, padded_prev, dtype, boundary
-    )
-    if cs_prev.shape != plan.other_shape:
-        raise ValueError(
-            f"cs_prev has shape {cs_prev.shape}, expected {plan.other_shape} "
-            f"(domain {tuple(interior_shape)}, reduce_axis {reduce_axis})"
+    if plan is not None and plan.fits(cs_prev, padded_prev):
+        dtype, constant_sum, bound = plan.dtype, plan.constant_sum, plan
+        plan = plan.domain
+    else:
+        dtype = np.result_type(cs_prev.dtype, padded_prev.dtype)
+        plan = _domain_plan(
+            spec, radius, interior_shape, reduce_axis, padded_prev, dtype, boundary
         )
+        bound = None
+        if cs_prev.shape != plan.other_shape:
+            raise ValueError(
+                f"cs_prev has shape {cs_prev.shape}, expected {plan.other_shape} "
+                f"(domain {tuple(interior_shape)}, reduce_axis {reduce_axis})"
+            )
 
     # Checksum over the ghost-extended range of the non-reduced axes. The
     # interior block is taken verbatim from ``cs_prev`` (already verified
@@ -586,8 +696,8 @@ def interpolate_checksum_padded(
         if constant_sum is not None:
             predicted[...] = np.asarray(constant_sum, dtype=dtype)
         kernel(
-            padded_prev.ctypes.data, work.ctypes.data, constant_sum is not None,
-            *plan.compiled.args,
+            padded_prev.ctypes.data if bound is None else bound.address(padded_prev),
+            work.ctypes.data, constant_sum is not None, *plan.compiled.args,
         )
         return predicted
 
@@ -628,6 +738,7 @@ def extract_delta_strips(
     radius,
     interior_shape: Sequence[int],
     reduce_axis: int,
+    plan: Optional[InterpolationPlan] = None,
 ) -> Dict[int, np.ndarray]:
     """Record the per-offset boundary strip sums of a step.
 
@@ -637,9 +748,17 @@ def extract_delta_strips(
     stores one such dictionary per sweep (a few KiB) so that it can
     replay the exact interpolation over a whole detection period without
     keeping the intermediate domains alive.
+
+    ``plan`` is an :func:`interpolation_plan` of the other arguments;
+    it serves a ``padded_prev`` of the shape it was bound for.
     """
     dtype = padded_prev.dtype
-    plan = _domain_plan(spec, radius, interior_shape, reduce_axis, padded_prev, dtype)
+    if plan is not None and padded_prev.shape == plan.domain.padded_shape:
+        plan = plan.domain
+    else:
+        plan = _domain_plan(
+            spec, radius, interior_shape, reduce_axis, padded_prev, dtype
+        )
     return {
         o_d: np.ascontiguousarray(delta[plan.block])
         for o_d, delta in _strip_deltas(plan, padded_prev, dtype)
@@ -699,6 +818,7 @@ def _build_checksum_plan(
         return bspec, ghost_fill_ops(ext_shape, radius_other, bspec)
 
     return _ChecksumPlan(
+        dtype=dtype,
         other_shape=other_shape,
         ext_shape=ext_shape,
         block=tuple(slice(r, r + n) for n, r in zip(other_shape, radius_other)),
@@ -707,6 +827,33 @@ def _build_checksum_plan(
         strip_pad=pad(True),
         shifts=frozenset(o_d for o_d, _, _ in terms if o_d != 0),
         terms=terms,
+    )
+
+
+def reduced_plan(
+    spec: StencilSpec,
+    boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
+    reduce_axis: int,
+    n_reduce: int,
+    other_shape: Sequence[int],
+    dtype,
+) -> _ChecksumPlan:
+    """The plan of :func:`interpolate_checksum_reduced` for one layout.
+
+    Takes that function's arguments, with the shape and dtype of its
+    ``cs_prev`` in place of the vector, and returns the cached plan, for
+    a caller that replays the same interpolation every step (the
+    offline protector) to pass as ``plan=``.
+    """
+    if not isinstance(boundary, BoundarySpec):
+        boundary = BoundarySpec.from_any(boundary, spec.ndim)
+    other_shape = tuple(int(n) for n in other_shape)
+    dtype = np.dtype(dtype)
+    key = ("checksum", _spec_key(spec), boundary, reduce_axis, n_reduce,
+           other_shape, dtype)
+    return _plans.get_or_build(
+        key, _build_checksum_plan, spec, boundary, reduce_axis, n_reduce,
+        other_shape, dtype,
     )
 
 
@@ -728,6 +875,7 @@ def interpolate_checksum_reduced(
     n_reduce: int,
     deltas: Optional[Dict[int, np.ndarray]] = None,
     constant_sum: Optional[np.ndarray] = None,
+    plan: Optional[_ChecksumPlan] = None,
 ) -> np.ndarray:
     """Interpolate a checksum using only checksum-space information.
 
@@ -759,17 +907,16 @@ def interpolate_checksum_reduced(
         Optional mapping ``{o_d: strip vector}`` of α/β corrections.
     constant_sum:
         Pre-computed checksum of the constant term, or ``None``.
+    plan:
+        The :func:`reduced_plan` of the other arguments, for a caller
+        that replays this call every step; it serves a ``cs_prev`` of
+        the shape and dtype it was built for, and any other runs as
+        without one.
     """
-    if not isinstance(boundary, BoundarySpec):
-        boundary = BoundarySpec.from_any(boundary, spec.ndim)
     dtype = cs_prev.dtype
     other_shape = cs_prev.shape
-    key = ("checksum", _spec_key(spec), boundary, reduce_axis, n_reduce,
-           other_shape, dtype)
-    plan = _plans.get_or_build(
-        key, _build_checksum_plan, spec, boundary, reduce_axis, n_reduce,
-        other_shape, dtype,
-    )
+    if plan is None or plan.dtype != dtype or plan.other_shape != other_shape:
+        plan = reduced_plan(spec, boundary, reduce_axis, n_reduce, other_shape, dtype)
 
     cs_ext = _pad_checksum(plan, cs_prev, plan.cs_pad)
     shifted: Dict[int, np.ndarray] = {}

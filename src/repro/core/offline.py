@@ -36,6 +36,8 @@ from repro.core.detection import detect_errors
 from repro.core.interpolation import (
     extract_delta_strips,
     interpolate_checksum_reduced,
+    interpolation_plan,
+    reduced_plan,
 )
 from repro.core.protector import InjectHook, Protector, StepReport
 from repro.core.thresholds import recommend_epsilon
@@ -136,6 +138,15 @@ class OfflineABFT(Protector):
             constant, _COLUMN_AXIS, self.shape, cs_dtype
         )
         self._n_reduce = self.shape[_COLUMN_AXIS]
+        # The strips of every step and the replay's interpolation, bound
+        # once for this protector's layout.
+        self._strip_plan = interpolation_plan(
+            spec, self.radius, self.shape, _COLUMN_AXIS, self.dtype, self.dtype
+        )
+        self._replay_plan = reduced_plan(
+            spec, self.boundary, _COLUMN_AXIS, self._n_reduce,
+            self.shape[1:], cs_dtype,
+        )
         #: The last verified state: interior plus duplicated checksum.
         self.checkpoint: Optional[Snapshot] = None
         self._strips: List[Dict[int, np.ndarray]] = []
@@ -181,7 +192,8 @@ class OfflineABFT(Protector):
             self._strips.append({})
             return
         strips = extract_delta_strips(
-            grid.previous_padded, self.spec, self.radius, self.shape, _COLUMN_AXIS
+            grid.previous_padded, self.spec, self.radius, self.shape, _COLUMN_AXIS,
+            plan=self._strip_plan,
         )
         self._strips.append(strips)
 
@@ -217,6 +229,7 @@ class OfflineABFT(Protector):
                 self._n_reduce,
                 deltas=strips if self.track_strips else None,
                 constant_sum=self._constant_sum,
+                plan=self._replay_plan,
             )
         return cs
 

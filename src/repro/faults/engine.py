@@ -97,11 +97,12 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import get_backend
+from repro.backends import StepPlan, get_backend
+from repro.core.interpolation import InterpolationPlan, interpolation_plan
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection, Protector
 from repro.faults.campaign import (
@@ -239,6 +240,16 @@ class _BatchTask:
     force_replay: bool = False
 
 
+class _BatchLayout(NamedTuple):
+    """A batch width's views of the stacked pair and their bound plans."""
+
+    #: Views of the pair's two buffers, in the order they were allocated.
+    views: Tuple[np.ndarray, np.ndarray]
+    step: StepPlan
+    #: The Theorem-1 interpolation of the batch (``None`` unprotected).
+    interpolation: Optional[InterpolationPlan]
+
+
 class _StackedBatch:
     """Persistent stacked buffer pair executing whole batches of runs.
 
@@ -263,6 +274,15 @@ class _StackedBatch:
     :meth:`~repro.core.online.OnlineABFT.process` gets the base grid's
     boundary.  On a full-width batch, whose pair is contiguous, both
     take the compiled kernels of :mod:`repro.backends.native`.
+
+    The pair is built with the batch operator (:attr:`spec_ext`) and the
+    constant broadcast over the runs, so its
+    :class:`~repro.backends.fused.StepPlan` is the full-width batched
+    step's; a narrower batch (a campaign's last) gets a plan over views
+    of the pair's first ``width`` runs the first time it runs.  The
+    interpolation of each width is bound once too
+    (:func:`~repro.core.interpolation.interpolation_plan`): its plan,
+    dtype, cast constant sum and the addresses of the pair's buffers.
     """
 
     def __init__(
@@ -293,13 +313,15 @@ class _StackedBatch:
         # The campaign's shared initial domain — passed explicitly (the
         # worker grid may hold the final state of an earlier replay run).
         self.initial = np.ascontiguousarray(initial, dtype=self.dtype)[..., None]
-        self.pair = DoubleBufferedGrid(
-            np.broadcast_to(self.initial, shape), radius, boundary
-        )
         self.constant = grid.constant
-        # The operator of the stacked Theorem-1 interpolation: the batch
-        # axis never shifts.
+        # The operator of the batched step and of the stacked Theorem-1
+        # interpolation: the batch axis never shifts.
         self.spec_ext = BatchOperator(self.spec)
+        self.pair = DoubleBufferedGrid(
+            np.broadcast_to(self.initial, shape), radius, boundary,
+            spec=self.spec_ext, constant=self._run_constant(self.width),
+        )
+        self._buffers = (self.pair.front, self.pair.back)
 
         self.protector: Optional[OnlineABFT] = None
         if isinstance(protector, OnlineABFT):
@@ -307,6 +329,39 @@ class _StackedBatch:
             self.epsilon = protector.epsilon
             cs = protector._constant_sums[0]
             self.constant_sum = None if cs is None else cs[..., None]
+            self._cs_dtype = protector.checksum_dtype or self.dtype
+        self._layouts: Dict[int, _BatchLayout] = {}
+        self._layout(self.width)
+
+    def _run_constant(self, width: int) -> Optional[np.ndarray]:
+        """The grid's constant broadcast over ``width`` runs, or ``None``."""
+        if self.constant is None:
+            return None
+        return np.broadcast_to(self.constant[..., None], self.base_shape + (width,))
+
+    def _layout(self, width: int) -> _BatchLayout:
+        """The pair's views and plans for a batch of ``width`` runs."""
+        layout = self._layouts.get(width)
+        if layout is not None:
+            return layout
+        shape = self.base_shape + (width,)
+        if width == self.width:
+            views, step = self._buffers, self.pair.plan
+        else:
+            views = tuple(b[..., :width] for b in self._buffers)
+            step = StepPlan(
+                *views, self.spec_ext, self.radius, shape, self.boundary,
+                self._run_constant(width),
+            )
+        interpolation = None
+        if self.protector is not None:
+            interpolation = interpolation_plan(
+                self.spec_ext, self.radius, shape, 0, self._cs_dtype, self.dtype,
+                constant_sum=self.constant_sum, boundary=self.boundary,
+                buffers=views,
+            )
+        layout = self._layouts[width] = _BatchLayout(views, step, interpolation)
+        return layout
 
     def run_batch(
         self,
@@ -339,6 +394,10 @@ class _StackedBatch:
         counters = np.zeros((width, 3), dtype=np.int64)
         protector = self.protector
         backend = get_backend()
+        layout = self._layout(width)
+        src, dst = layout.views
+        if self.pair.front is not self._buffers[0]:
+            src, dst = dst, src
 
         start = time.perf_counter()
         interior = interior_view(self.pair.front, self.radius)[..., :width]
@@ -347,13 +406,12 @@ class _StackedBatch:
             # OnlineABFT.step's first-iteration checksum seed.
             prev_cs = self._checksums(interior)
         for t in range(1, iterations + 1):
-            backend.batch_step_into(
-                self.pair.front[..., :width], self.pair.back[..., :width],
-                self.spec, self.base_radius, self.base_shape,
-                self.base_boundary, constant=self.constant,
+            interior = backend.batch_step_into(
+                src, dst, self.spec, self.base_radius, self.base_shape,
+                self.base_boundary, constant=self.constant, plan=layout.step,
             )
             self.pair.swap()
-            interior = interior_view(self.pair.front, self.radius)[..., :width]
+            src, dst = dst, src
             fired = by_iteration.get(t)
             if fired is not None:
                 for slot, plan in fired:
@@ -362,7 +420,7 @@ class _StackedBatch:
                 continue
             # Every run's checksum is reduced after its flips, as a
             # replayed run's protector reduces after its inject hook.
-            cs, flagged = self._verify(prev_cs, interior)
+            cs, flagged = self._verify(prev_cs, interior, dst)
             if flagged is not None:
                 for slot in flagged:
                     # Delegate the rare detection step to the library
@@ -393,25 +451,27 @@ class _StackedBatch:
         return counters, interior, elapsed
 
     def _verify(
-        self, prev_cs: np.ndarray, interior: np.ndarray
+        self, prev_cs: np.ndarray, interior: np.ndarray, padded_prev: np.ndarray
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """One iteration's protection of the batch in ``interior``.
 
         Returns every slot's checksum (:meth:`_checksums`) and the slots
         whose checksum mismatches its Theorem-1 prediction from
-        ``prev_cs`` and the pair's back buffer (one stacked
-        interpolation and one screen), or ``None`` when none does.
+        ``prev_cs`` and ``padded_prev``, the pair's buffer the step read
+        (one stacked interpolation and one screen), or ``None`` when
+        none does.
         """
         width = interior.shape[-1]
         cs = self._checksums(interior)
         predicted = _interpolate_stacked(
             prev_cs,
-            self.pair.back[..., :width],
+            padded_prev,
             self.spec_ext,
             self.radius,
             self.base_shape + (width,),
             self.constant_sum,
             self.boundary,
+            self._layout(width).interpolation,
         )
         return cs, _detection_screen(cs, predicted, self.epsilon)
 
@@ -448,6 +508,7 @@ def _interpolate_stacked(
     shape,
     constant_sum: Optional[np.ndarray],
     boundary: BoundarySpec,
+    plan: Optional[InterpolationPlan] = None,
 ) -> np.ndarray:
     """Theorem-1 column-checksum interpolation of the whole batch in one call.
 
@@ -462,12 +523,14 @@ def _interpolate_stacked(
     :mod:`repro.core.interpolation` closed axes' borders come from
     ``prev_cs``, as a replayed run's ``OnlineABFT.step`` takes them
     from its own checksum.  The run axis has no ghosts and adds no fill.
+    ``plan`` is the batch width's bound interpolation
+    (:meth:`_StackedBatch._layout`).
     """
     from repro.core.interpolation import interpolate_checksum_padded
 
     return interpolate_checksum_padded(
         prev_cs, padded_prev, spec_ext, radius, shape, 0,
-        constant_sum=constant_sum, boundary=boundary,
+        constant_sum=constant_sum, boundary=boundary, plan=plan,
     )
 
 

@@ -402,7 +402,8 @@ class SimRank:
     ingests neighbour halo payloads (or synthesises the closed boundary
     condition at the domain edge) straight into the front buffer before
     every sweep, and the remaining axes refresh from the boundary spec
-    inside the backend-owned step.
+    inside the backend-owned step.  The pair is built with the runner's
+    operator and the rank's constant, so its step plan is derived once.
 
     A crashed rank keeps its object: recovery restores its front
     interior, protector state and report history from the copy its
@@ -420,11 +421,13 @@ class SimRank:
         global_offset: int,
         radius,
         boundary: BoundarySpec,
+        spec: StencilSpec,
     ) -> None:
         self.rank = int(rank)
         external = (DISTRIBUTED_AXIS,) if radius[DISTRIBUTED_AXIS] > 0 else ()
         self.buffers = DoubleBufferedGrid(
-            block, radius, boundary, external_axes=external
+            block, radius, boundary, external_axes=external, spec=spec,
+            constant=constant,
         )
         self.constant = constant
         self.protector = protector
@@ -575,6 +578,7 @@ class DistributedStencilRunner:
                     global_offset=start,
                     radius=self.radius,
                     boundary=self.boundary,
+                    spec=self.spec,
                 )
             )
         # Build or load the backend's compiled kernels before the first
@@ -843,7 +847,7 @@ class DistributedStencilRunner:
                 ghost_hook(self, self.iteration, rank)
 
         for rank in self.ranks:
-            src_padded, _ = rank.buffers.step(self.spec, constant=rank.constant)
+            src_padded, _ = rank.buffers.step()
             rank.buffers.swap()
             if inject is not None:
                 inject(self, self.iteration, rank)

@@ -16,7 +16,12 @@ path by keeping *two* persistent padded buffers:
 :meth:`DoubleBufferedGrid.step` drives both stages through the
 backend's ``step_into`` primitive in one call, so a backend that owns
 its ghost refresh can perform the refresh and the sweep as one
-operation on the pair.
+operation on the pair.  The pair is built with the operator and the
+constant of its steps, and derives what they need from its layout once,
+in a :class:`~repro.backends.fused.StepPlan` that every step passes
+along: the resolved radius, boundary and refresh axes, the refresh ops
+and ghost lanes, the flat-sweep geometry and each buffer's interior
+view and address.
 
 The previous step therefore stays alive exactly one iteration — long
 enough for the ABFT protectors, which read ``grid.previous_padded``
@@ -33,6 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.backends import get_backend
+from repro.backends.fused import StepPlan
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import (
     interior_view,
@@ -66,6 +72,11 @@ class DoubleBufferedGrid:
         distributed runner gives each rank a persistent buffer pair:
         the distributed axis is external, its front-buffer slabs are
         filled by message ingestion before every step.
+    spec, constant:
+        The operator and the optional constant term of every
+        :meth:`step` (the constant is read, never copied).  The pair
+        builds its :attr:`plan` from them and its layout; a pair built
+        without an operator refreshes and swaps but cannot step.
     """
 
     def __init__(
@@ -74,6 +85,8 @@ class DoubleBufferedGrid:
         radius,
         boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
         external_axes: Sequence[int] = (),
+        spec=None,
+        constant: Optional[np.ndarray] = None,
     ) -> None:
         initial = np.asarray(initial)
         self.radius = normalize_radius(radius, initial.ndim)
@@ -96,6 +109,14 @@ class DoubleBufferedGrid:
         self._front = np.zeros(self.padded_shape, dtype=self.dtype)
         self._back = np.zeros(self.padded_shape, dtype=self.dtype)
         interior_view(self._front, self.radius)[...] = initial
+        #: The :class:`~repro.backends.fused.StepPlan` every step passes
+        #: to the backend (``None`` without an operator).
+        self.plan: Optional[StepPlan] = None
+        if spec is not None:
+            self.plan = StepPlan(
+                self._front, self._back, spec, self.radius,
+                self.interior_shape, self.boundary, constant, self.refresh_axes,
+            )
 
     # -- accessors ----------------------------------------------------------
     @property
@@ -110,7 +131,12 @@ class DoubleBufferedGrid:
 
     @property
     def interior(self) -> np.ndarray:
-        """View of the current interior domain (front buffer)."""
+        """View of the current interior domain (front buffer).
+
+        With a plan, the view the plan made of the buffer's interior.
+        """
+        if self.plan is not None:
+            return self.plan.interior(self._front)
         return interior_view(self._front, self.radius)
 
     def nbytes(self) -> int:
@@ -128,18 +154,22 @@ class DoubleBufferedGrid:
         data the caller ingested.
         """
         return refresh_ghosts(
-            self._front, self.radius, self.boundary, axes=self.refresh_axes
+            self._front, self.radius, self.boundary, axes=self.refresh_axes,
+            plan=None if self.plan is None else self.plan.refresh,
         )
 
-    def step(self, spec, constant: Optional[np.ndarray] = None):
+    def step(self):
         """One backend-owned step of the pair: refresh + sweep.
 
         The whole iteration — ghost refresh of the front buffer and the
-        sweep into the back buffer — is delegated to the ``step_into``
-        primitive of the compute backend, which matches the classic
-        :meth:`refresh`-then-``sweep_into`` sequence bit for bit.  The
-        front buffer's halo is consistent with its interior afterwards —
-        the ABFT protectors read it as ``previous_padded``.
+        sweep into the back buffer, with the operator and constant the
+        pair was built with — is delegated to the ``step_into``
+        primitive of the compute backend (resolved here, every step),
+        which matches the classic :meth:`refresh`-then-``sweep_into``
+        sequence bit for bit.  The step passes the pair's :attr:`plan`,
+        so nothing its layout fixed is derived again.  The front
+        buffer's halo is consistent with its interior afterwards — the
+        ABFT protectors read it as ``previous_padded``.
 
         The pair is **not** swapped: callers (``GridBase._commit``, the
         distributed runner) own the swap so previous-step bookkeeping
@@ -147,15 +177,19 @@ class DoubleBufferedGrid:
 
         Returns ``(src_padded, new_interior)``.
         """
+        plan = self.plan
+        if plan is None:
+            raise ValueError("a pair built without an operator cannot step")
         new = get_backend().step_into(
             self._front,
             self._back,
-            spec,
-            self.radius,
-            self.interior_shape,
-            self.boundary,
-            constant=constant,
-            refresh_axes=self.refresh_axes,
+            plan.spec,
+            plan.radius,
+            plan.interior_shape,
+            plan.boundary,
+            constant=plan.constant,
+            refresh_axes=plan.refresh_axes,
+            plan=plan,
         )
         return self._front, new
 

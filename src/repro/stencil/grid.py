@@ -15,7 +15,9 @@ Storage is a persistent padded buffer pair
 refreshes only the ghost cells of the front buffer in place and writes
 the new interior straight into the back buffer through the backend's
 ``sweep_into`` primitive, then the pair swaps.  No full-domain copy is
-made per iteration.  Consequences callers must respect:
+made per iteration, and the pair, built with the grid's operator and
+constant, derives what its steps need from its layout once.
+Consequences callers must respect:
 
 * ``grid.u``, ``grid.previous`` and ``grid.previous_padded`` are views
   into the pair.  ``previous``/``previous_padded`` stay valid until the
@@ -102,7 +104,9 @@ class GridBase:
         self.radius = spec.radius()
         self.iteration = 0
         #: The persistent padded buffer pair backing this grid.
-        self.buffers = DoubleBufferedGrid(u, self.radius, self.boundary)
+        self.buffers = DoubleBufferedGrid(
+            u, self.radius, self.boundary, spec=spec, constant=constant
+        )
         #: Interior domain at the current step (a view into the pair).
         self.u = self.buffers.interior
         self._previous: Optional[np.ndarray] = None
@@ -161,7 +165,7 @@ class GridBase:
         is taken: a protector reduces the new domain itself, after any
         fault-injection hook has run.
         """
-        padded, new = self.buffers.step(self.spec, constant=self.constant)
+        padded, new = self.buffers.step()
         self._commit(padded)
         return new
 

@@ -27,6 +27,7 @@ __all__ = [
     "padded_shape",
     "pad_array",
     "refresh_ghosts",
+    "refresh_plan",
     "ghost_lanes",
     "fill_lanes",
     "GhostLanes",
@@ -116,6 +117,7 @@ def refresh_ghosts(
     radius,
     boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
     axes: Optional[Sequence[int]] = None,
+    plan: Optional["RefreshPlan"] = None,
 ) -> np.ndarray:
     """Re-fill the ghost cells of an existing padded array, in place.
 
@@ -153,9 +155,15 @@ def refresh_ghosts(
     also write the corners of that axis, which the lanes overwrite
     with the same values this function would have left there.
 
+    ``plan`` is :func:`refresh_plan` of ``padded``'s shape and the other
+    arguments, which a caller that refreshes one layout every step (a
+    :class:`~repro.backends.fused.StepPlan`) derives once; without it
+    the plan is looked up in a bounded cache on every call.
+
     Returns ``padded`` (the same object) for chaining.
     """
-    plan = _refresh_plan(padded.shape, radius, boundary, axes)
+    if plan is None:
+        plan = refresh_plan(padded.shape, radius, boundary, axes)
     if plan.ops is None:
         # Degenerate wrap (ghost wider than the interior): the in-place
         # slab fill would read half-written ghosts. np.pad's tiling
@@ -185,7 +193,7 @@ def ghost_lanes(
     refresh, or ``None`` when no axis is refreshed with a non-zero
     ghost width or a periodic axis is degenerate.
     """
-    return _refresh_plan(tuple(padded_shape), radius, boundary, axes).lanes
+    return refresh_plan(tuple(padded_shape), radius, boundary, axes).lanes
 
 
 def fill_lanes(padded: np.ndarray, lanes: "GhostLanes") -> np.ndarray:
@@ -295,7 +303,7 @@ class GhostLanes(NamedTuple):
         return entry[1], entry[2]
 
 
-class _RefreshPlan(NamedTuple):
+class RefreshPlan(NamedTuple):
     """What :func:`refresh_ghosts` does to one padded layout."""
 
     #: Per-axis ghost width, external axes set to 0.
@@ -318,14 +326,19 @@ def _key(value):
     return value
 
 
-def _refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
+def refresh_plan(shape, radius, boundary, axes=None) -> RefreshPlan:
+    """The cached :class:`RefreshPlan` of :func:`refresh_ghosts`'s arguments.
+
+    ``shape`` is the padded buffer's shape.  Plans are immutable and
+    own their arrays, so a caller may keep one after the cache drops it.
+    """
     return _refresh_plans.get_or_build(
         (shape, _key(radius), _key(boundary), _key(axes)),
         _build_refresh_plan, shape, radius, boundary, axes,
     )
 
 
-def _build_refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
+def _build_refresh_plan(shape, radius, boundary, axes) -> RefreshPlan:
     ndim = len(shape)
     radius = normalize_radius(radius, ndim)
     keep = set(range(ndim))
@@ -349,7 +362,7 @@ def _build_refresh_plan(shape, radius, boundary, axes) -> _RefreshPlan:
     if ops is not None and any(radius):
         axis = max(a for a in range(ndim) if radius[a])
         lanes = _build_lanes(shape, axis, ops[-2:], bspec.axis(axis), keep)
-    return _RefreshPlan(radius, bspec, ops, lanes)
+    return RefreshPlan(radius, bspec, ops, lanes)
 
 
 def _build_lanes(shape, axis, ops, bc, keep) -> GhostLanes:

@@ -7,15 +7,31 @@ built a fresh ``pad_array`` copy every iteration — for every boundary
 condition, stencil and dimensionality.
 """
 
+import copy
+import gc
+import pickle
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMPUTE_PATHS, all_boundary_conditions
+from conftest import COMPUTE_PATHS, all_boundary_conditions, on_path
+from repro.backends import fused, get_backend, native
+from repro.core import interpolation
+from repro.core.interpolation import (
+    interpolate_checksum_padded,
+    interpolate_checksum_reduced,
+)
+from repro.core.offline import OfflineABFT
+from repro.experiments.common import make_hotspot_app, make_protector_factory
+from repro.faults.campaign import CampaignConfig
+from repro.faults.engine import CampaignEngine
+from repro.stencil import shift
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
-from repro.stencil.grid import Grid2D
+from repro.stencil.grid import Grid2D, Grid3D
 from repro.stencil.kernels import (
     asymmetric_advection_2d,
     five_point_diffusion,
@@ -276,3 +292,157 @@ class TestExternallyManagedAxes:
                 BoundaryCondition.clamp(),
                 external_axes=(2,),
             )
+
+
+# --------------------------------------------------------------------------
+# the pair's step plan
+# --------------------------------------------------------------------------
+
+def _hotspot_like_grid(rng):
+    """A 3D grid with a constant term, clamp on every axis."""
+    u0 = (rng.random((9, 7, 4)) * 100.0).astype(np.float32)
+    const = (rng.random((9, 7, 4)) * 0.1).astype(np.float32)
+    return Grid3D(u0, seven_point_diffusion_3d(0.1), BoundaryCondition.clamp(),
+                  constant=const)
+
+
+def _reference_steps(grid, u, steps):
+    for _ in range(steps):
+        padded = pad_array(u, grid.radius, grid.boundary)
+        u = reference_sweep_padded(
+            padded, grid.spec, grid.radius, grid.shape, constant=grid.constant
+        )
+    return u
+
+
+class TestPlanHoldsGeometryOnly:
+    """A grid's plan fixes its layout, not its path: every step resolves
+    the backend and the native library again."""
+
+    @pytest.mark.parametrize("path", ["fused-interpreted", "base"])
+    def test_grid_stepped_earlier_takes_the_entered_path(self, rng, path):
+        """Stepped once on the default path, a grid steps next on the
+        NumPy code or the base-class routes, as entered, then back."""
+        grid = _hotspot_like_grid(rng)
+        u0 = grid.u.copy()
+        lib = native.library()
+        table = {} if lib is None else lib.sweep
+        spies = {key: mock.Mock(wraps=fn) for key, fn in table.items()}
+
+        def compiled_calls():
+            return sum(spy.call_count for spy in spies.values())
+
+        with mock.patch.dict(table, spies):
+            grid.step()
+            before = compiled_calls()
+            with on_path(path):
+                backend = get_backend()
+                with mock.patch.object(
+                    backend, "sweep_padded", wraps=backend.sweep_padded
+                ) as reference_sweep:
+                    grid.step()
+            assert compiled_calls() == before
+            if path == "base":
+                assert reference_sweep.call_count == 1
+            grid.step()
+        if lib is not None:
+            assert (before, compiled_calls()) == (1, 2)
+        np.testing.assert_array_equal(grid.u, _reference_steps(grid, u0, 3))
+
+
+def _clear_every_plan_cache():
+    shift._refresh_plans.clear()
+    fused._flat_plans.clear()
+    interpolation._plans.clear()
+    get_backend()._cache().clear()
+
+
+def _overflow_every_plan_cache(rng):
+    """More distinct layouts than any plan cache holds, unplanned."""
+    spec = seven_point_diffusion_3d(0.1)
+    bc = BoundaryCondition.clamp()
+    for n in range(2, 3 + shift._MAX_CACHED_REFRESH_PLANS):
+        shape = (n, 3, 2)
+        src = rng.random(padded_shape(shape, 1)).astype(np.float32)
+        const = rng.random(shape).astype(np.float32)
+        get_backend().step_into(
+            src, np.empty_like(src), spec, 1, shape, bc, constant=const
+        )
+        cs = src[1:-1, 1:-1, 1:-1].sum(axis=0, dtype=np.float64)
+        interpolate_checksum_padded(cs, src, spec, 1, shape, 0, boundary=None)
+        interpolate_checksum_reduced(cs, spec, bc, 0, n)
+
+
+class TestPlansOutliveTheirCaches:
+    """A plan keeps every array whose address it hands to compiled code,
+    so emptying the caches it was built from, and reusing the freed
+    memory, changes no bit of what it steps."""
+
+    @pytest.mark.parametrize("churn", ["clear", "overflow"])
+    def test_grids_protectors_and_campaigns(self, rng, churn):
+        def disturb():
+            if churn == "clear":
+                _clear_every_plan_cache()
+            else:
+                _overflow_every_plan_cache(rng)
+            gc.collect()
+            # Hand the freed memory out again, filled with junk.
+            return [np.full(n, np.nan) for n in (4, 16, 64, 256, 1024) * 20]
+
+        grid = _hotspot_like_grid(rng)
+        twin = grid.copy()
+        offline = OfflineABFT.for_grid(grid, period=3)
+        twin_offline = OfflineABFT.for_grid(twin, period=3)
+        for _ in range(7):
+            junk = disturb()
+            report = offline.step(grid)
+            del junk
+            want = twin_offline.step(twin)
+            assert report == want
+            _assert_bits_equal(grid.u, twin.u)
+        assert offline.total_rollbacks == 0
+
+        app = make_hotspot_app((10, 8, 3))
+        reference = app.reference_solution(6)
+        config = CampaignConfig(iterations=6, repetitions=5, seed=11)
+        with CampaignEngine(executor="serial", batch_size=3) as engine:
+            for method in ("online-abft", "offline-abft"):
+                runs = []
+                for _ in range(2):
+                    junk = disturb()
+                    result = engine.run(
+                        app.build_grid, make_protector_factory(method), config,
+                        reference=reference,
+                    )
+                    del junk
+                    runs.append([
+                        (r.arithmetic_error, r.errors_detected, r.errors_corrected)
+                        for r in result.records
+                    ])
+                assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copied_grids_step_their_own_buffers(self, rng, how):
+        """A copied or unpickled grid steps like the original, after the
+        original and its memory are gone."""
+        grid = _hotspot_like_grid(rng)
+        grid.step()
+        twin = grid.copy()
+        if how == "deepcopy":
+            clone = copy.deepcopy(grid)
+        else:
+            clone = pickle.loads(pickle.dumps(grid))
+        del grid
+        gc.collect()
+        junk = [np.full(n, np.nan) for n in (64, 256, 1024) * 50]
+        for _ in range(3):
+            clone.step()
+            twin.step()
+        del junk
+        _assert_bits_equal(clone.u, twin.u)
+
+
+def _assert_bits_equal(a, b):
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(np.uint32), np.ascontiguousarray(b).view(np.uint32)
+    )

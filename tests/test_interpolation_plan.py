@@ -24,6 +24,8 @@ from repro.core.interpolation import (
     extract_delta_strips,
     interpolate_checksum_padded,
     interpolate_checksum_reduced,
+    interpolation_plan,
+    reduced_plan,
 )
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import normalize_radius, pad_array, shifted_view
@@ -356,6 +358,53 @@ def assert_matches_reference(case: Case) -> None:
 @settings(max_examples=300)
 def test_plans_bitwise_equal_to_per_call_algorithm(case):
     assert_matches_reference(case)
+
+
+@given(case=cases(), closed=st.booleans(), bind_buffer=st.booleans())
+@settings(max_examples=100)
+def test_bound_plans_bitwise_equal_to_unbound_calls(case, closed, bind_buffer):
+    """A call given its :func:`interpolation_plan` or :func:`reduced_plan`
+    (what a protector or a stacked batch binds once) returns the bits of
+    the same call without one, the padded buffer's address bound or not,
+    with the closed-border rule or the domain read."""
+    boundary = None
+    if closed:
+        boundary = case.boundary
+        if case.batch:
+            boundary = BoundarySpec(tuple(boundary) + (BoundaryCondition.clamp(),))
+    args = (case.op, case.radius, case.shape, case.reduce_axis)
+    bound = interpolation_plan(
+        *args, case.cs.dtype, case.padded.dtype, constant_sum=case.constant_sum,
+        boundary=boundary, buffers=(case.padded,) if bind_buffer else (),
+    )
+    padded = [
+        interpolate_checksum_padded(
+            case.cs, case.padded, *args, constant_sum=case.constant_sum,
+            boundary=boundary, plan=plan,
+        )
+        for plan in (bound, None)
+    ]
+    assert_bitwise(*padded)
+    strips = extract_delta_strips(case.padded, *args)
+    strip_plan = interpolation_plan(*args, case.padded.dtype, case.padded.dtype)
+    assert_strips_bitwise(
+        extract_delta_strips(case.padded, *args, plan=strip_plan), strips
+    )
+    if case.batch:
+        return
+    reduced = (case.cs, case.spec, case.boundary, case.reduce_axis, case.n_reduce)
+    kwargs = dict(
+        deltas=strips if case.with_deltas else None,
+        constant_sum=case.constant_sum,
+    )
+    plan = reduced_plan(
+        case.spec, case.boundary, case.reduce_axis, case.n_reduce,
+        case.cs.shape, case.cs.dtype,
+    )
+    assert_bitwise(
+        interpolate_checksum_reduced(*reduced, **kwargs, plan=plan),
+        interpolate_checksum_reduced(*reduced, **kwargs),
+    )
 
 
 @pytest.mark.parametrize("reduce_axis", [0, 1])

@@ -29,6 +29,11 @@ than the interior).
 ``fused``'s compiled step fills the last ghost axis's lanes inside its
 sweep; the named cases at the end pin the views that must take the
 NumPy fill instead.
+
+A step or batched step given the pair's
+:class:`~repro.backends.fused.StepPlan` (what a double-buffered grid,
+a rank and a stacked campaign batch pass every step) is bitwise the
+same call without one, on every path.
 """
 
 from unittest import mock
@@ -45,7 +50,7 @@ from conftest import (
     on_path,
 )
 
-from repro.backends import get_backend, native
+from repro.backends import StepPlan, get_backend, native
 from repro.backends import fused as fused_module
 from repro.core.checksums import checksum
 from repro.stencil import kernels, shift
@@ -58,7 +63,7 @@ from repro.stencil.shift import (
     padded_shape,
     refresh_ghosts,
 )
-from repro.stencil.spec import StencilSpec
+from repro.stencil.spec import BatchOperator, StencilSpec
 
 SHAPE_2D = (24, 18)
 SHAPE_3D = (12, 10, 4)
@@ -454,6 +459,94 @@ def _check_batch(backend, case, batch, with_cs, seed):
                     np.sum(got, axis=axis, dtype=np.float64)[..., b],
                     want_cs[axis],
                 )
+
+
+# -- the step plan ----------------------------------------------------------
+
+def _pairs(rng, shape, dtype):
+    """Two equal copies of a random buffer pair: (loose, planned)."""
+    pair = [rng.standard_normal(shape).astype(dtype) for _ in range(2)]
+    return [b.copy() for b in pair], [b.copy() for b in pair]
+
+
+@pytest.mark.parametrize("path", CONTRACT_PATHS)
+@settings(max_examples=40, deadline=None)
+@given(case=_cases(), rank=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_planned_step_bit_identical_to_unplanned(path, case, rank, seed):
+    """Random spec x layout, on every path: a step given the pair's plan
+    equals the same step without one, in both directions of the pair,
+    destination and refreshed source bit for bit.  ``rank`` leaves axis
+    0 external, as a distributed rank's pair does."""
+    spec, shape, boundary, refresh_axes, has_const, dtype = case
+    radius = spec.radius()
+    if rank and radius[0] > 0:
+        refresh_axes = tuple(range(1, len(shape)))
+    rng = np.random.default_rng(seed)
+    loose, planned = _pairs(rng, padded_shape(shape, radius), dtype)
+    const = rng.standard_normal(shape).astype(dtype) if has_const else None
+    args = (spec, radius, shape, boundary)
+    with on_path(path):
+        backend = get_backend()
+        plan = StepPlan(*planned, *args, const, refresh_axes)
+        for src, dst in ((0, 1), (1, 0)):
+            want = backend.step_into(
+                loose[src], loose[dst], *args, constant=const,
+                refresh_axes=refresh_axes,
+            )
+            got = backend.step_into(
+                planned[src], planned[dst], *args, constant=const,
+                refresh_axes=refresh_axes, plan=plan,
+            )
+            _assert_bits(got, want)
+            for mine, theirs in zip(planned, loose):
+                _assert_bits(mine, theirs)
+
+
+@pytest.mark.parametrize("path", CONTRACT_PATHS)
+@settings(max_examples=25, deadline=None)
+@given(
+    case=_cases(),
+    width=st.sampled_from((1, 3)),
+    narrower=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_planned_batched_step_bit_identical_to_unplanned(
+    path, case, width, narrower, seed
+):
+    """The batched step given the plan of the run-extended pair, as a
+    stacked campaign batch builds it, equals the step without one: on
+    a full-width pair (contiguous) and on views of the first ``width``
+    runs of a wider one (strided, a campaign's last batch)."""
+    spec, shape, boundary, refresh_axes, has_const, dtype = case
+    radius = spec.radius()
+    rng = np.random.default_rng(seed)
+    runs = width + 2 if narrower else width
+    loose, planned = _pairs(rng, padded_shape(shape, radius) + (runs,), dtype)
+    const = rng.standard_normal(shape).astype(dtype) if has_const else None
+    views = [b[..., :width] for b in planned]
+    args = (spec, radius, shape, boundary)
+    with on_path(path):
+        backend = get_backend()
+        plan = StepPlan(
+            *views, BatchOperator(spec), radius + (0,), shape + (width,),
+            tuple(boundary) + (BoundaryCondition.clamp(),),
+            None if const is None else np.broadcast_to(
+                const[..., None], shape + (width,)
+            ),
+            refresh_axes,
+        )
+        for src, dst in ((0, 1), (1, 0)):
+            want = backend.batch_step_into(
+                loose[src][..., :width], loose[dst][..., :width], *args,
+                constant=const, refresh_axes=refresh_axes,
+            )
+            got = backend.batch_step_into(
+                views[src], views[dst], *args, constant=const,
+                refresh_axes=refresh_axes, plan=plan,
+            )
+            _assert_bits(got, want)
+            for mine, theirs in zip(planned, loose):
+                _assert_bits(mine, theirs)
 
 
 # -- the views that take the NumPy lane fill --------------------------------
