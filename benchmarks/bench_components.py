@@ -22,11 +22,11 @@ NumPy's speed cannot move: 2.0-2.3x with the sweep's inner loop
 vectorized, 6.4-7.0x when it ran scalar.  A sixth times what a
 stacked campaign batch of eight 64x64x8 runs adds to each iteration
 (its checksums, Theorem-1 interpolation and detection screen) against
-its batched step: < 0.6x.  A seventh holds what a 64x64x8 grid's
-``step()`` spends around its work, the head ``refresh_ghosts`` and the
-compiled sweep filling its ghost lanes called directly: < 1.5x.  The
-sweep, step and stacked gates skip, printing why, only where no ``cc``
-is on PATH.
+its batched step, given the pair's plan as a campaign steps it:
+< 0.6x.  A seventh holds what a 64x64x8 grid's ``step()`` spends
+around its work, the head ``refresh_ghosts`` and the compiled sweep
+filling its ghost lanes called directly: < 1.5x.  The sweep, step and
+stacked gates skip, printing why, only where no ``cc`` is on PATH.
 """
 
 import shutil
@@ -292,7 +292,7 @@ STACKED_WIDTH = 8
 
 @pytest.fixture(scope="module")
 def stacked_state():
-    """A full-width stacked batch one step in, and its step's arguments."""
+    """A full-width stacked batch one step in, and its step."""
     from repro.core.online import OnlineABFT
     from repro.faults.engine import _StackedBatch
 
@@ -300,12 +300,18 @@ def stacked_state():
     batch = _StackedBatch(grid, OnlineABFT.for_grid(grid), STACKED_WIDTH, grid.u)
     prev_cs = batch._checksums(interior_view(batch.pair.front, batch.radius))
     batch.pair.swap()
-    step_args = (
-        batch.pair.back, batch.pair.front, batch.spec, batch.base_radius,
-        batch.base_shape, batch.base_boundary,
-    )
-    FusedBackend().batch_step_into(*step_args, constant=batch.constant)
-    return batch, prev_cs, step_args
+    fused = FusedBackend()
+
+    def step():
+        # The step ``run_batch`` runs: the batched step given the plan of
+        # the pair, which returns the interior the protection reads.
+        return fused.batch_step_into(
+            batch.pair.back, batch.pair.front, batch.spec, batch.base_radius,
+            batch.base_shape, batch.base_boundary, constant=batch.constant,
+            plan=batch.pair.plan,
+        )
+
+    return batch, prev_cs, step
 
 
 def test_stacked_protection_is_cheaper_than_its_batched_step(stacked_state):
@@ -314,26 +320,25 @@ def test_stacked_protection_is_cheaper_than_its_batched_step(stacked_state):
     The checksums, the Theorem-1 interpolation and the detection screen
     of a full batch (what ``_StackedBatch.run_batch`` adds to each
     iteration when a protector is set) against the batched ghost
-    refresh and sweep.  The step rewrites the pair's front from its
-    back, the same values each time, so the protection always reads a
-    freshly stepped batch, as in a campaign.  It read 0.97-1.07 with
-    the NumPy interpolation reading the y and z borders from the domain
-    and the NumPy screen, and 0.44-0.52 with closed borders and the
-    compiled terms and compare (seven runs, 2-core x86 VM).  With the
-    batch's interpolation bound once it reads 0.48-0.49; against the
-    step given the pair's plan, as ``run_batch`` steps, about 0.6.
+    refresh and sweep, as ``run_batch`` steps: given the pair's plan.
+    The step rewrites the pair's front from its back, the same values
+    each time, so the protection always reads a freshly stepped batch,
+    as in a campaign.  It read 0.97-1.07 with the NumPy interpolation
+    reading the y and z borders from the domain and the NumPy screen,
+    and 0.44-0.52 with closed borders and the compiled terms and compare
+    (seven runs, 2-core x86 VM), against the step without a plan.  The
+    planned step costs less (356 against 591 us a call): with only the
+    interpolation bound the ratio read 0.58-0.72, and with the fold of
+    the pair's two merged interiors bound too it reads 0.46-0.54
+    (thirteen runs).
     """
     _require_compiled_sweep()
-    batch, prev_cs, step_args = stacked_state
-    fused = FusedBackend()
-    interior = interior_view(batch.pair.front, batch.radius)
+    batch, prev_cs, step = stacked_state
+    interior = step()
     padded_prev = batch.pair.back
     assert batch._verify(prev_cs, interior, padded_prev)[1] is None
 
-    ratio = _ratio(
-        lambda: batch._verify(prev_cs, interior, padded_prev),
-        lambda: fused.batch_step_into(*step_args, constant=batch.constant),
-    )
+    ratio = _ratio(lambda: batch._verify(prev_cs, interior, padded_prev), step)
     print(f"\nstacked protection / batched step = {ratio:.2f}")
     assert ratio < 0.6
 

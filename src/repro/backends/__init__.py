@@ -23,10 +23,10 @@ Grids, protectors, runners and the campaign engine each call
 same instance.
 """
 
-from repro.backends.base import Backend
-from repro.backends.fused import FusedBackend, StepPlan
+from repro.backends.base import Backend, StepPlan
+from repro.backends.fused import FoldPlan, FusedBackend
 
-__all__ = ["Backend", "FusedBackend", "StepPlan", "get_backend"]
+__all__ = ["Backend", "FoldPlan", "FusedBackend", "StepPlan", "get_backend"]
 
 _BACKEND = FusedBackend()
 

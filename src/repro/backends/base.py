@@ -33,12 +33,11 @@ lane-folded paths.  The primitives:
     for the Theorem-1 α/β terms.
 
 ``sweep_into``, ``step_into`` and ``batch_step_into`` take an optional
-``plan``: the :class:`~repro.backends.fused.StepPlan` a double-buffered
-pair builds once over its two buffers.  For those buffers the radius,
-boundary, refresh ops, geometry and views come from it; any other call
-validates its arguments and looks its plans up in their caches, as
-before.  A plan holds geometry only, so the base-class routes take it
-too.
+``plan``: the :class:`StepPlan` a double-buffered pair builds once over
+its two buffers.  For those buffers the radius, boundary, refresh ops
+and views come from it; any other call validates its arguments and
+looks its plans up in their caches.  A plan holds geometry only, so the
+base-class routes take it too.
 
 Every sweep is bitwise equal to
 :func:`repro.stencil.reference.reference_sweep_padded`, compiled or
@@ -49,13 +48,15 @@ subclass whose only sweep is the reference.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.stencil.boundary import BoundaryCondition, BoundarySpec
+from repro.stencil.shift import refresh_plan
 from repro.stencil.spec import BatchOperator, StencilSpec
 
-__all__ = ["Backend"]
+__all__ = ["Backend", "StepPlan"]
 
 
 class Backend:
@@ -90,14 +91,20 @@ class Backend:
         return interior_shape, radius
 
     def checksum(
-        self, u: np.ndarray, axis: int, dtype: Optional[np.dtype] = None
+        self,
+        u: np.ndarray,
+        axis: int,
+        dtype: Optional[np.dtype] = None,
+        plan=None,
     ) -> np.ndarray:
         """Checksum vector of ``u`` along ``axis`` (Eqs. 2-3).
 
         ``axis`` is 0 for the column checksum ``b`` and 1 for the row
         checksum ``a``; ``dtype`` selects the accumulation precision
         (``None`` accumulates in the domain dtype, the paper's float32
-        behaviour).
+        behaviour).  ``plan`` is a
+        :class:`~repro.backends.fused.FoldPlan`, which only the lane
+        fold reads: this reduction ignores it.
         """
         from repro.core.checksums import checksum as _checksum
 
@@ -169,8 +176,7 @@ class Backend:
         * the batched step (``batch_step_into``) — the same refresh
           over the run-extended buffer pair.
 
-        ``plan`` is the pair's
-        :class:`~repro.backends.fused.StepPlan`, built from these
+        ``plan`` is the pair's :class:`StepPlan`, built from these
         arguments: for its own buffers the destination interior comes
         from it.
 
@@ -231,7 +237,7 @@ class Backend:
         axes' ghosts are (re)built from the boundary condition — see
         :func:`repro.stencil.shift.refresh_ghosts`.
 
-        ``plan`` is a :class:`~repro.backends.fused.StepPlan` (what a
+        ``plan`` is a :class:`StepPlan` (what a
         :class:`~repro.stencil.doublebuffer.DoubleBufferedGrid` builds
         once over its pair).  When it holds ``src_padded`` and
         ``dst_padded``, the step runs on the arguments it was built from
@@ -361,18 +367,16 @@ class Backend:
         flat-stride sweep; a narrower slice of the pair is strided and
         takes the staged route.
 
-        ``plan`` is the :class:`~repro.backends.fused.StepPlan` of the
-        run-extended pair (built over it with the :class:`BatchOperator`
-        of ``spec``, ``radius + (0,)``, ``interior_shape + (nb,)``, the
-        boundary with one more axis and the constant broadcast over the
-        runs, as a stacked campaign batch builds its pair): as for
+        ``plan`` is the :class:`StepPlan` of the run-extended pair (built
+        over it with the :class:`BatchOperator` of ``spec``,
+        ``radius + (0,)``, ``interior_shape + (nb,)``, the boundary with
+        one more axis and the constant broadcast over the runs, as a
+        stacked campaign batch builds its pair): as for
         :meth:`step_into`, it serves only the buffers it was built over.
 
         Returns the batched destination interior view
         (``interior_shape + (nb,)``).
         """
-        from repro.stencil.boundary import BoundaryCondition, BoundarySpec
-
         if plan is not None and plan.direction(src_padded, dst_padded) is not None:
             return self._planned_step(src_padded, dst_padded, plan)
         radius, interior_shape, nb = self._batch_geometry(
@@ -394,3 +398,127 @@ class Backend:
             src_padded, dst_padded, BatchOperator(spec), ext_radius,
             ext_shape, ext_boundary, ext_const, refresh_axes,
         )
+
+
+class _Direction(NamedTuple):
+    """A step of a :class:`StepPlan`'s pair from one buffer into the other."""
+
+    #: Addresses of the source and the destination buffer.
+    src: int
+    dst: int
+    #: The destination's interior view, what the step returns.
+    interior: np.ndarray
+
+
+class StepPlan:
+    """What every step of one buffer pair derives from its layout, once.
+
+    Built over the pair's two padded buffers and the arguments of its
+    steps (those of :meth:`Backend.step_into`), validated as a step
+    validates them, it is the one record of the pair's layout:
+
+    * the resolved ``radius``, ``boundary`` and ``refresh_axes``, and
+      the arguments as given (``spec``, ``interior_shape``,
+      ``constant``);
+    * the ghost refresh (:func:`~repro.stencil.shift.refresh_plan`):
+      the whole refresh in ``refresh``, and for a step that fills the
+      last ghost axis inside its sweep, that axis's ``lanes`` and the
+      refresh of the other axes in ``head``;
+    * whether the pair is two whole C-contiguous buffers of one dtype
+      (``contiguous``), and each buffer's address and interior view
+      (:meth:`interior`), per step direction.
+
+    ``sweep`` is left to the backend that sweeps the pair: the ``fused``
+    backend keeps there, made on its first flat sweep through its
+    caches, the flat-sweep geometry and the padded constant with its
+    address.  The plan holds every array whose address it hands to
+    compiled code (the buffers, the lanes and what ``sweep`` keeps), so
+    clearing a plan cache never frees one.
+
+    The plan is geometry only: a step still asks
+    :func:`~repro.backends.get_backend` for the backend and
+    :func:`~repro.backends.native.library` for the kernels, so a grid
+    built earlier follows a swapped backend or a library marked
+    unavailable.  It serves its own two buffers, in either order; a
+    step of any other pair ignores it (:meth:`direction`).
+    """
+
+    __slots__ = (
+        "spec", "radius", "interior_shape", "boundary", "refresh_axes",
+        "constant", "refresh", "head", "lanes", "contiguous", "sweep",
+        "buffers", "_directions",
+    )
+
+    def __init__(
+        self,
+        front: np.ndarray,
+        back: np.ndarray,
+        spec,
+        radius,
+        interior_shape: Sequence[int],
+        boundary,
+        constant: Optional[np.ndarray] = None,
+        refresh_axes: Optional[Sequence[int]] = None,
+    ) -> None:
+        Backend._check_pair(front, back)
+        if np.may_share_memory(front, back):
+            raise ValueError("the two buffers of a step plan overlap")
+        interiors = tuple(
+            Backend._dst_interior(b, radius, interior_shape) for b in (front, back)
+        )
+        interior_shape, radius = Backend._normalize_sweep_args(
+            front, radius, interior_shape, constant, None
+        )
+        self.spec = spec
+        self.radius = radius
+        self.interior_shape = interior_shape
+        self.boundary = BoundarySpec.from_any(boundary, front.ndim)
+        self.refresh_axes = (
+            None if refresh_axes is None else tuple(int(a) for a in refresh_axes)
+        )
+        self.constant = constant
+        self.refresh = refresh_plan(
+            front.shape, radius, self.boundary, self.refresh_axes
+        )
+        self.lanes = self.refresh.lanes
+        self.head = None if self.lanes is None else refresh_plan(
+            front.shape, radius, self.boundary, self.lanes.head
+        )
+        self.contiguous = (
+            front.flags.c_contiguous and back.flags.c_contiguous
+            and front.dtype == back.dtype
+        )
+        self.sweep: Optional[Tuple] = None
+        #: The pair's two buffers, in the order given.
+        self.buffers = (front, back)
+        addresses = (front.ctypes.data, back.ctypes.data)
+        self._directions = (
+            _Direction(addresses[0], addresses[1], interiors[1]),
+            _Direction(addresses[1], addresses[0], interiors[0]),
+        )
+
+    def __reduce__(self):
+        # A copied or unpickled plan is built again over the copied
+        # buffers: the addresses it holds belong to the originals.
+        return type(self), (
+            *self.buffers, self.spec, self.radius, self.interior_shape,
+            self.boundary, self.constant, self.refresh_axes,
+        )
+
+    def interior(self, buffer: np.ndarray) -> Optional[np.ndarray]:
+        """The interior view of one of the pair's buffers (else ``None``)."""
+        a, b = self.buffers
+        if buffer is a:
+            return self._directions[1].interior
+        if buffer is b:
+            return self._directions[0].interior
+        return None
+
+    def direction(self, src: np.ndarray, dst: np.ndarray) -> Optional[_Direction]:
+        """The step from ``src`` into ``dst``, or ``None`` for another pair."""
+        a, b = self.buffers
+        if src is a and dst is b:
+            return self._directions[0]
+        if src is b and dst is a:
+            return self._directions[1]
+        return None

@@ -27,7 +27,7 @@ the memory-bound nature of large stencil sweeps:
    reference's operation order, so every interior value is still
    bitwise equal to it.  The range, the displacements and the cast
    weights are derived once per (layout, operator) and cached (a
-   :class:`StepPlan` keeps its pair's).  The
+   :class:`~repro.backends.base.StepPlan` keeps its pair's).  The
    strip loop is compiled (:mod:`repro.backends.native`, blocks of
    1 KB, ~0.3x the NumPy loop on the 512x512x8 pair) when the
    library is loaded and the pair is native-byte-order float32/float64,
@@ -72,7 +72,10 @@ the memory-bound nature of large stencil sweeps:
    3D interiors take the NumPy lane fold (~0.6-0.85x) and 2D views,
    like every other view, the plain reduction.  Folding plane by plane
    inside the strip loop of point 2 was measured slower (1.16x) than
-   one fold after the sweep.
+   one fold after the sweep.  A caller that reduces the same views
+   every step (a grid's online protector, a stacked campaign batch)
+   binds their lane geometry, a lane buffer and the addresses once in
+   a :class:`FoldPlan` and passes it as ``plan=``.
 
 4. **Ghost lanes filled inside the compiled sweep.**  A step refreshes
    the source's ghosts before it sweeps, and on the 514x514x10 buffer
@@ -99,10 +102,12 @@ runs its NumPy code, and :meth:`FusedBackend.compiled_kernels` (``repro
 backends``) names the reason.
 
 A pair stepped every iteration (a grid, a rank, a stacked campaign
-batch) passes its :class:`StepPlan`: what its layout fixes is derived
-once, and a 64x64x8 step costs about its refresh and compiled sweep
-(50-60 us instead of 80-110 us on a 2-core x86 VM).  A call without a
-plan derives the same parts through the bounded caches, with the same
+batch) passes its :class:`~repro.backends.base.StepPlan`: what its
+layout fixes is derived once (the flat geometry and the padded
+constant on its first flat sweep, kept in the plan's ``sweep``), and a
+64x64x8 step costs about its refresh and compiled sweep (50-60 us
+instead of 80-110 us on a 2-core x86 VM).  A call without a plan
+derives the same parts through the bounded caches, with the same
 checks.
 
 The scratch cache is per-thread (``threading.local``) so the threaded
@@ -118,8 +123,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends import native
-from repro.backends.base import Backend
-from repro.stencil.boundary import BoundarySpec
+from repro.backends.base import Backend, StepPlan
 from repro.stencil.shift import (
     GhostLanes,
     PlanCache,
@@ -127,12 +131,11 @@ from repro.stencil.shift import (
     ghost_lanes,
     interior_view,
     refresh_ghosts,
-    refresh_plan,
     shifted_view,
 )
 from repro.stencil.spec import StencilSpec, spec_key
 
-__all__ = ["FusedBackend", "StepPlan"]
+__all__ = ["FoldPlan", "FusedBackend"]
 
 #: Scratch buffers and padded constants cached per thread before the
 #: cache is reset (guards against unbounded growth when many distinct
@@ -202,136 +205,6 @@ def _cached_flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
         (shape, radius, interior_shape, dtype.str, spec_key(spec)),
         _flat_plan, shape, radius, interior_shape, dtype, spec,
     )
-
-
-class _Direction(NamedTuple):
-    """A step of a :class:`StepPlan`'s pair from one buffer into the other."""
-
-    #: Addresses of the source and the destination buffer.
-    src: int
-    dst: int
-    #: The destination's interior view, what the step returns.
-    interior: np.ndarray
-
-
-class StepPlan:
-    """What every step of one buffer pair derives from its layout, once.
-
-    Built over the pair's two padded buffers and the arguments of its
-    steps (those of :meth:`~repro.backends.base.Backend.step_into`),
-    validated as a step validates them, it holds:
-
-    * the resolved ``radius``, ``boundary`` and ``refresh_axes``, and
-      the arguments as given (``spec``, ``interior_shape``,
-      ``constant``);
-    * the ghost refresh (:func:`~repro.stencil.shift.refresh_plan`):
-      the whole refresh in ``refresh``, and for the compiled step, which
-      fills the last ghost axis inside its sweep, that axis's ``lanes``
-      and the refresh of the other axes in ``head``;
-    * the flat-sweep geometry (``flat``; ``contiguous`` tells whether
-      the pair takes the flat sweep at all);
-    * each buffer's address and interior view (:meth:`interior`), per
-      step direction.
-
-    The padded constant of the flat sweep is made on the first flat
-    sweep, through the backend's constant cache (so grids sharing a
-    constant share it, and the one-off copy stays out of construction),
-    and kept in ``padded_constant`` with its address.  The plan holds
-    every array whose address it hands to compiled code: the buffers,
-    the flat geometry, the lanes and that constant, so clearing a plan
-    cache never frees one.
-
-    The plan is geometry only: a step still asks
-    :func:`~repro.backends.get_backend` for the backend and
-    :func:`~repro.backends.native.library` for the kernels, so a grid
-    built earlier follows a swapped backend or a library marked
-    unavailable.  It serves its own two buffers, in either order; a
-    step of any other pair ignores it (:meth:`direction`).
-    """
-
-    __slots__ = (
-        "spec", "radius", "interior_shape", "boundary", "refresh_axes",
-        "constant", "refresh", "head", "lanes", "contiguous", "flat",
-        "padded_constant", "_buffers", "_directions",
-    )
-
-    def __init__(
-        self,
-        front: np.ndarray,
-        back: np.ndarray,
-        spec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray] = None,
-        refresh_axes: Optional[Sequence[int]] = None,
-    ) -> None:
-        Backend._check_pair(front, back)
-        if np.may_share_memory(front, back):
-            raise ValueError("the two buffers of a step plan overlap")
-        interiors = tuple(
-            Backend._dst_interior(b, radius, interior_shape) for b in (front, back)
-        )
-        interior_shape, radius = Backend._normalize_sweep_args(
-            front, radius, interior_shape, constant, None
-        )
-        self.spec = spec
-        self.radius = radius
-        self.interior_shape = interior_shape
-        self.boundary = BoundarySpec.from_any(boundary, front.ndim)
-        self.refresh_axes = (
-            None if refresh_axes is None else tuple(int(a) for a in refresh_axes)
-        )
-        self.constant = constant
-        self.refresh = refresh_plan(
-            front.shape, radius, self.boundary, self.refresh_axes
-        )
-        self.lanes = self.refresh.lanes
-        self.head = None if self.lanes is None else refresh_plan(
-            front.shape, radius, self.boundary, self.lanes.head
-        )
-        self.contiguous = (
-            front.flags.c_contiguous and back.flags.c_contiguous
-            and front.dtype == back.dtype
-        )
-        self.flat = None
-        if self.contiguous and 0 not in interior_shape:
-            self.flat = _cached_flat_plan(
-                front.shape, radius, interior_shape, front.dtype, spec
-            )
-        self.padded_constant: Optional[Tuple[np.ndarray, int]] = None
-        self._buffers = (front, back)
-        addresses = (front.ctypes.data, back.ctypes.data)
-        self._directions = (
-            _Direction(addresses[0], addresses[1], interiors[1]),
-            _Direction(addresses[1], addresses[0], interiors[0]),
-        )
-
-    def __reduce__(self):
-        # A copied or unpickled plan is built again over the copied
-        # buffers: the addresses it holds belong to the originals.
-        return type(self), (
-            *self._buffers, self.spec, self.radius, self.interior_shape,
-            self.boundary, self.constant, self.refresh_axes,
-        )
-
-    def interior(self, buffer: np.ndarray) -> Optional[np.ndarray]:
-        """The interior view of one of the pair's buffers (else ``None``)."""
-        a, b = self._buffers
-        if buffer is a:
-            return self._directions[1].interior
-        if buffer is b:
-            return self._directions[0].interior
-        return None
-
-    def direction(self, src: np.ndarray, dst: np.ndarray) -> Optional[_Direction]:
-        """The step from ``src`` into ``dst``, or ``None`` for another pair."""
-        a, b = self._buffers
-        if src is a and dst is b:
-            return self._directions[0]
-        if src is b and dst is a:
-            return self._directions[1]
-        return None
 
 
 class FusedBackend(Backend):
@@ -511,8 +384,8 @@ class FusedBackend(Backend):
         aligned, with a writeable destination; otherwise the NumPy strip
         loop below does (and a read-only destination raises NumPy's
         ``ValueError``).  ``addresses`` are the compiled call's source,
-        destination and constant addresses, when a :class:`StepPlan`
-        knows them.
+        destination and constant addresses, when a
+        :class:`~repro.backends.base.StepPlan` knows them.
 
         ``lanes`` are source ghost lanes still to be filled (see
         :meth:`_refresh_and_sweep`).  The compiled loop fills them just
@@ -573,19 +446,30 @@ class FusedBackend(Backend):
                     np.add(acc, tmp, out=out)
                 acc = out
 
-    def _plan_constant(
-        self, plan: StepPlan, padded: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, int]]:
-        """``plan``'s flat padded constant and its address, made once.
+    def _plan_sweep(self, plan: StepPlan, padded: np.ndarray) -> Tuple:
+        """``plan``'s flat sweep: geometry, padded constant and its address.
 
-        ``padded`` is one of the plan's buffers, whose layout it takes.
+        Made on the plan's first flat sweep through the module's caches
+        (so grids sharing a constant share its padded copy, and the
+        one-off copy stays out of construction) and kept in
+        ``plan.sweep``.  ``padded`` is one of the plan's buffers, whose
+        layout it takes.  The geometry is ``None`` for an empty
+        interior, the constant and its address ``None`` without one.
         """
-        if plan.padded_constant is None and plan.constant is not None:
-            const = self._padded_constant(
-                plan.constant, padded.shape, plan.radius, padded.dtype
-            )
-            plan.padded_constant = (const, const.ctypes.data)
-        return plan.padded_constant
+        if plan.sweep is None:
+            shape, dtype = padded.shape, padded.dtype
+            flat = const = address = None
+            if 0 not in plan.interior_shape:
+                flat = _cached_flat_plan(
+                    shape, plan.radius, plan.interior_shape, dtype, plan.spec
+                )
+                if plan.constant is not None:
+                    const = self._padded_constant(
+                        plan.constant, shape, plan.radius, dtype
+                    )
+                    address = const.ctypes.data
+            plan.sweep = (flat, const, address)
+        return plan.sweep
 
     def sweep_into(
         self,
@@ -618,10 +502,10 @@ class FusedBackend(Backend):
         ghost untouched.  Both paths keep the reference's operation
         order, so the interior is bitwise identical either way.
 
-        ``plan`` is the :class:`StepPlan` of the pair, built from these
-        arguments; for its own two buffers the layout checks, the flat
-        geometry, the padded constant and the addresses come from it
-        instead of being derived again.  ``lanes`` are the source ghost
+        ``plan`` is the :class:`~repro.backends.base.StepPlan` of the
+        pair, built from these arguments; for its own two buffers the
+        layout checks, the flat geometry, the padded constant and the
+        addresses come from it instead of being derived again.  ``lanes`` are the source ghost
         lanes this backend's step left to the sweep
         (:meth:`_refresh_and_sweep`): the compiled flat sweep fills them
         as it goes, NumPy before any other sweep.
@@ -630,11 +514,9 @@ class FusedBackend(Backend):
         if direction is not None:
             interior = direction.interior
             if plan.contiguous:
-                const, address = (
-                    self._plan_constant(plan, dst_padded) or (None, None)
-                )
+                flat, const, address = self._plan_sweep(plan, dst_padded)
                 self._flat_pass(
-                    src_padded, dst_padded, plan.flat, const, lanes,
+                    src_padded, dst_padded, flat, const, lanes,
                     (direction.src, direction.dst, address),
                 )
                 return interior
@@ -717,7 +599,11 @@ class FusedBackend(Backend):
         )
 
     def checksum(
-        self, u: np.ndarray, axis: int, dtype: Optional[np.dtype] = None
+        self,
+        u: np.ndarray,
+        axis: int,
+        dtype: Optional[np.dtype] = None,
+        plan: Optional[FoldPlan] = None,
     ) -> np.ndarray:
         """Checksum of ``u`` along ``axis``, folding whole lanes when it can.
 
@@ -738,28 +624,33 @@ class FusedBackend(Backend):
         the plain reduction.  Each lane adds over x in order, so the
         result is bitwise equal to ``u.sum(axis=0, dtype=dtype)``.  Any
         other view takes that reduction directly.
+
+        ``plan`` is a :class:`FoldPlan` of the views a caller reduces
+        every step: for one of them, with the dtype it was bound with,
+        the fold's geometry, lane buffer and addresses come from it.
         """
-        folded = self._fold(u, dtype) if axis == 0 else None
+        folded = self._fold(u, dtype, plan) if axis == 0 else None
         if folded is None:
             return super().checksum(u, axis, dtype=dtype)
         return folded
 
     def _fold(
-        self, u: np.ndarray, dtype: Optional[np.dtype]
+        self, u: np.ndarray, dtype: Optional[np.dtype], plan: Optional[FoldPlan]
     ) -> Optional[np.ndarray]:
         """The lane-folded axis-0 checksum of ``u``, or ``None``."""
+        fold = None if plan is None else plan.fold(u, dtype)
+        if fold is not None:
+            return self._run_fold(fold)
         acc = u.dtype if dtype is None else np.dtype(dtype)
-        lib = native.library()
-        kernel = None if lib is None else lib.fold.get((u.dtype.str, acc.str))
-        item = u.itemsize
-        compiled = (
-            kernel is not None and u.flags.aligned and u.strides[0] % item == 0
-        )
         if u.ndim == 2:
+            lib = native.library()
+            kernel = None if lib is None else lib.fold.get((u.dtype.str, acc.str))
             n0, n1 = u.shape
+            item = u.itemsize
             # One lane would be NumPy's pairwise sum, not a lane fold.
             if not (
-                compiled and n1 > 1
+                kernel is not None and u.flags.aligned and n1 > 1
+                and u.strides[0] % item == 0
                 and u.strides[1] == item and u.strides[0] >= n1 * item
             ):
                 return None
@@ -769,18 +660,20 @@ class FusedBackend(Backend):
         planes = self._lane_planes(u)
         if planes is None:
             return None
-        n1, n2 = u.shape[1:]
-        row = u.strides[1] // item
-        span = planes.shape[1]
-        lanes = self._scratch((n1 * row,), acc, slot=2)
-        if compiled:
-            kernel(
-                u.ctypes.data, u.shape[0], u.strides[0] // item, span,
-                lanes.ctypes.data,
-            )
+        lanes = self._scratch((u.shape[1] * u.strides[1] // u.itemsize,), acc, slot=2)
+        return self._run_fold(_lane_fold(u, dtype, planes, lanes))
+
+    @staticmethod
+    def _run_fold(fold: _Fold) -> np.ndarray:
+        """Fold ``fold``'s view into its lane sums; a copy of its lanes."""
+        lib = native.library()
+        kernel = None if lib is None else lib.fold.get(fold.key)
+        if kernel is not None and fold.compiled:
+            kernel(*fold.args)
         else:
-            np.add.reduce(planes, axis=0, dtype=dtype, out=lanes[:span])
-        return lanes.reshape(n1, row)[:, :n2].copy()
+            span = fold.planes.shape[1]
+            np.add.reduce(fold.planes, axis=0, dtype=fold.dtype, out=fold.lanes[:span])
+        return fold.out.copy()
 
     @staticmethod
     def _lane_planes(u: np.ndarray) -> Optional[np.ndarray]:
@@ -818,3 +711,81 @@ class FusedBackend(Backend):
         ):
             return None
         return np.ndarray((n0, span), u.dtype, root, offset, (s0, item))
+
+
+class _Fold(NamedTuple):
+    """The lane fold of one 3D view's axis-0 checksum (:meth:`FusedBackend._fold`)."""
+
+    view: np.ndarray
+    #: The checksum dtype as the caller gives it (``None``: the view's).
+    dtype: Optional[np.dtype]
+    #: The compiled fold's (domain, accumulation) dtypes, and whether it
+    #: may read the view (aligned, its x stride a whole number of items).
+    key: Tuple[str, str]
+    compiled: bool
+    #: The view's x-planes as whole lanes (:meth:`FusedBackend._lane_planes`).
+    planes: np.ndarray
+    #: The lane sums, and the view of them that holds the interior lanes.
+    lanes: np.ndarray
+    out: np.ndarray
+    #: The compiled fold's arguments, the two addresses read once.
+    args: Tuple[int, ...]
+
+
+def _lane_fold(u, dtype, planes, lanes) -> _Fold:
+    item = u.itemsize
+    n1, n2 = u.shape[1:]
+    return _Fold(
+        u, dtype, (u.dtype.str, lanes.dtype.str),
+        u.flags.aligned and u.strides[0] % item == 0,
+        planes, lanes, lanes.reshape(n1, u.strides[1] // item)[:, :n2],
+        (u.ctypes.data, u.shape[0], u.strides[0] // item, planes.shape[1],
+         lanes.ctypes.data),
+    )
+
+
+class FoldPlan:
+    """The lane-folded column checksums of fixed views, bound once.
+
+    Built over the views a caller reduces every step (a grid's two
+    interiors, a stacked campaign batch's two merged interiors) and the
+    checksum ``dtype`` it passes.  Given to :meth:`FusedBackend.checksum`
+    as ``plan=``, a call on one of those views, with that dtype object,
+    takes from it the lane-fold geometry, a lane buffer the plan owns and
+    the addresses, instead of deriving them; every other call runs as
+    without one.  A view the lane fold does not serve is not bound.
+
+    Geometry only, as a :class:`~repro.backends.base.StepPlan`: each
+    call resolves :func:`~repro.backends.native.library` again, and the
+    base class's reduction ignores the plan.  Each returned checksum is
+    a copy, but the lane buffer is the plan's, so one caller uses a plan
+    at a time.
+    """
+
+    __slots__ = ("views", "dtype", "_folds")
+
+    def __init__(self, views: Sequence[np.ndarray], dtype=None) -> None:
+        self.views = tuple(views)
+        self.dtype = dtype
+        acc = None if dtype is None else np.dtype(dtype)
+        folds = []
+        for u in self.views:
+            planes = FusedBackend._lane_planes(u)
+            if planes is not None:
+                lanes = np.empty(
+                    u.shape[1] * u.strides[1] // u.itemsize,
+                    dtype=u.dtype if acc is None else acc,
+                )
+                folds.append(_lane_fold(u, dtype, planes, lanes))
+        self._folds = tuple(folds)
+
+    def __reduce__(self):
+        # A copy is bound again: the addresses belong to the originals.
+        return type(self), (self.views, self.dtype)
+
+    def fold(self, u: np.ndarray, dtype) -> Optional[_Fold]:
+        """The bound fold of ``u`` with ``dtype``, or ``None``."""
+        for fold in self._folds:
+            if fold.view is u and fold.dtype is dtype:
+                return fold
+        return None

@@ -21,16 +21,20 @@ the default; ``eager_row_checksum=True`` computes both every iteration
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.backends import get_backend
+from repro.backends import FoldPlan, StepPlan, get_backend
 from repro.checkpoint.snapshot import ProtectorState
 from repro.core.checksums import constant_checksum
 from repro.core.correction import correct_errors, match_detections
 from repro.core.detection import detect_errors
-from repro.core.interpolation import interpolate_checksum_padded
+from repro.core.interpolation import (
+    InterpolationPlan,
+    interpolate_checksum_padded,
+    interpolation_plan,
+)
 from repro.core.protector import InjectHook, Protector, StepReport
 from repro.core.thresholds import recommend_epsilon
 from repro.stencil.boundary import BoundarySpec
@@ -41,6 +45,18 @@ __all__ = ["OnlineABFT"]
 
 _ROW_AXIS = 1     # row checksum a reduces over y
 _COLUMN_AXIS = 0  # column checksum b reduces over x
+
+
+class _Binding(NamedTuple):
+    """What :meth:`OnlineABFT.process` binds to one buffer pair, once."""
+
+    #: The pair's step plan and the boundary the binding serves.
+    pair: StepPlan
+    boundary: Optional[BoundarySpec]
+    #: The column checksum of the pair's two interiors.
+    fold: FoldPlan
+    #: The column-checksum interpolation over the pair's buffers.
+    interpolation: InterpolationPlan
 
 
 class OnlineABFT(Protector):
@@ -139,6 +155,7 @@ class OnlineABFT(Protector):
         }
         self._prev_cs = {0: None, 1: None}
         self._prev_cs_dup = {0: None, 1: None}
+        self._binding: Optional[_Binding] = None
         # Statistics exposed for the experiments.
         self.total_detections = 0
         self.total_corrections = 0
@@ -202,8 +219,8 @@ class OnlineABFT(Protector):
             self.total_metadata_repairs,
         ) = (int(c) for c in state.counters)
 
-    def _checksum(self, u: np.ndarray, axis: int) -> np.ndarray:
-        return get_backend().checksum(u, axis, dtype=self.checksum_dtype)
+    def _checksum(self, u: np.ndarray, axis: int, plan=None) -> np.ndarray:
+        return get_backend().checksum(u, axis, dtype=self.checksum_dtype, plan=plan)
 
     def _store_prev_cs(self, axis: int, cs: Optional[np.ndarray]) -> None:
         """Store a previous-step checksum (plus its self-check duplicate).
@@ -215,20 +232,59 @@ class OnlineABFT(Protector):
         self._prev_cs[axis] = cs
         self._prev_cs_dup[axis] = None if cs is None else cs.copy()
 
-    def _checked_prev_cs(self, axis: int, prev_u: np.ndarray) -> np.ndarray:
+    def _checked_prev_cs(self, axis: int, padded_prev: np.ndarray) -> np.ndarray:
         """The stored previous-step checksum, validated against its duplicate.
 
         On mismatch (a fault hit the stored metadata, not the domain) the
-        checksum is recomputed from the still-alive previous domain and
-        re-stored, so a corrupted checksum never drives a bogus
-        detection/correction of healthy data.
+        checksum is recomputed from the still-alive previous domain (the
+        interior of ``padded_prev``) and re-stored, so a corrupted
+        checksum never drives a bogus detection/correction of healthy
+        data.
         """
         cs = self._prev_cs[axis]
         if cs is not None and not np.array_equal(cs, self._prev_cs_dup[axis]):
             self.total_metadata_repairs += 1
-            cs = self._checksum(prev_u, axis)
+            cs = self._checksum(self._previous(padded_prev), axis)
             self._store_prev_cs(axis, cs)
         return cs
+
+    def _previous(self, padded_prev: np.ndarray) -> np.ndarray:
+        """The previous domain: the interior of ``padded_prev``."""
+        from repro.stencil.shift import interior_view
+
+        return interior_view(padded_prev, self.radius)
+
+    def _bind(self, plan: StepPlan, boundary: Optional[BoundarySpec]) -> _Binding:
+        """The :class:`_Binding` of ``plan``'s pair and ``boundary``.
+
+        Kept until a call brings another pair or boundary object.
+        """
+        binding = self._binding
+        if (
+            binding is None
+            or binding.pair is not plan
+            or binding.boundary is not boundary
+        ):
+            buffers = plan.buffers
+            binding = self._binding = _Binding(
+                plan,
+                boundary,
+                FoldPlan([plan.interior(b) for b in buffers], self.checksum_dtype),
+                interpolation_plan(
+                    self.spec, self.radius, self.shape, _COLUMN_AXIS,
+                    self.checksum_dtype or buffers[0].dtype, buffers[0].dtype,
+                    constant_sum=self._constant_sums[_COLUMN_AXIS],
+                    boundary=boundary, buffers=buffers,
+                ),
+            )
+        return binding
+
+    def __getstate__(self):
+        # The binding holds addresses of one pair's buffers: a copy of
+        # the protector binds again on its first call.
+        state = self.__dict__.copy()
+        state["_binding"] = None
+        return state
 
     def step(self, grid: GridBase, inject: Optional[InjectHook] = None) -> StepReport:
         if grid.shape != self.shape:
@@ -245,7 +301,8 @@ class OnlineABFT(Protector):
         if inject is not None:
             inject(grid, grid.iteration)
         return self.process(
-            grid.u, grid.previous_padded, grid.iteration, boundary=grid.boundary
+            grid.u, grid.previous_padded, grid.iteration, boundary=grid.boundary,
+            plan=grid.buffers.plan,
         )
 
     def process(
@@ -254,6 +311,7 @@ class OnlineABFT(Protector):
         padded_prev: np.ndarray,
         iteration: int,
         boundary: Optional[BoundarySpec] = None,
+        plan: Optional[StepPlan] = None,
     ) -> StepReport:
         """Verify (and correct) a freshly swept domain.
 
@@ -284,24 +342,35 @@ class OnlineABFT(Protector):
         corrected) before the next step — which is exactly when the
         protectors run — and must never alias each other; the guard below
         rejects a caller that hands the same buffer for both.
-        """
-        from repro.stencil.shift import interior_view
 
+        ``plan`` is the :class:`~repro.backends.base.StepPlan` of the
+        buffer pair both arrays live in (:meth:`step` passes its grid's).
+        The protector binds to the pair once (:meth:`_bind`): the column
+        checksum of its two interiors
+        (:class:`~repro.backends.fused.FoldPlan`) and the interpolation
+        of ``boundary`` over its buffers
+        (:func:`~repro.core.interpolation.interpolation_plan`), each
+        serving only the arrays it was bound to.  The result is bitwise
+        the same with or without it.
+        """
         if np.may_share_memory(u_new, padded_prev):
             raise ValueError(
                 "u_new aliases padded_prev: the new step must live in a "
                 "different buffer than the padded previous step (did the "
                 "double-buffer swap go missing?)"
             )
-        prev_u = interior_view(padded_prev, self.radius)
+        fold = interpolation = None
+        if plan is not None:
+            fold, interpolation = self._bind(plan, boundary)[2:]
         if self._prev_cs[_COLUMN_AXIS] is None:
+            prev_u = self._previous(padded_prev)
             self._store_prev_cs(_COLUMN_AXIS, self._checksum(prev_u, _COLUMN_AXIS))
             if self.eager_row_checksum:
                 self._store_prev_cs(_ROW_AXIS, self._checksum(prev_u, _ROW_AXIS))
 
-        b_comp = self._checksum(u_new, _COLUMN_AXIS)
+        b_comp = self._checksum(u_new, _COLUMN_AXIS, fold)
         b_interp = interpolate_checksum_padded(
-            self._checked_prev_cs(_COLUMN_AXIS, prev_u),
+            self._checked_prev_cs(_COLUMN_AXIS, padded_prev),
             padded_prev,
             self.spec,
             self.radius,
@@ -309,6 +378,7 @@ class OnlineABFT(Protector):
             _COLUMN_AXIS,
             constant_sum=self._constant_sums[_COLUMN_AXIS],
             boundary=boundary,
+            plan=interpolation,
         )
         det_b = detect_errors(b_comp, b_interp, self.epsilon)
 
@@ -328,12 +398,12 @@ class OnlineABFT(Protector):
             # Lazily build the row checksum pair: previous-step checksum
             # from the still-alive previous domain, current from the new one.
             a_prev = (
-                self._checked_prev_cs(_ROW_AXIS, prev_u)
+                self._checked_prev_cs(_ROW_AXIS, padded_prev)
                 if self._prev_cs[_ROW_AXIS] is not None
                 else None
             )
             if a_prev is None:
-                a_prev = self._checksum(prev_u, _ROW_AXIS)
+                a_prev = self._checksum(self._previous(padded_prev), _ROW_AXIS)
             if a_comp is None:
                 a_comp = self._checksum(u_new, _ROW_AXIS)
             a_interp = interpolate_checksum_padded(

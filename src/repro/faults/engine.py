@@ -101,8 +101,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import StepPlan, get_backend
-from repro.core.interpolation import InterpolationPlan, interpolation_plan
+from repro.backends import FoldPlan, StepPlan, get_backend
+from repro.core.detection import detect_errors
+from repro.core.interpolation import (
+    InterpolationPlan,
+    interpolate_checksum_padded,
+    interpolation_plan,
+)
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection, Protector
 from repro.faults.campaign import (
@@ -248,6 +253,12 @@ class _BatchLayout(NamedTuple):
     step: StepPlan
     #: The Theorem-1 interpolation of the batch (``None`` unprotected).
     interpolation: Optional[InterpolationPlan]
+    #: The full width's interiors, as its steps return them, each with
+    #: its view merging the last axis and the run axis, and the fold of
+    #: those views (see :meth:`_StackedBatch._checksums`); empty and
+    #: ``None`` for a narrower or unprotected batch.
+    merged: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    fold: Optional[FoldPlan]
 
 
 class _StackedBatch:
@@ -277,12 +288,15 @@ class _StackedBatch:
 
     The pair is built with the batch operator (:attr:`spec_ext`) and the
     constant broadcast over the runs, so its
-    :class:`~repro.backends.fused.StepPlan` is the full-width batched
+    :class:`~repro.backends.base.StepPlan` is the full-width batched
     step's; a narrower batch (a campaign's last) gets a plan over views
     of the pair's first ``width`` runs the first time it runs.  The
     interpolation of each width is bound once too
     (:func:`~repro.core.interpolation.interpolation_plan`): its plan,
-    dtype, cast constant sum and the addresses of the pair's buffers.
+    dtype, cast constant sum and the addresses of the pair's buffers;
+    and so is the full width's checksum, a
+    :class:`~repro.backends.fused.FoldPlan` of the pair's two merged
+    interiors.
     """
 
     def __init__(
@@ -353,14 +367,25 @@ class _StackedBatch:
                 *views, self.spec_ext, self.radius, shape, self.boundary,
                 self._run_constant(width),
             )
-        interpolation = None
+        interpolation, merged, fold = None, (), None
         if self.protector is not None:
             interpolation = interpolation_plan(
                 self.spec_ext, self.radius, shape, 0, self._cs_dtype, self.dtype,
                 constant_sum=self.constant_sum, boundary=self.boundary,
                 buffers=views,
             )
-        layout = self._layouts[width] = _BatchLayout(views, step, interpolation)
+            if width == self.width:
+                interiors = (step.interior(views[0]), step.interior(views[1]))
+                merged = tuple(
+                    (i, m) for i, m in zip(interiors, map(_merge_runs, interiors))
+                    if m is not None
+                )
+                fold = FoldPlan(
+                    [m for _, m in merged], self.protector.checksum_dtype
+                )
+        layout = self._layouts[width] = _BatchLayout(
+            views, step, interpolation, merged, fold
+        )
         return layout
 
     def run_batch(
@@ -484,20 +509,34 @@ class _StackedBatch:
         one contiguous axis, and each lane of the merged view still adds
         over x in order, as a slot's own column checksum does.  A
         narrower batch goes slot by slot: its run axis is a slice of the
-        pair's, which does not merge with the last axis.
+        pair's, which does not merge with the last axis.  The interiors
+        the full width's steps return have their merged views and fold
+        bound (:meth:`_layout`).
         """
         protector = self.protector
         width = interior.shape[-1]
         if width == self.width:
-            merged = interior.reshape(interior.shape[:-2] + (-1,))
-            if np.may_share_memory(merged, interior):  # a view, not a copy
-                return protector._checksum(merged, 0).reshape(
+            layout = self._layout(width)
+            for view, merged in layout.merged:
+                if view is interior:
+                    break
+            else:
+                merged = _merge_runs(interior)
+            if merged is not None:
+                return protector._checksum(merged, 0, layout.fold).reshape(
                     self.base_shape[1:] + (width,)
                 )
         return np.stack(
             [protector._checksum(interior[..., s], 0) for s in range(width)],
             axis=-1,
         )
+
+
+def _merge_runs(interior: np.ndarray) -> Optional[np.ndarray]:
+    """``interior`` with its last axis and run axis merged, or ``None``
+    where that takes a copy instead of a view."""
+    merged = interior.reshape(interior.shape[:-2] + (-1,))
+    return merged if np.may_share_memory(merged, interior) else None
 
 
 def _interpolate_stacked(
@@ -526,8 +565,6 @@ def _interpolate_stacked(
     ``plan`` is the batch width's bound interpolation
     (:meth:`_StackedBatch._layout`).
     """
-    from repro.core.interpolation import interpolate_checksum_padded
-
     return interpolate_checksum_padded(
         prev_cs, padded_prev, spec_ext, radius, shape, 0,
         constant_sum=constant_sum, boundary=boundary, plan=plan,
@@ -544,8 +581,6 @@ def _detection_screen(
     is flagged exactly when that run would have been; the flagged slots
     then re-run the full detection on their own views.
     """
-    from repro.core.detection import detect_errors
-
     detection = detect_errors(computed, predicted, epsilon)
     if not detection.detected:
         return None

@@ -18,10 +18,10 @@ backend's ``step_into`` primitive in one call, so a backend that owns
 its ghost refresh can perform the refresh and the sweep as one
 operation on the pair.  The pair is built with the operator and the
 constant of its steps, and derives what they need from its layout once,
-in a :class:`~repro.backends.fused.StepPlan` that every step passes
-along: the resolved radius, boundary and refresh axes, the refresh ops
-and ghost lanes, the flat-sweep geometry and each buffer's interior
-view and address.
+in a :class:`~repro.backends.base.StepPlan` that every step passes
+along and that is the pair's one record of its layout: the resolved
+radius, boundary and refresh axes, the refresh ops and ghost lanes, and
+each buffer's interior view and address.
 
 The previous step therefore stays alive exactly one iteration — long
 enough for the ABFT protectors, which read ``grid.previous_padded``
@@ -37,8 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backends import get_backend
-from repro.backends.fused import StepPlan
+from repro.backends import StepPlan, get_backend
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import (
     interior_view,
@@ -75,8 +74,7 @@ class DoubleBufferedGrid:
     spec, constant:
         The operator and the optional constant term of every
         :meth:`step` (the constant is read, never copied).  The pair
-        builds its :attr:`plan` from them and its layout; a pair built
-        without an operator refreshes and swaps but cannot step.
+        builds its :attr:`plan` from them and its layout.
     """
 
     def __init__(
@@ -84,39 +82,52 @@ class DoubleBufferedGrid:
         initial: np.ndarray,
         radius,
         boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
-        external_axes: Sequence[int] = (),
-        spec=None,
+        spec,
         constant: Optional[np.ndarray] = None,
+        external_axes: Sequence[int] = (),
     ) -> None:
         initial = np.asarray(initial)
-        self.radius = normalize_radius(radius, initial.ndim)
-        self.boundary = BoundarySpec.from_any(boundary, initial.ndim)
+        radius = normalize_radius(radius, initial.ndim)
         self.external_axes = tuple(sorted({int(a) for a in external_axes}))
         if any(a < 0 or a >= initial.ndim for a in self.external_axes):
             raise ValueError(
                 f"external_axes {self.external_axes} out of range for a "
                 f"{initial.ndim}D domain"
             )
-        #: Axes the per-step ghost refresh owns (``None`` → all of them).
-        self.refresh_axes = (
+        shape = padded_shape(initial.shape, radius)
+        self._front = np.zeros(shape, dtype=initial.dtype)
+        self._back = np.zeros(shape, dtype=initial.dtype)
+        interior_view(self._front, radius)[...] = initial
+        #: The :class:`~repro.backends.base.StepPlan` every step passes
+        #: to the backend, and the pair's one record of its layout.
+        self.plan = StepPlan(
+            self._front, self._back, spec, radius, initial.shape, boundary,
+            constant,
+            # The axes the per-step ghost refresh owns (``None`` → all).
             tuple(a for a in range(initial.ndim) if a not in self.external_axes)
             if self.external_axes
-            else None
+            else None,
         )
-        self.interior_shape = initial.shape
-        self.padded_shape = padded_shape(initial.shape, self.radius)
-        self.dtype = initial.dtype
-        self._front = np.zeros(self.padded_shape, dtype=self.dtype)
-        self._back = np.zeros(self.padded_shape, dtype=self.dtype)
-        interior_view(self._front, self.radius)[...] = initial
-        #: The :class:`~repro.backends.fused.StepPlan` every step passes
-        #: to the backend (``None`` without an operator).
-        self.plan: Optional[StepPlan] = None
-        if spec is not None:
-            self.plan = StepPlan(
-                self._front, self._back, spec, self.radius,
-                self.interior_shape, self.boundary, constant, self.refresh_axes,
-            )
+
+    # -- layout, as the plan holds it ------------------------------------------
+    @property
+    def radius(self) -> tuple:
+        """Ghost width per axis."""
+        return self.plan.radius
+
+    @property
+    def boundary(self) -> BoundarySpec:
+        """The boundary every refresh fills the ghosts from."""
+        return self.plan.boundary
+
+    @property
+    def refresh_axes(self) -> Optional[tuple]:
+        """Axes the per-step ghost refresh owns (``None`` → all of them)."""
+        return self.plan.refresh_axes
+
+    @property
+    def interior_shape(self) -> tuple:
+        return self.plan.interior_shape
 
     # -- accessors ----------------------------------------------------------
     @property
@@ -131,13 +142,9 @@ class DoubleBufferedGrid:
 
     @property
     def interior(self) -> np.ndarray:
-        """View of the current interior domain (front buffer).
-
-        With a plan, the view the plan made of the buffer's interior.
-        """
-        if self.plan is not None:
-            return self.plan.interior(self._front)
-        return interior_view(self._front, self.radius)
+        """View of the current interior domain (front buffer), the one
+        the plan made of the buffer's interior."""
+        return self.plan.interior(self._front)
 
     def nbytes(self) -> int:
         """Total footprint of the pair in bytes."""
@@ -153,9 +160,10 @@ class DoubleBufferedGrid:
         axes (``external_axes``) are skipped — their slabs hold halo
         data the caller ingested.
         """
+        plan = self.plan
         return refresh_ghosts(
-            self._front, self.radius, self.boundary, axes=self.refresh_axes,
-            plan=None if self.plan is None else self.plan.refresh,
+            self._front, plan.radius, plan.boundary, axes=plan.refresh_axes,
+            plan=plan.refresh,
         )
 
     def step(self):
@@ -178,8 +186,6 @@ class DoubleBufferedGrid:
         Returns ``(src_padded, new_interior)``.
         """
         plan = self.plan
-        if plan is None:
-            raise ValueError("a pair built without an operator cannot step")
         new = get_backend().step_into(
             self._front,
             self._back,
@@ -221,7 +227,7 @@ class DoubleBufferedGrid:
             raise ValueError(
                 f"expected interior shape {self.interior_shape}, got {u.shape}"
             )
-        interior_view(self._front, self.radius)[...] = u
+        self.interior[...] = u
 
     def __repr__(self) -> str:
         ext = (

@@ -157,7 +157,7 @@ def refresh_ghosts(
 
     ``plan`` is :func:`refresh_plan` of ``padded``'s shape and the other
     arguments, which a caller that refreshes one layout every step (a
-    :class:`~repro.backends.fused.StepPlan`) derives once; without it
+    :class:`~repro.backends.base.StepPlan`) derives once; without it
     the plan is looked up in a bounded cache on every call.
 
     Returns ``padded`` (the same object) for chaining.

@@ -585,8 +585,8 @@ class TestStackedClosedBorders:
     def test_stacked_equals_replay_through_corrections(
         self, boundary_key, monkeypatch
     ):
-        import repro.core.interpolation as interpolation
         import repro.core.online as online
+        import repro.faults.engine as engine_module
 
         boundaries = []
 
@@ -599,7 +599,7 @@ class TestStackedClosedBorders:
 
             monkeypatch.setattr(module, "interpolate_checksum_padded", interpolate)
 
-        spy(interpolation)  # the stacked call imports it at call time
+        spy(engine_module)  # the stacked call
         spy(online)  # the delegate's and replay's protector
 
         def factory():

@@ -17,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMPUTE_PATHS, all_boundary_conditions, on_path
-from repro.backends import fused, get_backend, native
+from conftest import CONTRACT_PATHS, COMPUTE_PATHS, all_boundary_conditions, on_path
+from repro.backends import FoldPlan, fused, get_backend, native
 from repro.core import interpolation
 from repro.core.interpolation import (
     interpolate_checksum_padded,
     interpolate_checksum_reduced,
 )
 from repro.core.offline import OfflineABFT
+from repro.core.online import OnlineABFT
 from repro.experiments.common import make_hotspot_app, make_protector_factory
 from repro.faults.campaign import CampaignConfig
 from repro.faults.engine import CampaignEngine
@@ -219,16 +220,21 @@ class TestDoubleBufferedGridEquivalence:
         )
 
 
+#: The operator of the unit tests' pairs (every pair is built with one).
+_SPEC = five_point_diffusion(0.2)
+
+
 class TestDoubleBufferedGridUnit:
     def test_interior_is_view_of_front(self, rng):
         u = rng.random((5, 5)).astype(np.float32)
-        pair = DoubleBufferedGrid(u, 1, BoundaryCondition.clamp())
+        pair = DoubleBufferedGrid(u, 1, BoundaryCondition.clamp(), _SPEC)
         assert np.shares_memory(pair.interior, pair.front)
         np.testing.assert_array_equal(pair.interior, u)
 
     def test_swap_exchanges_buffers(self, rng):
         pair = DoubleBufferedGrid(
-            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero()
+            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero(),
+            _SPEC,
         )
         front, back = pair.front, pair.back
         pair.swap()
@@ -236,20 +242,23 @@ class TestDoubleBufferedGridUnit:
 
     def test_restore_interior_shape_validated(self, rng):
         pair = DoubleBufferedGrid(
-            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero()
+            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero(),
+            _SPEC,
         )
         with pytest.raises(ValueError, match="interior shape"):
             pair.restore_interior(np.zeros((3, 3)))
 
     def test_refresh_returns_front(self, rng):
         pair = DoubleBufferedGrid(
-            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.clamp()
+            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.clamp(),
+            _SPEC,
         )
         assert pair.refresh() is pair.front
 
     def test_nbytes(self, rng):
         pair = DoubleBufferedGrid(
-            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero()
+            rng.random((4, 4)).astype(np.float32), 1, BoundaryCondition.zero(),
+            _SPEC,
         )
         assert pair.nbytes() == 2 * 6 * 6 * 4
 
@@ -260,7 +269,7 @@ class TestExternallyManagedAxes:
     def test_refresh_skips_external_axis_slabs(self, rng):
         u = rng.random((5, 4)).astype(np.float32)
         pair = DoubleBufferedGrid(
-            u, 1, BoundaryCondition.clamp(), external_axes=(0,)
+            u, 1, BoundaryCondition.clamp(), _SPEC, external_axes=(0,)
         )
         assert pair.refresh_axes == (1,)
         sentinel = 123.25
@@ -279,7 +288,8 @@ class TestExternallyManagedAxes:
 
     def test_no_external_axes_refreshes_everything(self, rng):
         pair = DoubleBufferedGrid(
-            rng.random((5, 4)).astype(np.float32), 1, BoundaryCondition.clamp()
+            rng.random((5, 4)).astype(np.float32), 1, BoundaryCondition.clamp(),
+            _SPEC,
         )
         assert pair.external_axes == ()
         assert pair.refresh_axes is None
@@ -290,6 +300,7 @@ class TestExternallyManagedAxes:
                 rng.random((4, 4)).astype(np.float32),
                 1,
                 BoundaryCondition.clamp(),
+                _SPEC,
                 external_axes=(2,),
             )
 
@@ -402,6 +413,16 @@ class TestPlansOutliveTheirCaches:
             _assert_bits_equal(grid.u, twin.u)
         assert offline.total_rollbacks == 0
 
+        online = OnlineABFT.for_grid(grid)
+        twin_online = OnlineABFT.for_grid(twin)
+        for _ in range(4):
+            junk = disturb()
+            report = online.step(grid)
+            del junk
+            assert report == twin_online.step(twin)
+            _assert_bits_equal(grid.u, twin.u)
+            _assert_bits_equal(online._prev_cs[0], twin_online._prev_cs[0])
+
         app = make_hotspot_app((10, 8, 3))
         reference = app.reference_solution(6)
         config = CampaignConfig(iterations=6, repetitions=5, seed=11)
@@ -443,6 +464,124 @@ class TestPlansOutliveTheirCaches:
 
 
 def _assert_bits_equal(a, b):
+    assert a.dtype == b.dtype
+    bits = np.uint32 if a.dtype.itemsize == 4 else np.uint64
     np.testing.assert_array_equal(
-        np.ascontiguousarray(a).view(np.uint32), np.ascontiguousarray(b).view(np.uint32)
+        np.ascontiguousarray(a).view(bits), np.ascontiguousarray(b).view(bits)
     )
+
+
+# --------------------------------------------------------------------------
+# bound checksums and the online protector's binding
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", CONTRACT_PATHS)
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 7), st.integers(1, 5)),
+    radius=st.integers(0, 2),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    cs_dtype=st.sampled_from([None, np.dtype(np.float64)]),
+    runs=st.sampled_from([0, 3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_fold_plan_bit_identical_to_unbound_checksum(
+    path, shape, radius, dtype, cs_dtype, runs, seed
+):
+    """A checksum given a :class:`FoldPlan` of its view, as a grid's
+    protector or a stacked batch binds it, returns the bits of the same
+    call without one, on every path, for a 3D padded interior and for a
+    stacked pair's interior with its last axis and run axis merged
+    (``runs``); views the plan does not hold, other axes and other dtype
+    objects run as without a plan."""
+    rng = np.random.default_rng(seed)
+    pshape = padded_shape(shape, radius) + ((runs,) if runs else ())
+    buffers = [rng.standard_normal(pshape).astype(dtype) for _ in range(2)]
+    views = [interior_view(b, (radius,) * 3 + ((0,) if runs else ())) for b in buffers]
+    if runs:
+        views = [v.reshape(v.shape[:-2] + (-1,)) for v in views]
+    plan = FoldPlan(views, cs_dtype)
+    with on_path(path):
+        backend = get_backend()
+        for view in views + [views[0][:, ::-1]]:
+            want = view.sum(axis=0, dtype=cs_dtype)
+            first = backend.checksum(view, 0, dtype=cs_dtype, plan=plan)
+            first_bits = first.copy()
+            again = backend.checksum(view, 0, dtype=cs_dtype, plan=plan)
+            first[...] = np.nan  # a returned checksum is the caller's own
+            for got in (first_bits, again):
+                _assert_bits_equal(got, backend.checksum(view, 0, dtype=cs_dtype))
+                np.testing.assert_array_equal(got, want)
+            _assert_bits_equal(
+                backend.checksum(view, 1, dtype=cs_dtype, plan=plan),
+                backend.checksum(view, 1, dtype=cs_dtype),
+            )
+        other = None if cs_dtype is not None else np.dtype(dtype)
+        _assert_bits_equal(
+            backend.checksum(views[1], 0, dtype=other, plan=plan),
+            backend.checksum(views[1], 0, dtype=other),
+        )
+
+
+def _bump(grid, iteration):
+    """A fault the column checksum flags: one point raised by 50."""
+    if iteration == 3:
+        grid.u[4, 2, 1] += 50.0
+
+
+@pytest.mark.parametrize("path", CONTRACT_PATHS)
+def test_bound_online_protector_bit_identical_to_unbound(rng, path):
+    """``OnlineABFT.step`` binds its grid's pair (the fold of its two
+    interiors, the interpolation over its buffers); a twin verified by
+    ``process`` without the pair's plan makes the same reports, the
+    same correction and the same stored checksums, bit for bit.  Every
+    other step calls ``process`` with the plan and no boundary, so the
+    binding follows the boundary it is given."""
+    grid = _hotspot_like_grid(rng)
+    twin = grid.copy()
+    bound = OnlineABFT.for_grid(grid)
+    loose = OnlineABFT.for_grid(twin)
+    with on_path(path):
+        loose.step(twin)  # seeds the checksum, as bound's first step does
+        bound.step(grid)
+        for i in range(6):
+            boundary = twin.boundary if i % 2 else None
+            if i % 2:
+                report = bound.step(grid, inject=_bump)
+            else:
+                grid.step()
+                _bump(grid, grid.iteration)
+                report = bound.process(
+                    grid.u, grid.previous_padded, grid.iteration,
+                    plan=grid.buffers.plan,
+                )
+            twin.step()
+            _bump(twin, twin.iteration)
+            want = loose.process(
+                twin.u, twin.previous_padded, twin.iteration, boundary=boundary
+            )
+            assert report == want
+            _assert_bits_equal(grid.u, twin.u)
+            _assert_bits_equal(bound._prev_cs[0], loose._prev_cs[0])
+    assert bound.total_corrections == loose.total_corrections == 1
+    assert bound._binding.pair is grid.buffers.plan
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_copied_online_protector_binds_again(rng, how):
+    """A protector copied with its grid drops the binding that holds the
+    original pair's addresses, binds the copy's and verifies like the
+    original."""
+    grid = _hotspot_like_grid(rng)
+    protector = OnlineABFT.for_grid(grid)
+    protector.run(grid, 2)
+    if how == "deepcopy":
+        clone_grid, clone = copy.deepcopy((grid, protector))
+    else:
+        clone_grid, clone = pickle.loads(pickle.dumps((grid, protector)))
+    assert clone._binding is None
+    for _ in range(3):
+        report = protector.step(grid, inject=_bump)
+        assert clone.step(clone_grid, inject=_bump) == report
+        _assert_bits_equal(clone_grid.u, grid.u)
+    assert clone._binding.pair is clone_grid.buffers.plan

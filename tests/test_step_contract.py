@@ -31,7 +31,7 @@ sweep; the named cases at the end pin the views that must take the
 NumPy fill instead.
 
 A step or batched step given the pair's
-:class:`~repro.backends.fused.StepPlan` (what a double-buffered grid,
+:class:`~repro.backends.base.StepPlan` (what a double-buffered grid,
 a rank and a stacked campaign batch pass every step) is bitwise the
 same call without one, on every path.
 """
