@@ -8,6 +8,9 @@ costs a fraction of the sweep.  On the 64x64x8 tile (2-core x86 host,
 NumPy 2.4) the exact interpolation costs 0.17-0.26x a sweep, and the
 offline protector's per-step work — recording the strips plus one
 replayed interpolation — 0.14-0.24x; both gates below assert < 0.5x.
+Like every gate here they read the median of 30 interleaved ratios,
+so one scheduler spike on a shared host cannot fail them (0.18-0.21x
+and 0.24-0.28x over five runs).
 
 Four more gates time the fused step on the 512x512x8 HotSpot3D tile,
 each against the form it replaced: the compiled flat sweep must cost
@@ -16,7 +19,8 @@ column checksum (compiled where a C compiler exists) < 0.8x
 ``u.sum(axis=0, dtype=float64)`` of the padded interior, the exact
 interpolation given the grid's boundary < 0.25x the domain-read form, and
 the fused step, whose compiled sweep fills the last axis's ghost lanes,
-< 0.95x ``refresh_ghosts`` followed by ``sweep_into``.  A fifth holds
+< 0.95x ``refresh_ghosts`` followed by ``sweep_into``; each sweep and
+step takes a step plan built once over its buffer pair.  A fifth holds
 the compiled sweep under 4x an ``np.copyto`` of its pair, a bound that
 NumPy's speed cannot move: 2.0-2.3x with the sweep's inner loop
 vectorized, 6.4-7.0x when it ran scalar.  A sixth times what a
@@ -35,7 +39,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.backends import FusedBackend, native
+from repro.backends import FusedBackend, StepPlan, native
 from repro.backends import fused as fused_module
 from repro.core.checksums import checksum
 from repro.core.detection import detect_errors
@@ -45,7 +49,7 @@ from repro.core.interpolation import (
     interpolate_checksum_reduced,
 )
 from repro.experiments.common import make_hotspot_app
-from repro.stencil.shift import ghost_lanes, interior_view, pad_array, refresh_ghosts
+from repro.stencil.shift import interior_view, pad_array, refresh_ghosts, refresh_plan
 from repro.stencil.sweep import sweep_padded
 
 
@@ -119,34 +123,24 @@ def test_component_detection(benchmark, state):
     benchmark(lambda: detect_errors(cs, predicted, 1e-5))
 
 
-def _per_call(fn, repeats=20):
-    import time
-
-    fn()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        fn()
-    return (time.perf_counter() - start) / repeats
-
-
-def _sweep_time(grid, padded):
-    return _per_call(
-        lambda: sweep_padded(padded, grid.spec, grid.radius, grid.shape,
-                             constant=grid.constant)
+def _sweep(grid, padded):
+    """One sweep of the tile, the baseline of the two gates below."""
+    return lambda: sweep_padded(
+        padded, grid.spec, grid.radius, grid.shape, constant=grid.constant
     )
 
 
 def test_interpolation_is_much_cheaper_than_sweep(state):
     """The Theorem-1 complexity claim, checked directly on wall-clock."""
     app, grid, padded, cs = state
-    sweep_time = _sweep_time(grid, padded)
-    interp_time = _per_call(
+    ratio = _ratio(
         lambda: interpolate_checksum_padded(
             cs, padded, grid.spec, grid.radius, grid.shape, 0
-        )
+        ),
+        _sweep(grid, padded),
     )
-    print(f"\nsweep {sweep_time * 1e3:.3f} ms vs interpolation {interp_time * 1e3:.3f} ms")
-    assert interp_time < 0.5 * sweep_time
+    print(f"\ninterpolation / sweep = {ratio:.2f}")
+    assert ratio < 0.5
 
 
 def test_offline_replay_is_much_cheaper_than_sweep(state):
@@ -159,11 +153,9 @@ def test_offline_replay_is_much_cheaper_than_sweep(state):
             cs, grid.spec, grid.boundary, 0, grid.shape[0], deltas=strips
         )
 
-    sweep_time = _sweep_time(grid, padded)
-    replay_time = _per_call(replay_step)
-    print(f"\nsweep {sweep_time * 1e3:.3f} ms vs strips + replay "
-          f"{replay_time * 1e3:.3f} ms")
-    assert replay_time < 0.5 * sweep_time
+    ratio = _ratio(replay_step, _sweep(grid, padded))
+    print(f"\nstrips + replay / sweep = {ratio:.2f}")
+    assert ratio < 0.5
 
 
 def _ratio(fn, baseline, rounds=30):
@@ -191,6 +183,14 @@ def large_state():
     return grid, grid.buffers.front, cs
 
 
+def _plan(grid, padded, dst):
+    """The step plan of the pair ``(padded, dst)``, built once per gate."""
+    return StepPlan(
+        padded, dst, grid.spec, grid.radius, grid.shape, grid.boundary,
+        grid.constant,
+    )
+
+
 def _require_compiled_sweep():
     """Skip, saying why, only where no ``cc`` is on PATH."""
     if shutil.which("cc") is None:
@@ -204,10 +204,12 @@ def test_compiled_sweep_is_cheaper_than_strip_loop(large_state):
     grid, padded, cs = large_state
     fused = FusedBackend()
     dst = np.empty_like(padded)
+    plan = _plan(grid, padded, dst)
 
     def sweep():
         fused.sweep_into(
-            padded, dst, grid.spec, grid.radius, grid.shape, constant=grid.constant
+            padded, dst, grid.spec, grid.radius, grid.shape, constant=grid.constant,
+            plan=plan,
         )
 
     def strip_loop():
@@ -229,9 +231,11 @@ def test_compiled_sweep_is_cheaper_than_four_pair_copies(large_state):
     grid, padded, cs = large_state
     fused = FusedBackend()
     dst = np.empty_like(padded)
+    plan = _plan(grid, padded, dst)
     ratio = _ratio(
         lambda: fused.sweep_into(
-            padded, dst, grid.spec, grid.radius, grid.shape, constant=grid.constant
+            padded, dst, grid.spec, grid.radius, grid.shape, constant=grid.constant,
+            plan=plan,
         ),
         lambda: np.copyto(dst, padded),
     )
@@ -245,14 +249,17 @@ def test_lane_fill_in_sweep_is_cheaper_than_refresh_then_sweep(large_state):
     grid, padded, cs = large_state
     fused = FusedBackend()
     dst = np.empty_like(padded)
-    args = (padded, dst, grid.spec, grid.radius, grid.shape)
+    plan = _plan(grid, padded, dst)
 
     def step():
-        fused.step_into(*args, grid.boundary, constant=grid.constant)
+        fused.step_into(padded, dst, plan)
 
     def refresh_then_sweep():
         refresh_ghosts(padded, grid.radius, grid.boundary)
-        fused.sweep_into(*args, constant=grid.constant)
+        fused.sweep_into(
+            padded, dst, grid.spec, grid.radius, grid.shape, constant=grid.constant,
+            plan=plan,
+        )
 
     ratio = _ratio(step, refresh_then_sweep)
     print(f"\nstep / refresh_ghosts + sweep_into = {ratio:.2f}")
@@ -306,9 +313,7 @@ def stacked_state():
         # The step ``run_batch`` runs: the batched step given the plan of
         # the pair, which returns the interior the protection reads.
         return fused.batch_step_into(
-            batch.pair.back, batch.pair.front, batch.spec, batch.base_radius,
-            batch.base_shape, batch.base_boundary, constant=batch.constant,
-            plan=batch.pair.plan,
+            batch.pair.back, batch.pair.front, batch.pair.plan
         )
 
     return batch, prev_cs, step
@@ -361,7 +366,7 @@ def test_grid_step_is_cheaper_than_one_and_a_half_times_its_work():
     src = grid.buffers.front.copy()
     dst = np.empty_like(src)
     dtype = src.dtype
-    lanes = ghost_lanes(src.shape, grid.radius, grid.boundary)
+    lanes = refresh_plan(src.shape, grid.radius, grid.boundary).lanes
     flat = fused_module._flat_plan(src.shape, grid.radius, grid.shape, dtype, grid.spec)
     const = FusedBackend()._padded_constant(grid.constant, src.shape, grid.radius, dtype)
     kernel = native.library().sweep[dtype.str]

@@ -62,11 +62,7 @@ import numpy as np
 
 from repro.core.online import OnlineABFT
 from repro.parallel.decomposition import partition_extent
-from repro.parallel.halo import (
-    boundary_strip,
-    stack_with_halos,
-    synthesize_ghost,
-)
+from repro.parallel.halo import boundary_strip, synthesize_ghost_into
 from repro.parallel.simmpi import DistributedStencilRunner, SimChannel
 from repro.stencil.boundary import BoundaryCondition
 from repro.stencil.grid import Grid2D
@@ -91,6 +87,109 @@ ALLOC_PER_RANK_ALLOWANCE = 16 * 1024
 # --------------------------------------------------------------------------
 # The legacy (seed) execution shape, kept here as the benchmark baseline.
 # --------------------------------------------------------------------------
+def synthesize_ghost(
+    u: np.ndarray, axis: int, side: str, width: int, bc: BoundaryCondition
+) -> np.ndarray:
+    """Ghost strip generated from a closed boundary condition.
+
+    Used by ranks that sit at the global domain edge (no neighbour on
+    that side). Periodic boundaries are handled by neighbour wrap-around
+    in the runner, so they never reach this function.
+    """
+    shape = list(u.shape)
+    shape[axis] = width
+    if bc.is_clamp:
+        edge = boundary_strip(u, axis, side, 1)
+        reps = [1] * u.ndim
+        reps[axis] = width
+        return np.tile(edge, reps)
+    if bc.is_periodic:
+        # Wrap-around data belongs to the opposite rank; the runner routes
+        # it as a regular halo message.
+        raise ValueError("periodic ghosts are exchanged, not synthesised")
+    return np.full(shape, bc.fill_value(), dtype=u.dtype)
+
+
+def stack_with_halos(
+    low_ghost: np.ndarray, interior: np.ndarray, high_ghost: np.ndarray, axis: int
+) -> np.ndarray:
+    """Concatenate ``low_ghost | interior | high_ghost`` along ``axis``."""
+    for name, strip in (("low", low_ghost), ("high", high_ghost)):
+        expected = list(interior.shape)
+        expected[axis] = strip.shape[axis]
+        if list(strip.shape) != expected:
+            raise ValueError(
+                f"{name} ghost strip has shape {strip.shape}, expected {tuple(expected)}"
+            )
+    return np.concatenate([low_ghost, interior, high_ghost], axis=axis)
+
+
+# The allocating ghost helpers above are checked here, beside the
+# baseline that uses them (``pytest benchmarks/bench_weak_scaling.py``).
+def test_synthesize_clamp_ghost():
+    u = np.random.default_rng(0).random((4, 3))
+    ghost = synthesize_ghost(u, 0, "high", 2, BoundaryCondition.clamp())
+    assert ghost.shape == (2, 3)
+    np.testing.assert_array_equal(ghost[0], u[-1])
+    np.testing.assert_array_equal(ghost[1], u[-1])
+
+
+def test_synthesize_constant_and_zero_ghost():
+    u = np.random.default_rng(1).random((4, 3))
+    np.testing.assert_array_equal(
+        synthesize_ghost(u, 1, "low", 1, BoundaryCondition.zero()),
+        np.zeros((4, 1)),
+    )
+    np.testing.assert_array_equal(
+        synthesize_ghost(u, 1, "low", 1, BoundaryCondition.constant(2.0)),
+        np.full((4, 1), 2.0),
+    )
+
+
+def test_synthesize_periodic_rejected():
+    import pytest
+
+    with pytest.raises(ValueError, match="exchanged"):
+        synthesize_ghost(
+            np.random.default_rng(2).random((3, 3)), 0, "low", 1,
+            BoundaryCondition.periodic(),
+        )
+
+
+def test_synthesize_ghost_matches_the_in_place_form():
+    """The baseline's ghosts are the ones the zero-copy runner writes."""
+    u = np.random.default_rng(3).random((4, 3))
+    for bc in (
+        BoundaryCondition.clamp(),
+        BoundaryCondition.zero(),
+        BoundaryCondition.constant(4.5),
+    ):
+        for side in ("low", "high"):
+            padded = pad_array(u, (2, 1), BoundaryCondition.zero())
+            slab = synthesize_ghost_into(padded, (2, 1), 0, side, bc)
+            np.testing.assert_array_equal(slab, synthesize_ghost(u, 0, side, 2, bc))
+
+
+def test_stack_with_halos():
+    rng = np.random.default_rng(4)
+    interior = rng.random((4, 3))
+    lo = rng.random((1, 3))
+    hi = rng.random((1, 3))
+    stacked = stack_with_halos(lo, interior, hi, 0)
+    assert stacked.shape == (6, 3)
+    np.testing.assert_array_equal(stacked[0:1], lo)
+    np.testing.assert_array_equal(stacked[1:5], interior)
+
+
+def test_stack_with_halos_shape_validation():
+    import pytest
+
+    rng = np.random.default_rng(5)
+    interior = rng.random((4, 3))
+    with pytest.raises(ValueError, match="ghost strip"):
+        stack_with_halos(rng.random((1, 2)), interior, rng.random((1, 3)), 0)
+
+
 class _LegacyRank:
     def __init__(self, rank, interior, constant, protector, lo, hi):
         self.rank = rank

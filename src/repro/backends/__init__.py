@@ -15,6 +15,9 @@ Grids step a padded buffer pair with ``step_into`` (ghost refresh
 included) and write each new step straight into the destination buffer
 (``sweep_into``), so stepping allocates no full-domain array; the
 campaign engine steps whole batches of runs with ``batch_step_into``.
+Each of the three takes the pair's :class:`StepPlan`, the one record of
+its layout, built once (:func:`batch_arguments` extends a step's
+arguments over a batch of runs).
 A protector then reduces the new domain with ``checksum``, after any
 fault-injection hook has run.
 
@@ -23,10 +26,17 @@ Grids, protectors, runners and the campaign engine each call
 same instance.
 """
 
-from repro.backends.base import Backend, StepPlan
+from repro.backends.base import Backend, StepPlan, batch_arguments
 from repro.backends.fused import FoldPlan, FusedBackend
 
-__all__ = ["Backend", "FoldPlan", "FusedBackend", "StepPlan", "get_backend"]
+__all__ = [
+    "Backend",
+    "FoldPlan",
+    "FusedBackend",
+    "StepPlan",
+    "batch_arguments",
+    "get_backend",
+]
 
 _BACKEND = FusedBackend()
 

@@ -26,8 +26,8 @@ the memory-bound nature of large stencil sweeps:
    ``dst.flat[lo:hi] = C + sum(w * src.flat[lo+d : hi+d])``, in the
    reference's operation order, so every interior value is still
    bitwise equal to it.  The range, the displacements and the cast
-   weights are derived once per (layout, operator) and cached (a
-   :class:`~repro.backends.base.StepPlan` keeps its pair's).  The
+   weights are derived once per pair and kept in its
+   :class:`~repro.backends.base.StepPlan`.  The
    strip loop is compiled (:mod:`repro.backends.native`, blocks of
    1 KB, ~0.3x the NumPy loop on the 512x512x8 pair) when the
    library is loaded and the pair is native-byte-order float32/float64,
@@ -48,11 +48,11 @@ the memory-bound nature of large stencil sweeps:
    and all memory outside the destination are never written.  The
    per-point constant is embedded once per (constant,
    layout) into a zero-ghost padded copy, cached beside the strip
-   scratch (and kept by the plan of a pair that sweeps with it).
-   Views that are not contiguous (2D tiles, or narrower slices of a
-   campaign batch) keep the *staged* path: accumulate into
-   a contiguous staging buffer, then one strided copy into the
-   interior, which writes no ghost cell.
+   scratch (so the grids of one app share it) and kept by the plan of
+   a pair that sweeps with it.  Pairs that are not contiguous
+   (narrower slices of a campaign batch) keep the *staged* path:
+   accumulate into a contiguous staging buffer, then one strided copy
+   into the interior, which writes no ghost cell.
 
 3. **Column checksums folded over whole lanes.**  The protected
    step's column (axis-0) checksum of a padded interior walks short
@@ -85,14 +85,13 @@ the memory-bound nature of large stencil sweeps:
    :meth:`FusedBackend._refresh_and_sweep`, the body of every step and
    batched step, refreshes the other axes only and passes the last
    ghost axis's lanes (:class:`~repro.stencil.shift.GhostLanes`, from
-   the step's plan or the refresh-plan cache) to :meth:`sweep_into` as
-   an argument; the compiled sweep fills them a few rows at a time just
-   ahead of the blocks that read them, so the refresh and the sweep are
-   one pass.  Without the
+   the step's plan) to :meth:`sweep_into` as an argument; the compiled
+   sweep fills them a few rows at a time just ahead of the blocks that
+   read them, so the refresh and the sweep are one pass.  Without the
    library the step is the base class's refresh-then-sweep; where the
    compiled sweep does not run for another reason (a strided,
-   overlapping, unaligned or read-only pair, an empty interior) NumPy
-   fills the same lanes before sweeping.  The source halo is bitwise
+   unaligned or read-only pair, an empty interior) NumPy fills the
+   same lanes before sweeping.  The source halo is bitwise
    equal to a full :func:`~repro.stencil.shift.refresh_ghosts` either
    way.  A step and its fold are then two passes over the buffer, not
    three.
@@ -101,14 +100,12 @@ Without a C compiler, or when the build or load fails, every path
 runs its NumPy code, and :meth:`FusedBackend.compiled_kernels` (``repro
 backends``) names the reason.
 
-A pair stepped every iteration (a grid, a rank, a stacked campaign
+Every step and sweep of a pair (a grid, a rank, a stacked campaign
 batch) passes its :class:`~repro.backends.base.StepPlan`: what its
 layout fixes is derived once (the flat geometry and the padded
 constant on its first flat sweep, kept in the plan's ``sweep``), and a
 64x64x8 step costs about its refresh and compiled sweep (50-60 us
-instead of 80-110 us on a 2-core x86 VM).  A call without a plan
-derives the same parts through the bounded caches, with the same
-checks.
+instead of 80-110 us on a 2-core x86 VM).
 
 The scratch cache is per-thread (``threading.local``) so the threaded
 tile executor can sweep same-shaped tiles concurrently without races.
@@ -123,17 +120,15 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends import native
-from repro.backends.base import Backend, StepPlan
+from repro.backends.base import Backend, StepPlan, _direction
 from repro.stencil.shift import (
     GhostLanes,
-    PlanCache,
     fill_lanes,
-    ghost_lanes,
     interior_view,
     refresh_ghosts,
     shifted_view,
 )
-from repro.stencil.spec import StencilSpec, spec_key
+from repro.stencil.spec import StencilSpec
 
 __all__ = ["FoldPlan", "FusedBackend"]
 
@@ -149,12 +144,6 @@ _MAX_CACHED_SCRATCH = 8
 #: L2 per core) the 7-point sweep took 28-30 ms unstripped and 10-13 ms
 #: in float32 strips of 32k-64k elements; float64 was fastest at 32k too.
 _STRIP = 1 << 15
-
-
-#: Flat-sweep geometries cached before the cache is reset.
-_MAX_CACHED_FLAT_PLANS = 32
-
-_flat_plans = PlanCache(_MAX_CACHED_FLAT_PLANS)
 
 
 class _FlatPlan(NamedTuple):
@@ -198,13 +187,6 @@ def _root(a: np.ndarray) -> np.ndarray:
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
-
-
-def _cached_flat_plan(shape, radius, interior_shape, dtype, spec) -> _FlatPlan:
-    return _flat_plans.get_or_build(
-        (shape, radius, interior_shape, dtype.str, spec_key(spec)),
-        _flat_plan, shape, radius, interior_shape, dtype, spec,
-    )
 
 
 class FusedBackend(Backend):
@@ -340,32 +322,6 @@ class FusedBackend(Backend):
                 np.add(out, scratch, out=out)
         return out
 
-    def _sweep_flat(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius: Tuple[int, ...],
-        interior_shape: Tuple[int, ...],
-        constant: Optional[np.ndarray],
-        lanes: Optional[GhostLanes] = None,
-    ) -> None:
-        """The flat-stride sweep of two whole C-contiguous padded buffers.
-
-        Same multiply/add sequence as :meth:`sweep_padded`, per strip
-        of the flat range (see the module docstring); overwrites the
-        destination ghost positions inside ``[lo, hi)``.  The geometry
-        and the padded constant come from their caches, then
-        :meth:`_flat_pass` sweeps.
-        """
-        flat = const = None
-        if 0 not in interior_shape:
-            shape, dtype = dst_padded.shape, dst_padded.dtype
-            flat = _cached_flat_plan(shape, radius, interior_shape, dtype, spec)
-            if constant is not None:
-                const = self._padded_constant(constant, shape, radius, dtype)
-        self._flat_pass(src_padded, dst_padded, flat, const, lanes)
-
     def _flat_pass(
         self,
         src_padded: np.ndarray,
@@ -373,19 +329,22 @@ class FusedBackend(Backend):
         flat: Optional[_FlatPlan],
         const: Optional[np.ndarray],
         lanes: Optional[GhostLanes],
-        addresses: Optional[Tuple] = None,
+        addresses: Tuple,
     ) -> None:
-        """The flat sweep of :meth:`_sweep_flat`, its geometry given.
+        """The flat-stride sweep of two whole C-contiguous padded buffers.
 
-        ``flat`` is the geometry (``None`` for an empty interior, which
-        sweeps nothing) and ``const`` the flat padded constant or
-        ``None``.  The compiled strip loop runs it when the library is
-        loaded and the pair is native-byte-order float32/float64,
-        aligned, with a writeable destination; otherwise the NumPy strip
-        loop below does (and a read-only destination raises NumPy's
-        ``ValueError``).  ``addresses`` are the compiled call's source,
-        destination and constant addresses, when a
-        :class:`~repro.backends.base.StepPlan` knows them.
+        Same multiply/add sequence as :meth:`sweep_padded`, per strip
+        of the flat range (see the module docstring); overwrites the
+        destination ghost positions inside ``[lo, hi)``.  ``flat`` is
+        the geometry (``None`` for an empty interior, which sweeps
+        nothing) and ``const`` the flat padded constant or ``None``,
+        both kept in the pair's plan (:meth:`_plan_sweep`), and
+        ``addresses`` the compiled call's source, destination and
+        constant addresses.  The compiled strip loop runs it when the
+        library is loaded and the pair is native-byte-order
+        float32/float64, aligned, with a writeable destination;
+        otherwise the NumPy strip loop below does (and a read-only
+        destination raises NumPy's ``ValueError``).
 
         ``lanes`` are source ghost lanes still to be filled (see
         :meth:`_refresh_and_sweep`).  The compiled loop fills them just
@@ -414,12 +373,6 @@ class FusedBackend(Backend):
                 )
             )
         ):
-            if addresses is None:
-                addresses = (
-                    src_padded.ctypes.data,
-                    dst_padded.ctypes.data,
-                    None if const is None else const.ctypes.data,
-                )
             src, dst, constant = addresses
             lane, fill = (None, None) if lanes is None else lanes.addresses(dtype)
             kernel(src, dst, *flat.args, constant, lane, fill)
@@ -449,9 +402,9 @@ class FusedBackend(Backend):
     def _plan_sweep(self, plan: StepPlan, padded: np.ndarray) -> Tuple:
         """``plan``'s flat sweep: geometry, padded constant and its address.
 
-        Made on the plan's first flat sweep through the module's caches
-        (so grids sharing a constant share its padded copy, and the
-        one-off copy stays out of construction) and kept in
+        Made on the plan's first flat sweep, the padded constant through
+        its cache (so grids sharing a constant share its padded copy,
+        and the one-off copy stays out of construction), and kept in
         ``plan.sweep``.  ``padded`` is one of the plan's buffers, whose
         layout it takes.  The geometry is ``None`` for an empty
         interior, the constant and its address ``None`` without one.
@@ -460,7 +413,7 @@ class FusedBackend(Backend):
             shape, dtype = padded.shape, padded.dtype
             flat = const = address = None
             if 0 not in plan.interior_shape:
-                flat = _cached_flat_plan(
+                flat = _flat_plan(
                     shape, plan.radius, plan.interior_shape, dtype, plan.spec
                 )
                 if plan.constant is not None:
@@ -489,113 +442,69 @@ class FusedBackend(Backend):
         full-domain allocation at all — the acceptance property the
         benchmark's tracemalloc gate verifies.
 
-        Whole C-contiguous buffer pairs of one shape and dtype take the
-        flat-stride sweep (module docstring, point 2): every ufunc call
-        is one contiguous loop, and the destination's axis >= 1 ghost
-        cells inside the interior's axis-0 extent are overwritten — the
-        ghost-overwrite rule of :meth:`Backend.sweep_into
-        <repro.backends.base.Backend.sweep_into>`.  Any other view
-        (tiles sliced along an axis >= 1, whose rows are not adjacent
-        in memory) takes the staged path: the
-        sweep accumulates into a persistent contiguous staging buffer
-        and lands in the interior with one strided copy, leaving every
-        ghost untouched.  Both paths keep the reference's operation
-        order, so the interior is bitwise identical either way.
+        ``plan`` is the pair's :class:`~repro.backends.base.StepPlan`,
+        required as in :meth:`Backend.sweep_into
+        <repro.backends.base.Backend.sweep_into>`, whose other
+        arguments are the plan's.  A contiguous pair (two whole
+        C-contiguous buffers of one dtype) takes the flat-stride sweep
+        (module docstring, point 2): every ufunc call is one contiguous
+        loop, and the destination's axis >= 1 ghost cells inside the
+        interior's axis-0 extent are overwritten — the ghost-overwrite
+        rule of that method.  Any other pair (a narrower slice of a
+        campaign batch, whose rows are not adjacent in memory) takes the
+        staged path: the sweep accumulates into a persistent contiguous
+        staging buffer and lands in the interior with one strided copy,
+        leaving every ghost untouched.  Both paths keep the reference's
+        operation order, so the interior is bitwise identical either
+        way.
 
-        ``plan`` is the :class:`~repro.backends.base.StepPlan` of the
-        pair, built from these arguments; for its own two buffers the
-        layout checks, the flat geometry, the padded constant and the
-        addresses come from it instead of being derived again.  ``lanes`` are the source ghost
-        lanes this backend's step left to the sweep
-        (:meth:`_refresh_and_sweep`): the compiled flat sweep fills them
-        as it goes, NumPy before any other sweep.
+        ``lanes`` are the source ghost lanes this backend's step left
+        to the sweep (:meth:`_refresh_and_sweep`): the compiled flat
+        sweep fills them as it goes, NumPy before any other sweep.
         """
-        direction = None if plan is None else plan.direction(src_padded, dst_padded)
-        if direction is not None:
-            interior = direction.interior
-            if plan.contiguous:
-                flat, const, address = self._plan_sweep(plan, dst_padded)
-                self._flat_pass(
-                    src_padded, dst_padded, flat, const, lanes,
-                    (direction.src, direction.dst, address),
-                )
-                return interior
-            shared = False
-        else:
-            interior = self._dst_interior(dst_padded, radius, interior_shape)
-            shared = np.may_share_memory(src_padded, dst_padded)
-            if (
-                not shared
-                and src_padded.flags.c_contiguous
-                and dst_padded.flags.c_contiguous
-                and src_padded.shape == dst_padded.shape
-                and src_padded.dtype == dst_padded.dtype
-            ):
-                interior_shape, radius = self._normalize_sweep_args(
-                    src_padded, radius, interior_shape, constant, None
-                )
-                self._sweep_flat(
-                    src_padded, dst_padded, spec, radius, interior_shape, constant,
-                    lanes,
-                )
-                return interior
+        direction = _direction(plan, src_padded, dst_padded)
+        interior = direction.interior
+        if plan.contiguous:
+            flat, const, address = self._plan_sweep(plan, dst_padded)
+            self._flat_pass(
+                src_padded, dst_padded, flat, const, lanes,
+                (direction.src, direction.dst, address),
+            )
+            return interior
         if lanes is not None:
             fill_lanes(src_padded, lanes)
-        if shared:
-            return super().sweep_into(
-                src_padded, dst_padded, spec, radius, interior_shape,
-                constant=constant,
-            )
         staging = self._scratch(interior.shape, interior.dtype, slot=1)
         self.sweep_padded(
-            src_padded, spec, radius, interior_shape, constant=constant,
-            out=staging,
+            src_padded, plan.spec, plan.radius, plan.interior_shape,
+            constant=plan.constant, out=staging,
         )
         interior[...] = staging
         return interior
 
     def _refresh_and_sweep(
-        self,
-        src_padded: np.ndarray,
-        dst_padded: np.ndarray,
-        spec: StencilSpec,
-        radius,
-        interior_shape: Sequence[int],
-        boundary,
-        constant: Optional[np.ndarray],
-        refresh_axes: Optional[Sequence[int]],
-        plan: Optional[StepPlan] = None,
+        self, src_padded: np.ndarray, dst_padded: np.ndarray, plan: StepPlan
     ) -> np.ndarray:
         """A step's refresh and sweep, the last ghost axis left to the sweep.
 
         When the native library has a sweep for the source's dtype and
-        the refresh has ghost lanes
-        (:func:`~repro.stencil.shift.ghost_lanes`, or the plan's),
-        :func:`~repro.stencil.shift.refresh_ghosts` fills the other axes
-        (:attr:`~repro.stencil.shift.GhostLanes.head`) and
-        :meth:`sweep_into` takes the lanes as an argument: its checks
-        pick the compiled flat sweep, which fills them as its blocks
-        reach them, or a NumPy fill before any other sweep.  The source
-        halo ends bitwise equal to a full refresh either way.  Without
-        lanes or a kernel this is the base class's refresh-then-sweep.
+        the plan's refresh has ghost lanes, :func:`~repro.stencil.shift.refresh_ghosts`
+        fills the other axes (the plan's ``head``) and :meth:`sweep_into`
+        takes the lanes as an argument: the compiled flat sweep fills
+        them as its blocks reach them, NumPy before any other sweep.
+        The source halo ends bitwise equal to a full refresh either way.
+        Without lanes or a kernel this is the base class's
+        refresh-then-sweep.
         """
-        if plan is None:
-            lanes = ghost_lanes(src_padded.shape, radius, boundary, refresh_axes)
-        else:
-            lanes = plan.lanes
+        lanes = plan.lanes
         lib = native.library()
         if lanes is None or lib is None or src_padded.dtype.str not in lib.sweep:
-            return super()._refresh_and_sweep(
-                src_padded, dst_padded, spec, radius, interior_shape, boundary,
-                constant, refresh_axes, plan,
-            )
+            return super()._refresh_and_sweep(src_padded, dst_padded, plan)
         refresh_ghosts(
-            src_padded, radius, boundary, axes=lanes.head,
-            plan=None if plan is None else plan.head,
+            src_padded, plan.radius, plan.boundary, axes=lanes.head, plan=plan.head
         )
         return self.sweep_into(
-            src_padded, dst_padded, spec, radius, interior_shape,
-            constant=constant, plan=plan, lanes=lanes,
+            src_padded, dst_padded, plan.spec, plan.radius, plan.interior_shape,
+            constant=plan.constant, plan=plan, lanes=lanes,
         )
 
     def checksum(

@@ -23,7 +23,9 @@ the benchmark suite gates.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -354,6 +356,24 @@ def check_plans(plans: Sequence[FaultPlan], protector: Protector) -> None:
         )
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the garbage collector, as ``timeit`` does, then restore its
+    previous state.
+
+    :func:`run_one` and :func:`run_with_crashes` time a run inside it,
+    so a run's ``elapsed_seconds`` never includes a collection that
+    allocations made before the run triggered.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_with_crashes(
     grid: GridBase,
     protector: Protector,
@@ -392,10 +412,12 @@ def run_with_crashes(
         grid, n_ranks=n_ranks, protect=protect, **settings
     )
     injector = DistributedFaultInjector.from_global(runner, plans)
-    start = time.perf_counter()
-    runner.run(iterations, inject=injector)
-    elapsed = time.perf_counter() - start
+    with _collector_paused():
+        start = time.perf_counter()
+        runner.run(iterations, inject=injector)
+        elapsed = time.perf_counter() - start
     return elapsed, runner
+
 
 
 def compute_reference(grid_factory: GridFactory, iterations: int) -> np.ndarray:
@@ -481,9 +503,10 @@ def run_one(
     else:
         if inject is None and plans:
             inject = FaultInjector(plans, protector)
-        start = time.perf_counter()
-        report = protector.run(grid, config.iterations, inject=inject)
-        elapsed = time.perf_counter() - start
+        with _collector_paused():
+            start = time.perf_counter()
+            report = protector.run(grid, config.iterations, inject=inject)
+            elapsed = time.perf_counter() - start
         final = grid.u
         counters = resolve_run_counters(protector, report)
     return RunRecord(

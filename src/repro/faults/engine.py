@@ -101,7 +101,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import FoldPlan, StepPlan, get_backend
+from repro.backends import FoldPlan, StepPlan, batch_arguments, get_backend
 from repro.core.detection import detect_errors
 from repro.core.interpolation import (
     InterpolationPlan,
@@ -124,7 +124,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.injector import FaultPlan, flip_plan
 from repro.parallel.executor import make_executor
-from repro.stencil.boundary import BoundaryCondition, BoundarySpec
+from repro.stencil.boundary import BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
 from repro.stencil.grid import GridBase
 from repro.stencil.shift import interior_view
@@ -311,29 +311,28 @@ class _StackedBatch:
         self.base_radius = grid.radius
         self.dtype = grid.dtype
         self.spec = grid.spec
-        # Domain-axis boundary: the backend's batched step treats the
-        # trailing run axis itself (ghost width 0, never refreshed).
+        # Domain-axis boundary, which a flagged slot's delegated
+        # ``process`` gets.
         self.base_boundary = BoundarySpec.from_any(
             grid.boundary, len(self.base_shape)
         )
-        shape = self.base_shape + (self.width,)
-        radius = tuple(self.base_radius) + (0,)
-        boundary = BoundarySpec(
-            tuple(self.base_boundary) + (BoundaryCondition.clamp(),)
-        )
-        self.shape = shape
-        self.radius = radius
-        self.boundary = boundary
         # The campaign's shared initial domain — passed explicitly (the
         # worker grid may hold the final state of an earlier replay run).
         self.initial = np.ascontiguousarray(initial, dtype=self.dtype)[..., None]
         self.constant = grid.constant
-        # The operator of the batched step and of the stacked Theorem-1
-        # interpolation: the batch axis never shifts.
-        self.spec_ext = BatchOperator(self.spec)
+        # The batched step's arguments, which the stacked Theorem-1
+        # interpolation takes too: the batch operator (the run axis
+        # never shifts), ghost width 0 and a placeholder boundary on the
+        # run axis, the constant broadcast over the runs.
+        self.spec_ext, self.radius, self.shape, self.boundary, constant = (
+            batch_arguments(
+                self.spec, self.base_radius, self.base_shape,
+                self.base_boundary, self.constant, self.width,
+            )
+        )
         self.pair = DoubleBufferedGrid(
-            np.broadcast_to(self.initial, shape), radius, boundary,
-            spec=self.spec_ext, constant=self._run_constant(self.width),
+            np.broadcast_to(self.initial, self.shape), self.radius, self.boundary,
+            spec=self.spec_ext, constant=constant,
         )
         self._buffers = (self.pair.front, self.pair.back)
 
@@ -347,12 +346,6 @@ class _StackedBatch:
         self._layouts: Dict[int, _BatchLayout] = {}
         self._layout(self.width)
 
-    def _run_constant(self, width: int) -> Optional[np.ndarray]:
-        """The grid's constant broadcast over ``width`` runs, or ``None``."""
-        if self.constant is None:
-            return None
-        return np.broadcast_to(self.constant[..., None], self.base_shape + (width,))
-
     def _layout(self, width: int) -> _BatchLayout:
         """The pair's views and plans for a batch of ``width`` runs."""
         layout = self._layouts.get(width)
@@ -364,8 +357,11 @@ class _StackedBatch:
         else:
             views = tuple(b[..., :width] for b in self._buffers)
             step = StepPlan(
-                *views, self.spec_ext, self.radius, shape, self.boundary,
-                self._run_constant(width),
+                *views,
+                *batch_arguments(
+                    self.spec, self.base_radius, self.base_shape,
+                    self.base_boundary, self.constant, width,
+                ),
             )
         interpolation, merged, fold = None, (), None
         if self.protector is not None:
@@ -431,10 +427,7 @@ class _StackedBatch:
             # OnlineABFT.step's first-iteration checksum seed.
             prev_cs = self._checksums(interior)
         for t in range(1, iterations + 1):
-            interior = backend.batch_step_into(
-                src, dst, self.spec, self.base_radius, self.base_shape,
-                self.base_boundary, constant=self.constant, plan=layout.step,
-            )
+            interior = backend.batch_step_into(src, dst, layout.step)
             self.pair.swap()
             src, dst = dst, src
             fired = by_iteration.get(t)

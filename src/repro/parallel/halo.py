@@ -7,12 +7,9 @@ distributed runner each rank owns a persistent padded buffer pair, so
 halo strips are exchanged explicitly (:func:`boundary_strip`) and
 written **in place** into the receiver's ghost slabs
 (:func:`ingest_halo`, :func:`synthesize_ghost_into`) — no per-step
-reassembly of the padded block.
-
-The allocating forms (:func:`synthesize_ghost`,
-:func:`stack_with_halos`) are kept for the pre-buffer-pair execution
-shape; the weak-scaling benchmark uses them to reproduce the legacy
-three-allocations-per-step path as a baseline.
+reassembly of the padded block.  (The allocating forms of the
+pre-buffer-pair execution shape live on in
+``benchmarks/bench_weak_scaling.py``, whose legacy baseline uses them.)
 """
 
 from __future__ import annotations
@@ -31,9 +28,7 @@ __all__ = [
     "boundary_strip",
     "ghost_slab",
     "ingest_halo",
-    "synthesize_ghost",
     "synthesize_ghost_into",
-    "stack_with_halos",
 ]
 
 
@@ -130,7 +125,7 @@ def ingest_halo(
 
     This is the zero-copy receive path of the distributed runner: the
     neighbour's boundary strip lands directly in the persistent front
-    buffer — no ``stack_with_halos`` concatenate, no fresh ``pad_array``
+    buffer — no concatenate of strips and block, no fresh ``pad_array``
     block.  Returns the written slab view.
     """
     slab = ghost_slab(padded, radius, axis, side)
@@ -149,8 +144,8 @@ def synthesize_ghost_into(
 ) -> np.ndarray:
     """Fill one ghost slab in place from a closed boundary condition.
 
-    The in-place counterpart of :func:`synthesize_ghost`, used by ranks
-    at the global domain edge (no neighbour on that side).  Periodic
+    Used by ranks at the global domain edge (no neighbour on that
+    side).  Periodic
     boundaries are handled by neighbour wrap-around in the runner, so
     they never reach this function.  Returns the filled slab view.
     """
@@ -175,39 +170,3 @@ def synthesize_ghost_into(
         slab[...] = bc.fill_value()
     return slab
 
-
-def synthesize_ghost(
-    u: np.ndarray, axis: int, side: str, width: int, bc: BoundaryCondition
-) -> np.ndarray:
-    """Ghost strip generated from a closed boundary condition.
-
-    Used by ranks that sit at the global domain edge (no neighbour on
-    that side). Periodic boundaries are handled by neighbour wrap-around
-    in the runner, so they never reach this function.
-    """
-    shape = list(u.shape)
-    shape[axis] = width
-    if bc.is_clamp:
-        edge = boundary_strip(u, axis, side, 1)
-        reps = [1] * u.ndim
-        reps[axis] = width
-        return np.tile(edge, reps)
-    if bc.is_periodic:
-        # Wrap-around data belongs to the opposite rank; the runner routes
-        # it as a regular halo message.
-        raise ValueError("periodic ghosts are exchanged, not synthesised")
-    return np.full(shape, bc.fill_value(), dtype=u.dtype)
-
-
-def stack_with_halos(
-    low_ghost: np.ndarray, interior: np.ndarray, high_ghost: np.ndarray, axis: int
-) -> np.ndarray:
-    """Concatenate ``low_ghost | interior | high_ghost`` along ``axis``."""
-    for name, strip in (("low", low_ghost), ("high", high_ghost)):
-        expected = list(interior.shape)
-        expected[axis] = strip.shape[axis]
-        if list(strip.shape) != expected:
-            raise ValueError(
-                f"{name} ghost strip has shape {strip.shape}, expected {tuple(expected)}"
-            )
-    return np.concatenate([low_ghost, interior, high_ghost], axis=axis)

@@ -28,8 +28,8 @@ deterministic stand-in:
   through the zero-copy buffer-pair lifecycle: every iteration each
   rank posts its boundary strips, receives its neighbours' strips
   **directly into its front buffer's ghost slabs**
-  (:func:`~repro.parallel.halo.ingest_halo` — no ``stack_with_halos``
-  concatenate, no per-step ``pad_array``), refreshes the remaining
+  (:func:`~repro.parallel.halo.ingest_halo` — no per-step concatenate
+  of strips and block, no per-step ``pad_array``), refreshes the remaining
   axes' ghosts in place and sweeps into its back buffer through the
   backend's ``step_into`` primitive, swaps the pair, runs the inject
   hook if one is set, then reduces and verifies its own checksum.

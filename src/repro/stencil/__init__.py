@@ -20,9 +20,10 @@ The implementation is split into small modules:
     :class:`DoubleBufferedGrid` — the persistent padded buffer pair that
     removes the per-iteration full-domain copy.
 ``sweep``
-    The generic N-dimensional padded sweep operator (plus the zero-copy
-    ``sweep_into`` primitive).  Both dispatch to the pluggable compute
-    backends of :mod:`repro.backends`.
+    The generic N-dimensional padded sweep operator, which dispatches to
+    the compute backend of :mod:`repro.backends`.  A double-buffered
+    pair steps through the backend's ``step_into`` with its step plan
+    instead (:mod:`~repro.stencil.doublebuffer`).
 ``reference``
     Deliberately naive loop implementations used as test oracles.
 ``grid``
@@ -41,7 +42,7 @@ from repro.stencil.shift import (
     shifted_view,
 )
 from repro.stencil.doublebuffer import DoubleBufferedGrid
-from repro.stencil.sweep import sweep_padded, sweep, sweep_into
+from repro.stencil.sweep import sweep_padded, sweep
 from repro.stencil.grid import Grid2D, Grid3D, GridBase
 from repro.stencil import kernels
 
@@ -58,7 +59,6 @@ __all__ = [
     "DoubleBufferedGrid",
     "sweep_padded",
     "sweep",
-    "sweep_into",
     "Grid2D",
     "Grid3D",
     "GridBase",

@@ -9,7 +9,7 @@ path by keeping *two* persistent padded buffers:
   ghost cells are re-filled in place (:func:`~repro.stencil.shift.refresh_ghosts`,
   an ``O(boundary surface)`` operation);
 * the sweep writes the new interior straight into the **back** buffer
-  (via :meth:`repro.backends.base.Backend.sweep_into`);
+  (:meth:`repro.backends.base.Backend.sweep_into`);
 * the pair then swaps, so the buffer that held step ``t`` becomes the
   scratch target for step ``t+2``.
 
@@ -18,10 +18,11 @@ backend's ``step_into`` primitive in one call, so a backend that owns
 its ghost refresh can perform the refresh and the sweep as one
 operation on the pair.  The pair is built with the operator and the
 constant of its steps, and derives what they need from its layout once,
-in a :class:`~repro.backends.base.StepPlan` that every step passes
-along and that is the pair's one record of its layout: the resolved
-radius, boundary and refresh axes, the refresh ops and ghost lanes, and
-each buffer's interior view and address.
+in a :class:`~repro.backends.base.StepPlan`: the pair's one record of
+its layout (the operator and constant, the resolved radius, boundary
+and refresh axes, the refresh ops and ghost lanes, and each buffer's
+interior view and address) and the one argument of every step,
+``step_into(front, back, plan)``.
 
 The previous step therefore stays alive exactly one iteration — long
 enough for the ABFT protectors, which read ``grid.previous_padded``
@@ -174,8 +175,8 @@ class DoubleBufferedGrid:
         pair was built with — is delegated to the ``step_into``
         primitive of the compute backend (resolved here, every step),
         which matches the classic :meth:`refresh`-then-``sweep_into``
-        sequence bit for bit.  The step passes the pair's :attr:`plan`,
-        so nothing its layout fixed is derived again.  The front
+        sequence bit for bit.  The step passes only the pair's
+        :attr:`plan`, so nothing its layout fixed is derived again.  The front
         buffer's halo is consistent with its interior afterwards — the
         ABFT protectors read it as ``previous_padded``.
 
@@ -185,18 +186,7 @@ class DoubleBufferedGrid:
 
         Returns ``(src_padded, new_interior)``.
         """
-        plan = self.plan
-        new = get_backend().step_into(
-            self._front,
-            self._back,
-            plan.spec,
-            plan.radius,
-            plan.interior_shape,
-            plan.boundary,
-            constant=plan.constant,
-            refresh_axes=plan.refresh_axes,
-            plan=plan,
-        )
+        new = get_backend().step_into(self._front, self._back, self.plan)
         return self._front, new
 
     def swap(self) -> None:

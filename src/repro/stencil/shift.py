@@ -28,7 +28,6 @@ __all__ = [
     "pad_array",
     "refresh_ghosts",
     "refresh_plan",
-    "ghost_lanes",
     "fill_lanes",
     "GhostLanes",
     "ghost_fill_ops",
@@ -150,8 +149,8 @@ def refresh_ghosts(
     The ``fused`` backend's step uses the same rule to split the
     refresh: it calls this function for the other axes only
     (:attr:`GhostLanes.head`) and its compiled sweep fills the last
-    ghost axis (:func:`ghost_lanes`) a few rows at a time, just ahead
-    of the blocks that read them.  The slabs of the other axes then
+    ghost axis (:attr:`RefreshPlan.lanes`) a few rows at a time, just
+    ahead of the blocks that read them.  The slabs of the other axes then
     also write the corners of that axis, which the lanes overwrite
     with the same values this function would have left there.
 
@@ -178,22 +177,6 @@ def refresh_ghosts(
     # The last ghost axis's two slab ops come last.
     fill_ghosts(padded, plan.ops[:-2])
     return fill_lanes(padded, plan.lanes)
-
-
-def ghost_lanes(
-    padded_shape: Sequence[int],
-    radius,
-    boundary: BoundarySpec | BoundaryCondition | Sequence[BoundaryCondition],
-    axes: Optional[Sequence[int]] = None,
-) -> Optional["GhostLanes"]:
-    """The last ghost axis of :func:`refresh_ghosts` as row segments.
-
-    Takes :func:`refresh_ghosts`'s arguments (``padded_shape`` in place
-    of the buffer) and returns the cached :class:`GhostLanes` of that
-    refresh, or ``None`` when no axis is refreshed with a non-zero
-    ghost width or a periodic axis is degenerate.
-    """
-    return refresh_plan(tuple(padded_shape), radius, boundary, axes).lanes
 
 
 def fill_lanes(padded: np.ndarray, lanes: "GhostLanes") -> np.ndarray:

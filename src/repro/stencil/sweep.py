@@ -28,7 +28,7 @@ from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.shift import pad_array
 from repro.stencil.spec import StencilSpec
 
-__all__ = ["sweep_padded", "sweep", "sweep_into"]
+__all__ = ["sweep_padded", "sweep"]
 
 
 def sweep_padded(
@@ -66,27 +66,6 @@ def sweep_padded(
     """
     return get_backend().sweep_padded(
         padded, spec, radius, interior_shape, constant=constant, out=out
-    )
-
-
-def sweep_into(
-    src_padded: np.ndarray,
-    dst_padded: np.ndarray,
-    spec: StencilSpec,
-    radius,
-    interior_shape: Sequence[int],
-    constant: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One sweep from one padded buffer into the interior of another.
-
-    The zero-copy primitive of the double-buffered halo pipeline
-    (:mod:`repro.stencil.doublebuffer`): no full-domain array is
-    allocated; the new step is written into ``dst_padded``'s interior
-    block and returned as a view.  Backends without an in-place kernel
-    fall back to sweep-then-copy transparently.
-    """
-    return get_backend().sweep_into(
-        src_padded, dst_padded, spec, radius, interior_shape, constant=constant
     )
 
 

@@ -64,11 +64,11 @@ CONTRACT_PATHS = COMPUTE_PATHS + ("base",)
 class BaseRoutes(Backend):
     """Only ``sweep_padded``, the reference sweep: the rest is ``Backend``'s.
 
-    ``FusedBackend`` reaches the base class's copy-based ``sweep_into``,
-    refresh-then-sweep step and plain-reduction checksum only for some
-    views (an overlapping pair, no compiled sweep, a 2D tile); on this
-    backend every call takes them, so the contract tests hold those
-    routes to the same bits on every case.
+    ``FusedBackend`` reaches the base class's refresh-then-sweep step
+    and plain-reduction checksum only for some views (no compiled
+    sweep, a 2D tile), and never its copy-into-destination
+    ``sweep_into``; on this backend every call takes them, so the
+    contract tests hold those routes to the same bits on every case.
     """
 
     def sweep_padded(self, padded, spec, radius, interior_shape,
@@ -110,6 +110,30 @@ def backend(request):
 
     with on_path(request.param):
         yield get_backend()
+
+
+def step_plan(src, dst, spec, radius, shape, boundary=None, constant=None,
+              refresh_axes=None):
+    """The :class:`~repro.backends.StepPlan` of the pair ``(src, dst)``.
+
+    Every step and sweep of a pair takes it.  A pair with one more axis
+    than ``shape`` is a batch of runs along that trailing axis, planned
+    with :func:`~repro.backends.batch_arguments`, as a stacked campaign
+    batch plans its pair.  ``boundary`` defaults to clamp, which a bare
+    ``sweep_into`` never reads.
+    """
+    from repro.backends import StepPlan, batch_arguments
+    from repro.stencil.boundary import BoundaryCondition
+
+    if boundary is None:
+        boundary = BoundaryCondition.clamp()
+    if src.ndim == len(shape) + 1:
+        args = batch_arguments(
+            spec, radius, shape, boundary, constant, src.shape[-1]
+        )
+    else:
+        args = (spec, radius, shape, boundary, constant)
+    return StepPlan(src, dst, *args, refresh_axes)
 
 
 @pytest.fixture

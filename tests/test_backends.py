@@ -21,6 +21,7 @@ from conftest import (
     COMPUTE_PATHS,
     all_boundary_conditions,
     on_path,
+    step_plan,
     stencil_library_2d,
     stencil_library_3d,
 )
@@ -117,33 +118,21 @@ class TestSweepInto:
         reference = backend.sweep_padded(padded, spec, radius, SHAPE_2D)
         dst = np.full(padded_shape(SHAPE_2D, radius), np.nan, dtype=np.float32)
         result = backend.sweep_into(
-            padded, dst, spec, radius, SHAPE_2D
+            padded, dst, spec, radius, SHAPE_2D,
+            plan=step_plan(padded, dst, spec, radius, SHAPE_2D, bc),
         )
         assert np.shares_memory(result, dst)
         np.testing.assert_array_equal(result, reference)
         np.testing.assert_array_equal(interior_view(dst, radius), reference)
 
-    def test_overlapping_buffers_fall_back_safely(self, rng, backend):
-        """src == dst must still produce the correct result (via copy)."""
-        from repro.stencil.shift import interior_view
-
+    def test_dst_shape_validated(self, rng):
+        """The pair's plan checks the destination's layout once."""
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
-        reference = backend.sweep_padded(padded, spec, radius, SHAPE_2D)
-        backend.sweep_into(padded, padded, spec, radius, SHAPE_2D)
-        np.testing.assert_array_equal(interior_view(padded, radius), reference)
-
-    def test_dst_shape_validated(self, rng, backend):
-        spec = stencil_library_2d()[1]
-        u = _domain(rng, SHAPE_2D)
-        radius = spec.radius()
-        padded = pad_array(u, radius, BoundaryCondition.clamp())
-        with pytest.raises(ValueError, match="dst_padded has shape"):
-            backend.sweep_into(
-                padded, np.empty((5, 5), np.float32), spec, radius, SHAPE_2D
-            )
+        with pytest.raises(ValueError, match=r"back buffer has shape \(5, 5\)"):
+            step_plan(padded, np.empty((5, 5), np.float32), spec, radius, SHAPE_2D)
 
     def test_sweep_into_then_checksum_matches_posthoc(self, rng, backend):
         """The checksum of the destination interior (a view into a padded
@@ -157,7 +146,10 @@ class TestSweepInto:
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
         dst = np.empty(padded_shape(SHAPE_2D, radius), dtype=np.float32)
-        new = be.sweep_into(padded, dst, spec, radius, SHAPE_2D)
+        new = be.sweep_into(
+            padded, dst, spec, radius, SHAPE_2D,
+            plan=step_plan(padded, dst, spec, radius, SHAPE_2D),
+        )
         for axis in (0, 1):
             # The accumulation *order* is backend-owned, so the float64
             # results need only agree to a few ULPs — orders of
@@ -166,20 +158,6 @@ class TestSweepInto:
                 be.checksum(new, axis, dtype=np.float64),
                 checksum(new, axis, dtype=np.float64),
             ) <= 1e-10
-
-    def test_module_dispatcher(self, rng):
-        from repro.stencil.shift import padded_shape
-        from repro.stencil.sweep import sweep_into
-
-        spec = stencil_library_2d()[1]
-        u = _domain(rng, SHAPE_2D)
-        radius = spec.radius()
-        padded = pad_array(u, radius, BoundaryCondition.clamp())
-        dst = np.empty(padded_shape(SHAPE_2D, radius), dtype=np.float32)
-        result = sweep_into(padded, dst, spec, radius, SHAPE_2D)
-        np.testing.assert_array_equal(
-            result, reference_sweep_padded(padded, spec, radius, SHAPE_2D)
-        )
 
     def test_copy_fallback_for_minimal_backend(self, rng):
         """A backend providing only sweep_padded still lands in dst."""
@@ -198,7 +176,10 @@ class TestSweepInto:
         radius = spec.radius()
         padded = pad_array(u, radius, BoundaryCondition.clamp())
         dst = np.full(padded_shape(SHAPE_2D, radius), np.nan, dtype=np.float32)
-        result = MinimalBackend().sweep_into(padded, dst, spec, radius, SHAPE_2D)
+        result = MinimalBackend().sweep_into(
+            padded, dst, spec, radius, SHAPE_2D,
+            plan=step_plan(padded, dst, spec, radius, SHAPE_2D),
+        )
         np.testing.assert_array_equal(
             interior_view(dst, radius),
             reference_sweep_padded(padded, spec, radius, SHAPE_2D),
@@ -382,12 +363,13 @@ class TestBackendOwnedStep:
         src_ref, dst_ref = _fresh_pair(u, radius)
         refresh_ghosts(src_ref, radius, boundary)
         expected = be.sweep_into(
-            src_ref, dst_ref, spec, radius, shape, constant=const
+            src_ref, dst_ref, spec, radius, shape, constant=const,
+            plan=step_plan(src_ref, dst_ref, spec, radius, shape, boundary, const),
         )
 
         src, dst = _fresh_pair(u, radius)
         result = be.step_into(
-            src, dst, spec, radius, shape, boundary, constant=const
+            src, dst, step_plan(src, dst, spec, radius, shape, boundary, const)
         )
         assert np.shares_memory(result, dst)
         np.testing.assert_array_equal(result, expected)
@@ -431,7 +413,9 @@ class TestBackendOwnedStep:
         spec = stencil_library_2d()[1]
         u = _domain(rng, SHAPE_2D)
         src, dst = _fresh_pair(u, spec.radius())
-        new = be.step_into(src, dst, spec, spec.radius(), SHAPE_2D, bc)
+        new = be.step_into(
+            src, dst, step_plan(src, dst, spec, spec.radius(), SHAPE_2D, bc)
+        )
         for axis in (0, 1):
             assert _relative_mismatch(
                 be.checksum(new, axis, dtype=np.float64),
@@ -454,7 +438,9 @@ class TestBackendOwnedStep:
             pad_array(u, spec.radius(), bc), spec, spec.radius(), shape
         )
         src, dst = _fresh_pair(u, spec.radius())
-        result = be.step_into(src, dst, spec, spec.radius(), shape, bc)
+        result = be.step_into(
+            src, dst, step_plan(src, dst, spec, spec.radius(), shape, bc)
+        )
         np.testing.assert_allclose(result, expected, rtol=1e-6)
 
     @pytest.mark.parametrize("bc", all_boundary_conditions(), ids=lambda b: b.kind)
@@ -474,7 +460,7 @@ class TestBackendOwnedStep:
             padded = classic.buffers.refresh()
             be.sweep_into(
                 padded, classic.buffers.back, spec, classic.radius,
-                classic.shape,
+                classic.shape, plan=classic.buffers.plan,
             )
             classic._commit(padded)
         np.testing.assert_array_equal(fast.u, classic.u)

@@ -11,6 +11,7 @@ from repro.faults.campaign import (
     compute_reference,
     resolve_run_counters,
     run_campaign,
+    run_one,
 )
 from repro.faults.models import SingleBitFlip
 from repro.stencil.boundary import BoundaryCondition
@@ -123,6 +124,45 @@ class TestRunCampaign:
         assert record.fault is None
         assert not record.injected
         assert not record.detected
+
+
+class TestTimedRunsPauseTheCollector:
+    """A run is timed with the garbage collector paused, as ``timeit``
+    times, so its ``elapsed_seconds`` holds no collection that earlier
+    allocations triggered; the collector's previous state comes back."""
+
+    @staticmethod
+    def _run(inject):
+        config = CampaignConfig(iterations=3, repetitions=1, inject=False)
+        return run_one(
+            _grid_factory()(), NoProtection(), [], config, 0, lambda u: 0.0,
+            inject=inject,
+        )
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_paused_during_the_run_and_restored(self, enabled):
+        import gc
+
+        seen = []
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            self._run(lambda grid, iteration: seen.append(gc.isenabled()))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * 3
+
+    def test_restored_when_the_run_raises(self):
+        import gc
+
+        def fail(grid, iteration):
+            raise RuntimeError("the run failed")
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="the run failed"):
+            self._run(fail)
+        assert gc.isenabled()
 
 
 class TestResolveRunCounters:

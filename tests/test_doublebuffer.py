@@ -17,8 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONTRACT_PATHS, COMPUTE_PATHS, all_boundary_conditions, on_path
-from repro.backends import FoldPlan, fused, get_backend, native
+from conftest import (
+    CONTRACT_PATHS,
+    COMPUTE_PATHS,
+    all_boundary_conditions,
+    on_path,
+    step_plan,
+)
+from repro.backends import FoldPlan, get_backend, native
 from repro.core import interpolation
 from repro.core.interpolation import (
     interpolate_checksum_padded,
@@ -363,21 +369,22 @@ class TestPlanHoldsGeometryOnly:
 
 def _clear_every_plan_cache():
     shift._refresh_plans.clear()
-    fused._flat_plans.clear()
     interpolation._plans.clear()
     get_backend()._cache().clear()
 
 
 def _overflow_every_plan_cache(rng):
-    """More distinct layouts than any plan cache holds, unplanned."""
+    """More distinct layouts than any plan cache holds, each stepped
+    through a plan of its own."""
     spec = seven_point_diffusion_3d(0.1)
     bc = BoundaryCondition.clamp()
     for n in range(2, 3 + shift._MAX_CACHED_REFRESH_PLANS):
         shape = (n, 3, 2)
         src = rng.random(padded_shape(shape, 1)).astype(np.float32)
+        dst = np.empty_like(src)
         const = rng.random(shape).astype(np.float32)
         get_backend().step_into(
-            src, np.empty_like(src), spec, 1, shape, bc, constant=const
+            src, dst, step_plan(src, dst, spec, 1, shape, bc, const)
         )
         cs = src[1:-1, 1:-1, 1:-1].sum(axis=0, dtype=np.float64)
         interpolate_checksum_padded(cs, src, spec, 1, shape, 0, boundary=None)

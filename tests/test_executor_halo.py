@@ -14,8 +14,6 @@ from repro.parallel.halo import (
     ghost_slab,
     ingest_halo,
     padded_tile_view,
-    stack_with_halos,
-    synthesize_ghost,
     synthesize_ghost_into,
     tile_constant,
 )
@@ -121,42 +119,6 @@ class TestHaloStrips:
         with pytest.raises(ValueError):
             boundary_strip(u, 0, "low", 0)
 
-    def test_synthesize_clamp_ghost(self, rng):
-        u = rng.random((4, 3))
-        ghost = synthesize_ghost(u, 0, "high", 2, BoundaryCondition.clamp())
-        assert ghost.shape == (2, 3)
-        np.testing.assert_array_equal(ghost[0], u[-1])
-        np.testing.assert_array_equal(ghost[1], u[-1])
-
-    def test_synthesize_constant_and_zero_ghost(self, rng):
-        u = rng.random((4, 3))
-        np.testing.assert_array_equal(
-            synthesize_ghost(u, 1, "low", 1, BoundaryCondition.zero()),
-            np.zeros((4, 1)),
-        )
-        np.testing.assert_array_equal(
-            synthesize_ghost(u, 1, "low", 1, BoundaryCondition.constant(2.0)),
-            np.full((4, 1), 2.0),
-        )
-
-    def test_synthesize_periodic_rejected(self, rng):
-        with pytest.raises(ValueError, match="exchanged"):
-            synthesize_ghost(rng.random((3, 3)), 0, "low", 1, BoundaryCondition.periodic())
-
-    def test_stack_with_halos(self, rng):
-        interior = rng.random((4, 3))
-        lo = rng.random((1, 3))
-        hi = rng.random((1, 3))
-        stacked = stack_with_halos(lo, interior, hi, 0)
-        assert stacked.shape == (6, 3)
-        np.testing.assert_array_equal(stacked[0:1], lo)
-        np.testing.assert_array_equal(stacked[1:5], interior)
-
-    def test_stack_with_halos_shape_validation(self, rng):
-        interior = rng.random((4, 3))
-        with pytest.raises(ValueError, match="ghost strip"):
-            stack_with_halos(rng.random((1, 2)), interior, rng.random((1, 3)), 0)
-
 
 class TestInPlaceHaloIngestion:
     """The zero-copy receive path: ghost slabs written in place."""
@@ -201,13 +163,14 @@ class TestInPlaceHaloIngestion:
         ],
         ids=lambda b: b.kind,
     )
-    def test_synthesize_into_matches_allocating_form(self, rng, bc):
+    def test_synthesize_into_matches_pad_array(self, rng, bc):
+        """The slab holds the ghost rows ``pad_array`` builds from ``bc``."""
         u = rng.random((4, 3))
-        for side in ("low", "high"):
+        closed = pad_array(u, (2, 0), bc)
+        for side, rows in (("low", closed[:2]), ("high", closed[-2:])):
             padded = pad_array(u, (2, 1), BoundaryCondition.zero())
             slab = synthesize_ghost_into(padded, (2, 1), 0, side, bc)
-            expected = synthesize_ghost(u, 0, side, 2, bc)
-            np.testing.assert_array_equal(slab, expected)
+            np.testing.assert_array_equal(slab, rows)
             assert slab.base is padded
 
     def test_synthesize_into_periodic_rejected(self, rng):

@@ -7,7 +7,8 @@ interior's axis-0 extent.  These tests pin the contract: every interior value eq
 reference sweep (and is bitwise equal to the fused staged route),
 the source is never written, nothing outside the flat interior range is
 touched, non-contiguous views keep every ghost intact, and the cached
-padded constant is never served to the wrong grid.
+padded constant is never served to the wrong grid.  Every sweep and step
+takes its pair's plan (``conftest.step_plan``).
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_boundary_conditions
+from conftest import all_boundary_conditions, step_plan
 from repro.backends import FusedBackend
 from repro.backends import fused as fused_module
 from repro.stencil.boundary import BoundarySpec
@@ -103,7 +104,10 @@ class TestFlatSweepProperty:
             src = _padded(rng, case)
             dst = rng.random(src.shape).astype(case["dtype"])
             src_before, dst_before = src.copy(), dst.copy()
-            got = fused.sweep_into(src, dst, spec, radius, shape, constant=constant)
+            got = fused.sweep_into(
+                src, dst, spec, radius, shape, constant=constant,
+                plan=step_plan(src, dst, spec, radius, shape, constant=constant),
+            )
             staged = fused.sweep_padded(src, spec, radius, shape, constant=constant)
             want = reference_sweep_padded(src, spec, radius, shape, constant=constant)
             np.testing.assert_array_equal(got, want)
@@ -120,7 +124,8 @@ class TestFlatSweepProperty:
             dst = rng.random(src.shape).astype(case["dtype"])
             src_before = src.copy()
             got = fused.batch_step_into(
-                src, dst, spec, radius, shape, case["boundary"], constant=constant
+                src, dst,
+                step_plan(src, dst, spec, radius, shape, case["boundary"], constant),
             )
             assert got.shape == shape + (nb,)
             for b, slot in enumerate(slots):
@@ -137,8 +142,9 @@ def test_offset_beyond_the_ghost_radius_is_rejected(rng):
     src = rng.random((6, 6))
     dst = np.zeros_like(src)
     spec = StencilSpec([((2, 0), 1.0)])
+    plan = step_plan(src, dst, spec, 1, (4, 4))
     with pytest.raises(ValueError, match="exceeds ghost radius"):
-        FusedBackend().sweep_into(src, dst, spec, 1, (4, 4))
+        FusedBackend().sweep_into(src, dst, spec, 1, (4, 4), plan=plan)
 
 
 class TestViews:
@@ -159,7 +165,8 @@ class TestViews:
         assert src.flags.c_contiguous and dst.flags.c_contiguous
         constant = rng.random(shape).astype(np.float32)
         got = FusedBackend().sweep_into(
-            src, dst, spec, radius, shape, constant=constant
+            src, dst, spec, radius, shape, constant=constant,
+            plan=step_plan(src, dst, spec, radius, shape, constant=constant),
         )
         want = reference_sweep_padded(src, spec, radius, shape, constant=constant)
         np.testing.assert_array_equal(got, want)
@@ -191,8 +198,11 @@ class TestViews:
         def no_flat(*args, **kwargs):
             raise AssertionError("the flat sweep ran on a non-contiguous view")
 
-        monkeypatch.setattr(fused, "_sweep_flat", no_flat)
-        got = fused.sweep_into(src, dst, spec, radius, shape)
+        monkeypatch.setattr(fused, "_flat_pass", no_flat)
+        got = fused.sweep_into(
+            src, dst, spec, radius, shape,
+            plan=step_plan(src, dst, spec, radius, shape),
+        )
         want = reference_sweep_padded(src, spec, radius, shape)
         np.testing.assert_array_equal(got, want)
         mask = np.ones(big_shape, dtype=bool)
@@ -231,7 +241,8 @@ class TestConstantCache:
                 np.testing.assert_array_equal(grid.u, refs[i])
 
     def test_freed_constant_is_not_served_stale(self, rng):
-        """A new constant at a recycled address must miss the cache."""
+        """A new constant at a recycled address must miss the cache (each
+        step's plan is built over the pair with that step's constant)."""
         shape, radius = (8, 7), (1, 1)
         spec = _full_box(2)
         fused = FusedBackend()
@@ -239,13 +250,17 @@ class TestConstantCache:
         dst = np.zeros_like(src)
         for step in range(8):
             c = np.full(shape, float(step))
-            got = fused.sweep_into(src, dst, spec, radius, shape, constant=c)
+            got = fused.sweep_into(
+                src, dst, spec, radius, shape, constant=c,
+                plan=step_plan(src, dst, spec, radius, shape, constant=c),
+            )
             want = reference_sweep_padded(src, spec, radius, shape, constant=c)
             np.testing.assert_array_equal(got, want)
             del c
 
     def test_batched_constant_hits_the_cache(self, rng):
-        """The per-call broadcast view of a batched step reuses one copy."""
+        """Plans of one batched pair, each with its own broadcast view of
+        the constant, share one padded copy of it."""
         shape, radius, nb = (6, 5, 3), (1, 1, 1), 3
         fused = FusedBackend()
         constant = rng.random(shape).astype(np.float32)
@@ -255,7 +270,8 @@ class TestConstantCache:
         boundary = all_boundary_conditions()[0]
         for _ in range(3):
             fused.batch_step_into(
-                src, dst, _full_box(3), radius, shape, boundary, constant=constant
+                src, dst,
+                step_plan(src, dst, _full_box(3), radius, shape, boundary, constant),
             )
             src, dst = dst, src
         cached = [k for k in fused._cache() if k[0] == "constant"]
@@ -275,11 +291,10 @@ class TestBatchedAllocation:
         src = rng.random(pad).astype(np.float32)
         dst = np.zeros_like(src)
         domain_bytes = int(np.prod(shape)) * nb * 4
+        plan = step_plan(src, dst, spec, radius, shape, boundary, constant)
 
         def step():
-            got = fused.batch_step_into(
-                src, dst, spec, radius, shape, boundary, constant=constant,
-            )
+            got = fused.batch_step_into(src, dst, plan)
             np.sum(got, axis=0, dtype=np.float64)
 
         step()

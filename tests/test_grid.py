@@ -142,7 +142,9 @@ class TestGridStepping:
         g = small_grid_2d
         u0 = g.u.copy()
         src = g.padded_current()
-        get_backend().sweep_into(src, g.back_padded, g.spec, g.radius, g.shape)
+        get_backend().sweep_into(
+            src, g.back_padded, g.spec, g.radius, g.shape, plan=g.buffers.plan
+        )
         g._commit(src)
         np.testing.assert_array_equal(g.u, sweep(u0, g.spec, g.boundary))
         np.testing.assert_array_equal(g.previous, u0)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import step_plan
 from repro.backends import FusedBackend, native
 from repro.backends.base import Backend
 from repro.parallel.decomposition import decompose
@@ -148,13 +149,14 @@ def _sweep_both_ways(case):
         if case["constant"]
         else None
     )
+    args = (case["points"], case["radius"], case["shape"])
     outs = []
     for force_numpy in (False, True):
         out = dst.copy()
+        plan = step_plan(src, out, *args, constant=constant)
+        assert plan.contiguous
         with numpy_only() if force_numpy else contextlib.nullcontext():
-            backend._sweep_flat(
-                src, out, case["points"], case["radius"], case["shape"], constant
-            )
+            backend.sweep_into(src, out, *args, constant, plan)
         outs.append(out)
     return outs
 
@@ -200,14 +202,16 @@ class TestCompiledSweep:
         pairs = []
         for force_numpy in (False, True):
             s, d = src.copy(), dst.copy()
+            plan = step_plan(
+                s, d, spec, radius, shape, BoundaryCondition.clamp(), const
+            )
             with numpy_only() if force_numpy else patch:
                 if path == "step_into":
-                    fused.step_into(
-                        s, d, spec, radius, shape, BoundaryCondition.clamp(),
-                        constant=const,
-                    )
+                    fused.step_into(s, d, plan)
                 else:
-                    fused.sweep_into(s, d, spec, radius, shape, constant=const)
+                    fused.sweep_into(
+                        s, d, spec, radius, shape, constant=const, plan=plan
+                    )
             pairs.append((s, d))
         (spy,) = [sp for sp in spies.values() if sp.calls]
         assert spy.calls == 1
@@ -245,9 +249,8 @@ class TestSweepGuards:
         return rng.random(pshape).astype(dtype), np.zeros(pshape, dtype)
 
     def _sweep(self, src, dst):
-        FusedBackend().sweep_into(
-            src, dst, self.CASE["points"], self.CASE["radius"], self.CASE["shape"]
-        )
+        args = (self.CASE["points"], self.CASE["radius"], self.CASE["shape"])
+        FusedBackend().sweep_into(src, dst, *args, plan=step_plan(src, dst, *args))
         return interior_view(dst, self.CASE["radius"])
 
     def _want(self, src):
@@ -296,11 +299,12 @@ class TestSweepGuards:
         np.testing.assert_array_equal(self._sweep(src, dst), self._want(src))
 
 
-class TestFlatPlanCache:
-    def test_a_hit_never_reuses_another_specs_weights(self, rng):
-        """Operators with one offset table each get their own plan:
-        weights one ulp apart, and signed zero weights (which a
-        :class:`StencilSpec` cannot hold, but an operator tuple can)."""
+class TestFlatPlans:
+    def test_each_operator_sweeps_with_its_own_weights(self, rng):
+        """Operators with one offset table each sweep with their own cast
+        weights, kept in their pair's plan: weights one ulp apart, and
+        signed zero weights (which a :class:`StencilSpec` cannot hold,
+        but an operator tuple can)."""
         shape, radius = (6, 7, 5), (1, 1, 1)
         offsets = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (0, 0, 1)]
         weights = [0.3, 0.2, 0.1, 0.4]
@@ -317,10 +321,17 @@ class TestFlatPlanCache:
         src = rng.random(padded_shape(shape, radius)) + 0.5
         fused = FusedBackend()
         results = []
+        def sweep(spec):
+            dst = np.zeros_like(src)
+            return fused.sweep_into(
+                src, dst, spec, radius, shape,
+                plan=step_plan(src, dst, spec, radius, shape),
+            )
+
         for spec in specs:
-            got = fused.sweep_into(src, np.zeros_like(src), spec, radius, shape)
+            got = sweep(spec)
             with numpy_only():
-                want = fused.sweep_into(src, np.zeros_like(src), spec, radius, shape)
+                want = sweep(spec)
             np.testing.assert_array_equal(_bits(got), _bits(want))
             results.append(np.ascontiguousarray(got))
         assert not np.array_equal(_bits(results[0]), _bits(results[1]))
@@ -684,8 +695,9 @@ class TestCompiledCompare:
 class TestThreads:
     def test_concurrent_sweeps_and_folds_equal_serial(self, rng, monkeypatch):
         """More threads than cores, switching often, racing to build the
-        same plans: every result equals the serial one."""
-        from repro.backends import fused as fused_module
+        same refresh plan for their step plans: every result equals the
+        serial one."""
+        from repro.stencil import shift
 
         fused = FusedBackend()
         spec = StencilSpec.seven_point_3d(0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
@@ -697,11 +709,14 @@ class TestThreads:
 
         def work(src):
             dst = np.zeros_like(src)
-            new = fused.sweep_into(src, dst, spec, radius, shape)
+            new = fused.sweep_into(
+                src, dst, spec, radius, shape,
+                plan=step_plan(src, dst, spec, radius, shape),
+            )
             return dst, fused.checksum(new, 0, dtype=np.float64)
 
         serial = [work(s) for s in srcs]
-        monkeypatch.setattr(fused_module, "_flat_plans", fused_module.PlanCache(32))
+        monkeypatch.setattr(shift, "_refresh_plans", shift.PlanCache(32))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -718,7 +733,6 @@ class TestThreads:
         """Steps handing their ghost lanes to the sweep, in more threads
         than cores racing to build the same refresh plan and its fill
         values: every source halo and interior equals the serial one."""
-        from repro.backends import fused as fused_module
         from repro.stencil import shift
         from repro.stencil.boundary import BoundaryCondition
 
@@ -733,11 +747,12 @@ class TestThreads:
 
         def work(src):
             src, dst = src.copy(), np.zeros_like(src)
-            fused.step_into(src, dst, spec, radius, shape, boundary)
+            fused.step_into(
+                src, dst, step_plan(src, dst, spec, radius, shape, boundary)
+            )
             return src, dst
 
         serial = [work(s) for s in srcs]
-        monkeypatch.setattr(fused_module, "_flat_plans", fused_module.PlanCache(32))
         monkeypatch.setattr(shift, "_refresh_plans", shift.PlanCache(32))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -934,14 +949,16 @@ class TestBuild:
     def test_two_processes_building_into_one_empty_cache(self, tmp_path):
         script = (
             "import numpy as np\n"
-            "from repro.backends import FusedBackend, native\n"
+            "from repro.backends import FusedBackend, StepPlan, native\n"
+            "from repro.stencil.boundary import BoundaryCondition\n"
             "from repro.stencil.spec import StencilSpec\n"
             "lib = native.library()\n"
             "assert lib is not None, native.unavailable_reason()\n"
             "spec = StencilSpec.from_dict({(0, 0): 0.5, (1, 0): 0.25, (0, -1): 0.25})\n"
             "src = np.arange(100, dtype=np.float32).reshape(10, 10)\n"
             "dst = np.zeros_like(src)\n"
-            "FusedBackend().sweep_into(src, dst, spec, 1, (8, 8))\n"
+            "plan = StepPlan(src, dst, spec, 1, (8, 8), BoundaryCondition.clamp())\n"
+            "FusedBackend().sweep_into(src, dst, spec, 1, (8, 8), plan=plan)\n"
             "assert dst[1, 1] == 0.5 * 11 + 0.25 * 21 + 0.25 * 10\n"
             "print(lib.from_disk)\n"
         )

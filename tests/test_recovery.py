@@ -709,6 +709,29 @@ class TestCampaignCrash:
         assert stats.checkpoint_bytes > 0
         np.testing.assert_array_equal(reference.u, runner.gather())
 
+    def test_run_with_crashes_times_with_the_collector_paused(self, monkeypatch):
+        """The crash run is timed with the garbage collector paused, as
+        ``timeit`` times, and the collector is enabled again after."""
+        import gc
+
+        from repro.faults.campaign import run_with_crashes
+
+        seen = []
+        run = DistributedStencilRunner.run
+
+        def spy(runner, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return run(runner, *args, **kwargs)
+
+        monkeypatch.setattr(DistributedStencilRunner, "run", spy)
+        gf, _ = self._factories()
+        assert gc.isenabled()
+        run_with_crashes(
+            gf(), NoProtection(), [_crash_plan(7, 1)], 16,
+            RankCrash(at_iteration=7, rank=1, n_ranks=4),
+        )
+        assert seen == [False] and gc.isenabled()
+
 
 # ---------------------------------------------------------------------------
 # CLI

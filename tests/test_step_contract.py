@@ -30,10 +30,12 @@ than the interior).
 sweep; the named cases at the end pin the views that must take the
 NumPy fill instead.
 
-A step or batched step given the pair's
-:class:`~repro.backends.base.StepPlan` (what a double-buffered grid,
-a rank and a stacked campaign batch pass every step) is bitwise the
-same call without one, on every path.
+Every step takes the pair's :class:`~repro.backends.base.StepPlan`
+(``conftest.step_plan``), as a double-buffered grid, a rank and a
+stacked campaign batch pass theirs every step; two more hypothesis
+properties step one planned pair in both directions, single and
+batched (full width and narrower), against the oracle.  A plan refuses
+an overlapping pair, and each primitive a pair it was not built over.
 """
 
 from unittest import mock
@@ -48,22 +50,23 @@ from conftest import (
     CONTRACT_PATHS,
     all_boundary_conditions,
     on_path,
+    step_plan,
 )
 
-from repro.backends import StepPlan, get_backend, native
+from repro.backends import batch_arguments, get_backend, native
 from repro.backends import fused as fused_module
 from repro.core.checksums import checksum
 from repro.stencil import kernels, shift
 from repro.stencil.boundary import BoundaryCondition, BoundarySpec
 from repro.stencil.reference import reference_sweep_padded
 from repro.stencil.shift import (
-    ghost_lanes,
     interior_view,
     pad_array,
     padded_shape,
     refresh_ghosts,
+    refresh_plan,
 )
-from repro.stencil.spec import BatchOperator, StencilSpec
+from repro.stencil.spec import StencilSpec
 
 SHAPE_2D = (24, 18)
 SHAPE_3D = (12, 10, 4)
@@ -174,8 +177,8 @@ def test_external_axis_orderings(rng, backend, spec, shape, refresh_axes):
     src = src0.copy()
     dst = np.full_like(src, np.nan)
     got = backend.step_into(
-        src, dst, spec, radius, shape, boundary, constant=const,
-        refresh_axes=refresh_axes,
+        src, dst,
+        step_plan(src, dst, spec, radius, shape, boundary, const, refresh_axes),
     )
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(src, src_ref)
@@ -232,15 +235,15 @@ def test_batched_step_matches_per_slot_steps(
     bsrc = np.stack(singles, axis=-1)
     bdst = np.full(bsrc.shape, np.nan, dtype=np.float32)
     got = backend.batch_step_into(
-        bsrc, bdst, spec, radius, shape, boundary, constant=const,
-        refresh_axes=refresh_axes,
+        bsrc, bdst,
+        step_plan(bsrc, bdst, spec, radius, shape, boundary, const, refresh_axes),
     )
     assert got.shape == shape + (3,)
     for b, src in enumerate(singles):
         dst = np.full_like(src, np.nan)
         want = backend.step_into(
-            src, dst, spec, radius, shape, boundary, constant=const,
-            refresh_axes=refresh_axes,
+            src, dst,
+            step_plan(src, dst, spec, radius, shape, boundary, const, refresh_axes),
         )
         np.testing.assert_array_equal(got[..., b], want)
         np.testing.assert_array_equal(bsrc[..., b], src)
@@ -253,49 +256,102 @@ def test_batched_step_matches_per_slot_steps(
                 )
 
 
-def test_batched_aliasing_pair(rng, backend):
-    """A batch stepped with ``src is dst`` still equals the batch stepped
-    into a separate destination: the accumulation never reads a cell the
-    step already overwrote."""
-    spec = kernels.nine_point_smoothing()
-    radius = spec.radius()
-    u = _domain(rng, SHAPE_2D)
-    src, _ = _poisoned_pair(u, radius)
-    bsrc = np.stack([src, src.copy()], axis=-1)
-    aliased = bsrc.copy()
-    want = backend.batch_step_into(
-        bsrc, np.full(bsrc.shape, np.nan, np.float32), spec, radius,
-        SHAPE_2D, BoundaryCondition.clamp(),
-    )
-    got = backend.batch_step_into(
-        aliased, aliased, spec, radius, SHAPE_2D, BoundaryCondition.clamp(),
-    )
-    np.testing.assert_array_equal(got, want)
-
-
-def test_step_aliasing_pair(rng, backend):
-    spec = kernels.nine_point_smoothing()
-    radius = spec.radius()
-    u = _domain(rng, (7, 6))
-    expected = reference_sweep_padded(
-        pad_array(u, radius, BoundaryCondition.clamp()), spec, radius, (7, 6)
-    )
-    src, _ = _poisoned_pair(u, radius)
-    got = backend.step_into(
-        src, src, spec, radius, (7, 6), BoundaryCondition.clamp()
-    )
-    np.testing.assert_array_equal(got, expected)
-
-
-def test_src_shape_mismatch_raises(rng, backend):
+def test_src_shape_mismatch_raises(rng):
+    """A source laid out for another radius than its destination: the
+    plan names the buffer and the layout it expected."""
     spec = kernels.five_point_diffusion(0.2)
-    u = _domain(rng, (6, 5))
-    src = pad_array(u, (2, 2), BoundaryCondition.clamp())  # too wide
+    src = np.zeros(padded_shape((6, 5), (2, 2)), np.float32)  # too wide
     dst = np.zeros(padded_shape((6, 5), (1, 1)), dtype=np.float32)
-    with pytest.raises(ValueError, match="src_padded"):
-        backend.step_into(
-            src, dst, spec, (1, 1), (6, 5), BoundaryCondition.clamp()
-        )
+    with pytest.raises(ValueError, match=r"front buffer has shape \(10, 9\)"):
+        step_plan(src, dst, spec, (1, 1), (6, 5))
+    with pytest.raises(ValueError, match=r"back buffer has shape \(8, 7\)"):
+        step_plan(src, dst, spec, (2, 2), (6, 5))
+
+
+_OVERLAPS = {
+    # One buffer as both halves of the pair.
+    "same-buffer": lambda a: (a, a),
+    # Two views of one array, a row apart.
+    "shifted-views": lambda a: (a[:-1], a[1:]),
+    # Two batch slices sharing their runs.
+    "batch-slices": lambda a: (a[..., :2], a[..., 1:3]),
+}
+
+
+@pytest.mark.parametrize("overlap", sorted(_OVERLAPS))
+def test_step_plan_refuses_an_overlapping_pair(rng, overlap):
+    """No step writes a buffer it reads: a plan over two buffers that
+    share memory is refused, naming the cause."""
+    spec = kernels.nine_point_smoothing()
+    radius = spec.radius()
+    pshape = padded_shape(SHAPE_2D, radius)
+    if overlap == "shifted-views":
+        pshape = (pshape[0] + 1,) + pshape[1:]
+    elif overlap == "batch-slices":
+        pshape += (3,)
+    src, dst = _OVERLAPS[overlap](rng.standard_normal(pshape))
+    with pytest.raises(ValueError, match="buffers of a step plan overlap"):
+        step_plan(src, dst, spec, radius, SHAPE_2D)
+
+
+@pytest.mark.parametrize("primitive", ["step_into", "batch_step_into", "sweep_into"])
+def test_primitives_refuse_a_foreign_pair(rng, backend, primitive):
+    """A plan serves only the buffers it was built over: each primitive
+    given another pair (or one buffer of its own and a stranger)
+    raises, naming the cause, before writing a cell."""
+    spec = kernels.nine_point_smoothing()
+    radius = spec.radius()
+    pshape = padded_shape(SHAPE_2D, radius)
+    if primitive == "batch_step_into":
+        pshape += (3,)
+    own = [rng.standard_normal(pshape).astype(np.float32) for _ in range(2)]
+    plan = step_plan(*own, spec, radius, SHAPE_2D)
+    strangers = [b.copy() for b in own]
+    before = [b.copy() for b in own + strangers]
+    call = getattr(backend, primitive)
+    for src, dst in ((strangers[0], strangers[1]), (own[0], strangers[1]),
+                     (strangers[0], own[1]), (own[0][...], own[1])):
+        with pytest.raises(ValueError, match="not the two buffers the step plan"):
+            if primitive == "sweep_into":
+                call(src, dst, spec, radius, SHAPE_2D, plan=plan)
+            else:
+                call(src, dst, plan)
+    for buffer, was in zip(own + strangers, before):
+        _assert_bits(buffer, was)
+
+
+@pytest.mark.parametrize("primitive", ["step_into", "batch_step_into", "sweep_into"])
+def test_primitives_refuse_a_call_without_a_plan(rng, backend, primitive):
+    spec = kernels.nine_point_smoothing()
+    radius = spec.radius()
+    src, dst = (
+        rng.standard_normal(padded_shape(SHAPE_2D, radius)).astype(np.float32)
+        for _ in range(2)
+    )
+    before = src.copy()
+    with pytest.raises(ValueError, match="needs the StepPlan of its buffer pair"):
+        if primitive == "sweep_into":
+            backend.sweep_into(src, dst, spec, radius, SHAPE_2D)
+        else:
+            getattr(backend, primitive)(src, dst, None)
+    _assert_bits(src, before)
+
+
+def test_batched_plan_refuses_a_per_run_constant_and_a_wrong_layout(rng):
+    """The run-axis extension takes one constant for every run, and the
+    plan of a batched pair checks each buffer's run-extended layout."""
+    spec = kernels.nine_point_smoothing()
+    radius = spec.radius()
+    pshape = padded_shape(SHAPE_2D, radius) + (3,)
+    pair = [np.zeros(pshape, np.float32) for _ in range(2)]
+    with pytest.raises(ValueError, match="the constant is per-domain"):
+        step_plan(*pair, spec, radius, SHAPE_2D,
+                  constant=np.zeros(SHAPE_2D + (3,), np.float32))
+    with pytest.raises(ValueError, match=r"the back buffer has shape"):
+        step_plan(pair[0], np.zeros(pshape[:-1] + (4,), np.float32),
+                  spec, radius, SHAPE_2D)
+    with pytest.raises(ValueError, match=r"the front buffer has shape"):
+        step_plan(*(p[1:] for p in pair), spec, radius, SHAPE_2D)
 
 
 @pytest.mark.parametrize("backend", COMPUTE_PATHS, indirect=True)
@@ -309,12 +365,10 @@ def test_warmup_is_idempotent(rng, backend):
         backend.warmup()
         report = backend.compiled_kernels()
         src, dst = _poisoned_pair(u, spec.radius())
-        results.append(
-            backend.step_into(
-                src, dst, spec, spec.radius(), SHAPE_3D,
-                BoundaryCondition.periodic(),
-            ).copy()
+        plan = step_plan(
+            src, dst, spec, spec.radius(), SHAPE_3D, BoundaryCondition.periodic()
         )
+        results.append(backend.step_into(src, dst, plan).copy())
         assert backend.compiled_kernels() == report
     np.testing.assert_array_equal(results[0], results[1])
 
@@ -399,9 +453,10 @@ def _check_step(backend, case, seed):
         src_ref, spec, radius, shape, boundary, constant=const,
         refresh_axes=refresh_axes,
     )
+    dst = np.full_like(src, np.nan)
     got = backend.step_into(
-        src, np.full_like(src, np.nan), spec, radius, shape, boundary,
-        constant=const, refresh_axes=refresh_axes,
+        src, dst,
+        step_plan(src, dst, spec, radius, shape, boundary, const, refresh_axes),
     )
     # Values, not bits: without a constant ``fused`` starts from the
     # first product, where the reference adds it to +0.0, so an all-zero
@@ -441,14 +496,14 @@ def _check_batch(backend, case, batch, with_cs, seed):
     bsrc = np.stack(singles, axis=-1)
     bdst = np.full(bsrc.shape, np.nan, dtype=dtype)
     got = backend.batch_step_into(
-        bsrc, bdst, spec, radius, shape, boundary, constant=const,
-        refresh_axes=refresh_axes,
+        bsrc, bdst,
+        step_plan(bsrc, bdst, spec, radius, shape, boundary, const, refresh_axes),
     )
     for b, src in enumerate(singles):
         dst = np.full(pshape, np.nan, dtype=dtype)
         want = backend.step_into(
-            src, dst, spec, radius, shape, boundary, constant=const,
-            refresh_axes=refresh_axes,
+            src, dst,
+            step_plan(src, dst, spec, radius, shape, boundary, const, refresh_axes),
         )
         _assert_bits(got[..., b], want)
         _assert_bits(bsrc[..., b], src)
@@ -461,45 +516,76 @@ def _check_batch(backend, case, batch, with_cs, seed):
                 )
 
 
-# -- the step plan ----------------------------------------------------------
+# -- one planned pair, stepped both ways -------------------------------------
 
-def _pairs(rng, shape, dtype):
-    """Two equal copies of a random buffer pair: (loose, planned)."""
-    pair = [rng.standard_normal(shape).astype(dtype) for _ in range(2)]
-    return [b.copy() for b in pair], [b.copy() for b in pair]
+def _check_planned_steps(backend, step, pair, views, plan, case, const,
+                         refresh_axes):
+    """Step ``views`` (of ``pair``) both ways with ``plan`` against the
+    oracle: each step's interior equals refresh + the reference sweep of
+    a copy of its source, slot by slot; the refreshed source halo
+    matches bit for bit; the destination's axis-0 ghost slabs and every
+    cell of ``pair`` outside ``views`` keep their bits."""
+    spec, shape, boundary = case[:3]
+    radius = spec.radius()
+    batched = views[0].ndim == len(shape) + 1
+    width = views[0].shape[-1]
+    for s, d in ((0, 1), (1, 0)):
+        src, dst = views[s], views[d]
+        slots = [Ellipsis] if not batched else [
+            (Ellipsis, b) for b in range(src.shape[-1])
+        ]
+        src_refs = [np.array(src[slot], copy=True) for slot in slots]
+        expected = [
+            _reference_step(
+                ref, spec, radius, shape, boundary, constant=const,
+                refresh_axes=refresh_axes,
+            )
+            for ref in src_refs
+        ]
+        before = [b.copy() for b in pair]
+        got = step(src, dst, plan)
+        assert np.shares_memory(got, dst)
+        for slot, ref, want in zip(slots, src_refs, expected):
+            # Values, not bits: the sign of an all-zero sum may differ
+            # (see ``_check_step``).
+            np.testing.assert_array_equal(got[slot], want)
+            _assert_bits(src[slot], ref)
+        # The ghost-overwrite rule: the axis-0 ghost slabs keep their bits.
+        was = before[d][..., :width] if batched else before[d]
+        r0 = radius[0]
+        if r0:
+            for ghost in (slice(0, r0), slice(-r0, None)):
+                _assert_bits(dst[ghost], was[ghost])
+        if batched and pair[0].shape[-1] > width:
+            for mine, was in zip(pair, before):
+                _assert_bits(mine[..., width:], was[..., width:])
 
 
 @pytest.mark.parametrize("path", CONTRACT_PATHS)
 @settings(max_examples=40, deadline=None)
 @given(case=_cases(), rank=st.booleans(), seed=st.integers(0, 2**31 - 1))
-def test_planned_step_bit_identical_to_unplanned(path, case, rank, seed):
-    """Random spec x layout, on every path: a step given the pair's plan
-    equals the same step without one, in both directions of the pair,
-    destination and refreshed source bit for bit.  ``rank`` leaves axis
-    0 external, as a distributed rank's pair does."""
+def test_planned_step_bit_identical_to_oracle(path, case, rank, seed):
+    """Random spec x layout, on every path: a pair stepped with its plan,
+    in both directions, equals the oracle (refresh + the reference
+    sweep), destination interior and refreshed source alike.  ``rank``
+    leaves axis 0 external, as a distributed rank's pair does."""
     spec, shape, boundary, refresh_axes, has_const, dtype = case
     radius = spec.radius()
     if rank and radius[0] > 0:
         refresh_axes = tuple(range(1, len(shape)))
     rng = np.random.default_rng(seed)
-    loose, planned = _pairs(rng, padded_shape(shape, radius), dtype)
+    pair = [
+        rng.standard_normal(padded_shape(shape, radius)).astype(dtype)
+        for _ in range(2)
+    ]
     const = rng.standard_normal(shape).astype(dtype) if has_const else None
-    args = (spec, radius, shape, boundary)
     with on_path(path):
         backend = get_backend()
-        plan = StepPlan(*planned, *args, const, refresh_axes)
-        for src, dst in ((0, 1), (1, 0)):
-            want = backend.step_into(
-                loose[src], loose[dst], *args, constant=const,
-                refresh_axes=refresh_axes,
-            )
-            got = backend.step_into(
-                planned[src], planned[dst], *args, constant=const,
-                refresh_axes=refresh_axes, plan=plan,
-            )
-            _assert_bits(got, want)
-            for mine, theirs in zip(planned, loose):
-                _assert_bits(mine, theirs)
+        plan = step_plan(*pair, spec, radius, shape, boundary, const, refresh_axes)
+        _check_planned_steps(
+            backend, backend.step_into, pair, pair, plan, case, const,
+            refresh_axes,
+        )
 
 
 @pytest.mark.parametrize("path", CONTRACT_PATHS)
@@ -510,43 +596,31 @@ def test_planned_step_bit_identical_to_unplanned(path, case, rank, seed):
     narrower=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_planned_batched_step_bit_identical_to_unplanned(
+def test_planned_batched_step_bit_identical_to_oracle(
     path, case, width, narrower, seed
 ):
     """The batched step given the plan of the run-extended pair, as a
-    stacked campaign batch builds it, equals the step without one: on
-    a full-width pair (contiguous) and on views of the first ``width``
-    runs of a wider one (strided, a campaign's last batch)."""
+    stacked campaign batch builds it, equals the oracle slot by slot in
+    both directions: on a full-width pair (contiguous) and on views of
+    the first ``width`` runs of a wider one (strided, a campaign's last
+    batch), whose other runs it never writes."""
     spec, shape, boundary, refresh_axes, has_const, dtype = case
     radius = spec.radius()
     rng = np.random.default_rng(seed)
     runs = width + 2 if narrower else width
-    loose, planned = _pairs(rng, padded_shape(shape, radius) + (runs,), dtype)
+    pair = [
+        rng.standard_normal(padded_shape(shape, radius) + (runs,)).astype(dtype)
+        for _ in range(2)
+    ]
     const = rng.standard_normal(shape).astype(dtype) if has_const else None
-    views = [b[..., :width] for b in planned]
-    args = (spec, radius, shape, boundary)
+    views = [b[..., :width] for b in pair]
     with on_path(path):
         backend = get_backend()
-        plan = StepPlan(
-            *views, BatchOperator(spec), radius + (0,), shape + (width,),
-            tuple(boundary) + (BoundaryCondition.clamp(),),
-            None if const is None else np.broadcast_to(
-                const[..., None], shape + (width,)
-            ),
+        plan = step_plan(*views, spec, radius, shape, boundary, const, refresh_axes)
+        _check_planned_steps(
+            backend, backend.batch_step_into, pair, views, plan, case, const,
             refresh_axes,
         )
-        for src, dst in ((0, 1), (1, 0)):
-            want = backend.batch_step_into(
-                loose[src][..., :width], loose[dst][..., :width], *args,
-                constant=const, refresh_axes=refresh_axes,
-            )
-            got = backend.batch_step_into(
-                views[src], views[dst], *args, constant=const,
-                refresh_axes=refresh_axes, plan=plan,
-            )
-            _assert_bits(got, want)
-            for mine, theirs in zip(planned, loose):
-                _assert_bits(mine, theirs)
 
 
 # -- the views that take the NumPy lane fill --------------------------------
@@ -564,7 +638,8 @@ def _step_case(backend, src, dst, spec, shape, boundary, refresh_axes=None):
         src_ref, spec, radius, shape, boundary, refresh_axes=refresh_axes
     )
     got = backend.step_into(
-        src, dst, spec, radius, shape, boundary, refresh_axes=refresh_axes
+        src, dst,
+        step_plan(src, dst, spec, radius, shape, boundary, None, refresh_axes),
     )
     return got, expected, src_ref
 
@@ -598,11 +673,12 @@ def test_read_only_source_raises_and_nothing_is_written(
     src.flags.writeable = False
     before = src.copy()
     dst = np.full_like(src, np.nan)
+    plan = step_plan(
+        src, dst, spec, spec.radius(), shape, BoundaryCondition.clamp(), None,
+        refresh_axes,
+    )
     with pytest.raises(ValueError, match="read-only"):
-        backend.step_into(
-            src, dst, spec, spec.radius(), shape, BoundaryCondition.clamp(),
-            refresh_axes=refresh_axes,
-        )
+        backend.step_into(src, dst, plan)
     _assert_bits(src, before)
     assert np.isnan(dst).all()
 
@@ -619,26 +695,6 @@ def _compiled_calls(lanes_passed):
         return call
 
     return mock.patch.dict(table, {key: spy(fn) for key, fn in table.items()})
-
-
-def test_overlapping_pair_takes_the_fallback(rng, backend):
-    """A step whose destination overlaps its source sweeps through the
-    copy-based route, which no compiled kernel runs: the lanes are filled
-    by NumPy first, and the result is the reference's."""
-    shape = (7, 6)
-    radius = _SPEC_2D.radius()
-    src = rng.standard_normal(padded_shape(shape, radius)).astype(np.float32)
-    expected_src = src.copy()
-    expected = _reference_step(
-        expected_src, _SPEC_2D, radius, shape, BoundaryCondition.clamp()
-    )
-    lanes_passed = []
-    with _compiled_calls(lanes_passed):
-        got = backend.step_into(
-            src, src, _SPEC_2D, radius, shape, BoundaryCondition.clamp()
-        )
-    assert lanes_passed == []
-    _assert_bits(got, expected)
 
 
 @pytest.mark.parametrize("view", ["unaligned", "strided"])
@@ -691,13 +747,15 @@ def test_compiled_step_leaves_the_lanes_to_the_sweep(rng, case):
     pshape = padded_shape(shape, radius)
     if case == "batch":
         pshape += (3,)
-        lanes = ghost_lanes(
-            pshape, radius + (0,), tuple(boundary) + (BoundaryCondition.clamp(),)
+        _, ext_radius, _, ext_boundary, _ = batch_arguments(
+            spec, radius, shape, boundary, None, 3
         )
+        lanes = refresh_plan(pshape, ext_radius, ext_boundary).lanes
     else:
-        lanes = ghost_lanes(pshape, radius, boundary, refresh_axes)
+        lanes = refresh_plan(pshape, radius, boundary, refresh_axes).lanes
     src = rng.standard_normal(pshape).astype(np.float32)
     dst = np.full_like(src, np.nan)
+    plan = step_plan(src, dst, spec, radius, shape, boundary, None, refresh_axes)
     lane_ops = list(lanes.ops) + list(lanes.columns)
     refreshes, filled, lanes_passed = [], [], []
     fill_ghosts = shift.fill_ghosts
@@ -715,19 +773,19 @@ def test_compiled_step_leaves_the_lanes_to_the_sweep(rng, case):
             _compiled_calls(lanes_passed):
         if case == "batch":
             singles = [src[..., b].copy() for b in range(3)]
-            got = backend.batch_step_into(src, dst, spec, radius, shape, boundary)
+            got = backend.batch_step_into(src, dst, plan)
         else:
             src_ref = src.copy()
-            got = backend.step_into(
-                src, dst, spec, radius, shape, boundary, refresh_axes=refresh_axes
-            )
+            got = backend.step_into(src, dst, plan)
     assert refreshes == [lanes.head]
     assert lanes_passed == [True]
     assert not any(op == lane for op in filled for lane in lane_ops)
     if case == "batch":
         for b, single in enumerate(singles):
+            other = np.full_like(single, np.nan)
             want = backend.step_into(
-                single, np.full_like(single, np.nan), spec, radius, shape, boundary
+                single, other,
+                step_plan(single, other, spec, radius, shape, boundary),
             )
             _assert_bits(got[..., b], want)
             _assert_bits(src[..., b], single)
