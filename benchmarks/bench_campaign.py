@@ -12,7 +12,9 @@ Four properties are measured and (in ``--smoke`` mode) gated:
 * **Record equivalence** — engine records are bitwise-identical to the
   legacy loop for identical seeds (every field except the elapsed-time
   measurement), across all three methods, both scenarios, and both the
-  serial and process executors.
+  serial and process executors; and every batch of every method, offline
+  ABFT included, takes the stacked strategy, so a method that silently
+  fell back to replay fails the gate too.
 * **Throughput** — runs/second, engine vs legacy.  Both legs advance in
   interleaved timed chunks within each repeat (a chunk of legacy runs,
   then a chunk of engine runs, several times over), so CPU-frequency /
@@ -24,7 +26,8 @@ Four properties are measured and (in ``--smoke`` mode) gated:
 * **Stacked vs replay** — runs/second of the two run strategies on one
   serial-executor engine (the automatic strategy, which stacks every
   batch here, against ``strategy="replay"``), same interleaved
-  chunking, on the default backend.  Informational: no gate.
+  chunking, on the default backend, for online and for offline ABFT.
+  Informational: no gate.
 * **Allocation profile** — tracemalloc peak growth per run after
   warm-up.  The legacy loop allocates a fresh padded buffer pair, a
   protector and full-domain error temporaries per run; the engine's
@@ -112,8 +115,11 @@ def _record_key(record) -> Tuple:
 def check_equivalence(smoke: bool) -> Dict[str, bool]:
     """Engine records vs legacy records, bitwise, per method x scenario.
 
-    Uses a small tile so the check stays cheap; the equivalence is a
-    property of the execution strategy, not of the domain size.
+    Each ``<method>_<scenario>_<executor>`` entry says the records
+    match; its ``..._stacked`` twin says every batch of that campaign
+    took the stacked strategy (``strategy_counts()``).  Uses a small
+    tile so the check stays cheap; the equivalence is a property of the
+    execution strategy, not of the domain size.
     """
     app = make_hotspot_app((16, 16, 4))
     iterations = 10 if smoke else 16
@@ -147,6 +153,9 @@ def check_equivalence(smoke: bool) -> Dict[str, bool]:
                     )
                     results[f"{method}_{scenario}_{kind}"] = bool(
                         [_record_key(r) for r in got.records] == want
+                    )
+                    results[f"{method}_{scenario}_{kind}_stacked"] = (
+                        got.strategy_counts() == {"stacked": repetitions}
                     )
     finally:
         for engine in engines.values():
@@ -300,19 +309,20 @@ def time_throughput(
 # Stacked vs replay (same engine: automatic vs forced replay)
 # --------------------------------------------------------------------------
 def time_stacked_vs_replay(
-    iterations: int, chunk_runs: int, repeats: int
+    iterations: int, chunk_runs: int, repeats: int, method: str
 ) -> Dict[str, object]:
     """Chunk-interleaved runs/second of the stacked vs the replay strategy.
 
-    Both legs run on the *same* serial-executor engine (same persistent
-    worker state, same pre-drawn plans), differing only in ``strategy``:
-    the automatic strategy, asserted to stack every batch, against
-    forced replay — so the ratio isolates the batched fast path from
-    every other engine win.  Measured on the default backend.
+    Both legs run ``method``'s campaign on the *same* serial-executor
+    engine (same persistent worker state, same pre-drawn plans),
+    differing only in ``strategy``: the automatic strategy, asserted to
+    stack every batch, against forced replay — so the ratio isolates
+    the batched fast path from every other engine win.  Measured on the
+    default backend.
     """
     app = make_hotspot_app(GATE_TILE)
     reference = app.reference_solution(iterations)
-    factory = make_protector_factory("online-abft")
+    factory = make_protector_factory(method)
 
     engine = CampaignEngine(executor="serial")
     try:
@@ -523,14 +533,16 @@ def main(argv=None) -> int:
             "record_equivalence": (
                 "engine records bitwise-equal to the legacy serial loop "
                 "(all fields except elapsed_seconds) for identical seeds, "
-                "per method x scenario x executor"
+                "and every batch stacked (the *_stacked entries), per "
+                "method x scenario x executor"
             ),
             "stacked_speedup_vs_replay": (
                 "median over repeats of (replay chunk time / stacked chunk "
                 "time) on one serial-executor engine, the automatic "
                 "strategy (every batch stacked) against strategy='replay'; "
                 "same interleaved-chunk scheme as "
-                "engine_speedup_vs_legacy, on the default backend; "
+                "engine_speedup_vs_legacy, on the default backend, per "
+                "method (online-abft, offline-abft at period 16); "
                 "informational, not gated"
             ),
             "alloc_bytes_per_run": (
@@ -565,7 +577,7 @@ def main(argv=None) -> int:
     equivalence = check_equivalence(args.smoke)
     report["equivalence"] = equivalence
     for name, ok in sorted(equivalence.items()):
-        print(f"  {name:42s} {'ok' if ok else 'FAIL'}")
+        print(f"  {name:44s} {'ok' if ok else 'FAIL'}")
     equiv_ok = all(equivalence.values())
     print()
 
@@ -581,16 +593,18 @@ def main(argv=None) -> int:
         f"{[f'{r:.2f}' for r in throughput['per_repeat_speedups']]})"
     )
 
-    stacked = time_stacked_vs_replay(args.iters, args.chunk_runs, args.repeats)
-    report["stacked_vs_replay"] = stacked
-    stacked_speedup = stacked["stacked_speedup_vs_replay"]
-    print(
-        f"stacked vs replay ({stacked['backend']} backend, informational): "
-        f"stacked {stacked['stacked_runs_per_second']:.1f} runs/s vs "
-        f"replay {stacked['replay_runs_per_second']:.1f} runs/s -> "
-        f"{stacked_speedup:.2f}x (per-repeat "
-        f"{[f'{r:.2f}' for r in stacked['per_repeat_speedups']]})"
-    )
+    for method in ("online-abft", "offline-abft"):
+        stacked = time_stacked_vs_replay(
+            args.iters, args.chunk_runs, args.repeats, method
+        )
+        report["stacked_vs_replay"][method] = stacked
+        print(
+            f"stacked vs replay, {method} ({stacked['backend']} backend, "
+            f"informational): stacked {stacked['stacked_runs_per_second']:.1f} "
+            f"runs/s vs replay {stacked['replay_runs_per_second']:.1f} runs/s "
+            f"-> {stacked['stacked_speedup_vs_replay']:.2f}x (per-repeat "
+            f"{[f'{r:.2f}' for r in stacked['per_repeat_speedups']]})"
+        )
 
     allocations = measure_allocations(args.iters, max(8, args.chunk_runs))
     report["allocations"] = allocations
@@ -618,9 +632,15 @@ def main(argv=None) -> int:
     }
 
     if equiv_ok:
-        print("engine records bitwise-identical to the legacy serial loop")
+        print(
+            "engine records bitwise-identical to the legacy serial loop, "
+            "every batch stacked"
+        )
     else:
-        print("FAIL: engine records differ from the legacy loop")
+        print(
+            "FAIL: engine records differ from the legacy loop, or a batch "
+            "did not stack"
+        )
     if alloc_ok:
         print("engine performs zero full-domain allocations per run after warm-up")
     else:

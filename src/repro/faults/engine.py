@@ -46,8 +46,9 @@ Two run strategies share that lifecycle:
     function the legacy loop calls on its fresh grid — so replay is
     bitwise-identical to the legacy loop by construction, and whatever
     speeds up a single run speeds up campaigns the same way.  Used for
-    the offline protector (checkpoint/rollback state), custom
-    protectors, custom inject hooks, and non-domain fault targets
+    custom protectors and subclasses of the library ones (whose own
+    methods the stacked loop would skip), the online protector's eager
+    row checksums, custom inject hooks, and non-domain fault targets
     (stored-checksum strikes must replay the exact machinery they
     attack; fail-stop crash plans take ``run_one``'s branch onto the
     distributed runner's buddy-checkpoint recovery path).
@@ -74,7 +75,14 @@ Two run strategies share that lifecycle:
     vectorised detection screen flags a run are delegated, for that run
     only, to the ordinary
     :meth:`OnlineABFT.process` on per-run views — corrections reuse the
-    library implementation verbatim.  Each worker decides per batch
+    library implementation verbatim.  The offline protector stacks by
+    window: each iteration records every run's boundary strips with one
+    :func:`~repro.core.interpolation.extract_delta_strips` over the
+    stacked pair, and each window end (every Δ iterations and the last)
+    compares the batch's checksum with one checksum-space replay of the
+    window from the batch's checkpoint; a flagged run's window is re-run
+    from its checkpoint by :meth:`OfflineABFT.step` on the worker's
+    grid, rollbacks included.  Each worker decides per batch
     (:func:`stacked_support_reason` and the batch's plan targets and
     hooks name the fallback reason the result reports); anything else
     replays.  Stacked versus replay is a pure throughput choice —
@@ -102,12 +110,17 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends import FoldPlan, StepPlan, batch_arguments, get_backend
+from repro.checkpoint.snapshot import Snapshot
 from repro.core.detection import detect_errors
 from repro.core.interpolation import (
     InterpolationPlan,
+    extract_delta_strips,
     interpolate_checksum_padded,
+    interpolate_checksum_reduced,
     interpolation_plan,
+    reduced_plan,
 )
+from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection, Protector
 from repro.faults.campaign import (
@@ -120,9 +133,10 @@ from repro.faults.campaign import (
     check_plans,
     compute_reference,
     draw_fault_plans,
+    resolve_run_counters,
     run_one,
 )
-from repro.faults.injector import FaultPlan, flip_plan
+from repro.faults.injector import FaultInjector, FaultPlan, flip_plan
 from repro.parallel.executor import make_executor
 from repro.stencil.boundary import BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
@@ -167,13 +181,15 @@ def stacked_support_reason(
     """Why a campaign cannot take the stacked fast path (``None`` = it can).
 
     The stacked strategy drives the backend-owned batched step
-    primitive, which is per-slot bit-identical to the single-run step.
-    What forces replay is *protocol* the batched loop does not
-    re-implement: grid subclasses with their own stepping, protectors
-    other than the default online one or the unprotected baseline, and
-    the online protector's eager row-checksum mode (a second paired
-    checksum chain per step).  The returned string is the fallback
-    reason campaigns report per batch.
+    primitive, which is per-slot bit-identical to the single-run step,
+    and re-implements around it the protocol of exactly three
+    protectors: the unprotected baseline, the online protector (except
+    its eager row-checksum mode, a second paired checksum chain per
+    step) and the offline protector.  What forces replay is protocol
+    the batched loop does not re-implement: grid subclasses with their
+    own stepping, any other protector, and any subclass of those three,
+    whose own methods the batched loop would skip.  The returned string
+    is the fallback reason campaigns report per batch.
     """
     if not isinstance(grid, GridBase) or grid.ndim not in (2, 3):
         return "grid is not a standard 2D/3D double-buffered grid"
@@ -181,13 +197,19 @@ def stacked_support_reason(
     # sweep would silently bypass.
     if type(grid).step is not GridBase.step:
         return "grid subclass overrides stepping"
-    if isinstance(protector, NoProtection):
+    kind = type(protector)
+    if kind is NoProtection or kind is OfflineABFT:
         return None
-    if isinstance(protector, OnlineABFT):
+    if kind is OnlineABFT:
         if protector.eager_row_checksum:
             return "online protector pairs row checksums eagerly"
         return None
-    name = getattr(protector, "name", type(protector).__name__)
+    if isinstance(protector, (NoProtection, OnlineABFT, OfflineABFT)):
+        return (
+            f"protector subclass {kind.__name__} may override what the "
+            f"stacked batch runs in its place"
+        )
+    name = getattr(protector, "name", kind.__name__)
     return f"protector {name!r} has no stacked implementation"
 
 
@@ -251,8 +273,13 @@ class _BatchLayout(NamedTuple):
     #: Views of the pair's two buffers, in the order they were allocated.
     views: Tuple[np.ndarray, np.ndarray]
     step: StepPlan
-    #: The Theorem-1 interpolation of the batch (``None`` unprotected).
+    #: The batch's Theorem-1 interpolation from the padded domain: the
+    #: online protector's, or the offline protector's strips (``None``
+    #: unprotected, or offline without strips).
     interpolation: Optional[InterpolationPlan]
+    #: The offline window's checksum-space replay
+    #: (:func:`~repro.core.interpolation.reduced_plan`; ``None`` otherwise).
+    replay: Optional[tuple]
     #: The full width's interiors, as its steps return them, each with
     #: its view merging the last axis and the run axis, and the fold of
     #: those views (see :meth:`_StackedBatch._checksums`); empty and
@@ -269,34 +296,47 @@ class _StackedBatch:
     backend-owned batched step
     (:meth:`~repro.backends.base.Backend.batch_step_into` — ghost
     refresh and sweep for every run in one vectorised pass), the
-    iteration's bit flips, the batch's checksums, one Theorem-1
-    interpolation and one detection screen — each acting on every run
-    of the batch at once.  All buffers are allocated once and reset in
-    place between batches.
+    iteration's bit flips, then the protector's work for every run of
+    the batch at once:
 
-    Every checksum goes through the protector's ``Backend.checksum``,
-    the call a replayed run makes on its own interior, so each slot's
-    checksum equals replay's bit for bit (see :meth:`_checksums`).  The
-    interpolation takes the pair's boundary, as a replayed run's
-    ``OnlineABFT.step`` takes its grid's, so closed borders come from
-    the checksums (:func:`_interpolate_stacked`); the screen is the
-    protector's :func:`~repro.core.detection.detect_errors` over the
-    whole batch, and a flagged slot's delegated
+    * online: the batch's checksums, one Theorem-1 interpolation and
+      one detection screen (:meth:`_verify`); a flagged slot's step goes
+      to :meth:`~repro.core.online.OnlineABFT.process` on its views;
+    * offline: one :func:`~repro.core.interpolation.extract_delta_strips`
+      of every run's strips, and at each window end (every Δ iterations
+      and the last) one checksum of the batch, one checksum-space
+      replay of the window and one screen (:meth:`_close_window`); a
+      flagged slot's window is re-run by the library protector
+      (:meth:`_rerun_window`).
+
+    All buffers are allocated once and reset in place between batches.
+
+    Every checksum goes through ``Backend.checksum`` with the
+    protector's dtype, the call a replayed run's protector makes on its
+    own interior, so each slot's checksum equals replay's bit for bit
+    (see :meth:`_checksums`).  The online interpolation takes the pair's
+    boundary, as a replayed run's ``OnlineABFT.step`` takes its grid's,
+    so closed borders come from the checksums
+    (:func:`_interpolate_stacked`); the screen is the protector's
+    :func:`~repro.core.detection.detect_errors` over the whole batch,
+    and a flagged slot's delegated
     :meth:`~repro.core.online.OnlineABFT.process` gets the base grid's
     boundary.  On a full-width batch, whose pair is contiguous, both
-    take the compiled kernels of :mod:`repro.backends.native`.
+    take the compiled kernels of :mod:`repro.backends.native`.  The
+    offline strips and replay act on each run's lanes alone, operation
+    for operation as a replayed run's protector on its own vectors.
 
     The pair is built with the batch operator (:attr:`spec_ext`) and the
     constant broadcast over the runs, so its
     :class:`~repro.backends.base.StepPlan` is the full-width batched
     step's; a narrower batch (a campaign's last) gets a plan over views
     of the pair's first ``width`` runs the first time it runs.  The
-    interpolation of each width is bound once too
-    (:func:`~repro.core.interpolation.interpolation_plan`): its plan,
+    interpolations of each width are bound once too
+    (:func:`~repro.core.interpolation.interpolation_plan`: its plan,
     dtype, cast constant sum and the addresses of the pair's buffers;
-    and so is the full width's checksum, a
-    :class:`~repro.backends.fused.FoldPlan` of the pair's two merged
-    interiors.
+    :func:`~repro.core.interpolation.reduced_plan`); and so is the full
+    width's checksum, a :class:`~repro.backends.fused.FoldPlan` of the
+    pair's two merged interiors.
     """
 
     def __init__(
@@ -307,6 +347,8 @@ class _StackedBatch:
         initial: np.ndarray,
     ) -> None:
         self.width = int(width)
+        # The worker's grid, on which a flagged offline window re-runs.
+        self.grid = grid
         self.base_shape = grid.shape
         self.base_radius = grid.radius
         self.dtype = grid.dtype
@@ -336,12 +378,22 @@ class _StackedBatch:
         )
         self._buffers = (self.pair.front, self.pair.back)
 
-        self.protector: Optional[OnlineABFT] = None
-        if isinstance(protector, OnlineABFT):
+        self.protector: Optional[Protector] = None
+        self.offline = isinstance(protector, OfflineABFT)
+        if self.offline or isinstance(protector, OnlineABFT):
             self.protector = protector
             self.epsilon = protector.epsilon
-            cs = protector._constant_sums[0]
-            self.constant_sum = None if cs is None else cs[..., None]
+            if self.offline:
+                self.period = protector.period
+                constant_sum = protector._constant_sum
+                # Every run's state at its last verified window end, the
+                # checkpoint a flagged run's window restarts from.
+                self._checkpoint = np.empty(self.shape, dtype=self.dtype)
+            else:
+                constant_sum = protector._constant_sums[0]
+            self.constant_sum = (
+                None if constant_sum is None else constant_sum[..., None]
+            )
             self._cs_dtype = protector.checksum_dtype or self.dtype
         self._layouts: Dict[int, _BatchLayout] = {}
         self._layout(self.width)
@@ -363,24 +415,34 @@ class _StackedBatch:
                     self.base_boundary, self.constant, width,
                 ),
             )
-        interpolation, merged, fold = None, (), None
-        if self.protector is not None:
+        interpolation = replay = fold = None
+        merged = ()
+        protector = self.protector
+        if self.offline:
+            if protector.track_strips:
+                interpolation = interpolation_plan(
+                    self.spec_ext, self.radius, shape, 0, self.dtype, self.dtype,
+                    buffers=views,
+                )
+            replay = reduced_plan(
+                self.spec_ext, self.boundary, 0, self.base_shape[0], shape[1:],
+                self._cs_dtype,
+            )
+        elif protector is not None:
             interpolation = interpolation_plan(
                 self.spec_ext, self.radius, shape, 0, self._cs_dtype, self.dtype,
                 constant_sum=self.constant_sum, boundary=self.boundary,
                 buffers=views,
             )
-            if width == self.width:
-                interiors = (step.interior(views[0]), step.interior(views[1]))
-                merged = tuple(
-                    (i, m) for i, m in zip(interiors, map(_merge_runs, interiors))
-                    if m is not None
-                )
-                fold = FoldPlan(
-                    [m for _, m in merged], self.protector.checksum_dtype
-                )
+        if protector is not None and width == self.width:
+            interiors = (step.interior(views[0]), step.interior(views[1]))
+            merged = tuple(
+                (i, m) for i, m in zip(interiors, map(_merge_runs, interiors))
+                if m is not None
+            )
+            fold = FoldPlan([m for _, m in merged], protector.checksum_dtype)
         layout = self._layouts[width] = _BatchLayout(
-            views, step, interpolation, merged, fold
+            views, step, interpolation, replay, merged, fold
         )
         return layout
 
@@ -391,8 +453,9 @@ class _StackedBatch:
     ) -> Tuple[np.ndarray, np.ndarray, float]:
         """Execute one batch of runs; returns (counters, finals, elapsed).
 
-        ``counters`` has shape ``(batch, 3)`` — detections, corrections,
-        uncorrected — ``finals`` is the stacked final interiors (a view
+        ``counters`` has shape ``(batch, 5)`` — detections, corrections,
+        uncorrected, rollbacks and recomputed iterations, a record's
+        five counters — ``finals`` is the stacked final interiors (a view
         into the pair, valid until the next batch), and ``elapsed`` is
         the wall-clock time of the iteration loop only (resets and error
         norms excluded, matching what the legacy loop times).
@@ -412,7 +475,7 @@ class _StackedBatch:
             for plan in run_plans:
                 by_iteration.setdefault(plan.iteration, []).append((slot, plan))
 
-        counters = np.zeros((width, 3), dtype=np.int64)
+        counters = np.zeros((width, 5), dtype=np.int64)
         protector = self.protector
         backend = get_backend()
         layout = self._layout(width)
@@ -426,6 +489,13 @@ class _StackedBatch:
             # Step t=0 data assumed correct (Theorem 2), as in
             # OnlineABFT.step's first-iteration checksum seed.
             prev_cs = self._checksums(interior)
+        if self.offline:
+            # The t=0 checkpoint, which OfflineABFT.step takes before
+            # its first sweep, and the window's strips.
+            checkpoint = Snapshot(0, self._checkpoint[..., :width])
+            checkpoint.interior[...] = interior
+            checkpoint.seal(prev_cs)
+            window: List[Optional[Dict[int, np.ndarray]]] = []
         for t in range(1, iterations + 1):
             interior = backend.batch_step_into(src, dst, layout.step)
             self.pair.swap()
@@ -435,6 +505,20 @@ class _StackedBatch:
                 for slot, plan in fired:
                     flip_plan(interior[..., slot], plan)
             if protector is None:
+                continue
+            if self.offline:
+                # The strips of the step that read ``dst``, as a replayed
+                # run's protector records them after its inject hook.
+                window.append(
+                    None if layout.interpolation is None
+                    else extract_delta_strips(
+                        dst, self.spec_ext, self.radius, layout.step.interior_shape,
+                        0, plan=layout.interpolation,
+                    )
+                )
+                if len(window) == self.period or t == iterations:
+                    self._close_window(checkpoint, window, interior, plans, counters)
+                    window = []
                 continue
             # Every run's checksum is reduced after its flips, as a
             # replayed run's protector reduces after its inject hook.
@@ -471,7 +555,7 @@ class _StackedBatch:
     def _verify(
         self, prev_cs: np.ndarray, interior: np.ndarray, padded_prev: np.ndarray
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """One iteration's protection of the batch in ``interior``.
+        """One iteration's online protection of the batch in ``interior``.
 
         Returns every slot's checksum (:meth:`_checksums`) and the slots
         whose checksum mismatches its Theorem-1 prediction from
@@ -493,11 +577,81 @@ class _StackedBatch:
         )
         return cs, _detection_screen(cs, predicted, self.epsilon)
 
+    def _close_window(
+        self,
+        checkpoint: Snapshot,
+        window: Sequence[Optional[Dict[int, np.ndarray]]],
+        interior: np.ndarray,
+        plans: Sequence[Sequence[FaultPlan]],
+        counters: np.ndarray,
+    ) -> None:
+        """Verify the offline window that ends at ``interior``.
+
+        What a replayed run's protector does at the window's end, for
+        every run at once: the batch's checksum, the checkpoint's
+        checksum checked against its duplicate (the duplicate rule of
+        :meth:`~repro.checkpoint.snapshot.Snapshot.verify`), one
+        :func:`~repro.core.interpolation.interpolate_checksum_reduced`
+        per step of ``window`` (its strips) from it, and one screen.  A
+        flagged slot's window is re-run (:meth:`_rerun_window`), and its
+        state and checksum written back.  The batch's state and checksum
+        then seal the next ``checkpoint``.
+        """
+        cs = self._checksums(interior)
+        checkpoint.verify(self._checksums, payload=False)
+        replay = self._layout(interior.shape[-1]).replay
+        predicted = checkpoint.checksum
+        for strips in window:
+            predicted = interpolate_checksum_reduced(
+                predicted, self.spec_ext, self.boundary, 0, self.base_shape[0],
+                deltas=strips, constant_sum=self.constant_sum, plan=replay,
+            )
+        stop = checkpoint.iteration + len(window)
+        flagged = _detection_screen(cs, predicted, self.epsilon)
+        if flagged is not None:
+            for slot in flagged:
+                counters[slot] += self._rerun_window(
+                    slot, plans[slot], checkpoint, stop
+                )
+                interior[..., slot] = self.grid.u
+                cs[..., slot] = self.protector.checkpoint.checksum
+        checkpoint.iteration = stop
+        checkpoint.interior[...] = interior
+        checkpoint.seal(cs)
+
+    def _rerun_window(
+        self,
+        slot: int,
+        plans: Sequence[FaultPlan],
+        checkpoint: Snapshot,
+        stop: int,
+    ) -> Tuple[int, ...]:
+        """Re-run ``slot``'s flagged window on the worker's grid.
+
+        The library protector, reset, restarts from the slot's part of
+        ``checkpoint`` and runs the window's steps to ``stop`` with a
+        fresh injector of the run's plans, which fires the window's
+        flips again: the sweeps, strips, detection and rollbacks a
+        replayed run's protector makes in that window (``finalize``
+        verifies a short last window).  Returns the window's five
+        counters; the grid holds the window's end state and the
+        protector its new checkpoint.
+        """
+        protector, grid = self.protector, self.grid
+        protector.reset()
+        grid.restore(Snapshot(checkpoint.iteration, checkpoint.interior[..., slot]))
+        report = protector.run(
+            grid, stop - checkpoint.iteration,
+            inject=FaultInjector(plans, protector),
+        )
+        return resolve_run_counters(protector, report)
+
     def _checksums(self, interior: np.ndarray) -> np.ndarray:
         """Every slot's column checksum, shaped ``(..., run)``.
 
-        Each slot is reduced with the protector's ``Backend.checksum``,
-        the call a replayed run makes.  A full-width batch is one call
+        Each slot is reduced with ``Backend.checksum`` in the
+        protector's checksum dtype, the call a replayed run's protector
+        makes.  A full-width batch is one call
         instead: the base grid's last axis and the run axis merge into
         one contiguous axis, and each lane of the merged view still adds
         over x in order, as a slot's own column checksum does.  A
@@ -506,7 +660,8 @@ class _StackedBatch:
         the full width's steps return have their merged views and fold
         bound (:meth:`_layout`).
         """
-        protector = self.protector
+        dtype = self.protector.checksum_dtype
+        checksum = get_backend().checksum
         width = interior.shape[-1]
         if width == self.width:
             layout = self._layout(width)
@@ -516,11 +671,11 @@ class _StackedBatch:
             else:
                 merged = _merge_runs(interior)
             if merged is not None:
-                return protector._checksum(merged, 0, layout.fold).reshape(
+                return checksum(merged, 0, dtype=dtype, plan=layout.fold).reshape(
                     self.base_shape[1:] + (width,)
                 )
         return np.stack(
-            [protector._checksum(interior[..., s], 0) for s in range(width)],
+            [checksum(interior[..., s], 0, dtype=dtype) for s in range(width)],
             axis=-1,
         )
 
@@ -668,8 +823,6 @@ class _WorkerCampaign:
                 elapsed / width,
                 self._l2_error(finals[..., slot]),
                 *(int(c) for c in counters[slot]),
-                rollbacks=0,
-                recomputed_iterations=0,
                 faults=list(task.plans[slot]),
             )
             for slot in range(width)
@@ -919,9 +1072,9 @@ class CampaignEngine:
             ``None``/``"auto"`` stacks every batch that can stack;
             ``"replay"`` forces the per-run replay even where stacking
             is eligible.  Use ``"replay"`` when the *per-run time
-            distribution* is the experiment's measurand (Figure 8): the
-            stacked strategy executes a whole batch together and can
-            only report the batch-mean elapsed per run.  The strategy
+            distribution* is the experiment's measurand (Figures 8 and
+            11): the stacked strategy executes a whole batch together
+            and can only report the batch-mean elapsed per run.  The strategy
             each batch actually used, and why replay was chosen when it
             was, is reported in :attr:`CampaignResult.batch_strategies`.
         """

@@ -293,14 +293,22 @@ class BatchOperator(tuple):
 
     The operator of a stacked campaign batch, whose runs lie along a
     trailing axis of ghost width 0.  It is a tuple, so immutable, and
-    its :func:`spec_key` is computed once, at construction.
+    its :func:`spec_key` is computed once, at construction.  Its
+    ``ndim`` and :meth:`radius` are the spec's with the run axis
+    appended, as the checksum-space replay's plan reads them.
     """
 
     def __new__(cls, spec: StencilSpec) -> "BatchOperator":
         self = super().__new__(cls, ((o + (0,), w) for o, w in spec))
         offsets = np.array([o for o, _ in self], dtype=np.int64)
         self.key = (offsets.tobytes(), spec.weights.tobytes())
+        self.ndim = spec.ndim + 1
+        self._radius = spec.radius() + (0,)
         return self
+
+    def radius(self) -> Tuple[int, ...]:
+        """Maximum absolute offset per axis, 0 on the run axis."""
+        return self._radius
 
 
 def spec_key(spec) -> tuple:

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import COMPUTE_PATHS
 
+from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.core.protector import NoProtection
 from repro.experiments.common import make_hotspot_app, make_protector_factory
@@ -116,34 +117,40 @@ class TestRecordEquivalence:
         assert_equivalent(legacy, got)
 
     def test_identical_across_executors_and_workers(self, app, reference):
-        factory = make_protector_factory("online-abft")
-        config = CampaignConfig(
-            iterations=ITERATIONS, repetitions=7, inject=True, seed=5
-        )
-        with CampaignEngine(executor="serial") as engine:
-            baseline = engine.run(
-                app.build_grid, factory, config, reference=reference
+        # Offline ABFT's period 4 leaves a short last window of 2.
+        for method in ("online-abft", "offline-abft"):
+            factory = make_protector_factory(method, period=4)
+            config = CampaignConfig(
+                iterations=ITERATIONS, repetitions=7, inject=True, seed=5
             )
-        for kind, workers in (("threads", 2), ("process", 2)):
-            with CampaignEngine(executor=kind, workers=workers) as engine:
-                got = engine.run(
+            with CampaignEngine(executor="serial") as engine:
+                baseline = engine.run(
                     app.build_grid, factory, config, reference=reference
                 )
-            assert_equivalent(baseline, got)
+            for kind, workers in (("threads", 2), ("process", 2)):
+                with CampaignEngine(executor=kind, workers=workers) as engine:
+                    got = engine.run(
+                        app.build_grid, factory, config, reference=reference
+                    )
+                assert_equivalent(baseline, got)
+                assert got.strategy_counts() == {"stacked": 7}
 
     def test_identical_across_batch_sizes(self, app, reference):
-        factory = make_protector_factory("online-abft")
-        config = CampaignConfig(
-            iterations=ITERATIONS, repetitions=6, inject=True, seed=9
-        )
-        results = []
-        for batch in (1, 2, 6):
-            with CampaignEngine(executor="serial", batch_size=batch) as engine:
-                results.append(
-                    engine.run(app.build_grid, factory, config, reference=reference)
-                )
-        assert_equivalent(results[0], results[1])
-        assert_equivalent(results[0], results[2])
+        for method in ("online-abft", "offline-abft"):
+            factory = make_protector_factory(method, period=4)
+            config = CampaignConfig(
+                iterations=ITERATIONS, repetitions=6, inject=True, seed=9
+            )
+            results = []
+            for batch in (1, 2, 6):
+                with CampaignEngine(executor="serial", batch_size=batch) as engine:
+                    results.append(
+                        engine.run(
+                            app.build_grid, factory, config, reference=reference
+                        )
+                    )
+            assert_equivalent(results[0], results[1])
+            assert_equivalent(results[0], results[2])
 
     def test_forced_replay_matches_legacy_and_stacked(self, app, reference):
         # strategy="replay" (Figure 8's timing-fidelity mode) must give
@@ -265,9 +272,63 @@ class TestStrategySelection:
     def test_offline_and_eager_online_replay(self, app):
         grid = app.build_grid()
         offline = make_protector_factory("offline-abft", period=4)(grid)
-        assert stacked_support_reason(grid, offline) is not None
+        assert stacked_support_reason(grid, offline) is None
+        halving = _HalvingOffline.for_grid(grid, period=4)
+        assert "_HalvingOffline" in stacked_support_reason(grid, halving)
         eager = OnlineABFT.for_grid(grid, eager_row_checksum=True)
         assert stacked_support_reason(grid, eager) is not None
+
+
+class _Halving:
+    """Halves the domain after each protected sweep: a protector
+    subclass's own ``step``, which only a replayed run runs."""
+
+    def step(self, grid, inject=None):
+        report = super().step(grid, inject=inject)
+        np.multiply(grid.u, 0.5, out=grid.u)
+        return report
+
+
+class _HalvingNoProtection(_Halving, NoProtection):
+    pass
+
+
+class _HalvingOffline(_Halving, OfflineABFT):
+    pass
+
+
+class TestProtectorSubclassesReplay:
+    """Only the library's own three protector classes stack: a subclass
+    may override what the stacked batch runs in its place."""
+
+    @pytest.mark.parametrize(
+        "protector_factory",
+        [
+            lambda grid: _HalvingNoProtection(),
+            lambda grid: _HalvingOffline.for_grid(grid, period=4),
+        ],
+        ids=["no-abft", "offline-abft"],
+    )
+    def test_subclass_overriding_step_replays(self, protector_factory):
+        app = make_hotspot_app(TILE)
+        reference = app.reference_solution(6)
+        config = CampaignConfig(iterations=6, repetitions=3, inject=True, seed=1)
+        legacy = run_campaign(
+            app.build_grid, protector_factory, config, reference=reference
+        )
+        with CampaignEngine(executor="serial") as engine:
+            got = engine.run(
+                app.build_grid, protector_factory, config, reference=reference
+            )
+        # The halving shows in every run: unprotected, as an arithmetic
+        # error; offline, as the rollbacks that undo it.
+        assert all(
+            r.arithmetic_error > 1.0 or r.rollbacks > 1 for r in legacy.records
+        )
+        assert_equivalent(legacy, got)
+        assert got.strategy_counts() == {"replay": 3}
+        name = type(protector_factory(app.build_grid())).__name__
+        assert [name in r for r in got.fallback_reasons()] == [True]
 
 
 class TestHookFactory:
@@ -434,15 +495,8 @@ class TestStackedOnEveryBackend:
             )
         assert_equivalent(legacy, auto)
         assert_equivalent(legacy, replay)
-        if method == "offline-abft":
-            assert auto.strategy_counts() == {"replay": 6}
-            assert any(
-                "no stacked implementation" in r
-                for r in auto.fallback_reasons()
-            )
-        else:
-            assert auto.strategy_counts() == {"stacked": 6}
-            assert auto.fallback_reasons() == []
+        assert auto.strategy_counts() == {"stacked": 6}
+        assert auto.fallback_reasons() == []
 
 
 class TestStrategyReporting:
@@ -451,9 +505,7 @@ class TestStrategyReporting:
         assert stacked_support_reason(grid, OnlineABFT.for_grid(grid)) is None
         assert stacked_support_reason(grid, NoProtection()) is None
         offline = make_protector_factory("offline-abft", period=4)(grid)
-        assert "no stacked implementation" in stacked_support_reason(
-            grid, offline
-        )
+        assert stacked_support_reason(grid, offline) is None
         eager = OnlineABFT.for_grid(grid, eager_row_checksum=True)
         assert "eagerly" in stacked_support_reason(grid, eager)
 

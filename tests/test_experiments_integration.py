@@ -156,6 +156,28 @@ class TestFigure11:
     def test_formatting(self, figure11):
         assert "Figure 11" in format_figure11(figure11)
 
+    def test_every_campaign_is_timed_run_by_run(self, monkeypatch):
+        # The curves read per-run times, which a stacked batch reports
+        # only as its mean: every campaign must force replay.
+        from repro.faults.engine import CampaignEngine
+
+        strategies = []
+        run = CampaignEngine.run
+
+        def spy(self, *args, **kwargs):
+            strategies.append(kwargs.get("strategy"))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignEngine, "run", spy)
+        tile = (8, 8, 2)
+        tiny = EvaluationScale(
+            tile_sizes=(tile,), iterations={tile: 6}, repetitions={tile: 2},
+            detection_periods=(1, 4), name="tiny",
+        )
+        result = run_figure11(tiny)
+        assert len(result.points) == 4
+        assert strategies == ["replay"] * 4
+
 
 class TestSensitivity:
     @pytest.fixture(scope="class")
