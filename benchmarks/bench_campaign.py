@@ -12,9 +12,11 @@ Four properties are measured and (in ``--smoke`` mode) gated:
 * **Record equivalence** — engine records are bitwise-identical to the
   legacy loop for identical seeds (every field except the elapsed-time
   measurement), across all three methods, both scenarios, and both the
-  serial and process executors; and every batch of every method, offline
+  serial and process executors; every batch of every method, offline
   ABFT included, takes the stacked strategy, so a method that silently
-  fell back to replay fails the gate too.
+  fell back to replay fails the gate too; and each campaign ends in a
+  narrower batch than its first (batches of 4 over 6 or 10 runs), so
+  the stacked pair built for the last batch's own width is gated too.
 * **Throughput** — runs/second, engine vs legacy.  Both legs advance in
   interleaved timed chunks within each repeat (a chunk of legacy runs,
   then a chunk of engine runs, several times over), so CPU-frequency /
@@ -117,13 +119,16 @@ def check_equivalence(smoke: bool) -> Dict[str, bool]:
 
     Each ``<method>_<scenario>_<executor>`` entry says the records
     match; its ``..._stacked`` twin says every batch of that campaign
-    took the stacked strategy (``strategy_counts()``).  Uses a small
+    took the stacked strategy (``strategy_counts()``), and its
+    ``..._widths`` twin that the batches ran at the widths batches of 4
+    split the runs into, a narrower last batch included.  Uses a small
     tile so the check stays cheap; the equivalence is a property of the
     execution strategy, not of the domain size.
     """
     app = make_hotspot_app((16, 16, 4))
     iterations = 10 if smoke else 16
     repetitions = 6 if smoke else 10
+    widths = [4, 2] if smoke else [4, 4, 2]
     reference = app.reference_solution(iterations)
     workers = min(2, resolve_workers(None))
     results: Dict[str, bool] = {}
@@ -156,6 +161,9 @@ def check_equivalence(smoke: bool) -> Dict[str, bool]:
                     )
                     results[f"{method}_{scenario}_{kind}_stacked"] = (
                         got.strategy_counts() == {"stacked": repetitions}
+                    )
+                    results[f"{method}_{scenario}_{kind}_widths"] = (
+                        [b.width for b in got.batch_strategies] == widths
                     )
     finally:
         for engine in engines.values():

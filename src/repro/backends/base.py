@@ -218,11 +218,11 @@ class Backend:
         ghost width 0, so the one step body covers every run.  Per-slot
         bit-identity holds because every constituent is elementwise: the
         slab fills copy slot-by-slot and the sweep's multiply/add
-        sequence is the single-run order on each slot.  A full-width
-        batch pair is contiguous and takes the flat-stride sweep; a
-        narrower slice of the pair is strided and takes the staged
-        route.  As for :meth:`step_into`, buffers the plan was not built
-        over raise ``ValueError``.
+        sequence is the single-run order on each slot.  The batch's
+        pair is two whole buffers of its own width, as every plan's
+        pair is, so it takes the flat-stride sweep.  As for
+        :meth:`step_into`, buffers the plan was not built over raise
+        ``ValueError``.
 
         Returns the batched destination interior view
         (``interior_shape + (nb,)``).
@@ -324,9 +324,8 @@ class StepPlan:
       the whole refresh in ``refresh``, and for a step that fills the
       last ghost axis inside its sweep, that axis's ``lanes`` and the
       refresh of the other axes in ``head``;
-    * whether the pair is two whole C-contiguous buffers of one dtype
-      (``contiguous``), and each buffer's address and interior view
-      (:meth:`interior`), per step direction.
+    * each buffer's address and interior view (:meth:`interior`), per
+      step direction.
 
     ``sweep`` is left to the backend that sweeps the pair: the ``fused``
     backend keeps there, made on its first flat sweep, the flat-sweep
@@ -341,14 +340,17 @@ class StepPlan:
     built earlier follows a swapped backend or a library marked
     unavailable.  It serves its own two buffers, in either order; a
     step or sweep of any other pair raises ``ValueError``
-    (:meth:`direction`), and overlapping buffers are refused at
-    construction.
+    (:meth:`direction`).  The pair is two whole C-contiguous buffers
+    of one dtype, which every owner allocates (a grid, a rank, a
+    stacked campaign batch of one width): a strided or overlapping
+    buffer, or two dtypes, are refused at construction, naming the
+    cause.
     """
 
     __slots__ = (
         "spec", "radius", "interior_shape", "boundary", "refresh_axes",
-        "constant", "refresh", "head", "lanes", "contiguous", "sweep",
-        "buffers", "_directions",
+        "constant", "refresh", "head", "lanes", "sweep", "buffers",
+        "_directions",
     )
 
     def __init__(
@@ -366,14 +368,24 @@ class StepPlan:
             front, radius, interior_shape, constant, None
         )
         expected = padded_shape(interior_shape, radius)
+        if np.may_share_memory(front, back):
+            raise ValueError("the two buffers of a step plan overlap")
         for name, buffer in (("front", front), ("back", back)):
             if buffer.shape != expected:
                 raise ValueError(
                     f"the {name} buffer has shape {buffer.shape}, expected "
                     f"{expected} (interior {interior_shape}, radius {radius})"
                 )
-        if np.may_share_memory(front, back):
-            raise ValueError("the two buffers of a step plan overlap")
+            if not buffer.flags.c_contiguous:
+                raise ValueError(
+                    f"the {name} buffer is not C-contiguous: a step plan "
+                    f"spans two whole buffers"
+                )
+        if front.dtype != back.dtype:
+            raise ValueError(
+                f"the buffers of a step plan differ in dtype ({front.dtype} "
+                f"and {back.dtype})"
+            )
         interiors = tuple(interior_view(b, radius) for b in (front, back))
         self.spec = spec
         self.radius = radius
@@ -389,10 +401,6 @@ class StepPlan:
         self.lanes = self.refresh.lanes
         self.head = None if self.lanes is None else refresh_plan(
             front.shape, radius, self.boundary, self.lanes.head
-        )
-        self.contiguous = (
-            front.flags.c_contiguous and back.flags.c_contiguous
-            and front.dtype == back.dtype
         )
         self.sweep: Optional[Tuple] = None
         #: The pair's two buffers, in the order given.

@@ -16,11 +16,12 @@ the memory-bound nature of large stencil sweeps:
 
 2. **Flat-stride sweep.**  The interior of a padded buffer is a
    *strided* view: on a 512x512x8 tile padded to 514x514x10 every
-   ufunc inner loop is 8 floats long.  When source and destination are
-   whole C-contiguous buffers of one shape (every double-buffered grid,
-   distributed rank pair and full-width campaign batch),
-   :meth:`FusedBackend.sweep_into` works on their flat 1-D views
-   instead.  Stencil offset ``o`` becomes the flat displacement
+   ufunc inner loop is 8 floats long.  Source and destination are two
+   whole C-contiguous buffers of one shape, as the
+   :class:`~repro.backends.base.StepPlan` of every pair (a
+   double-buffered grid, a distributed rank, a stacked campaign batch)
+   requires, so :meth:`FusedBackend.sweep_into` works on their flat
+   1-D views instead.  Stencil offset ``o`` becomes the flat displacement
    ``d = sum(o[a] * stride[a])``; with ``[lo, hi)`` the flat range from
    the first interior point to the last,
    ``dst.flat[lo:hi] = C + sum(w * src.flat[lo+d : hi+d])``, in the
@@ -49,10 +50,7 @@ the memory-bound nature of large stencil sweeps:
    per-point constant is embedded once per (constant,
    layout) into a zero-ghost padded copy, cached beside the strip
    scratch (so the grids of one app share it) and kept by the plan of
-   a pair that sweeps with it.  Pairs that are not contiguous
-   (narrower slices of a campaign batch) keep the *staged* path:
-   accumulate into a contiguous staging buffer, then one strided copy
-   into the interior, which writes no ghost cell.
+   a pair that sweeps with it.
 
 3. **Column checksums folded over whole lanes.**  The protected
    step's column (axis-0) checksum of a padded interior walks short
@@ -89,9 +87,9 @@ the memory-bound nature of large stencil sweeps:
    sweep fills them a few rows at a time just ahead of the blocks that
    read them, so the refresh and the sweep are one pass.  Without the
    library the step is the base class's refresh-then-sweep; where the
-   compiled sweep does not run for another reason (a strided,
-   unaligned or read-only pair, an empty interior) NumPy fills the
-   same lanes before sweeping.  The source halo is bitwise
+   compiled sweep does not run for another reason (an unaligned or
+   read-only pair, an empty interior) NumPy fills the same lanes
+   before sweeping.  The source halo is bitwise
    equal to a full :func:`~repro.stencil.shift.refresh_ghosts` either
    way.  A step and its fold are then two passes over the buffer, not
    three.
@@ -225,9 +223,7 @@ class FusedBackend(Backend):
 
         ``slot`` distinguishes independent buffers of the same shape:
         slot 0 is the accumulation scratch of :meth:`sweep_padded` and
-        of the flat sweep, slot 1 the contiguous output staging buffer
-        of the staged :meth:`sweep_into` (both can be live during one
-        sweep), slot 2 the lane sums of :meth:`checksum`.
+        of the flat sweep, slot 1 the lane sums of :meth:`checksum`.
         """
         key = (shape, np.dtype(dtype).str, slot)
         buf = self._cache().get(key)
@@ -347,10 +343,10 @@ class FusedBackend(Backend):
         destination raises NumPy's ``ValueError``).
 
         ``lanes`` are source ghost lanes still to be filled (see
-        :meth:`_refresh_and_sweep`).  The compiled loop fills them just
-        ahead of the blocks that read them, and the rest after its last
-        block, when the source is writeable too and the lanes span it
-        exactly; otherwise :func:`~repro.stencil.shift.fill_lanes`
+        :meth:`_refresh_and_sweep`), the lanes of the pair's own layout.
+        The compiled loop fills them just ahead of the blocks that read
+        them, and the rest after its last block, when the source is
+        writeable too; otherwise :func:`~repro.stencil.shift.fill_lanes`
         fills them first.
         """
         if flat is None:
@@ -365,13 +361,7 @@ class FusedBackend(Backend):
             and src_padded.flags.aligned
             and dst_padded.flags.aligned
             and dst_padded.flags.writeable
-            and (
-                lanes is None
-                or (
-                    src_padded.flags.writeable
-                    and lanes.rows * lanes.width == src_padded.size
-                )
-            )
+            and (lanes is None or src_padded.flags.writeable)
         ):
             src, dst, constant = addresses
             lane, fill = (None, None) if lanes is None else lanes.addresses(dtype)
@@ -445,41 +435,25 @@ class FusedBackend(Backend):
         ``plan`` is the pair's :class:`~repro.backends.base.StepPlan`,
         required as in :meth:`Backend.sweep_into
         <repro.backends.base.Backend.sweep_into>`, whose other
-        arguments are the plan's.  A contiguous pair (two whole
-        C-contiguous buffers of one dtype) takes the flat-stride sweep
-        (module docstring, point 2): every ufunc call is one contiguous
-        loop, and the destination's axis >= 1 ghost cells inside the
-        interior's axis-0 extent are overwritten — the ghost-overwrite
-        rule of that method.  Any other pair (a narrower slice of a
-        campaign batch, whose rows are not adjacent in memory) takes the
-        staged path: the sweep accumulates into a persistent contiguous
-        staging buffer and lands in the interior with one strided copy,
-        leaving every ghost untouched.  Both paths keep the reference's
-        operation order, so the interior is bitwise identical either
-        way.
+        arguments are the plan's.  The plan's pair is two whole
+        C-contiguous buffers of one dtype, so the sweep is the
+        flat-stride sweep (module docstring, point 2): every ufunc call
+        is one contiguous loop, and the destination's axis >= 1 ghost
+        cells inside the interior's axis-0 extent are overwritten — the
+        ghost-overwrite rule of that method.  It keeps the reference's
+        operation order, so the interior is bitwise identical to it.
 
         ``lanes`` are the source ghost lanes this backend's step left
         to the sweep (:meth:`_refresh_and_sweep`): the compiled flat
-        sweep fills them as it goes, NumPy before any other sweep.
+        sweep fills them as it goes, NumPy before its strip loop.
         """
         direction = _direction(plan, src_padded, dst_padded)
-        interior = direction.interior
-        if plan.contiguous:
-            flat, const, address = self._plan_sweep(plan, dst_padded)
-            self._flat_pass(
-                src_padded, dst_padded, flat, const, lanes,
-                (direction.src, direction.dst, address),
-            )
-            return interior
-        if lanes is not None:
-            fill_lanes(src_padded, lanes)
-        staging = self._scratch(interior.shape, interior.dtype, slot=1)
-        self.sweep_padded(
-            src_padded, plan.spec, plan.radius, plan.interior_shape,
-            constant=plan.constant, out=staging,
+        flat, const, address = self._plan_sweep(plan, dst_padded)
+        self._flat_pass(
+            src_padded, dst_padded, flat, const, lanes,
+            (direction.src, direction.dst, address),
         )
-        interior[...] = staging
-        return interior
+        return direction.interior
 
     def _refresh_and_sweep(
         self, src_padded: np.ndarray, dst_padded: np.ndarray, plan: StepPlan
@@ -490,7 +464,7 @@ class FusedBackend(Backend):
         the plan's refresh has ghost lanes, :func:`~repro.stencil.shift.refresh_ghosts`
         fills the other axes (the plan's ``head``) and :meth:`sweep_into`
         takes the lanes as an argument: the compiled flat sweep fills
-        them as its blocks reach them, NumPy before any other sweep.
+        them as its blocks reach them, NumPy before its strip loop.
         The source halo ends bitwise equal to a full refresh either way.
         Without lanes or a kernel this is the base class's
         refresh-then-sweep.
@@ -569,7 +543,7 @@ class FusedBackend(Backend):
         planes = self._lane_planes(u)
         if planes is None:
             return None
-        lanes = self._scratch((u.shape[1] * u.strides[1] // u.itemsize,), acc, slot=2)
+        lanes = self._scratch((u.shape[1] * u.strides[1] // u.itemsize,), acc, slot=1)
         return self._run_fold(_lane_fold(u, dtype, planes, lanes))
 
     @staticmethod

@@ -28,12 +28,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CheckpointCorrupt", "ProtectorState", "Snapshot"]
+__all__ = ["CheckpointCorrupt", "ProtectorState", "Snapshot", "same_checksums"]
 
 #: Recomputes a snapshot's checksum from its interior.
 Recompute = Callable[[np.ndarray], np.ndarray]
 
 _AXES = (0, 1)
+
+
+def same_checksums(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two checksum copies agree, NaN at the same positions
+    included: a domain value turned NaN or inf makes its entries NaN in
+    both copies, which is no strike on the metadata.  The NaN-aware
+    compare runs only after the plain one fails, so agreeing copies
+    cost one ``array_equal``."""
+    return np.array_equal(a, b) or np.array_equal(a, b, equal_nan=True)
 
 
 class CheckpointCorrupt(RuntimeError):
@@ -94,10 +103,10 @@ class Snapshot:
         :class:`CheckpointCorrupt` (``name`` labels the snapshot in the
         message).
         """
-        if not np.array_equal(self.checksum, self.checksum_dup):
+        if not same_checksums(self.checksum, self.checksum_dup):
             self.seal(recompute(self.interior))
             return True
-        if payload and not np.array_equal(recompute(self.interior), self.checksum):
+        if payload and not same_checksums(recompute(self.interior), self.checksum):
             raise CheckpointCorrupt(
                 f"{name} at iteration {self.iteration} fails its integrity "
                 f"check: the domain payload disagrees with the "

@@ -205,6 +205,9 @@ def correct_errors(
     Returns
     -------
     list of CorrectionRecord
+        One per corrected location.  A location whose estimate is not
+        finite (a value turned NaN or inf leaves its residuals NaN) is
+        skipped, its domain value and checksums untouched.
     """
     if strategy not in ("average", "row", "column"):
         raise ValueError(f"unknown correction strategy {strategy!r}")
@@ -235,6 +238,8 @@ def correct_errors(
             corrected = row_estimate
         else:
             corrected = col_estimate
+        if not np.isfinite(corrected):
+            continue
         u[loc] = corrected
         patch_checksum(a_computed, a_idx, old, corrected)
         patch_checksum(b_computed, b_idx, old, corrected)

@@ -9,14 +9,18 @@ error of each checksum entry,
     \\left| \\frac{a'^{(t+1)}_x}{a^{(t+1)}_x} - 1 \\right| > \\varepsilon,
 
 and an error flag is raised whenever it exceeds a detection threshold ε
-(1e-5 in the paper's experiments). The indices of the flagged entries
-give the row (respectively column, respectively layer) of the corrupted
-point and are later consumed by the correction step.
+(1e-5 in the paper's experiments), or is NaN: a flip that turns a
+domain value into NaN or inf makes its checksum entries' errors NaN,
+which no ``>`` comparison flags, so an entry is flagged unless its
+error is at most ε. The indices of the flagged entries give the row
+(respectively column, respectively layer) of the corrupted point and
+are later consumed by the correction step.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -35,7 +39,8 @@ class DetectionResult:
     ----------
     mismatch_indices:
         Integer array of shape ``(m, cs_ndim)``; each row is the index of
-        a checksum entry whose relative error exceeded the threshold.
+        a checksum entry whose relative error exceeded the threshold or
+        is NaN.
         For a 2D domain the checksum is 1D so each row has one component
         (the row/column index); for a 3D domain each row is ``(x, z)`` or
         ``(y, z)``.
@@ -94,8 +99,9 @@ def relative_discrepancy(
         )
     diff = np.abs(interpolated.astype(np.float64) - computed.astype(np.float64))
     denom = np.abs(computed.astype(np.float64))
-    out = np.where(denom > 0.0, diff / np.where(denom > 0.0, denom, 1.0), diff)
-    return out
+    # An inf entry's error is NaN (inf / inf), which detection flags.
+    with np.errstate(invalid="ignore"):
+        return np.where(denom > 0.0, diff / np.where(denom > 0.0, denom, 1.0), diff)
 
 
 def _kernel(computed, interpolated):
@@ -135,13 +141,15 @@ def detect_errors(
 
     Notes
     -----
-    Two C-contiguous float64 checksums of one shape are compared in one
-    compiled pass (:mod:`repro.backends.native`) that counts the entries
-    over ``threshold`` and takes the largest relative error, NaN if any
-    is NaN, as :func:`relative_discrepancy` and ``max`` do.  The flagged
-    indices and their errors are built with NumPy only when that count
-    is non-zero.  Without the library, and for any other pair, the
-    NumPy code runs.
+    An entry is flagged unless its relative error is at most
+    ``threshold``, so a NaN error (an entry of a value turned NaN or inf)
+    is flagged.  Two C-contiguous float64 checksums of one shape are
+    compared in one compiled pass (:mod:`repro.backends.native`) that
+    counts the entries over ``threshold`` and takes the largest relative
+    error, NaN if any is NaN, as :func:`relative_discrepancy` and ``max``
+    do.  The flagged indices and their errors are built with NumPy only
+    when that count is non-zero or that maximum is NaN.  Without the
+    library, and for any other pair, the NumPy code runs.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -152,7 +160,7 @@ def detect_errors(
             computed.ctypes.data, interpolated.ctypes.data, computed.size,
             threshold, ctypes.byref(top),
         )
-        if count == 0:
+        if count == 0 and not math.isnan(top.value):
             return DetectionResult(
                 mismatch_indices=np.empty((0, computed.ndim), dtype=np.intp),
                 relative_errors=np.empty(0),
@@ -161,7 +169,7 @@ def detect_errors(
                 n_checked=int(computed.size),
             )
     rel = relative_discrepancy(computed, interpolated)
-    flagged = rel > threshold
+    flagged = ~(rel <= threshold)
     idx = np.argwhere(flagged)
     errors = rel[flagged]
     max_rel = float(rel.max()) if rel.size else 0.0

@@ -96,8 +96,7 @@ operation for operation, so the result is bitwise equal (built without
 FMA contraction).  The call's extended checksum, shifted vectors and
 result share one buffer, and the returned checksum is a view of it.
 The NumPy code runs everywhere else: without the library, for other
-dtypes, the row checksum, and strided views (tiles, a campaign slot,
-a narrower final campaign batch).
+dtypes, the row checksum, and strided views (tiles, a campaign slot).
 
 The closed-border rule
 ----------------------

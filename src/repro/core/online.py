@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from repro.backends import FoldPlan, StepPlan, get_backend
-from repro.checkpoint.snapshot import ProtectorState
+from repro.checkpoint.snapshot import ProtectorState, same_checksums
 from repro.core.checksums import constant_checksum
 from repro.core.correction import correct_errors, match_detections
 from repro.core.detection import detect_errors
@@ -242,7 +242,7 @@ class OnlineABFT(Protector):
         data.
         """
         cs = self._prev_cs[axis]
-        if cs is not None and not np.array_equal(cs, self._prev_cs_dup[axis]):
+        if cs is not None and not same_checksums(cs, self._prev_cs_dup[axis]):
             self.total_metadata_repairs += 1
             cs = self._checksum(self._previous(padded_prev), axis)
             self._store_prev_cs(axis, cs)
@@ -430,6 +430,8 @@ class OnlineABFT(Protector):
                 b_interp,
                 strategy=self.correction_strategy,
             )
+            # A location whose estimate is not finite stays uncorrected.
+            unresolved += len(locations) - len(records)
             report.errors_corrected = len(records)
             report.errors_uncorrected = unresolved
             report.corrections = records

@@ -55,18 +55,19 @@ Two run strategies share that lifecycle:
 
 ``stacked``
     The batched fast path: the whole batch of runs is laid out as one
-    extra trailing axis of a single persistent padded buffer pair, and
-    each campaign iteration drives the backend-owned
+    extra trailing axis of a persistent padded buffer pair built for
+    the batch's width (a batch of another width, such as a campaign's
+    narrower last one, gets a pair of its own), and each campaign
+    iteration drives the backend-owned
     :meth:`~repro.backends.base.Backend.batch_step_into` primitive —
     one vectorised pass over the whole batch — then applies that
     iteration's bit flips (each through
     :func:`~repro.faults.injector.flip_plan`, the rule every plan flip
-    follows), reduces every run's checksum with the
-    protector's ``Backend.checksum`` (one call over a full-width batch's
-    column checksums, one call per run otherwise) and runs one stacked
-    Theorem-1 interpolation (given the pair's boundary, as a replayed
-    run's step gives its grid's) and detection screen for all runs at
-    once.
+    follows), reduces every run's checksum with one call of the
+    protector's ``Backend.checksum`` over the batch's column checksums
+    and runs one stacked Theorem-1 interpolation (given the pair's
+    boundary, as a replayed run's step gives its grid's) and detection
+    screen for all runs at once.
     The backend's batched step is per-slot bit-identical to its
     single-run step, and each run's checksum is the reduction replay's
     protector makes, taken after the run's flips as replay takes it
@@ -105,11 +106,11 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import FoldPlan, StepPlan, batch_arguments, get_backend
+from repro.backends import FoldPlan, batch_arguments, get_backend
 from repro.checkpoint.snapshot import Snapshot
 from repro.core.detection import detect_errors
 from repro.core.interpolation import (
@@ -141,7 +142,6 @@ from repro.parallel.executor import make_executor
 from repro.stencil.boundary import BoundarySpec
 from repro.stencil.doublebuffer import DoubleBufferedGrid
 from repro.stencil.grid import GridBase
-from repro.stencil.shift import interior_view
 from repro.stencil.spec import BatchOperator
 
 __all__ = [
@@ -258,34 +258,9 @@ class _BatchTask:
     start: int
     plans: Tuple[Tuple[FaultPlan, ...], ...]
     hooks: Optional[Tuple] = None
-    #: The campaign's full batch width.  A worker may receive the
-    #: (smaller) final batch first, so the stacked state is sized from
-    #: this hint rather than from the batch that happens to build it.
-    width_hint: int = 1
     #: Caller requested the replay strategy even where stacking is
     #: eligible (per-run timing fidelity; see ``CampaignEngine.run``).
     force_replay: bool = False
-
-
-class _BatchLayout(NamedTuple):
-    """A batch width's views of the stacked pair and their bound plans."""
-
-    #: Views of the pair's two buffers, in the order they were allocated.
-    views: Tuple[np.ndarray, np.ndarray]
-    step: StepPlan
-    #: The batch's Theorem-1 interpolation from the padded domain: the
-    #: online protector's, or the offline protector's strips (``None``
-    #: unprotected, or offline without strips).
-    interpolation: Optional[InterpolationPlan]
-    #: The offline window's checksum-space replay
-    #: (:func:`~repro.core.interpolation.reduced_plan`; ``None`` otherwise).
-    replay: Optional[tuple]
-    #: The full width's interiors, as its steps return them, each with
-    #: its view merging the last axis and the run axis, and the fold of
-    #: those views (see :meth:`_StackedBatch._checksums`); empty and
-    #: ``None`` for a narrower or unprotected batch.
-    merged: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-    fold: Optional[FoldPlan]
 
 
 class _StackedBatch:
@@ -309,7 +284,8 @@ class _StackedBatch:
       flagged slot's window is re-run by the library protector
       (:meth:`_rerun_window`).
 
-    All buffers are allocated once and reset in place between batches.
+    All buffers are allocated once and reset in place between batches
+    of the pair's width.
 
     Every checksum goes through ``Backend.checksum`` with the
     protector's dtype, the call a replayed run's protector makes on its
@@ -321,21 +297,20 @@ class _StackedBatch:
     :func:`~repro.core.detection.detect_errors` over the whole batch,
     and a flagged slot's delegated
     :meth:`~repro.core.online.OnlineABFT.process` gets the base grid's
-    boundary.  On a full-width batch, whose pair is contiguous, both
-    take the compiled kernels of :mod:`repro.backends.native`.  The
-    offline strips and replay act on each run's lanes alone, operation
-    for operation as a replayed run's protector on its own vectors.
+    boundary.  The pair is two whole buffers, so both take the
+    compiled kernels of :mod:`repro.backends.native`.  The offline
+    strips and replay act on each run's lanes alone, operation for
+    operation as a replayed run's protector on its own vectors.
 
-    The pair is built with the batch operator (:attr:`spec_ext`) and the
-    constant broadcast over the runs, so its
-    :class:`~repro.backends.base.StepPlan` is the full-width batched
-    step's; a narrower batch (a campaign's last) gets a plan over views
-    of the pair's first ``width`` runs the first time it runs.  The
-    interpolations of each width are bound once too
-    (:func:`~repro.core.interpolation.interpolation_plan`: its plan,
-    dtype, cast constant sum and the addresses of the pair's buffers;
-    :func:`~repro.core.interpolation.reduced_plan`); and so is the full
-    width's checksum, a :class:`~repro.backends.fused.FoldPlan` of the
+    The pair is built for one batch width, with the batch operator
+    (:attr:`spec_ext`) and the constant broadcast over the runs, so its
+    :class:`~repro.backends.base.StepPlan` is the batched step's; a
+    batch of another width gets a pair of its own
+    (:meth:`_WorkerCampaign._ensure_stacked`).  The interpolations are
+    bound once too (:func:`~repro.core.interpolation.interpolation_plan`:
+    its plan, dtype, cast constant sum and the addresses of the pair's
+    buffers; :func:`~repro.core.interpolation.reduced_plan`), and so is
+    the checksum, a :class:`~repro.backends.fused.FoldPlan` of the
     pair's two merged interiors.
     """
 
@@ -350,9 +325,7 @@ class _StackedBatch:
         # The worker's grid, on which a flagged offline window re-runs.
         self.grid = grid
         self.base_shape = grid.shape
-        self.base_radius = grid.radius
         self.dtype = grid.dtype
-        self.spec = grid.spec
         # Domain-axis boundary, which a flagged slot's delegated
         # ``process`` gets.
         self.base_boundary = BoundarySpec.from_any(
@@ -361,90 +334,70 @@ class _StackedBatch:
         # The campaign's shared initial domain — passed explicitly (the
         # worker grid may hold the final state of an earlier replay run).
         self.initial = np.ascontiguousarray(initial, dtype=self.dtype)[..., None]
-        self.constant = grid.constant
         # The batched step's arguments, which the stacked Theorem-1
         # interpolation takes too: the batch operator (the run axis
         # never shifts), ghost width 0 and a placeholder boundary on the
         # run axis, the constant broadcast over the runs.
         self.spec_ext, self.radius, self.shape, self.boundary, constant = (
             batch_arguments(
-                self.spec, self.base_radius, self.base_shape,
-                self.base_boundary, self.constant, self.width,
+                grid.spec, grid.radius, self.base_shape, self.base_boundary,
+                grid.constant, self.width,
             )
         )
         self.pair = DoubleBufferedGrid(
             np.broadcast_to(self.initial, self.shape), self.radius, self.boundary,
             spec=self.spec_ext, constant=constant,
         )
-        self._buffers = (self.pair.front, self.pair.back)
+        buffers = (self.pair.front, self.pair.back)
 
         self.protector: Optional[Protector] = None
         self.offline = isinstance(protector, OfflineABFT)
+        #: The batch's Theorem-1 interpolation from the padded domain:
+        #: the online protector's, or the offline protector's strips
+        #: (``None`` unprotected, or offline without strips).
+        self.interpolation: Optional[InterpolationPlan] = None
+        #: The offline window's checksum-space replay
+        #: (:func:`~repro.core.interpolation.reduced_plan`).
+        self.replay: Optional[tuple] = None
         if self.offline or isinstance(protector, OnlineABFT):
             self.protector = protector
             self.epsilon = protector.epsilon
-            if self.offline:
-                self.period = protector.period
-                constant_sum = protector._constant_sum
-                # Every run's state at its last verified window end, the
-                # checkpoint a flagged run's window restarts from.
-                self._checkpoint = np.empty(self.shape, dtype=self.dtype)
-            else:
-                constant_sum = protector._constant_sums[0]
+            cs_dtype = protector.checksum_dtype or self.dtype
+            constant_sum = (
+                protector._constant_sum if self.offline
+                else protector._constant_sums[0]
+            )
             self.constant_sum = (
                 None if constant_sum is None else constant_sum[..., None]
             )
-            self._cs_dtype = protector.checksum_dtype or self.dtype
-        self._layouts: Dict[int, _BatchLayout] = {}
-        self._layout(self.width)
-
-    def _layout(self, width: int) -> _BatchLayout:
-        """The pair's views and plans for a batch of ``width`` runs."""
-        layout = self._layouts.get(width)
-        if layout is not None:
-            return layout
-        shape = self.base_shape + (width,)
-        if width == self.width:
-            views, step = self._buffers, self.pair.plan
-        else:
-            views = tuple(b[..., :width] for b in self._buffers)
-            step = StepPlan(
-                *views,
-                *batch_arguments(
-                    self.spec, self.base_radius, self.base_shape,
-                    self.base_boundary, self.constant, width,
-                ),
-            )
-        interpolation = replay = fold = None
-        merged = ()
-        protector = self.protector
-        if self.offline:
-            if protector.track_strips:
-                interpolation = interpolation_plan(
-                    self.spec_ext, self.radius, shape, 0, self.dtype, self.dtype,
-                    buffers=views,
+            if self.offline:
+                self.period = protector.period
+                # Every run's state at its last verified window end, the
+                # checkpoint a flagged run's window restarts from.
+                self._checkpoint = np.empty(self.shape, dtype=self.dtype)
+                self.replay = reduced_plan(
+                    self.spec_ext, self.boundary, 0, self.base_shape[0],
+                    self.shape[1:], cs_dtype,
                 )
-            replay = reduced_plan(
-                self.spec_ext, self.boundary, 0, self.base_shape[0], shape[1:],
-                self._cs_dtype,
+                if protector.track_strips:
+                    self.interpolation = interpolation_plan(
+                        self.spec_ext, self.radius, self.shape, 0, self.dtype,
+                        self.dtype, buffers=buffers,
+                    )
+            else:
+                self.interpolation = interpolation_plan(
+                    self.spec_ext, self.radius, self.shape, 0, cs_dtype,
+                    self.dtype, constant_sum=self.constant_sum,
+                    boundary=self.boundary, buffers=buffers,
+                )
+            # The interiors the pair's steps return, each with its view
+            # merging the last axis and the run axis, and the fold of
+            # those views (see :meth:`_checksums`).
+            interiors = [self.pair.plan.interior(b) for b in buffers]
+            self._merged = [(i, _merge_runs(i)) for i in interiors]
+            self._fold = FoldPlan(
+                [m for _, m in self._merged], protector.checksum_dtype
             )
-        elif protector is not None:
-            interpolation = interpolation_plan(
-                self.spec_ext, self.radius, shape, 0, self._cs_dtype, self.dtype,
-                constant_sum=self.constant_sum, boundary=self.boundary,
-                buffers=views,
-            )
-        if protector is not None and width == self.width:
-            interiors = (step.interior(views[0]), step.interior(views[1]))
-            merged = tuple(
-                (i, m) for i, m in zip(interiors, map(_merge_runs, interiors))
-                if m is not None
-            )
-            fold = FoldPlan([m for _, m in merged], protector.checksum_dtype)
-        layout = self._layouts[width] = _BatchLayout(
-            views, step, interpolation, replay, merged, fold
-        )
-        return layout
 
     def run_batch(
         self,
@@ -453,6 +406,7 @@ class _StackedBatch:
     ) -> Tuple[np.ndarray, np.ndarray, float]:
         """Execute one batch of runs; returns (counters, finals, elapsed).
 
+        ``plans`` holds one entry per run of the pair's width.
         ``counters`` has shape ``(batch, 5)`` — detections, corrections,
         uncorrected, rollbacks and recomputed iterations, a record's
         five counters — ``finals`` is the stacked final interiors (a view
@@ -461,14 +415,11 @@ class _StackedBatch:
         norms excluded, matching what the legacy loop times).
         """
         width = len(plans)
-        if width > self.width:
+        if width != self.width:
             raise ValueError(
-                f"batch of {width} runs exceeds stacked width {self.width}"
+                f"batch of {width} runs on a stacked pair of {self.width}"
             )
         iterations = config.iterations
-        # In-place reset: every slot restarts from the shared initial
-        # domain; no allocation.
-        interior_view(self.pair.front, self.radius)[..., :width] = self.initial
 
         by_iteration: Dict[int, List[Tuple[int, FaultPlan]]] = {}
         for slot, run_plans in enumerate(plans):
@@ -478,13 +429,14 @@ class _StackedBatch:
         counters = np.zeros((width, 5), dtype=np.int64)
         protector = self.protector
         backend = get_backend()
-        layout = self._layout(width)
-        src, dst = layout.views
-        if self.pair.front is not self._buffers[0]:
-            src, dst = dst, src
+        step = self.pair.plan
+        src, dst = self.pair.front, self.pair.back
+        # In-place reset: every slot restarts from the shared initial
+        # domain; no allocation.
+        self.pair.interior[...] = self.initial
 
         start = time.perf_counter()
-        interior = interior_view(self.pair.front, self.radius)[..., :width]
+        interior = self.pair.interior
         if protector is not None:
             # Step t=0 data assumed correct (Theorem 2), as in
             # OnlineABFT.step's first-iteration checksum seed.
@@ -492,12 +444,12 @@ class _StackedBatch:
         if self.offline:
             # The t=0 checkpoint, which OfflineABFT.step takes before
             # its first sweep, and the window's strips.
-            checkpoint = Snapshot(0, self._checkpoint[..., :width])
+            checkpoint = Snapshot(0, self._checkpoint)
             checkpoint.interior[...] = interior
             checkpoint.seal(prev_cs)
             window: List[Optional[Dict[int, np.ndarray]]] = []
         for t in range(1, iterations + 1):
-            interior = backend.batch_step_into(src, dst, layout.step)
+            interior = backend.batch_step_into(src, dst, step)
             self.pair.swap()
             src, dst = dst, src
             fired = by_iteration.get(t)
@@ -510,10 +462,10 @@ class _StackedBatch:
                 # The strips of the step that read ``dst``, as a replayed
                 # run's protector records them after its inject hook.
                 window.append(
-                    None if layout.interpolation is None
+                    None if self.interpolation is None
                     else extract_delta_strips(
-                        dst, self.spec_ext, self.radius, layout.step.interior_shape,
-                        0, plan=layout.interpolation,
+                        dst, self.spec_ext, self.radius, self.shape, 0,
+                        plan=self.interpolation,
                     )
                 )
                 if len(window) == self.period or t == iterations:
@@ -563,17 +515,16 @@ class _StackedBatch:
         (one stacked interpolation and one screen), or ``None`` when
         none does.
         """
-        width = interior.shape[-1]
         cs = self._checksums(interior)
         predicted = _interpolate_stacked(
             prev_cs,
             padded_prev,
             self.spec_ext,
             self.radius,
-            self.base_shape + (width,),
+            self.shape,
             self.constant_sum,
             self.boundary,
-            self._layout(width).interpolation,
+            self.interpolation,
         )
         return cs, _detection_screen(cs, predicted, self.epsilon)
 
@@ -599,12 +550,11 @@ class _StackedBatch:
         """
         cs = self._checksums(interior)
         checkpoint.verify(self._checksums, payload=False)
-        replay = self._layout(interior.shape[-1]).replay
         predicted = checkpoint.checksum
         for strips in window:
             predicted = interpolate_checksum_reduced(
                 predicted, self.spec_ext, self.boundary, 0, self.base_shape[0],
-                deltas=strips, constant_sum=self.constant_sum, plan=replay,
+                deltas=strips, constant_sum=self.constant_sum, plan=self.replay,
             )
         stop = checkpoint.iteration + len(window)
         flagged = _detection_screen(cs, predicted, self.epsilon)
@@ -649,42 +599,27 @@ class _StackedBatch:
     def _checksums(self, interior: np.ndarray) -> np.ndarray:
         """Every slot's column checksum, shaped ``(..., run)``.
 
-        Each slot is reduced with ``Backend.checksum`` in the
-        protector's checksum dtype, the call a replayed run's protector
-        makes.  A full-width batch is one call
-        instead: the base grid's last axis and the run axis merge into
-        one contiguous axis, and each lane of the merged view still adds
-        over x in order, as a slot's own column checksum does.  A
-        narrower batch goes slot by slot: its run axis is a slice of the
-        pair's, which does not merge with the last axis.  The interiors
-        the full width's steps return have their merged views and fold
-        bound (:meth:`_layout`).
+        One ``Backend.checksum`` in the protector's checksum dtype, the
+        call a replayed run's protector makes on its own interior, over
+        the batch: the base grid's last axis and the run axis of a whole
+        pair's interior merge into one contiguous axis, and each lane of
+        the merged view still adds over x in order, as a slot's own
+        column checksum does.  The interiors the pair's steps return
+        have their merged views and fold bound (``__init__``).
         """
-        dtype = self.protector.checksum_dtype
-        checksum = get_backend().checksum
-        width = interior.shape[-1]
-        if width == self.width:
-            layout = self._layout(width)
-            for view, merged in layout.merged:
-                if view is interior:
-                    break
-            else:
-                merged = _merge_runs(interior)
-            if merged is not None:
-                return checksum(merged, 0, dtype=dtype, plan=layout.fold).reshape(
-                    self.base_shape[1:] + (width,)
-                )
-        return np.stack(
-            [checksum(interior[..., s], 0, dtype=dtype) for s in range(width)],
-            axis=-1,
-        )
+        for view, merged in self._merged:
+            if view is interior:
+                break
+        else:
+            merged = _merge_runs(interior)
+        return get_backend().checksum(
+            merged, 0, dtype=self.protector.checksum_dtype, plan=self._fold
+        ).reshape(self.base_shape[1:] + (self.width,))
 
 
-def _merge_runs(interior: np.ndarray) -> Optional[np.ndarray]:
-    """``interior`` with its last axis and run axis merged, or ``None``
-    where that takes a copy instead of a view."""
-    merged = interior.reshape(interior.shape[:-2] + (-1,))
-    return merged if np.may_share_memory(merged, interior) else None
+def _merge_runs(interior: np.ndarray) -> np.ndarray:
+    """``interior`` with its last axis and run axis merged."""
+    return interior.reshape(interior.shape[:-2] + (-1,))
 
 
 def _interpolate_stacked(
@@ -710,8 +645,8 @@ def _interpolate_stacked(
     :mod:`repro.core.interpolation` closed axes' borders come from
     ``prev_cs``, as a replayed run's ``OnlineABFT.step`` takes them
     from its own checksum.  The run axis has no ghosts and adds no fill.
-    ``plan`` is the batch width's bound interpolation
-    (:meth:`_StackedBatch._layout`).
+    ``plan`` is the pair's bound interpolation
+    (:attr:`_StackedBatch.interpolation`).
     """
     return interpolate_checksum_padded(
         prev_cs, padded_prev, spec_ext, radius, shape, 0,
@@ -736,11 +671,15 @@ def _detection_screen(
 
 
 class _WorkerCampaign:
-    """One worker's persistent state for one campaign configuration."""
+    """One worker's persistent state for one campaign configuration.
 
-    def __init__(self, payload: _CampaignPayload, batch_width: int) -> None:
+    It holds at most one :class:`_StackedBatch`, built for the width of
+    the batch it runs and built again when a batch of another width
+    arrives, so every stacked batch steps a whole pair of its own width.
+    """
+
+    def __init__(self, payload: _CampaignPayload) -> None:
         self.config = payload.config
-        self.batch_width = max(1, int(batch_width))
         self.grid = payload.grid_factory()
         self.protector = payload.protector_factory(self.grid)
         self.snapshot0 = self.grid.snapshot()
@@ -763,15 +702,14 @@ class _WorkerCampaign:
 
     def _ensure_stacked(self, width: int) -> _StackedBatch:
         # Built lazily (hook-driven campaigns replay and never need the
-        # stacked pair) and regrown if a wider batch ever arrives.  The
-        # snapshot — never the grid, which an earlier replay batch may
-        # have left at its final state — seeds every stacked slot.
-        if self.stacked is None or self.stacked.width < width:
+        # stacked pair), for the batch's width.  The old pair is dropped
+        # before the new one is built, so a worker holds one at a time.
+        # The snapshot — never the grid, which an earlier replay batch
+        # may have left at its final state — seeds every stacked slot.
+        if self.stacked is None or self.stacked.width != width:
+            self.stacked = None
             self.stacked = _StackedBatch(
-                self.grid,
-                self.protector,
-                max(width, self.batch_width),
-                self.snapshot0.interior,
+                self.grid, self.protector, width, self.snapshot0.interior
             )
         return self.stacked
 
@@ -863,7 +801,7 @@ def _execute_batch(task: _BatchTask) -> Tuple[BatchStrategy, List[RunRecord]]:
     if state is None:
         if len(cache) >= _STATE_CACHE_MAX:
             cache.clear()
-        state = cache[task.key] = _WorkerCampaign(task.payload, task.width_hint)
+        state = cache[task.key] = _WorkerCampaign(task.payload)
     return state.execute(task)
 
 
@@ -1116,7 +1054,6 @@ class CampaignEngine:
                     start=start,
                     plans=tuple(tuple(p) for p in plans[start:stop]),
                     hooks=None if hooks is None else tuple(hooks[start:stop]),
-                    width_hint=batch,
                     force_replay=strategy == "replay",
                 )
             )

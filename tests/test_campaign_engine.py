@@ -10,6 +10,7 @@ once a worker's persistent state is warm.
 import re
 import tracemalloc
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -628,6 +629,103 @@ class TestStackedWidth:
         assert [b.width for b in wider.batch_strategies] == [3, 3]
         assert_equivalent(result, wider)
 
+    @pytest.mark.parametrize("method", ["no-abft", "online-abft", "offline-abft"])
+    def test_narrower_last_batch_steps_a_whole_pair(
+        self, app, reference, method, monkeypatch
+    ):
+        """12 runs in batches of 8: the last batch of 4 gets a pair of its
+        own width, so each of its batched steps takes the compiled flat
+        sweep, as the first batch's do; the records equal the legacy
+        loop's (offline's period 4 leaves a short last window), and the
+        worker keeps one stacked pair, the last batch's."""
+        from repro.backends import FusedBackend, native
+        import repro.faults.engine as engine_module
+
+        lib = native.library()
+        if lib is None:
+            pytest.skip(f"native library unavailable: {native.unavailable_reason()}")
+        sweeps, steps = [], []
+
+        def spy(kernel):
+            def call(*args):
+                sweeps.append(1)
+                return kernel(*args)
+            return call
+
+        batch_step_into = FusedBackend.batch_step_into
+
+        def spy_step(backend, src, dst, plan):
+            before = len(sweeps)
+            interior = batch_step_into(backend, src, dst, plan)
+            steps.append((src.shape[-1], len(sweeps) - before))
+            return interior
+
+        monkeypatch.setattr(FusedBackend, "batch_step_into", spy_step)
+        factory = make_protector_factory(method, period=4)
+        config = CampaignConfig(iterations=ITERATIONS, repetitions=12, seed=13)
+        legacy = run_campaign(app.build_grid, factory, config, reference=reference)
+        table = {key: spy(fn) for key, fn in lib.sweep.items()}
+        with mock.patch.dict(lib.sweep, table), CampaignEngine(
+            executor="serial", batch_size=8
+        ) as engine:
+            got = engine.run(app.build_grid, factory, config, reference=reference)
+            mine = f"engine-{engine._token}-"
+            states = [
+                state for key, state in engine_module._WORKER_LOCAL.cache.items()
+                if key.startswith(mine)
+            ]
+        assert [b.width for b in got.batch_strategies] == [8, 4]
+        assert got.strategy_counts() == {"stacked": 12}
+        assert steps == [(8, 1)] * ITERATIONS + [(4, 1)] * ITERATIONS
+        assert_equivalent(legacy, got)
+        (state,) = states
+        assert isinstance(state.stacked, engine_module._StackedBatch)
+        assert state.stacked.width == 4
+
+
+def _l2_bits(result):
+    """Every record's deterministic fields, the l2 error by its bits (a
+    NaN error compares equal to itself only so)."""
+    return [
+        record_key(replace(r, arithmetic_error=0.0))
+        + (np.float64(r.arithmetic_error).tobytes(),)
+        for r in result.records
+    ]
+
+
+class TestNonFiniteFlipCampaign:
+    """Bit 30 of a float32 in [1, 2) turns it into NaN: every run of such
+    a campaign is detected, on every path, and offline ABFT rolls it
+    back."""
+
+    @staticmethod
+    def _grid():
+        u0 = (1 + np.random.default_rng(0).random((32, 32))).astype(np.float32)
+        return Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
+
+    @pytest.mark.parametrize("method", ["online-abft", "offline-abft"])
+    def test_every_run_is_detected_on_every_path(self, method):
+        factory = make_protector_factory(method, period=4)
+        config = CampaignConfig(
+            iterations=10, repetitions=6, seed=2,
+            fault_model=SingleBitFlip(bit=30),
+        )
+        legacy = run_campaign(self._grid, factory, config)
+        with CampaignEngine(executor="serial") as engine:
+            stacked = engine.run(self._grid, factory, config)
+            replay = engine.run(self._grid, factory, config, strategy="replay")
+        assert stacked.strategy_counts() == {"stacked": 6}
+        assert _l2_bits(stacked) == _l2_bits(legacy) == _l2_bits(replay)
+        assert all(r.errors_detected > 0 for r in stacked.records)
+        errors = [r.arithmetic_error for r in stacked.records]
+        if method == "offline-abft":
+            # A rollback re-runs the window without the flip.
+            assert errors == [0.0] * 6
+        else:
+            # Eq. 10 cannot restore a NaN.
+            assert all(r.errors_corrected == 0 for r in stacked.records)
+            assert np.isnan(errors).all()
+
 
 class TestStackedClosedBorders:
     """The stacked batch and its flagged-slot delegate pass the pair's
@@ -683,7 +781,7 @@ class TestStackedClosedBorders:
         assert _detection_screen(computed, predicted, eps) is None
         computed[3, 1, 1], predicted[3, 1, 1] = 1.0, 1.0 + 2 * eps
         computed[0, 0, 2], predicted[0, 0, 2] = 1.0, 1.0 + eps  # not over eps
-        computed[9, 3, 3], predicted[9, 3, 3] = np.nan, 1.0  # NaN compares false
+        computed[9, 3, 3], predicted[9, 3, 3] = np.nan, 1.0  # a NaN error flags
         computed[5, 2, 4], predicted[5, 2, 4] = 0.0, 1e-3  # the zero fallback
         computed[5, 2, 5], predicted[5, 2, 5] = -0.0, 0.0
         computed[7, 0, 6], predicted[7, 0, 6] = 2.0, np.inf
@@ -692,5 +790,5 @@ class TestStackedClosedBorders:
             slot for slot in range(computed.shape[-1])
             if detect_errors(computed[..., slot], predicted[..., slot], eps).detected
         ]
-        assert want == [1, 4, 6, 8]
+        assert want == [1, 3, 4, 6, 8]
         assert list(_detection_screen(computed, predicted, eps)) == want

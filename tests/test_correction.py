@@ -151,6 +151,22 @@ class TestCorrectErrors:
         np.testing.assert_allclose(a_comp, u_new.sum(axis=1), rtol=1e-8)
         np.testing.assert_allclose(b_comp, u_new.sum(axis=0), rtol=1e-8)
 
+    def test_non_finite_estimate_is_skipped(self, rng):
+        """A value turned NaN leaves its residuals NaN, so Eq. 10 has no
+        finite estimate: the location is skipped, and the domain and both
+        checksums keep their bits."""
+        u_new, _, cs, _ = _corrupt_and_detect_2d(
+            rng, five_point_diffusion(0.2), (4, 5), 0.0
+        )
+        u_new[4, 5] = np.nan
+        a_comp, a_interp, b_comp, b_interp = cs
+        a_comp[4], b_comp[5] = np.nan, np.nan
+        before = [a.copy() for a in (u_new, a_comp, b_comp)]
+        records = correct_errors(u_new, [(4, 5)], a_comp, a_interp, b_comp, b_interp)
+        assert records == []
+        for now, was in zip((u_new, a_comp, b_comp), before):
+            assert now.tobytes() == was.tobytes()
+
     @pytest.mark.parametrize("strategy", ["average", "row", "column"])
     def test_strategies_all_recover_value(self, rng, strategy):
         u_new, truth, cs, (det_a, det_b) = _corrupt_and_detect_2d(

@@ -98,6 +98,17 @@ class TestDetectErrors:
         assert not detect_errors(computed, interpolated, 1e-5 + 1e-9).detected
         assert detect_errors(computed, interpolated, 0.9e-5).detected
 
+    def test_nan_errors_are_flagged(self):
+        """A value turned NaN or inf makes its entry's error NaN, which no
+        ``>`` flags: an entry is flagged unless its error is at most eps
+        (float32 checksums take the NumPy compare)."""
+        computed = np.array([1.0, np.nan, 2.0, np.inf, 3.0], np.float32)
+        interpolated = np.array([1.0, 1.0, 2.0, 1.0, np.inf], np.float32)
+        result = detect_errors(computed, interpolated, 1e-5)
+        np.testing.assert_array_equal(result.mismatch_indices, [[1], [3], [4]])
+        assert np.isnan(result.relative_errors[:2]).all()
+        assert result.relative_errors[2] == np.inf
+
     def test_result_dataclass_fields(self):
         result = DetectionResult(
             mismatch_indices=np.empty((0, 1), dtype=int),

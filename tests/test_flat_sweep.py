@@ -4,11 +4,11 @@ Whole C-contiguous buffer pairs are swept on flat 1-D views (one
 contiguous ufunc loop per stencil point and strip), which also
 computes the destination's axis >= 1 ghost positions inside the
 interior's axis-0 extent.  These tests pin the contract: every interior value equals the
-reference sweep (and is bitwise equal to the fused staged route),
+reference sweep (and is bitwise equal to ``sweep_padded``),
 the source is never written, nothing outside the flat interior range is
-touched, non-contiguous views keep every ghost intact, and the cached
-padded constant is never served to the wrong grid.  Every sweep and step
-takes its pair's plan (``conftest.step_plan``).
+touched, a non-contiguous pair is refused before any cell moves, and the
+cached padded constant is never served to the wrong grid.  Every sweep
+and step takes its pair's plan (``conftest.step_plan``).
 """
 
 import tracemalloc
@@ -25,7 +25,7 @@ from repro.backends import fused as fused_module
 from repro.stencil.boundary import BoundarySpec
 from repro.stencil.grid import Grid3D
 from repro.stencil.reference import reference_sweep_padded
-from repro.stencil.shift import interior_view, pad_array, padded_shape
+from repro.stencil.shift import pad_array, padded_shape
 from repro.stencil.spec import StencilSpec
 
 
@@ -108,10 +108,10 @@ class TestFlatSweepProperty:
                 src, dst, spec, radius, shape, constant=constant,
                 plan=step_plan(src, dst, spec, radius, shape, constant=constant),
             )
-            staged = fused.sweep_padded(src, spec, radius, shape, constant=constant)
+            swept = fused.sweep_padded(src, spec, radius, shape, constant=constant)
             want = reference_sweep_padded(src, spec, radius, shape, constant=constant)
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(_bits(got), _bits(staged))
+            np.testing.assert_array_equal(_bits(got), _bits(swept))
             # The ghost-overwrite rule: nothing outside [lo, hi) moves.
             lo, hi = _flat_range(src.shape, radius, shape)
             flat, before = dst.reshape(-1), dst_before.reshape(-1)
@@ -177,10 +177,10 @@ class TestViews:
         np.testing.assert_array_equal(_bits(dst_big[keep]), _bits(before[keep]))
 
     @pytest.mark.parametrize("ndim", [2, 3])
-    def test_non_contiguous_view_is_staged_and_keeps_ghosts(
-        self, rng, ndim, monkeypatch
-    ):
-        """A tile sliced along axis 1 takes the staged path: no ghost moves."""
+    def test_non_contiguous_view_is_refused_and_keeps_every_cell(self, rng, ndim):
+        """A tile sliced along axis 1 is no whole buffer: its step plan
+        is refused, naming the cause, and no cell of either buffer
+        moves."""
         shape = (5, 6) if ndim == 2 else (4, 5, 3)
         radius = (2,) * ndim
         spec = _full_box(ndim)
@@ -189,25 +189,14 @@ class TestViews:
         big_shape = (pshape[0], pshape[1] + 2 * extra) + pshape[2:]
         src_big = rng.random(big_shape).astype(np.float64)
         dst_big = rng.random(big_shape).astype(np.float64)
-        before = dst_big.copy()
+        before = src_big.copy(), dst_big.copy()
         cols = (slice(None), slice(extra, extra + pshape[1]))
         src, dst = src_big[cols], dst_big[cols]
         assert not dst.flags.c_contiguous
-        fused = FusedBackend()
-
-        def no_flat(*args, **kwargs):
-            raise AssertionError("the flat sweep ran on a non-contiguous view")
-
-        monkeypatch.setattr(fused, "_flat_pass", no_flat)
-        got = fused.sweep_into(
-            src, dst, spec, radius, shape,
-            plan=step_plan(src, dst, spec, radius, shape),
-        )
-        want = reference_sweep_padded(src, spec, radius, shape)
-        np.testing.assert_array_equal(got, want)
-        mask = np.ones(big_shape, dtype=bool)
-        interior_view(mask[cols], radius)[...] = False
-        np.testing.assert_array_equal(_bits(dst_big[mask]), _bits(before[mask]))
+        with pytest.raises(ValueError, match="front buffer is not C-contiguous"):
+            step_plan(src, dst, spec, radius, shape)
+        for big, was in zip((src_big, dst_big), before):
+            np.testing.assert_array_equal(_bits(big), _bits(was))
 
 
 def _full_box(ndim):

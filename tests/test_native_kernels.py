@@ -154,7 +154,6 @@ def _sweep_both_ways(case):
     for force_numpy in (False, True):
         out = dst.copy()
         plan = step_plan(src, out, *args, constant=constant)
-        assert plan.contiguous
         with numpy_only() if force_numpy else contextlib.nullcontext():
             backend.sweep_into(src, out, *args, constant, plan)
         outs.append(out)
@@ -585,7 +584,7 @@ class TestInterpolationGuards:
         cs, padded, op, radius, shape, _, _ = _interp_case(
             rng, "4d", 1, INTERP_DTYPES[0], "none", False
         )
-        narrow = padded[..., :3]  # a narrower final batch: strided
+        narrow = padded[..., :3]  # the first runs of a wider batch: strided
         self._numpy_runs(cs[..., :3].copy(), narrow, op, radius, shape[:3] + (3,))
         slot = padded[..., 1]
         spec = StencilSpec([(o[:3], w) for o, w in op])
@@ -668,12 +667,20 @@ class TestCompiledCompare:
         assert got.max_relative_error == want.max_relative_error
         assert (got.threshold, got.n_checked) == (want.threshold, want.n_checked)
 
-    def test_nan_max_without_a_flag(self, lib):
+    def test_nan_max_flags_its_entry(self, lib):
+        """No error is over epsilon, but one is NaN (a value turned NaN):
+        the compiled count is 0 and its max NaN, so NumPy builds the
+        result, which flags that entry."""
         from repro.core.detection import detect_errors
 
         computed, interpolated = np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0, 2.0])
-        got = detect_errors(computed, interpolated, 1e-5)
-        assert not got.detected and np.isnan(got.max_relative_error)
+        patch, spies = spy_on(lib.compare)
+        with patch:
+            got = detect_errors(computed, interpolated, 1e-5)
+        assert _calls(spies) == 1
+        assert got.detected and np.isnan(got.max_relative_error)
+        np.testing.assert_array_equal(got.mismatch_indices, [[1]])
+        assert np.isnan(got.relative_errors).all()
 
     def test_other_pairs_take_numpy(self, rng):
         from repro.core.detection import detect_errors

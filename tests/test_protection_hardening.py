@@ -152,6 +152,49 @@ class TestOfflineSerial:
         assert protector.total_metadata_repairs >= 1
 
 
+class TestNonFiniteFlips:
+    """Bit 30 of a float32 in [1, 2) turns the value into NaN, whose
+    checksum entries' relative errors are NaN.  Both protectors detect
+    it, and the NaN checksum and its NaN copy agree, so no metadata
+    repair is counted."""
+
+    ITERATIONS = 12
+
+    @staticmethod
+    def _run(protector_factory):
+        u0 = (1 + np.random.default_rng(0).random((32, 32))).astype(np.float32)
+        grid = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
+        clean = Grid2D(u0, five_point_diffusion(0.2), BoundaryCondition.clamp())
+        clean.run(TestNonFiniteFlips.ITERATIONS)
+        protector = protector_factory(grid)
+        plans = [FaultPlan(3, (5, 5), bit=30)]
+        protector.run(
+            grid, TestNonFiniteFlips.ITERATIONS,
+            inject=FaultInjector(plans, protector),
+        )
+        return grid, clean, protector
+
+    def test_online_detects_and_leaves_the_nan_uncorrected(self):
+        grid, _, protector = self._run(OnlineABFT.for_grid)
+        # Eq. 10 has no finite estimate for a NaN: every flag stays
+        # uncorrected, and the NaN spreads.
+        assert (
+            protector.total_detections, protector.total_corrections,
+            protector.total_uncorrected, protector.total_metadata_repairs,
+        ) == (90, 0, 90, 0)
+        assert not np.isfinite(grid.u).all()
+
+    def test_offline_rolls_back_to_the_fault_free_run(self):
+        grid, clean, protector = self._run(
+            lambda g: OfflineABFT.for_grid(g, period=4)
+        )
+        assert (
+            protector.total_detections, protector.total_rollbacks,
+            protector.total_metadata_repairs,
+        ) == (3, 1, 0)
+        assert grid.u.tobytes() == clean.u.tobytes()
+
+
 class TestDistributed:
     def _runners(self, rng):
         grid = _make_grid(rng)

@@ -5,10 +5,10 @@ axis of one buffer pair and reduces every run's checksum itself; a
 replayed run's protector reduces its own interior with
 ``Backend.checksum``.  Records agree only if the two reductions agree in
 every bit: a checksum that differs in its last bit can decide a
-detection near epsilon differently.  A full-width batch reduces in one
-call over the merged last and run axes, a narrower batch slot by slot.
-Each case runs 11 runs in batches of 8, so a full-width batch and a
-narrower final batch of 3 are both pinned.  Float64 domains fold in
+detection near epsilon differently.  A batch reduces in one call over
+the merged last and run axes of its own pair.  Each case runs 11 runs
+in batches of 8, so a batch of 8 and a narrower final batch of 3, each
+on a pair of its width, are both pinned.  Float64 domains fold in
 float64 with either checksum dtype; float32 domains, the paper's, take
 the float32-to-float64 and the float32-to-float32 folds.
 """

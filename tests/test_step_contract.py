@@ -34,8 +34,9 @@ Every step takes the pair's :class:`~repro.backends.base.StepPlan`
 (``conftest.step_plan``), as a double-buffered grid, a rank and a
 stacked campaign batch pass theirs every step; two more hypothesis
 properties step one planned pair in both directions, single and
-batched (full width and narrower), against the oracle.  A plan refuses
-an overlapping pair, and each primitive a pair it was not built over.
+batched, against the oracle.  A plan refuses an overlapping pair and
+any pair that is not two whole C-contiguous buffers of one dtype, and
+each primitive a pair it was not built over.
 """
 
 from unittest import mock
@@ -339,7 +340,9 @@ def test_primitives_refuse_a_call_without_a_plan(rng, backend, primitive):
 
 def test_batched_plan_refuses_a_per_run_constant_and_a_wrong_layout(rng):
     """The run-axis extension takes one constant for every run, and the
-    plan of a batched pair checks each buffer's run-extended layout."""
+    plan of a batched pair checks each buffer's run-extended layout: the
+    shape, two whole C-contiguous buffers (the first runs of a wider
+    pair are not) and one dtype."""
     spec = kernels.nine_point_smoothing()
     radius = spec.radius()
     pshape = padded_shape(SHAPE_2D, radius) + (3,)
@@ -352,6 +355,11 @@ def test_batched_plan_refuses_a_per_run_constant_and_a_wrong_layout(rng):
                   spec, radius, SHAPE_2D)
     with pytest.raises(ValueError, match=r"the front buffer has shape"):
         step_plan(*(p[1:] for p in pair), spec, radius, SHAPE_2D)
+    wider = [np.zeros(pshape[:-1] + (5,), np.float32) for _ in range(2)]
+    with pytest.raises(ValueError, match="the front buffer is not C-contiguous"):
+        step_plan(*(w[..., :3] for w in wider), spec, radius, SHAPE_2D)
+    with pytest.raises(ValueError, match=r"differ in dtype \(float32 and float64\)"):
+        step_plan(pair[0], np.zeros(pshape, np.float64), spec, radius, SHAPE_2D)
 
 
 @pytest.mark.parametrize("backend", COMPUTE_PATHS, indirect=True)
@@ -518,19 +526,16 @@ def _check_batch(backend, case, batch, with_cs, seed):
 
 # -- one planned pair, stepped both ways -------------------------------------
 
-def _check_planned_steps(backend, step, pair, views, plan, case, const,
-                         refresh_axes):
-    """Step ``views`` (of ``pair``) both ways with ``plan`` against the
-    oracle: each step's interior equals refresh + the reference sweep of
-    a copy of its source, slot by slot; the refreshed source halo
-    matches bit for bit; the destination's axis-0 ghost slabs and every
-    cell of ``pair`` outside ``views`` keep their bits."""
+def _check_planned_steps(backend, step, pair, plan, case, const, refresh_axes):
+    """Step ``pair`` both ways with ``plan`` against the oracle: each
+    step's interior equals refresh + the reference sweep of a copy of
+    its source, slot by slot; the refreshed source halo matches bit for
+    bit; the destination's axis-0 ghost slabs keep their bits."""
     spec, shape, boundary = case[:3]
     radius = spec.radius()
-    batched = views[0].ndim == len(shape) + 1
-    width = views[0].shape[-1]
+    batched = pair[0].ndim == len(shape) + 1
     for s, d in ((0, 1), (1, 0)):
-        src, dst = views[s], views[d]
+        src, dst = pair[s], pair[d]
         slots = [Ellipsis] if not batched else [
             (Ellipsis, b) for b in range(src.shape[-1])
         ]
@@ -551,14 +556,10 @@ def _check_planned_steps(backend, step, pair, views, plan, case, const,
             np.testing.assert_array_equal(got[slot], want)
             _assert_bits(src[slot], ref)
         # The ghost-overwrite rule: the axis-0 ghost slabs keep their bits.
-        was = before[d][..., :width] if batched else before[d]
         r0 = radius[0]
         if r0:
             for ghost in (slice(0, r0), slice(-r0, None)):
-                _assert_bits(dst[ghost], was[ghost])
-        if batched and pair[0].shape[-1] > width:
-            for mine, was in zip(pair, before):
-                _assert_bits(mine[..., width:], was[..., width:])
+                _assert_bits(dst[ghost], before[d][ghost])
 
 
 @pytest.mark.parametrize("path", CONTRACT_PATHS)
@@ -583,8 +584,7 @@ def test_planned_step_bit_identical_to_oracle(path, case, rank, seed):
         backend = get_backend()
         plan = step_plan(*pair, spec, radius, shape, boundary, const, refresh_axes)
         _check_planned_steps(
-            backend, backend.step_into, pair, pair, plan, case, const,
-            refresh_axes,
+            backend, backend.step_into, pair, plan, case, const, refresh_axes
         )
 
 
@@ -593,32 +593,25 @@ def test_planned_step_bit_identical_to_oracle(path, case, rank, seed):
 @given(
     case=_cases(),
     width=st.sampled_from((1, 3)),
-    narrower=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_planned_batched_step_bit_identical_to_oracle(
-    path, case, width, narrower, seed
-):
+def test_planned_batched_step_bit_identical_to_oracle(path, case, width, seed):
     """The batched step given the plan of the run-extended pair, as a
-    stacked campaign batch builds it, equals the oracle slot by slot in
-    both directions: on a full-width pair (contiguous) and on views of
-    the first ``width`` runs of a wider one (strided, a campaign's last
-    batch), whose other runs it never writes."""
+    stacked campaign batch builds it for its width, equals the oracle
+    slot by slot in both directions."""
     spec, shape, boundary, refresh_axes, has_const, dtype = case
     radius = spec.radius()
     rng = np.random.default_rng(seed)
-    runs = width + 2 if narrower else width
     pair = [
-        rng.standard_normal(padded_shape(shape, radius) + (runs,)).astype(dtype)
+        rng.standard_normal(padded_shape(shape, radius) + (width,)).astype(dtype)
         for _ in range(2)
     ]
     const = rng.standard_normal(shape).astype(dtype) if has_const else None
-    views = [b[..., :width] for b in pair]
     with on_path(path):
         backend = get_backend()
-        plan = step_plan(*views, spec, radius, shape, boundary, const, refresh_axes)
+        plan = step_plan(*pair, spec, radius, shape, boundary, const, refresh_axes)
         _check_planned_steps(
-            backend, backend.batch_step_into, pair, views, plan, case, const,
+            backend, backend.batch_step_into, pair, plan, case, const,
             refresh_axes,
         )
 
@@ -697,22 +690,17 @@ def _compiled_calls(lanes_passed):
     return mock.patch.dict(table, {key: spy(fn) for key, fn in table.items()})
 
 
-@pytest.mark.parametrize("view", ["unaligned", "strided"])
-def test_views_without_compiled_lanes(rng, backend, view):
-    """An unaligned source (the flat NumPy strip loop) and a strided pair
-    (the staged sweep) leave the lanes to NumPy: same bits as the
-    reference, in the interior and the whole source halo."""
+def test_unaligned_source_without_compiled_lanes(rng, backend):
+    """An unaligned source (the flat NumPy strip loop) leaves the lanes
+    to NumPy: same bits as the reference, in the interior and the whole
+    source halo."""
     shape, boundary = (5, 6, 4), BoundarySpec.clamp(3)
     pshape = padded_shape(shape, _SPEC_3D.radius())
     values = rng.standard_normal(pshape).astype(np.float32)
-    if view == "unaligned":
-        raw = np.zeros(values.nbytes + 1, np.uint8)
-        src = np.frombuffer(raw.data, np.float32, values.size, 1).reshape(pshape)
-        assert not src.flags.aligned
-        dst = np.full(pshape, np.nan, np.float32)
-    else:
-        src = np.zeros((2 * pshape[0],) + pshape[1:], np.float32)[::2]
-        dst = np.full((2 * pshape[0],) + pshape[1:], np.nan, np.float32)[::2]
+    raw = np.zeros(values.nbytes + 1, np.uint8)
+    src = np.frombuffer(raw.data, np.float32, values.size, 1).reshape(pshape)
+    assert not src.flags.aligned
+    dst = np.full(pshape, np.nan, np.float32)
     src[...] = values
     lanes_passed = []
     with _compiled_calls(lanes_passed):
